@@ -1,22 +1,68 @@
 //! Benches for the three-phase optimizer: full branch and bound vs
-//! blind enumeration vs the exhaustive oracle, per metric.
+//! blind enumeration vs the exhaustive oracle, per metric — plus the
+//! search's exact costing-effort counters as gauges, so a change that
+//! makes the optimizer price more (or build more plans) shows as a
+//! number that does not depend on the machine.
 
 use mdq_bench::harness::Bench;
 use mdq_cost::estimate::CacheSetting;
 use mdq_cost::metrics::{ExecutionTime, RequestResponse, SumCost};
 use mdq_cost::selectivity::SelectivityModel;
 use mdq_model::examples::{running_example_query, running_example_schema};
+use mdq_model::parser::parse_query;
 use mdq_optimizer::bnb::{optimize, OptimizerConfig};
-use mdq_optimizer::context::CostContext;
+use mdq_optimizer::context::{CostContext, CostingEffort};
 use mdq_optimizer::exhaustive::exhaustive_optimum;
 use mdq_plan::builder::StrategyRule;
 use std::sync::Arc;
+
+/// Records the costing effort of one `optimize` run under `name`.
+fn effort_gauges(bench: &Bench, name: &str, effort: CostingEffort) {
+    for (what, count, unit) in [
+        ("plans-built", effort.plans_built, "plans"),
+        ("plans-prepared", effort.plans_prepared, "plans"),
+        ("evaluations", effort.evaluations, "vectors"),
+        ("prefix-signings", effort.prefix_signings, "plans"),
+    ] {
+        bench.gauge(&format!("{name}/{what}"), count as u64, unit);
+    }
+}
 
 fn main() {
     let bench = Bench::from_args();
 
     let schema = running_example_schema();
     let query = Arc::new(running_example_query(&schema));
+
+    // The end-to-end benchmark's `cold_templates` op (benchmark/): a
+    // never-seen travel template, k = 5, ETM, one-call cache.
+    {
+        let template = parse_query(
+            "q(Conf, City, HPrice, FPrice, Hotel) :- \
+             flight('Milano', City, Start, End, ST, ET, FPrice), \
+             hotel(Hotel, City, 'luxury', Start, End, HPrice), \
+             conf('DB', Conf, Start, End, City), \
+             weather(City, Temp, Start), \
+             Start >= '2007/3/14', End <= '2007/3/14' + 180, \
+             Temp >= 28, FPrice + HPrice < 1000.5.",
+            &schema,
+        )
+        .expect("template parses");
+        let template = Arc::new(template);
+        let config = OptimizerConfig {
+            k: 5,
+            ..OptimizerConfig::default()
+        };
+        let run = || {
+            optimize(Arc::clone(&template), &schema, &ExecutionTime, &config).expect("optimizes")
+        };
+        bench.measure("optimize/travel/cold-template/etm-k5", run);
+        effort_gauges(
+            &bench,
+            "optimize/travel/cold-template/etm-k5",
+            run().stats.costing,
+        );
+    }
     for (name, metric) in [
         ("etm", &ExecutionTime as &dyn mdq_cost::metrics::CostMetric),
         ("rrm", &RequestResponse),
@@ -27,7 +73,7 @@ fn main() {
             },
         ),
     ] {
-        bench.measure(&format!("optimize/travel/bnb/{name}"), || {
+        let run = || {
             optimize(
                 Arc::clone(&query),
                 &schema,
@@ -35,7 +81,13 @@ fn main() {
                 &OptimizerConfig::default(),
             )
             .expect("optimizes")
-        });
+        };
+        bench.measure(&format!("optimize/travel/bnb/{name}"), run);
+        effort_gauges(
+            &bench,
+            &format!("optimize/travel/bnb/{name}"),
+            run().stats.costing,
+        );
     }
     bench.measure("optimize/travel/bnb/etm-no-bounds", || {
         optimize(

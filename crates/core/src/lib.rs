@@ -186,7 +186,12 @@ impl Mdq {
         metric: &dyn CostMetric,
         config: OptimizerConfig,
     ) -> Result<Optimized, MdqError> {
-        self.optimize_shared(query, metric, config, &mdq_cost::shared::NOTHING_SHARED)
+        Ok(mdq_optimizer::bnb::optimize(
+            Arc::new(query),
+            &self.schema,
+            metric,
+            &self.injected(config),
+        )?)
     }
 
     /// [`Mdq::optimize`] with a [`SharedWorkOracle`]: candidate plans
@@ -199,18 +204,23 @@ impl Mdq {
         &self,
         query: ConjunctiveQuery,
         metric: &dyn CostMetric,
-        mut config: OptimizerConfig,
+        config: OptimizerConfig,
         oracle: &dyn SharedWorkOracle,
     ) -> Result<Optimized, MdqError> {
-        config.selectivity = self.selectivity;
-        config.strategy = self.strategy.clone();
         Ok(mdq_optimizer::bnb::optimize_shared(
             Arc::new(query),
             &self.schema,
             metric,
-            &config,
+            &self.injected(config),
             oracle,
         )?)
+    }
+
+    /// `config` with the engine's selectivity model and strategy rule.
+    fn injected(&self, mut config: OptimizerConfig) -> OptimizerConfig {
+        config.selectivity = self.selectivity;
+        config.strategy = self.strategy.clone();
+        config
     }
 
     /// Executes a plan with the stage-materialised engine.
@@ -375,7 +385,7 @@ impl Default for Mdq {
 /// the schema, refreshes the profiles of every observed service from
 /// the execution's live statistics, re-runs the three-phase search over
 /// the unexecuted suffix
-/// ([`reoptimize_suffix_shared`](mdq_optimizer::replan::reoptimize_suffix_shared)),
+/// ([`reoptimize_suffix_in`](mdq_optimizer::replan::reoptimize_suffix_in)),
 /// and splices the result in only when it is a *strict* improvement
 /// over the running plan re-priced under the same refreshed schema —
 /// a confirmed plan never churns.
@@ -433,29 +443,23 @@ impl<'a> OptimizerReplanner<'a> {
 impl Replanner for OptimizerReplanner<'_> {
     fn replan(&mut self, req: &ReplanRequest<'_>) -> Option<mdq_plan::dag::Plan> {
         let schema = self.refreshed(req.observed);
-        let oracle: &dyn SharedWorkOracle = match &self.oracle {
-            Some(o) => o.as_ref(),
-            None => &mdq_cost::shared::NOTHING_SHARED,
-        };
-        let redone = mdq_optimizer::replan::reoptimize_suffix_shared(
-            req.plan,
-            req.executed,
-            &schema,
-            self.metric,
-            &self.config,
-            oracle,
-        )
-        .ok()?;
-        // splice only a strict improvement: both plans priced under the
-        // *refreshed* schema (and the same shared-work discount), so
-        // the comparison is apples to apples
+        // both plans are priced under the *refreshed* schema (and the
+        // same shared-work discount, if any), so the comparison is
+        // apples to apples
         let ctx = CostContext::new(
             &schema,
             &self.config.selectivity,
             self.config.cache,
             self.metric,
-        )
-        .with_oracle(oracle);
+        );
+        let ctx = match &self.oracle {
+            Some(oracle) => ctx.with_oracle(oracle.as_ref()),
+            None => ctx,
+        };
+        let redone =
+            mdq_optimizer::replan::reoptimize_suffix_in(req.plan, req.executed, &ctx, &self.config)
+                .ok()?;
+        // splice only a strict improvement
         let (current_cost, _) = ctx.cost(req.plan);
         (redone.candidate.cost + 1e-9 < current_cost).then_some(redone.candidate.plan)
     }

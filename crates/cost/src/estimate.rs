@@ -23,7 +23,7 @@ use mdq_model::binding::input_vars;
 use mdq_model::query::VarId;
 use mdq_model::schema::{Chunking, Schema};
 use mdq_plan::dag::{NodeId, NodeKind, Plan};
-use std::collections::HashSet;
+use std::ops::Range;
 
 /// The logical-caching settings of §5.1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -85,6 +85,14 @@ impl Annotation {
 
 /// The §5.2 estimator. Borrowed context: schema for profiles/domains,
 /// selectivity model for predicate σ's.
+///
+/// Estimation is split in two. [`Estimator::prepare`] analyses a plan
+/// once — everything that does not depend on the fetch factors — and
+/// [`PreparedPlan::evaluate`] turns a fetch vector into an
+/// [`Annotation`] with a straight loop over `f64`s. Phase 3 of the
+/// optimizer prepares each topology once and evaluates it per
+/// candidate vector; [`Estimator::annotate`] is the one-shot form of
+/// the same code.
 #[derive(Clone, Copy, Debug)]
 pub struct Estimator<'a> {
     /// Service signatures and domain cardinalities.
@@ -93,6 +101,207 @@ pub struct Estimator<'a> {
     pub selectivity: &'a SelectivityModel,
     /// Cache setting assumed for call counting.
     pub cache: CacheSetting,
+}
+
+/// How many tuples one input tuple of an invoke node yields.
+#[derive(Clone, Copy, Debug)]
+enum ResultSize {
+    /// Bulk service: its erspi.
+    Bulk(f64),
+    /// Chunked service: chunk size × the fetch factor of plan position
+    /// `pos`.
+    Chunked { chunk_size: f64, pos: usize },
+}
+
+/// How an invoke node's effective calls follow from its input stream.
+#[derive(Clone, Debug)]
+enum CallRule {
+    /// No cache: one call per input tuple.
+    PerTuple,
+    /// Constant-only inputs: a single distinct input combination.
+    Constant,
+    /// Eq. 2: bounded by the minimal contributors `N(n)` of these input
+    /// variables (a range of [`PreparedPlan::input_vars`]).
+    Blocks(Range<usize>),
+}
+
+/// One input variable of an invoke node, for the `N(n)` computation.
+#[derive(Clone, Debug)]
+struct InputVar {
+    /// The dataflow ancestors carrying the variable (a range of
+    /// [`PreparedPlan::carriers`]), in the order the minimum is sought —
+    /// the first of several equally small ancestors wins.
+    carriers: Range<usize>,
+    /// Cardinality of the variable's abstract domain (∞ when unknown).
+    cardinality: f64,
+}
+
+/// The fetch-independent part of one node's estimate.
+#[derive(Clone, Debug)]
+enum Step {
+    /// §3.4: the user injects one single input tuple.
+    Input,
+    Output {
+        up: usize,
+        /// σ product of the predicates first applicable here.
+        sigma: f64,
+    },
+    Invoke {
+        up: usize,
+        sigma: f64,
+        size: ResultSize,
+        calls: CallRule,
+    },
+    Join {
+        left: usize,
+        right: usize,
+        /// Divergence node: the deepest common dataflow ancestor. Both
+        /// branches replicate its tuples, so only pairs agreeing on
+        /// them join (provenance factor `1 / t_out[divergence]`).
+        divergence: usize,
+        sigma: f64,
+        /// Domain cardinalities of the shared variables not bound at
+        /// the divergence — genuine value joins, σ = 1 / max(V_l, V_r)
+        /// with V = min(side t_out, cardinality). A range of
+        /// [`PreparedPlan::value_joins`].
+        value_joins: Range<usize>,
+    },
+}
+
+/// A plan analysed for repeated estimation: per node, what
+/// [`Estimator::annotate`] would otherwise rebuild on every call —
+/// newly applicable predicates and their σ product, the carrier sets
+/// behind `N(n)`, the join divergence node, domain cardinalities, chunk
+/// size / erspi — plus the [`Annotation`] buffers every evaluation
+/// writes into.
+///
+/// The evaluation performs the floating-point operations of the
+/// estimator's definition in a fixed order, so equal inputs give
+/// bit-equal estimates and the optimizer's cost ties always break the
+/// same way.
+#[derive(Clone, Debug)]
+pub struct PreparedPlan {
+    steps: Vec<Step>,
+    input_vars: Vec<InputVar>,
+    carriers: Vec<usize>,
+    value_joins: Vec<f64>,
+    ann: Annotation,
+    /// Scratch for `N(n)`: (minimal node, its variables' domain cap).
+    minimal: Vec<(usize, f64)>,
+}
+
+impl PreparedPlan {
+    /// Estimates the plan under `fetches` (one factor per plan-atom
+    /// position) into the reused annotation, which stays valid until
+    /// the next call.
+    pub fn evaluate(&mut self, fetches: &[u64]) -> &Annotation {
+        let Annotation {
+            t_in,
+            t_out,
+            calls,
+            cache,
+        } = &mut self.ann;
+        for (i, step) in self.steps.iter().enumerate() {
+            match step {
+                Step::Input => {
+                    t_in[i] = 1.0;
+                    t_out[i] = 1.0;
+                }
+                Step::Output { up, sigma } => {
+                    t_in[i] = t_out[*up];
+                    t_out[i] = t_out[*up] * sigma;
+                }
+                Step::Invoke {
+                    up,
+                    sigma,
+                    size,
+                    calls: rule,
+                } => {
+                    let stream = t_out[*up];
+                    t_in[i] = stream;
+                    calls[i] = match rule {
+                        CallRule::PerTuple => stream,
+                        CallRule::Constant => stream.min(1.0),
+                        CallRule::Blocks(vars) => {
+                            // N(n): per input variable, the carrier with
+                            // minimal t_out, deduplicated
+                            self.minimal.clear();
+                            for var in &self.input_vars[vars.clone()] {
+                                let carriers = &self.carriers[var.carriers.clone()];
+                                let mut m = carriers[0];
+                                for &a in &carriers[1..] {
+                                    if t_out[a].total_cmp(&t_out[m]).is_lt() {
+                                        m = a;
+                                    }
+                                }
+                                match self.minimal.iter_mut().find(|(node, _)| *node == m) {
+                                    Some((_, cap)) => *cap *= var.cardinality,
+                                    None => self.minimal.push((m, var.cardinality)),
+                                }
+                            }
+                            let block_bound = self
+                                .minimal
+                                .iter()
+                                .fold(1.0, |acc, &(m, _)| acc * t_out[m].max(1.0));
+                            let one_call = stream.min(block_bound);
+                            if *cache == CacheSetting::OneCall {
+                                one_call
+                            } else {
+                                // Optimal: per minimal node, the distinct
+                                // contribution is further capped by the
+                                // product of its variables' domain
+                                // cardinalities.
+                                let optimal = self
+                                    .minimal
+                                    .iter()
+                                    .fold(1.0, |acc, &(m, cap)| acc * t_out[m].max(1.0).min(cap));
+                                one_call.min(optimal)
+                            }
+                        }
+                    };
+                    let per_input = match *size {
+                        ResultSize::Bulk(erspi) => erspi,
+                        ResultSize::Chunked { chunk_size, pos } => chunk_size * fetches[pos] as f64,
+                    };
+                    t_out[i] = stream * per_input * sigma;
+                }
+                Step::Join {
+                    left,
+                    right,
+                    divergence,
+                    sigma,
+                    value_joins,
+                } => {
+                    let (l, r) = (t_out[*left], t_out[*right]);
+                    t_in[i] = l * r;
+                    let mut sigma_join = 1.0 / t_out[*divergence].max(1.0);
+                    for &card in &self.value_joins[value_joins.clone()] {
+                        let vl = l.max(1.0).min(card);
+                        let vr = r.max(1.0).min(card);
+                        sigma_join /= vl.max(vr);
+                    }
+                    t_out[i] = t_in[i] * sigma_join * sigma;
+                }
+            }
+        }
+        &self.ann
+    }
+
+    /// The annotation of the last [`PreparedPlan::evaluate`].
+    pub fn annotation(&self) -> &Annotation {
+        &self.ann
+    }
+
+    /// The same, writable — for discounting shared work in place; the
+    /// next evaluation rewrites every figure.
+    pub fn annotation_mut(&mut self) -> &mut Annotation {
+        &mut self.ann
+    }
+
+    /// Gives up the buffers: the annotation of the last evaluation.
+    pub fn into_annotation(self) -> Annotation {
+        self.ann
+    }
 }
 
 impl<'a> Estimator<'a> {
@@ -105,193 +314,140 @@ impl<'a> Estimator<'a> {
         }
     }
 
-    /// Annotates `plan` with `t_in` / `t_out` / `calls` per node.
+    /// Annotates `plan` with `t_in` / `t_out` / `calls` per node under
+    /// the plan's own fetch factors.
     pub fn annotate(&self, plan: &Plan) -> Annotation {
+        let mut prepared = self.prepare(plan);
+        prepared.evaluate(&plan.fetches);
+        prepared.into_annotation()
+    }
+
+    /// Analyses `plan` once for any number of
+    /// [`evaluate`](PreparedPlan::evaluate) calls.
+    pub fn prepare(&self, plan: &Plan) -> PreparedPlan {
         let n = plan.nodes.len();
-        let mut t_in = vec![0.0f64; n];
-        let mut t_out = vec![0.0f64; n];
-        let mut calls = vec![0.0f64; n];
-        // which predicates have been applied upstream of each node
-        let mut applied: Vec<HashSet<usize>> = vec![HashSet::new(); n];
+        let query = &plan.query;
+        let pred_vars: Vec<Vec<VarId>> = query.predicates.iter().map(|p| p.vars()).collect();
+        // per node, which predicates have been applied at or upstream of it
+        let mut applied: Vec<Vec<bool>> = Vec::with_capacity(n);
+        let mut prepared = PreparedPlan {
+            steps: Vec::with_capacity(n),
+            input_vars: Vec::new(),
+            carriers: Vec::new(),
+            value_joins: Vec::new(),
+            ann: Annotation {
+                t_in: vec![0.0; n],
+                t_out: vec![0.0; n],
+                calls: vec![0.0; n],
+                cache: self.cache,
+            },
+            minimal: Vec::new(),
+        };
+        let mut walk = AncestorWalk::new(n);
 
-        for i in 0..n {
-            let node = &plan.nodes[i];
-            // predicates inherited from inputs
-            let mut inherited: HashSet<usize> = HashSet::new();
+        for (i, node) in plan.nodes.iter().enumerate() {
+            // predicates inherited from inputs, then those newly
+            // applicable here: all vars bound, not yet applied
+            let mut done = vec![false; pred_vars.len()];
             for inp in &node.inputs {
-                inherited.extend(applied[inp.0].iter().copied());
+                for (d, &a) in done.iter_mut().zip(&applied[inp.0]) {
+                    *d |= a;
+                }
             }
-            // predicates newly applicable here: all vars bound, not yet applied
-            let new_preds: Vec<usize> = plan
-                .query
-                .predicates
-                .iter()
-                .enumerate()
-                .filter(|(k, p)| {
-                    !inherited.contains(k) && p.vars().iter().all(|v| node.bound_vars.contains(v))
-                })
-                .map(|(k, _)| k)
-                .collect();
-            let sigma_new: f64 = new_preds
-                .iter()
-                .map(|&k| self.selectivity.selectivity(&plan.query.predicates[k]))
-                .product();
+            let mut sigma = 1.0;
+            for (k, vars) in pred_vars.iter().enumerate() {
+                if !done[k] && vars.iter().all(|v| node.bound_vars.contains(v)) {
+                    done[k] = true;
+                    sigma *= self.selectivity.selectivity(&query.predicates[k]);
+                }
+            }
+            applied.push(done);
 
-            match &node.kind {
-                NodeKind::Input => {
-                    // §3.4: the user injects one single input tuple
-                    t_in[i] = 1.0;
-                    t_out[i] = 1.0;
-                }
-                NodeKind::Output => {
-                    let up = node.inputs[0].0;
-                    t_in[i] = t_out[up];
-                    t_out[i] = t_out[up] * sigma_new;
-                }
+            let step = match &node.kind {
+                NodeKind::Input => Step::Input,
+                NodeKind::Output => Step::Output {
+                    up: node.inputs[0].0,
+                    sigma,
+                },
                 NodeKind::Invoke { atom } => {
-                    let up = node.inputs[0].0;
-                    let stream = t_out[up];
-                    t_in[i] = stream;
-                    calls[i] = self.estimate_calls(plan, i, *atom, stream, &t_out);
-                    let sig = self.schema.service(plan.query.atoms[*atom].service);
-                    let pos = plan.position_of(*atom).expect("atom covered by plan");
-                    let per_input = match sig.chunking {
-                        Chunking::Bulk => sig.profile.erspi,
-                        Chunking::Chunked { chunk_size } => {
-                            chunk_size as f64 * plan.fetch_of(pos) as f64
-                        }
+                    let sig = self.schema.service(query.atoms[*atom].service);
+                    let size = match sig.chunking {
+                        Chunking::Bulk => ResultSize::Bulk(sig.profile.erspi),
+                        Chunking::Chunked { chunk_size } => ResultSize::Chunked {
+                            chunk_size: chunk_size as f64,
+                            pos: plan.position_of(*atom).expect("atom covered by plan"),
+                        },
                     };
-                    t_out[i] = stream * per_input * sigma_new;
+                    Step::Invoke {
+                        up: node.inputs[0].0,
+                        sigma,
+                        size,
+                        calls: self.call_rule(plan, i, *atom, &mut walk, &mut prepared),
+                    }
                 }
                 NodeKind::Join {
                     left, right, on, ..
                 } => {
-                    let (l, r) = (left.0, right.0);
-                    t_in[i] = t_out[l] * t_out[r];
-                    // Divergence node: the deepest common dataflow
-                    // ancestor. Both branches replicate its tuples, so
-                    // only pairs agreeing on them join (provenance
-                    // factor 1 / t_out[divergence]).
-                    let div = self.divergence(plan, *left, *right);
-                    let div_out = t_out[div.0].max(1.0);
-                    // Shared variables not bound at the divergence are
-                    // genuine value joins: σ = 1 / max(V_l, V_r) with V =
-                    // min(side t_out, domain cardinality).
-                    let div_bound = &plan.nodes[div.0].bound_vars;
-                    let mut sigma_join = 1.0 / div_out;
-                    for v in on.iter().filter(|v| !div_bound.contains(v)) {
-                        let card = self.domain_cardinality(plan, *v);
-                        let vl = t_out[l].max(1.0).min(card);
-                        let vr = t_out[r].max(1.0).min(card);
-                        sigma_join /= vl.max(vr);
+                    let divergence = walk.divergence(plan, *left, *right);
+                    let div_bound = &plan.nodes[divergence].bound_vars;
+                    let start = prepared.value_joins.len();
+                    prepared.value_joins.extend(
+                        on.iter()
+                            .filter(|v| !div_bound.contains(v))
+                            .map(|v| self.domain_cardinality(plan, *v)),
+                    );
+                    Step::Join {
+                        left: left.0,
+                        right: right.0,
+                        divergence,
+                        sigma,
+                        value_joins: start..prepared.value_joins.len(),
                     }
-                    t_out[i] = t_in[i] * sigma_join * sigma_new;
                 }
-            }
-            let mut acc = inherited;
-            acc.extend(new_preds);
-            applied[i] = acc;
+            };
+            prepared.steps.push(step);
         }
-
-        Annotation {
-            t_in,
-            t_out,
-            calls,
-            cache: self.cache,
-        }
+        prepared
     }
 
-    /// Effective invocation count for the invoke node `node_idx` of query
-    /// atom `atom` receiving `stream` input tuples.
-    fn estimate_calls(
+    /// How the effective invocation count of invoke node `node_idx`
+    /// (query atom `atom`) follows from its input stream; the carrier
+    /// sets land in `prepared`'s arenas.
+    fn call_rule(
         &self,
         plan: &Plan,
         node_idx: usize,
         atom: usize,
-        stream: f64,
-        t_out: &[f64],
-    ) -> f64 {
+        walk: &mut AncestorWalk,
+        prepared: &mut PreparedPlan,
+    ) -> CallRule {
         if self.cache == CacheSetting::NoCache {
-            return stream;
+            return CallRule::PerTuple;
         }
         let in_vars = input_vars(&plan.query, self.schema, &plan.choice, atom);
         if in_vars.is_empty() {
-            // constant-only inputs: a single distinct input combination
-            return stream.min(1.0);
+            return CallRule::Constant;
         }
-        // ancestors of this node (dataflow upstream)
-        let ancestors = self.ancestors(plan, NodeId(node_idx));
-        // N(n): per input variable, the ancestor with minimal t_out among
-        // those carrying the variable; collected as a deduplicated set
-        let mut minimal_nodes: HashSet<usize> = HashSet::new();
-        let mut per_var_min: Vec<(VarId, usize, f64)> = Vec::new();
-        for v in &in_vars {
-            let best = ancestors
-                .iter()
-                .filter(|&&a| plan.nodes[a].bound_vars.contains(v))
-                .min_by(|&&a, &&b| t_out[a].total_cmp(&t_out[b]));
-            if let Some(&m) = best {
-                minimal_nodes.insert(m);
-                per_var_min.push((*v, m, t_out[m]));
-            }
+        let ancestors = walk.ancestors(plan, node_idx);
+        let start = prepared.input_vars.len();
+        for v in in_vars {
+            let first = prepared.carriers.len();
+            prepared.carriers.extend(
+                ancestors
+                    .iter()
+                    .copied()
+                    .filter(|&a| plan.nodes[a].bound_vars.contains(&v)),
+            );
             // variables with no carrying ancestor cannot occur in
             // admissible plans; treat as unconstrained (no factor)
-        }
-        let block_bound: f64 = minimal_nodes.iter().map(|&m| t_out[m].max(1.0)).product();
-        let one_call = stream.min(block_bound);
-        if self.cache == CacheSetting::OneCall {
-            return one_call;
-        }
-        // Optimal: per minimal node, distinct contribution is further
-        // capped by the product of its variables' domain cardinalities.
-        let mut optimal = 1.0f64;
-        for &m in &minimal_nodes {
-            let var_cap: f64 = per_var_min
-                .iter()
-                .filter(|(_, node, _)| *node == m)
-                .map(|(v, _, _)| self.domain_cardinality(plan, *v))
-                .product();
-            optimal *= t_out[m].max(1.0).min(var_cap);
-        }
-        one_call.min(optimal)
-    }
-
-    /// Dataflow ancestors of `id` (transitive inputs, excluding `id`).
-    fn ancestors(&self, plan: &Plan, id: NodeId) -> Vec<usize> {
-        let mut seen = vec![false; plan.nodes.len()];
-        let mut stack: Vec<usize> = plan.nodes[id.0].inputs.iter().map(|n| n.0).collect();
-        let mut out = Vec::new();
-        while let Some(x) = stack.pop() {
-            if seen[x] {
-                continue;
+            if prepared.carriers.len() > first {
+                prepared.input_vars.push(InputVar {
+                    carriers: first..prepared.carriers.len(),
+                    cardinality: self.domain_cardinality(plan, v),
+                });
             }
-            seen[x] = true;
-            out.push(x);
-            stack.extend(plan.nodes[x].inputs.iter().map(|n| n.0));
         }
-        out
-    }
-
-    /// Deepest common dataflow ancestor of two nodes (exists because every
-    /// plan has the Input node as a common root; "deepest" by node index,
-    /// which is a topological order).
-    fn divergence(&self, plan: &Plan, a: NodeId, b: NodeId) -> NodeId {
-        let aa: HashSet<usize> = self
-            .ancestors(plan, a)
-            .into_iter()
-            .chain(std::iter::once(a.0))
-            .collect();
-        let bb: HashSet<usize> = self
-            .ancestors(plan, b)
-            .into_iter()
-            .chain(std::iter::once(b.0))
-            .collect();
-        NodeId(
-            aa.intersection(&bb)
-                .copied()
-                .max()
-                .expect("Input is a common ancestor"),
-        )
+        CallRule::Blocks(start..prepared.input_vars.len())
     }
 
     /// Cardinality of the abstract domain of `v` (∞ when unknown). The
@@ -310,6 +466,60 @@ impl<'a> Estimator<'a> {
             }
         }
         f64::INFINITY
+    }
+}
+
+/// Reused buffers for the dataflow-ancestor walks of one
+/// [`Estimator::prepare`].
+struct AncestorWalk {
+    seen: Vec<bool>,
+    stack: Vec<usize>,
+    out: Vec<usize>,
+}
+
+impl AncestorWalk {
+    fn new(nodes: usize) -> Self {
+        AncestorWalk {
+            seen: vec![false; nodes],
+            stack: Vec::new(),
+            out: Vec::new(),
+        }
+    }
+
+    /// Dataflow ancestors of `id` (transitive inputs, excluding `id`),
+    /// in depth-first visiting order — the order `N(n)` breaks ties in.
+    fn ancestors(&mut self, plan: &Plan, id: usize) -> &[usize] {
+        self.seen.fill(false);
+        self.out.clear();
+        self.stack.clear();
+        self.stack.extend(plan.nodes[id].inputs.iter().map(|n| n.0));
+        while let Some(x) = self.stack.pop() {
+            if self.seen[x] {
+                continue;
+            }
+            self.seen[x] = true;
+            self.out.push(x);
+            self.stack.extend(plan.nodes[x].inputs.iter().map(|n| n.0));
+        }
+        &self.out
+    }
+
+    /// Deepest common dataflow ancestor of two nodes (exists because
+    /// every plan has the Input node as a common root; "deepest" by
+    /// node index, which is a topological order).
+    fn divergence(&mut self, plan: &Plan, a: NodeId, b: NodeId) -> usize {
+        let mut of_a = vec![false; plan.nodes.len()];
+        of_a[a.0] = true;
+        for &x in self.ancestors(plan, a.0) {
+            of_a[x] = true;
+        }
+        self.ancestors(plan, b.0)
+            .iter()
+            .copied()
+            .chain(std::iter::once(b.0))
+            .filter(|&x| of_a[x])
+            .max()
+            .expect("Input is a common ancestor")
     }
 }
 

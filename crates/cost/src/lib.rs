@@ -81,11 +81,11 @@ pub mod prelude {
         diverging_services, profile_divergence, refresh_profiles, AdaptiveConfig, ObservedService,
         ServiceDivergence,
     };
-    pub use crate::estimate::{Annotation, CacheSetting, Estimator};
+    pub use crate::estimate::{Annotation, CacheSetting, Estimator, PreparedPlan};
     pub use crate::explain::{explain, explain_analyze};
     pub use crate::metrics::{
         all_metrics, Bottleneck, CostMetric, ExecutionTime, RequestResponse, SumCost, TimeToScreen,
     };
     pub use crate::selectivity::SelectivityModel;
-    pub use crate::shared::{discount_materialized, NothingShared, SharedWorkOracle};
+    pub use crate::shared::{discount_materialized, SharedWorkOracle};
 }

@@ -13,8 +13,8 @@
 //! request-response, execution time, bottleneck, time-to-screen) then
 //! prices the shared work as free.
 //!
-//! The default oracle, [`NothingShared`], reports nothing materialized,
-//! so standalone optimization is bit-identical to the paper's.
+//! Standalone optimization carries no oracle at all: with nothing to
+//! match prefixes against, none is signed and costing is the paper's.
 
 use crate::estimate::Annotation;
 use mdq_model::fingerprint::SubplanSignature;
@@ -31,19 +31,6 @@ pub trait SharedWorkOracle {
     fn is_materialized(&self, sig: SubplanSignature) -> bool;
 }
 
-/// The standalone oracle: nothing is shared, nothing is discounted.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NothingShared;
-
-impl SharedWorkOracle for NothingShared {
-    fn is_materialized(&self, _sig: SubplanSignature) -> bool {
-        false
-    }
-}
-
-/// The `&'static` default every costing context starts from.
-pub static NOTHING_SHARED: NothingShared = NothingShared;
-
 impl SharedWorkOracle for std::collections::HashSet<SubplanSignature> {
     fn is_materialized(&self, sig: SubplanSignature) -> bool {
         self.contains(&sig)
@@ -52,7 +39,7 @@ impl SharedWorkOracle for std::collections::HashSet<SubplanSignature> {
 
 /// Zeroes the effective calls of the longest invoke prefix of `plan`
 /// the oracle reports materialized; returns the number of invoke nodes
-/// discounted (0 with [`NothingShared`] or when no prefix matches).
+/// discounted (0 when no prefix matches).
 ///
 /// Only `Annotation::calls` is touched: cardinalities (`t_in`/`t_out`)
 /// describe the data, which replays unchanged — exactly what keeps the
@@ -102,13 +89,14 @@ mod tests {
     }
 
     #[test]
-    fn nothing_shared_discounts_nothing() {
+    fn empty_oracle_discounts_nothing() {
         let (plan, schema) = fig6();
         let sel = SelectivityModel::default();
         let est = Estimator::new(&schema, &sel, CacheSetting::OneCall);
         let base = est.annotate(&plan);
         let mut ann = base.clone();
-        assert_eq!(discount_materialized(&plan, &mut ann, &NothingShared), 0);
+        let nothing: HashSet<SubplanSignature> = HashSet::new();
+        assert_eq!(discount_materialized(&plan, &mut ann, &nothing), 0);
         assert_eq!(ann.calls, base.calls, "annotation untouched");
     }
 

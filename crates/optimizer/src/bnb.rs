@@ -7,7 +7,7 @@
 //! all phases, so a good heuristic first choice rapidly prunes the
 //! remaining space.
 
-use crate::context::CostContext;
+use crate::context::{CostContext, CostingEffort};
 use crate::phase1::{ordered_sequences, sequence_lower_bound};
 use crate::phase2::{optimize_topology, Phase2Stats, PlanCandidate, SearchOptions};
 use crate::phase3::FetchHeuristic;
@@ -71,6 +71,9 @@ pub struct OptimizerStats {
     pub sequences_pruned: usize,
     /// Phase-2/3 effort, summed over explored sequences.
     pub phase2: Phase2Stats,
+    /// Exact costing work of the whole search: plans built and
+    /// prepared, fetch vectors evaluated, prefixes signed.
+    pub costing: CostingEffort,
 }
 
 /// The optimization result: the chosen plan plus search statistics.
@@ -118,27 +121,23 @@ impl std::error::Error for OptimizeError {}
 /// Returns the cheapest plan able to produce `k` answers; when decay or
 /// fetch caps make `k` unreachable under every plan, the best-effort plan
 /// (maximal estimated output) is returned with `meets_k() == false`.
+///
+/// This is the paper's standalone costing: no shared-work oracle, so no
+/// invoke prefix is ever signed.
 pub fn optimize(
     query: Arc<ConjunctiveQuery>,
     schema: &Schema,
     metric: &dyn CostMetric,
     config: &OptimizerConfig,
 ) -> Result<Optimized, OptimizeError> {
-    optimize_shared(
-        query,
-        schema,
-        metric,
-        config,
-        &mdq_cost::shared::NOTHING_SHARED,
-    )
+    let ctx = CostContext::new(schema, &config.selectivity, config.cache, metric);
+    search(query, &ctx, config)
 }
 
 /// [`optimize`] with a [`SharedWorkOracle`]: every candidate is priced
 /// with the calls of its longest already-materialized invoke prefix
 /// discounted, so the search prefers plans that start with work another
-/// concurrent query has paid for. With
-/// [`NothingShared`](mdq_cost::shared::NothingShared) this *is*
-/// [`optimize`].
+/// concurrent query has paid for.
 pub fn optimize_shared(
     query: Arc<ConjunctiveQuery>,
     schema: &Schema,
@@ -146,12 +145,21 @@ pub fn optimize_shared(
     config: &OptimizerConfig,
     oracle: &dyn SharedWorkOracle,
 ) -> Result<Optimized, OptimizeError> {
+    let ctx =
+        CostContext::new(schema, &config.selectivity, config.cache, metric).with_oracle(oracle);
+    search(query, &ctx, config)
+}
+
+/// The three-phase search under a ready costing context.
+pub(crate) fn search(
+    query: Arc<ConjunctiveQuery>,
+    ctx: &CostContext<'_>,
+    config: &OptimizerConfig,
+) -> Result<Optimized, OptimizeError> {
     if query.atoms.is_empty() {
         return Err(OptimizeError::EmptyQuery);
     }
-    let ctx =
-        CostContext::new(schema, &config.selectivity, config.cache, metric).with_oracle(oracle);
-    let sequences = ordered_sequences(&query, &ctx);
+    let sequences = ordered_sequences(&query, ctx);
     if sequences.is_empty() {
         return Err(OptimizeError::NotExecutable);
     }
@@ -173,7 +181,7 @@ pub fn optimize_shared(
     for choice in sequences {
         if config.use_bounds {
             if let Some(b) = &best {
-                let lb = sequence_lower_bound(&query, &ctx, &choice, &config.strategy);
+                let lb = sequence_lower_bound(&query, ctx, &choice, &config.strategy);
                 if lb >= b.cost {
                     stats.sequences_pruned += 1;
                     continue;
@@ -183,7 +191,7 @@ pub fn optimize_shared(
         let incumbent = best.as_ref().map(|b| b.cost);
         let outcome = optimize_topology(
             &query,
-            &ctx,
+            ctx,
             &choice,
             &config.strategy,
             config.k as f64,
@@ -219,6 +227,7 @@ pub fn optimize_shared(
     let candidate = best
         .or(best_effort)
         .expect("at least one permissible sequence yields a plan");
+    stats.costing = ctx.effort();
     Ok(Optimized { candidate, stats })
 }
 

@@ -81,7 +81,7 @@ pub mod prelude {
     pub use crate::bnb::{
         optimize, optimize_shared, OptimizeError, Optimized, OptimizerConfig, OptimizerStats,
     };
-    pub use crate::context::CostContext;
+    pub use crate::context::{CostContext, CostingEffort, Pricer};
     pub use crate::exhaustive::exhaustive_optimum;
     pub use crate::expansion::{expand_for_executability, Expansion, ExpansionError};
     pub use crate::phase2::{
@@ -92,5 +92,5 @@ pub mod prelude {
         closed_form_n, closed_form_pair, closed_form_sequential, closed_form_single,
         optimize_fetches_pinned, FetchHeuristic, FetchOutcome, FetchStats,
     };
-    pub use crate::replan::{reoptimize_suffix, reoptimize_suffix_shared};
+    pub use crate::replan::{reoptimize_suffix, reoptimize_suffix_in};
 }

@@ -9,7 +9,7 @@ use crate::context::CostContext;
 use mdq_model::binding::{ApChoice, SupplierMap};
 use mdq_model::cogency::exploration_order;
 use mdq_model::query::ConjunctiveQuery;
-use mdq_plan::builder::{build_plan, StrategyRule};
+use mdq_plan::builder::StrategyRule;
 use mdq_plan::poset::Poset;
 use std::sync::Arc;
 
@@ -41,10 +41,10 @@ pub fn sequence_lower_bound(
     let directly = suppliers.directly_callable();
     let mut best = f64::INFINITY;
     for atom in directly {
-        if let Ok(prefix) = build_plan(
-            Arc::clone(query),
-            ctx.schema,
-            choice.clone(),
+        if let Ok(prefix) = ctx.build_plan(
+            &suppliers,
+            query,
+            choice,
             Poset::antichain(1),
             vec![atom],
             strategy,

@@ -19,7 +19,7 @@ use mdq_cost::estimate::Annotation;
 use mdq_model::binding::{callable_after, ApChoice, SupplierMap};
 use mdq_model::query::ConjunctiveQuery;
 use mdq_model::schema::Schema;
-use mdq_plan::builder::{build_plan, StrategyRule};
+use mdq_plan::builder::StrategyRule;
 use mdq_plan::dag::Plan;
 use mdq_plan::poset::{enumerate_topologies, PartialTopology, Poset, TopologyVisitor};
 use std::collections::HashSet;
@@ -141,12 +141,13 @@ pub fn max_parallel_topology(
 }
 
 /// Prices one complete topology: builds the plan, runs phase 3, returns
-/// the candidate.
+/// the candidate. `suppliers` is the supplier map of `(query, choice)`.
 #[allow(clippy::too_many_arguments)]
 pub fn instantiate_topology(
     query: &Arc<ConjunctiveQuery>,
     ctx: &CostContext<'_>,
     choice: &ApChoice,
+    suppliers: &SupplierMap,
     poset: Poset,
     strategy: &StrategyRule,
     k: f64,
@@ -155,15 +156,9 @@ pub fn instantiate_topology(
     fetch_stats: &mut FetchStats,
 ) -> Option<PlanCandidate> {
     let n = query.atoms.len();
-    let mut plan = build_plan(
-        Arc::clone(query),
-        ctx.schema,
-        choice.clone(),
-        poset,
-        (0..n).collect(),
-        strategy,
-    )
-    .ok()?;
+    let mut plan = ctx
+        .build_plan(suppliers, query, choice, poset, (0..n).collect(), strategy)
+        .ok()?;
     let outcome = phase3::optimize_fetches(
         &mut plan,
         ctx,
@@ -187,6 +182,7 @@ struct Phase2Visitor<'a, 'c> {
     query: &'a Arc<ConjunctiveQuery>,
     ctx: &'a CostContext<'c>,
     choice: &'a ApChoice,
+    suppliers: &'a SupplierMap,
     strategy: &'a StrategyRule,
     k: f64,
     opts: SearchOptions,
@@ -229,17 +225,19 @@ impl Phase2Visitor<'_, '_> {
 
 impl TopologyVisitor for Phase2Visitor<'_, '_> {
     fn on_partial(&mut self, state: &PartialTopology) -> bool {
-        if !self.opts.use_bounds || self.best.is_none() {
+        // nothing to prune against until some plan — of this sequence
+        // or an earlier one — has reached k
+        if !self.opts.use_bounds || !self.incumbent.is_finite() {
             return true;
         }
         self.stats.partials_considered += 1;
         let mut placed: Vec<usize> = state.placed.iter().copied().collect();
         placed.sort_unstable();
         let sub = state.poset.restrict(&placed);
-        let Ok(prefix) = build_plan(
-            Arc::clone(self.query),
-            self.ctx.schema,
-            self.choice.clone(),
+        let Ok(prefix) = self.ctx.build_plan(
+            self.suppliers,
+            self.query,
+            self.choice,
             sub,
             placed,
             self.strategy,
@@ -265,6 +263,7 @@ impl TopologyVisitor for Phase2Visitor<'_, '_> {
             self.query,
             self.ctx,
             self.choice,
+            self.suppliers,
             poset.clone(),
             self.strategy,
             self.k,
@@ -300,10 +299,12 @@ pub fn optimize_topology(
     opts: SearchOptions,
     initial_incumbent: Option<f64>,
 ) -> Phase2Outcome {
+    let suppliers = SupplierMap::build(query, ctx.schema, choice);
     let mut visitor = Phase2Visitor {
         query,
         ctx,
         choice,
+        suppliers: &suppliers,
         strategy,
         k,
         opts,
@@ -329,11 +330,12 @@ pub fn optimize_topology(
                 query,
                 ctx,
                 choice,
+                &suppliers,
                 poset,
                 strategy,
                 k,
                 &opts,
-                None,
+                initial_incumbent.filter(|_| opts.use_bounds),
                 &mut visitor.stats.fetch,
             ) {
                 visitor.consider(cand);
@@ -341,7 +343,6 @@ pub fn optimize_topology(
         }
     }
 
-    let suppliers = SupplierMap::build(query, ctx.schema, choice);
     enumerate_topologies(query.atoms.len(), &suppliers, &mut visitor);
 
     Phase2Outcome {
@@ -456,6 +457,43 @@ mod tests {
             "bounding should not explore more complete topologies"
         );
         assert!(bounded.stats.partials_pruned > 0, "some pruning must fire");
+    }
+
+    /// A sequence whose heuristic seeds both miss `k` has no `best` of its
+    /// own, but must still prune against the incumbent carried over from
+    /// the sequences explored before it.
+    #[test]
+    fn carried_incumbent_prunes_when_the_seeds_miss_k() {
+        let (mut schema, _) = running_example_parts();
+        // one chunk each and no more: k = 10 is out of every plan's reach
+        for name in ["flight", "hotel"] {
+            let id = schema.service_by_name(name).expect("exists");
+            schema.service_mut(id).profile.decay = Some(1);
+        }
+        let query = Arc::new(mdq_model::examples::running_example_query(&schema));
+        let sel = SelectivityModel::default();
+        let metric = ExecutionTime;
+        let ctx = CostContext::new(&schema, &sel, CacheSetting::OneCall, &metric);
+        let second = &crate::phase1::ordered_sequences(&query, &ctx)[1];
+        let out = optimize_topology(
+            &query,
+            &ctx,
+            second,
+            &StrategyRule::default(),
+            10.0,
+            SearchOptions::default(),
+            Some(10.0), // an earlier sequence's plan reached k at cost 10
+        );
+        assert!(out.best.is_none(), "no plan of this sequence reaches k");
+        assert!(
+            out.best_effort.is_some(),
+            "the seeds are kept as best effort"
+        );
+        assert!(
+            out.stats.partials_pruned > 0,
+            "partials are bounded by the carried incumbent: {:?}",
+            out.stats
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! * an exact, dominance-pruned **frontier search** (§4.3.2) over minimal
 //!   feasible fetch vectors, with branch-and-bound against an incumbent.
 
-use crate::context::CostContext;
+use crate::context::{CostContext, Pricer};
 use mdq_cost::estimate::Annotation;
 use mdq_plan::dag::Plan;
 
@@ -81,20 +81,10 @@ pub fn fetch_caps(plan: &Plan, ctx: &CostContext<'_>, max_fetch: u64) -> Vec<u64
         .collect()
 }
 
-fn out_with(plan: &mut Plan, ctx: &CostContext<'_>, fetches: &[u64]) -> f64 {
-    plan.fetches.copy_from_slice(fetches);
-    ctx.annotate(plan).out_size()
-}
-
-fn cost_with(
-    plan: &mut Plan,
-    ctx: &CostContext<'_>,
-    fetches: &[u64],
-    stats: &mut FetchStats,
-) -> (f64, Annotation) {
-    plan.fetches.copy_from_slice(fetches);
+/// Costs the vector `pricer` evaluated last, counting it.
+fn cost_of_current(pricer: &mut Pricer<'_, '_>, stats: &mut FetchStats) -> f64 {
     stats.vectors_costed += 1;
-    ctx.cost(plan)
+    pricer.cost()
 }
 
 /// Closed form for a single chunked service (Eq. 5): `tout` is linear in
@@ -167,7 +157,14 @@ pub fn heuristic_fetches(
 ) -> Vec<u64> {
     let chunked = plan.chunked_positions(ctx.schema);
     let base = vec![1; plan.atoms.len()];
-    heuristic_fetches_from(plan, ctx, k, heuristic, caps, &base, &chunked)
+    heuristic_fetches_from(
+        &mut Pricer::new(ctx, plan),
+        k,
+        heuristic,
+        caps,
+        &base,
+        &chunked,
+    )
 }
 
 /// [`heuristic_fetches`] generalised to a base vector and an explicit
@@ -175,67 +172,76 @@ pub fn heuristic_fetches(
 /// value — how suffix re-planning pins the factors of already-executed
 /// stages while re-tuning the rest.
 fn heuristic_fetches_from(
-    plan: &mut Plan,
-    ctx: &CostContext<'_>,
+    pricer: &mut Pricer<'_, '_>,
     k: f64,
     heuristic: FetchHeuristic,
     caps: &[u64],
     base: &[u64],
     open: &[usize],
 ) -> Vec<u64> {
-    let chunked = open.to_vec();
     let mut f: Vec<u64> = base.to_vec();
-    if chunked.is_empty() {
+    if open.is_empty() {
         return f;
     }
-    let mut out = out_with(plan, ctx, &f);
-    let mut guard = 0usize;
-    while out < k && guard < 100_000 {
-        guard += 1;
-        let candidate = match heuristic {
-            FetchHeuristic::Greedy => {
+    let mut out = pricer.out_size(&f);
+    // safety valve against absurd caps: escalation is one +1 per round
+    let mut rounds_left = 100_000usize;
+    match heuristic {
+        FetchHeuristic::Greedy => {
+            // Each candidate vector is evaluated once, for both its
+            // output and its cost; the chosen candidate's figures carry
+            // over as the next round's starting point.
+            let mut cost = pricer.cost();
+            while out < k && rounds_left > 0 {
+                rounds_left -= 1;
                 // the position with the best Δtuples / Δcost for +1
-                let mut best: Option<(usize, f64)> = None;
-                for &pos in &chunked {
+                let mut best: Option<(usize, f64, f64, f64)> = None;
+                for &pos in open {
                     if f[pos] >= caps[pos] {
                         continue;
                     }
                     f[pos] += 1;
-                    let mut stats = FetchStats::default();
-                    let gain = out_with(plan, ctx, &f) - out;
-                    let (cost_after, _) = cost_with(plan, ctx, &f, &mut stats);
+                    let out_after = pricer.out_size(&f);
+                    let cost_after = pricer.cost();
                     f[pos] -= 1;
-                    let (cost_before, _) = cost_with(plan, ctx, &f, &mut stats);
-                    let dcost = (cost_after - cost_before).max(f64::MIN_POSITIVE);
-                    let ratio = gain / dcost;
-                    if best.map(|(_, r)| ratio > r).unwrap_or(true) {
-                        best = Some((pos, ratio));
+                    let dcost = (cost_after - cost).max(f64::MIN_POSITIVE);
+                    let ratio = (out_after - out) / dcost;
+                    if best.map(|(_, r, _, _)| ratio > r).unwrap_or(true) {
+                        best = Some((pos, ratio, out_after, cost_after));
                     }
                 }
-                best.map(|(pos, _)| pos)
+                let Some((pos, _, out_after, cost_after)) = best else {
+                    break; // all capped: k unreachable
+                };
+                f[pos] += 1;
+                (out, cost) = (out_after, cost_after);
             }
-            FetchHeuristic::Square => {
+        }
+        FetchHeuristic::Square => {
+            let chunk_size: Vec<f64> = (0..f.len())
+                .map(|pos| {
+                    let plan = pricer.plan();
+                    let service = plan.query.atoms[plan.atoms[pos]].service;
+                    pricer.schema().service(service).chunk_size().unwrap_or(1) as f64
+                })
+                .collect();
+            while out < k && rounds_left > 0 {
+                rounds_left -= 1;
                 // the position with the fewest explored tuples F·cs
-                chunked
+                let Some(pos) = open
                     .iter()
                     .copied()
                     .filter(|&pos| f[pos] < caps[pos])
                     .min_by(|&a, &b| {
-                        let cs = |pos: usize| {
-                            ctx.schema
-                                .service(plan.query.atoms[plan.atoms[pos]].service)
-                                .chunk_size()
-                                .unwrap_or(1) as f64
-                        };
-                        (f[a] as f64 * cs(a)).total_cmp(&(f[b] as f64 * cs(b)))
+                        (f[a] as f64 * chunk_size[a]).total_cmp(&(f[b] as f64 * chunk_size[b]))
                     })
+                else {
+                    break; // all capped: k unreachable
+                };
+                f[pos] += 1;
+                out = pricer.out_size(&f);
             }
-        };
-        let Some(pos) = candidate else {
-            break; // all capped: k unreachable
-        };
-        f[pos] += 1;
-        out = out_with(plan, ctx, &f);
+        }
     }
     f
 }
@@ -303,35 +309,32 @@ pub fn optimize_fetches_pinned(
         .filter(|pos| pinned.iter().all(|&(p, _)| p != *pos))
         .collect();
 
+    let mut pricer = Pricer::new(ctx, plan);
+    let outcome = |pricer: &mut Pricer<'_, '_>, fetches: Vec<u64>, stats: &mut FetchStats| {
+        let out = pricer.out_size(&fetches);
+        FetchOutcome {
+            fetches,
+            cost: cost_of_current(pricer, stats),
+            annotation: pricer.annotation().clone(),
+            meets_k: out >= k,
+        }
+    };
+
     // No knobs: cost as-is (pinned values included).
     if open.is_empty() {
-        let (cost, annotation) = cost_with(plan, ctx, &base, stats);
-        let meets_k = annotation.out_size() >= k;
-        return FetchOutcome {
-            fetches: base,
-            cost,
-            annotation,
-            meets_k,
-        };
+        return outcome(&mut pricer, base, stats);
     }
 
     // Feasibility at the caps (decay may make k unreachable, §4.3.2).
-    let capped: Vec<u64> = caps.clone();
-    let reachable = out_with(plan, ctx, &capped) >= k;
+    let reachable = pricer.out_size(&caps) >= k;
 
     // Heuristic first choice → initial upper bound.
     let init = if reachable {
-        heuristic_fetches_from(plan, ctx, k, heuristic, &caps, &base, &open)
+        heuristic_fetches_from(&mut pricer, k, heuristic, &caps, &base, &open)
     } else {
-        capped // best effort: fetch everything allowed
+        caps.clone() // best effort: fetch everything allowed
     };
-    let (init_cost, init_ann) = cost_with(plan, ctx, &init, stats);
-    let mut best = FetchOutcome {
-        meets_k: init_ann.out_size() >= k,
-        fetches: init,
-        cost: init_cost,
-        annotation: init_ann,
-    };
+    let mut best = outcome(&mut pricer, init, stats);
 
     if !explore || !reachable {
         return best;
@@ -342,10 +345,9 @@ pub fn optimize_fetches_pinned(
         Some(b) => best.cost.min(b),
         None => best.cost,
     };
-    let mut current: Vec<u64> = base.clone();
+    let mut current: Vec<u64> = base;
     explore_rec(
-        plan,
-        ctx,
+        &mut pricer,
         k,
         &open,
         &caps,
@@ -360,8 +362,7 @@ pub fn optimize_fetches_pinned(
 
 #[allow(clippy::too_many_arguments)]
 fn explore_rec(
-    plan: &mut Plan,
-    ctx: &CostContext<'_>,
+    pricer: &mut Pricer<'_, '_>,
     k: f64,
     chunked: &[usize],
     caps: &[u64],
@@ -376,7 +377,7 @@ fn explore_rec(
     for &pos in &chunked[depth..] {
         probe[pos] = caps[pos];
     }
-    if out_with(plan, ctx, &probe) < k {
+    if pricer.out_size(&probe) < k {
         stats.pruned_infeasible += 1;
         return;
     }
@@ -385,8 +386,8 @@ fn explore_rec(
     for &pos in &chunked[depth..] {
         floor[pos] = 1;
     }
-    let (lb, _) = cost_with(plan, ctx, &floor, stats);
-    if lb >= *bound {
+    pricer.out_size(&floor);
+    if cost_of_current(pricer, stats) >= *bound {
         stats.pruned_by_bound += 1;
         return;
     }
@@ -398,21 +399,22 @@ fn explore_rec(
         let (mut lo, mut hi) = (1u64, caps[pos]);
         let mut probe = current.clone();
         probe[pos] = hi;
-        if out_with(plan, ctx, &probe) < k {
+        if pricer.out_size(&probe) < k {
             stats.pruned_infeasible += 1;
             return;
         }
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             probe[pos] = mid;
-            if out_with(plan, ctx, &probe) >= k {
+            if pricer.out_size(&probe) >= k {
                 hi = mid;
             } else {
                 lo = mid + 1;
             }
         }
         probe[pos] = lo;
-        let (cost, ann) = cost_with(plan, ctx, &probe, stats);
+        let out = pricer.out_size(&probe);
+        let cost = cost_of_current(pricer, stats);
         if cost < *bound || (cost < best.cost) {
             if cost < *bound {
                 *bound = cost;
@@ -421,8 +423,8 @@ fn explore_rec(
                 *best = FetchOutcome {
                     fetches: probe,
                     cost,
-                    meets_k: ann.out_size() >= k,
-                    annotation: ann,
+                    meets_k: out >= k,
+                    annotation: pricer.annotation().clone(),
                 };
             }
         }
@@ -433,8 +435,7 @@ fn explore_rec(
     for f in 1..=caps[pos] {
         current[pos] = f;
         explore_rec(
-            plan,
-            ctx,
+            pricer,
             k,
             chunked,
             caps,
@@ -450,7 +451,7 @@ fn explore_rec(
         for &p in &chunked[depth + 1..] {
             floor[p] = 1;
         }
-        if out_with(plan, ctx, &floor) >= k {
+        if pricer.out_size(&floor) >= k {
             break;
         }
     }

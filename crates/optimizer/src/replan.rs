@@ -36,7 +36,6 @@ use crate::phase3::{optimize_fetches_pinned, FetchStats};
 use mdq_cost::metrics::CostMetric;
 use mdq_model::binding::{ApChoice, SupplierMap};
 use mdq_model::schema::Schema;
-use mdq_plan::builder::build_plan;
 use mdq_plan::dag::Plan;
 use mdq_plan::poset::{enumerate_topologies, Admissibility, Poset, TopologyVisitor};
 use std::collections::HashSet;
@@ -77,6 +76,7 @@ struct SuffixVisitor<'a, 'c> {
     query: &'a Arc<mdq_model::query::ConjunctiveQuery>,
     ctx: &'a CostContext<'c>,
     choice: &'a ApChoice,
+    suppliers: &'a SupplierMap,
     config: &'a OptimizerConfig,
     pinned: &'a [(usize, u64)],
     incumbent: f64,
@@ -119,6 +119,7 @@ impl SuffixVisitor<'_, '_> {
             self.query,
             self.ctx,
             self.choice,
+            self.suppliers,
             poset,
             self.config,
             self.pinned,
@@ -143,6 +144,7 @@ fn instantiate_pinned(
     query: &Arc<mdq_model::query::ConjunctiveQuery>,
     ctx: &CostContext<'_>,
     choice: &ApChoice,
+    suppliers: &SupplierMap,
     poset: Poset,
     config: &OptimizerConfig,
     pinned: &[(usize, u64)],
@@ -150,15 +152,16 @@ fn instantiate_pinned(
     fetch_stats: &mut FetchStats,
 ) -> Option<PlanCandidate> {
     let n = query.atoms.len();
-    let mut plan = build_plan(
-        Arc::clone(query),
-        ctx.schema,
-        choice.clone(),
-        poset,
-        (0..n).collect(),
-        &config.strategy,
-    )
-    .ok()?;
+    let mut plan = ctx
+        .build_plan(
+            suppliers,
+            query,
+            choice,
+            poset,
+            (0..n).collect(),
+            &config.strategy,
+        )
+        .ok()?;
     let outcome = optimize_fetches_pinned(
         &mut plan,
         ctx,
@@ -220,28 +223,21 @@ pub fn reoptimize_suffix(
     metric: &dyn CostMetric,
     config: &OptimizerConfig,
 ) -> Result<Optimized, OptimizeError> {
-    reoptimize_suffix_shared(
-        current,
-        executed,
-        schema,
-        metric,
-        config,
-        &mdq_cost::shared::NOTHING_SHARED,
-    )
+    let ctx = CostContext::new(schema, &config.selectivity, config.cache, metric);
+    reoptimize_suffix_in(current, executed, &ctx, config)
 }
 
-/// [`reoptimize_suffix`] with a
-/// [`SharedWorkOracle`](mdq_cost::shared::SharedWorkOracle): suffix
-/// candidates are priced with already-materialized invoke prefixes
-/// discounted, so an adaptive splice prefers plans whose head another
-/// concurrent query has materialized.
-pub fn reoptimize_suffix_shared(
+/// [`reoptimize_suffix`] under a ready costing context — one that
+/// carries a [`SharedWorkOracle`](mdq_cost::shared::SharedWorkOracle)
+/// (suffix candidates are then priced with already-materialized invoke
+/// prefixes discounted, so an adaptive splice prefers plans whose head
+/// another concurrent query has materialized), or one the caller goes
+/// on pricing other plans with.
+pub fn reoptimize_suffix_in(
     current: &Plan,
     executed: &[usize],
-    schema: &Schema,
-    metric: &dyn CostMetric,
+    ctx: &CostContext<'_>,
     config: &OptimizerConfig,
-    oracle: &dyn mdq_cost::shared::SharedWorkOracle,
 ) -> Result<Optimized, OptimizeError> {
     let query = Arc::clone(&current.query);
     if query.atoms.is_empty() {
@@ -249,10 +245,8 @@ pub fn reoptimize_suffix_shared(
     }
     debug_assert!(current.is_complete(), "only complete plans are executed");
     if executed.is_empty() {
-        return crate::bnb::optimize_shared(query, schema, metric, config, oracle);
+        return crate::bnb::search(query, ctx, config);
     }
-    let ctx =
-        CostContext::new(schema, &config.selectivity, config.cache, metric).with_oracle(oracle);
     if executed.len() == query.atoms.len() {
         // every stage ran: nothing to re-plan, re-price the plan as-is
         let (cost, annotation) = ctx.cost(current);
@@ -271,7 +265,7 @@ pub fn reoptimize_suffix_shared(
     // pattern sequences must agree with the running plan on executed
     // atoms (their calls were made under those patterns); the running
     // choice itself is always permissible, so the fallback is safe
-    let mut sequences: Vec<ApChoice> = ordered_sequences(&query, &ctx)
+    let mut sequences: Vec<ApChoice> = ordered_sequences(&query, ctx)
         .into_iter()
         .filter(|c| executed.iter().all(|&a| c.0[a] == current.choice.0[a]))
         .collect();
@@ -301,10 +295,12 @@ pub fn reoptimize_suffix_shared(
     let mut best_effort: Option<PlanCandidate> = None;
 
     for choice in &sequences {
+        let suppliers = SupplierMap::build(&query, ctx.schema, choice);
         let mut visitor = SuffixVisitor {
             query: &query,
-            ctx: &ctx,
+            ctx,
             choice,
+            suppliers: &suppliers,
             config,
             pinned: &pinned,
             incumbent: best.as_ref().map(|b| b.cost).unwrap_or(f64::INFINITY),
@@ -325,7 +321,6 @@ pub fn reoptimize_suffix_shared(
         }
 
         if enumerate_suffix {
-            let suppliers = SupplierMap::build(&query, schema, choice);
             let frozen: Vec<Option<HashSet<usize>>> = (0..n)
                 .map(|b| {
                     executed_set.contains(&b).then(|| {
@@ -369,6 +364,7 @@ pub fn reoptimize_suffix_shared(
     }
 
     let candidate = best.or(best_effort).ok_or(OptimizeError::NotExecutable)?;
+    stats.costing = ctx.effort();
     Ok(Optimized { candidate, stats })
 }
 
@@ -380,6 +376,7 @@ mod tests {
     use mdq_cost::estimate::CacheSetting;
     use mdq_cost::metrics::{ExecutionTime, RequestResponse};
     use mdq_model::examples::{ATOM_CONF, ATOM_FLIGHT, ATOM_HOTEL, ATOM_WEATHER};
+    use mdq_plan::builder::build_plan;
 
     /// The Fig. 8 plan: the Fig. 6 topology with the paper's fetch
     /// factors — its execution order starts conf, then weather.

@@ -145,6 +145,17 @@ pub fn build_plan(
     atoms: Vec<usize>,
     rule: &StrategyRule,
 ) -> Result<Plan, BuildError> {
+    check_shape(&query, &choice, &poset, &atoms)?;
+    let suppliers = SupplierMap::build(&query, schema, &choice);
+    build_plan_with(&suppliers, query, schema, choice, poset, atoms, rule)
+}
+
+fn check_shape(
+    query: &ConjunctiveQuery,
+    choice: &ApChoice,
+    poset: &Poset,
+    atoms: &[usize],
+) -> Result<(), BuildError> {
     if poset.len() != atoms.len() {
         return Err(BuildError::ShapeMismatch(format!(
             "poset has {} positions, atom list has {}",
@@ -159,18 +170,35 @@ pub fn build_plan(
             query.atoms.len()
         )));
     }
+    Ok(())
+}
+
+/// [`build_plan`] with the supplier map of `(query, choice)` supplied by
+/// the caller: the optimizer lowers many topologies and prefixes of one
+/// access-pattern sequence and builds the map once for all of them.
+pub fn build_plan_with(
+    suppliers: &SupplierMap,
+    query: Arc<ConjunctiveQuery>,
+    schema: &Schema,
+    choice: ApChoice,
+    poset: Poset,
+    atoms: Vec<usize>,
+    rule: &StrategyRule,
+) -> Result<Plan, BuildError> {
+    check_shape(&query, &choice, &poset, &atoms)?;
     // Admissibility: every position's input vars must be covered by its
     // strict predecessors (mapping positions back to query atom indices).
-    let suppliers = SupplierMap::build(&query, schema, &choice);
+    let mut position_of: Vec<Option<usize>> = vec![None; query.atoms.len()];
     for (pos, &atom) in atoms.iter().enumerate() {
-        let preds: std::collections::HashSet<usize> =
-            poset.predecessors(pos).map(|p| atoms[p]).collect();
-        if !suppliers.covered_by(atom, &preds) {
-            let var = suppliers.per_atom[atom]
-                .iter()
-                .find(|(_, sup)| !sup.iter().any(|s| preds.contains(s)))
-                .map(|(v, _)| query.var_name(*v).to_string())
-                .unwrap_or_else(|| "?".to_string());
+        position_of[atom] = Some(pos);
+    }
+    for (pos, &atom) in atoms.iter().enumerate() {
+        let precedes = |s: &usize| position_of[*s].is_some_and(|p| poset.lt(p, pos));
+        if let Some((v, _)) = suppliers.per_atom[atom]
+            .iter()
+            .find(|(_, sup)| !sup.iter().any(precedes))
+        {
+            let var = query.var_name(*v).to_string();
             return Err(BuildError::UncoveredInput { atom, var });
         }
     }
@@ -182,16 +210,21 @@ pub fn build_plan(
     }];
     // `stream[pos]` = node producing the joined stream *including* atom at
     // position `pos`; `tip[node]` = service tipping that stream (for the
-    // strategy oracle).
+    // strategy oracle; `None` for the Input node and joins).
     let mut stream: Vec<Option<NodeId>> = vec![None; atoms.len()];
-    let mut tip: HashMap<NodeId, ServiceId> = HashMap::new();
+    let mut tip: Vec<Option<ServiceId>> = vec![None];
 
     let push = |nodes: &mut Vec<PlanNode>,
+                tip: &mut Vec<Option<ServiceId>>,
                 query: &ConjunctiveQuery,
                 kind: NodeKind,
                 inputs: Vec<NodeId>|
      -> NodeId {
         let bound = bound_vars_for(query, nodes, &kind, &inputs);
+        tip.push(match kind {
+            NodeKind::Invoke { atom } => Some(query.atoms[atom].service),
+            _ => None,
+        });
         nodes.push(PlanNode {
             kind,
             inputs,
@@ -202,7 +235,7 @@ pub fn build_plan(
 
     // Joins the streams of several branches with a left-deep tree.
     let join_streams = |nodes: &mut Vec<PlanNode>,
-                        tip: &mut HashMap<NodeId, ServiceId>,
+                        tip: &mut Vec<Option<ServiceId>>,
                         query: &ConjunctiveQuery,
                         branches: &[NodeId]|
      -> NodeId {
@@ -215,9 +248,10 @@ pub fn build_plan(
                 .copied()
                 .filter(|v| nodes[b.0].bound_vars.contains(v))
                 .collect();
-            let strategy = rule.choose(schema, tip.get(&acc).copied(), tip.get(&b).copied());
+            let strategy = rule.choose(schema, tip[acc.0], tip[b.0]);
             let id = push(
                 nodes,
+                tip,
                 query,
                 NodeKind::Join {
                     left: acc,
@@ -245,11 +279,11 @@ pub fn build_plan(
         };
         let id = push(
             &mut nodes,
+            &mut tip,
             &query,
             NodeKind::Invoke { atom: atoms[pos] },
             vec![upstream],
         );
-        tip.insert(id, query.atoms[atoms[pos]].service);
         stream[pos] = Some(id);
     }
 
@@ -260,7 +294,13 @@ pub fn build_plan(
         .map(|pos| stream[pos].expect("placed"))
         .collect();
     let final_stream = join_streams(&mut nodes, &mut tip, &query, &sinks);
-    push(&mut nodes, &query, NodeKind::Output, vec![final_stream]);
+    push(
+        &mut nodes,
+        &mut tip,
+        &query,
+        NodeKind::Output,
+        vec![final_stream],
+    );
 
     let fetches = vec![1u64; atoms.len()];
     let plan = Plan {

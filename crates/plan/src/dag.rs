@@ -16,7 +16,6 @@ use crate::poset::Poset;
 use mdq_model::binding::ApChoice;
 use mdq_model::query::{ConjunctiveQuery, VarId};
 use mdq_model::schema::Schema;
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -291,15 +290,15 @@ pub(crate) fn bound_vars_for(
     kind: &NodeKind,
     inputs: &[NodeId],
 ) -> Vec<VarId> {
-    let mut set: HashSet<VarId> = HashSet::new();
-    for inp in inputs {
-        set.extend(nodes[inp.0].bound_vars.iter().copied());
-    }
+    let mut v: Vec<VarId> = inputs
+        .iter()
+        .flat_map(|inp| nodes[inp.0].bound_vars.iter().copied())
+        .collect();
     if let NodeKind::Invoke { atom } = kind {
-        set.extend(query.atoms[*atom].vars());
+        v.extend(query.atoms[*atom].terms.iter().filter_map(|t| t.as_var()));
     }
-    let mut v: Vec<VarId> = set.into_iter().collect();
     v.sort_unstable();
+    v.dedup();
     v
 }
 

@@ -49,10 +49,10 @@
 //! | "bound is better", `⪰IO` (§4.1.1) | [`mdq_model::cogency`] |
 //! | pattern-space exploration (§4.1.2) | [`mdq_optimizer::phase1`] |
 //! | "selective and parallel are better" (§4.2.1) | [`selective_serial_topology`](mdq_optimizer::phase2::selective_serial_topology), [`max_parallel_topology`](mdq_optimizer::phase2::max_parallel_topology) |
-//! | incremental DAG construction (§4.2.2) | [`enumerate_topologies`](mdq_plan::poset::enumerate_topologies) |
+//! | incremental DAG construction (§4.2.2) | [`enumerate_topologies`](mdq_plan::poset::enumerate_topologies); each partial lowered by [`CostContext::build_plan`](mdq_optimizer::context::CostContext::build_plan) and priced by [`CostContext::cost`](mdq_optimizer::context::CostContext::cost) |
 //! | the 19-plan space (Example 5.1) | [`all_topologies`](mdq_plan::poset::all_topologies), `tests/running_example.rs` |
 //! | "greedy" / "square is better" (§4.3.1) | [`FetchHeuristic`](mdq_optimizer::phase3::FetchHeuristic) |
-//! | dominance-pruned fetch space (§4.3.2) | [`optimize_fetches`](mdq_optimizer::phase3::optimize_fetches) |
+//! | dominance-pruned fetch space (§4.3.2) | [`optimize_fetches`](mdq_optimizer::phase3::optimize_fetches), one [`Pricer`](mdq_optimizer::context::Pricer) per topology |
 //! | decay caps `⌈d/cs⌉` (§4.3.2) | [`ServiceSignature::max_fetches_from_decay`](mdq_model::schema::ServiceSignature::max_fetches_from_decay) |
 //!
 //! ## §5 — Execution settings and costs
@@ -66,7 +66,7 @@
 //! | threads share §5.1 state without serializing on it | the sharded page cache + per-gateway [`accounting cells`](mdq_exec::gateway::SharedServiceState) — `crates/bench/benches/contention.rs` → `BENCH_contention.json` |
 //! | page-fetch runs (chunked services, §5.1) | [`ServiceGateway::fetch_page_run`](mdq_exec::gateway::ServiceGateway::fetch_page_run): consecutive cached pages under one shard lock, at most one forwarded call |
 //! | no / one-call / optimal cache (§5.1) | [`PageCache`](mdq_exec::cache::PageCache) (inside the gateway), [`CacheSetting`](mdq_cost::estimate::CacheSetting) |
-//! | Eq. 1 (no-cache tout) / Eq. 2 (`N(n)` minimal contributors) | [`Estimator`](mdq_cost::estimate::Estimator) |
+//! | Eq. 1 (no-cache tout) / Eq. 2 (`N(n)` minimal contributors) (§5.2) | [`Estimator::prepare`](mdq_cost::estimate::Estimator::prepare) (carrier sets, σ products, once per plan) + [`PreparedPlan::evaluate`](mdq_cost::estimate::PreparedPlan::evaluate) (per fetch vector); [`Estimator::annotate`](mdq_cost::estimate::Estimator::annotate) is the one-shot form |
 //! | Eq. 3 (SCM) | [`SumCost`](mdq_cost::metrics::SumCost) |
 //! | Eq. 4 (ETM; see the monotonicity erratum) | [`ExecutionTime`](mdq_cost::metrics::ExecutionTime) |
 //! | Eq. 5/6/7 + n-ary closed forms (§5.3.1) | [`closed_form_single`](mdq_optimizer::phase3::closed_form_single), [`closed_form_pair`](mdq_optimizer::phase3::closed_form_pair), [`closed_form_sequential`](mdq_optimizer::phase3::closed_form_sequential), [`closed_form_n`](mdq_optimizer::phase3::closed_form_n) |
@@ -102,7 +102,7 @@
 //! | admission control | [`RuntimeConfig::call_budget`](mdq_runtime::server::RuntimeConfig), [`ExecError::CallBudgetExhausted`](mdq_exec::operator::ExecError) |
 //! | observability | [`MetricsSnapshot`](mdq_runtime::metrics::MetricsSnapshot) (QPS, hit rates, per-service calls *and* latency, latency histogram) |
 //! | §5's per-call pricing, shared across queries (Roy et al.'s common-subexpression materialization) | [`subplan_signature`](mdq_model::fingerprint::subplan_signature) / [`invoke_prefixes`](mdq_plan::signature::invoke_prefixes) keying the sub-result store in [`SharedServiceState`](mdq_exec::gateway::SharedServiceState) ([`SubResultStats`](mdq_exec::gateway::SubResultStats)) |
-//! | costing that knows what is already paid for | [`SharedWorkOracle`](mdq_cost::shared::SharedWorkOracle) + [`discount_materialized`](mdq_cost::shared::discount_materialized), consulted by [`optimize_shared`](mdq_optimizer::bnb::optimize_shared) and the adaptive [`OptimizerReplanner`](mdq_core::OptimizerReplanner) |
+//! | costing that knows what is already paid for | [`SharedWorkOracle`](mdq_cost::shared::SharedWorkOracle) + [`discount_materialized`](mdq_cost::shared::discount_materialized), consulted by [`optimize_shared`](mdq_optimizer::bnb::optimize_shared) and the adaptive [`OptimizerReplanner`](mdq_core::OptimizerReplanner); standalone [`optimize`](mdq_optimizer::bnb::optimize) carries no oracle and signs no prefix |
 //! | batch admission: plan a burst as one unit | [`RuntimeConfig::batch_window`](mdq_runtime::server::RuntimeConfig), [`QueryStats::shared_prefix_hit`](mdq_runtime::session::QueryStats), [`MetricsSnapshot::shared_prefix_hits`](mdq_runtime::metrics::MetricsSnapshot) / [`sub_result_hits`](mdq_runtime::metrics::MetricsSnapshot::sub_result_hits) / [`sub_result_calls_saved`](mdq_runtime::metrics::MetricsSnapshot::sub_result_calls_saved) |
 //!
 //! ## Beyond the paper — the fault model

@@ -9,8 +9,11 @@
 //! `proptest`); every assertion carries the case number, so a failure
 //! names the seed that reproduces it.
 
+use mdq::model::fingerprint::SubplanSignature;
 use mdq::model::rng::Rng;
+use mdq::plan::signature::invoke_prefixes;
 use mdq::prelude::*;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------
@@ -267,7 +270,8 @@ fn parser_display_fixpoint() {
 
 /// Under randomised service statistics (erspi, response times, chunk
 /// sizes, join selectivity), the branch-and-bound optimum equals the
-/// independent exhaustive optimum for both ETM and RRM.
+/// independent exhaustive optimum for both ETM and RRM — standalone and
+/// when pricing against a non-empty shared-work oracle.
 #[test]
 fn bnb_equals_exhaustive_random_profiles() {
     let mut rng = Rng::new(0x4047);
@@ -307,37 +311,53 @@ fn bnb_equals_exhaustive_random_profiles() {
         let query = Arc::new(query);
         let sel = SelectivityModel::default();
         let strategy = StrategyRule::default();
+        let config = OptimizerConfig {
+            k: 8,
+            max_fetch: 5,
+            ..OptimizerConfig::default()
+        };
         for metric in [&ExecutionTime as &dyn CostMetric, &RequestResponse] {
             let ctx = CostContext::new(&schema, &sel, CacheSetting::OneCall, metric);
-            let oracle = exhaustive_optimum(&query, &ctx, &strategy, 8.0, 5);
-            let bnb = optimize(
-                Arc::clone(&query),
-                &schema,
-                metric,
-                &OptimizerConfig {
-                    k: 8,
-                    max_fetch: 5,
-                    ..OptimizerConfig::default()
-                },
-            )
-            .expect("bnb runs");
-            match oracle {
-                Some((_, oracle_cost)) => {
-                    assert!(
-                        bnb.meets_k(),
-                        "case {case}: oracle found a plan, bnb must too"
-                    );
-                    assert!(
-                        (oracle_cost - bnb.candidate.cost).abs() < 1e-6,
-                        "case {case}: {}: oracle {} vs bnb {}",
-                        metric.name(),
-                        oracle_cost,
-                        bnb.candidate.cost
-                    );
-                }
-                None => assert!(!bnb.meets_k(), "case {case}: no feasible plan exists"),
-            }
+            let standalone = optimize(Arc::clone(&query), &schema, metric, &config);
+            let standalone = standalone.expect("bnb runs");
+            agrees_with_exhaustive(
+                &format!("case {case}: {}", metric.name()),
+                exhaustive_optimum(&query, &ctx, &strategy, 8.0, 5),
+                &standalone,
+            );
+
+            // the discounted path: every invoke prefix of the standalone
+            // optimum is already materialized by some other query
+            let materialized: HashSet<SubplanSignature> =
+                invoke_prefixes(&standalone.candidate.plan)
+                    .iter()
+                    .map(|p| p.signature)
+                    .collect();
+            assert!(!materialized.is_empty(), "case {case}: optimum has a chain");
+            let ctx = ctx.with_oracle(&materialized);
+            let shared =
+                optimize_shared(Arc::clone(&query), &schema, metric, &config, &materialized);
+            agrees_with_exhaustive(
+                &format!("case {case}: {} with shared work", metric.name()),
+                exhaustive_optimum(&query, &ctx, &strategy, 8.0, 5),
+                &shared.expect("bnb runs"),
+            );
         }
+    }
+}
+
+/// The branch-and-bound result against the exhaustive oracle's.
+fn agrees_with_exhaustive(what: &str, oracle: Option<(Plan, f64)>, bnb: &Optimized) {
+    match oracle {
+        Some((_, oracle_cost)) => {
+            assert!(bnb.meets_k(), "{what}: oracle found a plan, bnb must too");
+            assert!(
+                (oracle_cost - bnb.candidate.cost).abs() < 1e-6,
+                "{what}: oracle {oracle_cost} vs bnb {}",
+                bnb.candidate.cost
+            );
+        }
+        None => assert!(!bnb.meets_k(), "{what}: no feasible plan exists"),
     }
 }
 
