@@ -19,7 +19,8 @@ use mdq_cost::estimate::CacheSetting;
 use mdq_cost::metrics::ExecutionTime;
 use mdq_exec::cache::CacheSetting as ExecCache;
 use mdq_exec::gateway::SharedServiceState;
-use mdq_exec::pipeline::run_with_shared;
+use mdq_exec::pipeline::{run, ExecConfig};
+use mdq_exec::ExecContext;
 use mdq_optimizer::bnb::OptimizerConfig;
 use mdq_services::domains::catalog::catalog_world;
 use std::sync::Arc;
@@ -48,13 +49,14 @@ fn frozen_run(engine: &Mdq) -> u64 {
         )
         .expect("optimizes");
     let shared = Arc::new(SharedServiceState::new(ExecCache::Optimal, 0));
-    let report = run_with_shared(
+    let report = run(
         &optimized.candidate.plan,
         engine.schema(),
         engine.registry(),
-        shared,
-        None,
-        Some(K as usize),
+        &ExecConfig {
+            k: Some(K as usize),
+        },
+        ExecContext::shared(shared),
     )
     .expect("executes");
     report.calls.values().sum()

@@ -18,7 +18,8 @@
 
 use mdq_bench::harness::Bench;
 use mdq_exec::cache::CacheSetting;
-use mdq_exec::gateway::{ServiceGateway, SharedServiceState};
+use mdq_exec::gateway::SharedServiceState;
+use mdq_exec::ExecContext;
 use mdq_model::binding::ApChoice;
 use mdq_model::examples::{ATOM_CONF, ATOM_FLIGHT, ATOM_HOTEL, ATOM_WEATHER};
 use mdq_model::value::Value;
@@ -81,9 +82,9 @@ fn run_pass(
         for w in 0..workers {
             let shared = Arc::clone(shared);
             scope.spawn(move || {
-                let mut g =
-                    ServiceGateway::with_shared(plan, &world.schema, &world.registry, shared, None)
-                        .expect("gateway builds");
+                let mut g = ExecContext::shared(shared)
+                    .gateway(plan, &world.schema, &world.registry)
+                    .expect("gateway builds");
                 for i in 0..per_worker {
                     for j in 0..HOT_FETCHES {
                         let f = g.fetch_page(world.ids.conf, 0, &hot_key(i * 7 + j * 3 + w), 0);
@@ -116,14 +117,9 @@ fn mean_ns(bench: &Bench, name: &str) -> Option<u128> {
 
 /// Pre-warms the hot working set so every measured hot fetch is a hit.
 fn warm(world: &TravelWorld, plan: &Plan, shared: &Arc<SharedServiceState>) {
-    let mut g = ServiceGateway::with_shared(
-        plan,
-        &world.schema,
-        &world.registry,
-        Arc::clone(shared),
-        None,
-    )
-    .expect("gateway builds");
+    let mut g = ExecContext::shared(Arc::clone(shared))
+        .gateway(plan, &world.schema, &world.registry)
+        .expect("gateway builds");
     for slot in 0..HOT_KEYS {
         g.fetch_page(world.ids.conf, 0, &hot_key(slot), 0);
     }

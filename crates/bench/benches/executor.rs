@@ -6,6 +6,7 @@ use mdq_bench::harness::Bench;
 use mdq_exec::cache::CacheSetting;
 use mdq_exec::pipeline::{run, ExecConfig};
 use mdq_exec::topk::TopKExecution;
+use mdq_exec::ExecContext;
 use mdq_services::domains::travel::travel_world;
 
 fn main() {
@@ -20,7 +21,8 @@ fn main() {
                 &plan,
                 &w.schema,
                 &w.registry,
-                &ExecConfig { cache, k: None },
+                &ExecConfig { k: None },
+                ExecContext::private(cache),
             )
             .expect("executes")
         });
@@ -36,10 +38,8 @@ fn main() {
                     &plan,
                     &w.schema,
                     &w.registry,
-                    &ExecConfig {
-                        cache: CacheSetting::OneCall,
-                        k: None,
-                    },
+                    &ExecConfig { k: None },
+                    ExecContext::private(CacheSetting::OneCall),
                 )
                 .expect("executes")
             },
@@ -50,9 +50,13 @@ fn main() {
         bench.measure(&format!("executor/topk/pull/{k}"), || {
             let w = travel_world(2008);
             let plan = build_shape(&w, PlanShape::O);
-            let mut pull =
-                TopKExecution::new(&plan, &w.schema, &w.registry, CacheSetting::OneCall, false)
-                    .expect("builds");
+            let mut pull = TopKExecution::start(
+                &plan,
+                &w.schema,
+                &w.registry,
+                ExecContext::private(CacheSetting::OneCall),
+            )
+            .expect("builds");
             pull.answers(k).len()
         });
     }

@@ -9,6 +9,7 @@
 use mdq_bench::harness::Bench;
 use mdq_exec::cache::CacheSetting;
 use mdq_exec::pipeline::{run, ExecConfig};
+use mdq_exec::ExecContext;
 use mdq_model::binding::ApChoice;
 use mdq_model::examples::{ATOM_CONF, ATOM_FLIGHT, ATOM_HOTEL, ATOM_WEATHER};
 use mdq_plan::builder::{build_plan, StrategyRule};
@@ -44,10 +45,8 @@ fn execute(world: &TravelWorld, plan: &Plan) -> usize {
         plan,
         &world.schema,
         &world.registry,
-        &ExecConfig {
-            cache: CacheSetting::Optimal,
-            k: None,
-        },
+        &ExecConfig { k: None },
+        ExecContext::private(CacheSetting::Optimal),
     )
     .expect("executes")
     .answers

@@ -16,6 +16,7 @@
 use mdq_exec::cache::CacheSetting;
 use mdq_exec::pipeline::{run, ExecConfig, ExecReport};
 use mdq_exec::threaded::{run_parallel_dispatch, ParallelConfig};
+use mdq_exec::ExecContext;
 use mdq_model::binding::ApChoice;
 use mdq_model::examples::{ATOM_CONF, ATOM_FLIGHT, ATOM_HOTEL, ATOM_WEATHER};
 use mdq_plan::builder::{build_plan, StrategyRule};
@@ -122,7 +123,8 @@ pub fn run_cell(seed: u64, shape: PlanShape, cache: CacheSetting) -> Fig11Cell {
         &plan,
         &world.schema,
         &world.registry,
-        &ExecConfig { cache, k: None },
+        &ExecConfig { k: None },
+        ExecContext::private(cache),
     )
     .expect("travel plans execute");
     cell_from(&world, &report)
@@ -176,10 +178,8 @@ pub fn threading_experiment(seed: u64) -> ThreadingOutcome {
         &plan,
         &world.schema,
         &world.registry,
-        &ExecConfig {
-            cache: CacheSetting::OneCall,
-            k: None,
-        },
+        &ExecConfig { k: None },
+        ExecContext::private(CacheSetting::OneCall),
     )
     .expect("executes");
     let world2 = travel_world(seed);
@@ -189,11 +189,11 @@ pub fn threading_experiment(seed: u64) -> ThreadingOutcome {
         &world2.schema,
         &world2.registry,
         &ParallelConfig {
-            cache: CacheSetting::OneCall,
             threads: 16,
             spawn_overhead: 0.12,
             shuffle_seed: seed,
         },
+        ExecContext::private(CacheSetting::OneCall),
     )
     .expect("executes");
     ThreadingOutcome {
@@ -331,10 +331,8 @@ mod tests {
                 &plan,
                 &world.schema,
                 &world.registry,
-                &ExecConfig {
-                    cache: CacheSetting::Optimal,
-                    k: None,
-                },
+                &ExecConfig { k: None },
+                ExecContext::private(CacheSetting::Optimal),
             )
             .expect("executes");
             let mut answers = report.answers;

@@ -30,9 +30,9 @@ use mdq_cost::metrics::{CostMetric, ExecutionTime};
 use mdq_cost::selectivity::SelectivityModel;
 use mdq_cost::shared::SharedWorkOracle;
 use mdq_exec::adaptive::{AdaptiveOutcome, ReplanRequest, Replanner};
-use mdq_exec::gateway::SharedServiceState;
 use mdq_exec::pipeline::{ExecConfig, ExecError, ExecReport};
 use mdq_exec::topk::TopKExecution;
+use mdq_exec::ExecContext;
 use mdq_model::parser::ParseError;
 use mdq_model::query::{ConjunctiveQuery, QueryError};
 use mdq_model::schema::{Schema, ServiceId};
@@ -224,28 +224,32 @@ impl Mdq {
     }
 
     /// Executes a plan with the stage-materialised engine.
-    pub fn execute(&self, plan: &Plan, config: &ExecConfig) -> Result<ExecReport, MdqError> {
+    pub fn execute(
+        &self,
+        plan: &Plan,
+        config: &ExecConfig,
+        ctx: ExecContext<'_>,
+    ) -> Result<ExecReport, MdqError> {
         Ok(mdq_exec::pipeline::run(
             plan,
             &self.schema,
             &self.registry,
             config,
+            ctx,
         )?)
     }
 
     /// Starts a pull-based top-k execution (§2.2 continuation).
-    pub fn pull(
-        &self,
+    pub fn pull<'a>(
+        &'a self,
         plan: &Plan,
-        cache: CacheSetting,
-        elastic: bool,
-    ) -> Result<TopKExecution, MdqError> {
-        Ok(TopKExecution::new(
+        ctx: ExecContext<'a>,
+    ) -> Result<TopKExecution<'a>, MdqError> {
+        Ok(TopKExecution::start(
             plan,
             &self.schema,
             &self.registry,
-            cache,
-            elastic,
+            ctx,
         )?)
     }
 
@@ -266,9 +270,9 @@ impl Mdq {
         let report = self.execute(
             &optimized.candidate.plan,
             &ExecConfig {
-                cache: CacheSetting::OneCall,
                 k: Some(k as usize),
             },
+            ExecContext::private(CacheSetting::OneCall),
         )?;
         Ok(RunOutcome { optimized, report })
     }
@@ -336,9 +340,9 @@ impl Mdq {
         self.execute(
             &plan,
             &ExecConfig {
-                cache: CacheSetting::OneCall,
                 k: Some(prepared.k as usize),
             },
+            ExecContext::private(CacheSetting::OneCall),
         )
     }
 
@@ -367,9 +371,9 @@ impl Mdq {
         let report = self.execute(
             &optimized.candidate.plan,
             &ExecConfig {
-                cache: CacheSetting::OneCall,
                 k: Some(k as usize),
             },
+            ExecContext::private(CacheSetting::OneCall),
         )?;
         Ok((RunOutcome { optimized, report }, expansion))
     }
@@ -518,27 +522,26 @@ impl Mdq {
             ..OptimizerConfig::default()
         };
         let optimized = self.optimize(query, &ExecutionTime, config.clone())?;
-        let shared = std::sync::Arc::new(SharedServiceState::new(
-            mdq_exec::cache::CacheSetting::Optimal,
-            0,
-        ));
         let mut replanner = self.replanner(&ExecutionTime, config);
         let outcome = mdq_exec::adaptive::run_adaptive(
             &optimized.candidate.plan,
             &self.schema,
             &self.registry,
-            shared,
-            None,
-            Some(k as usize),
-            adaptive,
-            &mut replanner,
+            &ExecConfig {
+                k: Some(k as usize),
+            },
+            ExecContext {
+                adaptive: Some((*adaptive, &mut replanner)),
+                ..ExecContext::private(CacheSetting::Optimal)
+            },
         )?;
         Ok(AdaptiveRunOutcome { optimized, outcome })
     }
 
     /// Seeds the schema's service profiles from live gateway
     /// observations
-    /// ([`SharedServiceState::observed_snapshot`]), replacing a separate
+    /// ([`SharedServiceState::observed_snapshot`](mdq_exec::gateway::SharedServiceState::observed_snapshot)),
+    /// replacing a separate
     /// sampling-profiler pass: every service observed for at least
     /// `min_calls` forwarded calls gets its response time, failure rate
     /// and (for bulk services) erspi refreshed. Returns how many
@@ -706,7 +709,13 @@ mod tests {
             .optimize(query, &ExecutionTime, OptimizerConfig::default())
             .expect("optimizes");
         let mut pull = engine
-            .pull(&optimized.candidate.plan, CacheSetting::OneCall, true)
+            .pull(
+                &optimized.candidate.plan,
+                ExecContext {
+                    elastic: true,
+                    ..ExecContext::private(CacheSetting::OneCall)
+                },
+            )
             .expect("builds");
         let first = pull.next_answer();
         assert!(first.is_some());

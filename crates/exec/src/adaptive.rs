@@ -3,7 +3,9 @@
 //!
 //! The optimizer commits to a plan using *estimated* service statistics;
 //! the gateway observes the real ones
-//! ([`ServiceGateway::observed_stats`]). The adaptive drivers close that
+//! ([`ServiceGateway::observed_stats`](crate::gateway::ServiceGateway::observed_stats)).
+//! A driver handed a re-planner through
+//! [`ExecContext::adaptive`](crate::ExecContext::adaptive) closes that
 //! loop **during** execution:
 //!
 //! 1. execution proceeds to a *suspension point* — an explicit operator
@@ -24,17 +26,16 @@
 //!    [`CacheSetting::Optimal`](crate::cache::CacheSetting) to make that
 //!    guarantee unconditional).
 //!
-//! Three drivers implement the loop, all deterministic:
+//! This is an option of the two drivers that have suspension points,
+//! not a driver of its own — both deterministic:
 //!
-//! * [`run_adaptive`] — the stage-materialised engine (suspends after
-//!   every invoke stage);
-//! * [`run_adaptive_dispatch`] — the same stage loop with each stage's
-//!   invocations fanned out over real OS threads (stage outputs are
-//!   reassembled in input order, so answers and — under the memoizing
-//!   cache — call counts match the sequential driver exactly);
-//! * [`AdaptiveTopK`] — the pull-based top-k driver (suspends between
+//! * the stage-materialised engine ([`pipeline::run`](crate::pipeline::run),
+//!   or [`run_adaptive`] to keep the re-plan trail) suspends after
+//!   every invoke stage;
+//! * the pull-based top-k driver
+//!   ([`TopKExecution`](crate::topk::TopKExecution)) suspends between
 //!   answers; re-plans cover the whole plan, since a pull execution
-//!   never provably completes an atom).
+//!   never provably completes an atom.
 //!
 //! Re-planning is rate-limited per query ([`AdaptiveConfig`]): a
 //! bounded number of re-plans, a check cadence in forwarded calls, and
@@ -42,21 +43,15 @@
 //! (and declined to act on) does not re-trigger the optimizer at every
 //! subsequent suspension point.
 
-use crate::binding::Binding;
-use crate::gateway::{GatewayHandle, LocalGateway, ServiceGateway, SharedGateway};
-use crate::operator::{
-    compile, derive_rows_in, drain_all, ExecError, Filter, Invoke, Join, Operator, Probe, Select,
-    Source, DEFAULT_BATCH,
-};
-use crate::pipeline::{ExecReport, NodeTrace};
-use crate::plan_info::analyze;
+use crate::context::ExecContext;
+use crate::gateway::GatewayHandle;
+use crate::operator::ExecError;
+use crate::pipeline::{run_materialised, ExecConfig, ExecReport, StageModel};
 use mdq_cost::divergence::{diverging_services, ObservedService, ServiceDivergence};
 use mdq_model::schema::{Schema, ServiceId};
-use mdq_model::value::Tuple;
-use mdq_plan::dag::{NodeKind, Plan};
+use mdq_plan::dag::Plan;
 use mdq_services::registry::ServiceRegistry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::Arc;
+use std::collections::{BTreeSet, HashMap};
 
 pub use mdq_cost::divergence::AdaptiveConfig;
 
@@ -131,23 +126,26 @@ pub struct AdaptiveOutcome {
     pub observed: HashMap<ServiceId, ObservedService>,
 }
 
-/// The shared re-plan decision logic: cadence, rate limiting and the
-/// settled set. Deterministic — its decisions depend only on the
+/// The re-plan decision logic shared by both adaptive drivers: cadence,
+/// rate limiting and the settled set, around the session's
+/// [`Replanner`]. Deterministic — its decisions depend only on the
 /// gateway's observed statistics at the suspension point.
-struct Controller {
+pub(crate) struct Controller<'a> {
     cfg: AdaptiveConfig,
-    replans: u32,
-    events: Vec<ReplanEvent>,
+    replanner: &'a mut dyn Replanner,
+    pub(crate) replans: u32,
+    pub(crate) events: Vec<ReplanEvent>,
     last_check_calls: u64,
     /// Services whose divergence the re-planner has already examined;
     /// cleared when a splice happens.
     settled: BTreeSet<ServiceId>,
 }
 
-impl Controller {
-    fn new(cfg: AdaptiveConfig) -> Self {
+impl<'a> Controller<'a> {
+    pub(crate) fn new((cfg, replanner): (AdaptiveConfig, &'a mut dyn Replanner)) -> Self {
         Controller {
             cfg,
+            replanner,
             replans: 0,
             events: Vec::new(),
             last_check_calls: 0,
@@ -157,13 +155,12 @@ impl Controller {
 
     /// Runs the divergence check at a suspension point; returns the
     /// spliced plan when the re-planner produced one.
-    fn consider<G: GatewayHandle>(
+    pub(crate) fn consider<G: GatewayHandle>(
         &mut self,
         plan: &Plan,
         schema: &Schema,
         executed: &[usize],
         gateway: &G,
-        replanner: &mut dyn Replanner,
     ) -> Option<Plan> {
         if self.replans >= self.cfg.max_replans {
             return None;
@@ -185,7 +182,7 @@ impl Controller {
             diverged: &diverged,
             replans_so_far: self.replans,
         };
-        let outcome = replanner.replan(&req);
+        let outcome = self.replanner.replan(&req);
         // either way the re-planner has now seen these services; only a
         // *new* diverging service re-triggers it (a splice re-arms all)
         if outcome.is_some() {
@@ -216,553 +213,23 @@ impl Controller {
     }
 }
 
-/// Drains one invoke stage: `inputs` through the node's invoke + filter
-/// operators, either in place or fanned out over `threads` OS threads
-/// (outputs reassembled in input order). Returns the stage's output
-/// stream and its summed forwarded latency.
-#[allow(clippy::too_many_arguments)] // private stage helper: plan context + tuning knobs
-fn run_invoke_stage(
-    plan: &Plan,
-    schema: &Schema,
-    info: &crate::plan_info::PlanInfo,
-    node: usize,
-    inputs: Vec<Binding>,
-    gateway: &SharedGateway,
-    threads: usize,
-    batch: usize,
-) -> (Vec<Binding>, f64) {
-    if threads <= 1 || inputs.len() <= 1 {
-        let mut invoke = Invoke::for_node(
-            plan,
-            schema,
-            info,
-            node,
-            Source(inputs.into_iter()),
-            gateway.clone(),
-            false,
-            0.0,
-        );
-        let out = drain_all(
-            Probe::new(
-                Filter::for_node(plan, info, node, &mut invoke),
-                gateway.clone(),
-                node,
-            ),
-            batch,
-        );
-        return (out, invoke.busy());
-    }
-    // contiguous chunks keep the reassembled output in input order, so
-    // the fan-out is answer-identical to the sequential stage
-    let chunk = inputs.len().div_ceil(threads);
-    let chunks: Vec<Vec<Binding>> = inputs.chunks(chunk).map(|c| c.to_vec()).collect::<Vec<_>>();
-    let results: Vec<(Vec<Binding>, f64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                let gateway = gateway.clone();
-                scope.spawn(move || {
-                    let mut invoke = Invoke::for_node(
-                        plan,
-                        schema,
-                        info,
-                        node,
-                        Source(chunk.into_iter()),
-                        gateway.clone(),
-                        false,
-                        0.0,
-                    );
-                    let out = drain_all(
-                        Probe::new(
-                            Filter::for_node(plan, info, node, &mut invoke),
-                            gateway,
-                            node,
-                        ),
-                        batch,
-                    );
-                    (out, invoke.busy())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("stage worker joins"))
-            .collect()
-    });
-    let mut out = Vec::new();
-    let mut busy = 0.0;
-    for (part, lat) in results {
-        out.extend(part);
-        busy += lat;
-    }
-    (out, busy)
-}
-
-/// The adaptive stage-materialised engine shared by [`run_adaptive`]
-/// and [`run_adaptive_dispatch`].
-#[allow(clippy::too_many_arguments)] // entry points bundle these below
-fn run_adaptive_stages(
-    plan: &Plan,
-    schema: &Schema,
-    registry: &ServiceRegistry,
-    shared: Arc<crate::gateway::SharedServiceState>,
-    budget: Option<u64>,
-    k: Option<usize>,
-    cfg: &AdaptiveConfig,
-    replanner: &mut dyn Replanner,
-    threads: usize,
-    batch: usize,
-) -> Result<AdaptiveOutcome, ExecError> {
-    let batch = batch.max(1);
-    let gateway = SharedGateway::new(ServiceGateway::with_shared(
-        plan, schema, registry, shared, budget,
-    )?);
-    let mut plan = plan.clone();
-    let mut ctl = Controller::new(*cfg);
-    'restart: loop {
-        // per-node statistics describe the plan that finishes — node
-        // indices change across splices, so each pass starts clean
-        // (like `node_trace`; calls/cache/fault accounting still spans
-        // the whole adaptive execution)
-        gateway.with(|g| g.reset_node_stats(plan.nodes.len()));
-        let info = analyze(&plan, schema);
-        let n = plan.nodes.len();
-        let total_invokes = plan
-            .nodes
-            .iter()
-            .filter(|nd| matches!(nd.kind, NodeKind::Invoke { .. }))
-            .count();
-        let mut streams: Vec<Vec<Binding>> = vec![Vec::new(); n];
-        let mut trace = vec![NodeTrace::default(); n];
-        let mut executed: Vec<usize> = Vec::new();
-
-        for i in 0..n {
-            let node = &plan.nodes[i];
-            match &node.kind {
-                NodeKind::Input => {
-                    streams[i] = vec![Binding::empty(plan.query.var_count())];
-                    gateway.with(|g| g.record_node_output(i, 1, 0));
-                    trace[i] = NodeTrace {
-                        busy: 0.0,
-                        completion: 0.0,
-                        in_tuples: 0,
-                        out_tuples: 1,
-                    };
-                }
-                NodeKind::Invoke { atom } => {
-                    let up = node.inputs[0].0;
-                    let inputs = streams[up].clone();
-                    let in_tuples = inputs.len();
-                    let (out, busy) =
-                        run_invoke_stage(&plan, schema, &info, i, inputs, &gateway, threads, batch);
-                    if let Some(err) = gateway.with(|g| g.take_error()) {
-                        return Err(err);
-                    }
-                    trace[i] = NodeTrace {
-                        busy,
-                        completion: trace[up].completion + busy,
-                        in_tuples,
-                        out_tuples: out.len(),
-                    };
-                    streams[i] = out;
-                    executed.push(*atom);
-                    // suspension point: the stage is complete, no call
-                    // is in flight — safe to splice a new suffix in
-                    if executed.len() < total_invokes {
-                        if let Some(new_plan) =
-                            ctl.consider(&plan, schema, &executed, &gateway, replanner)
-                        {
-                            plan = new_plan;
-                            continue 'restart;
-                        }
-                    }
-                }
-                NodeKind::Join {
-                    left,
-                    right,
-                    strategy,
-                    on,
-                } => {
-                    let (l, r) = (left.0, right.0);
-                    let joined = drain_all(
-                        Probe::new(
-                            Filter::for_node(
-                                &plan,
-                                &info,
-                                i,
-                                Join::new(
-                                    Source(streams[l].iter().cloned()),
-                                    Source(streams[r].iter().cloned()),
-                                    strategy,
-                                    on.clone(),
-                                ),
-                            ),
-                            gateway.clone(),
-                            i,
-                        ),
-                        batch,
-                    );
-                    trace[i] = NodeTrace {
-                        busy: 0.0,
-                        completion: trace[l].completion.max(trace[r].completion),
-                        in_tuples: streams[l].len() + streams[r].len(),
-                        out_tuples: joined.len(),
-                    };
-                    streams[i] = joined;
-                }
-                NodeKind::Output => {
-                    let up = node.inputs[0].0;
-                    let filtered =
-                        Filter::for_node(&plan, &info, i, Source(streams[up].iter().cloned()));
-                    let out: Vec<Binding> = match k {
-                        Some(k) => drain_all(
-                            Probe::new(Select::new(filtered, k), gateway.clone(), i),
-                            batch,
-                        ),
-                        None => drain_all(Probe::new(filtered, gateway.clone(), i), batch),
-                    };
-                    trace[i] = NodeTrace {
-                        busy: 0.0,
-                        completion: trace[up].completion,
-                        in_tuples: streams[up].len(),
-                        out_tuples: out.len(),
-                    };
-                    streams[i] = out;
-                }
-            }
-        }
-
-        let out_idx = plan.output_node().0;
-        let bindings = std::mem::take(&mut streams[out_idx]);
-        let answers = bindings
-            .iter()
-            .map(|b| b.project_head(&plan.query))
-            .collect();
-        let (calls, cache_stats, fault_stats, partial, observed, mut operator_stats) = gateway
-            .with(|g| {
-                (
-                    g.calls().clone(),
-                    registry.ids().map(|id| (id, g.cache_stats(id))).collect(),
-                    g.fault_stats().clone(),
-                    g.partial_results(),
-                    g.observed_stats().clone(),
-                    g.node_stats().to_vec(),
-                )
-            });
-        derive_rows_in(&plan, &mut operator_stats);
-        let report = ExecReport {
-            answers,
-            bindings,
-            virtual_time: trace[out_idx].completion,
-            calls,
-            cache_stats,
-            node_trace: trace,
-            fault_stats,
-            partial,
-            operator_stats,
-        };
-        return Ok(AdaptiveOutcome {
-            report,
-            replans: ctl.replans,
-            events: ctl.events,
-            final_plan: plan,
-            observed,
-        });
-    }
-}
-
-/// Adaptive stage-materialised execution over a shared gateway state:
-/// the pipeline driver with a divergence check (and possible plan
-/// splice) after every completed invoke stage.
-///
-/// `k` truncates the answer list like
-/// [`ExecConfig::k`](crate::pipeline::ExecConfig); `budget` is the
-/// per-query forwarded-call budget.
-#[allow(clippy::too_many_arguments)] // serving-layer entry point: one knob per policy
+/// [`pipeline::run`](crate::pipeline::run) with the re-plan trail kept:
+/// the same stage loop, returning the whole [`AdaptiveOutcome`] instead
+/// of only its report. With no re-planner in `ctx` the outcome records
+/// zero re-plans and `final_plan` is `plan`.
 pub fn run_adaptive(
     plan: &Plan,
     schema: &Schema,
     registry: &ServiceRegistry,
-    shared: Arc<crate::gateway::SharedServiceState>,
-    budget: Option<u64>,
-    k: Option<usize>,
-    cfg: &AdaptiveConfig,
-    replanner: &mut dyn Replanner,
+    config: &ExecConfig,
+    ctx: ExecContext<'_>,
 ) -> Result<AdaptiveOutcome, ExecError> {
-    run_adaptive_stages(
+    run_materialised(
         plan,
         schema,
         registry,
-        shared,
-        budget,
-        k,
-        cfg,
-        replanner,
-        1,
-        DEFAULT_BATCH,
+        ctx,
+        config.k,
+        &StageModel::Sequential,
     )
-}
-
-/// [`run_adaptive`] with an explicit operator batch size. Answers,
-/// call counts, retries and re-plan decisions are invariant under
-/// `batch` — the equivalence suite sweeps it to prove as much.
-#[allow(clippy::too_many_arguments)] // serving-layer entry point: one knob per policy
-pub fn run_adaptive_with_batch(
-    plan: &Plan,
-    schema: &Schema,
-    registry: &ServiceRegistry,
-    shared: Arc<crate::gateway::SharedServiceState>,
-    budget: Option<u64>,
-    k: Option<usize>,
-    cfg: &AdaptiveConfig,
-    replanner: &mut dyn Replanner,
-    batch: usize,
-) -> Result<AdaptiveOutcome, ExecError> {
-    run_adaptive_stages(
-        plan, schema, registry, shared, budget, k, cfg, replanner, 1, batch,
-    )
-}
-
-/// Like [`run_adaptive`], with every invoke stage's calls dispatched
-/// over `threads` real OS threads (the adaptive variant of the threaded
-/// driver). Stage outputs are reassembled in input order, so the run is
-/// answer-identical to [`run_adaptive`]; under the memoizing cache
-/// setting the call counts are identical too (single-flight
-/// deduplicates concurrent demands for one page).
-#[allow(clippy::too_many_arguments)] // serving-layer entry point: one knob per policy
-pub fn run_adaptive_dispatch(
-    plan: &Plan,
-    schema: &Schema,
-    registry: &ServiceRegistry,
-    shared: Arc<crate::gateway::SharedServiceState>,
-    budget: Option<u64>,
-    k: Option<usize>,
-    threads: usize,
-    cfg: &AdaptiveConfig,
-    replanner: &mut dyn Replanner,
-) -> Result<AdaptiveOutcome, ExecError> {
-    run_adaptive_stages(
-        plan,
-        schema,
-        registry,
-        shared,
-        budget,
-        k,
-        cfg,
-        replanner,
-        threads.max(2),
-        DEFAULT_BATCH,
-    )
-}
-
-/// The adaptive pull-based top-k execution: answers are pulled one at a
-/// time; between answers (the pull driver's suspension points) the
-/// divergence check runs, and a splice recompiles the new plan over the
-/// *same* gateway — fetched pages replay from cache, and the bindings
-/// already handed out are tracked as a multiset so the spliced stream
-/// skips exactly one instance of each before emitting further answers
-/// (a splice never re-emits, while legitimate duplicate answers —
-/// projection queries, duplicate source tuples — still flow exactly as
-/// in the frozen driver; with zero re-plans no skipping happens at
-/// all).
-pub struct AdaptiveTopK<'a> {
-    schema: &'a Schema,
-    registry: &'a ServiceRegistry,
-    plan: Plan,
-    gateway: LocalGateway,
-    iter: Box<dyn Operator>,
-    ctl: Controller,
-    /// Every binding emitted so far, in emission order (all splices).
-    emitted: Vec<Binding>,
-    /// Instances of already-emitted bindings the current (spliced)
-    /// stream must still skip — rebuilt from `emitted` at each splice,
-    /// empty before the first one.
-    skip: BTreeMap<Binding, usize>,
-    elastic: bool,
-}
-
-impl<'a> AdaptiveTopK<'a> {
-    /// Prepares an adaptive pull execution over an existing (typically
-    /// `Arc`-shared) gateway state — the serving-layer entry point.
-    pub fn with_shared(
-        plan: &Plan,
-        schema: &'a Schema,
-        registry: &'a ServiceRegistry,
-        shared: Arc<crate::gateway::SharedServiceState>,
-        budget: Option<u64>,
-        elastic: bool,
-        cfg: &AdaptiveConfig,
-    ) -> Result<Self, ExecError> {
-        Self::with_shared_tenant(plan, schema, registry, shared, budget, elastic, cfg, None)
-    }
-
-    /// [`AdaptiveTopK::with_shared`] attributed to a tenant: every
-    /// forwarded call — across every spliced plan, since re-plans keep
-    /// the same gateway — is charged against the tenant's cumulative
-    /// budget in the shared state.
-    #[allow(clippy::too_many_arguments)] // serving-layer entry point: one knob per policy
-    pub fn with_shared_tenant(
-        plan: &Plan,
-        schema: &'a Schema,
-        registry: &'a ServiceRegistry,
-        shared: Arc<crate::gateway::SharedServiceState>,
-        budget: Option<u64>,
-        elastic: bool,
-        cfg: &AdaptiveConfig,
-        tenant: Option<crate::gateway::TenantId>,
-    ) -> Result<Self, ExecError> {
-        let mut inner = ServiceGateway::with_shared(plan, schema, registry, shared, budget)?;
-        if let Some(t) = tenant {
-            inner.set_tenant(t);
-        }
-        let gateway = LocalGateway::new(inner);
-        let info = analyze(plan, schema);
-        let iter = compile(plan, schema, &info, &gateway, elastic);
-        Ok(AdaptiveTopK {
-            schema,
-            registry,
-            plan: plan.clone(),
-            gateway,
-            iter,
-            ctl: Controller::new(*cfg),
-            emitted: Vec::new(),
-            skip: BTreeMap::new(),
-            elastic,
-        })
-    }
-
-    /// Runs the suspension-point check; splices and recompiles when the
-    /// re-planner produced a better plan.
-    fn maybe_replan(&mut self, replanner: &mut dyn Replanner) {
-        // the pull driver re-plans the whole plan: its continuation
-        // semantics never fully execute an atom, so nothing is pinned
-        if let Some(new_plan) =
-            self.ctl
-                .consider(&self.plan, self.schema, &[], &self.gateway, replanner)
-        {
-            self.plan = new_plan;
-            let info = analyze(&self.plan, self.schema);
-            self.iter = compile(&self.plan, self.schema, &info, &self.gateway, self.elastic);
-            // node indices changed: per-node stats restart under the
-            // spliced plan (the dropped tree's probes flushed into the
-            // old numbering just above, so this wipes them cleanly)
-            self.gateway
-                .with(|g| g.reset_node_stats(self.plan.nodes.len()));
-            // the spliced stream replays from the start: skip exactly
-            // one instance of every binding already handed out
-            self.skip.clear();
-            for b in &self.emitted {
-                *self.skip.entry(b.clone()).or_insert(0) += 1;
-            }
-        }
-    }
-
-    /// Pulls the next answer not yet emitted, re-planning at answer
-    /// boundaries when the observations have drifted. `None` once the
-    /// (possibly spliced) plan is exhausted — check
-    /// [`AdaptiveTopK::error`] to distinguish failure from exhaustion.
-    pub fn next_answer(&mut self, replanner: &mut dyn Replanner) -> Option<Tuple> {
-        loop {
-            self.maybe_replan(replanner);
-            let binding = self.iter.next_binding()?;
-            if let Some(n) = self.skip.get_mut(&binding) {
-                // an instance already emitted before the last splice
-                *n -= 1;
-                if *n == 0 {
-                    self.skip.remove(&binding);
-                }
-                continue;
-            }
-            let answer = binding.project_head(&self.plan.query);
-            self.emitted.push(binding);
-            return Some(answer);
-        }
-    }
-
-    /// Pulls up to `k` further answers.
-    pub fn answers(&mut self, k: usize, replanner: &mut dyn Replanner) -> Vec<Tuple> {
-        let mut out = Vec::with_capacity(k.min(1024));
-        for _ in 0..k {
-            match self.next_answer(replanner) {
-                Some(a) => out.push(a),
-                None => break,
-            }
-        }
-        out
-    }
-
-    /// Re-plans performed so far.
-    pub fn replans(&self) -> u32 {
-        self.ctl.replans
-    }
-
-    /// One event per performed re-plan.
-    pub fn events(&self) -> &[ReplanEvent] {
-        &self.ctl.events
-    }
-
-    /// The currently running plan (the splice result after a re-plan).
-    pub fn plan(&self) -> &Plan {
-        &self.plan
-    }
-
-    /// The registry this execution resolves services from.
-    pub fn registry(&self) -> &ServiceRegistry {
-        self.registry
-    }
-
-    /// Request-responses forwarded to `id` so far (all splices).
-    pub fn calls_to(&self, id: ServiceId) -> u64 {
-        self.gateway.with(|g| g.calls_to(id))
-    }
-
-    /// Total request-responses forwarded so far (all splices).
-    pub fn total_calls(&self) -> u64 {
-        self.gateway.with(|g| g.total_calls())
-    }
-
-    /// Summed simulated latency of the forwarded calls.
-    pub fn total_latency(&self) -> f64 {
-        self.gateway.with(|g| g.total_latency())
-    }
-
-    /// Fault accounting per service so far (spans all splices — a
-    /// retry spent before a re-plan stays counted exactly once).
-    pub fn fault_stats(&self) -> HashMap<ServiceId, crate::gateway::FaultStats> {
-        self.gateway.with(|g| g.fault_stats().clone())
-    }
-
-    /// Per-service observations of this execution's forwarded calls so
-    /// far (all splices).
-    pub fn observed_stats(&self) -> HashMap<ServiceId, ObservedService> {
-        self.gateway.with(|g| g.observed_stats().clone())
-    }
-
-    /// The partial-results report so far.
-    pub fn partial_results(&self) -> Option<crate::gateway::PartialResults> {
-        self.gateway.with(|g| g.partial_results())
-    }
-
-    /// The execution error that poisoned the stream, if any.
-    pub fn error(&self) -> Option<ExecError> {
-        self.gateway.with(|g| g.error().cloned())
-    }
-
-    /// This execution's span track, when the shared state carries a
-    /// trace recorder.
-    pub fn trace(&self) -> Option<mdq_obs::recorder::QueryTrace> {
-        self.gateway.with(|g| g.trace())
-    }
-
-    /// **Finalizes** the execution and returns the per-node runtime
-    /// statistics of the current (possibly spliced) plan — see
-    /// [`AdaptiveTopK::plan`] for the matching topology. The operator
-    /// tree is dropped so every probe flushes; subsequent pulls return
-    /// no further answers.
-    pub fn operator_stats(&mut self) -> Vec<mdq_obs::span::OperatorStats> {
-        self.iter = Box::new(Source(std::iter::empty()));
-        let mut stats = self.gateway.with(|g| g.node_stats().to_vec());
-        derive_rows_in(&self.plan, &mut stats);
-        stats
-    }
 }

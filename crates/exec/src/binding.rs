@@ -33,11 +33,6 @@ impl Binding {
         self.values[v.0 as usize].as_ref()
     }
 
-    /// Whether `v` is bound.
-    pub fn is_bound(&self, v: VarId) -> bool {
-        self.get(v).is_some()
-    }
-
     /// Extends the binding with a service result tuple for `atom`:
     /// unifies every position (constants and bound variables must match
     /// the returned value under join equality; unbound variables are

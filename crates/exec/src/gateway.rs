@@ -46,11 +46,12 @@
 //!   snapshot, so metrics never serialize the page path at all.
 //!
 //! A stand-alone execution owns a private state
-//! ([`ServiceGateway::new`] — the paper's one-query-at-a-time setting);
-//! the `mdq-runtime` serving layer hands *one* `Arc`-shared state to
-//! every concurrent query ([`ServiceGateway::with_shared`]), so pages
+//! ([`ExecContext::private`] — the paper's one-query-at-a-time
+//! setting); the `mdq-runtime` serving layer hands *one* `Arc`-shared
+//! state to every concurrent query ([`ExecContext::shared`]), so pages
 //! fetched by one query are hits for the next and service-call
-//! accounting spans the whole workload.
+//! accounting spans the whole workload. [`ExecContext::gateway`] is the
+//! one place a gateway is built.
 //!
 //! Drivers differ only in *how* they share the gateway:
 //! [`LocalGateway`] (single-threaded, `Rc<RefCell>`) for the
@@ -61,6 +62,7 @@
 use crate::accounting::{Accounting, AcctCell};
 use crate::binding::Binding;
 use crate::cache::{CacheSetting, CacheStats, PageCache, PageLookup};
+use crate::context::ExecContext;
 use crate::operator::ExecError;
 use mdq_cost::divergence::ObservedService;
 use mdq_cost::shared::SharedWorkOracle;
@@ -1366,35 +1368,17 @@ impl Drop for ServiceGateway {
     }
 }
 
-impl ServiceGateway {
-    /// Builds a gateway for `plan` over a *private* state — the paper's
-    /// one-query-at-a-time setting. Resolves every invoked service in
-    /// the registry; fails fast when a registration is missing.
-    pub fn new(
+impl ExecContext<'_> {
+    /// Builds the gateway `plan` executes through under this context —
+    /// the one place a context's state, budget, tenant and frontier
+    /// flag become a [`ServiceGateway`]. Resolves every invoked service
+    /// in the registry; fails fast when a registration is missing.
+    pub fn gateway(
+        &self,
         plan: &Plan,
         schema: &Schema,
         registry: &ServiceRegistry,
-        cache: CacheSetting,
-    ) -> Result<Self, ExecError> {
-        Self::with_shared(
-            plan,
-            schema,
-            registry,
-            Arc::new(SharedServiceState::new(cache, 0)),
-            None,
-        )
-    }
-
-    /// Builds a gateway for `plan` over an existing (typically
-    /// `Arc`-shared, cross-query) state, with an optional per-query
-    /// forwarded-call budget.
-    pub fn with_shared(
-        plan: &Plan,
-        schema: &Schema,
-        registry: &ServiceRegistry,
-        shared: Arc<SharedServiceState>,
-        budget: Option<u64>,
-    ) -> Result<Self, ExecError> {
+    ) -> Result<ServiceGateway, ExecError> {
         let mut services = HashMap::new();
         for &atom in plan.atoms.iter() {
             let svc_id = plan.query.atoms[atom].service;
@@ -1403,8 +1387,13 @@ impl ServiceGateway {
             })?;
             services.insert(svc_id, Arc::clone(service));
         }
+        let shared = Arc::clone(&self.state);
         let acct = shared.register_cell();
         let trace = shared.trace_recorder().map(|r| r.register("query"));
+        // the tenant's budget cell is resolved once, here: every
+        // forwarded attempt is charged to it, and exhaustion poisons
+        // the execution with [`ExecError::TenantBudgetExhausted`]
+        let tenant = self.tenant.map(|t| (t, shared.tenant_cell(t)));
         Ok(ServiceGateway {
             services,
             shared,
@@ -1412,8 +1401,8 @@ impl ServiceGateway {
             calls: HashMap::new(),
             latency_sum: 0.0,
             stats: HashMap::new(),
-            budget: budget.filter(|&b| b > 0),
-            tenant: None,
+            budget: self.budget.filter(|&b| b > 0),
+            tenant,
             error: None,
             faults: HashMap::new(),
             observed: HashMap::new(),
@@ -1422,16 +1411,28 @@ impl ServiceGateway {
             trace,
             node_stats: vec![OperatorStats::default(); plan.nodes.len()],
             active_node: None,
-            frontier: None,
+            frontier: self.frontier.then(HashSet::new),
         })
     }
+}
 
-    /// Starts recording this execution's invocation frontier: every
-    /// `(service, pattern, key)` demanded from now on, whether served
-    /// from cache or forwarded. Standing queries enable this before
-    /// compiling so their dependency set is complete.
-    pub fn enable_frontier(&mut self) {
-        self.frontier.get_or_insert_with(HashSet::new);
+impl ServiceGateway {
+    /// A gateway over an existing state with an optional per-query
+    /// call budget: [`ExecContext::gateway`] under this one signature,
+    /// kept because the frozen end-to-end benchmark package
+    /// (`benchmark/`) compiles against it.
+    pub fn with_shared(
+        plan: &Plan,
+        schema: &Schema,
+        registry: &ServiceRegistry,
+        shared: Arc<SharedServiceState>,
+        budget: Option<u64>,
+    ) -> Result<Self, ExecError> {
+        ExecContext {
+            budget,
+            ..ExecContext::shared(shared)
+        }
+        .gateway(plan, schema, registry)
     }
 
     /// Whether frontier recording is enabled.
@@ -1460,11 +1461,6 @@ impl ServiceGateway {
         }
     }
 
-    /// Takes the recorded frontier, leaving recording enabled (empty).
-    pub fn take_frontier(&mut self) -> Option<HashSet<(ServiceId, usize, Vec<Value>)>> {
-        self.frontier.as_mut().map(std::mem::take)
-    }
-
     /// Records one invocation demand on the frontier, if enabled.
     fn note_frontier(&mut self, id: ServiceId, pattern: usize, key: &[Value]) {
         if let Some(frontier) = &mut self.frontier {
@@ -1472,25 +1468,10 @@ impl ServiceGateway {
         }
     }
 
-    /// The active cache setting.
-    pub fn cache_setting(&self) -> CacheSetting {
-        self.shared.setting()
-    }
-
     /// The state underneath (shared across queries when this gateway was
-    /// built with [`ServiceGateway::with_shared`]).
+    /// built from an [`ExecContext::shared`] context).
     pub fn shared_state(&self) -> &Arc<SharedServiceState> {
         &self.shared
-    }
-
-    /// Attributes this execution to `tenant`: every forwarded attempt
-    /// is charged to the tenant's cumulative budget cell in the shared
-    /// state, and exhaustion poisons the execution with
-    /// [`ExecError::TenantBudgetExhausted`]. Must be set before the
-    /// first fetch; calls already forwarded are not re-attributed.
-    pub fn set_tenant(&mut self, tenant: TenantId) {
-        let cell = self.shared.tenant_cell(tenant);
-        self.tenant = Some((tenant, cell));
     }
 
     /// The tenant this execution is attributed to, if any.
@@ -2133,7 +2114,8 @@ mod tests {
         let w = travel_world(2008);
         let plan = plan_o(&w);
         let empty = ServiceRegistry::new();
-        let err = ServiceGateway::new(&plan, &w.schema, &empty, CacheSetting::OneCall)
+        let err = ExecContext::private(CacheSetting::OneCall)
+            .gateway(&plan, &w.schema, &empty)
             .expect_err("nothing registered");
         assert!(matches!(err, ExecError::MissingService(_)));
     }
@@ -2142,7 +2124,8 @@ mod tests {
     fn forwarding_counts_calls_and_latency() {
         let w = travel_world(2008);
         let plan = plan_o(&w);
-        let mut g = ServiceGateway::new(&plan, &w.schema, &w.registry, CacheSetting::OneCall)
+        let mut g = ExecContext::private(CacheSetting::OneCall)
+            .gateway(&plan, &w.schema, &w.registry)
             .expect("builds");
         let key = vec![Value::str("DB")];
         let first = g.fetch_page(w.ids.conf, 0, &key, 0);
@@ -2159,7 +2142,8 @@ mod tests {
     fn poison_keeps_first_error() {
         let w = travel_world(2008);
         let plan = plan_o(&w);
-        let mut g = ServiceGateway::new(&plan, &w.schema, &w.registry, CacheSetting::NoCache)
+        let mut g = ExecContext::private(CacheSetting::NoCache)
+            .gateway(&plan, &w.schema, &w.registry)
             .expect("builds");
         g.poison(ExecError::UnboundInput {
             service: "a".into(),
@@ -2196,10 +2180,12 @@ mod tests {
         let plan = plan_o(&w);
         let shared = Arc::new(SharedServiceState::new(CacheSetting::NoCache, 0));
         shared.set_tenant_budget(3, Some(1));
-        let mut g =
-            ServiceGateway::with_shared(&plan, &w.schema, &w.registry, Arc::clone(&shared), None)
-                .expect("builds");
-        g.set_tenant(3);
+        let mut g = ExecContext {
+            tenant: Some(3),
+            ..ExecContext::shared(Arc::clone(&shared))
+        }
+        .gateway(&plan, &w.schema, &w.registry)
+        .expect("builds");
         assert_eq!(g.tenant_id(), Some(3));
         let first = g.fetch_page(w.ids.conf, 0, &[Value::str("DB")], 0);
         assert!(first.forwarded_latency.is_some(), "first call has room");
@@ -2221,9 +2207,9 @@ mod tests {
         let plan = plan_o(&w);
         let shared = Arc::new(SharedServiceState::new(CacheSetting::NoCache, 0));
         shared.set_tenant_budget(1, Some(0));
-        let mut g =
-            ServiceGateway::with_shared(&plan, &w.schema, &w.registry, Arc::clone(&shared), None)
-                .expect("builds");
+        let mut g = ExecContext::shared(Arc::clone(&shared))
+            .gateway(&plan, &w.schema, &w.registry)
+            .expect("builds");
         let f = g.fetch_page(w.ids.conf, 0, &[Value::str("DB")], 0);
         assert!(f.forwarded_latency.is_some(), "no tenant, no gate");
         assert_eq!(shared.tenant_calls(1), 0);
@@ -2235,15 +2221,15 @@ mod tests {
         let plan = plan_o(&w);
         let shared = Arc::new(SharedServiceState::new(CacheSetting::Optimal, 0));
         let key = vec![Value::str("DB")];
-        let mut g1 =
-            ServiceGateway::with_shared(&plan, &w.schema, &w.registry, Arc::clone(&shared), None)
-                .expect("builds");
+        let mut g1 = ExecContext::shared(Arc::clone(&shared))
+            .gateway(&plan, &w.schema, &w.registry)
+            .expect("builds");
         let first = g1.fetch_page(w.ids.conf, 0, &key, 0);
         assert!(first.forwarded_latency.is_some());
         // a *second* gateway over the same state hits without forwarding
-        let mut g2 =
-            ServiceGateway::with_shared(&plan, &w.schema, &w.registry, Arc::clone(&shared), None)
-                .expect("builds");
+        let mut g2 = ExecContext::shared(Arc::clone(&shared))
+            .gateway(&plan, &w.schema, &w.registry)
+            .expect("builds");
         let again = g2.fetch_page(w.ids.conf, 0, &key, 0);
         assert!(again.forwarded_latency.is_none(), "cross-query cache hit");
         assert_eq!(again.tuples.len(), first.tuples.len());
@@ -2258,14 +2244,9 @@ mod tests {
         let shared = Arc::new(SharedServiceState::new(CacheSetting::Optimal, 0));
         let key = vec![Value::str("DB")];
         {
-            let mut g = ServiceGateway::with_shared(
-                &plan,
-                &w.schema,
-                &w.registry,
-                Arc::clone(&shared),
-                None,
-            )
-            .expect("builds");
+            let mut g = ExecContext::shared(Arc::clone(&shared))
+                .gateway(&plan, &w.schema, &w.registry)
+                .expect("builds");
             g.fetch_page(w.ids.conf, 0, &key, 0);
             g.record_invocation(w.ids.conf, false);
         }
@@ -2282,9 +2263,9 @@ mod tests {
         let plan = plan_o(&w);
         let shared = Arc::new(SharedServiceState::new(CacheSetting::Optimal, 0));
         let key = vec![Value::str("DB")];
-        let mut g1 =
-            ServiceGateway::with_shared(&plan, &w.schema, &w.registry, Arc::clone(&shared), None)
-                .expect("builds");
+        let mut g1 = ExecContext::shared(Arc::clone(&shared))
+            .gateway(&plan, &w.schema, &w.registry)
+            .expect("builds");
         let mut pages: u32 = 0;
         loop {
             let f = g1.fetch_page(w.ids.conf, 0, &key, pages);
@@ -2295,9 +2276,9 @@ mod tests {
         }
         let forwarded = shared.total_calls();
         assert_eq!(forwarded, u64::from(pages), "each page forwarded once");
-        let mut g2 =
-            ServiceGateway::with_shared(&plan, &w.schema, &w.registry, Arc::clone(&shared), None)
-                .expect("builds");
+        let mut g2 = ExecContext::shared(Arc::clone(&shared))
+            .gateway(&plan, &w.schema, &w.registry)
+            .expect("builds");
         let mut run = Vec::new();
         g2.fetch_page_run(w.ids.conf, 0, &key, 0, pages as usize + 3, &mut run);
         assert_eq!(run.len(), pages as usize, "run ends at the stream end");
@@ -2312,7 +2293,8 @@ mod tests {
     fn page_run_forwards_lazily() {
         let w = travel_world(2008);
         let plan = plan_o(&w);
-        let mut g = ServiceGateway::new(&plan, &w.schema, &w.registry, CacheSetting::Optimal)
+        let mut g = ExecContext::private(CacheSetting::Optimal)
+            .gateway(&plan, &w.schema, &w.registry)
             .expect("builds");
         let key = vec![Value::str("DB")];
         // cold: a run of 4 forwards exactly ONE page — pages past the
@@ -2336,8 +2318,12 @@ mod tests {
         let w = travel_world(2008);
         let plan = plan_o(&w);
         let shared = Arc::new(SharedServiceState::new(CacheSetting::NoCache, 0));
-        let mut g = ServiceGateway::with_shared(&plan, &w.schema, &w.registry, shared, Some(2))
-            .expect("builds");
+        let mut g = ExecContext {
+            budget: Some(2),
+            ..ExecContext::shared(shared)
+        }
+        .gateway(&plan, &w.schema, &w.registry)
+        .expect("builds");
         let key = vec![Value::str("DB")];
         assert!(g
             .fetch_page(w.ids.conf, 0, &key, 0)
@@ -2374,14 +2360,9 @@ mod tests {
                     let shared = Arc::clone(&shared);
                     let key = key.clone();
                     scope.spawn(move || {
-                        let mut g = ServiceGateway::with_shared(
-                            &plan,
-                            &w.schema,
-                            &w.registry,
-                            shared,
-                            None,
-                        )
-                        .expect("builds");
+                        let mut g = ExecContext::shared(shared)
+                            .gateway(&plan, &w.schema, &w.registry)
+                            .expect("builds");
                         g.fetch_page(w.ids.conf, 0, &key, 0).tuples
                     })
                 })

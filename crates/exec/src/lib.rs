@@ -37,22 +37,38 @@
 //!   merge-scan joins;
 //! * [`plan_info`] — predicate placement and pattern metadata.
 //!
-//! The three executors are thin drivers over that kernel:
+//! The executors are thin drivers over that kernel, each with exactly
+//! one entry point taking an [`ExecContext`] — the plain value naming
+//! the gateway state (private cache setting or cross-query shared
+//! state), call budget, tenant, sub-result materialization, frontier
+//! recording, elastic paging, batch size and an optional re-planner:
 //!
-//! * [`pipeline`] — the deterministic stage-materialised driver with
-//!   virtual time (regenerates Fig. 11);
-//! * [`topk`] — the pull-based driver: first-k answers with early
-//!   halting and "ask for more" continuation (§2.2);
-//! * [`threaded`] — parallel dispatch (virtual time) and a real
-//!   OS-thread dataflow engine with scaled latencies;
+//! * [`pipeline::run`] — the deterministic stage-materialised driver
+//!   with virtual time (regenerates Fig. 11);
+//! * [`TopKExecution::start`](topk::TopKExecution::start) — the
+//!   pull-based driver: first-k answers with early halting and "ask for
+//!   more" continuation (§2.2); the one the serving layer uses, for ad
+//!   hoc and standing queries alike;
+//! * [`threaded::run_parallel_dispatch`] — the §6 multithreading test
+//!   in virtual time (the stage loop under the parallel stage-time
+//!   model);
+//! * [`threaded::run_threaded`] — a real OS-thread dataflow engine with
+//!   scaled latencies;
 //! * [`results`] — answer-table rendering (Fig. 10).
 //!
-//! [`adaptive`] closes the estimate→observation loop *mid-flight*: at
-//! explicit suspension points the drivers compare the gateway's
-//! observed per-service statistics against the schema estimates and,
-//! past a configurable divergence, splice in a re-optimized plan suffix
-//! — fetched pages replay from the shared cache, so a re-plan never
-//! repeats a service call for data it already has.
+//! [`adaptive`] closes the estimate→observation loop *mid-flight*: with
+//! a re-planner in the context, the stage and pull drivers compare the
+//! gateway's observed per-service statistics against the schema
+//! estimates at explicit suspension points and, past a configurable
+//! divergence, splice in a re-optimized plan suffix — fetched pages
+//! replay from the shared cache, so a re-plan never repeats a service
+//! call for data it already has.
+//! [`run_adaptive`](adaptive::run_adaptive) is [`pipeline::run`]
+//! returning the re-plan trail along with the report.
+//!
+//! `TopKExecution::with_shared_tenant` and `ServiceGateway::with_shared`
+//! survive as positional one-expression delegations because the frozen
+//! end-to-end benchmark package (`benchmark/`) compiles against them.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -61,6 +77,7 @@ pub(crate) mod accounting;
 pub mod adaptive;
 pub mod binding;
 pub mod cache;
+pub mod context;
 pub mod gateway;
 pub mod joins;
 pub mod operator;
@@ -70,14 +87,16 @@ pub mod results;
 pub mod threaded;
 pub mod topk;
 
+pub use context::ExecContext;
+
 /// Convenient glob-import surface: `use mdq_exec::prelude::*;`.
 pub mod prelude {
     pub use crate::adaptive::{
-        run_adaptive, run_adaptive_dispatch, run_adaptive_with_batch, AdaptiveConfig,
-        AdaptiveOutcome, AdaptiveTopK, ReplanEvent, ReplanRequest, Replanner,
+        run_adaptive, AdaptiveConfig, AdaptiveOutcome, ReplanEvent, ReplanRequest, Replanner,
     };
     pub use crate::binding::Binding;
     pub use crate::cache::{CacheSetting, CacheStats, PageCache, PageLookup, PageStore};
+    pub use crate::context::ExecContext;
     pub use crate::gateway::{
         DegradedService, FaultStats, GatewayHandle, LocalGateway, PageFetch, PageShardStats,
         PartialResults, RetryPolicy, ServiceGateway, SharedGateway, SharedServiceState,
@@ -88,14 +107,11 @@ pub mod prelude {
         compile, compile_with, derive_rows_in, drain_all, drain_into, Batch, Filter, Invoke, Join,
         Operator, Probe, Select, Source, DEFAULT_BATCH,
     };
-    pub use crate::pipeline::{
-        run, run_with_batch, run_with_shared, ExecConfig, ExecError, ExecReport, NodeTrace,
-    };
+    pub use crate::pipeline::{run, ExecConfig, ExecError, ExecReport, NodeTrace};
     pub use crate::plan_info::{analyze, PlanInfo};
     pub use crate::results::result_table;
     pub use crate::threaded::{
-        run_parallel_dispatch, run_parallel_dispatch_with_batch, run_threaded, run_threaded_shared,
-        run_threaded_with_batch, ParallelConfig, ThreadedConfig, ThreadedReport,
+        run_parallel_dispatch, run_threaded, ParallelConfig, ThreadedConfig, ThreadedReport,
     };
     pub use crate::topk::TopKExecution;
     pub use mdq_obs::recorder::{QueryTrace, TraceRecorder};

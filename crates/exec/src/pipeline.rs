@@ -18,14 +18,12 @@
 //! multithreading experiment (see
 //! [`run_parallel_dispatch`](crate::threaded::run_parallel_dispatch)).
 
+use crate::adaptive::{AdaptiveOutcome, Controller};
 use crate::binding::Binding;
-use crate::cache::{CacheSetting, CacheStats};
-use crate::gateway::{
-    FaultStats, GatewayHandle, LocalGateway, PartialResults, ServiceGateway, SharedServiceState,
-};
-use crate::operator::{
-    derive_rows_in, drain_all, Filter, Invoke, Join, Probe, Select, Source, DEFAULT_BATCH,
-};
+use crate::cache::CacheStats;
+use crate::context::ExecContext;
+use crate::gateway::{FaultStats, GatewayHandle, LocalGateway, PartialResults};
+use crate::operator::{derive_rows_in, drain_all, Filter, Invoke, Join, Probe, Select, Source};
 use crate::plan_info::analyze;
 use mdq_model::rng::Rng;
 use mdq_model::schema::{Schema, ServiceId};
@@ -33,28 +31,18 @@ use mdq_model::value::Tuple;
 use mdq_obs::span::OperatorStats;
 use mdq_plan::dag::{NodeKind, Plan};
 use mdq_services::registry::ServiceRegistry;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 pub use crate::operator::ExecError;
 
-/// Execution options.
-#[derive(Clone, Copy, Debug)]
+/// Options of the stage-materialised driver.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ExecConfig {
-    /// Client-side cache setting (§5.1).
-    pub cache: CacheSetting,
     /// Truncate the answer list to the best `k` (calls are still made —
     /// the stage-materialised engine does not halt early; see
     /// [`crate::topk`] for the pulling executor that does).
     pub k: Option<usize>,
-}
-
-impl Default for ExecConfig {
-    fn default() -> Self {
-        ExecConfig {
-            cache: CacheSetting::OneCall,
-            k: None,
-        }
-    }
 }
 
 /// Per-node execution trace.
@@ -135,142 +123,176 @@ fn shuffle<T>(items: &mut [T], seed: u64) {
     Rng::new(seed).shuffle(items);
 }
 
-/// The materialised driver shared by [`run`] and
+/// The materialised driver behind [`run`],
+/// [`run_adaptive`](crate::adaptive::run_adaptive) and
 /// [`run_parallel_dispatch`](crate::threaded::run_parallel_dispatch):
 /// drains one kernel operator per plan node, in node order, accounting
-/// stage time under the given model.
+/// stage time under the given model. With a re-planner in the context,
+/// every completed invoke stage but the last is a suspension point: a
+/// splice restarts the loop under the new plan over the *same* gateway,
+/// so the executed prefix replays from the page cache.
 pub(crate) fn run_materialised(
     plan: &Plan,
     schema: &Schema,
     registry: &ServiceRegistry,
-    gateway: ServiceGateway,
+    ctx: ExecContext<'_>,
     k: Option<usize>,
     stage: &StageModel,
-    batch: usize,
-) -> Result<ExecReport, ExecError> {
-    let info = analyze(plan, schema);
-    let gateway = LocalGateway::new(gateway);
-    let n = plan.nodes.len();
-    let mut streams: Vec<Vec<Binding>> = vec![Vec::new(); n];
-    let mut trace = vec![NodeTrace::default(); n];
+) -> Result<AdaptiveOutcome, ExecError> {
+    let batch = ctx.batch.max(1);
+    let gateway = LocalGateway::new(ctx.gateway(plan, schema, registry)?);
+    let mut ctl = ctx.adaptive.map(Controller::new);
+    let mut plan = Cow::Borrowed(plan);
+    let (mut streams, trace) = 'restart: loop {
+        let info = analyze(&plan, schema);
+        let n = plan.nodes.len();
+        let total_invokes = plan
+            .nodes
+            .iter()
+            .filter(|nd| matches!(nd.kind, NodeKind::Invoke { .. }))
+            .count();
+        let mut streams: Vec<Vec<Binding>> = vec![Vec::new(); n];
+        let mut trace = vec![NodeTrace::default(); n];
+        let mut executed: Vec<usize> = Vec::new();
 
-    for i in 0..n {
-        let node = &plan.nodes[i];
-        match &node.kind {
-            NodeKind::Input => {
-                streams[i] = vec![Binding::empty(plan.query.var_count())];
-                gateway.with(|g| g.record_node_output(i, 1, 0));
-                trace[i] = NodeTrace {
-                    busy: 0.0,
-                    completion: 0.0,
-                    in_tuples: 0,
-                    out_tuples: 1,
-                };
-            }
-            NodeKind::Invoke { .. } => {
-                let up = node.inputs[0].0;
-                let mut inputs = streams[up].clone();
-                if let StageModel::ParallelDispatch { shuffle_seed, .. } = stage {
-                    shuffle(&mut inputs, shuffle_seed ^ ((i as u64) << 7));
+        for i in 0..n {
+            let node = &plan.nodes[i];
+            match &node.kind {
+                NodeKind::Input => {
+                    streams[i] = vec![Binding::empty(plan.query.var_count())];
+                    gateway.with(|g| g.record_node_output(i, 1, 0));
+                    trace[i] = NodeTrace {
+                        busy: 0.0,
+                        completion: 0.0,
+                        in_tuples: 0,
+                        out_tuples: 1,
+                    };
                 }
-                let in_tuples = inputs.len();
-                let mut invoke = Invoke::for_node(
-                    plan,
-                    schema,
-                    &info,
-                    i,
-                    Source(inputs.into_iter()),
-                    gateway.clone(),
-                    false,
-                    0.0,
-                );
-                let out: Vec<Binding> = drain_all(
-                    Probe::new(
-                        Filter::for_node(plan, &info, i, &mut invoke),
-                        gateway.clone(),
-                        i,
-                    ),
-                    batch,
-                );
-                if let Some(err) = gateway.with(|g| g.take_error()) {
-                    return Err(err);
-                }
-                let lats = invoke.input_latencies();
-                let busy = match stage {
-                    StageModel::Sequential => lats.iter().sum(),
-                    StageModel::ParallelDispatch {
-                        threads,
-                        spawn_overhead,
-                        ..
-                    } => {
-                        let total: f64 = lats.iter().sum();
-                        let slowest = lats.iter().copied().fold(0.0, f64::max);
-                        slowest.max(total / (*threads).max(1) as f64)
-                            + spawn_overhead * in_tuples as f64
+                NodeKind::Invoke { atom } => {
+                    let up = node.inputs[0].0;
+                    let mut inputs = streams[up].clone();
+                    if let StageModel::ParallelDispatch { shuffle_seed, .. } = stage {
+                        shuffle(&mut inputs, shuffle_seed ^ ((i as u64) << 7));
                     }
-                };
-                trace[i] = NodeTrace {
-                    busy,
-                    completion: trace[up].completion + busy,
-                    in_tuples,
-                    out_tuples: out.len(),
-                };
-                streams[i] = out;
-            }
-            NodeKind::Join {
-                left,
-                right,
-                strategy,
-                on,
-            } => {
-                let (l, r) = (left.0, right.0);
-                let joined: Vec<Binding> = drain_all(
-                    Probe::new(
-                        Filter::for_node(
-                            plan,
-                            &info,
-                            i,
-                            Join::new(
-                                Source(streams[l].iter().cloned()),
-                                Source(streams[r].iter().cloned()),
-                                strategy,
-                                on.clone(),
-                            ),
-                        ),
-                        gateway.clone(),
+                    let in_tuples = inputs.len();
+                    let mut invoke = Invoke::for_node(
+                        &plan,
+                        schema,
+                        &info,
                         i,
-                    ),
-                    batch,
-                );
-                trace[i] = NodeTrace {
-                    busy: 0.0,
-                    completion: trace[l].completion.max(trace[r].completion),
-                    in_tuples: streams[l].len() + streams[r].len(),
-                    out_tuples: joined.len(),
-                };
-                streams[i] = joined;
-            }
-            NodeKind::Output => {
-                let up = node.inputs[0].0;
-                let filtered =
-                    Filter::for_node(plan, &info, i, Source(streams[up].iter().cloned()));
-                let out: Vec<Binding> = match k {
-                    Some(k) => drain_all(
-                        Probe::new(Select::new(filtered, k), gateway.clone(), i),
+                        Source(inputs.into_iter()),
+                        gateway.clone(),
+                        false,
+                        0.0,
+                    );
+                    let out: Vec<Binding> = drain_all(
+                        Probe::new(
+                            Filter::for_node(&plan, &info, i, &mut invoke),
+                            gateway.clone(),
+                            i,
+                        ),
                         batch,
-                    ),
-                    None => drain_all(Probe::new(filtered, gateway.clone(), i), batch),
-                };
-                trace[i] = NodeTrace {
-                    busy: 0.0,
-                    completion: trace[up].completion,
-                    in_tuples: streams[up].len(),
-                    out_tuples: out.len(),
-                };
-                streams[i] = out;
+                    );
+                    if let Some(err) = gateway.with(|g| g.take_error()) {
+                        return Err(err);
+                    }
+                    let busy = match stage {
+                        StageModel::Sequential => invoke.busy(),
+                        StageModel::ParallelDispatch {
+                            threads,
+                            spawn_overhead,
+                            ..
+                        } => {
+                            let lats = invoke.input_latencies();
+                            let total = invoke.busy();
+                            let slowest = lats.iter().copied().fold(0.0, f64::max);
+                            slowest.max(total / (*threads).max(1) as f64)
+                                + spawn_overhead * in_tuples as f64
+                        }
+                    };
+                    trace[i] = NodeTrace {
+                        busy,
+                        completion: trace[up].completion + busy,
+                        in_tuples,
+                        out_tuples: out.len(),
+                    };
+                    streams[i] = out;
+                    executed.push(*atom);
+                    // suspension point: the stage is complete, no call
+                    // is in flight — safe to splice a new suffix in
+                    if executed.len() < total_invokes {
+                        if let Some(new_plan) = ctl
+                            .as_mut()
+                            .and_then(|c| c.consider(&plan, schema, &executed, &gateway))
+                        {
+                            // per-node statistics describe the plan
+                            // that finishes — node indices change
+                            // across splices, so the new pass starts
+                            // clean (like `node_trace`; calls, cache
+                            // and fault accounting still span the
+                            // whole execution)
+                            gateway.with(|g| g.reset_node_stats(new_plan.nodes.len()));
+                            plan = Cow::Owned(new_plan);
+                            continue 'restart;
+                        }
+                    }
+                }
+                NodeKind::Join {
+                    left,
+                    right,
+                    strategy,
+                    on,
+                } => {
+                    let (l, r) = (left.0, right.0);
+                    let joined: Vec<Binding> = drain_all(
+                        Probe::new(
+                            Filter::for_node(
+                                &plan,
+                                &info,
+                                i,
+                                Join::new(
+                                    Source(streams[l].iter().cloned()),
+                                    Source(streams[r].iter().cloned()),
+                                    strategy,
+                                    on.clone(),
+                                ),
+                            ),
+                            gateway.clone(),
+                            i,
+                        ),
+                        batch,
+                    );
+                    trace[i] = NodeTrace {
+                        busy: 0.0,
+                        completion: trace[l].completion.max(trace[r].completion),
+                        in_tuples: streams[l].len() + streams[r].len(),
+                        out_tuples: joined.len(),
+                    };
+                    streams[i] = joined;
+                }
+                NodeKind::Output => {
+                    let up = node.inputs[0].0;
+                    let filtered =
+                        Filter::for_node(&plan, &info, i, Source(streams[up].iter().cloned()));
+                    let out: Vec<Binding> = match k {
+                        Some(k) => drain_all(
+                            Probe::new(Select::new(filtered, k), gateway.clone(), i),
+                            batch,
+                        ),
+                        None => drain_all(Probe::new(filtered, gateway.clone(), i), batch),
+                    };
+                    trace[i] = NodeTrace {
+                        busy: 0.0,
+                        completion: trace[up].completion,
+                        in_tuples: streams[up].len(),
+                        out_tuples: out.len(),
+                    };
+                    streams[i] = out;
+                }
             }
         }
-    }
+        break (streams, trace);
+    };
 
     let out_idx = plan.output_node().0;
     let bindings = std::mem::take(&mut streams[out_idx]);
@@ -278,88 +300,66 @@ pub(crate) fn run_materialised(
         .iter()
         .map(|b| b.project_head(&plan.query))
         .collect();
-    let (calls, cache_stats, fault_stats, partial, mut operator_stats) = gateway.with(|g| {
-        (
-            g.calls().clone(),
-            registry.ids().map(|id| (id, g.cache_stats(id))).collect(),
-            g.fault_stats().clone(),
-            g.partial_results(),
-            g.node_stats().to_vec(),
-        )
-    });
-    derive_rows_in(plan, &mut operator_stats);
-    Ok(ExecReport {
-        answers,
-        bindings,
-        virtual_time: trace[out_idx].completion,
-        calls,
-        cache_stats,
-        node_trace: trace,
-        fault_stats,
-        partial,
-        operator_stats,
+    let (calls, cache_stats, fault_stats, partial, observed, mut operator_stats) =
+        gateway.with(|g| {
+            (
+                g.calls().clone(),
+                registry.ids().map(|id| (id, g.cache_stats(id))).collect(),
+                g.fault_stats().clone(),
+                g.partial_results(),
+                g.observed_stats().clone(),
+                g.node_stats().to_vec(),
+            )
+        });
+    derive_rows_in(&plan, &mut operator_stats);
+    let (replans, events) = ctl.map(|c| (c.replans, c.events)).unwrap_or_default();
+    Ok(AdaptiveOutcome {
+        report: ExecReport {
+            answers,
+            bindings,
+            virtual_time: trace[out_idx].completion,
+            calls,
+            cache_stats,
+            node_trace: trace,
+            fault_stats,
+            partial,
+            operator_stats,
+        },
+        replans,
+        events,
+        final_plan: plan.into_owned(),
+        observed,
     })
 }
 
-/// Executes `plan` against the registered services.
+/// Executes `plan` against the registered services, stage by stage:
+/// the paper's experimental engine. `ctx` names the gateway state (a
+/// private cache setting or a cross-query shared state), the call
+/// budget and tenant, and optionally a re-planner consulted after every
+/// invoke stage — see [`run_adaptive`](crate::adaptive::run_adaptive)
+/// for the same run with its re-plan trail.
 pub fn run(
     plan: &Plan,
     schema: &Schema,
     registry: &ServiceRegistry,
     config: &ExecConfig,
-) -> Result<ExecReport, ExecError> {
-    run_with_batch(plan, schema, registry, config, DEFAULT_BATCH)
-}
-
-/// [`run`] with an explicit operator batch size. Batching is
-/// semantically invisible — demand-exact `next_batch` produces the same
-/// answers and call counts at every size — so this knob exists for the
-/// equivalence sweep and for tuning, not for behaviour.
-pub fn run_with_batch(
-    plan: &Plan,
-    schema: &Schema,
-    registry: &ServiceRegistry,
-    config: &ExecConfig,
-    batch: usize,
+    ctx: ExecContext<'_>,
 ) -> Result<ExecReport, ExecError> {
     run_materialised(
         plan,
         schema,
         registry,
-        ServiceGateway::new(plan, schema, registry, config.cache)?,
+        ctx,
         config.k,
         &StageModel::Sequential,
-        batch,
     )
-}
-
-/// Executes `plan` over an existing (typically `Arc`-shared,
-/// cross-query) [`SharedServiceState`], with an optional per-query
-/// forwarded-call budget — the serving-layer entry point. The state's
-/// cache setting governs; pages another query fetched through the same
-/// state are hits here.
-pub fn run_with_shared(
-    plan: &Plan,
-    schema: &Schema,
-    registry: &ServiceRegistry,
-    shared: std::sync::Arc<SharedServiceState>,
-    budget: Option<u64>,
-    k: Option<usize>,
-) -> Result<ExecReport, ExecError> {
-    run_materialised(
-        plan,
-        schema,
-        registry,
-        ServiceGateway::with_shared(plan, schema, registry, shared, budget)?,
-        k,
-        &StageModel::Sequential,
-        DEFAULT_BATCH,
-    )
+    .map(|outcome| outcome.report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheSetting;
     use mdq_model::binding::ApChoice;
     use mdq_model::examples::{ATOM_CONF, ATOM_FLIGHT, ATOM_HOTEL, ATOM_WEATHER};
     use mdq_plan::builder::{build_plan, StrategyRule};
@@ -396,10 +396,8 @@ mod tests {
             &plan,
             &w.schema,
             &w.registry,
-            &ExecConfig {
-                cache: CacheSetting::NoCache,
-                k: None,
-            },
+            &ExecConfig { k: None },
+            ExecContext::private(CacheSetting::NoCache),
         )
         .expect("executes");
         assert_eq!(report.calls_to(w.ids.conf), 1);
@@ -417,10 +415,8 @@ mod tests {
             &plan,
             &w.schema,
             &w.registry,
-            &ExecConfig {
-                cache: CacheSetting::Optimal,
-                k: None,
-            },
+            &ExecConfig { k: None },
+            ExecContext::private(CacheSetting::Optimal),
         )
         .expect("executes");
         assert_eq!(report.calls_to(w.ids.weather), 54);
@@ -432,7 +428,14 @@ mod tests {
     fn answers_satisfy_all_predicates() {
         let w = travel_world(2008);
         let plan = plan_o(&w);
-        let report = run(&plan, &w.schema, &w.registry, &ExecConfig::default()).expect("executes");
+        let report = run(
+            &plan,
+            &w.schema,
+            &w.registry,
+            &ExecConfig::default(),
+            ExecContext::private(CacheSetting::OneCall),
+        )
+        .expect("executes");
         // head: Conf City HPrice FPrice Start StartTime End EndTime Hotel
         for a in &report.answers {
             let h = a.get(2).as_f64().expect("HPrice");
@@ -445,15 +448,20 @@ mod tests {
     fn k_truncates_answers() {
         let w = travel_world(2008);
         let plan = plan_o(&w);
-        let full = run(&plan, &w.schema, &w.registry, &ExecConfig::default()).expect("executes");
+        let full = run(
+            &plan,
+            &w.schema,
+            &w.registry,
+            &ExecConfig::default(),
+            ExecContext::private(CacheSetting::OneCall),
+        )
+        .expect("executes");
         let topk = run(
             &plan,
             &w.schema,
             &w.registry,
-            &ExecConfig {
-                cache: CacheSetting::OneCall,
-                k: Some(10),
-            },
+            &ExecConfig { k: Some(10) },
+            ExecContext::private(CacheSetting::OneCall),
         )
         .expect("executes");
         assert_eq!(topk.answers.len(), 10.min(full.answers.len()));
@@ -468,10 +476,8 @@ mod tests {
             &plan,
             &w.schema,
             &w.registry,
-            &ExecConfig {
-                cache: CacheSetting::NoCache,
-                k: None,
-            },
+            &ExecConfig { k: None },
+            ExecContext::private(CacheSetting::NoCache),
         )
         .expect("executes");
         // flight branch dominates hotel branch; join completion = max
@@ -505,8 +511,14 @@ mod tests {
         let w = travel_world(2008);
         let plan = plan_o(&w);
         let empty = mdq_services::registry::ServiceRegistry::new();
-        let err = run(&plan, &w.schema, &empty, &ExecConfig::default())
-            .expect_err("no services registered");
+        let err = run(
+            &plan,
+            &w.schema,
+            &empty,
+            &ExecConfig::default(),
+            ExecContext::private(CacheSetting::OneCall),
+        )
+        .expect_err("no services registered");
         assert!(matches!(err, ExecError::MissingService(_)));
     }
 }

@@ -22,13 +22,9 @@
 //!   (top-k halting).
 
 use crate::binding::Binding;
-use crate::cache::CacheSetting;
-use crate::gateway::{
-    FaultStats, GatewayHandle, PartialResults, ServiceGateway, SharedGateway, SharedServiceState,
-};
-use crate::operator::{
-    derive_rows_in, Batch, ExecError, Filter, Invoke, Join, Operator, Probe, DEFAULT_BATCH,
-};
+use crate::context::ExecContext;
+use crate::gateway::{FaultStats, GatewayHandle, PartialResults, SharedGateway};
+use crate::operator::{derive_rows_in, Batch, ExecError, Filter, Invoke, Join, Operator, Probe};
 use crate::pipeline::{run_materialised, ExecReport, StageModel};
 use crate::plan_info::analyze;
 use mdq_model::schema::{Schema, ServiceId};
@@ -42,8 +38,6 @@ use std::sync::Arc;
 /// Options for [`run_parallel_dispatch`].
 #[derive(Clone, Copy, Debug)]
 pub struct ParallelConfig {
-    /// Client cache setting.
-    pub cache: CacheSetting,
     /// Worker threads available per stage.
     pub threads: usize,
     /// Virtual seconds of thread-management overhead per dispatched call
@@ -56,7 +50,6 @@ pub struct ParallelConfig {
 impl Default for ParallelConfig {
     fn default() -> Self {
         ParallelConfig {
-            cache: CacheSetting::OneCall,
             threads: 16,
             spawn_overhead: 0.05,
             shuffle_seed: 1,
@@ -73,40 +66,26 @@ pub fn run_parallel_dispatch(
     schema: &Schema,
     registry: &ServiceRegistry,
     config: &ParallelConfig,
-) -> Result<ExecReport, ExecError> {
-    run_parallel_dispatch_with_batch(plan, schema, registry, config, DEFAULT_BATCH)
-}
-
-/// [`run_parallel_dispatch`] with an explicit operator batch size —
-/// answers and call counts are invariant under `batch` (the
-/// equivalence suite sweeps it).
-pub fn run_parallel_dispatch_with_batch(
-    plan: &Plan,
-    schema: &Schema,
-    registry: &ServiceRegistry,
-    config: &ParallelConfig,
-    batch: usize,
+    ctx: ExecContext<'_>,
 ) -> Result<ExecReport, ExecError> {
     run_materialised(
         plan,
         schema,
         registry,
-        ServiceGateway::new(plan, schema, registry, config.cache)?,
+        ctx,
         None,
         &StageModel::ParallelDispatch {
             threads: config.threads,
             spawn_overhead: config.spawn_overhead,
             shuffle_seed: config.shuffle_seed,
         },
-        batch,
     )
+    .map(|outcome| outcome.report)
 }
 
 /// Options for the real-thread dataflow engine.
 #[derive(Clone, Copy, Debug)]
 pub struct ThreadedConfig {
-    /// Client cache setting (shared across workers behind a mutex).
-    pub cache: CacheSetting,
     /// Real seconds slept per simulated second (e.g. `1e-4`: a 9.7 s
     /// flight call sleeps 0.97 ms).
     pub time_scale: f64,
@@ -120,7 +99,6 @@ pub struct ThreadedConfig {
 impl Default for ThreadedConfig {
     fn default() -> Self {
         ThreadedConfig {
-            cache: CacheSetting::OneCall,
             time_scale: 1e-5,
             channel_capacity: 64,
             k: None,
@@ -186,69 +164,21 @@ impl EdgeSender {
 }
 
 /// Runs `plan` with one OS thread per node, bounded channels between
-/// them, and service latencies slept at `time_scale`.
+/// them, and service latencies slept at `time_scale`. One gateway built
+/// from `ctx` is shared by every worker behind a mutex; each worker
+/// pulls up to `ctx.batch` bindings per kernel call before forwarding
+/// them downstream. The dataflow has no suspension point, so
+/// `ctx.adaptive` is not consulted.
 pub fn run_threaded(
     plan: &Plan,
     schema: &Schema,
     registry: &ServiceRegistry,
     config: &ThreadedConfig,
+    ctx: ExecContext<'_>,
 ) -> Result<ThreadedReport, ExecError> {
-    run_threaded_with_batch(plan, schema, registry, config, DEFAULT_BATCH)
-}
-
-/// [`run_threaded`] with an explicit operator batch size: each worker
-/// pulls up to `batch` bindings per kernel call before forwarding them
-/// downstream. Answers, call counts and retries are invariant under
-/// `batch` — only the per-hop amortisation changes.
-pub fn run_threaded_with_batch(
-    plan: &Plan,
-    schema: &Schema,
-    registry: &ServiceRegistry,
-    config: &ThreadedConfig,
-    batch: usize,
-) -> Result<ThreadedReport, ExecError> {
-    run_threaded_over(
-        plan,
-        schema,
-        ServiceGateway::new(plan, schema, registry, config.cache)?,
-        config,
-        batch,
-    )
-}
-
-/// [`run_threaded`] over an existing (typically `Arc`-shared,
-/// cross-query) [`SharedServiceState`], with an optional per-query
-/// forwarded-call budget — the serving-layer entry point, and the way
-/// to run the dataflow engine under an attached trace recorder (the
-/// state's cache setting governs; `config.cache` is ignored).
-pub fn run_threaded_shared(
-    plan: &Plan,
-    schema: &Schema,
-    registry: &ServiceRegistry,
-    shared: Arc<SharedServiceState>,
-    budget: Option<u64>,
-    config: &ThreadedConfig,
-) -> Result<ThreadedReport, ExecError> {
-    run_threaded_over(
-        plan,
-        schema,
-        ServiceGateway::with_shared(plan, schema, registry, shared, budget)?,
-        config,
-        DEFAULT_BATCH,
-    )
-}
-
-/// The dataflow engine shared by the entry points above.
-fn run_threaded_over(
-    plan: &Plan,
-    schema: &Schema,
-    gateway: ServiceGateway,
-    config: &ThreadedConfig,
-    batch: usize,
-) -> Result<ThreadedReport, ExecError> {
-    let batch = batch.max(1);
+    let batch = ctx.batch.max(1);
+    let gateway = SharedGateway::new(ctx.gateway(plan, schema, registry)?);
     let info = Arc::new(analyze(plan, schema));
-    let gateway = SharedGateway::new(gateway);
     let n = plan.nodes.len();
 
     // one sender per (producer, consumer) edge; build consumer-side recvs
@@ -360,16 +290,13 @@ fn run_threaded_over(
             });
         }
 
-        // collect answers on the scope's main thread
-        let mut answers = Vec::new();
-        for b in answer_rx.iter() {
-            answers.push(b.project_head(&plan.query));
-            if let Some(k) = config.k {
-                if answers.len() >= k {
-                    break; // dropping answer_rx cancels the pipeline
-                }
-            }
-        }
+        // collect answers on the scope's main thread; dropping
+        // answer_rx at the k-th one cancels the pipeline
+        let answers: Vec<_> = answer_rx
+            .iter()
+            .take(config.k.unwrap_or(usize::MAX))
+            .map(|b| b.project_head(&plan.query))
+            .collect();
         drop(answer_rx);
         answers
     });
@@ -400,6 +327,7 @@ fn run_threaded_over(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheSetting;
     use crate::pipeline::{run, ExecConfig};
     use mdq_model::binding::ApChoice;
     use mdq_model::examples::{ATOM_CONF, ATOM_FLIGHT, ATOM_HOTEL, ATOM_WEATHER};
@@ -438,14 +366,18 @@ mod tests {
             &plan,
             &w.schema,
             &w.registry,
-            &ExecConfig {
-                cache: CacheSetting::OneCall,
-                k: None,
-            },
+            &ExecConfig { k: None },
+            ExecContext::private(CacheSetting::OneCall),
         )
         .expect("sequential");
-        let par = run_parallel_dispatch(&plan, &w.schema, &w.registry, &ParallelConfig::default())
-            .expect("parallel");
+        let par = run_parallel_dispatch(
+            &plan,
+            &w.schema,
+            &w.registry,
+            &ParallelConfig::default(),
+            ExecContext::private(CacheSetting::OneCall),
+        )
+        .expect("parallel");
         let seq_hotel = seq.calls_to(w.ids.hotel);
         let par_hotel = par.calls_to(w.ids.hotel);
         assert_eq!(seq_hotel, 15, "sequential one-call absorbs the blocks");
@@ -461,9 +393,22 @@ mod tests {
     fn parallel_dispatch_same_answer_set() {
         let w = travel_world(2008);
         let plan = plan_s(&w);
-        let seq = run(&plan, &w.schema, &w.registry, &ExecConfig::default()).expect("sequential");
-        let par = run_parallel_dispatch(&plan, &w.schema, &w.registry, &ParallelConfig::default())
-            .expect("parallel");
+        let seq = run(
+            &plan,
+            &w.schema,
+            &w.registry,
+            &ExecConfig::default(),
+            ExecContext::private(CacheSetting::OneCall),
+        )
+        .expect("sequential");
+        let par = run_parallel_dispatch(
+            &plan,
+            &w.schema,
+            &w.registry,
+            &ParallelConfig::default(),
+            ExecContext::private(CacheSetting::OneCall),
+        )
+        .expect("parallel");
         let mut a = seq.answers.clone();
         let mut b = par.answers.clone();
         a.sort();
@@ -475,17 +420,24 @@ mod tests {
     fn real_threads_match_sequential_answers() {
         let w = travel_world(2008);
         let plan = plan_s(&w);
-        let seq = run(&plan, &w.schema, &w.registry, &ExecConfig::default()).expect("sequential");
+        let seq = run(
+            &plan,
+            &w.schema,
+            &w.registry,
+            &ExecConfig::default(),
+            ExecContext::private(CacheSetting::OneCall),
+        )
+        .expect("sequential");
         let thr = run_threaded(
             &plan,
             &w.schema,
             &w.registry,
             &ThreadedConfig {
-                cache: CacheSetting::NoCache,
                 time_scale: 0.0,
                 channel_capacity: 8,
                 k: None,
             },
+            ExecContext::private(CacheSetting::NoCache),
         )
         .expect("threads");
         let mut a = seq.answers.clone();
@@ -504,11 +456,11 @@ mod tests {
             &w.schema,
             &w.registry,
             &ThreadedConfig {
-                cache: CacheSetting::NoCache,
                 time_scale: 0.0,
                 channel_capacity: 4,
                 k: Some(5),
             },
+            ExecContext::private(CacheSetting::NoCache),
         )
         .expect("threads");
         assert_eq!(thr.answers.len(), 5);
@@ -523,8 +475,14 @@ mod tests {
         let w = travel_world(2008);
         let plan = plan_s(&w);
         let empty = ServiceRegistry::new();
-        let err = run_threaded(&plan, &w.schema, &empty, &ThreadedConfig::default())
-            .expect_err("no services registered");
+        let err = run_threaded(
+            &plan,
+            &w.schema,
+            &empty,
+            &ThreadedConfig::default(),
+            ExecContext::private(CacheSetting::OneCall),
+        )
+        .expect_err("no services registered");
         assert!(matches!(err, ExecError::MissingService(_)));
     }
 }

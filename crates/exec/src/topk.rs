@@ -5,7 +5,8 @@
 //! we also assume that a plan execution can be continued, by producing
 //! more answers". This executor [`compile`](crate::operator::compile)s
 //! the plan into one lazy
-//! operator tree over a shared [`ServiceGateway`] and *pulls* answers
+//! operator tree over a shared
+//! [`ServiceGateway`](crate::gateway::ServiceGateway) and *pulls* answers
 //! one at a time: services are fetched page by page exactly as demanded
 //! downstream, so asking for `k` answers halts all proliferative
 //! retrieval as early as the join strategies allow — and asking again
@@ -14,15 +15,16 @@
 //! In *elastic* mode the phase-3 fetch factors are treated as a starting
 //! hint rather than a hard page budget: a node keeps paging (within the
 //! service's actual data) while downstream demand is unmet.
+//!
+//! Sharing, tenant attribution, frontier recording (standing queries)
+//! and mid-flight re-planning are all options of this one driver, set
+//! on the [`ExecContext`] it is started with.
 
+use crate::adaptive::Controller;
 use crate::binding::Binding;
-use crate::cache::CacheSetting;
-use crate::gateway::{
-    GatewayHandle, LocalGateway, PrefixResolution, ServiceGateway, SharedServiceState, TenantId,
-};
-use crate::operator::{
-    compile_with, drain_all, ExecError, Filter, Invoke, Operator, Source, DEFAULT_BATCH,
-};
+use crate::context::ExecContext;
+use crate::gateway::{GatewayHandle, LocalGateway, PrefixResolution, SharedServiceState, TenantId};
+use crate::operator::{compile_with, drain_all, ExecError, Filter, Invoke, Operator, Source};
 use crate::plan_info::{analyze, PlanInfo};
 use mdq_model::fingerprint::SubplanSignature;
 use mdq_model::schema::{Schema, ServiceId};
@@ -30,20 +32,50 @@ use mdq_model::value::{Tuple, Value};
 use mdq_plan::dag::Plan;
 use mdq_plan::signature::invoke_prefixes;
 use mdq_services::registry::ServiceRegistry;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A running pull execution: ask for answers one at a time, or in
 /// batches; execution state (fetched pages, cache, upstream cursors)
 /// persists between calls — the §2.2 "ask for more" continuation.
-pub struct TopKExecution {
+pub struct TopKExecution<'a> {
     iter: Box<dyn Operator>,
     gateway: LocalGateway,
     query: Arc<mdq_model::query::ConjunctiveQuery>,
+    /// Demand chunk of [`TopKExecution::answers`] and of the eager
+    /// prefix drain.
+    batch: usize,
     /// Materialized prefixes this execution replayed (0 or 1).
     sub_result_hits: u64,
     /// Forwarded calls the replay saved (the replayed entry's
     /// materializing cost).
     sub_calls_saved: u64,
+    /// Present when the context carried a re-planner.
+    splicer: Option<Box<Splicer<'a>>>,
+}
+
+/// The adaptive half of a pull execution. Answer boundaries are the
+/// pull driver's suspension points: between answers the divergence
+/// check runs, and a splice recompiles the new plan over the *same*
+/// gateway — fetched pages replay from cache, and the bindings already
+/// handed out are tracked as a multiset so the spliced stream skips
+/// exactly one instance of each before emitting further answers (a
+/// splice never re-emits, while legitimate duplicate answers —
+/// projection queries, duplicate source tuples — still flow exactly as
+/// in a frozen execution; with zero re-plans no skipping happens at
+/// all).
+struct Splicer<'a> {
+    ctl: Controller<'a>,
+    schema: &'a Schema,
+    /// The currently running plan (the splice result after a re-plan).
+    plan: Plan,
+    elastic: bool,
+    /// Every binding emitted so far, in emission order (all splices).
+    emitted: Vec<Binding>,
+    /// Instances of already-emitted bindings the current (spliced)
+    /// stream must still skip — rebuilt from `emitted` at each splice,
+    /// empty before the first one.
+    skip: BTreeMap<Binding, usize>,
 }
 
 /// What sub-result resolution produced for one pull execution.
@@ -103,6 +135,7 @@ fn prepare_shared_prefix(
     gateway: &LocalGateway,
     elastic: bool,
     materialize: bool,
+    batch: usize,
 ) -> PrefixOutcome {
     if elastic {
         // elastic paging is demand-driven: its streams are not a
@@ -183,8 +216,7 @@ fn prepare_shared_prefix(
         let invoke = Invoke::for_node(plan, schema, info, node, base, gateway.clone(), false, 0.0);
         // the eager drain runs batched: whole pages flow through the
         // chain per gateway-lock acquisition instead of tuple-at-a-time
-        let drained: Vec<Binding> =
-            drain_all(Filter::for_node(plan, info, node, invoke), DEFAULT_BATCH);
+        let drained: Vec<Binding> = drain_all(Filter::for_node(plan, info, node, invoke), batch);
         let healthy = gateway.with(|g| g.error().is_none() && !g.is_degraded());
         if healthy {
             let cost = base_cost + gateway.with(|g| g.total_calls()) - start_calls;
@@ -231,138 +263,101 @@ fn prepare_shared_prefix(
     }
 }
 
-impl TopKExecution {
-    /// Prepares a pull execution of `plan`. With `elastic = true` the
-    /// fetch factors become soft hints (paging continues on demand).
-    pub fn new(
+impl<'a> TopKExecution<'a> {
+    /// Prepares a pull execution of `plan` under `ctx` — the one
+    /// constructor of the pull driver.
+    ///
+    /// Every forwarded call (the eager prefix drain included — it runs
+    /// here, during construction) counts against `ctx.budget` and is
+    /// charged to `ctx.tenant`. Sub-result sharing, when the state's
+    /// store is enabled, is opportunistic: an already-materialized
+    /// invoke prefix replays, and with `ctx.materialize` the
+    /// unmaterialized levels are claimed, drained and published here.
+    /// A frontier-recording (`ctx.frontier`, standing) execution joins
+    /// the store under two rules enforced underneath: it only replays
+    /// entries that carry a recorded [`InvocationFrontier`] (merged
+    /// into its own, so replayed dependencies still refresh), and the
+    /// entries it publishes carry one (so a refresh pass can retain
+    /// exactly the entries whose invocations came through an epoch
+    /// unchanged). With a re-planner in `ctx.adaptive` the execution
+    /// runs its own chain — a splice would invalidate a replayed
+    /// prefix — and checks for divergence between answers.
+    ///
+    /// [`InvocationFrontier`]: crate::gateway::InvocationFrontier
+    pub fn start(
         plan: &Plan,
-        schema: &Schema,
+        schema: &'a Schema,
         registry: &ServiceRegistry,
-        cache: CacheSetting,
-        elastic: bool,
+        ctx: ExecContext<'a>,
     ) -> Result<Self, ExecError> {
-        Self::over(
-            plan,
-            schema,
-            ServiceGateway::new(plan, schema, registry, cache)?,
-            elastic,
-            true,
-        )
+        let gateway = LocalGateway::new(ctx.gateway(plan, schema, registry)?);
+        let info = analyze(plan, schema);
+        let batch = ctx.batch.max(1);
+        let prep = match ctx.adaptive {
+            Some(_) => PrefixOutcome::none(),
+            None => prepare_shared_prefix(
+                plan,
+                schema,
+                &info,
+                &gateway,
+                ctx.elastic,
+                ctx.materialize,
+                batch,
+            ),
+        };
+        let iter = compile_with(plan, schema, &info, &gateway, ctx.elastic, prep.override_op);
+        let splicer = ctx.adaptive.map(|adaptive| {
+            Box::new(Splicer {
+                ctl: Controller::new(adaptive),
+                schema,
+                plan: plan.clone(),
+                elastic: ctx.elastic,
+                emitted: Vec::new(),
+                skip: BTreeMap::new(),
+            })
+        });
+        Ok(TopKExecution {
+            iter,
+            gateway,
+            query: Arc::clone(&plan.query),
+            batch,
+            sub_result_hits: prep.sub_result_hits,
+            sub_calls_saved: prep.calls_saved,
+            splicer,
+        })
     }
 
-    /// Prepares a pull execution over an existing (typically
-    /// `Arc`-shared, cross-query) [`SharedServiceState`], with an
-    /// optional per-query forwarded-call budget — the serving-layer
-    /// entry point. Sub-result sharing (when the state's store is
-    /// enabled) is fully opportunistic: already-materialized prefixes
-    /// replay, unmaterialized ones are claimed and materialized here;
-    /// see [`TopKExecution::with_shared_mqo`] to keep the replay but
-    /// skip the eager materialization.
-    pub fn with_shared(
+    /// [`TopKExecution::start`] over a shared state under the positional
+    /// signature the frozen end-to-end benchmark package (`benchmark/`)
+    /// compiles against. Everything else goes through `start`.
+    #[allow(clippy::too_many_arguments)] // frozen: benchmark/ calls exactly this
+    pub fn with_shared_tenant(
         plan: &Plan,
-        schema: &Schema,
-        registry: &ServiceRegistry,
-        shared: Arc<SharedServiceState>,
-        budget: Option<u64>,
-        elastic: bool,
-    ) -> Result<Self, ExecError> {
-        Self::with_shared_mqo(plan, schema, registry, shared, budget, elastic, true)
-    }
-
-    /// [`TopKExecution::with_shared`] with explicit control over
-    /// sub-result *materialization*: with `materialize = false` the
-    /// execution still replays an already-materialized prefix (free
-    /// work is free) but never eagerly drains its own chain to publish
-    /// one. The admission batcher passes `false` for queries whose
-    /// prefix overlaps nothing — paying the eager-drain cost for a
-    /// prefix nobody else wants is the classic MQO anti-pattern.
-    #[allow(clippy::too_many_arguments)] // serving-layer entry point: one knob per policy
-    pub fn with_shared_mqo(
-        plan: &Plan,
-        schema: &Schema,
+        schema: &'a Schema,
         registry: &ServiceRegistry,
         shared: Arc<SharedServiceState>,
         budget: Option<u64>,
         elastic: bool,
         materialize: bool,
+        tenant: Option<TenantId>,
     ) -> Result<Self, ExecError> {
-        Self::with_shared_tenant(
+        Self::start(
             plan,
             schema,
             registry,
-            shared,
-            budget,
-            elastic,
-            materialize,
-            None,
+            ExecContext {
+                budget,
+                elastic,
+                materialize,
+                tenant,
+                ..ExecContext::shared(shared)
+            },
         )
-    }
-
-    /// [`TopKExecution::with_shared_mqo`] attributed to a tenant: every
-    /// forwarded call (the eager prefix drain included — it runs during
-    /// construction) is charged against the tenant's cumulative budget
-    /// in the shared state, and prefixes this execution materializes
-    /// are published under the tenant's sub-result store quota.
-    #[allow(clippy::too_many_arguments)] // serving-layer entry point: one knob per policy
-    pub fn with_shared_tenant(
-        plan: &Plan,
-        schema: &Schema,
-        registry: &ServiceRegistry,
-        shared: Arc<SharedServiceState>,
-        budget: Option<u64>,
-        elastic: bool,
-        materialize: bool,
-        tenant: Option<TenantId>,
-    ) -> Result<Self, ExecError> {
-        let mut gateway = ServiceGateway::with_shared(plan, schema, registry, shared, budget)?;
-        if let Some(t) = tenant {
-            gateway.set_tenant(t);
-        }
-        Self::over(plan, schema, gateway, elastic, materialize)
-    }
-
-    /// Prepares a *standing* pull execution — the subscription path.
-    /// The one deliberate difference from
-    /// [`TopKExecution::with_shared_tenant`]: the gateway records the
-    /// execution's invocation **frontier** (every `(service, pattern,
-    /// key)` it demands, cache-served or forwarded — the dependency
-    /// set a refresh pass intersects with its changed invocations).
-    ///
-    /// Standing executions *do* join the sub-result store, with two
-    /// frontier-specific rules enforced underneath: they only replay
-    /// entries that carry a recorded [`InvocationFrontier`] (merged
-    /// into this execution's own frontier, so replayed dependencies
-    /// still refresh), and the entries they publish carry one (so a
-    /// refresh pass can retain exactly the entries whose invocations
-    /// came through an epoch unchanged — a stale prefix can no longer
-    /// resurrect a previous epoch). Fetch factors stay strict for the
-    /// same reproducibility reason elastic mode is excluded from
-    /// sharing. `materialize` is the batch MQO decision, as in
-    /// [`TopKExecution::with_shared_mqo`]: the refresh pipeline passes
-    /// `true` only when the prefix overlaps another standing query (or
-    /// is already materialized).
-    ///
-    /// [`InvocationFrontier`]: crate::gateway::InvocationFrontier
-    pub fn standing(
-        plan: &Plan,
-        schema: &Schema,
-        registry: &ServiceRegistry,
-        shared: Arc<SharedServiceState>,
-        budget: Option<u64>,
-        materialize: bool,
-        tenant: Option<TenantId>,
-    ) -> Result<Self, ExecError> {
-        let mut gateway = ServiceGateway::with_shared(plan, schema, registry, shared, budget)?;
-        if let Some(t) = tenant {
-            gateway.set_tenant(t);
-        }
-        gateway.enable_frontier();
-        Self::over(plan, schema, gateway, false, materialize)
     }
 
     /// The invocation frontier recorded so far: every `(service,
     /// pattern, input-key)` this execution demanded. Empty unless the
-    /// execution was prepared with [`TopKExecution::standing`].
+    /// context asked for frontier recording.
     pub fn frontier(&self) -> Vec<(ServiceId, usize, Vec<Value>)> {
         self.gateway.with(|g| {
             g.frontier()
@@ -371,34 +366,78 @@ impl TopKExecution {
         })
     }
 
-    fn over(
-        plan: &Plan,
-        schema: &Schema,
-        gateway: ServiceGateway,
-        elastic: bool,
-        materialize: bool,
-    ) -> Result<Self, ExecError> {
-        let info = analyze(plan, schema);
-        let gateway = LocalGateway::new(gateway);
-        let prep = prepare_shared_prefix(plan, schema, &info, &gateway, elastic, materialize);
-        let iter = compile_with(plan, schema, &info, &gateway, elastic, prep.override_op);
-        Ok(TopKExecution {
-            iter,
-            gateway,
-            query: Arc::clone(&plan.query),
-            sub_result_hits: prep.sub_result_hits,
-            sub_calls_saved: prep.calls_saved,
-        })
-    }
-
     /// Pulls the next answer (projected on the query head). A stream
     /// can also end because execution failed mid-pull (an inadmissible
     /// plan reaching an unbound input) — check [`TopKExecution::error`]
-    /// to distinguish that from genuine exhaustion.
+    /// to distinguish that from genuine exhaustion. Under a re-planner
+    /// this is also the suspension point: the divergence check runs
+    /// first, and the answer comes from the (possibly just spliced)
+    /// plan, never one already emitted.
     pub fn next_answer(&mut self) -> Option<Tuple> {
-        self.iter
-            .next_binding()
-            .map(|b| b.project_head(&self.query))
+        let Some(splicer) = self.splicer.as_deref_mut() else {
+            return self
+                .iter
+                .next_binding()
+                .map(|b| b.project_head(&self.query));
+        };
+        loop {
+            // the pull driver re-plans the whole plan: its continuation
+            // semantics never fully execute an atom, so nothing is pinned
+            if let Some(new_plan) =
+                splicer
+                    .ctl
+                    .consider(&splicer.plan, splicer.schema, &[], &self.gateway)
+            {
+                splicer.plan = new_plan;
+                let plan = &splicer.plan;
+                let info = analyze(plan, splicer.schema);
+                self.iter = compile_with(
+                    plan,
+                    splicer.schema,
+                    &info,
+                    &self.gateway,
+                    splicer.elastic,
+                    None,
+                );
+                // node indices changed: per-node stats restart under the
+                // spliced plan (the dropped tree's probes flushed into the
+                // old numbering just above, so this wipes them cleanly)
+                self.gateway.with(|g| g.reset_node_stats(plan.nodes.len()));
+                // the spliced stream replays from the start: skip exactly
+                // one instance of every binding already handed out
+                splicer.skip.clear();
+                for b in &splicer.emitted {
+                    *splicer.skip.entry(b.clone()).or_insert(0) += 1;
+                }
+            }
+            let binding = self.iter.next_binding()?;
+            if let Some(n) = splicer.skip.get_mut(&binding) {
+                // an instance already emitted before the last splice
+                *n -= 1;
+                if *n == 0 {
+                    splicer.skip.remove(&binding);
+                }
+                continue;
+            }
+            let answer = binding.project_head(&splicer.plan.query);
+            splicer.emitted.push(binding);
+            return Some(answer);
+        }
+    }
+
+    /// Re-plans performed so far (0 without a re-planner).
+    pub fn replans(&self) -> u32 {
+        self.splicer.as_ref().map_or(0, |s| s.ctl.replans)
+    }
+
+    /// The plan the last re-plan spliced in — the one now producing
+    /// answers, and the one per-node statistics describe. `None` while
+    /// the execution still runs the plan it was started with.
+    pub fn spliced_plan(&self) -> Option<&Plan> {
+        self.splicer
+            .as_deref()
+            .filter(|s| s.ctl.replans > 0)
+            .map(|s| &s.plan)
     }
 
     /// The execution error that poisoned the stream, if any. Mirrors
@@ -407,15 +446,21 @@ impl TopKExecution {
         self.gateway.with(|g| g.error().cloned())
     }
 
-    /// Pulls up to `k` further answers, in batches of at most
-    /// [`DEFAULT_BATCH`]. Batched demand is exact: `next_batch(n)` does
-    /// precisely the work of `n` single pulls, so early halting and
-    /// call counts are identical to answer-at-a-time pulling.
+    /// Pulls up to `k` further answers, in batches of at most the
+    /// context's batch size. Batched demand is exact: `next_batch(n)`
+    /// does precisely the work of `n` single pulls, so early halting
+    /// and call counts are identical to answer-at-a-time pulling —
+    /// which is what a re-planning execution does, every answer
+    /// boundary being a suspension point.
     pub fn answers(&mut self, k: usize) -> Vec<Tuple> {
         let mut out = Vec::with_capacity(k.min(1024));
+        if self.splicer.is_some() {
+            out.extend(std::iter::from_fn(|| self.next_answer()).take(k));
+            return out;
+        }
         let mut batch = crate::operator::Batch::new();
         while out.len() < k {
-            let want = (k - out.len()).min(DEFAULT_BATCH);
+            let want = (k - out.len()).min(self.batch);
             batch.clear();
             let got = self.iter.next_batch(want, &mut batch);
             out.extend(batch.drain(..).map(|b| b.project_head(&self.query)));
@@ -481,7 +526,8 @@ impl TopKExecution {
 
     /// **Finalizes** the execution and returns its per-node runtime
     /// statistics (EXPLAIN ANALYZE's observed side) for `plan` — which
-    /// must be the plan this execution was prepared from. The operator
+    /// must be the plan this execution was started with, or
+    /// [`TopKExecution::spliced_plan`] after a re-plan. The operator
     /// tree is dropped so every probe flushes its counts (this is what
     /// makes the numbers exact under top-k early halting); subsequent
     /// pulls return no further answers.
@@ -496,6 +542,7 @@ impl TopKExecution {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheSetting;
     use crate::pipeline::{run, ExecConfig};
     use mdq_model::binding::ApChoice;
     use mdq_model::examples::{ATOM_CONF, ATOM_FLIGHT, ATOM_HOTEL, ATOM_WEATHER};
@@ -528,10 +575,21 @@ mod tests {
     fn pull_answers_match_materialised_run() {
         let w = travel_world(2008);
         let plan = plan_o(&w);
-        let full = run(&plan, &w.schema, &w.registry, &ExecConfig::default()).expect("executes");
-        let mut pull =
-            TopKExecution::new(&plan, &w.schema, &w.registry, CacheSetting::OneCall, false)
-                .expect("builds");
+        let full = run(
+            &plan,
+            &w.schema,
+            &w.registry,
+            &ExecConfig::default(),
+            ExecContext::private(CacheSetting::OneCall),
+        )
+        .expect("executes");
+        let mut pull = TopKExecution::start(
+            &plan,
+            &w.schema,
+            &w.registry,
+            ExecContext::private(CacheSetting::OneCall),
+        )
+        .expect("builds");
         let pulled = pull.answers(usize::MAX >> 1);
         let mut a = full.answers.clone();
         let mut b = pulled.clone();
@@ -545,9 +603,13 @@ mod tests {
         let w = travel_world(2008);
         let plan = plan_o(&w);
         // pull just one answer: far fewer calls than the full run
-        let mut pull =
-            TopKExecution::new(&plan, &w.schema, &w.registry, CacheSetting::OneCall, false)
-                .expect("builds");
+        let mut pull = TopKExecution::start(
+            &plan,
+            &w.schema,
+            &w.registry,
+            ExecContext::private(CacheSetting::OneCall),
+        )
+        .expect("builds");
         let first = pull.next_answer();
         assert!(first.is_some());
         let calls_after_one = pull.total_calls();
@@ -555,10 +617,8 @@ mod tests {
             &plan,
             &w.schema,
             &w.registry,
-            &ExecConfig {
-                cache: CacheSetting::OneCall,
-                k: None,
-            },
+            &ExecConfig { k: None },
+            ExecContext::private(CacheSetting::OneCall),
         )
         .expect("executes");
         let full_calls: u64 = full.calls.values().sum();
@@ -572,9 +632,13 @@ mod tests {
     fn continuation_produces_more_answers() {
         let w = travel_world(2008);
         let plan = plan_o(&w);
-        let mut pull =
-            TopKExecution::new(&plan, &w.schema, &w.registry, CacheSetting::OneCall, false)
-                .expect("builds");
+        let mut pull = TopKExecution::start(
+            &plan,
+            &w.schema,
+            &w.registry,
+            ExecContext::private(CacheSetting::OneCall),
+        )
+        .expect("builds");
         let first_batch = pull.answers(5);
         assert_eq!(first_batch.len(), 5);
         let second_batch = pull.answers(5);
@@ -593,13 +657,11 @@ mod tests {
         let shared = Arc::new(
             crate::gateway::SharedServiceState::new(CacheSetting::NoCache, 0).with_sub_results(8),
         );
-        let mut first = TopKExecution::with_shared(
+        let mut first = TopKExecution::start(
             &plan,
             &w.schema,
             &w.registry,
-            Arc::clone(&shared),
-            None,
-            false,
+            ExecContext::shared(Arc::clone(&shared)),
         )
         .expect("builds");
         let a = first.answers(usize::MAX >> 1);
@@ -609,13 +671,11 @@ mod tests {
         let conf_calls = shared.calls().get(&w.ids.conf).copied().unwrap_or(0);
         let weather_calls = shared.calls().get(&w.ids.weather).copied().unwrap_or(0);
 
-        let mut second = TopKExecution::with_shared(
+        let mut second = TopKExecution::start(
             &plan,
             &w.schema,
             &w.registry,
-            Arc::clone(&shared),
-            None,
-            false,
+            ExecContext::shared(Arc::clone(&shared)),
         )
         .expect("builds");
         let b = second.answers(usize::MAX >> 1);
@@ -653,13 +713,11 @@ mod tests {
         let shared = Arc::new(
             crate::gateway::SharedServiceState::new(CacheSetting::NoCache, 0).with_sub_results(8),
         );
-        let mut first = TopKExecution::with_shared(
+        let mut first = TopKExecution::start(
             &plan,
             &w.schema,
             &w.registry,
-            Arc::clone(&shared),
-            None,
-            false,
+            ExecContext::shared(Arc::clone(&shared)),
         )
         .expect("builds");
         first.answers(usize::MAX >> 1);
@@ -687,10 +745,19 @@ mod tests {
         // space — replayed bindings ARE the stored bindings
         let info = analyze(&plan, &w.schema);
         let gateway = LocalGateway::new(
-            ServiceGateway::with_shared(&plan, &w.schema, &w.registry, Arc::clone(&shared), None)
+            ExecContext::shared(Arc::clone(&shared))
+                .gateway(&plan, &w.schema, &w.registry)
                 .expect("builds"),
         );
-        let prep = prepare_shared_prefix(&plan, &w.schema, &info, &gateway, false, false);
+        let prep = prepare_shared_prefix(
+            &plan,
+            &w.schema,
+            &info,
+            &gateway,
+            false,
+            false,
+            crate::operator::DEFAULT_BATCH,
+        );
         let (_, mut op) = prep.override_op.expect("the materialized prefix replays");
         let replayed = op.next_binding().expect("has rows");
         assert!(
@@ -708,13 +775,11 @@ mod tests {
             CacheSetting::NoCache,
             0,
         ));
-        let mut a = TopKExecution::with_shared(
+        let mut a = TopKExecution::start(
             &plan,
             &w.schema,
             &w.registry,
-            Arc::clone(&shared),
-            None,
-            false,
+            ExecContext::shared(Arc::clone(&shared)),
         )
         .expect("builds");
         let one = a.next_answer();
@@ -723,16 +788,14 @@ mod tests {
         let stats = shared.sub_result_stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
         // lazy as ever: one answer must not have drained the plan
-        let mut full = TopKExecution::with_shared(
+        let mut full = TopKExecution::start(
             &plan,
             &w.schema,
             &w.registry,
-            Arc::new(crate::gateway::SharedServiceState::new(
+            ExecContext::shared(Arc::new(crate::gateway::SharedServiceState::new(
                 CacheSetting::NoCache,
                 0,
-            )),
-            None,
-            false,
+            ))),
         )
         .expect("builds");
         full.answers(usize::MAX >> 1);
@@ -750,13 +813,11 @@ mod tests {
             crate::gateway::SharedServiceState::new(CacheSetting::Optimal, 0).with_sub_results(8),
         );
         // an ad-hoc run materializes prefixes into the store
-        let mut adhoc = TopKExecution::with_shared(
+        let mut adhoc = TopKExecution::start(
             &plan,
             &w.schema,
             &w.registry,
-            Arc::clone(&shared),
-            None,
-            false,
+            ExecContext::shared(Arc::clone(&shared)),
         )
         .expect("builds");
         let expected = adhoc.answers(usize::MAX >> 1);
@@ -766,14 +827,14 @@ mod tests {
         // carry no frontier, and its own frontier has to cover the
         // whole plan, prefix services included. It re-materializes the
         // levels itself (with provenance) instead.
-        let mut standing = TopKExecution::standing(
+        let mut standing = TopKExecution::start(
             &plan,
             &w.schema,
             &w.registry,
-            Arc::clone(&shared),
-            None,
-            true,
-            None,
+            ExecContext {
+                frontier: true,
+                ..ExecContext::shared(Arc::clone(&shared))
+            },
         )
         .expect("builds");
         let got = standing.answers(usize::MAX >> 1);
@@ -793,14 +854,14 @@ mod tests {
         // first one published, forwards nothing, and still records the
         // same complete frontier — the replayed entry's recorded
         // dependencies merge into it
-        let mut warm = TopKExecution::standing(
+        let mut warm = TopKExecution::start(
             &plan,
             &w.schema,
             &w.registry,
-            Arc::clone(&shared),
-            None,
-            true,
-            None,
+            ExecContext {
+                frontier: true,
+                ..ExecContext::shared(Arc::clone(&shared))
+            },
         )
         .expect("builds");
         warm.answers(usize::MAX >> 1);
@@ -824,13 +885,24 @@ mod tests {
         // F = 1 page per service; elastic mode may still fetch deeper
         plan.set_fetch(ATOM_FLIGHT, 1);
         plan.set_fetch(ATOM_HOTEL, 1);
-        let mut strict =
-            TopKExecution::new(&plan, &w.schema, &w.registry, CacheSetting::Optimal, false)
-                .expect("builds");
+        let mut strict = TopKExecution::start(
+            &plan,
+            &w.schema,
+            &w.registry,
+            ExecContext::private(CacheSetting::Optimal),
+        )
+        .expect("builds");
         let strict_all = strict.answers(100_000).len();
-        let mut elastic =
-            TopKExecution::new(&plan, &w.schema, &w.registry, CacheSetting::Optimal, true)
-                .expect("builds");
+        let mut elastic = TopKExecution::start(
+            &plan,
+            &w.schema,
+            &w.registry,
+            ExecContext {
+                elastic: true,
+                ..ExecContext::private(CacheSetting::Optimal)
+            },
+        )
+        .expect("builds");
         let elastic_all = elastic.answers(100_000).len();
         assert!(
             elastic_all >= strict_all,

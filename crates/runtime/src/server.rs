@@ -11,14 +11,15 @@ use crate::subscribe::{
     Delta, EngineCtx, RefreshSummary, SubscribeError, SubscriptionManager, SubscriptionTicket,
 };
 use crate::tenant::{TenantInfo, TenantPolicy, TenantRegistry, DEFAULT_TENANT};
-use mdq_core::{Mdq, OptimizerReplanner};
+use mdq_core::Mdq;
 use mdq_cost::divergence::AdaptiveConfig;
 use mdq_cost::estimate::CacheSetting;
 use mdq_cost::metrics::ExecutionTime;
 use mdq_cost::shared::SharedWorkOracle;
-use mdq_exec::adaptive::AdaptiveTopK;
+use mdq_exec::adaptive::Replanner;
 use mdq_exec::gateway::{FaultStats, RetryPolicy, SharedServiceState, TenantId};
 use mdq_exec::topk::TopKExecution;
+use mdq_exec::ExecContext;
 use mdq_model::fingerprint::fingerprint;
 use mdq_model::value::Tuple;
 use mdq_obs::recorder::TraceRecorder;
@@ -1419,22 +1420,6 @@ fn process(state: &ServerState, job: Job) {
         },
     };
 
-    // the pull engine: frozen by default; with an [`AdaptiveConfig`]
-    // the adaptive variant checks observed-vs-estimated statistics at
-    // answer boundaries and splices re-optimized plans in mid-flight
-    enum Exec<'e> {
-        Frozen(TopKExecution),
-        Adaptive(Box<AdaptiveTopK<'e>>, Box<OptimizerReplanner<'e>>),
-    }
-    impl Exec<'_> {
-        fn next_answer(&mut self) -> Option<Tuple> {
-            match self {
-                Exec::Frozen(pull) => pull.next_answer(),
-                Exec::Adaptive(pull, replanner) => pull.next_answer(replanner.as_mut()),
-            }
-        }
-    }
-
     // the tenant's per-query budget override wins over the server-wide
     // default; forwarded calls are charged to the tenant's cumulative
     // budget cell inside the gateway either way
@@ -1443,56 +1428,42 @@ fn process(state: &ServerState, job: Job) {
         .policy
         .per_query_call_budget
         .or(state.config.call_budget);
-    let mut exec = match &state.config.adaptive {
-        Some(adaptive) => {
-            // the re-planner consults the shared state as its
-            // shared-work oracle: a splice prefers suffix plans whose
-            // invoke prefix is already materialized
-            let replanner = state
-                .engine
-                .replanner(
-                    &ExecutionTime,
-                    OptimizerConfig {
-                        k: job.k,
-                        cache: state.config.cache,
-                        ..OptimizerConfig::default()
-                    },
-                )
-                .with_oracle(Arc::clone(&state.shared) as Arc<_>);
-            match AdaptiveTopK::with_shared_tenant(
-                &plan,
-                state.engine.schema(),
-                state.engine.registry(),
-                Arc::clone(&state.shared),
-                call_budget,
-                false,
-                adaptive,
-                Some(job.tenant),
-            ) {
-                Ok(a) => Exec::Adaptive(Box::new(a), Box::new(replanner)),
-                Err(e) => return fail(e.to_string()),
-            }
-        }
-        None => match TopKExecution::with_shared_tenant(
-            &plan,
-            state.engine.schema(),
-            state.engine.registry(),
-            Arc::clone(&state.shared),
-            call_budget,
-            false,
-            materialize,
-            Some(job.tenant),
-        ) {
-            Ok(p) => Exec::Frozen(p),
-            Err(e) => return fail(e.to_string()),
-        },
+    // the pull engine: frozen by default; with an [`AdaptiveConfig`]
+    // it checks observed-vs-estimated statistics at answer boundaries
+    // and splices re-optimized plans in mid-flight. The re-planner
+    // consults the shared state as its shared-work oracle: a splice
+    // prefers suffix plans whose invoke prefix is already materialized
+    let mut adaptive = state.config.adaptive.map(|cfg| {
+        let replanner = state
+            .engine
+            .replanner(
+                &ExecutionTime,
+                OptimizerConfig {
+                    k: job.k,
+                    cache: state.config.cache,
+                    ..OptimizerConfig::default()
+                },
+            )
+            .with_oracle(Arc::clone(&state.shared) as Arc<_>);
+        (cfg, replanner)
+    });
+    let ctx = ExecContext {
+        budget: call_budget,
+        tenant: Some(job.tenant),
+        materialize,
+        adaptive: adaptive
+            .as_mut()
+            .map(|(cfg, replanner)| (*cfg, replanner as &mut dyn Replanner)),
+        ..ExecContext::shared(Arc::clone(&state.shared))
     };
+    let mut exec =
+        match TopKExecution::start(&plan, state.engine.schema(), state.engine.registry(), ctx) {
+            Ok(exec) => exec,
+            Err(e) => return fail(e.to_string()),
+        };
     // the execution registered its own trace track (if a recorder is
     // attached): bracket it with the query's correlation id
-    let query_trace = match &exec {
-        Exec::Frozen(pull) => pull.trace(),
-        Exec::Adaptive(pull, _) => pull.trace(),
-    };
+    let query_trace = exec.trace();
     if let Some(t) = &query_trace {
         t.instant(SpanKind::QueryStart {
             fingerprint: key.0 .0,
@@ -1513,39 +1484,15 @@ fn process(state: &ServerState, job: Job) {
     if let Some(t) = &query_trace {
         t.instant(SpanKind::QueryDone { answers: produced });
     }
-    let (
-        per_service_faults,
-        error,
-        partial,
-        forwarded_calls,
-        forwarded_latency,
-        replans,
-        sub_result_hits,
-        sub_result_calls_saved,
-    ) = match &exec {
-        Exec::Frozen(pull) => (
-            pull.fault_stats(),
-            pull.error(),
-            pull.partial_results(),
-            pull.total_calls(),
-            pull.total_latency(),
-            0u32,
-            pull.sub_result_hits(),
-            pull.sub_result_calls_saved(),
-        ),
-        Exec::Adaptive(pull, _) => (
-            pull.fault_stats(),
-            pull.error(),
-            pull.partial_results(),
-            pull.total_calls(),
-            pull.total_latency(),
-            pull.replans(),
-            // the adaptive pull driver executes its own chain (a splice
-            // invalidates a replayed prefix), so it never replays
-            0u64,
-            0u64,
-        ),
-    };
+    let per_service_faults = exec.fault_stats();
+    let error = exec.error();
+    let partial = exec.partial_results();
+    let forwarded_calls = exec.total_calls();
+    let forwarded_latency = exec.total_latency();
+    let replans = exec.replans();
+    // (a re-planning execution runs its own chain, so these stay 0)
+    let sub_result_hits = exec.sub_result_hits();
+    let sub_result_calls_saved = exec.sub_result_calls_saved();
     let mut faults = FaultStats::default();
     for s in per_service_faults.values() {
         faults.merge(s);
@@ -1577,12 +1524,10 @@ fn process(state: &ServerState, job: Job) {
     // a query that re-planned found a better plan for its template:
     // publish it under the same fingerprint so the next submission
     // starts from the corrected plan instead of the stale one
-    if replans > 0 {
-        if let Exec::Adaptive(pull, _) = &exec {
-            recover(state.plans.lock())
-                .cache
-                .insert(key, Arc::new(pull.plan().clone()));
-        }
+    if let Some(spliced) = exec.spliced_plan() {
+        recover(state.plans.lock())
+            .cache
+            .insert(key, Arc::new(spliced.clone()));
     }
     // degraded services don't fail the query: the session completes
     // with partial results naming them

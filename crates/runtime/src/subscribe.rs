@@ -5,7 +5,7 @@
 //! crate-internal `SubscriptionManager` (driven through
 //! [`QueryServer::subscribe`](crate::server::QueryServer::subscribe))
 //! materializes its answers once through a
-//! frontier-recording execution ([`TopKExecution::standing`]), pins
+//! frontier-recording execution ([`ExecContext::frontier`]), pins
 //! every invocation the execution touched in the shared page cache, and
 //! registers the invocations with a [`RefreshDriver`]. A refresh pass
 //! then advances the epoch, re-fetches due invocations *once* for all
@@ -68,6 +68,7 @@ use crate::metrics::Metrics;
 use mdq_cost::shared::SharedWorkOracle;
 use mdq_exec::gateway::{InvocationFrontier, SharedServiceState, TenantId};
 use mdq_exec::topk::TopKExecution;
+use mdq_exec::ExecContext;
 use mdq_model::fingerprint::SubplanSignature;
 use mdq_model::schema::Schema;
 use mdq_model::value::Tuple;
@@ -732,14 +733,17 @@ fn evaluate(
     budget: Option<u64>,
     materialize: bool,
 ) -> Result<(Vec<Tuple>, HashSet<InvocationKey>), String> {
-    let mut exec = TopKExecution::standing(
+    let mut exec = TopKExecution::start(
         plan,
         ctx.schema,
         ctx.registry,
-        Arc::clone(ctx.shared),
-        budget,
-        materialize,
-        Some(tenant),
+        ExecContext {
+            budget,
+            tenant: Some(tenant),
+            materialize,
+            frontier: true,
+            ..ExecContext::shared(Arc::clone(ctx.shared))
+        },
     )
     .map_err(|e| e.to_string())?;
     let mut answers = Vec::new();

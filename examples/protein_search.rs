@@ -62,7 +62,13 @@ fn main() {
 
     // pull exactly 20 answers; BLAST fetching halts as soon as possible
     let mut pull = engine
-        .pull(plan, CacheSetting::Optimal, true)
+        .pull(
+            plan,
+            ExecContext {
+                elastic: true,
+                ..ExecContext::private(CacheSetting::Optimal)
+            },
+        )
         .expect("pull starts");
     let answers = pull.answers(20);
     println!(

@@ -47,8 +47,14 @@ fn main() {
     let shared = Arc::new(
         SharedServiceState::new(CacheSetting::Optimal, 0).with_trace(Arc::clone(&recorder)),
     );
-    let report = run_with_shared(&plan, &w.schema, &w.registry, shared, None, None)
-        .expect("the running example executes");
+    let report = run(
+        &plan,
+        &w.schema,
+        &w.registry,
+        &ExecConfig { k: None },
+        ExecContext::shared(shared),
+    )
+    .expect("the running example executes");
 
     println!("EXPLAIN ANALYZE (observed):\n");
     println!(

@@ -74,7 +74,7 @@ fn main() {
     println!("\n=== execution under the three cache settings (§5.1) ===");
     for cache in CacheSetting::ALL {
         let report = engine
-            .execute(plan, &ExecConfig { cache, k: None })
+            .execute(plan, &ExecConfig { k: None }, ExecContext::private(cache))
             .expect("executes");
         println!(
             "{:<15} calls: conf={} weather={:>2} flight={:>2} hotel={:>3}   time={:>6.1}s  answers={}",
@@ -92,17 +92,15 @@ fn main() {
     let report = engine
         .execute(
             plan,
-            &ExecConfig {
-                cache: CacheSetting::OneCall,
-                k: Some(10),
-            },
+            &ExecConfig { k: Some(10) },
+            ExecContext::private(CacheSetting::OneCall),
         )
         .expect("executes");
     println!("{}", result_table(&plan.query, &report.answers, 10));
 
     println!("=== pull-based continuation (§2.2: 'ask for more') ===");
     let mut pull = engine
-        .pull(plan, CacheSetting::OneCall, false)
+        .pull(plan, ExecContext::private(CacheSetting::OneCall))
         .expect("pull starts");
     let first = pull.answers(3);
     println!(

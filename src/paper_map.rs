@@ -60,7 +60,7 @@
 //! | Paper | Implementation |
 //! |---|---|
 //! | service registration / profiling (§5) | [`mdq_services::profiler`] |
-//! | execution environment (§5) | the [operator kernel](mdq_exec::operator): [`Invoke`](mdq_exec::operator::Invoke) / [`Join`](mdq_exec::operator::Join) / [`Filter`](mdq_exec::operator::Filter) / [`Select`](mdq_exec::operator::Select) over one [`ServiceGateway`](mdq_exec::gateway::ServiceGateway) |
+//! | execution environment (§5) | the [operator kernel](mdq_exec::operator): [`Invoke`](mdq_exec::operator::Invoke) / [`Join`](mdq_exec::operator::Join) / [`Filter`](mdq_exec::operator::Filter) / [`Select`](mdq_exec::operator::Select) over one [`ServiceGateway`](mdq_exec::gateway::ServiceGateway), built from the driver's [`ExecContext`](mdq_exec::ExecContext) (private cache setting or cross-query shared state, budget, tenant, frontier, re-planner) |
 //! | "units of work" between operators (§5), batched | [`Operator::next_batch`](mdq_exec::operator::Operator::next_batch) over [`Batch`](mdq_exec::operator::Batch)es of `Arc`-shared [`Binding`](mdq_exec::binding::Binding)s; demand-exact, so §5's per-call pricing is unchanged at any batch size (`tests/executor_equivalence.rs`) |
 //! | multi-threading (§5) | [`mdq_exec::threaded`] |
 //! | threads share §5.1 state without serializing on it | the sharded page cache + per-gateway [`accounting cells`](mdq_exec::gateway::SharedServiceState) — `crates/bench/benches/contention.rs` → `BENCH_contention.json` |
@@ -78,7 +78,7 @@
 //! | wrapped services, profiles (Table 1) | [`travel_world`](mdq_services::domains::travel::travel_world), `mdq-bench::experiments::table1` |
 //! | plans S / P / O, cache matrix (Fig. 11) | `mdq-bench::experiments::fig11` |
 //! | answer screenshot (Fig. 10) | [`result_table`](mdq_exec::results::result_table) |
-//! | multithreading test | [`run_parallel_dispatch`](mdq_exec::threaded::run_parallel_dispatch) |
+//! | multithreading test | [`run_parallel_dispatch`](mdq_exec::threaded::run_parallel_dispatch): the [`pipeline::run`](mdq_exec::pipeline::run) stage loop under the parallel stage-time model |
 //! | protein/bibliographic domains | [`mdq_services::domains::protein`], [`mdq_services::domains::bibliography`] |
 //!
 //! ## §7 — Related work turned feature
@@ -138,7 +138,7 @@
 //! | when is the drift worth acting on | [`profile_divergence`](mdq_cost::divergence::profile_divergence), [`diverging_services`](mdq_cost::divergence::diverging_services) under an [`AdaptiveConfig`](mdq_cost::divergence::AdaptiveConfig) |
 //! | §5 "periodic re-estimation", without a sampling pass | [`refresh_profiles`](mdq_cost::divergence::refresh_profiles), [`Mdq::seed_profiles_from_observed`](mdq_core::Mdq::seed_profiles_from_observed) |
 //! | re-optimizing the unexecuted suffix (patterns/order/fetches of executed stages frozen) | [`reoptimize_suffix`](mdq_optimizer::replan::reoptimize_suffix), [`optimize_fetches_pinned`](mdq_optimizer::phase3::optimize_fetches_pinned) |
-//! | suspension points + plan splice in the drivers | [`mdq_exec::adaptive`]: [`run_adaptive`](mdq_exec::adaptive::run_adaptive) (stage-materialised), [`run_adaptive_dispatch`](mdq_exec::adaptive::run_adaptive_dispatch) (stage-threaded), [`AdaptiveTopK`](mdq_exec::adaptive::AdaptiveTopK) (pull) |
+//! | suspension points + plan splice in the drivers | a re-planner in [`ExecContext::adaptive`](mdq_exec::ExecContext::adaptive): [`pipeline::run`](mdq_exec::pipeline::run) / [`run_adaptive`](mdq_exec::adaptive::run_adaptive) suspend after every invoke stage, [`TopKExecution`](mdq_exec::topk::TopKExecution) between answers |
 //! | a re-plan never repeats a paid-for call | the §5.1 [`PageCache`](mdq_exec::cache::PageCache) replay across splices (`tests/adaptive_replan.rs`) |
 //! | the optimizer-backed re-planner | [`OptimizerReplanner`](mdq_core::OptimizerReplanner), [`Mdq::run_adaptive`](mdq_core::Mdq::run_adaptive) |
 //! | serving policy, per-query accounting, plan publication | [`RuntimeConfig::adaptive`](mdq_runtime::server::RuntimeConfig), [`QueryStats::replans`](mdq_runtime::session::QueryStats), [`MetricsSnapshot::replans`](mdq_runtime::metrics::MetricsSnapshot) |
@@ -157,12 +157,12 @@
 //! | pages versioned by refresh epoch | [`Versioned`](mdq_services::refresh::Versioned), [`EpochClock`](mdq_services::refresh::EpochClock) |
 //! | per-service freshness TTLs | [`RefreshPolicy`](mdq_services::refresh::RefreshPolicy) (staleness in epochs, per-service overrides) |
 //! | one shared polling pass re-fetches due invocations | [`RefreshDriver`](mdq_services::refresh::RefreshDriver) ([`RefreshReport`](mdq_services::refresh::RefreshReport) says what changed) |
-//! | the pages a standing query depends on | [`TopKExecution::standing`](mdq_exec::topk::TopKExecution::standing) records the frontier; [`SharedServiceState::pin_invocation`](mdq_exec::gateway::SharedServiceState::pin_invocation) shields it from LRU eviction |
+//! | the pages a standing query depends on | a [`TopKExecution`](mdq_exec::topk::TopKExecution) started with [`ExecContext::frontier`](mdq_exec::ExecContext::frontier) records the frontier; [`SharedServiceState::pin_invocation`](mdq_exec::gateway::SharedServiceState::pin_invocation) shields it from LRU eviction |
 //! | subscriptions + delta computation | [`mdq_runtime::subscribe`] on [`QueryServer::subscribe`](mdq_runtime::server::QueryServer::subscribe) / [`refresh`](mdq_runtime::server::QueryServer::refresh) / [`poll_deltas`](mdq_runtime::server::QueryServer::poll_deltas), emitting [`Delta`](mdq_runtime::subscribe::Delta)s |
 //! | deltas over the wire | `SUBSCRIBE` / `DELTA` / `SYNCED` / `REFRESHED` frames in [`mdq_runtime::net`] |
 //! | a drifting-but-deterministic world to test against | [`RefreshingSource`](mdq_services::refresh::RefreshingSource), [`refreshing_registry`](mdq_services::refresh::refreshing_registry) |
 //! | refresh as a parallel pipeline (snapshot / fetch & evaluate / commit) | [`QueryServer::refresh`](mdq_runtime::server::QueryServer::refresh) fans the pass across [`RuntimeConfig::refresh_workers`](mdq_runtime::server::RuntimeConfig::refresh_workers) threads — delta streams byte-identical at every worker count |
-//! | standing re-evaluations share work through the sub-result store | [`TopKExecution::standing`](mdq_exec::topk::TopKExecution::standing) replays/publishes frontier-carrying entries; [`SharedServiceState::retain_sub_results`](mdq_exec::gateway::SharedServiceState::retain_sub_results) keeps epoch-unchanged entries instead of wiping |
+//! | standing re-evaluations share work through the sub-result store | a frontier-recording [`TopKExecution`](mdq_exec::topk::TopKExecution) replays/publishes frontier-carrying entries; [`SharedServiceState::retain_sub_results`](mdq_exec::gateway::SharedServiceState::retain_sub_results) keeps epoch-unchanged entries instead of wiping |
 //! | the delta-vs-rerun oracle | `tests/standing_queries.rs` (byte-identical folds, ≥ 3× fewer calls), `tests/subscription_chaos.rs`, `crates/bench/benches/standing.rs` → `BENCH_standing.json`, `crates/bench/benches/standing_scale.rs` → `BENCH_standing_scale.json` |
 //!
 //! Deviations and errata discovered during implementation are catalogued

@@ -27,9 +27,10 @@ fn query_text(c: &CatalogWorld) -> String {
         .to_string()
 }
 
-/// The frozen plan executed as-is over a fresh memoizing shared state:
-/// the baseline the adaptive run must beat.
-fn frozen_calls(engine: &Mdq, text: &str) -> (u64, Plan) {
+/// The frozen plan executed as-is over a fresh memoizing shared state
+/// (returned, with everything the run observed): the baseline the
+/// adaptive run must beat.
+fn frozen_run(engine: &Mdq, text: &str) -> (Arc<SharedServiceState>, Plan) {
     let query = engine.parse(text).expect("parses");
     let optimized = engine
         .optimize(
@@ -43,19 +44,22 @@ fn frozen_calls(engine: &Mdq, text: &str) -> (u64, Plan) {
         )
         .expect("optimizes");
     let shared = Arc::new(SharedServiceState::new(ExecCache::Optimal, 0));
-    let report = run_with_shared(
+    run(
         &optimized.candidate.plan,
         engine.schema(),
         engine.registry(),
-        Arc::clone(&shared),
-        None,
-        Some(K as usize),
+        &ExecConfig {
+            k: Some(K as usize),
+        },
+        ExecContext::shared(Arc::clone(&shared)),
     )
     .expect("frozen run executes");
-    (
-        report.calls.values().sum(),
-        optimized.candidate.plan.clone(),
-    )
+    (shared, optimized.candidate.plan)
+}
+
+fn frozen_calls(engine: &Mdq, text: &str) -> (u64, Plan) {
+    let (shared, plan) = frozen_run(engine, text);
+    (shared.total_calls(), plan)
 }
 
 #[test]
@@ -177,7 +181,6 @@ fn max_replans_zero_disables_adaptivity() {
 /// multiset as the adaptive stage driver when one does.
 #[test]
 fn projection_duplicates_survive_adaptive_pull() {
-    use mdq::exec::adaptive::AdaptiveTopK;
     let projected = "q(Item, Part) :- seed('widgets', Item), parts(Item, Part), \
          offers(Part, Vendor, Price), Price <= 100.0.";
     let plan_for = |engine: &Mdq| {
@@ -202,13 +205,11 @@ fn projection_duplicates_survive_adaptive_pull() {
     let (engine, _) = engine_of(catalog_world(false));
     let plan = plan_for(&engine);
     let shared = Arc::new(SharedServiceState::new(ExecCache::Optimal, 0));
-    let mut frozen = TopKExecution::with_shared(
+    let mut frozen = TopKExecution::start(
         &plan,
         engine.schema(),
         engine.registry(),
-        shared,
-        None,
-        false,
+        ExecContext::shared(shared),
     )
     .expect("frozen pull builds");
     let frozen_answers = frozen.answers(1 << 20);
@@ -228,17 +229,17 @@ fn projection_duplicates_survive_adaptive_pull() {
             ..OptimizerConfig::default()
         },
     );
-    let mut adaptive = AdaptiveTopK::with_shared(
+    let mut adaptive = TopKExecution::start(
         &plan,
         engine.schema(),
         engine.registry(),
-        shared,
-        None,
-        false,
-        &AdaptiveConfig::default(),
+        ExecContext {
+            adaptive: Some((AdaptiveConfig::default(), &mut replanner)),
+            ..ExecContext::shared(shared)
+        },
     )
     .expect("adaptive pull builds");
-    let adaptive_answers = adaptive.answers(1 << 20, &mut replanner);
+    let adaptive_answers = adaptive.answers(1 << 20);
     assert_eq!(adaptive.replans(), 0);
     assert_eq!(
         adaptive_answers, frozen_answers,
@@ -262,11 +263,11 @@ fn projection_duplicates_survive_adaptive_pull() {
         &plan,
         engine.schema(),
         engine.registry(),
-        shared,
-        None,
-        None,
-        &AdaptiveConfig::default(),
-        &mut replanner,
+        &ExecConfig::default(),
+        ExecContext {
+            adaptive: Some((AdaptiveConfig::default(), &mut replanner)),
+            ..ExecContext::shared(shared)
+        },
     )
     .expect("stage driver executes");
     assert!(stage.replans >= 1);
@@ -279,17 +280,17 @@ fn projection_duplicates_survive_adaptive_pull() {
             ..OptimizerConfig::default()
         },
     );
-    let mut pull = AdaptiveTopK::with_shared(
+    let mut pull = TopKExecution::start(
         &plan,
         engine.schema(),
         engine.registry(),
-        shared,
-        None,
-        false,
-        &AdaptiveConfig::default(),
+        ExecContext {
+            adaptive: Some((AdaptiveConfig::default(), &mut replanner)),
+            ..ExecContext::shared(shared)
+        },
     )
     .expect("adaptive pull builds");
-    let pulled = pull.answers(1 << 20, &mut replanner);
+    let pulled = pull.answers(1 << 20);
     assert_eq!(pull.replans(), stage.replans);
     let mut a = stage.report.answers.clone();
     let mut b = pulled;
@@ -330,11 +331,13 @@ fn settled_divergence_does_not_rerun_the_optimizer() {
         &optimized.candidate.plan,
         engine.schema(),
         engine.registry(),
-        shared,
-        None,
-        Some(K as usize),
-        &AdaptiveConfig::default(),
-        &mut refuse,
+        &ExecConfig {
+            k: Some(K as usize),
+        },
+        ExecContext {
+            adaptive: Some((AdaptiveConfig::default(), &mut refuse)),
+            ..ExecContext::shared(shared)
+        },
     )
     .expect("executes");
     assert_eq!(out.replans, 0);
@@ -342,5 +345,112 @@ fn settled_divergence_does_not_rerun_the_optimizer() {
     assert_eq!(
         consults, 1,
         "a settled divergence must not re-trigger the re-planner"
+    );
+}
+
+/// Tenant attribution and re-planning are options of the one pull
+/// driver, so they compose: every forwarded call, across the spliced
+/// plan too (a re-plan keeps the gateway), is charged to the tenant —
+/// and a tenant budget that runs out after the splice poisons the
+/// stream without a single call having been repeated.
+#[test]
+fn tenant_budget_spans_the_splice_in_the_pull_driver() {
+    use mdq::exec::pipeline::ExecError;
+    const TENANT: u32 = 7;
+    let optimizer_config = || OptimizerConfig {
+        k: K,
+        cache: mdq::cost::estimate::CacheSetting::Optimal,
+        ..OptimizerConfig::default()
+    };
+    let (engine, ids) = engine_of(catalog_world(true));
+    let query = engine
+        .parse(&query_text(&catalog_world(true)))
+        .expect("parses");
+    let plan = engine
+        .optimize(query, &ExecutionTime, optimizer_config())
+        .expect("optimizes")
+        .candidate
+        .plan;
+    // one tenant-attributed adaptive pull under `budget`; returns the
+    // forwarded calls at the first splice too
+    let pull = |budget: Option<u64>| {
+        let shared = Arc::new(SharedServiceState::new(ExecCache::Optimal, 0));
+        shared.set_tenant_budget(TENANT, budget);
+        let mut replanner = engine.replanner(&ExecutionTime, optimizer_config());
+        let mut exec = TopKExecution::start(
+            &plan,
+            engine.schema(),
+            engine.registry(),
+            ExecContext {
+                tenant: Some(TENANT),
+                adaptive: Some((AdaptiveConfig::default(), &mut replanner)),
+                ..ExecContext::shared(Arc::clone(&shared))
+            },
+        )
+        .expect("adaptive pull builds");
+        let mut calls_at_splice = None;
+        while exec.next_answer().is_some() {
+            if exec.replans() > 0 && calls_at_splice.is_none() {
+                calls_at_splice = Some(exec.total_calls());
+            }
+        }
+        let per_service = [ids.seed, ids.parts, ids.offers].map(|id| exec.calls_to(id));
+        (
+            shared.tenant_calls(TENANT),
+            exec.total_calls(),
+            exec.replans(),
+            exec.error(),
+            calls_at_splice,
+            per_service,
+        )
+    };
+
+    let (charged, total, replans, error, at_splice, unbounded) = pull(None);
+    assert_eq!(replans, 1, "the mis-estimate splices exactly once");
+    assert!(error.is_none());
+    assert_eq!(charged, total, "every call of both plans is the tenant's");
+    let at_splice = at_splice.expect("answers follow the splice");
+    assert!(at_splice < total, "the spliced plan forwards calls too");
+
+    // a budget the splice fits under but the whole run does not
+    let budget = total - 1;
+    assert!(budget >= at_splice);
+    let (charged, total, replans, error, _, bounded) = pull(Some(budget));
+    assert_eq!(replans, 1, "the budget runs out after the splice");
+    assert!(
+        matches!(
+            error,
+            Some(ExecError::TenantBudgetExhausted {
+                tenant: TENANT,
+                budget: b,
+            }) if b == budget
+        ),
+        "unexpected {error:?}"
+    );
+    assert_eq!((charged, total), (budget, budget));
+    // the same distinct pages as the unbounded run, minus the refused
+    // tail: had the splice repeated a call, some service would exceed
+    for (b, u) in bounded.iter().zip(&unbounded) {
+        assert!(b <= u, "bounded {bounded:?} vs unbounded {unbounded:?}");
+    }
+}
+
+/// The profiler-free re-estimation loop README advertises: run over a
+/// shared state, seed the schema from the state's own observations,
+/// re-optimize — the new plan forwards strictly fewer calls than the
+/// one the stale profile produced.
+#[test]
+fn observed_snapshot_reseeds_profiles_for_a_cheaper_plan() {
+    let (mut engine, _) = engine_of(catalog_world(true));
+    let text = query_text(&catalog_world(true));
+    let (stale, _) = frozen_run(&engine, &text);
+    let changed = engine.seed_profiles_from_observed(&stale.observed_snapshot(), 1);
+    assert!(changed > 0, "the drifted service's profile is refreshed");
+    let (reseeded, _) = frozen_run(&engine, &text);
+    assert!(
+        reseeded.total_calls() < stale.total_calls(),
+        "re-seeded plan ({}) must undercut the stale one ({})",
+        reseeded.total_calls(),
+        stale.total_calls()
     );
 }

@@ -173,7 +173,13 @@ fn deep_elastic_paging() {
         .optimize(query, &RequestResponse, OptimizerConfig::default())
         .expect("optimizes");
     let mut pull = engine
-        .pull(&optimized.candidate.plan, CacheSetting::Optimal, true)
+        .pull(
+            &optimized.candidate.plan,
+            ExecContext {
+                elastic: true,
+                ..ExecContext::private(CacheSetting::Optimal)
+            },
+        )
         .expect("builds");
     let got = pull.answers(1000);
     assert_eq!(got.len(), 7);
@@ -242,10 +248,8 @@ fn all_metrics_produce_executable_plans() {
         let report = engine
             .execute(
                 &optimized.candidate.plan,
-                &ExecConfig {
-                    cache: CacheSetting::OneCall,
-                    k: Some(5),
-                },
+                &ExecConfig { k: Some(5) },
+                ExecContext::private(CacheSetting::OneCall),
             )
             .expect("executes");
         assert!(

@@ -21,17 +21,20 @@ fn all_executors_agree() {
             &plan,
             &w.schema,
             &w.registry,
-            &ExecConfig {
-                cache: CacheSetting::Optimal,
-                k: None,
-            },
+            &ExecConfig { k: None },
+            ExecContext::private(CacheSetting::Optimal),
         )
         .expect("pipeline")
         .answers,
     );
 
-    let mut pull = TopKExecution::new(&plan, &w.schema, &w.registry, CacheSetting::Optimal, false)
-        .expect("pull");
+    let mut pull = TopKExecution::start(
+        &plan,
+        &w.schema,
+        &w.registry,
+        ExecContext::private(CacheSetting::Optimal),
+    )
+    .expect("pull");
     assert_eq!(sorted(pull.answers(1 << 20)), baseline, "pull executor");
 
     let par = run_parallel_dispatch(
@@ -39,9 +42,9 @@ fn all_executors_agree() {
         &w.schema,
         &w.registry,
         &ParallelConfig {
-            cache: CacheSetting::Optimal,
             ..ParallelConfig::default()
         },
+        ExecContext::private(CacheSetting::Optimal),
     )
     .expect("parallel dispatch");
     assert_eq!(sorted(par.answers), baseline, "parallel dispatch");
@@ -51,11 +54,11 @@ fn all_executors_agree() {
         &w.schema,
         &w.registry,
         &ThreadedConfig {
-            cache: CacheSetting::Optimal,
             time_scale: 0.0,
             channel_capacity: 16,
             k: None,
         },
+        ExecContext::private(CacheSetting::Optimal),
     )
     .expect("threads");
     assert_eq!(sorted(thr.answers), baseline, "real threads");
@@ -73,7 +76,8 @@ fn cache_settings_preserve_answers() {
                 &plan,
                 &w.schema,
                 &w.registry,
-                &ExecConfig { cache, k: None },
+                &ExecConfig { k: None },
+                ExecContext::private(cache),
             )
             .expect("executes");
             per_cache.push((r.calls.values().sum(), sorted(r.answers)));
@@ -212,10 +216,8 @@ fn registry_counters_accumulate() {
             &plan,
             &w.schema,
             &w.registry,
-            &ExecConfig {
-                cache: CacheSetting::NoCache,
-                k: None,
-            },
+            &ExecConfig { k: None },
+            ExecContext::private(CacheSetting::NoCache),
         )
         .expect("executes");
         *totals.entry("weather").or_insert(0) += r.calls_to(w.ids.weather);

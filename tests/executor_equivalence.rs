@@ -75,14 +75,16 @@ fn randomized_plans_executors_agree() {
             &plan,
             &w.schema,
             &w.registry,
-            &ExecConfig { cache, k: None },
+            &ExecConfig { k: None },
+            ExecContext::private(cache),
         )
         .unwrap_or_else(|e| panic!("{desc}: pipeline fails: {e}"));
         let baseline = sorted(pipeline.answers.clone());
 
         // pull executor, drained to exhaustion
-        let mut pull = TopKExecution::new(&plan, &w.schema, &w.registry, cache, false)
-            .unwrap_or_else(|e| panic!("{desc}: pull fails: {e}"));
+        let mut pull =
+            TopKExecution::start(&plan, &w.schema, &w.registry, ExecContext::private(cache))
+                .unwrap_or_else(|e| panic!("{desc}: pull fails: {e}"));
         let pulled = sorted(pull.answers(1 << 20));
         assert!(
             pull.error().is_none(),
@@ -97,11 +99,11 @@ fn randomized_plans_executors_agree() {
             &w.schema,
             &w.registry,
             &ThreadedConfig {
-                cache,
                 time_scale: 0.0,
                 channel_capacity: 8,
                 k: None,
             },
+            ExecContext::private(cache),
         )
         .unwrap_or_else(|e| panic!("{desc}: threaded fails: {e}"));
         assert_eq!(
@@ -117,10 +119,10 @@ fn randomized_plans_executors_agree() {
             &w.schema,
             &w.registry,
             &ParallelConfig {
-                cache,
                 shuffle_seed: case as u64,
                 ..ParallelConfig::default()
             },
+            ExecContext::private(cache),
         )
         .unwrap_or_else(|e| panic!("{desc}: parallel fails: {e}"));
         assert_eq!(
@@ -148,6 +150,38 @@ fn randomized_plans_executors_agree() {
                 p,
                 "{desc}: threaded vs pipeline calls to {name}"
             );
+        }
+
+        // truncation: every driver that takes a `k` returns exactly
+        // min(k, available) answers — none at all for k = 0
+        for k in [0usize, 1] {
+            let want = k.min(baseline.len());
+            let cut = run(
+                &plan,
+                &w.schema,
+                &w.registry,
+                &ExecConfig { k: Some(k) },
+                ExecContext::private(cache),
+            )
+            .unwrap_or_else(|e| panic!("{desc}: pipeline k={k} fails: {e}"));
+            assert_eq!(cut.answers.len(), want, "{desc}: pipeline k={k}");
+            let mut pull =
+                TopKExecution::start(&plan, &w.schema, &w.registry, ExecContext::private(cache))
+                    .unwrap_or_else(|e| panic!("{desc}: pull k={k} fails: {e}"));
+            assert_eq!(pull.answers(k).len(), want, "{desc}: pull k={k}");
+            let thr = run_threaded(
+                &plan,
+                &w.schema,
+                &w.registry,
+                &ThreadedConfig {
+                    time_scale: 0.0,
+                    channel_capacity: 8,
+                    k: Some(k),
+                },
+                ExecContext::private(cache),
+            )
+            .unwrap_or_else(|e| panic!("{desc}: threaded k={k} fails: {e}"));
+            assert_eq!(thr.answers.len(), want, "{desc}: threaded k={k}");
         }
     }
 }
@@ -195,14 +229,16 @@ fn randomized_plans_executors_agree_under_seeded_faults() {
             &plan,
             &wp.schema,
             &wp.registry,
-            &ExecConfig { cache, k: None },
+            &ExecConfig { k: None },
+            ExecContext::private(cache),
         )
         .unwrap_or_else(|e| panic!("{desc}: pipeline fails: {e}"));
         let baseline = sorted(pipeline.answers.clone());
 
         let wq = faulty_world(fault_seed);
-        let mut pull = TopKExecution::new(&plan, &wq.schema, &wq.registry, cache, false)
-            .unwrap_or_else(|e| panic!("{desc}: pull fails: {e}"));
+        let mut pull =
+            TopKExecution::start(&plan, &wq.schema, &wq.registry, ExecContext::private(cache))
+                .unwrap_or_else(|e| panic!("{desc}: pull fails: {e}"));
         let pulled = sorted(pull.answers(1 << 20));
         assert_eq!(pulled, baseline, "{desc}: pull answers");
 
@@ -212,11 +248,11 @@ fn randomized_plans_executors_agree_under_seeded_faults() {
             &wt.schema,
             &wt.registry,
             &ThreadedConfig {
-                cache,
                 time_scale: 0.0,
                 channel_capacity: 8,
                 k: None,
             },
+            ExecContext::private(cache),
         )
         .unwrap_or_else(|e| panic!("{desc}: threaded fails: {e}"));
         assert_eq!(
@@ -325,8 +361,8 @@ fn adaptive_replanner<'a>(
 }
 
 /// The adaptive variant of the equivalence suite: on a mis-estimated
-/// workload that forces at least one re-plan, the adaptive
-/// stage-materialised, stage-threaded and pull drivers must produce
+/// workload that forces at least one re-plan, the stage-materialised
+/// and pull drivers under a re-planner must produce
 /// identical answer sets, identical per-service call counts and
 /// identical re-plan counts — healthy and under a seeded fault
 /// schedule (where retries spent before the splice must stay counted
@@ -345,11 +381,11 @@ fn adaptive_drivers_agree_on_answers_calls_and_replans() {
             &plan,
             &wp.world.schema,
             &wp.world.registry,
-            shared,
-            None,
-            None,
-            &mdq::cost::divergence::AdaptiveConfig::default(),
-            &mut rp,
+            &ExecConfig::default(),
+            ExecContext {
+                adaptive: Some((AdaptiveConfig::default(), &mut rp)),
+                ..ExecContext::shared(shared)
+            },
         )
         .unwrap_or_else(|e| panic!("{desc}: adaptive pipeline fails: {e}"));
         assert!(
@@ -359,43 +395,19 @@ fn adaptive_drivers_agree_on_answers_calls_and_replans() {
         let baseline = sorted(pipeline.report.answers.clone());
         assert!(!baseline.is_empty(), "{desc}: answers exist");
 
-        let (wt, plan_t, shared_t) = adaptive_fixture(fault_seed);
-        let mut rp = adaptive_replanner(&wt);
-        let threaded = run_adaptive_dispatch(
-            &plan_t,
-            &wt.world.schema,
-            &wt.world.registry,
-            shared_t,
-            None,
-            None,
-            4,
-            &mdq::cost::divergence::AdaptiveConfig::default(),
-            &mut rp,
-        )
-        .unwrap_or_else(|e| panic!("{desc}: adaptive threaded fails: {e}"));
-        assert_eq!(
-            sorted(threaded.report.answers.clone()),
-            baseline,
-            "{desc}: threaded answers"
-        );
-        assert_eq!(
-            threaded.replans, pipeline.replans,
-            "{desc}: threaded replans"
-        );
-
         let (wq, plan_q, shared_q) = adaptive_fixture(fault_seed);
         let mut rp = adaptive_replanner(&wq);
-        let mut pull = AdaptiveTopK::with_shared(
+        let mut pull = TopKExecution::start(
             &plan_q,
             &wq.world.schema,
             &wq.world.registry,
-            shared_q,
-            None,
-            false,
-            &mdq::cost::divergence::AdaptiveConfig::default(),
+            ExecContext {
+                adaptive: Some((AdaptiveConfig::default(), &mut rp)),
+                ..ExecContext::shared(shared_q)
+            },
         )
         .unwrap_or_else(|e| panic!("{desc}: adaptive pull fails: {e}"));
-        let pulled = sorted(pull.answers(1 << 20, &mut rp));
+        let pulled = sorted(pull.answers(1 << 20));
         assert!(
             pull.error().is_none(),
             "{desc}: pull poisoned: {:?}",
@@ -413,21 +425,11 @@ fn adaptive_drivers_agree_on_answers_calls_and_replans() {
         ] {
             let calls = pipeline.report.calls_to(id);
             assert_eq!(
-                threaded.report.calls_to(id),
-                calls,
-                "{desc}: threaded vs pipeline calls to {name}"
-            );
-            assert_eq!(
                 pull.calls_to(id),
                 calls,
                 "{desc}: pull vs pipeline calls to {name}"
             );
             let retries = pipeline.report.retries_to(id);
-            assert_eq!(
-                threaded.report.retries_to(id),
-                retries,
-                "{desc}: threaded vs pipeline retries to {name}"
-            );
             assert_eq!(
                 pull.fault_stats().get(&id).map(|s| s.retries).unwrap_or(0),
                 retries,
@@ -438,10 +440,6 @@ fn adaptive_drivers_agree_on_answers_calls_and_replans() {
             pull.partial_results(),
             pipeline.report.partial,
             "{desc}: pull vs pipeline partial report"
-        );
-        assert_eq!(
-            threaded.report.partial, pipeline.report.partial,
-            "{desc}: threaded vs pipeline partial report"
         );
     }
 }
@@ -469,12 +467,15 @@ fn batch_size_sweep_is_equivalent_to_tuple_at_a_time() {
 
             // tuple-at-a-time baseline: every batched run must match it
             let wb = world();
-            let base = run_with_batch(
+            let base = run(
                 &plan,
                 &wb.schema,
                 &wb.registry,
-                &ExecConfig { cache, k: None },
-                1,
+                &ExecConfig::default(),
+                ExecContext {
+                    batch: 1,
+                    ..ExecContext::private(cache)
+                },
             )
             .unwrap_or_else(|e| panic!("{desc}: batch=1 pipeline fails: {e}"));
             let base_answers = sorted(base.answers.clone());
@@ -482,12 +483,15 @@ fn batch_size_sweep_is_equivalent_to_tuple_at_a_time() {
 
             for batch in [2usize, 7, 64] {
                 let wp = world();
-                let pipeline = run_with_batch(
+                let pipeline = run(
                     &plan,
                     &wp.schema,
                     &wp.registry,
-                    &ExecConfig { cache, k: None },
-                    batch,
+                    &ExecConfig::default(),
+                    ExecContext {
+                        batch,
+                        ..ExecContext::private(cache)
+                    },
                 )
                 .unwrap_or_else(|e| panic!("{desc}: batch={batch} pipeline fails: {e}"));
                 assert_eq!(
@@ -497,17 +501,19 @@ fn batch_size_sweep_is_equivalent_to_tuple_at_a_time() {
                 );
 
                 let wt = world();
-                let thr = run_threaded_with_batch(
+                let thr = run_threaded(
                     &plan,
                     &wt.schema,
                     &wt.registry,
                     &ThreadedConfig {
-                        cache,
                         time_scale: 0.0,
                         channel_capacity: 8,
                         k: None,
                     },
-                    batch,
+                    ExecContext {
+                        batch,
+                        ..ExecContext::private(cache)
+                    },
                 )
                 .unwrap_or_else(|e| panic!("{desc}: batch={batch} threaded fails: {e}"));
                 assert_eq!(
@@ -519,8 +525,13 @@ fn batch_size_sweep_is_equivalent_to_tuple_at_a_time() {
                 // the pull driver's batch size is the demand chunk:
                 // drain it `batch` answers at a time
                 let wq = world();
-                let mut pull = TopKExecution::new(&plan, &wq.schema, &wq.registry, cache, false)
-                    .unwrap_or_else(|e| panic!("{desc}: batch={batch} pull fails: {e}"));
+                let mut pull = TopKExecution::start(
+                    &plan,
+                    &wq.schema,
+                    &wq.registry,
+                    ExecContext::private(cache),
+                )
+                .unwrap_or_else(|e| panic!("{desc}: batch={batch} pull fails: {e}"));
                 let mut pulled = Vec::new();
                 loop {
                     let chunk = pull.answers(batch);
@@ -595,16 +606,16 @@ fn adaptive_batch_sweep_preserves_replans() {
 
         let (wb, plan_b, shared_b) = adaptive_fixture(fault_seed);
         let mut rp = adaptive_replanner(&wb);
-        let base = run_adaptive_with_batch(
+        let base = run_adaptive(
             &plan_b,
             &wb.world.schema,
             &wb.world.registry,
-            shared_b,
-            None,
-            None,
-            &mdq::cost::divergence::AdaptiveConfig::default(),
-            &mut rp,
-            1,
+            &ExecConfig::default(),
+            ExecContext {
+                batch: 1,
+                adaptive: Some((AdaptiveConfig::default(), &mut rp)),
+                ..ExecContext::shared(shared_b)
+            },
         )
         .unwrap_or_else(|e| panic!("{desc}: batch=1 adaptive fails: {e}"));
         assert!(
@@ -616,16 +627,16 @@ fn adaptive_batch_sweep_preserves_replans() {
         for batch in [2usize, 7, 64] {
             let (w, plan, shared) = adaptive_fixture(fault_seed);
             let mut rp = adaptive_replanner(&w);
-            let out = run_adaptive_with_batch(
+            let out = run_adaptive(
                 &plan,
                 &w.world.schema,
                 &w.world.registry,
-                shared,
-                None,
-                None,
-                &mdq::cost::divergence::AdaptiveConfig::default(),
-                &mut rp,
-                batch,
+                &ExecConfig::default(),
+                ExecContext {
+                    batch,
+                    adaptive: Some((AdaptiveConfig::default(), &mut rp)),
+                    ..ExecContext::shared(shared)
+                },
             )
             .unwrap_or_else(|e| panic!("{desc}: batch={batch} adaptive fails: {e}"));
             assert_eq!(
@@ -667,16 +678,18 @@ fn randomized_plans_topk_prefix_is_subset() {
             &plan,
             &w.schema,
             &w.registry,
-            &ExecConfig {
-                cache: CacheSetting::OneCall,
-                k: None,
-            },
+            &ExecConfig { k: None },
+            ExecContext::private(CacheSetting::OneCall),
         )
         .expect("pipeline");
         let full_set = sorted(full.answers.clone());
-        let mut pull =
-            TopKExecution::new(&plan, &w.schema, &w.registry, CacheSetting::OneCall, false)
-                .expect("pull");
+        let mut pull = TopKExecution::start(
+            &plan,
+            &w.schema,
+            &w.registry,
+            ExecContext::private(CacheSetting::OneCall),
+        )
+        .expect("pull");
         let first_k = pull.answers(k);
         assert_eq!(
             first_k.len(),

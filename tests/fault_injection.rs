@@ -51,10 +51,8 @@ fn run_optimal(world: &TravelWorld, plan: &Plan) -> ExecReport {
         plan,
         &world.schema,
         &world.registry,
-        &ExecConfig {
-            cache: CacheSetting::Optimal,
-            k: None,
-        },
+        &ExecConfig { k: None },
+        ExecContext::private(CacheSetting::Optimal),
     )
     .expect("executes")
 }
@@ -148,26 +146,24 @@ fn failed_pages_are_memoized_across_executions() {
     );
     let shared = Arc::new(SharedServiceState::new(CacheSetting::Optimal, 0));
 
-    let first = run_with_shared(
+    let first = run(
         &plan,
         &w.schema,
         &w.registry,
-        Arc::clone(&shared),
-        None,
-        None,
+        &ExecConfig { k: None },
+        ExecContext::shared(Arc::clone(&shared)),
     )
     .expect("executes");
     assert!(first.partial.as_ref().expect("degraded").names("hotel"));
     let calls_after_first = shared.total_calls();
     assert_eq!(shared.failed_pages(), 11, "one memo entry per hotel page");
 
-    let second = run_with_shared(
+    let second = run(
         &plan,
         &w.schema,
         &w.registry,
-        Arc::clone(&shared),
-        None,
-        None,
+        &ExecConfig { k: None },
+        ExecContext::shared(Arc::clone(&shared)),
     )
     .expect("executes");
     assert!(
@@ -204,38 +200,35 @@ fn clearing_the_memo_recovers_a_healed_service() {
     );
     let shared = Arc::new(SharedServiceState::new(CacheSetting::Optimal, 0));
 
-    let outage = run_with_shared(
+    let outage = run(
         &plan,
         &w.schema,
         &w.registry,
-        Arc::clone(&shared),
-        None,
-        None,
+        &ExecConfig { k: None },
+        ExecContext::shared(Arc::clone(&shared)),
     )
     .expect("executes");
     assert!(outage.partial.as_ref().expect("degraded").names("conf"));
     assert_eq!(shared.failed_pages(), 1);
 
     // while the memo stands, even the healed service stays condemned
-    let still_down = run_with_shared(
+    let still_down = run(
         &plan,
         &w.schema,
         &w.registry,
-        Arc::clone(&shared),
-        None,
-        None,
+        &ExecConfig { k: None },
+        ExecContext::shared(Arc::clone(&shared)),
     )
     .expect("executes");
     assert!(still_down.partial.is_some(), "memo outlives the outage");
 
     assert_eq!(shared.clear_failed_pages(), 1, "operator recovery lever");
-    let recovered = run_with_shared(
+    let recovered = run(
         &plan,
         &w.schema,
         &w.registry,
-        Arc::clone(&shared),
-        None,
-        None,
+        &ExecConfig { k: None },
+        ExecContext::shared(Arc::clone(&shared)),
     )
     .expect("executes");
     assert!(recovered.is_complete(), "the healed page serves again");
@@ -296,8 +289,14 @@ fn custom_policy_backoff_escalates_deterministically() {
             multiplier: 2.0,
         }),
     );
-    let report =
-        run_with_shared(&plan, &w.schema, &w.registry, shared, None, None).expect("executes");
+    let report = run(
+        &plan,
+        &w.schema,
+        &w.registry,
+        &ExecConfig { k: None },
+        ExecContext::shared(shared),
+    )
+    .expect("executes");
     assert!(report.is_complete());
     let conf = report.fault_stats[&w.ids.conf];
     assert_eq!(report.calls_to(w.ids.conf), 4, "3 faults + 1 success");
@@ -324,8 +323,17 @@ fn retries_respect_the_call_budget() {
     let shared = Arc::new(
         SharedServiceState::new(CacheSetting::Optimal, 0).with_retry(RetryPolicy::retries(5)),
     );
-    let report = run_with_shared(&plan, &w.schema, &w.registry, shared, Some(2), None)
-        .expect("budget degradation is not a hard failure");
+    let report = run(
+        &plan,
+        &w.schema,
+        &w.registry,
+        &ExecConfig { k: None },
+        ExecContext {
+            budget: Some(2),
+            ..ExecContext::shared(shared)
+        },
+    )
+    .expect("budget degradation is not a hard failure");
     assert_eq!(
         report.calls_to(w.ids.conf),
         2,
@@ -353,13 +361,15 @@ fn budget_starved_query_does_not_poison_the_page_for_others() {
 
     // query A: budget 1 — its only allowed attempt faults, so it
     // degrades without ever exercising its retry policy
-    let starved = run_with_shared(
+    let starved = run(
         &plan,
         &w.schema,
         &w.registry,
-        Arc::clone(&shared),
-        Some(1),
-        None,
+        &ExecConfig { k: None },
+        ExecContext {
+            budget: Some(1),
+            ..ExecContext::shared(Arc::clone(&shared))
+        },
     )
     .expect("degrades, does not fail");
     assert!(starved
@@ -375,8 +385,14 @@ fn budget_starved_query_does_not_poison_the_page_for_others() {
 
     // query B: unconstrained — the page's second attempt succeeds and
     // the query completes fully
-    let healthy =
-        run_with_shared(&plan, &w.schema, &w.registry, shared, None, None).expect("executes");
+    let healthy = run(
+        &plan,
+        &w.schema,
+        &w.registry,
+        &ExecConfig { k: None },
+        ExecContext::shared(shared),
+    )
+    .expect("executes");
     assert!(
         healthy.is_complete(),
         "the page was never globally condemned"
@@ -404,8 +420,14 @@ fn per_service_retry_override() {
         SharedServiceState::new(CacheSetting::Optimal, 0)
             .with_service_retry(w.ids.hotel, RetryPolicy::NONE),
     );
-    let report =
-        run_with_shared(&plan, &w.schema, &w.registry, shared, None, None).expect("executes");
+    let report = run(
+        &plan,
+        &w.schema,
+        &w.registry,
+        &ExecConfig { k: None },
+        ExecContext::shared(shared),
+    )
+    .expect("executes");
     // flight (default policy) recovered; hotel (fail-fast) degraded
     assert_eq!(report.retries_to(w.ids.flight), 11);
     assert_eq!(report.retries_to(w.ids.hotel), 0);
@@ -508,9 +530,9 @@ fn single_flight_waiter_wakes_with_the_leaders_error() {
                 key.clone(),
             );
             scope.spawn(move || {
-                let mut g =
-                    ServiceGateway::with_shared(&plan, &w.schema, &w.registry, shared, None)
-                        .expect("builds");
+                let mut g = ExecContext::shared(shared)
+                    .gateway(&plan, &w.schema, &w.registry)
+                    .expect("builds");
                 g.fetch_page(w.ids.conf, 0, &key, 0)
             })
         };
@@ -525,9 +547,9 @@ fn single_flight_waiter_wakes_with_the_leaders_error() {
                 key.clone(),
             );
             scope.spawn(move || {
-                let mut g =
-                    ServiceGateway::with_shared(&plan, &w.schema, &w.registry, shared, None)
-                        .expect("builds");
+                let mut g = ExecContext::shared(shared)
+                    .gateway(&plan, &w.schema, &w.registry)
+                    .expect("builds");
                 g.fetch_page(w.ids.conf, 0, &key, 0)
             })
         };

@@ -25,10 +25,8 @@ fn fig9_plan_executes_with_nl_join() {
         &plan,
         &w.schema,
         &w.registry,
-        &ExecConfig {
-            cache: CacheSetting::OneCall,
-            k: None,
-        },
+        &ExecConfig { k: None },
+        ExecContext::private(CacheSetting::OneCall),
     )
     .expect("executes");
     // the hotel scan is one invocation of F = 2 pages = 2 calls
@@ -57,10 +55,8 @@ fn fig9_answers_subset_of_plan_o() {
             .expect("schema matches"),
         &w.schema,
         &w.registry,
-        &ExecConfig {
-            cache: CacheSetting::Optimal,
-            k: None,
-        },
+        &ExecConfig { k: None },
+        ExecContext::private(CacheSetting::Optimal),
     )
     .expect("executes");
 
@@ -70,10 +66,8 @@ fn fig9_answers_subset_of_plan_o() {
         &plan_o,
         &w2.schema,
         &w2.registry,
-        &ExecConfig {
-            cache: CacheSetting::Optimal,
-            k: None,
-        },
+        &ExecConfig { k: None },
+        ExecContext::private(CacheSetting::Optimal),
     )
     .expect("executes");
     let full_set = sorted(full.answers);
@@ -95,19 +89,16 @@ fn fig9_pull_agrees_and_halts() {
         &plan,
         &w.schema,
         &w.registry,
-        &ExecConfig {
-            cache: CacheSetting::Optimal,
-            k: None,
-        },
+        &ExecConfig { k: None },
+        ExecContext::private(CacheSetting::Optimal),
     )
     .expect("executes");
     let w2 = travel_world(2008);
-    let mut pull = TopKExecution::new(
+    let mut pull = TopKExecution::start(
         &plan,
         &w2.schema,
         &w2.registry,
-        CacheSetting::Optimal,
-        false,
+        ExecContext::private(CacheSetting::Optimal),
     )
     .expect("builds");
     let pulled = pull.answers(1 << 20);
@@ -115,12 +106,11 @@ fn fig9_pull_agrees_and_halts() {
 
     // asking for just one answer issues fewer calls
     let w3 = travel_world(2008);
-    let mut one = TopKExecution::new(
+    let mut one = TopKExecution::start(
         &plan,
         &w3.schema,
         &w3.registry,
-        CacheSetting::Optimal,
-        false,
+        ExecContext::private(CacheSetting::Optimal),
     )
     .expect("builds");
     if one.next_answer().is_some() {

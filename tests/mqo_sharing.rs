@@ -18,6 +18,7 @@
 use mdq::cost::metrics::ExecutionTime;
 use mdq::exec::cache::CacheSetting;
 use mdq::exec::pipeline::ExecConfig;
+use mdq::exec::ExecContext;
 use mdq::model::value::Tuple;
 use mdq::optimizer::bnb::OptimizerConfig;
 use mdq::services::domains::travel::travel_world;
@@ -83,9 +84,9 @@ fn isolated_run(engine: &Mdq, text: &str) -> Vec<Tuple> {
         .execute(
             &optimized.candidate.plan,
             &ExecConfig {
-                cache: CacheSetting::OneCall,
                 k: Some(K as usize),
             },
+            ExecContext::private(CacheSetting::OneCall),
         )
         .expect("executes")
         .answers
@@ -295,9 +296,9 @@ fn bounded_page_cache_reports_evictions() {
                 .execute(
                     &optimized.candidate.plan,
                     &ExecConfig {
-                        cache: CacheSetting::Optimal,
                         k: Some(K as usize),
                     },
+                    ExecContext::private(CacheSetting::Optimal),
                 )
                 .expect("executes")
                 .answers

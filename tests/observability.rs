@@ -116,13 +116,12 @@ fn pipeline_trace_reconciles_with_accounting_under_faults() {
     script_flight(&mut w);
     let plan = plan_o(&w);
     let (shared, rec) = traced_state();
-    let report = run_with_shared(
+    let report = run(
         &plan,
         &w.schema,
         &w.registry,
-        Arc::clone(&shared),
-        None,
-        None,
+        &ExecConfig { k: None },
+        ExecContext::shared(Arc::clone(&shared)),
     )
     .expect("runs");
     assert!(!report.answers.is_empty());
@@ -147,13 +146,12 @@ fn threaded_trace_reconciles_with_accounting_under_faults() {
         time_scale: 1e-6,
         ..ThreadedConfig::default()
     };
-    let report = run_threaded_shared(
+    let report = run_threaded(
         &plan,
         &w.schema,
         &w.registry,
-        Arc::clone(&shared),
-        None,
         &config,
+        ExecContext::shared(Arc::clone(&shared)),
     )
     .expect("runs");
     assert!(!report.answers.is_empty());
@@ -167,13 +165,11 @@ fn topk_early_halt_stats_reconcile() {
     script_flight(&mut w);
     let plan = plan_o(&w);
     let (shared, rec) = traced_state();
-    let mut exec = TopKExecution::with_shared(
+    let mut exec = TopKExecution::start(
         &plan,
         &w.schema,
         &w.registry,
-        Arc::clone(&shared),
-        None,
-        false,
+        ExecContext::shared(Arc::clone(&shared)),
     )
     .expect("prepares");
     let answers: Vec<_> = std::iter::from_fn(|| exec.next_answer()).take(3).collect();
@@ -190,13 +186,12 @@ fn untraced_run_records_nothing_but_keeps_operator_stats() {
     let plan = plan_o(&w);
     let shared = Arc::new(SharedServiceState::new(CacheSetting::Optimal, 0));
     assert!(shared.trace_recorder().is_none());
-    let report = run_with_shared(
+    let report = run(
         &plan,
         &w.schema,
         &w.registry,
-        Arc::clone(&shared),
-        None,
-        None,
+        &ExecConfig { k: None },
+        ExecContext::shared(Arc::clone(&shared)),
     )
     .expect("runs");
     // per-node stats are always on — EXPLAIN ANALYZE needs no opt-in
@@ -208,13 +203,12 @@ fn explain_analyze_renders_the_observed_run() {
     let w = travel_world(2008);
     let plan = plan_o(&w);
     let (shared, _rec) = traced_state();
-    let report = run_with_shared(
+    let report = run(
         &plan,
         &w.schema,
         &w.registry,
-        Arc::clone(&shared),
-        None,
-        None,
+        &ExecConfig { k: None },
+        ExecContext::shared(Arc::clone(&shared)),
     )
     .expect("runs");
     let sel = SelectivityModel::default();

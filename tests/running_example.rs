@@ -91,7 +91,8 @@ fn conf_is_called_once_everywhere() {
                 &plan,
                 &world.schema,
                 &world.registry,
-                &ExecConfig { cache, k: None },
+                &ExecConfig { k: None },
+                ExecContext::private(cache),
             )
             .expect("executes");
             assert_eq!(report.calls_to(world.ids.conf), 1);
@@ -176,10 +177,8 @@ fn optimizer_beats_measured_plans() {
         &chosen,
         &world.schema,
         &world.registry,
-        &ExecConfig {
-            cache: CacheSetting::OneCall,
-            k: None,
-        },
+        &ExecConfig { k: None },
+        ExecContext::private(CacheSetting::OneCall),
     )
     .expect("executes");
 
@@ -190,10 +189,8 @@ fn optimizer_beats_measured_plans() {
             &p,
             &w.schema,
             &w.registry,
-            &ExecConfig {
-                cache: CacheSetting::OneCall,
-                k: None,
-            },
+            &ExecConfig { k: None },
+            ExecContext::private(CacheSetting::OneCall),
         )
         .expect("executes");
         assert!(

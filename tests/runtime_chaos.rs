@@ -15,7 +15,8 @@
 //! [`PageCache`]: mdq::exec::cache::PageCache
 
 use mdq::cost::metrics::ExecutionTime;
-use mdq::exec::gateway::{RetryPolicy, ServiceGateway};
+use mdq::exec::gateway::RetryPolicy;
+use mdq::exec::ExecContext;
 use mdq::model::value::Value;
 use mdq::optimizer::bnb::OptimizerConfig;
 use mdq::runtime::session::QueryStats;
@@ -214,14 +215,9 @@ fn shared_cache_never_stores_tuples_from_failed_pages() {
         .candidate
         .plan;
     let conf = engine.schema().service_by_name("conf").expect("conf id");
-    let mut probe = ServiceGateway::with_shared(
-        &plan,
-        engine.schema(),
-        engine.registry(),
-        std::sync::Arc::clone(server.shared_state()),
-        None,
-    )
-    .expect("builds");
+    let mut probe = ExecContext::shared(std::sync::Arc::clone(server.shared_state()))
+        .gateway(&plan, engine.schema(), engine.registry())
+        .expect("builds");
     let calls_before = server.shared_state().total_calls();
     let fetch = probe.fetch_page(conf, 0, &[Value::str("AI")], 0);
     assert!(fetch.tuples.is_empty(), "no fabricated tuples");

@@ -7,8 +7,9 @@
 
 use mdq::cost::metrics::ExecutionTime;
 use mdq::exec::cache::CacheSetting;
-use mdq::exec::gateway::{ServiceGateway, SharedServiceState};
+use mdq::exec::gateway::SharedServiceState;
 use mdq::exec::pipeline::ExecConfig;
+use mdq::exec::ExecContext;
 use mdq::model::value::{Tuple, Value};
 use mdq::optimizer::bnb::OptimizerConfig;
 use mdq::services::domains::travel::travel_world;
@@ -59,9 +60,9 @@ fn independent_run(engine: &Mdq, text: &str) -> (Vec<Tuple>, u64) {
         .execute(
             &optimized.candidate.plan,
             &ExecConfig {
-                cache: CacheSetting::Optimal,
                 k: Some(K as usize),
             },
+            ExecContext::private(CacheSetting::Optimal),
         )
         .expect("executes");
     (report.answers.clone(), report.calls.values().sum())
@@ -207,13 +208,9 @@ fn shared_page_cache_never_fabricates_or_drops_pages() {
     const PAGES: u32 = 4;
 
     // uncontended reference stream, private state
-    let mut reference = ServiceGateway::new(
-        &plan,
-        engine.schema(),
-        engine.registry(),
-        CacheSetting::Optimal,
-    )
-    .expect("builds");
+    let mut reference = ExecContext::private(CacheSetting::Optimal)
+        .gateway(&plan, engine.schema(), engine.registry())
+        .expect("builds");
     let expected: Vec<Vec<Vec<Tuple>>> = keys
         .iter()
         .map(|key| {
@@ -232,14 +229,9 @@ fn shared_page_cache_never_fabricates_or_drops_pages() {
             let keys = &keys;
             let expected = &expected;
             scope.spawn(move || {
-                let mut g = ServiceGateway::with_shared(
-                    &plan,
-                    engine.schema(),
-                    engine.registry(),
-                    shared,
-                    None,
-                )
-                .expect("builds");
+                let mut g = ExecContext::shared(shared)
+                    .gateway(&plan, engine.schema(), engine.registry())
+                    .expect("builds");
                 // pages are demanded in order per key (as the Invoke
                 // operator does), but workers interleave the keys
                 // differently, so stores and waits contend

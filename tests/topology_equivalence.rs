@@ -38,10 +38,8 @@ fn all_19_topologies_agree_on_answers() {
             &plan,
             &w.schema,
             &w.registry,
-            &ExecConfig {
-                cache: CacheSetting::Optimal,
-                k: None,
-            },
+            &ExecConfig { k: None },
+            ExecContext::private(CacheSetting::Optimal),
         )
         .expect("executes");
         let mut answers = report.answers;
@@ -104,10 +102,8 @@ fn alternative_sequences_answer_subsets() {
             &plan,
             &w.schema,
             &w.registry,
-            &ExecConfig {
-                cache: CacheSetting::Optimal,
-                k: None,
-            },
+            &ExecConfig { k: None },
+            ExecContext::private(CacheSetting::Optimal),
         )
         .expect("executes")
         .answers;
@@ -138,10 +134,8 @@ fn alternative_sequences_answer_subsets() {
             &plan,
             &w.schema,
             &w.registry,
-            &ExecConfig {
-                cache: CacheSetting::Optimal,
-                k: None,
-            },
+            &ExecConfig { k: None },
+            ExecContext::private(CacheSetting::Optimal),
         )
         .expect("executes");
         for a in &report.answers {
