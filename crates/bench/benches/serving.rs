@@ -3,7 +3,12 @@
 //! workload — what the network front door costs on top of the
 //! [`QueryServer`], and what frame encode/decode costs on its own.
 //!
-//! Emits `BENCH_serving.json` at the workspace root.
+//! Emits `BENCH_serving.json` at the workspace root, and fails when a
+//! connection costs more than a relational band allows: 16 queries on
+//! 16 connections may take at most 25× the same 16 on one connection.
+//! Both sides run on the same machine in the same minute, so the band
+//! needs no calibration; a timer on the accept path (25 ms per
+//! connection made it 482×) breaks it, a slow runner does not.
 
 use mdq_bench::harness::Bench;
 use mdq_runtime::net::{ClientFrame, NetClient, NetServer, ServerFrame};
@@ -14,6 +19,9 @@ use std::sync::Arc;
 const QUERY: &str = "q(City, Venue, Price) :- events('mahler-2', City, Venue, D), \
                      lowcost('Milano', City, Price), Price <= 60.0.";
 const N: usize = 16;
+/// How many times the one-connection wall time `N` connections may
+/// cost (measured: under 10×).
+const CONNECTION_BAND: u128 = 25;
 
 /// Drains `n` queries through one TCP connection; answers counted.
 fn drive_tcp(client: &mut NetClient, n: usize) -> usize {
@@ -104,5 +112,31 @@ fn main() {
     drop(warm);
     drop(tenant);
     net.shutdown();
+
+    let mean = |case: &str| {
+        let name = format!("serving/{N}-queries/tcp/{case}");
+        bench
+            .results()
+            .iter()
+            .find(|r| r.name == name)
+            .map(|r| r.mean_ns)
+    };
+    let band = mean("one-per-connection").zip(mean("one-connection"));
+    if let Some((churned, held)) = band {
+        bench.gauge(
+            &format!("serving/{N}-queries/tcp/per-connection-vs-one-x100"),
+            (churned * 100 / held.max(1)) as u64,
+            "ratio",
+        );
+    }
     bench.write_json("serving");
+    if let Some((churned, held)) = band {
+        if churned > CONNECTION_BAND * held {
+            eprintln!(
+                "one query per connection costs {churned} ns per {N}, over {CONNECTION_BAND}x \
+                 the {held} ns of one connection: something waits on the connection path"
+            );
+            std::process::exit(1);
+        }
+    }
 }

@@ -2,8 +2,9 @@
 //!
 //! The workspace builds offline (no `criterion`), so the `benches/`
 //! targets use this: wall-clock timing with a warm-up pass, adaptive
-//! iteration counts, and a `name-substring` filter from the command
-//! line. Invoke through `cargo bench -p mdq-bench [-- <filter>]`.
+//! iteration counts (at least 50 for a case under 20 ms), and a
+//! `name-substring` filter from the command line. Invoke through
+//! `cargo bench -p mdq-bench [-- <filter>]`.
 //!
 //! Besides the per-line console output, every run records its results;
 //! a bench target ends with [`Bench::write_json`], which emits a
@@ -18,8 +19,10 @@ use std::time::{Duration, Instant};
 
 /// Target measurement time per benchmark.
 const TARGET: Duration = Duration::from_millis(300);
-/// Iteration bounds.
+/// Iteration bounds. The floor is 50 wherever 50 iterations fit in a
+/// second (a mean over five says little), and 5 for slower cases.
 const MIN_ITERS: u32 = 5;
+const MIN_ITERS_SUBSECOND: u32 = 50;
 const MAX_ITERS: u32 = 10_000;
 
 /// One measured entry.
@@ -91,8 +94,12 @@ impl Bench {
         let start = Instant::now();
         black_box(f());
         let once = start.elapsed().max(Duration::from_nanos(1));
-        let iters =
-            ((TARGET.as_nanos() / once.as_nanos()).max(1) as u32).clamp(MIN_ITERS, MAX_ITERS);
+        let floor = if once * MIN_ITERS_SUBSECOND <= Duration::from_secs(1) {
+            MIN_ITERS_SUBSECOND
+        } else {
+            MIN_ITERS
+        };
+        let iters = ((TARGET.as_nanos() / once.as_nanos()).max(1) as u32).clamp(floor, MAX_ITERS);
         let start = Instant::now();
         for _ in 0..iters {
             black_box(f());

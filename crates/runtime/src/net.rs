@@ -51,21 +51,53 @@
 //! (new ones get `DRAINING`), lets every in-flight query finish, sends
 //! idle connections `DRAINING`, and only then shuts the query server
 //! down.
+//!
+//! # No timer on the connection path
+//!
+//! Every wait on the accept → hello → frame → close path is a blocking
+//! system call, and drain is *signalled*, never polled. The accept
+//! thread sleeps in `accept()`; [`NetServer::shutdown`] sets the drain
+//! flag and wakes it with one throw-away connect to the listener's own
+//! port. A handler sleeps in `read()`; the accept thread keeps a second
+//! handle on every accepted socket, and drain shuts the *read half* of
+//! each live one — the blocked read returns end-of-file, the handler
+//! sees the flag and says `DRAINING` + `BYE` over the write half, which
+//! is still open. A query in flight is not reading, so it finishes and
+//! streams its answers first. The one sleep left is the back-off after
+//! a failing `accept()` (file-descriptor exhaustion), so that loop
+//! cannot spin.
+//!
+//! The server closes first: a handler ends by shutting its socket down
+//! (both halves), so the FIN follows the last frame without waiting
+//! for the accept thread to drop its handle, and the `TIME_WAIT` entry
+//! lands on the server's side of the pair — which is what lets a
+//! client open connections faster than ephemeral ports expire.
+//!
+//! A client frame is at most 64 KiB long, newline included; a peer
+//! that sends more without a newline is answered `ERR frame too long`
+//! and disconnected.
 
 use crate::server::{QueryServer, Rejection};
 use crate::session::SessionEvent;
 use crate::tenant::{TenantPolicy, DEFAULT_TENANT};
 use mdq_exec::gateway::TenantId;
 use mdq_obs::span::SpanKind;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often blocked reads and the accept loop re-check the drain flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
+/// The longest client frame the server reads, newline included. A
+/// query text is a few hundred bytes; the cap only bounds what a peer
+/// that never sends `\n` can make a handler buffer.
+const MAX_FRAME_BYTES: usize = 64 * 1024;
+
+/// How long the accept loop backs off after `accept()`, or the `dup`
+/// or thread spawn behind it, fails (`EMFILE` and friends persist until
+/// a connection closes — retrying at once would spin).
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Replaces newline characters so any text fits a one-line frame.
 fn escape_line(s: &str) -> String {
@@ -494,8 +526,62 @@ struct NetShared {
 pub struct NetServer {
     shared: Arc<NetShared>,
     addr: SocketAddr,
-    accept: Mutex<Option<JoinHandle<()>>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    accept: Mutex<Option<JoinHandle<Vec<Conn>>>>,
+}
+
+/// One accepted connection as the accept thread tracks it: the
+/// handler's thread, and a second handle on its socket through which
+/// drain shuts the read half.
+type Conn = (JoinHandle<()>, TcpStream);
+
+/// Where a connect reaches a listener bound to `bound`: the address
+/// itself, or loopback when it is the unspecified address (`0.0.0.0`,
+/// `::`), which names every interface but is no destination.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// The accept loop: blocks in `accept()`, spawns one handler thread
+/// per connection, and returns the connections still tracked once the
+/// drain flag is up (the first connection accepted after that — the
+/// wake-up connect of [`NetServer::shutdown`] or a late client — is
+/// refused with a drain notice).
+fn accept_loop(shared: &Arc<NetShared>, listener: &TcpListener) -> Vec<Conn> {
+    let mut conns: Vec<Conn> = Vec::new();
+    while !shared.draining.load(Ordering::Acquire) {
+        let Ok((stream, peer)) = listener.accept() else {
+            std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+            continue;
+        };
+        if shared.draining.load(Ordering::Acquire) {
+            // refuse with a drain notice, never silently
+            let mut stream = stream;
+            let _ = writeln!(stream, "{}", ServerFrame::Draining.encode());
+            let _ = writeln!(stream, "{}", ServerFrame::Bye.encode());
+            break;
+        }
+        // dropping a finished entry closes this side's handle; the
+        // handler already shut the socket down, so the peer is not
+        // waiting on it
+        conns.retain(|(handle, _)| !handle.is_finished());
+        // out of descriptors or threads: the peer sees a close, and the
+        // loop waits for a connection to end like any failed accept
+        let conn = stream.try_clone().and_then(|drain_handle| {
+            let shared = Arc::clone(shared);
+            let handler = move || handle_connection(&shared, &stream, peer);
+            Ok((std::thread::Builder::new().spawn(handler)?, drain_handle))
+        });
+        match conn {
+            Ok(conn) => conns.push(conn),
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
+        }
+    }
+    conns
 }
 
 impl NetServer {
@@ -504,48 +590,19 @@ impl NetServer {
     pub fn start(query: Arc<QueryServer>, addr: &str) -> io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shared = Arc::new(NetShared {
             query,
             draining: AtomicBool::new(false),
             open: AtomicU64::new(0),
         });
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let accept = {
             let shared = Arc::clone(&shared);
-            let conns = Arc::clone(&conns);
-            std::thread::spawn(move || loop {
-                if shared.draining.load(Ordering::Acquire) {
-                    return;
-                }
-                match listener.accept() {
-                    Ok((stream, peer)) => {
-                        if shared.draining.load(Ordering::Acquire) {
-                            // refuse with a drain notice, never silently
-                            let mut stream = stream;
-                            let _ = writeln!(stream, "{}", ServerFrame::Draining.encode());
-                            let _ = writeln!(stream, "{}", ServerFrame::Bye.encode());
-                            return;
-                        }
-                        let shared = Arc::clone(&shared);
-                        let handle =
-                            std::thread::spawn(move || handle_connection(&shared, stream, peer));
-                        let mut conns = recover(conns.lock());
-                        conns.retain(|h| !h.is_finished());
-                        conns.push(handle);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(POLL_INTERVAL);
-                    }
-                    Err(_) => std::thread::sleep(POLL_INTERVAL),
-                }
-            })
+            std::thread::spawn(move || accept_loop(&shared, &listener))
         };
         Ok(NetServer {
             shared,
             addr,
             accept: Mutex::new(Some(accept)),
-            conns,
         })
     }
 
@@ -563,16 +620,29 @@ impl NetServer {
     /// Graceful drain: stop accepting connections (late arrivals get
     /// `DRAINING`), let in-flight queries finish and idle connections
     /// notice the drain, join every handler, then shut the wrapped
-    /// [`QueryServer`] down. Idempotent; called automatically on drop.
+    /// [`QueryServer`] down. Nothing here waits on a clock: the accept
+    /// thread is woken by a connect to its own port, idle handlers by
+    /// the shutdown of their sockets' read halves. Idempotent; called
+    /// automatically on drop.
     pub fn shutdown(&self) {
         let drain_started = Instant::now();
         let in_flight = self.shared.open.load(Ordering::Acquire);
         self.shared.draining.store(true, Ordering::Release);
-        if let Some(handle) = recover(self.accept.lock()).take() {
-            let _ = handle.join();
-        }
-        for handle in recover(self.conns.lock()).drain(..) {
-            let _ = handle.join();
+        if let Some(accept) = recover(self.accept.lock()).take() {
+            // the accept thread is blocked in accept(): hand it a
+            // connection to return with. A refused connect means a late
+            // client already woke it and the listener is gone
+            drop(TcpStream::connect(wake_addr(self.addr)));
+            let conns = accept.join().unwrap_or_default();
+            // a handler blocked in read() returns end-of-file and says
+            // DRAINING over the write half; one serving a query is not
+            // reading and finds the flag when the query is done
+            for (_, stream) in &conns {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
+            for (handle, _) in conns {
+                let _ = handle.join();
+            }
         }
         if let Some(recorder) = self.shared.query.trace_recorder() {
             recorder.control().record(
@@ -590,33 +660,38 @@ impl Drop for NetServer {
     }
 }
 
-/// Decrements the open-connection gauge even if the handler panics.
-struct OpenGuard<'a>(&'a AtomicU64);
+/// Ends a connection even if the handler panics: shuts the socket down
+/// — the accept thread's handle would otherwise keep it open, and the
+/// peer waiting, until the next accept prunes it — and decrements the
+/// open-connection gauge.
+struct ConnGuard<'a> {
+    stream: &'a TcpStream,
+    open: &'a AtomicU64,
+}
 
-impl Drop for OpenGuard<'_> {
+impl Drop for ConnGuard<'_> {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
+        let _ = self.stream.shutdown(Shutdown::Both);
+        self.open.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
 /// One connection, accept to close: greet, then serve frames until
-/// `QUIT`, EOF, a write failure, or drain.
-fn handle_connection(shared: &NetShared, stream: TcpStream, peer: SocketAddr) {
+/// `QUIT`, EOF, a write failure, an over-long frame, or drain.
+fn handle_connection(shared: &NetShared, stream: &TcpStream, peer: SocketAddr) {
     shared.open.fetch_add(1, Ordering::AcqRel);
-    let _open = OpenGuard(&shared.open);
+    let _conn = ConnGuard {
+        stream,
+        open: &shared.open,
+    };
     shared.query.note_connection();
     let connected_at = Instant::now();
     let mut queries = 0u64;
-    // the read half polls so an idle connection notices the drain flag
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     // answer frames are small and latency-bound: without nodelay, Nagle
     // against the peer's delayed ACK adds ~40ms to every round trip
     let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
     let mut reader = BufReader::new(stream);
+    let mut writer = stream;
     // one write per frame: a frame split across writes can be torn
     // apart by the peer's read timeout mid-line
     let mut send =
@@ -636,22 +711,29 @@ fn handle_connection(shared: &NetShared, stream: TcpStream, peer: SocketAddr) {
             let _ = send(ServerFrame::Bye);
             break;
         }
-        match reader.read_line(&mut line) {
-            Ok(0) => break, // EOF: client went away
-            Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                // poll tick: re-check the drain flag. A partially read
-                // line stays in `line` and completes on a later tick —
-                // clearing here would tear frames that straddle a
-                // timeout
+        // blocks until a newline, end-of-file or the frame cap
+        let mut frame_reader = reader.by_ref().take(MAX_FRAME_BYTES as u64 + 1);
+        if frame_reader.read_line(&mut line).is_err() {
+            break;
+        }
+        if line.len() > MAX_FRAME_BYTES {
+            let _ = send(ServerFrame::Err {
+                reason: "frame too long".to_string(),
+            });
+            break;
+        }
+        if !line.ends_with('\n') {
+            // end-of-file: the peer closed its write half, or drain
+            // shut our read half. On drain whatever was read is half a
+            // frame — dropped, the loop head says DRAINING; a peer's
+            // unterminated last frame is served before the EOF behind it
+            if shared.draining.load(Ordering::Acquire) {
+                line.clear();
                 continue;
             }
-            Err(_) => break,
+            if line.is_empty() {
+                break; // client went away
+            }
         }
         let text = std::mem::take(&mut line);
         if text.trim().is_empty() {
@@ -1374,11 +1456,8 @@ mod tests {
         net.shutdown();
     }
 
-    #[test]
-    fn subscribe_frame_survives_a_read_timeout_mid_line() {
-        // the PR 8 QUERY regression shape, for SUBSCRIBE: a frame
-        // delivered in two TCP segments straddling the server's 25ms
-        // poll tick must not be torn into two bogus lines
+    /// A one-worker news server on an ephemeral loopback port.
+    fn news_net() -> NetServer {
         let server = Arc::new(QueryServer::from_world(
             news_world(),
             RuntimeConfig {
@@ -1386,29 +1465,44 @@ mod tests {
                 ..RuntimeConfig::default()
             },
         ));
-        let net = NetServer::start(server, "127.0.0.1:0").expect("bind");
-        let mut stream = TcpStream::connect(net.addr()).expect("connect");
+        NetServer::start(server, "127.0.0.1:0").expect("bind")
+    }
+
+    /// A raw connection with the greeting consumed: the socket to write
+    /// frames (or fragments of frames) to, and a line reader over it.
+    fn raw_connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+        let stream = TcpStream::connect(addr).expect("connect");
         stream.set_nodelay(true).expect("nodelay");
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        assert!(next_line(&mut reader).starts_with("HELLO"));
+        (stream, reader)
+    }
+
+    /// The next frame line, or `""` once the server has closed.
+    fn next_line(reader: &mut BufReader<TcpStream>) -> String {
         let mut line = String::new();
-        reader.read_line(&mut line).expect("hello");
-        assert!(line.starts_with("HELLO"));
+        reader.read_line(&mut line).expect("read");
+        line
+    }
+
+    #[test]
+    fn subscribe_frame_in_two_segments_is_one_frame() {
+        // the PR 8 QUERY regression shape, for SUBSCRIBE: a frame
+        // delivered in two TCP segments with a pause between them must
+        // not be torn into two bogus lines
+        let net = news_net();
+        let (mut stream, mut reader) = raw_connect(net.addr());
         let frame = format!("SUBSCRIBE k=5 {QUERY}\n");
         let (head, tail) = frame.split_at(frame.len() / 2);
         stream.write_all(head.as_bytes()).expect("first half");
-        stream.flush().expect("flush");
-        // straddle at least one poll tick so the server's read times
-        // out with the partial line buffered
-        std::thread::sleep(POLL_INTERVAL * 3);
+        // long enough that the server has read the first segment and
+        // is blocked waiting for the rest
+        std::thread::sleep(Duration::from_millis(75));
         stream.write_all(tail.as_bytes()).expect("second half");
-        stream.flush().expect("flush");
-        line.clear();
-        reader.read_line(&mut line).expect("subscribed");
-        match ServerFrame::parse(&line).expect("parses") {
+        match ServerFrame::parse(&next_line(&mut reader)).expect("parses") {
             ServerFrame::Subscribed { answers, .. } => {
                 for _ in 0..answers {
-                    line.clear();
-                    reader.read_line(&mut line).expect("answer");
+                    let line = next_line(&mut reader);
                     assert!(line.starts_with("ANSWER"), "answer stream intact: {line}");
                 }
             }
@@ -1419,23 +1513,122 @@ mod tests {
     }
 
     #[test]
+    fn connection_churn_has_no_timer_floor() {
+        // a cycle is a handshake, a thread spawn and two round trips
+        // (~20 ms for all 40); any timer on the accept or hello path —
+        // a listener polled every 25 ms costs a second here — fails it
+        let net = news_net();
+        let started = Instant::now();
+        for _ in 0..40 {
+            let mut client = NetClient::connect(net.addr()).expect("connect");
+            client.ping().expect("ping");
+            client.quit().expect("clean close");
+        }
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(400),
+            "40 connect/ping/quit cycles took {elapsed:?}"
+        );
+        // BYE precedes the handler's exit: give the last one a moment
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while net.open_connections() != 0 {
+            assert!(Instant::now() < deadline, "a handler outlived its QUIT");
+            std::thread::yield_now();
+        }
+        net.shutdown();
+    }
+
+    #[test]
+    fn overlong_frame_is_refused_and_the_connection_closed() {
+        let net = news_net();
+        let (stream, mut reader) = raw_connect(net.addr());
+        // 1 MiB and never a newline; the writes fail or block once the
+        // server has hung up, hence a thread of their own
+        let flood = {
+            let mut stream = stream.try_clone().expect("clone");
+            std::thread::spawn(move || {
+                let chunk = [b'a'; 8192];
+                for _ in 0..128 {
+                    if stream.write_all(&chunk).is_err() {
+                        break;
+                    }
+                }
+            })
+        };
+        // meanwhile the server serves everyone else
+        let mut other = NetClient::connect(net.addr()).expect("connect");
+        match other.query(QUERY, Some(5)).expect("wire io") {
+            QueryOutcome::Done { answers, .. } => assert!(!answers.is_empty()),
+            o => panic!("a well-behaved neighbour is served, got {o:?}"),
+        }
+        other.quit().expect("clean close");
+        assert_eq!(
+            ServerFrame::parse(&next_line(&mut reader)),
+            Ok(ServerFrame::Err {
+                reason: "frame too long".to_string()
+            })
+        );
+        // and hung up: end-of-file, or a reset for the bytes it refused
+        let mut rest = String::new();
+        assert!(matches!(reader.read_line(&mut rest), Ok(0) | Err(_)));
+        // release the flood if it is blocked on a full socket buffer
+        let _ = stream.shutdown(Shutdown::Both);
+        flood.join().expect("flood ends");
+        net.shutdown();
+    }
+
+    #[test]
+    fn reply_survives_a_client_half_close() {
+        // end-of-file after a complete frame is a peer that is done
+        // asking, not a drain: it still gets its answer
+        let net = news_net();
+        let (mut stream, mut reader) = raw_connect(net.addr());
+        stream.write_all(b"PING\n").expect("ping");
+        stream.shutdown(Shutdown::Write).expect("half-close");
+        assert_eq!(
+            ServerFrame::parse(&next_line(&mut reader)),
+            Ok(ServerFrame::Pong)
+        );
+        assert_eq!(next_line(&mut reader), "", "then the server closes");
+        net.shutdown();
+    }
+
+    #[test]
+    fn drain_drops_a_torn_half_frame_without_an_err() {
+        let net = news_net();
+        let (mut stream, mut reader) = raw_connect(net.addr());
+        stream.write_all(b"QUERY k=5 q(City, Ven").expect("half");
+        net.shutdown();
+        let frames: Vec<_> = std::iter::from_fn(|| {
+            let line = next_line(&mut reader);
+            (!line.is_empty()).then(|| ServerFrame::parse(&line).expect("parses"))
+        })
+        .collect();
+        assert_eq!(frames, [ServerFrame::Draining, ServerFrame::Bye]);
+    }
+
+    #[test]
     fn drain_notifies_idle_connections_and_refuses_new_ones() {
-        let server = Arc::new(QueryServer::from_world(
-            news_world(),
-            RuntimeConfig {
-                workers: 1,
-                ..RuntimeConfig::default()
-            },
-        ));
-        let net = NetServer::start(server, "127.0.0.1:0").expect("bind");
+        let net = Arc::new(news_net());
         let addr = net.addr();
-        let mut idle = NetClient::connect(addr).expect("connect");
-        idle.ping().expect("ping");
-        let drainer = std::thread::spawn(move || net.shutdown());
-        // the idle connection is told about the drain rather than cut
-        let frame = idle.read_frame().expect("drain notice");
-        assert_eq!(frame, ServerFrame::Draining);
+        let mut idle: Vec<_> = (0..8)
+            .map(|_| {
+                let mut client = NetClient::connect(addr).expect("connect");
+                client.ping().expect("ping");
+                client
+            })
+            .collect();
+        let drainer = {
+            let net = Arc::clone(&net);
+            std::thread::spawn(move || net.shutdown())
+        };
+        // every idle connection is told about the drain rather than cut
+        for client in &mut idle {
+            assert_eq!(client.read_frame().expect("notice"), ServerFrame::Draining);
+            assert_eq!(client.read_frame().expect("close"), ServerFrame::Bye);
+        }
         drainer.join().expect("drain completes");
+        assert_eq!(net.open_connections(), 0, "every handler was joined");
         // and the listener is gone: new connections fail outright
         assert!(NetClient::connect(addr).is_err(), "listener closed");
     }

@@ -13,10 +13,13 @@
 //!    counted, nothing lost.
 
 use mdq::model::value::Value;
-use mdq::runtime::net::{NetClient, NetServer, QueryOutcome};
+use mdq::runtime::net::{NetClient, NetServer, QueryOutcome, ServerFrame};
 use mdq::runtime::{QueryServer, RuntimeConfig};
 use mdq::services::domains::news::news_world;
+use mdq::services::domains::World;
 use mdq::services::service::{Service, ServiceResponse};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -53,6 +56,24 @@ fn open_gate(gate: &Arc<(Mutex<bool>, Condvar)>) {
     released.notify_all();
 }
 
+/// The news world with `lowcost` behind `gate`.
+fn gated_news_world(gate: &Arc<(Mutex<bool>, Condvar)>) -> World {
+    let mut world = news_world();
+    let id = world
+        .schema
+        .service_by_name("lowcost")
+        .expect("news world has lowcost");
+    let inner = Arc::clone(world.registry.get(id).expect("registered"));
+    world.registry.register(
+        id,
+        GatedService {
+            inner,
+            gate: Arc::clone(gate),
+        },
+    );
+    world
+}
+
 /// Issues one query, retrying on `SHED` after the server's hint until
 /// it completes. Returns (shed observations, server-side wall ms).
 fn query_until_done(client: &mut NetClient, sheds: &AtomicU64) -> u64 {
@@ -83,19 +104,7 @@ fn overload_sheds_promptly_and_counters_reconcile() {
     const RETRY_AFTER: Duration = Duration::from_millis(25);
 
     let gate = Arc::new((Mutex::new(false), Condvar::new()));
-    let mut world = news_world();
-    let id = world
-        .schema
-        .service_by_name("lowcost")
-        .expect("news world has lowcost");
-    let inner = Arc::clone(world.registry.get(id).expect("registered"));
-    world.registry.register(
-        id,
-        GatedService {
-            inner,
-            gate: Arc::clone(&gate),
-        },
-    );
+    let world = gated_news_world(&gate);
 
     let server = Arc::new(QueryServer::from_world(
         world,
@@ -270,4 +279,76 @@ fn overload_sheds_promptly_and_counters_reconcile() {
     // graceful drain: no open connections survive shutdown
     net.shutdown();
     assert_eq!(net.open_connections(), 0, "drain closed every connection");
+}
+
+#[test]
+fn drain_lets_an_in_flight_query_finish_before_the_notice() {
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let server = Arc::new(QueryServer::from_world(
+        gated_news_world(&gate),
+        RuntimeConfig {
+            workers: 1,
+            ..RuntimeConfig::default()
+        },
+    ));
+    let net = NetServer::start(Arc::clone(&server), "127.0.0.1:0").expect("binds loopback");
+    let addr = net.addr();
+
+    // one query on the wire, wedged in the gated service
+    let mut stream = TcpStream::connect(addr).expect("connects");
+    let mut frames = BufReader::new(stream.try_clone().expect("clones")).lines();
+    let mut next_frame = move || {
+        let line = frames.next().expect("server still talking").expect("reads");
+        ServerFrame::parse(&line).expect("a server frame")
+    };
+    assert!(matches!(next_frame(), ServerFrame::Hello { .. }));
+    stream
+        .write_all(format!("QUERY k=3 {QUERY}\n").as_bytes())
+        .expect("sends");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.metrics().submitted != 1 || server.queue_depth() != 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the query never reached a worker"
+        );
+        std::thread::yield_now();
+    }
+
+    // the drain starts while the query is wedged; it is provably under
+    // way once the listener stops greeting
+    let drainer = std::thread::spawn(move || net.shutdown());
+    while NetClient::connect(addr).is_ok() {
+        assert!(Instant::now() < deadline, "the listener never closed");
+        std::thread::yield_now();
+    }
+    assert_eq!(
+        server.metrics().completed,
+        0,
+        "the query is still in flight"
+    );
+    open_gate(&gate);
+
+    // the whole answer stream first, the drain notice after it
+    let mut answers = 0;
+    let done = loop {
+        match next_frame() {
+            ServerFrame::Answer { .. } => answers += 1,
+            other => break other,
+        }
+    };
+    match done {
+        ServerFrame::Done {
+            answers: n,
+            partial,
+            ..
+        } => {
+            assert_eq!(n, answers, "DONE counts the streamed answers");
+            assert!(answers > 0 && !partial, "the query ran to completion");
+        }
+        other => panic!("expected DONE after the answers, got {other:?}"),
+    }
+    assert_eq!(next_frame(), ServerFrame::Draining);
+    assert_eq!(next_frame(), ServerFrame::Bye);
+    drainer.join().expect("drain completes");
+    assert_eq!(server.metrics().completed, 1);
 }
