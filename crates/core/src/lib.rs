@@ -161,11 +161,6 @@ impl Mdq {
         &mut self.registry
     }
 
-    /// Overrides the join-strategy oracle (§3.3 registration-time pairs).
-    pub fn set_strategy_rule(&mut self, rule: StrategyRule) {
-        self.strategy = rule;
-    }
-
     /// Overrides predicate-selectivity defaults.
     pub fn set_selectivity(&mut self, model: SelectivityModel) {
         self.selectivity = model;
@@ -397,7 +392,6 @@ pub struct OptimizerReplanner<'a> {
     schema: &'a Schema,
     metric: &'a dyn CostMetric,
     config: OptimizerConfig,
-    min_calls: u64,
     /// Shared-work oracle consulted when pricing suffix candidates: a
     /// splice prefers plans whose invoke prefix the serving layer has
     /// already materialized. `None` = nothing shared (standalone).
@@ -413,16 +407,8 @@ impl<'a> OptimizerReplanner<'a> {
             schema,
             metric,
             config,
-            min_calls: 1,
             oracle: None,
         }
-    }
-
-    /// Requires this many observed calls before a service's profile is
-    /// refreshed (mirrors [`AdaptiveConfig::min_calls`]).
-    pub fn with_min_calls(mut self, min_calls: u64) -> Self {
-        self.min_calls = min_calls;
-        self
     }
 
     /// Consults `oracle` when pricing re-plan candidates, so a splice
@@ -433,13 +419,14 @@ impl<'a> OptimizerReplanner<'a> {
         self
     }
 
-    /// Refreshes a clone of the base schema from `observed`.
+    /// Refreshes a clone of the base schema from `observed` — every
+    /// service with at least one observed call.
     fn refreshed(
         &self,
         observed: &std::collections::HashMap<ServiceId, ObservedService>,
     ) -> Schema {
         let mut schema = self.schema.clone();
-        refresh_profiles(&mut schema, observed, self.min_calls);
+        refresh_profiles(&mut schema, observed, 1);
         schema
     }
 }

@@ -1,47 +1,143 @@
-//! Off-hot-path accounting for the shared execution state.
+//! The call ledger: one place every forwarded call is booked.
 //!
-//! Call, latency, fault and invocation-level cache counters used to
-//! live inside the single `SharedServiceState` mutex, so every page
-//! fetch serialized metrics against caching. They now accumulate in
-//! **per-gateway cells** ([`AcctCell`]) — each execution's hot path
-//! locks only its own uncontended cell — and readers *merge* the cells
-//! (plus the retired totals of dropped gateways) on demand through the
-//! [`Accounting`] registry.
+//! **One ledger per execution.** Each [`ServiceGateway`] owns one
+//! [`AcctCell`] — a mutex around one [`Counters`] — and that cell is the
+//! *only* record of what the execution forwarded: calls, latency, faults,
+//! retries, exhaustions, per-service observations and invocation-level
+//! cache hits/misses. The gateway keeps no second copy; its
+//! per-execution accessors read the cell.
 //!
-//! This module is the **only** place the counter fields are touched:
-//! the hot path writes through `record_*`, readers go through
-//! [`Accounting::merged`], and retired gateways fold in through
-//! [`Accounting::retire`]. CI greps that nothing outside this module
-//! reaches the fields directly, so hot-path lock traffic cannot creep
-//! back in.
+//! **Who writes.** Only the owning gateway, through the `record_*`
+//! methods below — one call per fact, from the arm of `fetch_page` where
+//! the fact happens. `AcctCell::update` and the [`Counters`] fields are
+//! private to this module, so no other code can reach the numbers and
+//! hot-path lock traffic cannot creep back into the shared state (the
+//! execution's own cell is uncontended).
+//!
+//! **Who merges.** The shared state's [`Accounting`] registry:
+//! [`Accounting::merged`] folds the retired totals of dropped gateways
+//! with every live cell, under the registry lock, into one [`Counters`]
+//! snapshot. A reader that needs several numbers takes *one* snapshot
+//! and derives them all from it — totals and per-service splits then
+//! agree by construction, even mid-flight.
+//!
+//! **Why cells stay live.** A cell folds into the retired totals only
+//! when its gateway drops ([`Accounting::retire`]); until then `merged`
+//! reads it in place. That is what makes a snapshot taken right after a
+//! session's `DONE` exact: the worker may not have dropped the execution
+//! yet, but its calls are already in its registered cell.
+//!
+//! [`ServiceGateway`]: crate::gateway::ServiceGateway
 
 use crate::cache::CacheStats;
 use crate::gateway::FaultStats;
 use mdq_cost::divergence::ObservedService;
 use mdq_model::schema::ServiceId;
+use mdq_obs::histogram::{Histogram, LatencySummary, SERVICE_LATENCY_BOUNDS};
 use mdq_services::service::ServiceFault;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, Weak};
 
-/// One merged (or per-worker) set of cumulative gateway counters.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct Counters {
-    /// Request-responses forwarded per service.
-    pub calls: HashMap<ServiceId, u64>,
-    /// Summed simulated latency of all forwarded calls.
-    pub latency_sum: f64,
-    /// Fault accounting per service.
-    pub faults: HashMap<ServiceId, FaultStats>,
-    /// Per-service observations of forwarded calls.
-    pub observed: HashMap<ServiceId, ObservedService>,
-    /// Invocation-level cache hit/miss counters per service.
-    pub invocations: HashMap<ServiceId, CacheStats>,
+/// One snapshot of the call ledger — an execution's own
+/// ([`ServiceGateway::ledger`](crate::gateway::ServiceGateway::ledger))
+/// or the merge across every execution over a shared state
+/// ([`SharedServiceState::ledger`](crate::gateway::SharedServiceState::ledger)).
+/// Every number derives from the same instant, so
+/// `total_calls() == Σ calls()` and `Σ observed().latency ==
+/// total_latency()` (to rounding) hold for any snapshot.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Counters {
+    calls: HashMap<ServiceId, u64>,
+    latency_sum: f64,
+    faults: HashMap<ServiceId, FaultStats>,
+    observed: HashMap<ServiceId, ObservedService>,
+    invocations: HashMap<ServiceId, CacheStats>,
 }
 
 impl Counters {
+    /// Request-responses forwarded per service (faulted attempts
+    /// included).
+    pub fn calls(&self) -> &HashMap<ServiceId, u64> {
+        &self.calls
+    }
+
+    /// Request-responses forwarded to `id`.
+    pub fn calls_to(&self, id: ServiceId) -> u64 {
+        self.calls.get(&id).copied().unwrap_or(0)
+    }
+
+    /// Request-responses forwarded, all services.
+    pub fn total_calls(&self) -> u64 {
+        self.calls.values().sum()
+    }
+
+    /// Summed simulated latency of all forwarded calls.
+    pub fn total_latency(&self) -> f64 {
+        self.latency_sum
+    }
+
+    /// Fault accounting per service (empty while healthy).
+    pub fn faults(&self) -> &HashMap<ServiceId, FaultStats> {
+        &self.faults
+    }
+
+    /// Fault accounting for `id`.
+    pub fn faults_for(&self, id: ServiceId) -> FaultStats {
+        self.faults.get(&id).copied().unwrap_or_default()
+    }
+
+    /// Fault accounting, all services.
+    pub fn total_faults(&self) -> FaultStats {
+        let mut total = FaultStats::default();
+        for s in self.faults.values() {
+            total.merge(s);
+        }
+        total
+    }
+
+    /// Per-service observations of forwarded calls (tuples, latency,
+    /// faults). Cache hits are not observations and do not appear.
+    pub fn observed(&self) -> &HashMap<ServiceId, ObservedService> {
+        &self.observed
+    }
+
+    /// Invocation-level cache statistics for `id`.
+    pub fn cache_stats(&self, id: ServiceId) -> CacheStats {
+        self.invocations.get(&id).copied().unwrap_or_default()
+    }
+
+    /// Invocation-level cache statistics, all services.
+    pub fn total_cache_stats(&self) -> CacheStats {
+        let mut total = CacheStats::default();
+        for s in self.invocations.values() {
+            total.hits += s.hits;
+            total.misses += s.misses;
+        }
+        total
+    }
+
+    /// Count + mean + max (and exact total) of the per-attempt
+    /// simulated latency, per service — derived from the observations,
+    /// which accumulate at exactly the sites the total does.
+    pub fn latency_summaries(&self) -> impl Iterator<Item = (ServiceId, LatencySummary)> + '_ {
+        self.observed
+            .iter()
+            .map(|(id, o)| (*id, o.latency_summary()))
+    }
+
+    /// The per-attempt simulated-latency distribution across every
+    /// service, as one fixed-bucket [`Histogram`].
+    pub fn latency_histogram(&self) -> Histogram {
+        let mut h = Histogram::new(&SERVICE_LATENCY_BOUNDS);
+        for o in self.observed.values() {
+            h.merge(&o.latency_histogram());
+        }
+        h
+    }
+
     /// Accumulates `self` into `into` — the single merge primitive every
     /// cross-worker read goes through.
-    pub fn merge_into(&self, into: &mut Counters) {
+    fn merge_into(&self, into: &mut Counters) {
         for (id, n) in &self.calls {
             *into.calls.entry(*id).or_insert(0) += n;
         }
@@ -60,9 +156,8 @@ impl Counters {
     }
 }
 
-/// One gateway's private counter cell. The owning execution is the only
-/// hot-path writer, so the mutex is uncontended; readers lock it briefly
-/// during a merge.
+/// One gateway's ledger cell. The owning execution is the only writer,
+/// so the mutex is uncontended; readers lock it briefly during a merge.
 pub(crate) struct AcctCell {
     counters: Mutex<Counters>,
 }
@@ -70,6 +165,11 @@ pub(crate) struct AcctCell {
 impl AcctCell {
     fn update(&self, f: impl FnOnce(&mut Counters)) {
         f(&mut self.counters.lock().expect("accounting cell lock"));
+    }
+
+    /// Reads the cell in place — the per-execution accessors' path.
+    pub fn read<R>(&self, f: impl FnOnce(&Counters) -> R) -> R {
+        f(&self.counters.lock().expect("accounting cell lock"))
     }
 
     /// Records one successful forwarded call.
@@ -160,21 +260,18 @@ impl Accounting {
     pub fn retire(&self, cell: &Arc<AcctCell>) {
         let mut inner = self.inner.lock().expect("accounting registry lock");
         let counters = cell.counters.lock().expect("accounting cell lock");
-        let mut retired = std::mem::take(&mut inner.retired);
-        counters.merge_into(&mut retired);
-        inner.retired = retired;
+        counters.merge_into(&mut inner.retired);
         drop(counters);
         inner
             .cells
             .retain(|w| w.upgrade().is_some_and(|c| !Arc::ptr_eq(&c, cell)));
     }
 
-    /// Merges retired totals with every live cell — the read side of
-    /// all cumulative accounting.
+    /// Merges retired totals with every live cell into one snapshot —
+    /// the read side of all cumulative accounting.
     pub fn merged(&self) -> Counters {
         let inner = self.inner.lock().expect("accounting registry lock");
-        let mut out = Counters::default();
-        inner.retired.merge_into(&mut out);
+        let mut out = inner.retired.clone();
         for cell in inner.cells.iter().filter_map(Weak::upgrade) {
             cell.counters
                 .lock()

@@ -3,7 +3,7 @@
 //!
 //! The optimizer commits to a plan using *estimated* service statistics;
 //! the gateway observes the real ones
-//! ([`ServiceGateway::observed_stats`](crate::gateway::ServiceGateway::observed_stats)).
+//! ([`ServiceGateway::ledger`](crate::gateway::ServiceGateway::ledger)).
 //! A driver handed a re-planner through
 //! [`ExecContext::adaptive`](crate::ExecContext::adaptive) closes that
 //! loop **during** execution:
@@ -170,15 +170,16 @@ impl<'a> Controller<'a> {
             return None;
         }
         self.last_check_calls = total;
-        let observed = gateway.with(|g| g.observed_stats().clone());
-        let diverged = diverging_services(schema, &observed, &self.cfg);
+        let ledger = gateway.with(|g| g.ledger());
+        let observed = ledger.observed();
+        let diverged = diverging_services(schema, observed, &self.cfg);
         if diverged.is_empty() || diverged.iter().all(|d| self.settled.contains(&d.service)) {
             return None;
         }
         let req = ReplanRequest {
             plan,
             executed,
-            observed: &observed,
+            observed,
             diverged: &diverged,
             replans_so_far: self.replans,
         };

@@ -28,7 +28,9 @@ pub struct PageStore {
 }
 
 /// Per-service hit/miss counters (one event per *invocation*, i.e. per
-/// input binding reaching an invoke operator — not per page).
+/// input binding reaching an invoke operator — not per page). Recorded
+/// in the execution's call ledger, not in the cache: a [`PageCache`]
+/// stores pages and counts only its own evictions.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Invocations answered entirely from the cache.
@@ -63,7 +65,6 @@ pub struct PageCache {
     tick: u64,
     one_call: HashMap<ServiceId, (Vec<Value>, PageStore)>,
     optimal: HashMap<(ServiceId, Vec<Value>), (PageStore, u64)>,
-    stats: HashMap<ServiceId, CacheStats>,
     evictions: u64,
     /// Refcounted pins held by live subscription frontiers: a pinned
     /// invocation is never evicted (bounded LRU) nor invalidated — the
@@ -87,15 +88,9 @@ impl PageCache {
             tick: 0,
             one_call: HashMap::new(),
             optimal: HashMap::new(),
-            stats: HashMap::new(),
             evictions: 0,
             pins: HashMap::new(),
         }
-    }
-
-    /// The active setting.
-    pub fn setting(&self) -> CacheSetting {
-        self.setting
     }
 
     /// Invocation entries dropped to respect the capacity bound (LRU
@@ -342,31 +337,6 @@ impl PageCache {
         }
         before - self.entries()
     }
-
-    /// Records one invocation-level hit or miss.
-    pub fn record_invocation(&mut self, service: ServiceId, hit: bool) {
-        let stats = self.stats.entry(service).or_default();
-        if hit {
-            stats.hits += 1;
-        } else {
-            stats.misses += 1;
-        }
-    }
-
-    /// Per-service statistics.
-    pub fn stats(&self, service: ServiceId) -> CacheStats {
-        self.stats.get(&service).copied().unwrap_or_default()
-    }
-
-    /// Sum of statistics over all services.
-    pub fn total_stats(&self) -> CacheStats {
-        self.stats
-            .values()
-            .fold(CacheStats::default(), |a, s| CacheStats {
-                hits: a.hits + s.hits,
-                misses: a.misses + s.misses,
-            })
-    }
 }
 
 #[cfg(test)]
@@ -612,18 +582,5 @@ mod tests {
         assert!(matches!(c.lookup(s, &key("b"), 0), PageLookup::Hit(..)));
         assert!(matches!(c.lookup(s, &key("c"), 0), PageLookup::Unknown));
         assert_eq!(c.evictions(), 0, "invalidations are not evictions");
-    }
-
-    #[test]
-    fn invocation_stats_accumulate() {
-        let mut c = PageCache::new(CacheSetting::OneCall);
-        let s = ServiceId(0);
-        c.record_invocation(s, false);
-        c.record_invocation(s, true);
-        c.record_invocation(s, true);
-        assert_eq!(c.stats(s), CacheStats { hits: 2, misses: 1 });
-        let t = c.total_stats();
-        assert_eq!(t.hits + t.misses, 3);
-        assert_eq!(c.stats(ServiceId(9)), CacheStats::default());
     }
 }

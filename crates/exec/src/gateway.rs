@@ -41,9 +41,11 @@
 //!   fetch;
 //! * the sub-result store (materialized invoke prefixes) has its own
 //!   lock and condition variable;
-//! * cumulative call/latency/fault/observation accounting accumulates in
-//!   per-gateway cells (`crate::accounting`) and is merged on
-//!   snapshot, so metrics never serialize the page path at all.
+//! * call/latency/fault/observation accounting is **one ledger per
+//!   execution**: each gateway's cell (`crate::accounting`) is the only
+//!   place a forwarded call is booked, and readers merge the cells into
+//!   one [`Counters`] snapshot ([`SharedServiceState::ledger`]), so
+//!   metrics never serialize the page path at all.
 //!
 //! A stand-alone execution owns a private state
 //! ([`ExecContext::private`] — the paper's one-query-at-a-time
@@ -59,6 +61,7 @@
 //! the real-thread dataflow engine. Both implement [`GatewayHandle`],
 //! the access trait the operators are generic over.
 
+pub use crate::accounting::Counters;
 use crate::accounting::{Accounting, AcctCell};
 use crate::binding::Binding;
 use crate::cache::{CacheSetting, CacheStats, PageCache, PageLookup};
@@ -70,10 +73,10 @@ use mdq_model::fingerprint::SubplanSignature;
 use mdq_model::query::VarId;
 use mdq_model::schema::{Schema, ServiceId};
 use mdq_model::value::{Tuple, Value};
-use mdq_obs::histogram::{Histogram, LatencySummary, SERVICE_LATENCY_BOUNDS};
 use mdq_obs::recorder::{QueryTrace, TraceRecorder};
 use mdq_obs::span::{OperatorStats, SpanKind};
 use mdq_plan::dag::Plan;
+use mdq_services::refresh::InvocationKey;
 use mdq_services::registry::ServiceRegistry;
 use mdq_services::service::{Service, ServiceFault};
 use std::cell::RefCell;
@@ -389,9 +392,9 @@ fn build_shards(setting: CacheSetting, capacity: usize) -> Box<[PageShard]> {
 }
 
 /// The invocation set a materialized prefix (or a standing query's
-/// answers) depends on, as `(service, pattern, key)` — the unit the
-/// refresh pass diffs against to decide what survived an epoch.
-pub type InvocationFrontier = HashSet<(ServiceId, usize, Vec<Value>)>;
+/// answers) depends on — the unit the refresh pass diffs against to
+/// decide what survived an epoch, in the refresh driver's own key type.
+pub type InvocationFrontier = HashSet<InvocationKey>;
 
 /// One materialized invoke prefix: the bindings its chain produced,
 /// `Arc`-shared so a replay is a refcount bump, never a deep copy. The
@@ -423,9 +426,8 @@ struct SubResultEntry {
 
 /// The sub-result store's interior (guarded by its own lock — the page
 /// shards never wait on a materialization and vice versa).
+#[derive(Default)]
 struct SubResultInner {
-    /// Max materialized prefixes held (`0` disables the store).
-    capacity: usize,
     tick: u64,
     entries: HashMap<SubplanSignature, SubResultEntry>,
     /// Signatures currently being materialized (single-flight: a query
@@ -433,18 +435,6 @@ struct SubResultInner {
     /// duplicating the chain's service calls).
     computing: HashSet<SubplanSignature>,
     stats: SubResultStats,
-}
-
-impl SubResultInner {
-    fn new(capacity: usize) -> Self {
-        SubResultInner {
-            capacity,
-            tick: 0,
-            entries: HashMap::new(),
-            computing: HashSet::new(),
-            stats: SubResultStats::default(),
-        }
-    }
 }
 
 /// Counters of the signature-keyed sub-result store.
@@ -500,17 +490,12 @@ pub(crate) struct ReplayEntry {
 
 /// What [`SharedServiceState::resolve_prefixes`] decided for one
 /// execution's invoke-prefix chain.
-pub(crate) enum PrefixResolution {
-    /// The store is disabled — execute the plan as compiled.
-    Disabled,
-    /// Replay and/or materialize.
-    Resolved {
-        /// The longest materialized prefix to replay, if any.
-        replay: Option<ReplayEntry>,
-        /// Chain levels (1-based) this execution claimed for
-        /// materialization: it must publish or abandon every one.
-        claimed: Vec<usize>,
-    },
+pub(crate) struct PrefixResolution {
+    /// The longest materialized prefix to replay, if any.
+    pub replay: Option<ReplayEntry>,
+    /// Chain levels (1-based) this execution claimed for
+    /// materialization: it must publish or abandon every one.
+    pub claimed: Vec<usize>,
 }
 
 /// A tenant identifier as the shared state accounts it. The serving
@@ -595,6 +580,10 @@ pub struct SharedServiceState {
     /// The signature-keyed sub-result store, behind its own lock.
     sub: Mutex<SubResultInner>,
     sub_changed: Condvar,
+    /// Max materialized prefixes the store holds; `0` disables it.
+    /// Immutable after build, so "is the store on?" is a field read —
+    /// asked *before* anyone signs a prefix or takes the store lock.
+    sub_capacity: usize,
     /// Per-tenant budget/usage cells, resolved once per gateway — the
     /// hot path only ever touches the tenant's own atomics.
     tenants: Mutex<HashMap<TenantId, Arc<TenantCell>>>,
@@ -629,13 +618,11 @@ pub struct PageShardStats {
 
 impl std::fmt::Debug for SharedServiceState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let merged = self.acct.merged();
         f.debug_struct("SharedServiceState")
             .field("setting", &self.setting)
             .field("per_service_limit", &self.per_service_limit)
             .field("shards", &self.shards.len())
-            .field("calls", &merged.calls)
-            .field("latency_sum", &merged.latency_sum)
+            .field("ledger", &self.ledger())
             .finish()
     }
 }
@@ -651,8 +638,9 @@ impl SharedServiceState {
             shards: build_shards(setting, usize::MAX),
             flow: Mutex::new(HashMap::new()),
             flow_changed: Condvar::new(),
-            sub: Mutex::new(SubResultInner::new(0)),
+            sub: Mutex::new(SubResultInner::default()),
             sub_changed: Condvar::new(),
+            sub_capacity: 0,
             tenants: Mutex::new(HashMap::new()),
             acct: Accounting::default(),
             setting,
@@ -696,8 +684,15 @@ impl SharedServiceState {
     /// disables cross-query sub-result sharing). Builder style, before
     /// sharing.
     pub fn with_sub_results(mut self, capacity: usize) -> Self {
-        self.sub = Mutex::new(SubResultInner::new(capacity));
+        self.sub_capacity = capacity;
         self
+    }
+
+    /// Whether the sub-result store is enabled. With it off (the
+    /// default) an execution skips prefix signing and the store lock
+    /// altogether.
+    pub fn sub_results_enabled(&self) -> bool {
+        self.sub_capacity > 0
     }
 
     /// Sets the default retry policy (builder style, before sharing).
@@ -716,11 +711,6 @@ impl SharedServiceState {
     /// The retry policy in force for `id`.
     pub fn retry_policy(&self, id: ServiceId) -> RetryPolicy {
         self.retry_overrides.get(&id).copied().unwrap_or(self.retry)
-    }
-
-    /// The cache setting this state was built with.
-    pub fn setting(&self) -> CacheSetting {
-        self.setting
     }
 
     /// How many independently locked page shards this state runs.
@@ -757,35 +747,29 @@ impl SharedServiceState {
         }
     }
 
-    /// Cumulative request-responses forwarded per service.
-    pub fn calls(&self) -> HashMap<ServiceId, u64> {
-        self.acct.merged().calls
+    /// One snapshot of the cumulative call ledger: the retired totals
+    /// of every dropped gateway merged with every live one's cell, at
+    /// one instant. A reader that needs several numbers (a metrics
+    /// sample, a reconciliation test) takes one snapshot and derives
+    /// them all from it; the single-number accessors below are
+    /// shorthands that each take their own.
+    pub fn ledger(&self) -> Counters {
+        self.acct.merged()
     }
 
     /// Cumulative request-responses forwarded, all services.
     pub fn total_calls(&self) -> u64 {
-        self.acct.merged().calls.values().sum()
+        self.ledger().total_calls()
     }
 
     /// Cumulative simulated latency of all forwarded calls.
     pub fn total_latency(&self) -> f64 {
-        self.acct.merged().latency_sum
-    }
-
-    /// Cumulative fault accounting per service, across every execution
-    /// sharing this state.
-    pub fn fault_stats(&self) -> HashMap<ServiceId, FaultStats> {
-        self.acct.merged().faults
+        self.ledger().total_latency()
     }
 
     /// Cumulative fault accounting, all services.
     pub fn total_fault_stats(&self) -> FaultStats {
-        let merged = self.acct.merged();
-        let mut total = FaultStats::default();
-        for s in merged.faults.values() {
-            total.merge(s);
-        }
-        total
+        self.ledger().total_faults()
     }
 
     /// Snapshot of the cumulative per-service observations (tuples,
@@ -800,7 +784,7 @@ impl SharedServiceState {
     ///
     /// [`ServiceProfile`]: mdq_model::schema::ServiceProfile
     pub fn observed_snapshot(&self) -> HashMap<ServiceId, ObservedService> {
-        self.acct.merged().observed
+        self.ledger().observed().clone()
     }
 
     /// Pages currently memoized as permanently degraded.
@@ -815,8 +799,8 @@ impl SharedServiceState {
     /// dropped. The memo is deliberately held until cleared — nothing
     /// re-probes a condemned page, so nothing can organically heal it —
     /// which makes this the recovery lever for a long-lived state after
-    /// a service outage ends (re-exposed as
-    /// `QueryServer::forget_failed_pages` in `mdq-runtime`).
+    /// a service outage ends (a server's operator reaches it through
+    /// `QueryServer::shared_state`).
     pub fn clear_failed_pages(&self) -> usize {
         let mut n = 0;
         for shard in self.shards.iter() {
@@ -829,23 +813,7 @@ impl SharedServiceState {
 
     /// Cumulative invocation-level cache statistics for `id`.
     pub fn cache_stats(&self, id: ServiceId) -> CacheStats {
-        self.acct
-            .merged()
-            .invocations
-            .get(&id)
-            .copied()
-            .unwrap_or_default()
-    }
-
-    /// Cumulative invocation-level cache statistics, all services.
-    pub fn total_cache_stats(&self) -> CacheStats {
-        let merged = self.acct.merged();
-        let mut total = CacheStats::default();
-        for s in merged.invocations.values() {
-            total.hits += s.hits;
-            total.misses += s.misses;
-        }
-        total
+        self.ledger().cache_stats(id)
     }
 
     /// Page-cache invocation entries dropped to respect the configured
@@ -855,43 +823,6 @@ impl SharedServiceState {
             .iter()
             .map(|s| s.inner.lock().expect("page shard lock").cache.evictions())
             .sum()
-    }
-
-    /// Cumulative simulated latency of forwarded calls, per service —
-    /// read off the per-service observations, which accumulate at
-    /// exactly the sites the total does, so
-    /// `Σ per_service_latency == total_latency` always.
-    pub fn per_service_latency(&self) -> HashMap<ServiceId, f64> {
-        self.acct
-            .merged()
-            .observed
-            .iter()
-            .map(|(id, o)| (*id, o.latency))
-            .collect()
-    }
-
-    /// Count + mean + max (and exact total) of the per-attempt
-    /// simulated latency, per service — derived from the observations'
-    /// fixed-bucket histograms, and reconciling the same way as
-    /// [`SharedServiceState::per_service_latency`]:
-    /// `Σ total == total_latency` exactly.
-    pub fn per_service_latency_summary(&self) -> HashMap<ServiceId, LatencySummary> {
-        self.acct
-            .merged()
-            .observed
-            .iter()
-            .map(|(id, o)| (*id, o.latency_summary()))
-            .collect()
-    }
-
-    /// The per-attempt simulated-latency distribution across every
-    /// service, as one fixed-bucket [`Histogram`].
-    pub fn service_latency_histogram(&self) -> Histogram {
-        let mut h = Histogram::new(&SERVICE_LATENCY_BOUNDS);
-        for o in self.acct.merged().observed.values() {
-            h.merge(&o.latency_histogram());
-        }
-        h
     }
 
     /// Occupancy, eviction and failed-page counters of every page
@@ -909,17 +840,6 @@ impl SharedServiceState {
                 }
             })
             .collect()
-    }
-
-    /// Registers a fresh accounting cell for a gateway over this state.
-    pub(crate) fn register_cell(&self) -> Arc<AcctCell> {
-        self.acct.register()
-    }
-
-    /// Folds a dropping gateway's accounting cell into the retired
-    /// totals.
-    pub(crate) fn retire_cell(&self, cell: &Arc<AcctCell>) {
-        self.acct.retire(cell)
     }
 
     /// The budget/usage cell of `tenant`, created (unlimited) on first
@@ -992,7 +912,9 @@ impl SharedServiceState {
     /// is being materialized by a concurrent execution, this blocks
     /// until that level is published (then replays it) or abandoned
     /// (then claims it). Every claimed level must later be
-    /// [`publish_sub_result`]ed or [`abandon_sub_results`]ed.
+    /// [`publish_sub_result`]ed or [`abandon_sub_results`]ed. Callers
+    /// ask [`sub_results_enabled`] first — a disabled store is never
+    /// resolved against.
     ///
     /// With `materialize = false` the call is read-only: the longest
     /// already-materialized prefix still replays (free work is free),
@@ -1009,6 +931,7 @@ impl SharedServiceState {
     ///
     /// [`publish_sub_result`]: SharedServiceState::publish_sub_result
     /// [`abandon_sub_results`]: SharedServiceState::abandon_sub_results
+    /// [`sub_results_enabled`]: SharedServiceState::sub_results_enabled
     pub(crate) fn resolve_prefixes(
         &self,
         sigs: &[SubplanSignature],
@@ -1016,9 +939,6 @@ impl SharedServiceState {
         frontier_only: bool,
     ) -> PrefixResolution {
         let mut sub = self.sub.lock().expect("sub-result lock");
-        if sub.capacity == 0 || sigs.is_empty() {
-            return PrefixResolution::Disabled;
-        }
         loop {
             let hit = (0..sigs.len()).rev().find(|&i| {
                 sub.entries
@@ -1063,7 +983,7 @@ impl SharedServiceState {
                     }
                 }
             }
-            return PrefixResolution::Resolved { replay, claimed };
+            return PrefixResolution { replay, claimed };
         }
     }
 
@@ -1096,7 +1016,7 @@ impl SharedServiceState {
         {
             let mut sub = self.sub.lock().expect("sub-result lock");
             sub.computing.remove(&sig);
-            if sub.capacity > 0 && quota != Some(0) {
+            if self.sub_capacity > 0 && quota != Some(0) {
                 if let (Some(tenant), Some(quota)) = (tenant, quota) {
                     let held = sub
                         .entries
@@ -1116,7 +1036,7 @@ impl SharedServiceState {
                         }
                     }
                 }
-                if sub.entries.len() >= sub.capacity && !sub.entries.contains_key(&sig) {
+                if sub.entries.len() >= self.sub_capacity && !sub.entries.contains_key(&sig) {
                     if let Some(oldest) = sub
                         .entries
                         .iter()
@@ -1298,6 +1218,9 @@ impl SharedServiceState {
 /// free by the time a plan starting with it executes).
 impl SharedWorkOracle for SharedServiceState {
     fn is_materialized(&self, sig: SubplanSignature) -> bool {
+        if !self.sub_results_enabled() {
+            return false;
+        }
         let sub = self.sub.lock().expect("sub-result lock");
         sub.entries.contains_key(&sig) || sub.computing.contains(&sig)
     }
@@ -1305,20 +1228,20 @@ impl SharedWorkOracle for SharedServiceState {
 
 /// The single service-invocation and caching path of one execution.
 ///
-/// Per-execution accounting (`calls_to`, `total_latency`, `cache_stats`,
-/// the poisoned error, the call budget) lives here; the page cache and
-/// cumulative accounting live in the [`SharedServiceState`] underneath,
-/// which may be private to this execution or shared across a workload.
+/// Per-execution state (the poisoned error, the call budget, degraded
+/// services, per-node statistics) lives here; the page cache lives in
+/// the [`SharedServiceState`] underneath, which may be private to this
+/// execution or shared across a workload. Call accounting is this
+/// execution's ledger cell — `total_calls`, `calls_to`, `total_latency`
+/// and `ledger` read it, the shared state merges it.
 pub struct ServiceGateway {
     services: HashMap<ServiceId, Arc<dyn Service>>,
     shared: Arc<SharedServiceState>,
-    /// This gateway's cell in the shared accounting registry: the hot
-    /// path's only cumulative-accounting touch point, retired back into
-    /// the shared totals on drop.
+    /// This execution's ledger: the one place its forwarded calls,
+    /// faults, observations and invocation hits/misses are recorded.
+    /// Registered with the shared state (so merged snapshots see it
+    /// live) and retired into the shared totals on drop.
     acct: Arc<AcctCell>,
-    calls: HashMap<ServiceId, u64>,
-    latency_sum: f64,
-    stats: HashMap<ServiceId, CacheStats>,
     budget: Option<u64>,
     /// The tenant this execution is attributed to, with its budget
     /// cell resolved once — every forwarded attempt is charged against
@@ -1326,10 +1249,6 @@ pub struct ServiceGateway {
     /// tenant can never overshoot the cumulative budget).
     tenant: Option<(TenantId, Arc<TenantCell>)>,
     error: Option<ExecError>,
-    faults: HashMap<ServiceId, FaultStats>,
-    /// Per-service observations of this execution's forwarded calls —
-    /// what the adaptive drivers compare against the schema estimates.
-    observed: HashMap<ServiceId, ObservedService>,
     /// Services with at least one degraded page, with the terminal
     /// fault observed (ordered, so partial results report stably).
     degraded: BTreeSet<ServiceId>,
@@ -1344,18 +1263,17 @@ pub struct ServiceGateway {
     /// The plan node whose fetches the gateway is currently serving.
     active_node: Option<usize>,
     /// When enabled, every invocation this execution demanded —
-    /// cache-served or forwarded — as `(service, pattern, key)`: the
-    /// *frontier* a standing query's answers depend on. `None` (the
-    /// default) keeps the hot path at one branch per page demand.
-    frontier: Option<HashSet<(ServiceId, usize, Vec<Value>)>>,
+    /// cache-served or forwarded: the *frontier* a standing query's
+    /// answers depend on. `None` (the default) keeps the hot path at
+    /// one branch per page demand.
+    frontier: Option<InvocationFrontier>,
 }
 
 impl std::fmt::Debug for ServiceGateway {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServiceGateway")
             .field("services", &self.services.keys().collect::<Vec<_>>())
-            .field("calls", &self.calls)
-            .field("latency_sum", &self.latency_sum)
+            .field("ledger", &self.ledger())
             .field("budget", &self.budget)
             .field("error", &self.error)
             .finish()
@@ -1364,7 +1282,7 @@ impl std::fmt::Debug for ServiceGateway {
 
 impl Drop for ServiceGateway {
     fn drop(&mut self) {
-        self.shared.retire_cell(&self.acct);
+        self.shared.acct.retire(&self.acct);
     }
 }
 
@@ -1388,7 +1306,7 @@ impl ExecContext<'_> {
             services.insert(svc_id, Arc::clone(service));
         }
         let shared = Arc::clone(&self.state);
-        let acct = shared.register_cell();
+        let acct = shared.acct.register();
         let trace = shared.trace_recorder().map(|r| r.register("query"));
         // the tenant's budget cell is resolved once, here: every
         // forwarded attempt is charged to it, and exhaustion poisons
@@ -1398,14 +1316,9 @@ impl ExecContext<'_> {
             services,
             shared,
             acct,
-            calls: HashMap::new(),
-            latency_sum: 0.0,
-            stats: HashMap::new(),
             budget: self.budget.filter(|&b| b > 0),
             tenant,
             error: None,
-            faults: HashMap::new(),
-            observed: HashMap::new(),
             degraded: BTreeSet::new(),
             last_faults: HashMap::new(),
             trace,
@@ -1441,7 +1354,7 @@ impl ServiceGateway {
     }
 
     /// The recorded invocation frontier (`None` unless enabled).
-    pub fn frontier(&self) -> Option<&HashSet<(ServiceId, usize, Vec<Value>)>> {
+    pub fn frontier(&self) -> Option<&InvocationFrontier> {
         self.frontier.as_ref()
     }
 
@@ -1464,7 +1377,11 @@ impl ServiceGateway {
     /// Records one invocation demand on the frontier, if enabled.
     fn note_frontier(&mut self, id: ServiceId, pattern: usize, key: &[Value]) {
         if let Some(frontier) = &mut self.frontier {
-            frontier.insert((id, pattern, key.to_vec()));
+            frontier.insert(InvocationKey {
+                service: id,
+                pattern,
+                inputs: key.to_vec(),
+            });
         }
     }
 
@@ -1630,12 +1547,6 @@ impl ServiceGateway {
                     }
                     drop(guard);
                     drop(slot);
-                    *self.calls.entry(id).or_insert(0) += 1;
-                    self.latency_sum += r.latency;
-                    self.observed
-                        .entry(id)
-                        .or_default()
-                        .record_ok(r.tuples.len(), r.latency);
                     if let Some(ns) = self.node_acc() {
                         ns.calls += 1;
                         ns.sim_seconds += r.latency;
@@ -1661,22 +1572,15 @@ impl ServiceGateway {
                 Err(fault) => {
                     let fault_latency = fault.latency();
                     spent += fault_latency;
-                    *self.calls.entry(id).or_insert(0) += 1;
-                    self.latency_sum += fault_latency;
-                    self.observed
-                        .entry(id)
-                        .or_default()
-                        .record_fault(fault_latency);
-                    let local = self.faults.entry(id).or_default();
-                    local.classify(&fault);
+                    // booked first: the faulted attempt is a forwarded
+                    // call, and must count before the per-query budget
+                    // gate below decides whether a retry still fits
+                    self.acct.record_fault(id, &fault, fault_latency);
                     // a retry is allowed while the policy, the
                     // per-query call budget and the tenant budget all
                     // have room; the tenant charge is a reservation, so
                     // it is only attempted once the cheaper gates pass
-                    let budget_ok = self
-                        .budget
-                        .map(|b| self.calls.values().sum::<u64>() < b)
-                        .unwrap_or(true);
+                    let budget_ok = self.budget.is_none_or(|b| self.total_calls() < b);
                     let retrying = attempt < policy.max_retries
                         && budget_ok
                         && self
@@ -1684,20 +1588,14 @@ impl ServiceGateway {
                             .as_ref()
                             .map(|(_, cell)| cell.try_charge())
                             .unwrap_or(true);
-                    let wait = if retrying {
+                    let wait = retrying.then(|| {
                         let base = policy.backoff(attempt);
-                        let wait = match &fault {
+                        match &fault {
                             ServiceFault::RateLimited { retry_after, .. } => retry_after.max(base),
                             _ => base,
-                        };
-                        local.retries += 1;
-                        local.backoff_seconds += wait;
-                        spent += wait;
-                        Some(wait)
-                    } else {
-                        local.exhausted += 1;
-                        None
-                    };
+                        }
+                    });
+                    spent += wait.unwrap_or(0.0);
                     if let Some(ns) = self.node_acc() {
                         ns.calls += 1;
                         ns.sim_seconds += fault_latency;
@@ -1725,7 +1623,6 @@ impl ServiceGateway {
                             );
                         }
                     }
-                    self.acct.record_fault(id, &fault, fault_latency);
                     match wait {
                         Some(wait) => self.acct.record_retry(id, wait),
                         None => {
@@ -1925,66 +1822,34 @@ impl ServiceGateway {
         self.active_node = None;
     }
 
-    /// Records one invocation-level cache hit or miss for `id`, both in
-    /// this execution's statistics and in the shared accounting.
+    /// Records one invocation-level cache hit or miss for `id`.
     pub fn record_invocation(&mut self, id: ServiceId, hit: bool) {
-        let stats = self.stats.entry(id).or_default();
-        if hit {
-            stats.hits += 1;
-        } else {
-            stats.misses += 1;
-        }
         self.acct.record_invocation(id, hit);
+    }
+
+    /// A snapshot of this execution's ledger: everything it forwarded
+    /// so far — calls, latency, faults, per-service observations (what
+    /// the adaptive drivers compare against the schema's registered
+    /// [`ServiceProfile`]s) and invocation-level cache statistics.
+    ///
+    /// [`ServiceProfile`]: mdq_model::schema::ServiceProfile
+    pub fn ledger(&self) -> Counters {
+        self.acct.read(Counters::clone)
     }
 
     /// Request-responses this execution forwarded to `id` so far.
     pub fn calls_to(&self, id: ServiceId) -> u64 {
-        self.calls.get(&id).copied().unwrap_or(0)
-    }
-
-    /// This execution's per-service forwarded-call counts.
-    pub fn calls(&self) -> &HashMap<ServiceId, u64> {
-        &self.calls
+        self.acct.read(|c| c.calls_to(id))
     }
 
     /// Total request-responses this execution forwarded so far.
     pub fn total_calls(&self) -> u64 {
-        self.calls.values().sum()
+        self.acct.read(Counters::total_calls)
     }
 
     /// Summed simulated latency of this execution's forwarded calls.
     pub fn total_latency(&self) -> f64 {
-        self.latency_sum
-    }
-
-    /// This execution's invocation-level cache statistics for `id`.
-    pub fn cache_stats(&self, id: ServiceId) -> CacheStats {
-        self.stats.get(&id).copied().unwrap_or_default()
-    }
-
-    /// This execution's fault accounting per service.
-    pub fn fault_stats(&self) -> &HashMap<ServiceId, FaultStats> {
-        &self.faults
-    }
-
-    /// This execution's per-service observations of forwarded calls —
-    /// the live statistics the adaptive drivers compare against the
-    /// schema's registered [`ServiceProfile`]s. Cache hits are not
-    /// observations (no call was forwarded) and do not appear here.
-    ///
-    /// [`ServiceProfile`]: mdq_model::schema::ServiceProfile
-    pub fn observed_stats(&self) -> &HashMap<ServiceId, ObservedService> {
-        &self.observed
-    }
-
-    /// This execution's fault accounting for `id`.
-    pub fn fault_stats_for(&self, id: ServiceId) -> FaultStats {
-        self.faults.get(&id).copied().unwrap_or_default()
-    }
-
-    /// Retries this execution issued against `id`.
-    pub fn retries_to(&self, id: ServiceId) -> u64 {
-        self.fault_stats_for(id).retries
+        self.acct.read(Counters::total_latency)
     }
 
     /// Whether any service served this execution a degraded page.
@@ -1999,16 +1864,13 @@ impl ServiceGateway {
         if self.degraded.is_empty() {
             return None;
         }
+        let ledger = self.ledger();
         let mut degraded: Vec<DegradedService> = self
             .degraded
             .iter()
             .map(|id| DegradedService {
-                service: self
-                    .services
-                    .get(id)
-                    .map(|s| s.name().to_string())
-                    .unwrap_or_else(|| format!("service#{}", id.0)),
-                stats: self.fault_stats_for(*id),
+                service: self.service_label(*id),
+                stats: ledger.faults_for(*id),
                 last_fault: self
                     .last_faults
                     .get(id)

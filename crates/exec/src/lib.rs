@@ -14,7 +14,7 @@
 //!   [`Batch`](operator::Batch)es per hop) and the concrete
 //!   [`Invoke`](operator::Invoke) / [`Join`](operator::Join) /
 //!   [`Filter`](operator::Filter) / [`Select`](operator::Select)
-//!   operators, plus [`compile`](operator::compile) for whole plans;
+//!   operators, plus [`compile_with`](operator::compile_with) for whole plans;
 //! * [`gateway`] — the [`ServiceGateway`](gateway::ServiceGateway):
 //!   registry lookup, paging (with batched cached-page runs), per-query
 //!   accounting and admission control, behind single-threaded
@@ -104,8 +104,8 @@ pub mod prelude {
     };
     pub use crate::joins::{MsJoin, NlJoin};
     pub use crate::operator::{
-        compile, compile_with, derive_rows_in, drain_all, drain_into, Batch, Filter, Invoke, Join,
-        Operator, Probe, Select, Source, DEFAULT_BATCH,
+        compile_with, derive_rows_in, drain_all, drain_into, Batch, Filter, Invoke, Join, Operator,
+        Probe, Select, Source, DEFAULT_BATCH,
     };
     pub use crate::pipeline::{run, ExecConfig, ExecError, ExecReport, NodeTrace};
     pub use crate::plan_info::{analyze, PlanInfo};

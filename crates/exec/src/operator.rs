@@ -30,7 +30,7 @@
 //!
 //! The three executors are thin drivers over this kernel: the
 //! stage-materialised engine drains one operator per node and accounts
-//! virtual time, the top-k engine pulls lazily from a [`compile`]d
+//! virtual time, the top-k engine pulls lazily from a [`compile_with`]d
 //! operator tree, and the threaded engine runs one operator per worker
 //! over channel streams. None of them invokes a service or touches a
 //! cache directly.
@@ -715,17 +715,8 @@ impl Operator for Tee {
 /// over `gateway` — the pull executor's engine. Nodes with several
 /// consumers are compiled once and shared through replaying cursors.
 /// With `elastic = true` the fetch factors become soft hints.
-pub fn compile<G: GatewayHandle + 'static>(
-    plan: &Plan,
-    schema: &Schema,
-    info: &PlanInfo,
-    gateway: &G,
-    elastic: bool,
-) -> Box<dyn Operator> {
-    compile_with(plan, schema, info, gateway, elastic, None)
-}
-
-/// [`compile`] with an optional *subtree override*: the operator stands
+///
+/// `override_op` is an optional *subtree override*: the operator stands
 /// in for the named plan node (filters included), and the nodes beneath
 /// it are never compiled. This is how a materialized or replayed invoke
 /// prefix (`mdq-runtime`'s sub-result sharing) is spliced under the

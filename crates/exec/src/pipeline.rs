@@ -300,17 +300,8 @@ pub(crate) fn run_materialised(
         .iter()
         .map(|b| b.project_head(&plan.query))
         .collect();
-    let (calls, cache_stats, fault_stats, partial, observed, mut operator_stats) =
-        gateway.with(|g| {
-            (
-                g.calls().clone(),
-                registry.ids().map(|id| (id, g.cache_stats(id))).collect(),
-                g.fault_stats().clone(),
-                g.partial_results(),
-                g.observed_stats().clone(),
-                g.node_stats().to_vec(),
-            )
-        });
+    let (ledger, partial, mut operator_stats) =
+        gateway.with(|g| (g.ledger(), g.partial_results(), g.node_stats().to_vec()));
     derive_rows_in(&plan, &mut operator_stats);
     let (replans, events) = ctl.map(|c| (c.replans, c.events)).unwrap_or_default();
     Ok(AdaptiveOutcome {
@@ -318,17 +309,20 @@ pub(crate) fn run_materialised(
             answers,
             bindings,
             virtual_time: trace[out_idx].completion,
-            calls,
-            cache_stats,
+            calls: ledger.calls().clone(),
+            cache_stats: registry
+                .ids()
+                .map(|id| (id, ledger.cache_stats(id)))
+                .collect(),
             node_trace: trace,
-            fault_stats,
+            fault_stats: ledger.faults().clone(),
             partial,
             operator_stats,
         },
         replans,
         events,
         final_plan: plan.into_owned(),
-        observed,
+        observed: ledger.observed().clone(),
     })
 }
 

@@ -301,11 +301,10 @@ pub fn run_threaded(
         answers
     });
     let elapsed = started.elapsed().as_secs_f64();
-    let (calls, error, fault_stats, partial, mut operator_stats) = gateway.with(|g| {
+    let (ledger, error, partial, mut operator_stats) = gateway.with(|g| {
         (
-            g.calls().clone(),
+            g.ledger(),
             g.take_error(),
-            g.fault_stats().clone(),
             g.partial_results(),
             g.node_stats().to_vec(),
         )
@@ -317,8 +316,8 @@ pub fn run_threaded(
     Ok(ThreadedReport {
         answers,
         elapsed,
-        calls,
-        fault_stats,
+        calls: ledger.calls().clone(),
+        fault_stats: ledger.faults().clone(),
         partial,
         operator_stats,
     })

@@ -3,7 +3,7 @@
 //! §2.2: "we retrieve only the fraction of tuples of proliferative
 //! services that are sufficient to obtain the first k query answers …
 //! we also assume that a plan execution can be continued, by producing
-//! more answers". This executor [`compile`](crate::operator::compile)s
+//! more answers". This executor [`compile_with`]s
 //! the plan into one lazy
 //! operator tree over a shared
 //! [`ServiceGateway`](crate::gateway::ServiceGateway) and *pulls* answers
@@ -23,12 +23,14 @@
 use crate::adaptive::Controller;
 use crate::binding::Binding;
 use crate::context::ExecContext;
-use crate::gateway::{GatewayHandle, LocalGateway, PrefixResolution, SharedServiceState, TenantId};
+use crate::gateway::{
+    GatewayHandle, InvocationFrontier, LocalGateway, PrefixResolution, SharedServiceState, TenantId,
+};
 use crate::operator::{compile_with, drain_all, ExecError, Filter, Invoke, Operator, Source};
 use crate::plan_info::{analyze, PlanInfo};
 use mdq_model::fingerprint::SubplanSignature;
 use mdq_model::schema::{Schema, ServiceId};
-use mdq_model::value::{Tuple, Value};
+use mdq_model::value::Tuple;
 use mdq_plan::dag::Plan;
 use mdq_plan::signature::invoke_prefixes;
 use mdq_services::registry::ServiceRegistry;
@@ -137,9 +139,11 @@ fn prepare_shared_prefix(
     materialize: bool,
     batch: usize,
 ) -> PrefixOutcome {
-    if elastic {
-        // elastic paging is demand-driven: its streams are not a
-        // deterministic function of the plan, so they never share
+    // elastic paging is demand-driven: its streams are not a
+    // deterministic function of the plan, so they never share. And the
+    // store's capacity is fixed at build: with it off (the default)
+    // nothing below — prefix signing, the store lock — is worth paying
+    if elastic || !gateway.with(|g| g.shared_state().sub_results_enabled()) {
         return PrefixOutcome::none();
     }
     let shared = gateway.with(|g| Arc::clone(g.shared_state()));
@@ -153,10 +157,8 @@ fn prepare_shared_prefix(
     // provenance-less replay would leave the subscription blind to
     // refreshes of the prefix's invocations
     let frontier_mode = gateway.with(|g| g.frontier_enabled());
-    let (replay, claimed) = match shared.resolve_prefixes(&sigs, materialize, frontier_mode) {
-        PrefixResolution::Disabled => return PrefixOutcome::none(),
-        PrefixResolution::Resolved { replay, claimed } => (replay, claimed),
-    };
+    let PrefixResolution { replay, claimed } =
+        shared.resolve_prefixes(&sigs, materialize, frontier_mode);
 
     let nvars = plan.query.var_count();
     let mut hits = 0u64;
@@ -355,15 +357,12 @@ impl<'a> TopKExecution<'a> {
         )
     }
 
-    /// The invocation frontier recorded so far: every `(service,
-    /// pattern, input-key)` this execution demanded. Empty unless the
-    /// context asked for frontier recording.
-    pub fn frontier(&self) -> Vec<(ServiceId, usize, Vec<Value>)> {
-        self.gateway.with(|g| {
-            g.frontier()
-                .map(|f| f.iter().cloned().collect())
-                .unwrap_or_default()
-        })
+    /// The invocation frontier recorded so far: every invocation this
+    /// execution demanded. Empty unless the context asked for frontier
+    /// recording.
+    pub fn frontier(&self) -> InvocationFrontier {
+        self.gateway
+            .with(|g| g.frontier().cloned().unwrap_or_default())
     }
 
     /// Pulls the next answer (projected on the query head). A stream
@@ -486,14 +485,11 @@ impl<'a> TopKExecution<'a> {
         self.gateway.with(|g| g.total_latency())
     }
 
-    /// Fault accounting per service so far (empty while healthy).
-    pub fn fault_stats(&self) -> std::collections::HashMap<ServiceId, crate::gateway::FaultStats> {
-        self.gateway.with(|g| g.fault_stats().clone())
-    }
-
-    /// Retries issued against `id` so far.
-    pub fn retries_to(&self, id: ServiceId) -> u64 {
-        self.gateway.with(|g| g.retries_to(id))
+    /// A snapshot of this execution's call ledger so far: calls,
+    /// latency, faults and retries per service, observations, cache
+    /// statistics — all from one instant.
+    pub fn ledger(&self) -> crate::gateway::Counters {
+        self.gateway.with(|g| g.ledger())
     }
 
     /// The partial-results report so far: `Some` once any service has
@@ -668,8 +664,7 @@ mod tests {
         assert_eq!(first.sub_result_hits(), 0, "nothing to replay yet");
         let stats = shared.sub_result_stats();
         assert!(stats.entries >= 2, "conf and conf→weather materialized");
-        let conf_calls = shared.calls().get(&w.ids.conf).copied().unwrap_or(0);
-        let weather_calls = shared.calls().get(&w.ids.weather).copied().unwrap_or(0);
+        let before = shared.ledger();
 
         let mut second = TopKExecution::start(
             &plan,
@@ -684,14 +679,15 @@ mod tests {
         assert!(second.sub_result_calls_saved() > 0);
         // no-cache shared state: only the replay can explain the flat
         // call counts on the prefix services
+        let after = shared.ledger();
         assert_eq!(
-            shared.calls().get(&w.ids.conf).copied().unwrap_or(0),
-            conf_calls,
+            after.calls_to(w.ids.conf),
+            before.calls_to(w.ids.conf),
             "conf not re-invoked"
         );
         assert_eq!(
-            shared.calls().get(&w.ids.weather).copied().unwrap_or(0),
-            weather_calls,
+            after.calls_to(w.ids.weather),
+            before.calls_to(w.ids.weather),
             "weather not re-invoked"
         );
         assert_eq!(shared.sub_result_stats().hits, 1);
@@ -723,14 +719,12 @@ mod tests {
         first.answers(usize::MAX >> 1);
         let sigs: Vec<SubplanSignature> =
             invoke_prefixes(&plan).iter().map(|p| p.signature).collect();
-        let resolve =
-            |shared: &SharedServiceState| match shared.resolve_prefixes(&sigs, false, false) {
-                PrefixResolution::Resolved {
-                    replay: Some(entry),
-                    ..
-                } => entry,
-                _ => panic!("a prefix was materialized above"),
-            };
+        let resolve = |shared: &SharedServiceState| {
+            shared
+                .resolve_prefixes(&sigs, false, false)
+                .replay
+                .expect("a prefix was materialized above")
+        };
         let r1 = resolve(&shared);
         let r2 = resolve(&shared);
         assert!(!r1.rows.is_empty(), "the prefix produced rows");
@@ -846,7 +840,7 @@ mod tests {
         let frontier = standing.frontier();
         assert!(!frontier.is_empty());
         let services: std::collections::HashSet<ServiceId> =
-            frontier.iter().map(|(id, _, _)| *id).collect();
+            frontier.iter().map(|inv| inv.service).collect();
         for id in [w.ids.conf, w.ids.weather, w.ids.flight, w.ids.hotel] {
             assert!(services.contains(&id), "frontier covers every service");
         }
@@ -871,11 +865,11 @@ mod tests {
             1,
             "frontier-carrying entries replay"
         );
-        let mut a: Vec<_> = frontier.clone();
-        let mut b = warm.frontier();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "frontier is demand-identical, not forward-identical");
+        assert_eq!(
+            frontier,
+            warm.frontier(),
+            "frontier is demand-identical, not forward-identical"
+        );
     }
 
     #[test]

@@ -33,11 +33,6 @@ impl Term {
             Term::Const(_) => None,
         }
     }
-
-    /// True for constants.
-    pub fn is_const(&self) -> bool {
-        matches!(self, Term::Const(_))
-    }
 }
 
 /// A service atom `s(t1, …, tn)` in a query body.
@@ -63,15 +58,6 @@ impl Atom {
             }
         }
         out
-    }
-
-    /// Positions at which `v` occurs.
-    pub fn positions_of(&self, v: VarId) -> impl Iterator<Item = usize> + '_ {
-        self.terms
-            .iter()
-            .enumerate()
-            .filter(move |(_, t)| t.as_var() == Some(v))
-            .map(|(i, _)| i)
     }
 }
 

@@ -61,12 +61,6 @@ impl AccessPattern {
         self.0[i]
     }
 
-    /// All modes.
-    #[inline]
-    pub fn modes(&self) -> &[ArgMode] {
-        &self.0
-    }
-
     /// Indices of input positions.
     pub fn inputs(&self) -> impl Iterator<Item = usize> + '_ {
         self.0
@@ -209,12 +203,6 @@ impl ServiceProfile {
             response_time,
             ..Default::default()
         }
-    }
-
-    /// Sets the per-invocation cost `m(n)`.
-    pub fn with_cost(mut self, cost: f64) -> Self {
-        self.invocation_cost = cost;
-        self
     }
 
     /// Sets the decay bound `d`.
@@ -444,11 +432,6 @@ impl Schema {
             .map(|(i, s)| (ServiceId(i as u32), s))
     }
 
-    /// Number of registered services.
-    pub fn service_count(&self) -> usize {
-        self.services.len()
-    }
-
     /// Domain metadata.
     #[inline]
     pub fn domain_info(&self, id: DomainId) -> &DomainInfo {
@@ -534,12 +517,6 @@ impl<'a> ServiceBuilder<'a> {
     /// Marks the service as a search service (ranked results).
     pub fn search(mut self) -> Self {
         self.kind = ServiceKind::Search;
-        self
-    }
-
-    /// Marks the service as exact (the default).
-    pub fn exact(mut self) -> Self {
-        self.kind = ServiceKind::Exact;
         self
     }
 

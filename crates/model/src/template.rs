@@ -101,11 +101,6 @@ impl QueryTemplate {
         &self.placeholders
     }
 
-    /// The raw template text.
-    pub fn text(&self) -> &str {
-        &self.text
-    }
-
     /// Instantiates the template with the given bindings and parses the
     /// resulting query against `schema`.
     pub fn instantiate(

@@ -107,12 +107,6 @@ impl Date {
         self.days
     }
 
-    /// Builds a date directly from a day count since 1970-01-01.
-    #[inline]
-    pub fn from_days(days: i32) -> Self {
-        Date { days }
-    }
-
     /// Returns the civil (year, month, day) triple.
     pub fn ymd(self) -> (i32, u32, u32) {
         let z = self.days as i64 + 719_468;
@@ -436,12 +430,6 @@ impl DomainInfo {
             kind,
             cardinality: None,
         }
-    }
-
-    /// Sets the estimated distinct-value cardinality.
-    pub fn with_cardinality(mut self, card: f64) -> Self {
-        self.cardinality = Some(card);
-        self
     }
 }
 

@@ -176,11 +176,6 @@ impl QueryTrace {
     pub fn track(&self) -> u64 {
         self.cell.track
     }
-
-    /// The recorder this handle records into.
-    pub fn recorder(&self) -> &Arc<TraceRecorder> {
-        &self.recorder
-    }
 }
 
 #[cfg(test)]

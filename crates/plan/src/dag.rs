@@ -143,11 +143,6 @@ impl Plan {
         NodeId(self.nodes.len() - 1)
     }
 
-    /// Node lookup.
-    pub fn node(&self, id: NodeId) -> &PlanNode {
-        &self.nodes[id.0]
-    }
-
     /// Fetch factor for the service of `atom` position (1 if not chunked).
     pub fn fetch_of(&self, pos: usize) -> u64 {
         self.fetches[pos]

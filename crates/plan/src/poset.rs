@@ -70,12 +70,6 @@ impl Poset {
         self.rel[i * self.n + j]
     }
 
-    /// `i ≺ j ∨ i = j`?
-    #[inline]
-    pub fn le(&self, i: usize, j: usize) -> bool {
-        i == j || self.lt(i, j)
-    }
-
     /// Neither `i ≺ j` nor `j ≺ i` (parallel atoms).
     #[inline]
     pub fn incomparable(&self, i: usize, j: usize) -> bool {
@@ -109,11 +103,6 @@ impl Poset {
     /// Strict predecessors of `j`.
     pub fn predecessors(&self, j: usize) -> impl Iterator<Item = usize> + '_ {
         (0..self.n).filter(move |&i| self.lt(i, j))
-    }
-
-    /// Strict successors of `i`.
-    pub fn successors(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
-        (0..self.n).filter(move |&j| self.lt(i, j))
     }
 
     /// Minimal elements (no predecessors).

@@ -56,7 +56,9 @@
 //!   ([`TenantPolicy`]): call budgets, queue bounds,
 //!   sub-result quotas;
 //! * [`plan_cache`] — the fingerprint-keyed LRU in front of the
-//!   optimizer;
+//!   optimizer, and the resolver that owns every template → plan
+//!   decision (single-flight optimize, failed memo, discount
+//!   revalidation);
 //! * [`session`] — the [`QuerySession`] handle
 //!   streaming answers and per-query statistics;
 //! * [`metrics`] — the [`MetricsSnapshot`]:

@@ -253,8 +253,14 @@ impl Metrics {
     }
 
     /// Samples every counter plus the shared gateway state into a
-    /// consistent-enough snapshot (counters are relaxed; exactness
-    /// across counters is not guaranteed mid-flight).
+    /// consistent-enough snapshot (the server's own counters are
+    /// relaxed; exactness across *them* is not guaranteed mid-flight).
+    /// Everything read off the gateway's call ledger — service calls
+    /// and latency, total and per service, the latency histogram, page
+    /// hit/miss — comes from **one** merged snapshot, so
+    /// `total_service_calls == Σ per_service_calls` and
+    /// `total_service_latency == Σ per_service_latency.total` hold for
+    /// every sample, mid-flight included.
     pub(crate) fn snapshot(
         &self,
         shared: &SharedServiceState,
@@ -266,16 +272,16 @@ impl Metrics {
         let completed = self.completed.load(Ordering::Relaxed);
         let plan_hits = self.plan_cache_hits.load(Ordering::Relaxed);
         let plan_misses = self.plan_cache_misses.load(Ordering::Relaxed);
-        let page = shared.total_cache_stats();
-        let mut per_service: Vec<(String, u64)> = shared
+        let ledger = shared.ledger();
+        let page = ledger.total_cache_stats();
+        let mut per_service: Vec<(String, u64)> = ledger
             .calls()
-            .into_iter()
-            .map(|(id, n)| (schema.service(id).name.to_string(), n))
+            .iter()
+            .map(|(id, n)| (schema.service(*id).name.to_string(), *n))
             .collect();
         per_service.sort();
-        let mut per_service_latency: Vec<(String, LatencySummary)> = shared
-            .per_service_latency_summary()
-            .into_iter()
+        let mut per_service_latency: Vec<(String, LatencySummary)> = ledger
+            .latency_summaries()
             .map(|(id, s)| (schema.service(id).name.to_string(), s))
             .collect();
         per_service_latency.sort_by(|a, b| a.0.cmp(&b.0));
@@ -334,11 +340,11 @@ impl Metrics {
             delta_rows_retracted: self.delta_rows_retracted.load(Ordering::Relaxed),
             sub_results_materialized: sub.entries,
             sub_result_evictions: sub.evictions,
-            total_service_calls: shared.total_calls(),
-            total_service_latency: shared.total_latency(),
+            total_service_calls: ledger.total_calls(),
+            total_service_latency: ledger.total_latency(),
             per_service_calls: per_service,
             per_service_latency,
-            service_latency_buckets: shared.service_latency_histogram().buckets().collect(),
+            service_latency_buckets: ledger.latency_histogram().buckets().collect(),
             page_cache_shards: shared.page_shard_stats(),
             latency_buckets: bucketize(&LATENCY_BOUNDS, &self.latency_buckets),
             queue_wait_buckets: bucketize(&QUEUE_WAIT_BOUNDS, &self.queue_wait_buckets),

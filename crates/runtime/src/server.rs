@@ -3,9 +3,18 @@
 //! optimizer, and one cross-query
 //! [`SharedServiceState`] so the
 //! §5.1 page cache and call accounting span the whole workload.
+//!
+//! Each decision made here has one owner. Template → plan goes through
+//! the one `resolve_plan` below — workers, the admission batcher and
+//! `subscribe` all call it — which counts the hit or miss, prices under
+//! the one serving `OptimizerConfig` and delegates cache, single-flight
+//! and failed-memo to the [`plan_cache`](crate::plan_cache) resolver.
+//! Every front-door refusal is counted by `QueryServer::reject`. Call
+//! accounting is read, never kept: a finished execution hands over its
+//! ledger and [`QueryServer::metrics`] takes one merged snapshot.
 
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::plan_cache::{PlanCache, PlanKey};
+use crate::plan_cache::{PlanKey, PlanResolver, Resolution};
 use crate::session::{QuerySession, QueryStats, SessionEvent};
 use crate::subscribe::{
     Delta, EngineCtx, RefreshSummary, SubscribeError, SubscriptionManager, SubscriptionTicket,
@@ -17,19 +26,21 @@ use mdq_cost::estimate::CacheSetting;
 use mdq_cost::metrics::ExecutionTime;
 use mdq_cost::shared::SharedWorkOracle;
 use mdq_exec::adaptive::Replanner;
-use mdq_exec::gateway::{FaultStats, RetryPolicy, SharedServiceState, TenantId};
+use mdq_exec::gateway::{RetryPolicy, SharedServiceState, TenantId};
 use mdq_exec::topk::TopKExecution;
 use mdq_exec::ExecContext;
-use mdq_model::fingerprint::fingerprint;
+use mdq_model::fingerprint::{fingerprint, SubplanSignature};
+use mdq_model::query::ConjunctiveQuery;
 use mdq_model::value::Tuple;
 use mdq_obs::recorder::TraceRecorder;
 use mdq_obs::span::SpanKind;
 use mdq_optimizer::bnb::OptimizerConfig;
 use mdq_plan::dag::Plan;
+use mdq_plan::signature::invoke_prefixes;
 use mdq_services::domains::World;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -147,14 +158,12 @@ struct ServerState {
     engine: Mdq,
     config: RuntimeConfig,
     shared: Arc<SharedServiceState>,
-    plans: Mutex<PlanState>,
-    /// Signalled when a plan lands in (or drops out of) the cache, so
-    /// workers waiting on a single-flight optimization re-probe.
-    plan_ready: Condvar,
+    /// Template → plan: LRU, single-flight claims and failed memo.
+    plans: PlanResolver,
     /// Prefix signatures seen at admission (batching only): a prefix
     /// admitted once before is popular enough to materialize when it
     /// shows up again, even if its first carrier ran unshared.
-    admitted_prefixes: Mutex<std::collections::HashSet<mdq_model::fingerprint::SubplanSignature>>,
+    admitted_prefixes: Mutex<HashSet<SubplanSignature>>,
     tenants: TenantRegistry,
     metrics: Metrics,
     /// Standing queries: subscriptions, their pinned frontiers, the
@@ -166,23 +175,6 @@ struct ServerState {
 /// coarse reset is fine — the set only steers a materialize-or-not
 /// heuristic, never correctness).
 const ADMITTED_PREFIX_CAP: usize = 16_384;
-
-/// Bound on the failed-plan memo; reaching it clears the memo (the
-/// next submission of a broken template re-runs the optimizer once and
-/// re-memoizes — coarse, but the memo only suppresses repeat work).
-const FAILED_PLAN_CAP: usize = 1_024;
-
-/// The plan cache plus the keys currently being optimized
-/// (single-flight: concurrent submissions of one template wait for the
-/// first optimization instead of duplicating it) and the templates that
-/// already failed to optimize (waiters and later submissions wake into
-/// the error instead of re-running the optimizer or blocking forever —
-/// the plan-cache analogue of the gateway's failed-page memo).
-struct PlanState {
-    cache: PlanCache,
-    optimizing: std::collections::HashSet<PlanKey>,
-    failed: HashMap<PlanKey, String>,
-}
 
 /// Recovers a mutex guard from a poisoned lock: the protected state is
 /// counters/caches whose worst case after an interrupted update is a
@@ -467,13 +459,8 @@ impl QueryServer {
                     .with_page_capacity(config.page_cache_entries)
                     .with_sub_results(config.sub_results),
             ),
-            plans: Mutex::new(PlanState {
-                cache: PlanCache::new(config.plan_cache_capacity),
-                optimizing: std::collections::HashSet::new(),
-                failed: HashMap::new(),
-            }),
-            plan_ready: Condvar::new(),
-            admitted_prefixes: Mutex::new(std::collections::HashSet::new()),
+            plans: PlanResolver::new(config.plan_cache_capacity),
+            admitted_prefixes: Mutex::new(HashSet::new()),
             tenants: TenantRegistry::new(),
             metrics: Metrics::new(),
             subs: SubscriptionManager::new(),
@@ -599,18 +586,13 @@ impl QueryServer {
     ) -> Result<QuerySession, Rejection> {
         let metrics = &self.state.metrics;
         let Some(tinfo) = self.state.tenants.get(tenant) else {
-            metrics.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(Rejection::UnknownTenant);
+            return Err(self.reject(tenant, None, Rejection::UnknownTenant));
         };
         // a tenant whose cumulative budget is already spent would only
         // occupy a worker to fail — shed at the door, where the client
         // gets a typed rejection instead of a burned queue slot
         if !self.state.shared.tenant_has_room(tenant) {
-            metrics.rejected.fetch_add(1, Ordering::Relaxed);
-            metrics.shed_tenant_budget.fetch_add(1, Ordering::Relaxed);
-            tinfo.shed.fetch_add(1, Ordering::Relaxed);
-            self.record_shed(tenant, "tenant_budget");
-            return Err(Rejection::TenantBudgetExhausted);
+            return Err(self.reject(tenant, Some(&tinfo), Rejection::TenantBudgetExhausted));
         }
         let (events, rx) = mpsc::channel();
         let job = Job {
@@ -629,35 +611,46 @@ impl QueryServer {
                 tinfo.submitted.fetch_add(1, Ordering::Relaxed);
                 Ok(QuerySession { rx })
             }
-            Err(rejection) => {
-                metrics.rejected.fetch_add(1, Ordering::Relaxed);
-                match &rejection {
-                    Rejection::QueueFull { .. } => {
-                        metrics.shed_queue_full.fetch_add(1, Ordering::Relaxed);
-                        tinfo.shed.fetch_add(1, Ordering::Relaxed);
-                        self.record_shed(tenant, "queue_full");
-                    }
-                    Rejection::TenantQueueFull { .. } => {
-                        metrics.shed_tenant_queue.fetch_add(1, Ordering::Relaxed);
-                        tinfo.shed.fetch_add(1, Ordering::Relaxed);
-                        self.record_shed(tenant, "tenant_queue_full");
-                    }
-                    _ => {}
-                }
-                Err(rejection)
-            }
+            Err(rejection) => Err(self.reject(tenant, Some(&tinfo), rejection)),
         }
     }
 
-    /// Records a shed event on the control track when tracing is on.
-    fn record_shed(&self, tenant: TenantId, reason: &'static str) {
-        if let Some(recorder) = self.state.shared.trace_recorder() {
-            recorder.control().instant(SpanKind::Shed {
-                tenant: u64::from(tenant),
-                reason,
-                retry_after_ms: self.state.config.shed_retry_after.as_millis() as u64,
-            });
+    /// Accounts one front-door refusal — the only place a rejection is
+    /// counted. Every refusal counts in `rejected`; the shed variants
+    /// additionally map 1:1 to their own counter and a stable reason
+    /// string (the control-track `Shed` span's `reason`), and charge the
+    /// tenant's `shed` count when the tenant is known.
+    fn reject(
+        &self,
+        tenant: TenantId,
+        tinfo: Option<&TenantInfo>,
+        rejection: Rejection,
+    ) -> Rejection {
+        let m = &self.state.metrics;
+        m.rejected.fetch_add(1, Ordering::Relaxed);
+        let shed: Option<(&AtomicU64, &'static str)> = match &rejection {
+            Rejection::QueueFull { .. } => Some((&m.shed_queue_full, "queue_full")),
+            Rejection::TenantQueueFull { .. } => Some((&m.shed_tenant_queue, "tenant_queue_full")),
+            Rejection::TenantBudgetExhausted => Some((&m.shed_tenant_budget, "tenant_budget")),
+            Rejection::SubscriptionCapReached => {
+                Some((&m.shed_subscription_cap, "subscription_cap"))
+            }
+            Rejection::UnknownTenant | Rejection::OperatorOnly | Rejection::Closed => None,
+        };
+        if let Some((counter, reason)) = shed {
+            counter.fetch_add(1, Ordering::Relaxed);
+            if let Some(tinfo) = tinfo {
+                tinfo.shed.fetch_add(1, Ordering::Relaxed);
+            }
+            if let Some(recorder) = self.state.shared.trace_recorder() {
+                recorder.control().instant(SpanKind::Shed {
+                    tenant: u64::from(tenant),
+                    reason,
+                    retry_after_ms: self.state.config.shed_retry_after.as_millis() as u64,
+                });
+            }
         }
+        rejection
     }
 
     /// Jobs currently waiting in the admission queue.
@@ -706,28 +699,16 @@ impl QueryServer {
         self.state.shared.trace_recorder()
     }
 
-    /// Forgets every memoized page failure in the shared gateway state,
-    /// returning how many were dropped — the operator's recovery lever
-    /// after a service outage ends (condemned pages are never re-probed
-    /// on their own, so they stay degraded until this is called or the
-    /// server restarts).
-    pub fn forget_failed_pages(&self) -> usize {
-        self.state.shared.clear_failed_pages()
-    }
-
     /// Forgets every memoized plan failure, returning how many were
     /// dropped — the recovery lever after the condition that made a
     /// template unoptimizable (say, a dropped service) is fixed.
     pub fn forget_failed_plans(&self) -> usize {
-        let mut plans = recover(self.state.plans.lock());
-        let dropped = plans.failed.len();
-        plans.failed.clear();
-        dropped
+        self.state.plans.forget_failed()
     }
 
     /// Plans currently held by the plan cache.
     pub fn cached_plans(&self) -> usize {
-        recover(self.state.plans.lock()).cache.len()
+        self.state.plans.len()
     }
 
     /// The subscription layer's view of the server internals.
@@ -782,19 +763,18 @@ impl QueryServer {
         text: &str,
         k: Option<u64>,
     ) -> Result<SubscriptionTicket, String> {
-        let metrics = &self.state.metrics;
         let Some(tinfo) = self.state.tenants.get(tenant) else {
-            return Err(Rejection::UnknownTenant.to_string());
+            return Err(self
+                .reject(tenant, None, Rejection::UnknownTenant)
+                .to_string());
         };
         // same shed-at-the-door rule as `try_submit`: a tenant whose
         // cumulative budget is spent would only burn an evaluation to
         // fail it
         if !self.state.shared.tenant_has_room(tenant) {
-            metrics.rejected.fetch_add(1, Ordering::Relaxed);
-            metrics.shed_tenant_budget.fetch_add(1, Ordering::Relaxed);
-            tinfo.shed.fetch_add(1, Ordering::Relaxed);
-            self.record_shed(tenant, "tenant_budget");
-            return Err(Rejection::TenantBudgetExhausted.to_string());
+            return Err(self
+                .reject(tenant, Some(&tinfo), Rejection::TenantBudgetExhausted)
+                .to_string());
         }
         let cap = tinfo
             .policy
@@ -805,23 +785,16 @@ impl QueryServer {
             .per_query_call_budget
             .or(self.state.config.call_budget);
         let k = k.unwrap_or(self.state.config.default_k);
-        let (_key, plan, _hit) = resolve_plan(&self.state, text, k)?;
+        let query = self.state.engine.parse(text).map_err(|e| e.to_string())?;
+        let (_key, plan, _hit) = resolve_plan(&self.state, query, k, None)?;
         self.state
             .subs
             .subscribe(&self.sub_ctx(), &plan, k, tenant, cap, budget)
             .map_err(|e| match e {
-                SubscribeError::CapReached { active } => {
-                    metrics.rejected.fetch_add(1, Ordering::Relaxed);
-                    metrics
-                        .shed_subscription_cap
-                        .fetch_add(1, Ordering::Relaxed);
-                    tinfo.shed.fetch_add(1, Ordering::Relaxed);
-                    self.record_shed(tenant, "subscription_cap");
-                    format!(
-                        "{} ({active} active, cap {cap})",
-                        Rejection::SubscriptionCapReached
-                    )
-                }
+                SubscribeError::CapReached { active } => format!(
+                    "{} ({active} active, cap {cap})",
+                    self.reject(tenant, Some(&tinfo), Rejection::SubscriptionCapReached)
+                ),
                 SubscribeError::Eval(reason) => reason,
             })
     }
@@ -849,11 +822,10 @@ impl QueryServer {
     /// keep the ungated method.
     pub fn try_refresh(&self, tenant: TenantId) -> Result<RefreshSummary, Rejection> {
         let Some(tinfo) = self.state.tenants.get(tenant) else {
-            return Err(Rejection::UnknownTenant);
+            return Err(self.reject(tenant, None, Rejection::UnknownTenant));
         };
         if !tinfo.policy.operator {
-            self.state.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(Rejection::OperatorOnly);
+            return Err(self.reject(tenant, Some(&tinfo), Rejection::OperatorOnly));
         }
         Ok(self.refresh())
     }
@@ -940,91 +912,6 @@ impl Drop for QueryServer {
     }
 }
 
-/// Probes the plan cache. On a miss the key is claimed for
-/// single-flight optimization: concurrent submissions of the same
-/// template block here until the first worker's plan lands, instead of
-/// all running the optimizer. Returns `Ok(None)` when the caller must
-/// optimize (it then owns the claim and must release it), and
-/// `Err(reason)` when the template is memoized as unoptimizable —
-/// including for waiters that blocked on a claim whose owner's
-/// optimizer failed: the owner publishes the error *before* releasing
-/// the claim, so a waiter always wakes into either the plan or the
-/// error, never into re-running a doomed optimization. With plan
-/// caching disabled (`capacity == 0`) every call misses immediately —
-/// no claims, no waiting, no memo.
-fn lookup_single_flight(state: &ServerState, key: &PlanKey) -> Result<Option<Arc<Plan>>, String> {
-    if state.config.plan_cache_capacity == 0 {
-        return Ok(None);
-    }
-    let mut plans = recover(state.plans.lock());
-    loop {
-        if let Some(reason) = plans.failed.get(key) {
-            state
-                .metrics
-                .plan_failed_memo_hits
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(reason.clone());
-        }
-        if let Some((plan, discounted)) = plans.cache.get(key) {
-            // a discounted plan assumed a materialized prefix; once
-            // that prefix is gone the entry is stale — claim the key
-            // and re-optimize standalone (overwriting the entry)
-            if !discounted
-                || mdq_plan::signature::invoke_prefixes(&plan)
-                    .iter()
-                    .any(|p| state.shared.is_materialized(p.signature))
-            {
-                return Ok(Some(plan));
-            }
-        }
-        if plans.optimizing.insert(*key) {
-            return Ok(None);
-        }
-        plans = recover(state.plan_ready.wait(plans));
-    }
-}
-
-/// Memoizes an optimizer failure for `key` so every waiter and later
-/// submission of the template fails immediately instead of re-running
-/// the optimizer. Must be called while the single-flight claim is still
-/// held — publish, *then* release — so waiters wake into the memo.
-fn memoize_failed_plan(state: &ServerState, key: PlanKey, reason: &str) {
-    if state.config.plan_cache_capacity == 0 {
-        return;
-    }
-    let mut plans = recover(state.plans.lock());
-    // coarse reset over per-entry eviction: failures are rare, and a
-    // full memo means something systemic that a restart-style flush
-    // handles better than LRU churn
-    if plans.failed.len() >= FAILED_PLAN_CAP {
-        plans.failed.clear();
-    }
-    plans.failed.insert(key, reason.to_string());
-}
-
-/// Releases a single-flight optimization claim and wakes the waiters —
-/// on return AND on unwind, so a panicking optimizer cannot leave every
-/// future submission of the template blocked on the Condvar.
-struct ClaimGuard<'a> {
-    state: &'a ServerState,
-    key: PlanKey,
-}
-
-impl Drop for ClaimGuard<'_> {
-    fn drop(&mut self) {
-        // tolerate a poisoned lock: this runs during unwind, and a
-        // second panic here would abort the process
-        let mut plans = self
-            .state
-            .plans
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        plans.optimizing.remove(&self.key);
-        drop(plans);
-        self.state.plan_ready.notify_all();
-    }
-}
-
 /// The admission batcher: drains the scheduler into batches — the first
 /// arrival opens a batch, further arrivals join until the window
 /// elapses or the batch is full (while workers are busy, queued
@@ -1066,29 +953,31 @@ fn batch_loop(
     }
 }
 
-/// The batch's view of already-materialized work while it is being
-/// planned: the sub-result store plus the prefixes of members planned
-/// earlier in this very batch (they *will* be materialized by the time
+/// The view of already-materialized work a plan is priced (and a
+/// discounted cache entry revalidated) against: the sub-result store
+/// plus, while a batch is being planned, the prefixes of members planned
+/// earlier in that very batch (they *will* be materialized by the time
 /// a later member executes — single-flight makes exactly one member pay).
 struct BatchOracle<'a> {
     shared: &'a SharedServiceState,
-    batch: &'a std::collections::HashSet<mdq_model::fingerprint::SubplanSignature>,
+    batch: Option<&'a HashSet<SubplanSignature>>,
 }
 
-impl mdq_cost::shared::SharedWorkOracle for BatchOracle<'_> {
-    fn is_materialized(&self, sig: mdq_model::fingerprint::SubplanSignature) -> bool {
-        self.batch.contains(&sig) || self.shared.is_materialized(sig)
+impl SharedWorkOracle for BatchOracle<'_> {
+    fn is_materialized(&self, sig: SubplanSignature) -> bool {
+        self.batch.is_some_and(|b| b.contains(&sig)) || self.shared.is_materialized(sig)
     }
 }
 
-/// Plans every member of a batch and returns the jobs to forward:
-/// plan-cache probe, optimizer run on a miss (priced under the batch's
-/// shared-work oracle), then cross-member overlap detection — a member
-/// whose invoke prefix matches another member's (or already-materialized
-/// work) is a *shared-prefix hit* and the only kind of member told to
-/// materialize. Members that fail to optimize fail their session right
-/// here (counted exactly once); parse failures are forwarded unprepared
-/// and surface through the worker's ordinary path.
+/// Plans every member of a batch and returns the jobs to forward: each
+/// member is parsed and resolved through [`resolve_plan`] under the
+/// batch's shared-work oracle, then cross-member overlap detection
+/// runs — a member whose invoke prefix matches another member's (or
+/// already-materialized work) is a *shared-prefix hit* and the only
+/// kind of member told to materialize. Members that fail to resolve
+/// fail their session right here (counted exactly once); parse failures
+/// are forwarded unprepared and surface through the worker's ordinary
+/// path.
 ///
 /// With adaptivity enabled the batch is planned *standalone* and
 /// nothing is flagged: the adaptive executor re-prices plans mid-flight
@@ -1096,12 +985,10 @@ impl mdq_cost::shared::SharedWorkOracle for BatchOracle<'_> {
 /// it toward savings it cannot collect (materialized pages still replay
 /// through the shared page cache either way).
 fn plan_batch(state: &Arc<ServerState>, batch: Vec<Job>) -> Vec<Job> {
-    use mdq_model::fingerprint::SubplanSignature;
-    let use_oracle = state.config.adaptive.is_none();
-    let ctl = state.shared.trace_recorder().map(|r| r.control());
+    let sharing = state.config.adaptive.is_none();
     let members = batch.len() as u64;
-    let mut seen: std::collections::HashSet<SubplanSignature> = std::collections::HashSet::new();
-    // signatures per member, for the second (overlap-marking) pass
+    let mut seen: HashSet<SubplanSignature> = HashSet::new();
+    // signatures per forwarded job, for the second (overlap-marking) pass
     let mut member_sigs: Vec<Vec<SubplanSignature>> = Vec::with_capacity(batch.len());
     let mut out: Vec<Job> = Vec::with_capacity(batch.len());
     for mut job in batch {
@@ -1110,195 +997,63 @@ fn plan_batch(state: &Arc<ServerState>, batch: Vec<Job>) -> Vec<Job> {
             out.push(job); // the worker re-parses and fails the session
             continue;
         };
-        let key = (fingerprint(&query), job.k);
-        let cached = if state.config.plan_cache_capacity == 0 {
-            None
-        } else {
-            let mut plans = recover(state.plans.lock());
-            if let Some(reason) = plans.failed.get(&key) {
-                // the template is memoized as unoptimizable: fail the
-                // session without burning an optimizer run
-                state
-                    .metrics
-                    .plan_failed_memo_hits
-                    .fetch_add(1, Ordering::Relaxed);
+        match resolve_plan(state, query, job.k, sharing.then_some(&seen)) {
+            Ok((key, plan, plan_cache_hit)) => {
+                let sigs: Vec<SubplanSignature> = if sharing {
+                    invoke_prefixes(&plan).iter().map(|p| p.signature).collect()
+                } else {
+                    Vec::new()
+                };
+                seen.extend(&sigs);
+                member_sigs.push(sigs);
+                job.prepared = Some(Prepared {
+                    plan,
+                    key,
+                    plan_cache_hit,
+                    shared_prefix: false, // marked in the second pass
+                });
+                out.push(job);
+            }
+            Err(reason) => {
+                // fail the session here — the worker must not resolve
+                // (and count) the template a second time
                 state.metrics.failed.fetch_add(1, Ordering::Relaxed);
                 job.tinfo.failed.fetch_add(1, Ordering::Relaxed);
-                let _ = job.events.send(SessionEvent::Failed(reason.clone()));
-                continue;
+                let _ = job.events.send(SessionEvent::Failed(reason));
             }
-            plans.cache.get(&key)
-        };
-        // a discounted entry assumed a materialized prefix: reuse it
-        // only while that prefix is still live (in the store, or being
-        // produced by an earlier member of this very batch); otherwise
-        // fall through to a standalone re-optimization
-        let cached = cached.and_then(|(plan, discounted)| {
-            if !discounted {
-                return Some(plan);
-            }
-            let oracle = BatchOracle {
-                shared: &state.shared,
-                batch: &seen,
-            };
-            mdq_plan::signature::invoke_prefixes(&plan)
-                .iter()
-                .any(|p| oracle.is_materialized(p.signature))
-                .then_some(plan)
-        });
-        let (plan, hit) = match cached {
-            Some(plan) => {
-                state
-                    .metrics
-                    .plan_cache_hits
-                    .fetch_add(1, Ordering::Relaxed);
-                if let Some(ctl) = &ctl {
-                    ctl.instant(SpanKind::PlanCacheHit {
-                        fingerprint: key.0 .0,
-                    });
-                }
-                (plan, true)
-            }
-            None => {
-                state
-                    .metrics
-                    .plan_cache_misses
-                    .fetch_add(1, Ordering::Relaxed);
-                state
-                    .metrics
-                    .optimizer_invocations
-                    .fetch_add(1, Ordering::Relaxed);
-                if let Some(ctl) = &ctl {
-                    ctl.instant(SpanKind::PlanCacheMiss {
-                        fingerprint: key.0 .0,
-                    });
-                }
-                let oracle = BatchOracle {
-                    shared: &state.shared,
-                    batch: &seen,
-                };
-                let config = OptimizerConfig {
-                    k: job.k,
-                    cache: state.config.cache,
-                    ..OptimizerConfig::default()
-                };
-                let opt_started = Instant::now();
-                let optimized = if use_oracle {
-                    state
-                        .engine
-                        .optimize_shared(query, &ExecutionTime, config, &oracle)
-                } else {
-                    state.engine.optimize(query, &ExecutionTime, config)
-                };
-                if let Some(ctl) = &ctl {
-                    // control-plane spans measure real optimizer work,
-                    // so track 0 runs on wall seconds
-                    ctl.record(SpanKind::Optimize, opt_started.elapsed().as_secs_f64());
-                }
-                match optimized {
-                    Ok(o) => {
-                        let plan = Arc::new(o.candidate.plan);
-                        // a plan chosen under the batch's transient
-                        // discount must not silently become the
-                        // template's durable plan: the cache is keyed
-                        // by (fingerprint, k) alone and outlives the
-                        // materialization. Cache it with the discount
-                        // *recorded* — a later probe revalidates that
-                        // the materialized prefix is still live and
-                        // re-optimizes standalone only then, so the
-                        // cold path never pays the optimizer twice for
-                        // one admission
-                        let discounted = use_oracle
-                            && mdq_plan::signature::invoke_prefixes(&plan)
-                                .iter()
-                                .any(|p| oracle.is_materialized(p.signature));
-                        let mut plans = recover(state.plans.lock());
-                        if discounted {
-                            plans.cache.insert_discounted(key, Arc::clone(&plan));
-                        } else {
-                            plans.cache.insert(key, Arc::clone(&plan));
-                        }
-                        drop(plans);
-                        (plan, false)
-                    }
-                    Err(e) => {
-                        // fail the session here — the worker must not
-                        // re-run (and re-count) the optimizer — and
-                        // memoize the failure so the template never
-                        // burns another optimizer run
-                        let reason = e.to_string();
-                        memoize_failed_plan(state, key, &reason);
-                        state.metrics.failed.fetch_add(1, Ordering::Relaxed);
-                        job.tinfo.failed.fetch_add(1, Ordering::Relaxed);
-                        let _ = job.events.send(SessionEvent::Failed(reason));
-                        continue;
-                    }
-                }
-            }
-        };
-        let sigs: Vec<SubplanSignature> = mdq_plan::signature::invoke_prefixes(&plan)
-            .iter()
-            .map(|p| p.signature)
-            .collect();
-        member_sigs.push(sigs.clone());
-        job.prepared = Some(Prepared {
-            plan,
-            key,
-            plan_cache_hit: hit,
-            shared_prefix: false, // marked in the second pass
-        });
-        out.push(job);
-        seen.extend(sigs);
-    }
-    if !use_oracle {
-        if let Some(ctl) = &ctl {
-            ctl.instant(SpanKind::AdmissionBatch {
-                members,
-                shared_prefix_hits: 0,
-            });
         }
-        return out;
     }
     // second pass: a member shares a prefix when any of its signatures
     // occurs in another member, was admitted by an earlier batch, or is
     // already materialized in the store — only those members are told
     // to materialize (paying the eager drain for a prefix nobody else
-    // wants is the classic MQO anti-pattern)
-    let mut counts: std::collections::HashMap<SubplanSignature, usize> =
-        std::collections::HashMap::new();
-    for sigs in &member_sigs {
-        for s in sigs {
-            *counts.entry(*s).or_insert(0) += 1;
-        }
+    // wants is the classic MQO anti-pattern). A standalone-planned
+    // (adaptive) batch carries no signatures and flags nothing.
+    let mut counts: HashMap<SubplanSignature, usize> = HashMap::new();
+    for s in member_sigs.iter().flatten() {
+        *counts.entry(*s).or_insert(0) += 1;
     }
     let mut admitted = recover(state.admitted_prefixes.lock());
+    let mut flagged = 0u64;
     for (job, sigs) in out.iter_mut().zip(&member_sigs) {
         let Some(prepared) = job.prepared.as_mut() else {
             continue;
         };
-        let shared = sigs.iter().any(|s| {
-            counts.get(s).copied().unwrap_or(0) > 1
-                || admitted.contains(s)
-                || state.shared.is_materialized(*s)
-        });
-        if shared {
-            prepared.shared_prefix = true;
-            state
-                .metrics
-                .shared_prefix_hits
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        prepared.shared_prefix = sigs
+            .iter()
+            .any(|s| counts[s] > 1 || admitted.contains(s) || state.shared.is_materialized(*s));
+        flagged += u64::from(prepared.shared_prefix);
     }
     if admitted.len() > ADMITTED_PREFIX_CAP {
         admitted.clear();
     }
-    admitted.extend(member_sigs.iter().flatten().copied());
-    if let Some(ctl) = &ctl {
-        let flagged = out
-            .iter()
-            .filter(|j| j.prepared.as_ref().is_some_and(|p| p.shared_prefix))
-            .count() as u64;
-        ctl.instant(SpanKind::AdmissionBatch {
+    admitted.extend(member_sigs.iter().flatten());
+    state
+        .metrics
+        .shared_prefix_hits
+        .fetch_add(flagged, Ordering::Relaxed);
+    if let Some(recorder) = state.shared.trace_recorder() {
+        recorder.control().instant(SpanKind::AdmissionBatch {
             members,
             shared_prefix_hits: flagged,
         });
@@ -1306,86 +1061,94 @@ fn plan_batch(state: &Arc<ServerState>, batch: Vec<Job>) -> Vec<Job> {
     out
 }
 
-/// Parse → plan-cache probe (single-flight) → optimize on a miss: the
-/// plan-resolution path shared by ad-hoc queries and standing
-/// subscriptions. Returns `(key, plan, plan_cache_hit)`.
+/// The one optimizer configuration the server prices under — a cold
+/// resolve and a mid-flight re-plan must agree on it.
+fn serving_config(state: &ServerState, k: u64) -> OptimizerConfig {
+    OptimizerConfig {
+        k,
+        cache: state.config.cache,
+        ..OptimizerConfig::default()
+    }
+}
+
+/// Template → plan, for every caller: workers, the admission batcher
+/// and `subscribe`. Probes the plan cache through the resolver
+/// (single-flight, failed memo, discounted-entry revalidation) and
+/// optimizes on a miss; counts the hit / miss / optimizer run / memo
+/// hit and records the control-track spans. Returns `(key, plan,
+/// plan_cache_hit)`.
+///
+/// `batch_seen` is the admission batcher's running set of prefixes its
+/// earlier members will materialize: with it the miss is priced under
+/// the batch's shared-work oracle (`optimize_shared`) and cached with
+/// the discount *recorded* — a plan chosen under a transient discount
+/// must not silently become the template's durable plan, the cache
+/// being keyed by `(fingerprint, k)` alone and outliving the
+/// materialization. Without it nothing is shared and nothing is signed:
+/// plain `optimize`.
 fn resolve_plan(
     state: &ServerState,
-    text: &str,
+    query: ConjunctiveQuery,
     k: u64,
+    batch_seen: Option<&HashSet<SubplanSignature>>,
 ) -> Result<(PlanKey, Arc<Plan>, bool), String> {
-    let query = state.engine.parse(text).map_err(|e| e.to_string())?;
     let key = (fingerprint(&query), k);
-    let cached = lookup_single_flight(state, &key)?;
-    let plan_cache_hit = cached.is_some();
+    let metrics = &state.metrics;
     let ctl = state.shared.trace_recorder().map(|r| r.control());
-    let plan: Arc<Plan> = match cached {
-        Some(plan) => {
-            state
-                .metrics
-                .plan_cache_hits
-                .fetch_add(1, Ordering::Relaxed);
+    let oracle = BatchOracle {
+        shared: &state.shared,
+        batch: batch_seen,
+    };
+    let live = |plan: &Plan| {
+        invoke_prefixes(plan)
+            .iter()
+            .any(|p| oracle.is_materialized(p.signature))
+    };
+    let optimize = || {
+        metrics.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
+        metrics
+            .optimizer_invocations
+            .fetch_add(1, Ordering::Relaxed);
+        if let Some(ctl) = &ctl {
+            ctl.instant(SpanKind::PlanCacheMiss {
+                fingerprint: key.0 .0,
+            });
+        }
+        let config = serving_config(state, k);
+        let opt_started = Instant::now();
+        let engine = &state.engine;
+        let optimized = match batch_seen {
+            Some(_) => engine.optimize_shared(query, &ExecutionTime, config, &oracle),
+            None => engine.optimize(query, &ExecutionTime, config),
+        };
+        if let Some(ctl) = &ctl {
+            // control-plane spans measure real optimizer work, so
+            // track 0 runs on wall seconds
+            ctl.record(SpanKind::Optimize, opt_started.elapsed().as_secs_f64());
+        }
+        let plan = Arc::new(optimized.map_err(|e| e.to_string())?.candidate.plan);
+        let discounted = batch_seen.is_some() && live(&plan);
+        Ok((plan, discounted))
+    };
+    match state.plans.resolve(key, live, optimize) {
+        Resolution::Hit(plan) => {
+            metrics.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
             if let Some(ctl) = &ctl {
                 ctl.instant(SpanKind::PlanCacheHit {
                     fingerprint: key.0 .0,
                 });
             }
-            plan
+            Ok((key, plan, true))
         }
-        None => {
-            // the claim from `lookup_single_flight` is released
-            // by this guard even if the optimizer panics
-            let claim = ClaimGuard { state, key };
-            state
-                .metrics
-                .plan_cache_misses
+        Resolution::Optimized(plan) => Ok((key, plan, false)),
+        Resolution::Failed(reason) => Err(reason),
+        Resolution::FailedBefore(reason) => {
+            metrics
+                .plan_failed_memo_hits
                 .fetch_add(1, Ordering::Relaxed);
-            state
-                .metrics
-                .optimizer_invocations
-                .fetch_add(1, Ordering::Relaxed);
-            if let Some(ctl) = &ctl {
-                ctl.instant(SpanKind::PlanCacheMiss {
-                    fingerprint: key.0 .0,
-                });
-            }
-            let opt_started = Instant::now();
-            let optimized = state.engine.optimize(
-                query,
-                &ExecutionTime,
-                OptimizerConfig {
-                    k,
-                    cache: state.config.cache,
-                    ..OptimizerConfig::default()
-                },
-            );
-            if let Some(ctl) = &ctl {
-                // control spans measure real optimizer work:
-                // track 0 runs on wall seconds
-                ctl.record(SpanKind::Optimize, opt_started.elapsed().as_secs_f64());
-            }
-            let plan = optimized.map(|o| Arc::new(o.candidate.plan));
-            match &plan {
-                Ok(plan) => {
-                    recover(state.plans.lock())
-                        .cache
-                        .insert(key, Arc::clone(plan));
-                }
-                Err(e) => {
-                    // publish the failure while the claim is
-                    // still held: when the guard's release
-                    // wakes the waiters they find the memo and
-                    // fail immediately, instead of waking into
-                    // an empty cache and re-claiming the doomed
-                    // template one by one
-                    memoize_failed_plan(state, key, &e.to_string());
-                }
-            }
-            drop(claim);
-            plan.map_err(|e| e.to_string())?
+            Err(reason)
         }
-    };
-    Ok((key, plan, plan_cache_hit))
+    }
 }
 
 /// One query, start to finish, on a worker thread: parse → plan-cache
@@ -1414,10 +1177,17 @@ fn process(state: &ServerState, job: Job) {
             p.shared_prefix,
             p.shared_prefix,
         ),
-        None => match resolve_plan(state, &job.text, job.k) {
-            Ok((key, plan, plan_cache_hit)) => (key, plan, plan_cache_hit, false, true),
-            Err(reason) => return fail(reason),
-        },
+        None => {
+            let resolved = state
+                .engine
+                .parse(&job.text)
+                .map_err(|e| e.to_string())
+                .and_then(|query| resolve_plan(state, query, job.k, None));
+            match resolved {
+                Ok((key, plan, plan_cache_hit)) => (key, plan, plan_cache_hit, false, true),
+                Err(reason) => return fail(reason),
+            }
+        }
     };
 
     // the tenant's per-query budget override wins over the server-wide
@@ -1436,14 +1206,7 @@ fn process(state: &ServerState, job: Job) {
     let mut adaptive = state.config.adaptive.map(|cfg| {
         let replanner = state
             .engine
-            .replanner(
-                &ExecutionTime,
-                OptimizerConfig {
-                    k: job.k,
-                    cache: state.config.cache,
-                    ..OptimizerConfig::default()
-                },
-            )
+            .replanner(&ExecutionTime, serving_config(state, job.k))
             .with_oracle(Arc::clone(&state.shared) as Arc<_>);
         (cfg, replanner)
     });
@@ -1484,19 +1247,16 @@ fn process(state: &ServerState, job: Job) {
     if let Some(t) = &query_trace {
         t.instant(SpanKind::QueryDone { answers: produced });
     }
-    let per_service_faults = exec.fault_stats();
+    // one snapshot of the execution's ledger: calls, latency and faults
+    // all from the same instant
+    let ledger = exec.ledger();
+    let faults = ledger.total_faults();
     let error = exec.error();
     let partial = exec.partial_results();
-    let forwarded_calls = exec.total_calls();
-    let forwarded_latency = exec.total_latency();
     let replans = exec.replans();
     // (a re-planning execution runs its own chain, so these stay 0)
     let sub_result_hits = exec.sub_result_hits();
     let sub_result_calls_saved = exec.sub_result_calls_saved();
-    let mut faults = FaultStats::default();
-    for s in per_service_faults.values() {
-        faults.merge(s);
-    }
     // sub-result attribution happens success or fail, like faults: the
     // store counted the replay when the execution was built, and the
     // server counters must reconcile with it exactly
@@ -1525,9 +1285,7 @@ fn process(state: &ServerState, job: Job) {
     // publish it under the same fingerprint so the next submission
     // starts from the corrected plan instead of the stale one
     if let Some(spliced) = exec.spliced_plan() {
-        recover(state.plans.lock())
-            .cache
-            .insert(key, Arc::new(spliced.clone()));
+        state.plans.republish(key, Arc::new(spliced.clone()));
     }
     // degraded services don't fail the query: the session completes
     // with partial results naming them
@@ -1540,8 +1298,8 @@ fn process(state: &ServerState, job: Job) {
     let _ = job.events.send(SessionEvent::Done(QueryStats {
         tenant: job.tenant,
         plan_cache_hit,
-        forwarded_calls,
-        forwarded_latency,
+        forwarded_calls: ledger.total_calls(),
+        forwarded_latency: ledger.total_latency(),
         wall_seconds: wall,
         retries: faults.retries,
         timeouts: faults.timeouts,
@@ -1906,6 +1664,83 @@ mod tests {
             .collect()
             .expect_err("still not executable");
         assert_eq!(server.metrics().optimizer_invocations, 2);
+    }
+
+    #[test]
+    fn direct_and_batched_admission_share_the_resolver_and_the_counts() {
+        // the same sequential script — 8 templates submitted twice, one
+        // of them unoptimizable — through a direct server and through
+        // the admission batcher (sub-result store off, so no discount
+        // can differ): both modes resolve through the one
+        // `resolve_plan`, so answers and plan counters must be identical
+        let mut script: Vec<String> = (0..7)
+            .map(|i| TRAVEL_QUERY.replace("< 2000", &format!("< {}", 2000 + i)))
+            .collect();
+        script.push("q(City) :- weather(City, Temp, Day).".to_string());
+        let run = |config: RuntimeConfig| {
+            let server = QueryServer::new(travel_engine(), config);
+            let outcomes: Vec<Result<Vec<Tuple>, String>> = script
+                .iter()
+                .chain(&script)
+                .map(|text| {
+                    server
+                        .submit(text, Some(5))
+                        .collect()
+                        .map(|r| r.answers)
+                        .map_err(|e| e.to_string())
+                })
+                .collect();
+            let m = server.metrics();
+            let counts = (
+                m.plan_cache_hits,
+                m.plan_cache_misses,
+                m.optimizer_invocations,
+                m.plan_failed_memo_hits,
+                m.failed,
+            );
+            (outcomes, counts)
+        };
+        let (direct, direct_counts) = run(RuntimeConfig::default());
+        let (batched, batched_counts) = run(RuntimeConfig {
+            sub_results: 0,
+            ..batching_config()
+        });
+        assert_eq!(direct_counts, (7, 8, 8, 1, 2));
+        assert_eq!(batched_counts, direct_counts);
+        assert_eq!(batched, direct);
+        assert!(direct[..7].iter().all(|o| o.is_ok()));
+        assert!(direct[7]
+            .as_ref()
+            .is_err_and(|e| e.contains("not executable")));
+    }
+
+    #[test]
+    fn unknown_tenant_refusals_count_rejected_once_and_shed_nothing() {
+        let server = QueryServer::from_world(news_world(), RuntimeConfig::default());
+        let nobody: TenantId = 4242;
+        let rejected = |server: &QueryServer| {
+            let m = server.metrics();
+            let shed = m.shed_queue_full
+                + m.shed_tenant_queue
+                + m.shed_tenant_budget
+                + m.shed_subscription_cap;
+            (m.rejected, shed, m.submitted)
+        };
+        assert!(matches!(
+            server.try_submit(nobody, NEWS_QUERY, Some(3)),
+            Err(Rejection::UnknownTenant)
+        ));
+        assert_eq!(rejected(&server), (1, 0, 0));
+        let err = server
+            .subscribe(nobody, NEWS_QUERY, Some(3))
+            .expect_err("refused");
+        assert_eq!(err, Rejection::UnknownTenant.to_string());
+        assert_eq!(rejected(&server), (2, 0, 0));
+        assert!(matches!(
+            server.try_refresh(nobody),
+            Err(Rejection::UnknownTenant)
+        ));
+        assert_eq!(rejected(&server), (3, 0, 0));
     }
 
     /// Builds a queued job for scheduler-order tests (nothing ever

@@ -66,7 +66,7 @@
 
 use crate::metrics::Metrics;
 use mdq_cost::shared::SharedWorkOracle;
-use mdq_exec::gateway::{InvocationFrontier, SharedServiceState, TenantId};
+use mdq_exec::gateway::{SharedServiceState, TenantId};
 use mdq_exec::topk::TopKExecution;
 use mdq_exec::ExecContext;
 use mdq_model::fingerprint::SubplanSignature;
@@ -196,7 +196,7 @@ struct SubState {
     /// deterministic delta streams for seeded replay assertions.
     subs: BTreeMap<u64, Subscription>,
     /// How many live subscriptions' frontiers cover each invocation.
-    /// The invariant `pins.contains_key(k) ⟺ driver.is_tracked(k) ⟺
+    /// The invariant `pins.contains_key(k) ⟺ the driver tracks k ⟺
     /// page-cache entry pinned` holds between calls.
     pins: HashMap<InvocationKey, u32>,
     /// How many live subscriptions' plans carry each invoke-prefix
@@ -415,15 +415,10 @@ impl SubscriptionManager {
 
         // ---- phase 1: snapshot (state lock) ----
         let snapshot_started = Instant::now();
-        let (epoch, jobs, skipped, tracked, snaps) = {
+        let (epoch, jobs, skipped, snaps) = {
             let st = recover(self.state.lock());
             let epoch = recover(self.clock.lock()).advance();
             let (jobs, skipped) = st.driver.due_jobs(epoch, &st.policy);
-            let tracked: InvocationFrontier = st
-                .pins
-                .keys()
-                .map(|k| (k.service, k.pattern, k.inputs.clone()))
-                .collect();
             // BTreeMap iteration: snapshots ascend by id, so every
             // later per-sub stage inherits deterministic order
             let snaps: Vec<SubSnapshot> = st
@@ -440,7 +435,7 @@ impl SubscriptionManager {
                     answers: s.answers.clone(),
                 })
                 .collect();
-            (epoch, jobs, skipped, tracked, snaps)
+            (epoch, jobs, skipped, snaps)
         };
         // stale-state hygiene before anything re-reads the cache: an
         // unpinned page or a condemned page embeds the previous epoch
@@ -460,7 +455,6 @@ impl SubscriptionManager {
             st.driver.apply(epoch, skipped, outcomes)
         };
         let mut changed: HashSet<InvocationKey> = HashSet::with_capacity(report.changed.len());
-        let mut changed_f: InvocationFrontier = HashSet::with_capacity(report.changed.len());
         for c in &report.changed {
             ctx.shared.install_invocation(
                 c.key.service,
@@ -468,7 +462,6 @@ impl SubscriptionManager {
                 c.pages.clone(),
                 c.exhausted,
             );
-            changed_f.insert((c.key.service, c.key.pattern, c.key.inputs.clone()));
             changed.insert(c.key.clone());
         }
         // epoch-scoped sub-result invalidation: an entry survives iff
@@ -479,11 +472,16 @@ impl SubscriptionManager {
         // were) — such an entry replays byte-identically at the new
         // epoch. Everything else would resurrect a previous epoch and
         // is dropped, as the pre-pipeline wholesale wipe dropped all.
-        let (_, sub_results_retained) = ctx.shared.retain_sub_results(|frontier| {
-            frontier
-                .iter()
-                .all(|inv| tracked.contains(inv) && !changed_f.contains(inv))
-        });
+        // The pin table is read in place under a brief state lock: the
+        // pass gate keeps it unchanged until this pass's own commit.
+        let (_, sub_results_retained) = {
+            let st = recover(self.state.lock());
+            ctx.shared.retain_sub_results(|frontier| {
+                frontier
+                    .iter()
+                    .all(|inv| st.pins.contains_key(inv) && !changed.contains(inv))
+            })
+        };
         ctx.metrics
             .observe_refresh_fetch(fetch_started.elapsed().as_secs_f64());
         phase_span(ctx, epoch, "fetch", jobs.len() as u64, fetch_started);
@@ -756,16 +754,7 @@ fn evaluate(
     if let Some(err) = exec.error() {
         return Err(err.to_string());
     }
-    let frontier = exec
-        .frontier()
-        .into_iter()
-        .map(|(service, pattern, inputs)| InvocationKey {
-            service,
-            pattern,
-            inputs,
-        })
-        .collect();
-    Ok((answers, frontier))
+    Ok((answers, exec.frontier()))
 }
 
 /// Bumps `key`'s pin refcount; the first pin also pins the page-cache

@@ -231,11 +231,6 @@ impl RefreshDriver {
         self.tracked.len()
     }
 
-    /// Whether `key` is tracked.
-    pub fn is_tracked(&self, key: &InvocationKey) -> bool {
-        self.tracked.contains_key(key)
-    }
-
     /// Request-responses spent fetching baselines for snapshot-less
     /// [`RefreshDriver::track`] calls.
     pub fn track_calls(&self) -> u64 {

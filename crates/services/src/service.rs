@@ -57,11 +57,6 @@ impl ServiceFault {
             ServiceFault::RateLimited { latency, .. } => *latency,
         }
     }
-
-    /// Whether the fault is a timeout.
-    pub fn is_timeout(&self) -> bool {
-        matches!(self, ServiceFault::Timeout { .. })
-    }
 }
 
 impl fmt::Display for ServiceFault {

@@ -74,17 +74,6 @@ impl SyntheticSource {
         self.rows.len()
     }
 
-    /// The rows matching `inputs` under `pattern`, in rank order
-    /// (unpaged) — used by tests and the profiler.
-    pub fn matching(&self, pattern: usize, inputs: &[Value]) -> Vec<&Tuple> {
-        // Numeric join-equality means Int(2) must hit Float(2.0) keys; we
-        // normalise by exact value here (generators use consistent kinds).
-        self.indexes[pattern]
-            .get(inputs)
-            .map(|ids| ids.iter().map(|&i| &self.rows[i as usize]).collect())
-            .unwrap_or_default()
-    }
-
     /// Resets provider-side latency state (fresh run).
     pub fn reset(&self) {
         self.latency.reset();

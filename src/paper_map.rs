@@ -13,9 +13,9 @@
 //! | access patterns (§2.1) | [`AccessPattern`](mdq_model::schema::AccessPattern) |
 //! | erspi ξ, proliferative/selective (§2.1) | [`ServiceProfile`](mdq_model::schema::ServiceProfile) |
 //! | bulk vs. chunked, chunk size (§2.1) | [`Chunking`](mdq_model::schema::Chunking) |
-//! | query plans as DAGs (§2.2) | [`Plan`](mdq_plan::dag::Plan), executed via [`compile`](mdq_exec::operator::compile) (shared subplans run once) |
+//! | query plans as DAGs (§2.2) | [`Plan`](mdq_plan::dag::Plan), executed via [`compile_with`](mdq_exec::operator::compile_with) (shared subplans run once) |
 //! | "plan execution can be continued" (§2.2) | [`TopKExecution`](mdq_exec::topk::TopKExecution) |
-//! | query templates (§2.2) | [`QueryTemplate`](mdq_model::template::QueryTemplate), [`Mdq::prepare`](mdq_core::Mdq::prepare) |
+//! | query templates (§2.2) | [`QueryTemplate`](mdq_model::template::QueryTemplate), [`Mdq::prepare`](mdq_core::Mdq::prepare); on the serving side the plan resolver in [`mdq_runtime::plan_cache`] (one template → plan decision: LRU, single-flight optimize, failed memo) |
 //! | sum cost metric (§2.3) | [`SumCost`](mdq_cost::metrics::SumCost) |
 //! | request-response metric (§2.3) | [`RequestResponse`](mdq_cost::metrics::RequestResponse) |
 //! | execution time metric (§2.3) | [`ExecutionTime`](mdq_cost::metrics::ExecutionTime) |
@@ -134,7 +134,7 @@
 //!
 //! | Concept | Implementation |
 //! |---|---|
-//! | estimated profiles ξ/τ/φ (§5, Table 1) vs. live observations | [`ObservedService`](mdq_cost::divergence::ObservedService), exported by [`ServiceGateway::observed_stats`](mdq_exec::gateway::ServiceGateway::observed_stats) / [`SharedServiceState::observed_snapshot`](mdq_exec::gateway::SharedServiceState::observed_snapshot) |
+//! | estimated profiles ξ/τ/φ (§5, Table 1) vs. live observations | [`ObservedService`](mdq_cost::divergence::ObservedService), exported by [`ServiceGateway::ledger`](mdq_exec::gateway::ServiceGateway::ledger) / [`SharedServiceState::observed_snapshot`](mdq_exec::gateway::SharedServiceState::observed_snapshot) |
 //! | when is the drift worth acting on | [`profile_divergence`](mdq_cost::divergence::profile_divergence), [`diverging_services`](mdq_cost::divergence::diverging_services) under an [`AdaptiveConfig`](mdq_cost::divergence::AdaptiveConfig) |
 //! | §5 "periodic re-estimation", without a sampling pass | [`refresh_profiles`](mdq_cost::divergence::refresh_profiles), [`Mdq::seed_profiles_from_observed`](mdq_core::Mdq::seed_profiles_from_observed) |
 //! | re-optimizing the unexecuted suffix (patterns/order/fetches of executed stages frozen) | [`reoptimize_suffix`](mdq_optimizer::replan::reoptimize_suffix), [`optimize_fetches_pinned`](mdq_optimizer::phase3::optimize_fetches_pinned) |

@@ -262,7 +262,7 @@ fn randomized_plans_executors_agree_under_seeded_faults() {
         );
 
         // identical attempts AND identical retries, service by service
-        let pull_faults = pull.fault_stats();
+        let pull_ledger = pull.ledger();
         for (name, id) in [
             ("conf", wp.ids.conf),
             ("weather", wp.ids.weather),
@@ -282,7 +282,7 @@ fn randomized_plans_executors_agree_under_seeded_faults() {
             );
             let retries = pipeline.retries_to(id);
             assert_eq!(
-                pull_faults.get(&id).map(|s| s.retries).unwrap_or(0),
+                pull_ledger.faults_for(id).retries,
                 retries,
                 "{desc}: pull vs pipeline retries to {name}"
             );
@@ -431,7 +431,7 @@ fn adaptive_drivers_agree_on_answers_calls_and_replans() {
             );
             let retries = pipeline.report.retries_to(id);
             assert_eq!(
-                pull.fault_stats().get(&id).map(|s| s.retries).unwrap_or(0),
+                pull.ledger().faults_for(id).retries,
                 retries,
                 "{desc}: pull vs pipeline retries to {name}"
             );
@@ -552,7 +552,7 @@ fn batch_size_sweep_is_equivalent_to_tuple_at_a_time() {
                     "{desc}: batch={batch} pull answers"
                 );
 
-                let pull_faults = pull.fault_stats();
+                let pull_ledger = pull.ledger();
                 for id in services {
                     let calls = base.calls_to(id);
                     let retries = base.retries_to(id);
@@ -582,7 +582,7 @@ fn batch_size_sweep_is_equivalent_to_tuple_at_a_time() {
                         "{desc}: batch={batch} pull calls to {id:?}"
                     );
                     assert_eq!(
-                        pull_faults.get(&id).map(|s| s.retries).unwrap_or(0),
+                        pull_ledger.faults_for(id).retries,
                         retries,
                         "{desc}: batch={batch} pull retries to {id:?}"
                     );

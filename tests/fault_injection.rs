@@ -584,3 +584,49 @@ fn single_flight_waiter_wakes_with_the_leaders_error() {
     assert_eq!(shared.total_calls(), 1);
     assert_eq!(shared.total_fault_stats().exhausted, 1);
 }
+
+/// One ledger per execution: a lone execution over a fresh shared state
+/// *is* the state's whole history, so its own ledger and the state's
+/// merged ledger must be equal field by field — read from the live cell
+/// while the execution exists, and from the retired totals once it is
+/// dropped. Faults of every kind are in play so no field is trivially
+/// empty.
+#[test]
+fn lone_execution_ledger_equals_the_shared_ledger_live_and_retired() {
+    let mut w = travel_world(2008);
+    script(
+        &mut w,
+        |w| w.ids.flight,
+        FaultPlan::new().fail_first(2, PlannedFault::Error),
+    );
+    script(
+        &mut w,
+        |w| w.ids.hotel,
+        FaultPlan::new().fail_always(PlannedFault::Timeout),
+    );
+    let plan = plan_o(&w);
+    let shared = Arc::new(SharedServiceState::new(CacheSetting::Optimal, 0));
+    let mut exec = TopKExecution::start(
+        &plan,
+        &w.schema,
+        &w.registry,
+        ExecContext::shared(Arc::clone(&shared)),
+    )
+    .expect("builds");
+    exec.answers(usize::MAX >> 1);
+
+    let own = exec.ledger();
+    let faults = own.total_faults();
+    assert!(faults.errors > 0 && faults.timeouts > 0, "{faults:?}");
+    assert!(faults.retries > 0 && faults.exhausted > 0, "{faults:?}");
+    assert!(own.total_cache_stats().misses > 0, "invocations recorded");
+    assert_eq!(own.total_calls(), exec.total_calls());
+    assert_eq!(
+        own.observed().values().map(|o| o.calls).sum::<u64>(),
+        own.total_calls(),
+        "every forwarded attempt is an observation"
+    );
+    assert_eq!(own, shared.ledger(), "live cell: merged in place");
+    drop(exec);
+    assert_eq!(own, shared.ledger(), "retired totals: nothing lost");
+}

@@ -255,3 +255,66 @@ fn shared_page_cache_never_fabricates_or_drops_pages() {
         "no duplicated and no dropped forwards under contention"
     );
 }
+
+#[test]
+fn metrics_sampled_mid_flight_reconcile_exactly() {
+    // one merged ledger snapshot per `metrics()` call: the total and the
+    // per-service split come from the same instant, so they must agree
+    // on EVERY sample — including the ones taken while 4 workers are in
+    // the middle of forwarding calls (no page cache: every query
+    // forwards its whole demand, so the ledger moves throughout)
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    let server = QueryServer::new(
+        travel_engine(),
+        RuntimeConfig {
+            workers: 4,
+            cache: CacheSetting::NoCache,
+            ..RuntimeConfig::default()
+        },
+    );
+    let text = travel_query(2000);
+    // samples taken, and how many of them saw the ledger move since
+    // the previous one (proof the sampler overlapped forwarding)
+    let (samples, moving) = (AtomicU64::new(0), AtomicU64::new(0));
+    let load_done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut last = 0u64;
+            while !load_done.load(Ordering::SeqCst) {
+                let m = server.metrics();
+                let split: u64 = m.per_service_calls.iter().map(|(_, n)| n).sum();
+                assert_eq!(
+                    m.total_service_calls, split,
+                    "total vs per-service calls, sampled mid-flight"
+                );
+                let split: f64 = m.per_service_latency.iter().map(|(_, l)| l.total).sum();
+                assert!(
+                    (split - m.total_service_latency).abs()
+                        < 1e-9 * m.total_service_latency.max(1.0),
+                    "per-service latency {split} vs total {}",
+                    m.total_service_latency
+                );
+                moving.fetch_add(u64::from(m.total_service_calls != last), Ordering::SeqCst);
+                last = m.total_service_calls;
+                samples.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        // keep 4 workers forwarding until the sampler has what it needs
+        // (bounded, so a sampler that never overlaps fails, not hangs)
+        for _round in 0..400 {
+            if samples.load(Ordering::SeqCst) >= 200 && moving.load(Ordering::SeqCst) >= 50 {
+                break;
+            }
+            let sessions: Vec<_> = (0..8).map(|_| server.submit(&text, Some(K))).collect();
+            for session in sessions {
+                session.collect().expect("runs");
+            }
+        }
+        load_done.store(true, Ordering::SeqCst);
+    });
+    assert!(samples.load(Ordering::SeqCst) >= 200);
+    assert!(
+        moving.load(Ordering::SeqCst) >= 50,
+        "the sampler never overlapped the load"
+    );
+}
