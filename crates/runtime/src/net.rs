@@ -76,22 +76,54 @@
 //! A client frame is at most 64 KiB long, newline included; a peer
 //! that sends more without a newline is answered `ERR frame too long`
 //! and disconnected.
+//!
+//! # One write per burst
+//!
+//! A frame is a line, but a write is a *burst*: every frame a handler
+//! has to say is encoded into the connection's one buffer
+//! ([`ServerFrame::encode_into`]), and the buffer leaves in a single
+//! `write_all` at the moment the handler would block — before the next
+//! read of a client frame, and, while a query streams, whenever the
+//! worker has no further event ready. The invariant is that the buffer
+//! is empty whenever the handler blocks, so nothing the server has
+//! already produced ever waits on something it has not: a query held
+//! up by a slow service still puts each answer on the wire as soon as
+//! it exists, while a top-k served from cached pages — all of it ready
+//! by the time the handler looks — leaves as one segment, which the
+//! client reads with one wake-up instead of one per `ANSWER`. The same
+//! path carries every reply: `HELLO`, `ANSWER…DONE`, `SUBSCRIBED` and
+//! its answers, `DELTA…SYNCED`, `ERR`, `SHED`, `DRAINING` + `BYE`. The
+//! bytes on the wire are those of one write per frame; only the write
+//! boundaries differ.
+//!
+//! The buffer is also flushed when it reaches 64 KiB, queued events or
+//! not: the session channel is unbounded, so a large, fully cached
+//! stream can outrun the socket, and the buffer must be bounded by a
+//! constant rather than by k. A failed write ends the connection, and
+//! dropping the session is what cancels the query: the worker's next
+//! send fails and it stops pulling. [`NetClient`] mirrors the economy
+//! on its side — one send buffer, one line buffer, reused.
 
 use crate::server::{QueryServer, Rejection};
-use crate::session::SessionEvent;
+use crate::session::{QuerySession, SessionEvent};
 use crate::tenant::{TenantPolicy, DEFAULT_TENANT};
 use mdq_exec::gateway::TenantId;
 use mdq_obs::span::SpanKind;
+use std::fmt::{self, Write as _};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::TryRecvError;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The longest client frame the server reads, newline included. A
-/// query text is a few hundred bytes; the cap only bounds what a peer
-/// that never sends `\n` can make a handler buffer.
+/// What a handler buffers per direction. Reading, it is the longest
+/// client frame accepted, newline included: a query text is a few
+/// hundred bytes, and the cap only bounds what a peer that never sends
+/// `\n` can make a handler hold. Writing, it is the size at which
+/// queued reply frames are flushed without waiting for the burst to
+/// end.
 const MAX_FRAME_BYTES: usize = 64 * 1024;
 
 /// How long the accept loop backs off after `accept()`, or the `dup`
@@ -99,9 +131,39 @@ const MAX_FRAME_BYTES: usize = 64 * 1024;
 /// a connection closes — retrying at once would spin).
 const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
-/// Replaces newline characters so any text fits a one-line frame.
-fn escape_line(s: &str) -> String {
-    s.replace('\r', "\\r").replace('\n', "\\n")
+/// Why an encoder may unwrap its `fmt::Result`.
+const STRING_WRITE: &str = "a String accepts every write";
+
+/// Displays text with its newline characters replaced, so that it fits
+/// a one-line frame.
+struct OneLine<'a>(&'a str);
+
+impl fmt::Display for OneLine<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // a search for one character is a `memchr`, for either of two
+        // a character-by-character scan: hence two nested splits
+        for (i, line) in self.0.split('\n').enumerate() {
+            if i > 0 {
+                f.write_str("\\n")?;
+            }
+            for (j, part) in line.split('\r').enumerate() {
+                if j > 0 {
+                    f.write_str("\\r")?;
+                }
+                f.write_str(part)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Appends `<verb> [k=<n>] <text>`, the line `QUERY` and `SUBSCRIBE`
+/// share ([`parse_query_tail`] reads it back).
+fn write_query(out: &mut String, verb: &str, k: Option<u64>, text: &str) -> fmt::Result {
+    match k {
+        Some(k) => write!(out, "{verb} k={k} {}", OneLine(text)),
+        None => write!(out, "{verb} {}", OneLine(text)),
+    }
 }
 
 /// One frame from client to server.
@@ -151,21 +213,22 @@ pub enum ClientFrame {
 impl ClientFrame {
     /// Encodes the frame as one line (no trailing newline).
     pub fn encode(&self) -> String {
+        let mut line = String::new();
+        self.write_to(&mut line).expect(STRING_WRITE);
+        line
+    }
+
+    /// Appends the frame's line (no trailing newline) to `out`.
+    fn write_to(&self, out: &mut String) -> fmt::Result {
         match self {
-            ClientFrame::Tenant { name } => format!("TENANT {}", escape_line(name)),
-            ClientFrame::Query { k: Some(k), text } => {
-                format!("QUERY k={k} {}", escape_line(text))
-            }
-            ClientFrame::Query { k: None, text } => format!("QUERY {}", escape_line(text)),
-            ClientFrame::Subscribe { k: Some(k), text } => {
-                format!("SUBSCRIBE k={k} {}", escape_line(text))
-            }
-            ClientFrame::Subscribe { k: None, text } => format!("SUBSCRIBE {}", escape_line(text)),
-            ClientFrame::Poll { id } => format!("POLL {id}"),
-            ClientFrame::Refresh => "REFRESH".to_string(),
-            ClientFrame::Unsubscribe { id } => format!("UNSUBSCRIBE {id}"),
-            ClientFrame::Ping => "PING".to_string(),
-            ClientFrame::Quit => "QUIT".to_string(),
+            ClientFrame::Tenant { name } => write!(out, "TENANT {}", OneLine(name)),
+            ClientFrame::Query { k, text } => write_query(out, "QUERY", *k, text),
+            ClientFrame::Subscribe { k, text } => write_query(out, "SUBSCRIBE", *k, text),
+            ClientFrame::Poll { id } => write!(out, "POLL {id}"),
+            ClientFrame::Refresh => out.write_str("REFRESH"),
+            ClientFrame::Unsubscribe { id } => write!(out, "UNSUBSCRIBE {id}"),
+            ClientFrame::Ping => out.write_str("PING"),
+            ClientFrame::Quit => out.write_str("QUIT"),
         }
     }
 
@@ -339,20 +402,30 @@ pub enum ServerFrame {
 impl ServerFrame {
     /// Encodes the frame as one line (no trailing newline).
     pub fn encode(&self) -> String {
-        match self {
-            ServerFrame::Hello { proto } => format!("HELLO {proto}"),
-            ServerFrame::Ok { tenant } => format!("OK tenant={tenant}"),
-            ServerFrame::Answer { tuple } => format!("ANSWER {}", escape_line(tuple)),
+        let mut line = String::new();
+        self.encode_into(&mut line);
+        line
+    }
+
+    /// Appends the frame's line (no trailing newline) to `out` — what
+    /// [`encode`](ServerFrame::encode) returns, without the `String`
+    /// per frame.
+    pub fn encode_into(&self, out: &mut String) {
+        let written = match self {
+            ServerFrame::Hello { proto } => write!(out, "HELLO {proto}"),
+            ServerFrame::Ok { tenant } => write!(out, "OK tenant={tenant}"),
+            ServerFrame::Answer { tuple } => write!(out, "ANSWER {}", OneLine(tuple)),
             ServerFrame::Done {
                 answers,
                 calls,
                 wall_ms,
                 partial,
-            } => {
-                format!("DONE answers={answers} calls={calls} wall_ms={wall_ms} partial={partial}")
-            }
+            } => write!(
+                out,
+                "DONE answers={answers} calls={calls} wall_ms={wall_ms} partial={partial}"
+            ),
             ServerFrame::Subscribed { id, epoch, answers } => {
-                format!("SUBSCRIBED id={id} epoch={epoch} answers={answers}")
+                write!(out, "SUBSCRIBED id={id} epoch={epoch} answers={answers}")
             }
             ServerFrame::Delta {
                 id,
@@ -361,10 +434,10 @@ impl ServerFrame {
                 tuple,
             } => {
                 let op = if *added { '+' } else { '-' };
-                format!("DELTA id={id} epoch={epoch} op={op} {}", escape_line(tuple))
+                write!(out, "DELTA id={id} epoch={epoch} op={op} {}", OneLine(tuple))
             }
             ServerFrame::Synced { id, epoch, deltas } => {
-                format!("SYNCED id={id} epoch={epoch} deltas={deltas}")
+                write!(out, "SYNCED id={id} epoch={epoch} deltas={deltas}")
             }
             ServerFrame::Refreshed {
                 epoch,
@@ -372,16 +445,20 @@ impl ServerFrame {
                 changed,
                 calls,
                 deltas,
-            } => format!(
+            } => write!(
+                out,
                 "REFRESHED epoch={epoch} refreshed={refreshed} changed={changed} calls={calls} deltas={deltas}"
             ),
-            ServerFrame::Unsubscribed { id } => format!("UNSUBSCRIBED id={id}"),
-            ServerFrame::Err { reason } => format!("ERR {}", escape_line(reason)),
-            ServerFrame::Shed { retry_after_ms } => format!("SHED retry-after-ms={retry_after_ms}"),
-            ServerFrame::Draining => "DRAINING".to_string(),
-            ServerFrame::Pong => "PONG".to_string(),
-            ServerFrame::Bye => "BYE".to_string(),
-        }
+            ServerFrame::Unsubscribed { id } => write!(out, "UNSUBSCRIBED id={id}"),
+            ServerFrame::Err { reason } => write!(out, "ERR {}", OneLine(reason)),
+            ServerFrame::Shed { retry_after_ms } => {
+                write!(out, "SHED retry-after-ms={retry_after_ms}")
+            }
+            ServerFrame::Draining => out.write_str("DRAINING"),
+            ServerFrame::Pong => out.write_str("PONG"),
+            ServerFrame::Bye => out.write_str("BYE"),
+        };
+        written.expect(STRING_WRITE);
     }
 
     /// Parses one line into a frame.
@@ -560,9 +637,10 @@ fn accept_loop(shared: &Arc<NetShared>, listener: &TcpListener) -> Vec<Conn> {
         };
         if shared.draining.load(Ordering::Acquire) {
             // refuse with a drain notice, never silently
-            let mut stream = stream;
-            let _ = writeln!(stream, "{}", ServerFrame::Draining.encode());
-            let _ = writeln!(stream, "{}", ServerFrame::Bye.encode());
+            let mut out = FrameWriter::new(&stream);
+            out.push(&ServerFrame::Draining);
+            out.push(&ServerFrame::Bye);
+            out.flush();
             break;
         }
         // dropping a finished entry closes this side's handle; the
@@ -676,6 +754,51 @@ impl Drop for ConnGuard<'_> {
     }
 }
 
+/// The write half of one connection. Frames are encoded into one
+/// reused buffer, and the buffer leaves in a single write when the
+/// handler is about to block or the buffer reaches [`MAX_FRAME_BYTES`]
+/// (see *One write per burst* in the module docs). The first failed
+/// write closes the writer for good: later frames are dropped unsent,
+/// and `push` / `flush` say so.
+struct FrameWriter<W: Write> {
+    sink: W,
+    buf: String,
+    /// No write has failed yet.
+    open: bool,
+}
+
+impl<W: Write> FrameWriter<W> {
+    fn new(sink: W) -> Self {
+        FrameWriter {
+            sink,
+            buf: String::new(),
+            open: true,
+        }
+    }
+
+    /// Queues one frame. Returns whether the peer is still there.
+    fn push(&mut self, frame: &ServerFrame) -> bool {
+        if self.open {
+            frame.encode_into(&mut self.buf);
+            self.buf.push('\n');
+            if self.buf.len() >= MAX_FRAME_BYTES {
+                self.flush();
+            }
+        }
+        self.open
+    }
+
+    /// Puts every queued frame on the wire in one write. Returns
+    /// whether the peer is still there.
+    fn flush(&mut self) -> bool {
+        if self.open && !self.buf.is_empty() {
+            self.open = self.sink.write_all(self.buf.as_bytes()).is_ok();
+            self.buf.clear();
+        }
+        self.open
+    }
+}
+
 /// One connection, accept to close: greet, then serve frames until
 /// `QUIT`, EOF, a write failure, an over-long frame, or drain.
 fn handle_connection(shared: &NetShared, stream: &TcpStream, peer: SocketAddr) {
@@ -691,33 +814,30 @@ fn handle_connection(shared: &NetShared, stream: &TcpStream, peer: SocketAddr) {
     // against the peer's delayed ACK adds ~40ms to every round trip
     let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(stream);
-    let mut writer = stream;
-    // one write per frame: a frame split across writes can be torn
-    // apart by the peer's read timeout mid-line
-    let mut send =
-        |frame: ServerFrame| writer.write_all(format!("{}\n", frame.encode()).as_bytes());
-    if send(ServerFrame::Hello {
+    let mut out = FrameWriter::new(stream);
+    out.push(&ServerFrame::Hello {
         proto: "mdq/1".to_string(),
-    })
-    .is_err()
-    {
-        return;
-    }
+    });
     let mut tenant = DEFAULT_TENANT;
     let mut line = String::new();
     loop {
         if shared.draining.load(Ordering::Acquire) {
-            let _ = send(ServerFrame::Draining);
-            let _ = send(ServerFrame::Bye);
+            out.push(&ServerFrame::Draining);
+            out.push(&ServerFrame::Bye);
+            break;
+        }
+        // about to block: the reply to the last frame leaves now
+        if !out.flush() {
             break;
         }
         // blocks until a newline, end-of-file or the frame cap
+        line.clear();
         let mut frame_reader = reader.by_ref().take(MAX_FRAME_BYTES as u64 + 1);
         if frame_reader.read_line(&mut line).is_err() {
             break;
         }
         if line.len() > MAX_FRAME_BYTES {
-            let _ = send(ServerFrame::Err {
+            out.push(&ServerFrame::Err {
                 reason: "frame too long".to_string(),
             });
             break;
@@ -728,30 +848,26 @@ fn handle_connection(shared: &NetShared, stream: &TcpStream, peer: SocketAddr) {
             // frame — dropped, the loop head says DRAINING; a peer's
             // unterminated last frame is served before the EOF behind it
             if shared.draining.load(Ordering::Acquire) {
-                line.clear();
                 continue;
             }
             if line.is_empty() {
                 break; // client went away
             }
         }
-        let text = std::mem::take(&mut line);
-        if text.trim().is_empty() {
+        if line.trim().is_empty() {
             continue;
         }
-        let frame = match ClientFrame::parse(&text) {
+        let frame = match ClientFrame::parse(&line) {
             Ok(frame) => frame,
             Err(reason) => {
-                if send(ServerFrame::Err { reason }).is_err() {
-                    break;
-                }
+                out.push(&ServerFrame::Err { reason });
                 continue;
             }
         };
         let ok = match frame {
-            ClientFrame::Ping => send(ServerFrame::Pong).is_ok(),
+            ClientFrame::Ping => out.push(&ServerFrame::Pong),
             ClientFrame::Quit => {
-                let _ = send(ServerFrame::Bye);
+                out.push(&ServerFrame::Bye);
                 break;
             }
             ClientFrame::Tenant { name } => {
@@ -759,32 +875,27 @@ fn handle_connection(shared: &NetShared, stream: &TcpStream, peer: SocketAddr) {
                 // default policy; a pre-registered name keeps the
                 // policy the operator installed (first wins)
                 tenant = shared.query.register_tenant(&name, TenantPolicy::default());
-                send(ServerFrame::Ok { tenant }).is_ok()
+                out.push(&ServerFrame::Ok { tenant })
             }
             ClientFrame::Query { k, text } => {
                 queries += 1;
-                serve_query(shared, &mut send, tenant, &text, k)
+                serve_query(shared, &mut out, tenant, &text, k)
             }
             ClientFrame::Subscribe { k, text } => {
                 queries += 1;
                 match shared.query.subscribe(tenant, &text, k) {
                     Ok(ticket) => {
-                        let mut ok = send(ServerFrame::Subscribed {
+                        out.push(&ServerFrame::Subscribed {
                             id: ticket.id,
                             epoch: ticket.epoch,
                             answers: ticket.answers.len() as u64,
+                        }) && ticket.answers.iter().all(|t| {
+                            out.push(&ServerFrame::Answer {
+                                tuple: t.to_string(),
+                            })
                         })
-                        .is_ok();
-                        for t in &ticket.answers {
-                            ok = ok
-                                && send(ServerFrame::Answer {
-                                    tuple: t.to_string(),
-                                })
-                                .is_ok();
-                        }
-                        ok
                     }
-                    Err(reason) => send(ServerFrame::Err { reason }).is_ok(),
+                    Err(reason) => out.push(&ServerFrame::Err { reason }),
                 }
             }
             // POLL/UNSUBSCRIBE run as the connection's tenant: ids are
@@ -795,71 +906,54 @@ fn handle_connection(shared: &NetShared, stream: &TcpStream, peer: SocketAddr) {
                 Some(deltas) => {
                     let mut epoch = shared.query.epoch();
                     let mut rows = 0u64;
-                    let mut ok = true;
                     for d in &deltas {
                         epoch = d.epoch;
                         // retractions first: a client applying frames in
                         // order never sees a transiently oversized set
-                        for t in &d.retracted {
-                            rows += 1;
-                            ok = ok
-                                && send(ServerFrame::Delta {
+                        for (added, tuples) in [(false, &d.retracted), (true, &d.added)] {
+                            for t in tuples {
+                                rows += 1;
+                                out.push(&ServerFrame::Delta {
                                     id,
                                     epoch: d.epoch,
-                                    added: false,
+                                    added,
                                     tuple: t.to_string(),
-                                })
-                                .is_ok();
-                        }
-                        for t in &d.added {
-                            rows += 1;
-                            ok = ok
-                                && send(ServerFrame::Delta {
-                                    id,
-                                    epoch: d.epoch,
-                                    added: true,
-                                    tuple: t.to_string(),
-                                })
-                                .is_ok();
+                                });
+                            }
                         }
                     }
-                    ok && send(ServerFrame::Synced {
+                    out.push(&ServerFrame::Synced {
                         id,
                         epoch,
                         deltas: rows,
                     })
-                    .is_ok()
                 }
-                None => send(ServerFrame::Err {
+                None => out.push(&ServerFrame::Err {
                     reason: format!("unknown subscription {id}"),
-                })
-                .is_ok(),
+                }),
             },
             // REFRESH re-fetches every tracked invocation for all
             // tenants — operator-only, or any anonymous client could
             // spam the single most expensive lever the server has
             ClientFrame::Refresh => match shared.query.try_refresh(tenant) {
-                Ok(s) => send(ServerFrame::Refreshed {
+                Ok(s) => out.push(&ServerFrame::Refreshed {
                     epoch: s.epoch,
                     refreshed: s.refreshed,
                     changed: s.invocations_changed,
                     calls: s.calls,
                     deltas: s.deltas_emitted,
-                })
-                .is_ok(),
-                Err(rejection) => send(ServerFrame::Err {
+                }),
+                Err(rejection) => out.push(&ServerFrame::Err {
                     reason: rejection.to_string(),
-                })
-                .is_ok(),
+                }),
             },
             ClientFrame::Unsubscribe { id } => {
                 if shared.query.unsubscribe(tenant, id) {
-                    send(ServerFrame::Unsubscribed { id }).is_ok()
+                    out.push(&ServerFrame::Unsubscribed { id })
                 } else {
-                    send(ServerFrame::Err {
+                    out.push(&ServerFrame::Err {
                         reason: format!("unknown subscription {id}"),
                     })
-                    .is_ok()
                 }
             }
         };
@@ -867,6 +961,9 @@ fn handle_connection(shared: &NetShared, stream: &TcpStream, peer: SocketAddr) {
             break;
         }
     }
+    // the closing frames (BYE, a refusal, the drain notice) leave before
+    // `ConnGuard` shuts the socket down; a peer already gone is no error
+    out.flush();
     if let Some(recorder) = shared.query.trace_recorder() {
         recorder.control().record(
             SpanKind::Connection {
@@ -882,59 +979,68 @@ fn handle_connection(shared: &NetShared, stream: &TcpStream, peer: SocketAddr) {
 /// whether the connection is still writable.
 fn serve_query(
     shared: &NetShared,
-    send: &mut impl FnMut(ServerFrame) -> io::Result<()>,
+    out: &mut FrameWriter<impl Write>,
     tenant: TenantId,
     text: &str,
     k: Option<u64>,
 ) -> bool {
-    let session = match shared.query.try_submit(tenant, text, k) {
-        Ok(session) => session,
-        Err(rejection) => {
-            let frame = match rejection {
-                Rejection::QueueFull { retry_after }
-                | Rejection::TenantQueueFull { retry_after } => ServerFrame::Shed {
+    match shared.query.try_submit(tenant, text, k) {
+        Ok(session) => stream_session(&session, out),
+        Err(rejection) => out.push(&match rejection {
+            Rejection::QueueFull { retry_after } | Rejection::TenantQueueFull { retry_after } => {
+                ServerFrame::Shed {
                     retry_after_ms: retry_after.as_millis() as u64,
-                },
-                Rejection::Closed => ServerFrame::Draining,
-                other => ServerFrame::Err {
-                    reason: other.to_string(),
-                },
-            };
-            return send(frame).is_ok();
-        }
-    };
+                }
+            }
+            Rejection::Closed => ServerFrame::Draining,
+            other => ServerFrame::Err {
+                reason: other.to_string(),
+            },
+        }),
+    }
+}
+
+/// Queues a session's events as frames until its stream ends, flushing
+/// whenever the worker has nothing more ready: an answer that exists is
+/// on the wire before the handler waits for the next one. Returns
+/// whether the connection is still writable; on `false` the caller
+/// drops the session, which cancels the query's remaining pulls.
+fn stream_session(session: &QuerySession, out: &mut FrameWriter<impl Write>) -> bool {
     let mut answers = 0u64;
     loop {
-        match session.next_event() {
+        let event = match session.rx.try_recv() {
+            Ok(event) => Some(event),
+            Err(TryRecvError::Disconnected) => None,
+            Err(TryRecvError::Empty) => {
+                // about to block on the worker
+                if !out.flush() {
+                    return false;
+                }
+                session.next_event()
+            }
+        };
+        match event {
             Some(SessionEvent::Answer(tuple)) => {
                 answers += 1;
-                if send(ServerFrame::Answer {
+                if !out.push(&ServerFrame::Answer {
                     tuple: tuple.to_string(),
-                })
-                .is_err()
-                {
-                    // client gone: dropping the session cancels the
-                    // query's remaining pulls
+                }) {
                     return false;
                 }
             }
             Some(SessionEvent::Done(stats)) => {
-                return send(ServerFrame::Done {
+                return out.push(&ServerFrame::Done {
                     answers,
                     calls: stats.forwarded_calls,
                     wall_ms: (stats.wall_seconds * 1e3) as u64,
                     partial: stats.is_partial(),
-                })
-                .is_ok();
+                });
             }
-            Some(SessionEvent::Failed(reason)) => {
-                return send(ServerFrame::Err { reason }).is_ok();
-            }
+            Some(SessionEvent::Failed(reason)) => return out.push(&ServerFrame::Err { reason }),
             None => {
-                return send(ServerFrame::Err {
+                return out.push(&ServerFrame::Err {
                     reason: "server shut down before the query finished".to_string(),
-                })
-                .is_ok();
+                });
             }
         }
     }
@@ -975,6 +1081,10 @@ pub enum QueryOutcome {
 pub struct NetClient {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
+    /// The frame being sent and the line being read: one buffer each,
+    /// reused for the life of the connection.
+    out: String,
+    line: String,
 }
 
 impl NetClient {
@@ -988,6 +1098,8 @@ impl NetClient {
         let mut client = NetClient {
             writer,
             reader: BufReader::new(stream),
+            out: String::new(),
+            line: String::new(),
         };
         match client.read_frame()? {
             ServerFrame::Hello { .. } => Ok(client),
@@ -995,21 +1107,27 @@ impl NetClient {
         }
     }
 
+    /// Sends the line `encode` appends as one frame.
+    fn send_line(&mut self, encode: impl FnOnce(&mut String) -> fmt::Result) -> io::Result<()> {
+        self.out.clear();
+        encode(&mut self.out).expect(STRING_WRITE);
+        self.out.push('\n');
+        self.writer.write_all(self.out.as_bytes())
+    }
+
     fn send(&mut self, frame: &ClientFrame) -> io::Result<()> {
-        // one write per frame — see the server-side note on torn frames
-        self.writer
-            .write_all(format!("{}\n", frame.encode()).as_bytes())
+        self.send_line(|out| frame.write_to(out))
     }
 
     fn read_frame(&mut self) -> io::Result<ServerFrame> {
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
+        self.line.clear();
+        if self.reader.read_line(&mut self.line)? == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "connection closed mid-stream",
             ));
         }
-        ServerFrame::parse(&line).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        ServerFrame::parse(&self.line).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 
     /// Runs the tenant handshake; subsequent queries run as `name`.
@@ -1037,10 +1155,7 @@ impl NetClient {
     /// everything the protocol can say (done, shed, failed, draining)
     /// is a [`QueryOutcome`].
     pub fn query(&mut self, text: &str, k: Option<u64>) -> io::Result<QueryOutcome> {
-        self.send(&ClientFrame::Query {
-            k,
-            text: text.to_string(),
-        })?;
+        self.send_line(|out| write_query(out, "QUERY", k, text))?;
         let mut answers = Vec::new();
         loop {
             match self.read_frame()? {
@@ -1071,10 +1186,7 @@ impl NetClient {
     /// Registers a standing query; returns `(id, epoch, answers)` from
     /// the `SUBSCRIBED` frame and its trailing `ANSWER` stream.
     pub fn subscribe(&mut self, text: &str, k: Option<u64>) -> io::Result<(u64, u64, Vec<String>)> {
-        self.send(&ClientFrame::Subscribe {
-            k,
-            text: text.to_string(),
-        })?;
+        self.send_line(|out| write_query(out, "SUBSCRIBE", k, text))?;
         match self.read_frame()? {
             ServerFrame::Subscribed { id, epoch, answers } => {
                 let mut rows = Vec::with_capacity(answers as usize);
@@ -1173,7 +1285,10 @@ fn protocol_error(frame: &ServerFrame) -> io::Error {
 mod tests {
     use super::*;
     use crate::server::RuntimeConfig;
+    use crate::session::QueryStats;
+    use mdq_model::value::{Tuple, Value};
     use mdq_services::domains::news::news_world;
+    use std::sync::mpsc;
 
     const QUERY: &str = "q(City, Venue, Price) :- events('mahler-2', City, Venue, D), \
                          lowcost('Milano', City, Price), Price <= 60.0.";
@@ -1269,12 +1384,203 @@ mod tests {
             ServerFrame::Pong,
             ServerFrame::Bye,
         ] {
-            assert_eq!(ServerFrame::parse(&frame.encode()), Ok(frame));
+            let line = frame.encode();
+            // appending to what is already queued is the same encoding
+            let mut queued = "PONG\n".to_string();
+            frame.encode_into(&mut queued);
+            assert_eq!(queued, format!("PONG\n{line}"));
+            assert_eq!(ServerFrame::parse(&line), Ok(frame));
         }
+        assert_eq!(
+            ServerFrame::Err {
+                reason: "two\r\nlines".to_string()
+            }
+            .encode(),
+            "ERR two\\r\\nlines",
+            "a frame is one line whatever its text"
+        );
         assert!(
             ServerFrame::parse("DELTA id=1 epoch=2 op=? x").is_err(),
             "bad op rejected"
         );
+    }
+
+    /// A sink that records every `write` call. It fails them all when
+    /// `broken`, and on a successful write releases the `next_burst` of
+    /// session events — the worker producing more only after the
+    /// handler has put the last burst on the wire.
+    #[derive(Default)]
+    struct Sink {
+        writes: Vec<String>,
+        attempts: usize,
+        broken: bool,
+        next_burst: Option<(mpsc::Sender<SessionEvent>, Vec<SessionEvent>)>,
+    }
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.attempts += 1;
+            if self.broken {
+                return Err(io::ErrorKind::BrokenPipe.into());
+            }
+            self.writes
+                .push(String::from_utf8(buf.to_vec()).expect("frames are UTF-8"));
+            if let Some((events, burst)) = self.next_burst.take() {
+                for event in burst {
+                    events.send(event).expect("the session is live");
+                }
+            }
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A session with `events` already queued, and the worker's end.
+    fn queued_session(events: Vec<SessionEvent>) -> (mpsc::Sender<SessionEvent>, QuerySession) {
+        let (tx, rx) = mpsc::channel();
+        for event in events {
+            tx.send(event).expect("receiver is live");
+        }
+        (tx, QuerySession { rx })
+    }
+
+    fn answer(i: usize, pad: usize) -> Tuple {
+        Tuple::new(vec![Value::str(format!("city-{i}{}", "x".repeat(pad)))])
+    }
+
+    fn done() -> SessionEvent {
+        SessionEvent::Done(QueryStats {
+            forwarded_calls: 7,
+            wall_seconds: 0.0125,
+            ..QueryStats::default()
+        })
+    }
+
+    /// `n` padded answers and their `DONE`, as a worker sends them.
+    fn stream_events(n: usize, pad: usize) -> Vec<SessionEvent> {
+        let mut events: Vec<_> = (0..n)
+            .map(|i| SessionEvent::Answer(answer(i, pad)))
+            .collect();
+        events.push(done());
+        events
+    }
+
+    /// The lines `encode()` gives the frames of [`stream_events`],
+    /// newline-terminated: the bytes of one write per frame.
+    fn expected_stream(n: usize, pad: usize) -> String {
+        let mut frames: Vec<_> = (0..n)
+            .map(|i| ServerFrame::Answer {
+                tuple: answer(i, pad).to_string(),
+            })
+            .collect();
+        frames.push(ServerFrame::Done {
+            answers: n as u64,
+            calls: 7,
+            wall_ms: 12,
+            partial: false,
+        });
+        frames.iter().map(|f| f.encode() + "\n").collect()
+    }
+
+    /// Streams `session` the way `handle_connection` does: the stream,
+    /// then the flush before the next read.
+    fn stream_and_flush(session: &QuerySession, sink: &mut Sink) -> bool {
+        let mut out = FrameWriter::new(sink);
+        let ok = stream_session(session, &mut out);
+        out.flush();
+        ok
+    }
+
+    #[test]
+    fn a_stream_that_is_ready_leaves_in_one_write_with_the_bytes_of_encode() {
+        let (_worker, session) = queued_session(stream_events(5, 0));
+        let mut sink = Sink::default();
+        assert!(stream_and_flush(&session, &mut sink));
+        assert_eq!(sink.writes, [expected_stream(5, 0)]);
+    }
+
+    #[test]
+    fn each_burst_is_on_the_wire_before_the_handler_waits_for_the_next() {
+        let (worker, session) = queued_session(vec![
+            SessionEvent::Answer(answer(0, 0)),
+            SessionEvent::Answer(answer(1, 0)),
+        ]);
+        // the rest of the stream exists only once the first write is out
+        let mut sink = Sink {
+            next_burst: Some((worker, vec![SessionEvent::Answer(answer(2, 0)), done()])),
+            ..Sink::default()
+        };
+        assert!(stream_and_flush(&session, &mut sink));
+        assert_eq!(sink.writes.len(), 2, "one write per burst");
+        assert_eq!(sink.writes[0], "ANSWER ⟨'city-0'⟩\nANSWER ⟨'city-1'⟩\n");
+        assert_eq!(sink.writes.concat(), expected_stream(3, 0));
+    }
+
+    #[test]
+    fn a_failed_or_abandoned_query_ends_in_one_err_frame() {
+        let (_worker, session) = queued_session(vec![
+            SessionEvent::Answer(answer(0, 0)),
+            SessionEvent::Failed("boom".to_string()),
+        ]);
+        let mut sink = Sink::default();
+        assert!(stream_and_flush(&session, &mut sink), "ERR is a reply");
+        assert_eq!(sink.writes, ["ANSWER ⟨'city-0'⟩\nERR boom\n"]);
+
+        // the worker died: its sender is gone and no DONE was sent
+        let (worker, session) = queued_session(vec![SessionEvent::Answer(answer(0, 0))]);
+        drop(worker);
+        let mut sink = Sink::default();
+        assert!(stream_and_flush(&session, &mut sink));
+        assert_eq!(
+            sink.writes,
+            ["ANSWER ⟨'city-0'⟩\nERR server shut down before the query finished\n"]
+        );
+    }
+
+    #[test]
+    fn a_stream_larger_than_the_buffer_bound_is_flushed_mid_burst() {
+        // 100 answers of ~1 KiB, all ready at once
+        let (_worker, session) = queued_session(stream_events(100, 1024));
+        let mut sink = Sink::default();
+        assert!(stream_and_flush(&session, &mut sink));
+        assert_eq!(sink.writes.len(), 2, "~102 KiB against a 64 KiB bound");
+        let frame = expected_stream(1, 1024).len();
+        for write in &sink.writes {
+            assert!(
+                write.len() < MAX_FRAME_BYTES + frame,
+                "the buffer is bounded by a constant, not by k"
+            );
+            assert!(write.ends_with('\n'), "cut between frames");
+        }
+        assert_eq!(sink.writes.concat(), expected_stream(100, 1024));
+    }
+
+    #[test]
+    fn a_failed_write_ends_the_stream_and_nothing_more_is_written() {
+        // the channel runs empty with the worker still live: the flush
+        // before the wait is what finds the peer gone
+        let (_worker, session) = queued_session(vec![SessionEvent::Answer(answer(0, 0))]);
+        let mut sink = Sink {
+            broken: true,
+            ..Sink::default()
+        };
+        let mut out = FrameWriter::new(&mut sink);
+        assert!(!stream_session(&session, &mut out));
+        assert!(!out.push(&ServerFrame::Pong), "later frames are dropped");
+        assert!(!out.flush());
+        assert_eq!((sink.attempts, sink.writes.len()), (1, 0));
+
+        // and the flush at the buffer bound, with the whole stream ready
+        let (_worker, session) = queued_session(stream_events(100, 1024));
+        let mut sink = Sink {
+            broken: true,
+            ..Sink::default()
+        };
+        assert!(!stream_and_flush(&session, &mut sink));
+        assert_eq!(sink.attempts, 1);
     }
 
     #[test]

@@ -12,14 +12,18 @@
 //!    wire: every submission is completed or shed, nothing double
 //!    counted, nothing lost.
 
-use mdq::model::value::Value;
+use mdq::model::schema::AccessPattern;
+use mdq::model::value::{Date, Tuple, Value};
 use mdq::runtime::net::{NetClient, NetServer, QueryOutcome, ServerFrame};
-use mdq::runtime::{QueryServer, RuntimeConfig};
+use mdq::runtime::{QueryServer, RuntimeConfig, TenantPolicy};
 use mdq::services::domains::news::news_world;
+use mdq::services::domains::travel::travel_world;
 use mdq::services::domains::World;
-use mdq::services::service::{Service, ServiceResponse};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use mdq::services::refresh::{refreshing_registry, EpochClock, RefreshConfig, RefreshPolicy};
+use mdq::services::service::{LatencyModel, Service, ServiceResponse};
+use mdq::services::synthetic::SyntheticSource;
+use std::io::{BufRead, BufReader, Lines, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -27,12 +31,61 @@ use std::time::{Duration, Instant};
 const QUERY: &str = "q(City, Venue, Price) :- events('mahler-2', City, Venue, D), \
                      lowcost('Milano', City, Price), Price <= 60.0.";
 
-/// Wraps a real service behind a gate: every fetch blocks until the
-/// test opens it. This wedges the worker pool deterministically so the
-/// admission queue fills without any sleep-based timing.
+/// A gate in front of a service: lets a fixed number of fetches pass,
+/// then blocks every further one until the test opens it.
+struct Gate {
+    state: Mutex<GateState>,
+    released: Condvar,
+}
+
+struct GateState {
+    open: bool,
+    passes: u64,
+}
+
+impl Gate {
+    /// A gate that blocks every fetch after the first `passes`.
+    fn passing(passes: u64) -> Arc<Gate> {
+        Arc::new(Gate {
+            state: Mutex::new(GateState {
+                open: false,
+                passes,
+            }),
+            released: Condvar::new(),
+        })
+    }
+
+    fn open(&self) {
+        self.state.lock().unwrap().open = true;
+        self.released.notify_all();
+    }
+
+    fn pass(&self) {
+        let mut state = self.state.lock().unwrap();
+        while !state.open && state.passes == 0 {
+            state = self.released.wait(state).unwrap();
+        }
+        state.passes = state.passes.saturating_sub(1);
+    }
+}
+
+/// Opens the gate when dropped. Declared after the server the gate
+/// wedges, it turns a failed assertion into a failed test: unwinding
+/// opens the gate first, so the server's drain-on-drop can finish.
+struct OpenOnDrop(Arc<Gate>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.open();
+    }
+}
+
+/// Wraps a real service behind a [`Gate`]. This wedges the worker pool
+/// deterministically, so the admission queue fills — or a query stops
+/// between two answers — without any sleep-based timing.
 struct GatedService {
     inner: Arc<dyn Service>,
-    gate: Arc<(Mutex<bool>, Condvar)>,
+    gate: Arc<Gate>,
 }
 
 impl Service for GatedService {
@@ -40,24 +93,13 @@ impl Service for GatedService {
         self.inner.name()
     }
     fn fetch(&self, pattern: usize, inputs: &[Value], page: u32) -> ServiceResponse {
-        let (open, released) = &*self.gate;
-        let mut open = open.lock().unwrap();
-        while !*open {
-            open = released.wait(open).unwrap();
-        }
-        drop(open);
+        self.gate.pass();
         self.inner.fetch(pattern, inputs, page)
     }
 }
 
-fn open_gate(gate: &Arc<(Mutex<bool>, Condvar)>) {
-    let (open, released) = &**gate;
-    *open.lock().unwrap() = true;
-    released.notify_all();
-}
-
 /// The news world with `lowcost` behind `gate`.
-fn gated_news_world(gate: &Arc<(Mutex<bool>, Condvar)>) -> World {
+fn gated_news_world(gate: &Arc<Gate>) -> World {
     let mut world = news_world();
     let id = world
         .schema
@@ -72,6 +114,51 @@ fn gated_news_world(gate: &Arc<(Mutex<bool>, Condvar)>) -> World {
         },
     );
     world
+}
+
+/// A hand-driven `mdq/1` connection with the greeting consumed. The
+/// read timeout is a failure detector only: a frame that never comes
+/// fails the test instead of hanging it.
+struct RawClient {
+    stream: TcpStream,
+    frames: Lines<BufReader<TcpStream>>,
+}
+
+impl RawClient {
+    fn connect(addr: SocketAddr) -> RawClient {
+        let stream = TcpStream::connect(addr).expect("connects");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("sets the timeout");
+        let frames = BufReader::new(stream.try_clone().expect("clones")).lines();
+        let mut client = RawClient { stream, frames };
+        assert!(matches!(client.next_frame(), ServerFrame::Hello { .. }));
+        client
+    }
+
+    fn send(&mut self, line: &str) {
+        self.stream
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("sends");
+    }
+
+    fn next_frame(&mut self) -> ServerFrame {
+        let line = self
+            .frames
+            .next()
+            .expect("server still talking")
+            .expect("a frame within the timeout");
+        ServerFrame::parse(&line).expect("a server frame")
+    }
+}
+
+/// Spins (yielding, never sleeping) until `ready`, for at most 10 s.
+fn wait_until(what: &str, mut ready: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !ready() {
+        assert!(Instant::now() < deadline, "{what}");
+        std::thread::yield_now();
+    }
 }
 
 /// Issues one query, retrying on `SHED` after the server's hint until
@@ -103,7 +190,7 @@ fn overload_sheds_promptly_and_counters_reconcile() {
     const PER_CLIENT: usize = 20;
     const RETRY_AFTER: Duration = Duration::from_millis(25);
 
-    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let gate = Gate::passing(0);
     let world = gated_news_world(&gate);
 
     let server = Arc::new(QueryServer::from_world(
@@ -188,7 +275,7 @@ fn overload_sheds_promptly_and_counters_reconcile() {
         "shed must not wait on the wedged workers"
     );
 
-    open_gate(&gate);
+    gate.open();
     for t in wedged {
         t.join()
             .expect("wedged client completes after the gate opens");
@@ -283,7 +370,7 @@ fn overload_sheds_promptly_and_counters_reconcile() {
 
 #[test]
 fn drain_lets_an_in_flight_query_finish_before_the_notice() {
-    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let gate = Gate::passing(0);
     let server = Arc::new(QueryServer::from_world(
         gated_news_world(&gate),
         RuntimeConfig {
@@ -295,43 +382,29 @@ fn drain_lets_an_in_flight_query_finish_before_the_notice() {
     let addr = net.addr();
 
     // one query on the wire, wedged in the gated service
-    let mut stream = TcpStream::connect(addr).expect("connects");
-    let mut frames = BufReader::new(stream.try_clone().expect("clones")).lines();
-    let mut next_frame = move || {
-        let line = frames.next().expect("server still talking").expect("reads");
-        ServerFrame::parse(&line).expect("a server frame")
-    };
-    assert!(matches!(next_frame(), ServerFrame::Hello { .. }));
-    stream
-        .write_all(format!("QUERY k=3 {QUERY}\n").as_bytes())
-        .expect("sends");
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while server.metrics().submitted != 1 || server.queue_depth() != 0 {
-        assert!(
-            Instant::now() < deadline,
-            "the query never reached a worker"
-        );
-        std::thread::yield_now();
-    }
+    let mut client = RawClient::connect(addr);
+    client.send(&format!("QUERY k=3 {QUERY}"));
+    wait_until("the query never reached a worker", || {
+        server.metrics().submitted == 1 && server.queue_depth() == 0
+    });
 
     // the drain starts while the query is wedged; it is provably under
     // way once the listener stops greeting
     let drainer = std::thread::spawn(move || net.shutdown());
-    while NetClient::connect(addr).is_ok() {
-        assert!(Instant::now() < deadline, "the listener never closed");
-        std::thread::yield_now();
-    }
+    wait_until("the listener never closed", || {
+        NetClient::connect(addr).is_err()
+    });
     assert_eq!(
         server.metrics().completed,
         0,
         "the query is still in flight"
     );
-    open_gate(&gate);
+    gate.open();
 
     // the whole answer stream first, the drain notice after it
     let mut answers = 0;
     let done = loop {
-        match next_frame() {
+        match client.next_frame() {
             ServerFrame::Answer { .. } => answers += 1,
             other => break other,
         }
@@ -347,8 +420,187 @@ fn drain_lets_an_in_flight_query_finish_before_the_notice() {
         }
         other => panic!("expected DONE after the answers, got {other:?}"),
     }
-    assert_eq!(next_frame(), ServerFrame::Draining);
-    assert_eq!(next_frame(), ServerFrame::Bye);
+    assert_eq!(client.next_frame(), ServerFrame::Draining);
+    assert_eq!(client.next_frame(), ServerFrame::Bye);
     drainer.join().expect("drain completes");
     assert_eq!(server.metrics().completed, 1);
+}
+
+#[test]
+fn an_answer_is_on_the_wire_while_the_next_one_is_still_being_fetched() {
+    // one event per city with a flight, so every answer sits behind a
+    // `lowcost` fetch of its own; the gate lets the first one through
+    let gate = Gate::passing(1);
+    let mut world = gated_news_world(&gate);
+    let cities = ["vienna", "london", "paris"];
+    let events = world.schema.service_by_name("events").expect("events");
+    world.registry.register(
+        events,
+        SyntheticSource::new(
+            "events",
+            vec![AccessPattern::parse("iooo").expect("parses")],
+            cities
+                .iter()
+                .map(|city| {
+                    Tuple::new(vec![
+                        Value::str("mahler-2"),
+                        Value::str(city),
+                        Value::str(format!("{city}-hall")),
+                        Value::Date(Date::from_ymd(2008, 4, 5)),
+                    ])
+                })
+                .collect(),
+            Some(4),
+            LatencyModel::fixed(1.8),
+        ),
+    );
+    let server = Arc::new(QueryServer::from_world(
+        world,
+        RuntimeConfig {
+            workers: 1,
+            ..RuntimeConfig::default()
+        },
+    ));
+    let net = NetServer::start(Arc::clone(&server), "127.0.0.1:0").expect("binds loopback");
+    let _unwedge = OpenOnDrop(Arc::clone(&gate));
+
+    let mut client = RawClient::connect(net.addr());
+    client.send(
+        "QUERY k=3 q(City, Venue, Price) :- events('mahler-2', City, Venue, D), \
+         lowcost('Milano', City, Price).",
+    );
+    // answer #1 is readable although the query cannot get any further:
+    // the fetch behind answer #2 is held at the gate
+    let city_of = |frame: ServerFrame| match frame {
+        ServerFrame::Answer { tuple } => cities
+            .iter()
+            .position(|city| tuple.contains(city))
+            .unwrap_or_else(|| panic!("an answer names its city: {tuple}")),
+        other => panic!("expected ANSWER, got {other:?}"),
+    };
+    assert_eq!(city_of(client.next_frame()), 0);
+    assert_eq!(
+        server.metrics().completed,
+        0,
+        "the query is still in flight"
+    );
+    gate.open();
+    // the rest of the stream, in rank order
+    assert_eq!(city_of(client.next_frame()), 1);
+    assert_eq!(city_of(client.next_frame()), 2);
+    match client.next_frame() {
+        ServerFrame::Done { answers, calls, .. } => {
+            assert_eq!(answers, 3);
+            assert_eq!(calls, 4, "one events page, one lowcost fetch per answer");
+        }
+        other => panic!("expected DONE, got {other:?}"),
+    }
+    net.shutdown();
+}
+
+#[test]
+fn a_client_that_asks_and_leaves_costs_the_server_nothing_lasting() {
+    let gate = Gate::passing(0);
+    let server = Arc::new(QueryServer::from_world(
+        gated_news_world(&gate),
+        RuntimeConfig {
+            workers: 1,
+            ..RuntimeConfig::default()
+        },
+    ));
+    let net = NetServer::start(Arc::clone(&server), "127.0.0.1:0").expect("binds loopback");
+    let _unwedge = OpenOnDrop(Arc::clone(&gate));
+
+    let mut client = RawClient::connect(net.addr());
+    client.send(&format!("QUERY k=3 {QUERY}"));
+    wait_until("the query never reached a worker", || {
+        server.metrics().submitted == 1 && server.queue_depth() == 0
+    });
+    // gone before the first answer exists
+    drop(client);
+    gate.open();
+
+    // the handler finds nobody to write to, or nothing more to read,
+    // and ends; the query ends completed or cancelled, never lost
+    wait_until("the handler outlived its client", || {
+        net.open_connections() == 0
+    });
+    wait_until("the query was never accounted for", || {
+        let m = server.metrics();
+        m.submitted == m.completed + m.failed
+    });
+    assert_eq!(server.metrics().worker_panics, 0);
+    // and the server serves the next client
+    let mut next = NetClient::connect(net.addr()).expect("connects");
+    match next.query(QUERY, Some(3)).expect("wire protocol intact") {
+        QueryOutcome::Done { answers, .. } => assert_eq!(answers.len(), 3),
+        other => panic!("expected Done, got {other:?}"),
+    }
+    next.quit().expect("clean close");
+    net.shutdown();
+}
+
+#[test]
+fn a_poll_reply_of_many_deltas_in_one_segment_parses() {
+    // the travel world drifting per epoch: refresh passes change the
+    // standing query's answers, so a poll has rows to deliver
+    let clock = EpochClock::new();
+    let world = travel_world(2008);
+    let registry = refreshing_registry(&world.registry, &clock, RefreshConfig::seeded(11));
+    let server = Arc::new(QueryServer::from_world(
+        World {
+            schema: world.schema,
+            query: world.query,
+            registry,
+        },
+        RuntimeConfig::default(),
+    ));
+    server.attach_refresh(Arc::clone(&clock), RefreshPolicy::every(1));
+    server.register_tenant(
+        "ops",
+        TenantPolicy {
+            operator: true,
+            ..TenantPolicy::default()
+        },
+    );
+    let net = NetServer::start(Arc::clone(&server), "127.0.0.1:0").expect("binds loopback");
+    let mut client = NetClient::connect(net.addr()).expect("connects");
+    let ops = client.tenant("ops").expect("handshake");
+    let text = "q(Conf, City, HPrice, FPrice, Hotel) :- \
+                flight('Milano', City, Start, End, ST, ET, FPrice), \
+                hotel(Hotel, City, 'luxury', Start, End, HPrice), \
+                conf('DB', Conf, Start, End, City), \
+                weather(City, Temp, Start), \
+                Start >= '2007/3/14', End <= '2007/3/14' + 180, \
+                Temp >= 28, FPrice + HPrice < 950.0.";
+    let (id, _, mut folded) = client.subscribe(text, Some(5)).expect("subscribes");
+
+    let mut largest = 0;
+    for _ in 0..4 {
+        client.refresh_all().expect("refreshes");
+        // DELTA… + SYNCED leave the server in one write; `poll` holds
+        // the row count against SYNCED's
+        let rows = client.poll(id).expect("polls");
+        largest = largest.max(rows.len());
+        for (_, added, tuple) in rows {
+            if added {
+                folded.push(tuple);
+            } else {
+                let at = folded.iter().position(|t| *t == tuple);
+                folded.swap_remove(at.expect("a retraction names a live row"));
+            }
+        }
+        let mut current: Vec<_> = server
+            .subscription_answers(ops, id)
+            .expect("live subscription")
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        current.sort();
+        folded.sort();
+        assert_eq!(folded, current, "the folded rows are the server's answers");
+    }
+    assert!(largest >= 2, "no poll carried two deltas: {largest}");
+    client.quit().expect("clean close");
+    net.shutdown();
 }
