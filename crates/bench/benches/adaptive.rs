@@ -55,6 +55,7 @@ fn frozen_run(engine: &Mdq) -> u64 {
         engine.registry(),
         &ExecConfig {
             k: Some(K as usize),
+            ..ExecConfig::default()
         },
         ExecContext::shared(shared),
     )
@@ -68,7 +69,7 @@ fn adaptive_run(engine: &Mdq) -> (u64, u32) {
     let out = engine
         .run_adaptive(QUERY, K, &AdaptiveConfig::default())
         .expect("executes");
-    (out.outcome.report.calls.values().sum(), out.replans())
+    (out.report.calls.values().sum(), out.report.replans)
 }
 
 fn main() {

@@ -45,7 +45,7 @@ fn execute(world: &TravelWorld, plan: &Plan) -> usize {
         plan,
         &world.schema,
         &world.registry,
-        &ExecConfig { k: None },
+        &ExecConfig::default(),
         ExecContext::private(CacheSetting::Optimal),
     )
     .expect("executes")

@@ -14,8 +14,7 @@
 //! provider's own cache).
 
 use mdq_exec::cache::CacheSetting;
-use mdq_exec::pipeline::{run, ExecConfig, ExecReport};
-use mdq_exec::threaded::{run_parallel_dispatch, ParallelConfig};
+use mdq_exec::pipeline::{run, ExecConfig, ExecReport, StageModel};
 use mdq_exec::ExecContext;
 use mdq_model::binding::ApChoice;
 use mdq_model::examples::{ATOM_CONF, ATOM_FLIGHT, ATOM_HOTEL, ATOM_WEATHER};
@@ -123,7 +122,7 @@ pub fn run_cell(seed: u64, shape: PlanShape, cache: CacheSetting) -> Fig11Cell {
         &plan,
         &world.schema,
         &world.registry,
-        &ExecConfig { k: None },
+        &ExecConfig::default(),
         ExecContext::private(cache),
     )
     .expect("travel plans execute");
@@ -178,20 +177,23 @@ pub fn threading_experiment(seed: u64) -> ThreadingOutcome {
         &plan,
         &world.schema,
         &world.registry,
-        &ExecConfig { k: None },
+        &ExecConfig::default(),
         ExecContext::private(CacheSetting::OneCall),
     )
     .expect("executes");
     let world2 = travel_world(seed);
     let plan2 = build_shape(&world2, PlanShape::S);
-    let par = run_parallel_dispatch(
+    let par = run(
         &plan2,
         &world2.schema,
         &world2.registry,
-        &ParallelConfig {
-            threads: 16,
-            spawn_overhead: 0.12,
-            shuffle_seed: seed,
+        &ExecConfig {
+            k: None,
+            stage: StageModel::ParallelDispatch {
+                threads: 16,
+                spawn_overhead: 0.12,
+                shuffle_seed: seed,
+            },
         },
         ExecContext::private(CacheSetting::OneCall),
     )
@@ -331,7 +333,7 @@ mod tests {
                 &plan,
                 &world.schema,
                 &world.registry,
-                &ExecConfig { k: None },
+                &ExecConfig::default(),
                 ExecContext::private(CacheSetting::Optimal),
             )
             .expect("executes");

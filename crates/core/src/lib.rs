@@ -29,7 +29,7 @@ use mdq_cost::estimate::CacheSetting;
 use mdq_cost::metrics::{CostMetric, ExecutionTime};
 use mdq_cost::selectivity::SelectivityModel;
 use mdq_cost::shared::SharedWorkOracle;
-use mdq_exec::adaptive::{AdaptiveOutcome, ReplanRequest, Replanner};
+use mdq_exec::adaptive::{ReplanRequest, Replanner};
 use mdq_exec::pipeline::{ExecConfig, ExecError, ExecReport};
 use mdq_exec::topk::TopKExecution;
 use mdq_exec::ExecContext;
@@ -266,6 +266,7 @@ impl Mdq {
             &optimized.candidate.plan,
             &ExecConfig {
                 k: Some(k as usize),
+                ..ExecConfig::default()
             },
             ExecContext::private(CacheSetting::OneCall),
         )?;
@@ -336,6 +337,7 @@ impl Mdq {
             &plan,
             &ExecConfig {
                 k: Some(prepared.k as usize),
+                ..ExecConfig::default()
             },
             ExecContext::private(CacheSetting::OneCall),
         )
@@ -367,6 +369,7 @@ impl Mdq {
             &optimized.candidate.plan,
             &ExecConfig {
                 k: Some(k as usize),
+                ..ExecConfig::default()
             },
             ExecContext::private(CacheSetting::OneCall),
         )?;
@@ -456,27 +459,6 @@ impl Replanner for OptimizerReplanner<'_> {
     }
 }
 
-/// Everything produced by [`Mdq::run_adaptive`].
-pub struct AdaptiveRunOutcome {
-    /// The initial optimization (the plan execution started with).
-    pub optimized: Optimized,
-    /// The adaptive execution: final report, re-plan count and events,
-    /// and the plan that actually produced the answers.
-    pub outcome: AdaptiveOutcome,
-}
-
-impl AdaptiveRunOutcome {
-    /// The answers, projected on the query head.
-    pub fn answers(&self) -> &[Tuple] {
-        &self.outcome.report.answers
-    }
-
-    /// Re-plans performed mid-flight.
-    pub fn replans(&self) -> u32 {
-        self.outcome.replans
-    }
-}
-
 impl Mdq {
     /// Builds the optimizer-backed re-planner for this engine's schema
     /// (selectivity model and strategy rule injected, like
@@ -495,13 +477,14 @@ impl Mdq {
     /// driver with mid-flight re-optimization under `adaptive`, over a
     /// fresh memoizing shared gateway state (so a re-plan re-demands
     /// only cached pages). Uses the execution-time metric, mirroring
-    /// [`Mdq::run`].
+    /// [`Mdq::run`]; the report carries the re-plan count and events
+    /// and the plan that actually produced the answers.
     pub fn run_adaptive(
         &self,
         text: &str,
         k: u64,
         adaptive: &AdaptiveConfig,
-    ) -> Result<AdaptiveRunOutcome, MdqError> {
+    ) -> Result<RunOutcome, MdqError> {
         let query = self.parse(text)?;
         let config = OptimizerConfig {
             k,
@@ -510,19 +493,18 @@ impl Mdq {
         };
         let optimized = self.optimize(query, &ExecutionTime, config.clone())?;
         let mut replanner = self.replanner(&ExecutionTime, config);
-        let outcome = mdq_exec::adaptive::run_adaptive(
+        let report = self.execute(
             &optimized.candidate.plan,
-            &self.schema,
-            &self.registry,
             &ExecConfig {
                 k: Some(k as usize),
+                ..ExecConfig::default()
             },
             ExecContext {
                 adaptive: Some((*adaptive, &mut replanner)),
                 ..ExecContext::private(CacheSetting::Optimal)
             },
         )?;
-        Ok(AdaptiveRunOutcome { optimized, outcome })
+        Ok(RunOutcome { optimized, report })
     }
 
     /// Seeds the schema's service profiles from live gateway
@@ -559,7 +541,7 @@ impl PreparedQuery {
     }
 }
 
-/// Everything produced by [`Mdq::run`].
+/// Everything produced by [`Mdq::run`] and [`Mdq::run_adaptive`].
 pub struct RunOutcome {
     /// The optimization result (plan, estimated cost, search stats).
     pub optimized: Optimized,
@@ -573,7 +555,8 @@ impl RunOutcome {
         &self.report.answers
     }
 
-    /// The executed plan.
+    /// The plan execution started with (`report.final_plan` is the one
+    /// that finished, after any mid-flight re-plan).
     pub fn plan(&self) -> &Plan {
         &self.optimized.candidate.plan
     }
@@ -605,9 +588,7 @@ impl RunOutcome {
 
 /// Re-exports of the full public API, one `use` away.
 pub mod prelude {
-    pub use crate::{
-        AdaptiveRunOutcome, Mdq, MdqError, OptimizerReplanner, PreparedQuery, RunOutcome,
-    };
+    pub use crate::{Mdq, MdqError, OptimizerReplanner, PreparedQuery, RunOutcome};
     pub use mdq_cost::prelude::*;
     pub use mdq_exec::prelude::*;
     pub use mdq_model::prelude::*;

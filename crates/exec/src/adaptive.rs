@@ -10,7 +10,7 @@
 //!
 //! 1. execution proceeds to a *suspension point* — an explicit operator
 //!    boundary where no service call is in flight (a completed invoke
-//!    stage for the materialised drivers, an answer boundary for the
+//!    stage for the materialised driver, an answer boundary for the
 //!    pull driver);
 //! 2. the observed per-service statistics are compared against the
 //!    schema estimates
@@ -26,12 +26,12 @@
 //!    [`CacheSetting::Optimal`](crate::cache::CacheSetting) to make that
 //!    guarantee unconditional).
 //!
-//! This is an option of the two drivers that have suspension points,
-//! not a driver of its own — both deterministic:
+//! This is an option of the two drivers, not a driver of its own —
+//! both deterministic:
 //!
-//! * the stage-materialised engine ([`pipeline::run`](crate::pipeline::run),
-//!   or [`run_adaptive`] to keep the re-plan trail) suspends after
-//!   every invoke stage;
+//! * the stage-materialised engine ([`pipeline::run`](crate::pipeline::run))
+//!   suspends after every invoke stage and returns the re-plan trail in
+//!   its [`ExecReport`](crate::pipeline::ExecReport);
 //! * the pull-based top-k driver
 //!   ([`TopKExecution`](crate::topk::TopKExecution)) suspends between
 //!   answers; re-plans cover the whole plan, since a pull execution
@@ -43,14 +43,10 @@
 //! (and declined to act on) does not re-trigger the optimizer at every
 //! subsequent suspension point.
 
-use crate::context::ExecContext;
-use crate::gateway::GatewayHandle;
-use crate::operator::ExecError;
-use crate::pipeline::{run_materialised, ExecConfig, ExecReport, StageModel};
+use crate::gateway::LocalGateway;
 use mdq_cost::divergence::{diverging_services, ObservedService, ServiceDivergence};
 use mdq_model::schema::{Schema, ServiceId};
 use mdq_plan::dag::Plan;
-use mdq_services::registry::ServiceRegistry;
 use std::collections::{BTreeSet, HashMap};
 
 pub use mdq_cost::divergence::AdaptiveConfig;
@@ -104,28 +100,6 @@ pub struct ReplanEvent {
     pub worst_ratio: f64,
 }
 
-/// The outcome of an adaptive execution.
-#[derive(Clone, Debug)]
-pub struct AdaptiveOutcome {
-    /// The execution report of the *final* plan. Calls, cache, fault
-    /// and partial-results accounting span the whole adaptive
-    /// execution, splices included; answers, bindings and the node
-    /// trace describe the final plan's pass.
-    pub report: ExecReport,
-    /// Re-plans performed (0 = the estimates held up).
-    pub replans: u32,
-    /// One entry per performed re-plan.
-    pub events: Vec<ReplanEvent>,
-    /// The plan that produced the answers (identical to the input plan
-    /// when `replans == 0`).
-    pub final_plan: Plan,
-    /// The execution's final per-service observations — feed to
-    /// [`refresh_profiles`](mdq_cost::divergence::refresh_profiles) to
-    /// seed the schema for later queries (or to explain the final plan
-    /// under the statistics that were actually observed).
-    pub observed: HashMap<ServiceId, ObservedService>,
-}
-
 /// The re-plan decision logic shared by both adaptive drivers: cadence,
 /// rate limiting and the settled set, around the session's
 /// [`Replanner`]. Deterministic — its decisions depend only on the
@@ -155,12 +129,12 @@ impl<'a> Controller<'a> {
 
     /// Runs the divergence check at a suspension point; returns the
     /// spliced plan when the re-planner produced one.
-    pub(crate) fn consider<G: GatewayHandle>(
+    pub(crate) fn consider(
         &mut self,
         plan: &Plan,
         schema: &Schema,
         executed: &[usize],
-        gateway: &G,
+        gateway: &LocalGateway,
     ) -> Option<Plan> {
         if self.replans >= self.cfg.max_replans {
             return None;
@@ -212,25 +186,4 @@ impl<'a> Controller<'a> {
         self.settled.extend(diverged.iter().map(|d| d.service));
         outcome
     }
-}
-
-/// [`pipeline::run`](crate::pipeline::run) with the re-plan trail kept:
-/// the same stage loop, returning the whole [`AdaptiveOutcome`] instead
-/// of only its report. With no re-planner in `ctx` the outcome records
-/// zero re-plans and `final_plan` is `plan`.
-pub fn run_adaptive(
-    plan: &Plan,
-    schema: &Schema,
-    registry: &ServiceRegistry,
-    config: &ExecConfig,
-    ctx: ExecContext<'_>,
-) -> Result<AdaptiveOutcome, ExecError> {
-    run_materialised(
-        plan,
-        schema,
-        registry,
-        ctx,
-        config.k,
-        &StageModel::Sequential,
-    )
 }

@@ -1,10 +1,8 @@
 //! The execution context: everything a driver needs to know about
 //! *where* and *on whose behalf* a plan runs, as one plain value.
 //!
-//! Every driver entry point ([`pipeline::run`](crate::pipeline::run),
-//! [`run_parallel_dispatch`](crate::threaded::run_parallel_dispatch),
-//! [`run_threaded`](crate::threaded::run_threaded),
-//! [`TopKExecution::start`](crate::topk::TopKExecution::start)) takes
+//! Both driver entry points ([`pipeline::run`](crate::pipeline::run),
+//! [`TopKExecution::start`](crate::topk::TopKExecution::start)) take
 //! one [`ExecContext`]; sharing, tenant attribution, frontier recording
 //! and mid-flight re-planning are fields of it, not separate engines.
 //! Build one with [`ExecContext::private`] or [`ExecContext::shared`]
@@ -69,12 +67,10 @@ pub struct ExecContext<'a> {
     /// counts at every size — so this exists for the equivalence sweep
     /// and for tuning, not for behaviour.
     pub batch: usize,
-    /// Mid-flight re-optimization, for the two drivers that have
-    /// suspension points: the stage-materialised driver consults the
-    /// re-planner after every completed invoke stage, the pull driver
-    /// between answers (where it also leaves sub-result replay off — a
-    /// splice invalidates a replayed prefix). The real-thread dataflow
-    /// engine never suspends and ignores this.
+    /// Mid-flight re-optimization: the stage-materialised driver
+    /// consults the re-planner after every completed invoke stage, the
+    /// pull driver between answers (where it also leaves sub-result
+    /// replay off — a splice invalidates a replayed prefix).
     pub adaptive: Option<(AdaptiveConfig, &'a mut dyn Replanner)>,
 }
 

@@ -1,8 +1,7 @@
 //! The service gateway — the *single* invocation path of the engine.
 //!
-//! Every executor (stage-materialised, pull-based top-k, parallel
-//! dispatch, real threads) drives its service calls through one
-//! [`ServiceGateway`]. The gateway owns:
+//! Both drivers (stage-materialised, pull-based top-k) drive their
+//! service calls through one [`ServiceGateway`]. The gateway owns:
 //!
 //! * **registry lookup** — runtime services are resolved once, up front,
 //!   so a missing registration surfaces as
@@ -55,11 +54,9 @@
 //! accounting spans the whole workload. [`ExecContext::gateway`] is the
 //! one place a gateway is built.
 //!
-//! Drivers differ only in *how* they share the gateway:
-//! [`LocalGateway`] (single-threaded, `Rc<RefCell>`) for the
-//! materialised and pull executors, [`SharedGateway`] (`Arc<Mutex>`) for
-//! the real-thread dataflow engine. Both implement [`GatewayHandle`],
-//! the access trait the operators are generic over.
+//! Both drivers run an execution on one thread and hand every operator
+//! of it a clone of one [`LocalGateway`] (`Rc<RefCell>`); concurrency
+//! across executions lives in the [`SharedServiceState`] underneath.
 
 pub use crate::accounting::Counters;
 use crate::accounting::{Accounting, AcctCell};
@@ -1898,16 +1895,9 @@ impl ServiceGateway {
     }
 }
 
-/// Shared access to a [`ServiceGateway`] — the one generic the operators
-/// need, so the same [`Invoke`](crate::operator::Invoke) code runs
-/// single-threaded and multi-threaded.
-pub trait GatewayHandle: Clone {
-    /// Runs `f` with exclusive access to the gateway.
-    fn with<R>(&self, f: impl FnOnce(&mut ServiceGateway) -> R) -> R;
-}
-
-/// Single-threaded gateway sharing for the materialised and pull
-/// drivers.
+/// One execution's gateway, shared by the operators of its plan: every
+/// operator holds a clone and borrows the gateway for the length of one
+/// closure.
 #[derive(Clone)]
 pub struct LocalGateway(Rc<RefCell<ServiceGateway>>);
 
@@ -1916,28 +1906,10 @@ impl LocalGateway {
     pub fn new(gateway: ServiceGateway) -> Self {
         LocalGateway(Rc::new(RefCell::new(gateway)))
     }
-}
 
-impl GatewayHandle for LocalGateway {
-    fn with<R>(&self, f: impl FnOnce(&mut ServiceGateway) -> R) -> R {
+    /// Runs `f` with exclusive access to the gateway.
+    pub fn with<R>(&self, f: impl FnOnce(&mut ServiceGateway) -> R) -> R {
         f(&mut self.0.borrow_mut())
-    }
-}
-
-/// Thread-safe gateway sharing for the real-thread dataflow engine.
-#[derive(Clone)]
-pub struct SharedGateway(Arc<Mutex<ServiceGateway>>);
-
-impl SharedGateway {
-    /// Wraps a gateway.
-    pub fn new(gateway: ServiceGateway) -> Self {
-        SharedGateway(Arc::new(Mutex::new(gateway)))
-    }
-}
-
-impl GatewayHandle for SharedGateway {
-    fn with<R>(&self, f: impl FnOnce(&mut ServiceGateway) -> R) -> R {
-        f(&mut self.0.lock().expect("gateway lock poisoned"))
     }
 }
 

@@ -3,7 +3,7 @@
 //! Implements the execution environment assumed by §5 of *Braga et al.,
 //! "Optimization of Multi-Domain Queries on the Web", VLDB 2008*:
 //! service orchestration, rank-preserving join methods, logical caching
-//! and multi-threaded invocation.
+//! and (in virtual time) multi-threaded invocation.
 //!
 //! The crate is organised around one **batched operator kernel** with a
 //! **single service-invocation path**:
@@ -17,9 +17,8 @@
 //!   operators, plus [`compile_with`](operator::compile_with) for whole plans;
 //! * [`gateway`] — the [`ServiceGateway`](gateway::ServiceGateway):
 //!   registry lookup, paging (with batched cached-page runs), per-query
-//!   accounting and admission control, behind single-threaded
-//!   ([`LocalGateway`](gateway::LocalGateway)) or thread-safe
-//!   ([`SharedGateway`](gateway::SharedGateway)) handles — over a
+//!   accounting and admission control, handed to an execution's
+//!   operators as one [`LocalGateway`](gateway::LocalGateway) — over a
 //!   [`SharedServiceState`](gateway::SharedServiceState): the client
 //!   cache partitioned into independently locked shards, single-flight
 //!   and the failed-page memo per shard, a dedicated flow-control lock
@@ -37,34 +36,31 @@
 //!   merge-scan joins;
 //! * [`plan_info`] — predicate placement and pattern metadata.
 //!
-//! The executors are thin drivers over that kernel, each with exactly
-//! one entry point taking an [`ExecContext`] — the plain value naming
+//! The two executors are thin drivers over that kernel, each with
+//! exactly one entry point taking an [`ExecContext`] — the plain value naming
 //! the gateway state (private cache setting or cross-query shared
 //! state), call budget, tenant, sub-result materialization, frontier
 //! recording, elastic paging, batch size and an optional re-planner:
 //!
 //! * [`pipeline::run`] — the deterministic stage-materialised driver
-//!   with virtual time (regenerates Fig. 11);
+//!   with virtual time (regenerates Fig. 11; under
+//!   [`StageModel::ParallelDispatch`](pipeline::StageModel) also the §6
+//!   multithreading test);
 //! * [`TopKExecution::start`](topk::TopKExecution::start) — the
 //!   pull-based driver: first-k answers with early halting and "ask for
 //!   more" continuation (§2.2); the one the serving layer uses, for ad
-//!   hoc and standing queries alike;
-//! * [`threaded::run_parallel_dispatch`] — the §6 multithreading test
-//!   in virtual time (the stage loop under the parallel stage-time
-//!   model);
-//! * [`threaded::run_threaded`] — a real OS-thread dataflow engine with
-//!   scaled latencies;
-//! * [`results`] — answer-table rendering (Fig. 10).
+//!   hoc and standing queries alike.
+//!
+//! [`results`] renders answer tables (Fig. 10).
 //!
 //! [`adaptive`] closes the estimate→observation loop *mid-flight*: with
-//! a re-planner in the context, the stage and pull drivers compare the
+//! a re-planner in the context, both drivers compare the
 //! gateway's observed per-service statistics against the schema
 //! estimates at explicit suspension points and, past a configurable
 //! divergence, splice in a re-optimized plan suffix — fetched pages
 //! replay from the shared cache, so a re-plan never repeats a service
-//! call for data it already has.
-//! [`run_adaptive`](adaptive::run_adaptive) is [`pipeline::run`]
-//! returning the re-plan trail along with the report.
+//! call for data it already has. [`pipeline::run`] returns the re-plan
+//! trail in its [`ExecReport`](pipeline::ExecReport).
 //!
 //! `TopKExecution::with_shared_tenant` and `ServiceGateway::with_shared`
 //! survive as positional one-expression delegations because the frozen
@@ -84,35 +80,28 @@ pub mod operator;
 pub mod pipeline;
 pub mod plan_info;
 pub mod results;
-pub mod threaded;
 pub mod topk;
 
 pub use context::ExecContext;
 
 /// Convenient glob-import surface: `use mdq_exec::prelude::*;`.
 pub mod prelude {
-    pub use crate::adaptive::{
-        run_adaptive, AdaptiveConfig, AdaptiveOutcome, ReplanEvent, ReplanRequest, Replanner,
-    };
+    pub use crate::adaptive::{AdaptiveConfig, ReplanEvent, ReplanRequest, Replanner};
     pub use crate::binding::Binding;
     pub use crate::cache::{CacheSetting, CacheStats, PageCache, PageLookup, PageStore};
     pub use crate::context::ExecContext;
     pub use crate::gateway::{
-        DegradedService, FaultStats, GatewayHandle, LocalGateway, PageFetch, PageShardStats,
-        PartialResults, RetryPolicy, ServiceGateway, SharedGateway, SharedServiceState,
-        SubResultStats, TenantCell, TenantId,
+        DegradedService, FaultStats, LocalGateway, PageFetch, PageShardStats, PartialResults,
+        RetryPolicy, ServiceGateway, SharedServiceState, SubResultStats, TenantCell, TenantId,
     };
     pub use crate::joins::{MsJoin, NlJoin};
     pub use crate::operator::{
         compile_with, derive_rows_in, drain_all, drain_into, Batch, Filter, Invoke, Join, Operator,
         Probe, Select, Source, DEFAULT_BATCH,
     };
-    pub use crate::pipeline::{run, ExecConfig, ExecError, ExecReport, NodeTrace};
+    pub use crate::pipeline::{run, ExecConfig, ExecError, ExecReport, NodeTrace, StageModel};
     pub use crate::plan_info::{analyze, PlanInfo};
     pub use crate::results::result_table;
-    pub use crate::threaded::{
-        run_parallel_dispatch, run_threaded, ParallelConfig, ThreadedConfig, ThreadedReport,
-    };
     pub use crate::topk::TopKExecution;
     pub use mdq_obs::recorder::{QueryTrace, TraceRecorder};
     pub use mdq_obs::span::{OperatorStats, SpanKind, TraceEvent};

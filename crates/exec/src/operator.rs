@@ -28,15 +28,13 @@
 //! answer sets *and per-service call counts* invariant under batch
 //! size — the equivalence suite sweeps batch sizes to pin it.
 //!
-//! The three executors are thin drivers over this kernel: the
+//! The two executors are thin drivers over this kernel: the
 //! stage-materialised engine drains one operator per node and accounts
 //! virtual time, the top-k engine pulls lazily from a [`compile_with`]d
-//! operator tree, and the threaded engine runs one operator per worker
-//! over channel streams. None of them invokes a service or touches a
-//! cache directly.
+//! operator tree. Neither invokes a service or touches a cache directly.
 
 use crate::binding::Binding;
-use crate::gateway::GatewayHandle;
+use crate::gateway::LocalGateway;
 use crate::plan_info::PlanInfo;
 use mdq_model::query::{Atom, Predicate};
 use mdq_model::schema::{Schema, ServiceId};
@@ -202,9 +200,9 @@ struct CurrentInput {
 /// The invocation operator: extends each upstream binding with the
 /// tuples a service returns for it, paging on demand through the
 /// gateway.
-pub struct Invoke<I, G> {
+pub struct Invoke<I> {
     upstream: I,
-    gateway: G,
+    gateway: LocalGateway,
     /// Plan node this operator executes — declared as the gateway's
     /// active node around page runs so fetch-side statistics (calls,
     /// retries, cached pages, simulated seconds) land on the right
@@ -218,35 +216,26 @@ pub struct Invoke<I, G> {
     /// Page budget per input (the phase-3 fetch factor); `None` pages
     /// elastically while downstream demand is unmet.
     max_pages: Option<u32>,
-    /// Real seconds slept per simulated latency second on forwarded
-    /// calls (0 = no sleeping; used by the real-thread driver).
-    sleep_scale: f64,
     current: Option<CurrentInput>,
     /// One entry per input that forwarded at least one call: its summed
-    /// latency. The materialised drivers read this for virtual time.
+    /// latency. The materialised driver reads this for virtual time.
     input_latencies: Vec<f64>,
     /// Reused scratch for batched page runs.
     page_buf: Vec<crate::gateway::PageFetch>,
     halted: bool,
 }
 
-impl<I, G> Invoke<I, G>
-where
-    I: Operator,
-    G: GatewayHandle,
-{
+impl<I: Operator> Invoke<I> {
     /// Builds the invoke operator for plan node `node` (must be an
     /// `Invoke` node) over `upstream`.
-    #[allow(clippy::too_many_arguments)] // one parameter per plan-node fact
     pub fn for_node(
         plan: &Plan,
         schema: &Schema,
         info: &PlanInfo,
         node: usize,
         upstream: I,
-        gateway: G,
+        gateway: LocalGateway,
         elastic: bool,
-        sleep_scale: f64,
     ) -> Self {
         let NodeKind::Invoke { atom } = plan.nodes[node].kind else {
             panic!("node {node} is not an invoke node");
@@ -269,7 +258,6 @@ where
             input_positions: info.input_positions[node].clone(),
             atom: atom_ref,
             max_pages,
-            sleep_scale,
             current: None,
             input_latencies: Vec::new(),
             page_buf: Vec::new(),
@@ -351,11 +339,6 @@ where
                         if let Some(lat) = fetch.forwarded_latency {
                             cur.forwarded += lat;
                             cur.any_forwarded = true;
-                            if self.sleep_scale > 0.0 {
-                                std::thread::sleep(std::time::Duration::from_secs_f64(
-                                    lat * self.sleep_scale,
-                                ));
-                            }
                         }
                         if !fetch.has_more {
                             cur.done = true;
@@ -392,11 +375,7 @@ where
     }
 }
 
-impl<I, G> Operator for Invoke<I, G>
-where
-    I: Operator,
-    G: GatewayHandle,
-{
+impl<I: Operator> Operator for Invoke<I> {
     fn next_binding(&mut self) -> Option<Binding> {
         self.pull_next()
     }
@@ -560,18 +539,18 @@ impl<I: Operator> Operator for Select<I> {
 /// before reading the stats). Traced executions flush per batched hop
 /// instead, so every hop lands as one `operator_batch` instant on the
 /// execution's track.
-pub struct Probe<I, G: GatewayHandle> {
+pub struct Probe<I> {
     inner: I,
-    gateway: G,
+    gateway: LocalGateway,
     node: usize,
     traced: bool,
     rows: u64,
     batches: u64,
 }
 
-impl<I: Operator, G: GatewayHandle> Probe<I, G> {
+impl<I: Operator> Probe<I> {
     /// Probes the output stream of plan node `node`.
-    pub fn new(inner: I, gateway: G, node: usize) -> Self {
+    pub fn new(inner: I, gateway: LocalGateway, node: usize) -> Self {
         let traced = gateway.with(|g| g.trace().is_some());
         Probe {
             inner,
@@ -594,7 +573,7 @@ impl<I: Operator, G: GatewayHandle> Probe<I, G> {
     }
 }
 
-impl<I: Operator, G: GatewayHandle> Operator for Probe<I, G> {
+impl<I: Operator> Operator for Probe<I> {
     fn next_binding(&mut self) -> Option<Binding> {
         match self.inner.next_binding() {
             Some(b) => {
@@ -619,7 +598,7 @@ impl<I: Operator, G: GatewayHandle> Operator for Probe<I, G> {
     }
 }
 
-impl<I, G: GatewayHandle> Drop for Probe<I, G> {
+impl<I> Drop for Probe<I> {
     fn drop(&mut self) {
         if self.rows != 0 || self.batches != 0 {
             let (node, rows, batches) = (self.node, self.rows, self.batches);
@@ -722,11 +701,11 @@ impl Operator for Tee {
 /// prefix (`mdq-runtime`'s sub-result sharing) is spliced under the
 /// rest of the plan — a multi-consumer override node still goes through
 /// the shared replay cursor, so fan-outs see one stream.
-pub fn compile_with<G: GatewayHandle + 'static>(
+pub fn compile_with(
     plan: &Plan,
     schema: &Schema,
     info: &PlanInfo,
-    gateway: &G,
+    gateway: &LocalGateway,
     elastic: bool,
     mut override_op: Option<(usize, Box<dyn Operator>)>,
 ) -> Box<dyn Operator> {
@@ -751,11 +730,11 @@ pub fn compile_with<G: GatewayHandle + 'static>(
 }
 
 #[allow(clippy::too_many_arguments)] // internal recursion carrying compile state
-fn compile_node<G: GatewayHandle + 'static>(
+fn compile_node(
     plan: &Plan,
     schema: &Schema,
     info: &PlanInfo,
-    gateway: &G,
+    gateway: &LocalGateway,
     elastic: bool,
     consumers: &[usize],
     shared: &mut std::collections::HashMap<usize, std::rc::Rc<std::cell::RefCell<SharedNode>>>,
@@ -805,11 +784,11 @@ fn compile_node<G: GatewayHandle + 'static>(
 }
 
 #[allow(clippy::too_many_arguments)] // internal recursion carrying compile state
-fn compile_raw<G: GatewayHandle + 'static>(
+fn compile_raw(
     plan: &Plan,
     schema: &Schema,
     info: &PlanInfo,
-    gateway: &G,
+    gateway: &LocalGateway,
     elastic: bool,
     consumers: &[usize],
     shared: &mut std::collections::HashMap<usize, std::rc::Rc<std::cell::RefCell<SharedNode>>>,
@@ -854,16 +833,8 @@ fn compile_raw<G: GatewayHandle + 'static>(
                     override_op,
                     up,
                 );
-                let invoke = Invoke::for_node(
-                    plan,
-                    schema,
-                    info,
-                    node,
-                    upstream,
-                    gateway.clone(),
-                    elastic,
-                    0.0,
-                );
+                let invoke =
+                    Invoke::for_node(plan, schema, info, node, upstream, gateway.clone(), elastic);
                 Box::new(Filter::for_node(plan, info, node, invoke))
             }
             NodeKind::Join {

@@ -13,18 +13,23 @@
 //! This module is a thin *driver* over the [operator
 //! kernel](crate::operator): per node it drains one operator into a
 //! materialised stream and reads the invoke operator's forwarded
-//! latencies for the time accounting. The same driver, under the
-//! parallel-dispatch stage-time model, implements the §6
-//! multithreading experiment (see
-//! [`run_parallel_dispatch`](crate::threaded::run_parallel_dispatch)).
+//! latencies for the time accounting. The same driver, under
+//! [`StageModel::ParallelDispatch`], implements the §6 multithreading
+//! experiment in virtual time: within each stage, *all* available calls
+//! are dispatched to parallel workers at once. Stage time collapses
+//! towards the slowest single call (plus thread-management overhead),
+//! but completion order is randomised — which, exactly as the paper
+//! reports, largely defeats the one-call cache (284 → ~212 hotel calls
+//! instead of → 16).
 
-use crate::adaptive::{AdaptiveOutcome, Controller};
+use crate::adaptive::{Controller, ReplanEvent};
 use crate::binding::Binding;
 use crate::cache::CacheStats;
 use crate::context::ExecContext;
-use crate::gateway::{FaultStats, GatewayHandle, LocalGateway, PartialResults};
+use crate::gateway::{FaultStats, LocalGateway, PartialResults};
 use crate::operator::{derive_rows_in, drain_all, Filter, Invoke, Join, Probe, Select, Source};
 use crate::plan_info::analyze;
+use mdq_cost::divergence::ObservedService;
 use mdq_model::rng::Rng;
 use mdq_model::schema::{Schema, ServiceId};
 use mdq_model::value::Tuple;
@@ -43,6 +48,8 @@ pub struct ExecConfig {
     /// the stage-materialised engine does not halt early; see
     /// [`crate::topk`] for the pulling executor that does).
     pub k: Option<usize>,
+    /// How a stage's busy time is derived from its forwarded calls.
+    pub stage: StageModel,
 }
 
 /// Per-node execution trace.
@@ -58,7 +65,10 @@ pub struct NodeTrace {
     pub out_tuples: usize,
 }
 
-/// The outcome of executing a plan.
+/// The outcome of executing a plan. With a re-planner in the context,
+/// calls, cache, fault and partial-results accounting span the whole
+/// execution, splices included; answers, bindings, the node trace and
+/// the operator statistics describe the final plan's pass.
 #[derive(Clone, Debug)]
 pub struct ExecReport {
     /// Answers projected on the query head, in emission (rank) order.
@@ -81,6 +91,19 @@ pub struct ExecReport {
     /// `Some` when at least one service degraded: the answers are valid
     /// but possibly incomplete, and this names the degraded services.
     pub partial: Option<PartialResults>,
+    /// Re-plans performed (0 without a re-planner, or when the
+    /// estimates held up).
+    pub replans: u32,
+    /// One entry per performed re-plan.
+    pub events: Vec<ReplanEvent>,
+    /// The plan that produced the answers (identical to the input plan
+    /// when `replans == 0`).
+    pub final_plan: Plan,
+    /// The execution's final per-service observations — feed to
+    /// [`refresh_profiles`](mdq_cost::divergence::refresh_profiles) to
+    /// seed the schema for later queries (or to explain the final plan
+    /// under the statistics that were actually observed).
+    pub observed: HashMap<ServiceId, ObservedService>,
 }
 
 impl ExecReport {
@@ -101,17 +124,21 @@ impl ExecReport {
 }
 
 /// How a stage's busy time is derived from its forwarded-call latencies.
-pub(crate) enum StageModel {
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub enum StageModel {
     /// One call at a time: busy = summed latency (the paper's
     /// experimental engine).
+    #[default]
     Sequential,
     /// All of a stage's calls dispatched to parallel workers at once
-    /// (§6's multithreading test): busy collapses towards the slowest
-    /// call, input order is shuffled to model racy completions.
+    /// (§6's multithreading test). Virtual stage time:
+    /// `max(slowest call, total latency / threads) + overhead · inputs`;
+    /// input order is shuffled per stage to model racy completions.
     ParallelDispatch {
         /// Worker threads available per stage.
         threads: usize,
-        /// Virtual seconds of thread-management overhead per input.
+        /// Virtual seconds of thread-management overhead per input
+        /// (the paper attributes a sizeable share of its 76 s to this).
         spawn_overhead: f64,
         /// Seed for the completion-order shuffle.
         shuffle_seed: u64,
@@ -123,22 +150,23 @@ fn shuffle<T>(items: &mut [T], seed: u64) {
     Rng::new(seed).shuffle(items);
 }
 
-/// The materialised driver behind [`run`],
-/// [`run_adaptive`](crate::adaptive::run_adaptive) and
-/// [`run_parallel_dispatch`](crate::threaded::run_parallel_dispatch):
-/// drains one kernel operator per plan node, in node order, accounting
-/// stage time under the given model. With a re-planner in the context,
-/// every completed invoke stage but the last is a suspension point: a
-/// splice restarts the loop under the new plan over the *same* gateway,
-/// so the executed prefix replays from the page cache.
-pub(crate) fn run_materialised(
+/// Executes `plan` against the registered services, stage by stage:
+/// the paper's experimental engine. Drains one kernel operator per plan
+/// node, in node order, accounting stage time under `config.stage`.
+/// `ctx` names the gateway state (a private cache setting or a
+/// cross-query shared state), the call budget and tenant, and
+/// optionally a re-planner: with one, every completed invoke stage but
+/// the last is a suspension point, and a splice restarts the loop under
+/// the new plan over the *same* gateway, so the executed prefix replays
+/// from the page cache.
+pub fn run(
     plan: &Plan,
     schema: &Schema,
     registry: &ServiceRegistry,
+    config: &ExecConfig,
     ctx: ExecContext<'_>,
-    k: Option<usize>,
-    stage: &StageModel,
-) -> Result<AdaptiveOutcome, ExecError> {
+) -> Result<ExecReport, ExecError> {
+    let ExecConfig { k, stage } = *config;
     let batch = ctx.batch.max(1);
     let gateway = LocalGateway::new(ctx.gateway(plan, schema, registry)?);
     let mut ctl = ctx.adaptive.map(Controller::new);
@@ -183,7 +211,6 @@ pub(crate) fn run_materialised(
                         Source(inputs.into_iter()),
                         gateway.clone(),
                         false,
-                        0.0,
                     );
                     let out: Vec<Binding> = drain_all(
                         Probe::new(
@@ -206,7 +233,7 @@ pub(crate) fn run_materialised(
                             let lats = invoke.input_latencies();
                             let total = invoke.busy();
                             let slowest = lats.iter().copied().fold(0.0, f64::max);
-                            slowest.max(total / (*threads).max(1) as f64)
+                            slowest.max(total / threads.max(1) as f64)
                                 + spawn_overhead * in_tuples as f64
                         }
                     };
@@ -304,50 +331,24 @@ pub(crate) fn run_materialised(
         gateway.with(|g| (g.ledger(), g.partial_results(), g.node_stats().to_vec()));
     derive_rows_in(&plan, &mut operator_stats);
     let (replans, events) = ctl.map(|c| (c.replans, c.events)).unwrap_or_default();
-    Ok(AdaptiveOutcome {
-        report: ExecReport {
-            answers,
-            bindings,
-            virtual_time: trace[out_idx].completion,
-            calls: ledger.calls().clone(),
-            cache_stats: registry
-                .ids()
-                .map(|id| (id, ledger.cache_stats(id)))
-                .collect(),
-            node_trace: trace,
-            fault_stats: ledger.faults().clone(),
-            partial,
-            operator_stats,
-        },
+    Ok(ExecReport {
+        answers,
+        bindings,
+        virtual_time: trace[out_idx].completion,
+        calls: ledger.calls().clone(),
+        cache_stats: registry
+            .ids()
+            .map(|id| (id, ledger.cache_stats(id)))
+            .collect(),
+        node_trace: trace,
+        fault_stats: ledger.faults().clone(),
+        partial,
+        operator_stats,
         replans,
         events,
         final_plan: plan.into_owned(),
         observed: ledger.observed().clone(),
     })
-}
-
-/// Executes `plan` against the registered services, stage by stage:
-/// the paper's experimental engine. `ctx` names the gateway state (a
-/// private cache setting or a cross-query shared state), the call
-/// budget and tenant, and optionally a re-planner consulted after every
-/// invoke stage — see [`run_adaptive`](crate::adaptive::run_adaptive)
-/// for the same run with its re-plan trail.
-pub fn run(
-    plan: &Plan,
-    schema: &Schema,
-    registry: &ServiceRegistry,
-    config: &ExecConfig,
-    ctx: ExecContext<'_>,
-) -> Result<ExecReport, ExecError> {
-    run_materialised(
-        plan,
-        schema,
-        registry,
-        ctx,
-        config.k,
-        &StageModel::Sequential,
-    )
-    .map(|outcome| outcome.report)
 }
 
 #[cfg(test)]
@@ -361,26 +362,48 @@ mod tests {
     use mdq_services::domains::travel::{travel_world, TravelWorld};
     use std::sync::Arc;
 
+    fn plan_over(world: &TravelWorld, precedences: &[(usize, usize)]) -> Plan {
+        build_plan(
+            Arc::new(world.query.clone()),
+            &world.schema,
+            ApChoice(vec![0, 0, 0, 0]),
+            Poset::from_pairs(4, precedences).expect("valid"),
+            (0..4).collect(),
+            &StrategyRule::default(),
+        )
+        .expect("builds")
+    }
+
     fn plan_o(world: &TravelWorld) -> Plan {
-        let poset = Poset::from_pairs(
-            4,
+        plan_over(
+            world,
             &[
                 (ATOM_CONF, ATOM_WEATHER),
                 (ATOM_WEATHER, ATOM_FLIGHT),
                 (ATOM_WEATHER, ATOM_HOTEL),
             ],
         )
-        .expect("valid");
-        build_plan(
-            Arc::new(world.query.clone()),
-            &world.schema,
-            ApChoice(vec![0, 0, 0, 0]),
-            poset,
-            (0..4).collect(),
-            &StrategyRule::default(),
-        )
-        .expect("builds")
     }
+
+    fn plan_s(world: &TravelWorld) -> Plan {
+        plan_over(
+            world,
+            &[
+                (ATOM_CONF, ATOM_WEATHER),
+                (ATOM_WEATHER, ATOM_FLIGHT),
+                (ATOM_FLIGHT, ATOM_HOTEL),
+            ],
+        )
+    }
+
+    const PARALLEL: ExecConfig = ExecConfig {
+        k: None,
+        stage: StageModel::ParallelDispatch {
+            threads: 16,
+            spawn_overhead: 0.05,
+            shuffle_seed: 1,
+        },
+    };
 
     #[test]
     fn plan_o_call_counts_match_fig11_no_cache() {
@@ -390,7 +413,7 @@ mod tests {
             &plan,
             &w.schema,
             &w.registry,
-            &ExecConfig { k: None },
+            &ExecConfig::default(),
             ExecContext::private(CacheSetting::NoCache),
         )
         .expect("executes");
@@ -409,7 +432,7 @@ mod tests {
             &plan,
             &w.schema,
             &w.registry,
-            &ExecConfig { k: None },
+            &ExecConfig::default(),
             ExecContext::private(CacheSetting::Optimal),
         )
         .expect("executes");
@@ -454,7 +477,10 @@ mod tests {
             &plan,
             &w.schema,
             &w.registry,
-            &ExecConfig { k: Some(10) },
+            &ExecConfig {
+                k: Some(10),
+                ..ExecConfig::default()
+            },
             ExecContext::private(CacheSetting::OneCall),
         )
         .expect("executes");
@@ -470,7 +496,7 @@ mod tests {
             &plan,
             &w.schema,
             &w.registry,
-            &ExecConfig { k: None },
+            &ExecConfig::default(),
             ExecContext::private(CacheSetting::NoCache),
         )
         .expect("executes");
@@ -514,5 +540,65 @@ mod tests {
         )
         .expect_err("no services registered");
         assert!(matches!(err, ExecError::MissingService(_)));
+    }
+
+    #[test]
+    fn parallel_dispatch_degrades_one_call_cache() {
+        // §6: with multithreading, hotel's one-call savings largely vanish
+        // (284 → ~212 instead of → 15)
+        let w = travel_world(2008);
+        let plan = plan_s(&w);
+        let seq = run(
+            &plan,
+            &w.schema,
+            &w.registry,
+            &ExecConfig::default(),
+            ExecContext::private(CacheSetting::OneCall),
+        )
+        .expect("sequential");
+        let par = run(
+            &plan,
+            &w.schema,
+            &w.registry,
+            &PARALLEL,
+            ExecContext::private(CacheSetting::OneCall),
+        )
+        .expect("parallel");
+        let seq_hotel = seq.calls_to(w.ids.hotel);
+        let par_hotel = par.calls_to(w.ids.hotel);
+        assert_eq!(seq_hotel, 15, "sequential one-call absorbs the blocks");
+        assert!(
+            par_hotel > 150 && par_hotel <= 284,
+            "randomised order defeats the cache: {par_hotel}"
+        );
+        // and the parallel run is much faster in virtual time
+        assert!(par.virtual_time < seq.virtual_time / 2.0);
+    }
+
+    #[test]
+    fn parallel_dispatch_same_answer_set() {
+        let w = travel_world(2008);
+        let plan = plan_s(&w);
+        let seq = run(
+            &plan,
+            &w.schema,
+            &w.registry,
+            &ExecConfig::default(),
+            ExecContext::private(CacheSetting::OneCall),
+        )
+        .expect("sequential");
+        let par = run(
+            &plan,
+            &w.schema,
+            &w.registry,
+            &PARALLEL,
+            ExecContext::private(CacheSetting::OneCall),
+        )
+        .expect("parallel");
+        let mut a = seq.answers.clone();
+        let mut b = par.answers.clone();
+        a.sort();
+        b.sort();
+        assert_eq!(a, b);
     }
 }

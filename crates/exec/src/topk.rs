@@ -24,7 +24,7 @@ use crate::adaptive::Controller;
 use crate::binding::Binding;
 use crate::context::ExecContext;
 use crate::gateway::{
-    GatewayHandle, InvocationFrontier, LocalGateway, PrefixResolution, SharedServiceState, TenantId,
+    InvocationFrontier, LocalGateway, PrefixResolution, SharedServiceState, TenantId,
 };
 use crate::operator::{compile_with, drain_all, ExecError, Filter, Invoke, Operator, Source};
 use crate::plan_info::{analyze, PlanInfo};
@@ -215,7 +215,7 @@ fn prepare_shared_prefix(
     let start_calls = gateway.with(|g| g.total_calls());
     for &lvl in &claimed {
         let node = prefixes[lvl - 1].node;
-        let invoke = Invoke::for_node(plan, schema, info, node, base, gateway.clone(), false, 0.0);
+        let invoke = Invoke::for_node(plan, schema, info, node, base, gateway.clone(), false);
         // the eager drain runs batched: whole pages flow through the
         // chain per gateway-lock acquisition instead of tuple-at-a-time
         let drained: Vec<Binding> = drain_all(Filter::for_node(plan, info, node, invoke), batch);
@@ -613,7 +613,7 @@ mod tests {
             &plan,
             &w.schema,
             &w.registry,
-            &ExecConfig { k: None },
+            &ExecConfig::default(),
             ExecContext::private(CacheSetting::OneCall),
         )
         .expect("executes");

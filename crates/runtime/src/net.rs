@@ -8,7 +8,7 @@
 //!
 //! | client frame               | meaning                                   |
 //! |----------------------------|-------------------------------------------|
-//! | `TENANT <name>`            | run subsequent queries as this tenant     |
+//! | `TENANT <name>`            | run subsequent queries as this tenant (an unseen name self-registers, within [`MAX_TENANT_NAME_BYTES`] and [`MAX_WIRE_TENANTS`]) |
 //! | `QUERY [k=<n>] <text>`     | submit query text (conjunctive syntax)    |
 //! | `SUBSCRIBE [k=<n>] <text>` | register a standing query                 |
 //! | `POLL <id>`                | drain the subscription's queued deltas (own/operator-managed ids only) |
@@ -125,6 +125,18 @@ use std::time::{Duration, Instant};
 /// queued reply frames are flushed without waiting for the burst to
 /// end.
 const MAX_FRAME_BYTES: usize = 64 * 1024;
+
+/// The longest name a `TENANT` frame may self-register. A registered
+/// name is kept for the server's lifetime and compared on every later
+/// handshake, so it must not be whatever fits in a frame.
+pub const MAX_TENANT_NAME_BYTES: usize = 64;
+
+/// How many tenants `TENANT` frames may self-register per listener.
+/// Each is a registry entry, a budget cell, a scheduler queue and a row
+/// of every metrics snapshot, none of which is ever released; tenants
+/// the operator registers through [`QueryServer::register_tenant`] are
+/// not counted.
+pub const MAX_WIRE_TENANTS: usize = 1024;
 
 /// How long the accept loop backs off after `accept()`, or the `dup`
 /// or thread spawn behind it, fails (`EMFILE` and friends persist until
@@ -576,6 +588,32 @@ struct NetShared {
     draining: AtomicBool,
     /// Connections currently open.
     open: AtomicU64,
+    /// Tenants self-registered by `TENANT` frames so far. Held across
+    /// the lookup and the registration, so two connections introducing
+    /// names at the cap cannot both get in.
+    wire_tenants: Mutex<usize>,
+}
+
+impl NetShared {
+    /// The `TENANT` handshake: the id of `name`. An unseen name
+    /// self-registers with the unlimited default policy, within the
+    /// two wire bounds; a registered name keeps the policy it was
+    /// first registered with, whoever registered it.
+    fn tenant(&self, name: &str) -> Result<TenantId, String> {
+        let mut wire_tenants = recover(self.wire_tenants.lock());
+        if self.query.tenant_id(name).is_none() {
+            if name.len() > MAX_TENANT_NAME_BYTES {
+                return Err(format!(
+                    "tenant name longer than {MAX_TENANT_NAME_BYTES} bytes"
+                ));
+            }
+            if *wire_tenants >= MAX_WIRE_TENANTS {
+                return Err("too many tenants".to_string());
+            }
+            *wire_tenants += 1;
+        }
+        Ok(self.query.register_tenant(name, TenantPolicy::default()))
+    }
 }
 
 /// The TCP front door: accepts connections on a listener, speaks the
@@ -672,6 +710,7 @@ impl NetServer {
             query,
             draining: AtomicBool::new(false),
             open: AtomicU64::new(0),
+            wire_tenants: Mutex::new(0),
         });
         let accept = {
             let shared = Arc::clone(&shared);
@@ -870,13 +909,14 @@ fn handle_connection(shared: &NetShared, stream: &TcpStream, peer: SocketAddr) {
                 out.push(&ServerFrame::Bye);
                 break;
             }
-            ClientFrame::Tenant { name } => {
-                // an unknown name self-registers with the unlimited
-                // default policy; a pre-registered name keeps the
-                // policy the operator installed (first wins)
-                tenant = shared.query.register_tenant(&name, TenantPolicy::default());
-                out.push(&ServerFrame::Ok { tenant })
-            }
+            ClientFrame::Tenant { name } => match shared.tenant(&name) {
+                Ok(id) => {
+                    tenant = id;
+                    out.push(&ServerFrame::Ok { tenant })
+                }
+                // the connection keeps the tenant it had
+                Err(reason) => out.push(&ServerFrame::Err { reason }),
+            },
             ClientFrame::Query { k, text } => {
                 queries += 1;
                 serve_query(shared, &mut out, tenant, &text, k)

@@ -154,6 +154,49 @@ pub struct RefreshSummary {
     pub sub_results_retained: u64,
 }
 
+/// Fences a subscription's answers and frontier off from the rest of
+/// this file: outside this module they can be read and
+/// [`commit`](Current::commit)ted, never assigned.
+mod current {
+    use super::{HashSet, InvocationKey, Tuple};
+
+    /// What a subscription's last successful evaluation produced.
+    /// `commit` is the only way to change it, so the refresh pass's
+    /// commit phase — under the state lock, in subscription-id order —
+    /// is the single place answers and frontiers move. That is what
+    /// makes delta streams byte-identical at every `refresh_workers`
+    /// setting.
+    pub(super) struct Current {
+        answers: Vec<Tuple>,
+        frontier: HashSet<InvocationKey>,
+    }
+
+    impl Current {
+        pub(super) fn new(answers: Vec<Tuple>, frontier: HashSet<InvocationKey>) -> Self {
+            Current { answers, frontier }
+        }
+
+        /// Current answers, in rank order (the fold target of the
+        /// queued deltas).
+        pub(super) fn answers(&self) -> &[Tuple] {
+            &self.answers
+        }
+
+        /// The invocations the last evaluation touched.
+        pub(super) fn frontier(&self) -> &HashSet<InvocationKey> {
+            &self.frontier
+        }
+
+        /// The commit-phase swap: a re-evaluation's answers and
+        /// frontier replace the current ones together.
+        pub(super) fn commit(&mut self, answers: Vec<Tuple>, frontier: HashSet<InvocationKey>) {
+            self.answers = answers;
+            self.frontier = frontier;
+        }
+    }
+}
+use current::Current;
+
 /// One registered standing query.
 struct Subscription {
     tenant: TenantId,
@@ -163,14 +206,11 @@ struct Subscription {
     /// the live-overlap check at subscribe time key on.
     prefix_sigs: Arc<Vec<SubplanSignature>>,
     k: u64,
-    /// Current answers, in rank order (the fold target of the queued
-    /// deltas).
-    answers: Vec<Tuple>,
-    /// The invocations the last evaluation touched.
-    frontier: HashSet<InvocationKey>,
+    /// Current answers and the frontier they were read through.
+    current: Current,
     /// Deltas queued since the last poll, in epoch order.
     queued: Vec<Delta>,
-    /// The last re-evaluation failed: `answers` lag pages already
+    /// The last re-evaluation failed: the answers lag pages already
     /// installed in the cache. Re-evaluate on every pass (frontier
     /// intersection or not) until one succeeds.
     dirty: bool,
@@ -276,7 +316,7 @@ impl SubscriptionManager {
             .subs
             .get(&id)
             .filter(|s| operator || s.tenant == caller)
-            .map(|s| s.answers.clone())
+            .map(|s| s.current.answers().to_vec())
     }
 
     /// Drains the queued deltas of subscription `id` (`None` = unknown
@@ -351,8 +391,7 @@ impl SubscriptionManager {
                 plan: Arc::clone(plan),
                 prefix_sigs,
                 k,
-                answers: answers.clone(),
-                frontier,
+                current: Current::new(answers.clone(), frontier),
                 queued: Vec::new(),
                 dirty: false,
             },
@@ -381,7 +420,7 @@ impl SubscriptionManager {
             _ => return false,
         }
         let sub = st.subs.remove(&id).expect("checked above");
-        for key in &sub.frontier {
+        for key in sub.current.frontier() {
             unpin(&mut st, ctx, key);
         }
         for sig in sub.prefix_sigs.iter() {
@@ -431,8 +470,8 @@ impl SubscriptionManager {
                     k: s.k,
                     tenant: s.tenant,
                     dirty: s.dirty,
-                    frontier: s.frontier.clone(),
-                    answers: s.answers.clone(),
+                    frontier: s.current.frontier().clone(),
+                    answers: s.current.answers().to_vec(),
                 })
                 .collect();
             (epoch, jobs, skipped, snaps)
@@ -549,10 +588,9 @@ impl SubscriptionManager {
         };
         {
             let mut st = recover(self.state.lock());
-            // BEGIN COMMIT PHASE: the only place subscription answers
-            // and frontiers may change (CI grep-guards this region).
-            // `evals` ascends by subscription id, so the delta streams
-            // replay byte-identically at any worker count.
+            // the commit phase: `evals` ascends by subscription id, so
+            // the delta streams replay byte-identically at any worker
+            // count
             for (id, result) in evals {
                 let done = match result {
                     Ok(done) => done,
@@ -569,7 +607,7 @@ impl SubscriptionManager {
                         continue;
                     }
                 };
-                let old_frontier = st.subs.get(&id).expect("pass-gated").frontier.clone();
+                let old_frontier = st.subs[&id].current.frontier().clone();
                 for key in done.frontier.difference(&old_frontier) {
                     pin_and_track(&mut st, ctx, key, epoch);
                 }
@@ -577,8 +615,7 @@ impl SubscriptionManager {
                     unpin(&mut st, ctx, key);
                 }
                 let sub = st.subs.get_mut(&id).expect("pass-gated");
-                sub.answers = done.answers;
-                sub.frontier = done.frontier;
+                sub.current.commit(done.answers, done.frontier);
                 sub.dirty = false;
                 if done.added.is_empty() && done.retracted.is_empty() {
                     continue;
@@ -599,7 +636,6 @@ impl SubscriptionManager {
                     retracted: done.retracted,
                 });
             }
-            // END COMMIT PHASE
         }
         ctx.metrics
             .observe_refresh_commit(commit_started.elapsed().as_secs_f64());

@@ -55,7 +55,7 @@ fn main() {
         .run_adaptive(QUERY, 10, &AdaptiveConfig::default())
         .expect("adaptive run executes");
     println!("== adaptive execution ==");
-    for ev in &out.outcome.events {
+    for ev in &out.report.events {
         println!(
             "re-plan after {} stage(s): {} drifted {:.0}× past the estimates",
             ev.after_stages,
@@ -63,21 +63,21 @@ fn main() {
             ev.worst_ratio
         );
     }
-    let adaptive_calls: u64 = out.outcome.report.calls.values().sum();
+    let adaptive_calls: u64 = out.report.calls.values().sum();
     println!(
         "{} re-plan(s), {} answers, {} forwarded calls",
-        out.replans(),
+        out.report.replans,
         out.answers().len(),
         adaptive_calls
     );
 
     println!("\n== the corrected plan, under the observed statistics ==");
-    engine.seed_profiles_from_observed(&out.outcome.observed, 1);
+    engine.seed_profiles_from_observed(&out.report.observed, 1);
     let fresh_ann = Estimator::new(engine.schema(), &sel, CacheSetting::Optimal)
-        .annotate(&out.outcome.final_plan);
+        .annotate(&out.report.final_plan);
     println!(
         "{}",
-        explain(&out.outcome.final_plan, engine.schema(), &fresh_ann)
+        explain(&out.report.final_plan, engine.schema(), &fresh_ann)
     );
 
     // the serving layer: an adaptive server corrects the template once

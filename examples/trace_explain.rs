@@ -51,7 +51,7 @@ fn main() {
         &plan,
         &w.schema,
         &w.registry,
-        &ExecConfig { k: None },
+        &ExecConfig::default(),
         ExecContext::shared(shared),
     )
     .expect("the running example executes");

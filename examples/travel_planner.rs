@@ -74,7 +74,7 @@ fn main() {
     println!("\n=== execution under the three cache settings (§5.1) ===");
     for cache in CacheSetting::ALL {
         let report = engine
-            .execute(plan, &ExecConfig { k: None }, ExecContext::private(cache))
+            .execute(plan, &ExecConfig::default(), ExecContext::private(cache))
             .expect("executes");
         println!(
             "{:<15} calls: conf={} weather={:>2} flight={:>2} hotel={:>3}   time={:>6.1}s  answers={}",
@@ -92,7 +92,10 @@ fn main() {
     let report = engine
         .execute(
             plan,
-            &ExecConfig { k: Some(10) },
+            &ExecConfig {
+                k: Some(10),
+                ..ExecConfig::default()
+            },
             ExecContext::private(CacheSetting::OneCall),
         )
         .expect("executes");

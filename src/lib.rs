@@ -18,7 +18,7 @@
 //! | [`plan`] | topologies (posets), plan DAGs, join strategies, rendering |
 //! | [`cost`] | cardinality/call estimation, the five cost metrics |
 //! | [`optimizer`] | the three-phase branch and bound + baselines |
-//! | [`exec`] | caches, rank-preserving joins, retry-resilient gateway, the stage / pull / threaded drivers over one `ExecContext` |
+//! | [`exec`] | caches, rank-preserving joins, retry-resilient gateway, the stage and pull drivers over one `ExecContext` |
 //! | [`runtime`] | concurrent multi-query server: worker pool, plan cache, shared gateway, metrics, TCP serving edge with tenant isolation |
 //!
 //! ```

@@ -62,7 +62,7 @@
 //! | service registration / profiling (§5) | [`mdq_services::profiler`] |
 //! | execution environment (§5) | the [operator kernel](mdq_exec::operator): [`Invoke`](mdq_exec::operator::Invoke) / [`Join`](mdq_exec::operator::Join) / [`Filter`](mdq_exec::operator::Filter) / [`Select`](mdq_exec::operator::Select) over one [`ServiceGateway`](mdq_exec::gateway::ServiceGateway), built from the driver's [`ExecContext`](mdq_exec::ExecContext) (private cache setting or cross-query shared state, budget, tenant, frontier, re-planner) |
 //! | "units of work" between operators (§5), batched | [`Operator::next_batch`](mdq_exec::operator::Operator::next_batch) over [`Batch`](mdq_exec::operator::Batch)es of `Arc`-shared [`Binding`](mdq_exec::binding::Binding)s; demand-exact, so §5's per-call pricing is unchanged at any batch size (`tests/executor_equivalence.rs`) |
-//! | multi-threading (§5) | [`mdq_exec::threaded`] |
+//! | multi-threading (§5) | [`StageModel::ParallelDispatch`](mdq_exec::pipeline::StageModel), in virtual time |
 //! | threads share §5.1 state without serializing on it | the sharded page cache + per-gateway [`accounting cells`](mdq_exec::gateway::SharedServiceState) — `crates/bench/benches/contention.rs` → `BENCH_contention.json` |
 //! | page-fetch runs (chunked services, §5.1) | [`ServiceGateway::fetch_page_run`](mdq_exec::gateway::ServiceGateway::fetch_page_run): consecutive cached pages under one shard lock, at most one forwarded call |
 //! | no / one-call / optimal cache (§5.1) | [`PageCache`](mdq_exec::cache::PageCache) (inside the gateway), [`CacheSetting`](mdq_cost::estimate::CacheSetting) |
@@ -78,7 +78,7 @@
 //! | wrapped services, profiles (Table 1) | [`travel_world`](mdq_services::domains::travel::travel_world), `mdq-bench::experiments::table1` |
 //! | plans S / P / O, cache matrix (Fig. 11) | `mdq-bench::experiments::fig11` |
 //! | answer screenshot (Fig. 10) | [`result_table`](mdq_exec::results::result_table) |
-//! | multithreading test | [`run_parallel_dispatch`](mdq_exec::threaded::run_parallel_dispatch): the [`pipeline::run`](mdq_exec::pipeline::run) stage loop under the parallel stage-time model |
+//! | multithreading test | [`StageModel::ParallelDispatch`](mdq_exec::pipeline::StageModel): the [`pipeline::run`](mdq_exec::pipeline::run) stage loop under the parallel stage-time model |
 //! | protein/bibliographic domains | [`mdq_services::domains::protein`], [`mdq_services::domains::bibliography`] |
 //!
 //! ## §7 — Related work turned feature
@@ -138,7 +138,7 @@
 //! | when is the drift worth acting on | [`profile_divergence`](mdq_cost::divergence::profile_divergence), [`diverging_services`](mdq_cost::divergence::diverging_services) under an [`AdaptiveConfig`](mdq_cost::divergence::AdaptiveConfig) |
 //! | §5 "periodic re-estimation", without a sampling pass | [`refresh_profiles`](mdq_cost::divergence::refresh_profiles), [`Mdq::seed_profiles_from_observed`](mdq_core::Mdq::seed_profiles_from_observed) |
 //! | re-optimizing the unexecuted suffix (patterns/order/fetches of executed stages frozen) | [`reoptimize_suffix`](mdq_optimizer::replan::reoptimize_suffix), [`optimize_fetches_pinned`](mdq_optimizer::phase3::optimize_fetches_pinned) |
-//! | suspension points + plan splice in the drivers | a re-planner in [`ExecContext::adaptive`](mdq_exec::ExecContext::adaptive): [`pipeline::run`](mdq_exec::pipeline::run) / [`run_adaptive`](mdq_exec::adaptive::run_adaptive) suspend after every invoke stage, [`TopKExecution`](mdq_exec::topk::TopKExecution) between answers |
+//! | suspension points + plan splice in the drivers | a re-planner in [`ExecContext::adaptive`](mdq_exec::ExecContext::adaptive): [`pipeline::run`](mdq_exec::pipeline::run) suspends after every invoke stage, [`TopKExecution`](mdq_exec::topk::TopKExecution) between answers |
 //! | a re-plan never repeats a paid-for call | the §5.1 [`PageCache`](mdq_exec::cache::PageCache) replay across splices (`tests/adaptive_replan.rs`) |
 //! | the optimizer-backed re-planner | [`OptimizerReplanner`](mdq_core::OptimizerReplanner), [`Mdq::run_adaptive`](mdq_core::Mdq::run_adaptive) |
 //! | serving policy, per-query accounting, plan publication | [`RuntimeConfig::adaptive`](mdq_runtime::server::RuntimeConfig), [`QueryStats::replans`](mdq_runtime::session::QueryStats), [`MetricsSnapshot::replans`](mdq_runtime::metrics::MetricsSnapshot) |

@@ -6,7 +6,7 @@
 //! (no overhead when the estimates hold).
 
 use mdq::cost::divergence::AdaptiveConfig;
-use mdq::exec::adaptive::{run_adaptive, ReplanRequest};
+use mdq::exec::adaptive::ReplanRequest;
 use mdq::exec::cache::CacheSetting as ExecCache;
 use mdq::exec::gateway::SharedServiceState;
 use mdq::prelude::*;
@@ -50,6 +50,7 @@ fn frozen_run(engine: &Mdq, text: &str) -> (Arc<SharedServiceState>, Plan) {
         engine.registry(),
         &ExecConfig {
             k: Some(K as usize),
+            ..ExecConfig::default()
         },
         ExecContext::shared(Arc::clone(&shared)),
     )
@@ -71,9 +72,12 @@ fn mis_estimated_workload_replans_and_saves_calls() {
     let out = engine
         .run_adaptive(&text, K, &AdaptiveConfig::default())
         .expect("adaptive run executes");
-    let adaptive: u64 = out.outcome.report.calls.values().sum();
+    let adaptive: u64 = out.report.calls.values().sum();
 
-    assert!(out.replans() >= 1, "the mis-estimate must force a re-plan");
+    assert!(
+        out.report.replans >= 1,
+        "the mis-estimate must force a re-plan"
+    );
     assert!(
         adaptive < frozen,
         "adaptive ({adaptive} calls) must beat the frozen plan ({frozen} calls)"
@@ -90,14 +94,12 @@ fn mis_estimated_workload_replans_and_saves_calls() {
         assert!(a.get(3).as_f64().expect("price") <= 100.0);
     }
     // the re-plan event names the drifted service
-    assert_eq!(out.outcome.events.len(), out.replans() as usize);
-    assert!(out.outcome.events[0]
-        .services
-        .contains(&"parts".to_string()));
-    assert!(out.outcome.events[0].worst_ratio > 10.0);
+    assert_eq!(out.report.events.len(), out.report.replans as usize);
+    assert!(out.report.events[0].services.contains(&"parts".to_string()));
+    assert!(out.report.events[0].worst_ratio > 10.0);
     // the splice kept the executed prefix: seed and parts fetch factors
     // and patterns unchanged
-    let fp = &out.outcome.final_plan;
+    let fp = &out.report.final_plan;
     for atom in 0..2 {
         assert_eq!(fp.choice.0[atom], frozen_plan.choice.0[atom]);
     }
@@ -125,12 +127,12 @@ fn replan_never_repeats_a_cached_page() {
     let out = engine
         .run_adaptive(&text, K, &AdaptiveConfig::default())
         .expect("adaptive run executes");
-    assert!(out.replans() >= 1);
+    assert!(out.report.replans >= 1);
     // the prefix was re-executed after the splice, yet seed and parts
     // forwarded exactly one call per distinct input
-    assert_eq!(out.outcome.report.calls_to(ids.seed), 1);
+    assert_eq!(out.report.calls_to(ids.seed), 1);
     assert_eq!(
-        out.outcome.report.calls_to(ids.parts),
+        out.report.calls_to(ids.parts),
         SEED_ITEMS as u64,
         "one parts call per seeded item, splice included"
     );
@@ -145,9 +147,9 @@ fn below_threshold_divergence_causes_zero_replans() {
     let out = engine
         .run_adaptive(&text, K, &AdaptiveConfig::default())
         .expect("adaptive run executes");
-    assert_eq!(out.replans(), 0, "truthful estimates must not re-plan");
-    assert!(out.outcome.events.is_empty());
-    let adaptive: u64 = out.outcome.report.calls.values().sum();
+    assert_eq!(out.report.replans, 0, "truthful estimates must not re-plan");
+    assert!(out.report.events.is_empty());
+    let adaptive: u64 = out.report.calls.values().sum();
     assert_eq!(
         adaptive, frozen,
         "zero re-plans means zero overhead: identical call bills"
@@ -170,8 +172,8 @@ fn max_replans_zero_disables_adaptivity() {
             },
         )
         .expect("adaptive run executes");
-    assert_eq!(out.replans(), 0);
-    let adaptive: u64 = out.outcome.report.calls.values().sum();
+    assert_eq!(out.report.replans, 0);
+    let adaptive: u64 = out.report.calls.values().sum();
     assert_eq!(adaptive, frozen, "disabled adaptivity = the frozen plan");
 }
 
@@ -259,7 +261,7 @@ fn projection_duplicates_survive_adaptive_pull() {
             ..OptimizerConfig::default()
         },
     );
-    let stage = run_adaptive(
+    let stage = run(
         &plan,
         engine.schema(),
         engine.registry(),
@@ -292,7 +294,7 @@ fn projection_duplicates_survive_adaptive_pull() {
     .expect("adaptive pull builds");
     let pulled = pull.answers(1 << 20);
     assert_eq!(pull.replans(), stage.replans);
-    let mut a = stage.report.answers.clone();
+    let mut a = stage.answers.clone();
     let mut b = pulled;
     a.sort();
     b.sort();
@@ -327,12 +329,13 @@ fn settled_divergence_does_not_rerun_the_optimizer() {
         consults += 1;
         None
     };
-    let out = run_adaptive(
+    let out = run(
         &optimized.candidate.plan,
         engine.schema(),
         engine.registry(),
         &ExecConfig {
             k: Some(K as usize),
+            ..ExecConfig::default()
         },
         ExecContext {
             adaptive: Some((AdaptiveConfig::default(), &mut refuse)),

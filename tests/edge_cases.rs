@@ -248,7 +248,10 @@ fn all_metrics_produce_executable_plans() {
         let report = engine
             .execute(
                 &optimized.candidate.plan,
-                &ExecConfig { k: Some(5) },
+                &ExecConfig {
+                    k: Some(5),
+                    ..ExecConfig::default()
+                },
                 ExecContext::private(CacheSetting::OneCall),
             )
             .expect("executes");

@@ -10,8 +10,8 @@ fn sorted(mut v: Vec<Tuple>) -> Vec<Tuple> {
     v
 }
 
-/// The four executors (stage-materialised, pull, parallel-dispatch, real
-/// threads) produce the same answer set on the travel workload.
+/// The executors (stage-materialised, pull, parallel-dispatch) produce
+/// the same answer set on the travel workload.
 #[test]
 fn all_executors_agree() {
     let w = travel_world(2008);
@@ -21,7 +21,7 @@ fn all_executors_agree() {
             &plan,
             &w.schema,
             &w.registry,
-            &ExecConfig { k: None },
+            &ExecConfig::default(),
             ExecContext::private(CacheSetting::Optimal),
         )
         .expect("pipeline")
@@ -37,31 +37,22 @@ fn all_executors_agree() {
     .expect("pull");
     assert_eq!(sorted(pull.answers(1 << 20)), baseline, "pull executor");
 
-    let par = run_parallel_dispatch(
+    let par = run(
         &plan,
         &w.schema,
         &w.registry,
-        &ParallelConfig {
-            ..ParallelConfig::default()
+        &ExecConfig {
+            k: None,
+            stage: StageModel::ParallelDispatch {
+                threads: 16,
+                spawn_overhead: 0.05,
+                shuffle_seed: 1,
+            },
         },
         ExecContext::private(CacheSetting::Optimal),
     )
     .expect("parallel dispatch");
     assert_eq!(sorted(par.answers), baseline, "parallel dispatch");
-
-    let thr = run_threaded(
-        &plan,
-        &w.schema,
-        &w.registry,
-        &ThreadedConfig {
-            time_scale: 0.0,
-            channel_capacity: 16,
-            k: None,
-        },
-        ExecContext::private(CacheSetting::Optimal),
-    )
-    .expect("threads");
-    assert_eq!(sorted(thr.answers), baseline, "real threads");
 }
 
 /// Caching never changes the answers — only the number of calls.
@@ -76,7 +67,7 @@ fn cache_settings_preserve_answers() {
                 &plan,
                 &w.schema,
                 &w.registry,
-                &ExecConfig { k: None },
+                &ExecConfig::default(),
                 ExecContext::private(cache),
             )
             .expect("executes");
@@ -216,7 +207,7 @@ fn registry_counters_accumulate() {
             &plan,
             &w.schema,
             &w.registry,
-            &ExecConfig { k: None },
+            &ExecConfig::default(),
             ExecContext::private(CacheSetting::NoCache),
         )
         .expect("executes");

@@ -1,10 +1,10 @@
-//! Cross-executor equivalence: the three drivers over the shared
-//! operator kernel — stage-materialised, pull-based top-k and the real
-//! OS-thread dataflow engine — must return **identical answer sets and
-//! identical per-service call counts** on randomized travel-world plans,
-//! under every cache setting. The parallel-dispatch driver shuffles its
-//! inputs (its point is showing the cache degradation), so it must agree
-//! on answers but is exempt from the call-count check.
+//! Cross-executor equivalence: the two drivers over the shared
+//! operator kernel — stage-materialised and pull-based top-k — must
+//! return **identical answer sets and identical per-service call
+//! counts** on randomized travel-world plans, under every cache
+//! setting. The parallel-dispatch stage model shuffles its inputs (its
+//! point is showing the cache degradation), so it must agree on answers
+//! but is exempt from the call-count check.
 //!
 //! Plans are randomized over topology (random admissible precedence
 //! pairs), fetch factors and cache setting, generated with the
@@ -57,8 +57,8 @@ fn random_plan(rng: &mut Rng, world: &mdq_services::domains::travel::TravelWorld
     plan
 }
 
-/// The materialised, pull and threaded drivers agree on answers *and*
-/// call counts; parallel dispatch agrees on answers.
+/// The materialised and pull drivers agree on answers *and* call
+/// counts; parallel dispatch agrees on answers.
 #[test]
 fn randomized_plans_executors_agree() {
     let mut rng = Rng::new(0xEC_EC);
@@ -75,7 +75,7 @@ fn randomized_plans_executors_agree() {
             &plan,
             &w.schema,
             &w.registry,
-            &ExecConfig { k: None },
+            &ExecConfig::default(),
             ExecContext::private(cache),
         )
         .unwrap_or_else(|e| panic!("{desc}: pipeline fails: {e}"));
@@ -93,34 +93,19 @@ fn randomized_plans_executors_agree() {
         );
         assert_eq!(pulled, baseline, "{desc}: pull answers");
 
-        // real-thread dataflow engine
-        let thr = run_threaded(
-            &plan,
-            &w.schema,
-            &w.registry,
-            &ThreadedConfig {
-                time_scale: 0.0,
-                channel_capacity: 8,
-                k: None,
-            },
-            ExecContext::private(cache),
-        )
-        .unwrap_or_else(|e| panic!("{desc}: threaded fails: {e}"));
-        assert_eq!(
-            sorted(thr.answers.clone()),
-            baseline,
-            "{desc}: threaded answers"
-        );
-
         // parallel dispatch: same answers (its shuffled invocation order
         // legitimately changes the call counts)
-        let par = run_parallel_dispatch(
+        let par = run(
             &plan,
             &w.schema,
             &w.registry,
-            &ParallelConfig {
-                shuffle_seed: case as u64,
-                ..ParallelConfig::default()
+            &ExecConfig {
+                k: None,
+                stage: StageModel::ParallelDispatch {
+                    threads: 16,
+                    spawn_overhead: 0.05,
+                    shuffle_seed: case as u64,
+                },
             },
             ExecContext::private(cache),
         )
@@ -145,11 +130,6 @@ fn randomized_plans_executors_agree() {
                 p,
                 "{desc}: pull vs pipeline calls to {name}"
             );
-            assert_eq!(
-                thr.calls.get(&id).copied().unwrap_or(0),
-                p,
-                "{desc}: threaded vs pipeline calls to {name}"
-            );
         }
 
         // truncation: every driver that takes a `k` returns exactly
@@ -160,7 +140,10 @@ fn randomized_plans_executors_agree() {
                 &plan,
                 &w.schema,
                 &w.registry,
-                &ExecConfig { k: Some(k) },
+                &ExecConfig {
+                    k: Some(k),
+                    ..ExecConfig::default()
+                },
                 ExecContext::private(cache),
             )
             .unwrap_or_else(|e| panic!("{desc}: pipeline k={k} fails: {e}"));
@@ -169,19 +152,6 @@ fn randomized_plans_executors_agree() {
                 TopKExecution::start(&plan, &w.schema, &w.registry, ExecContext::private(cache))
                     .unwrap_or_else(|e| panic!("{desc}: pull k={k} fails: {e}"));
             assert_eq!(pull.answers(k).len(), want, "{desc}: pull k={k}");
-            let thr = run_threaded(
-                &plan,
-                &w.schema,
-                &w.registry,
-                &ThreadedConfig {
-                    time_scale: 0.0,
-                    channel_capacity: 8,
-                    k: Some(k),
-                },
-                ExecContext::private(cache),
-            )
-            .unwrap_or_else(|e| panic!("{desc}: threaded k={k} fails: {e}"));
-            assert_eq!(thr.answers.len(), want, "{desc}: threaded k={k}");
         }
     }
 }
@@ -189,7 +159,7 @@ fn randomized_plans_executors_agree() {
 /// Rebuilds the travel world with every service wrapped in a seeded
 /// [`FaultProfile`]: the fault schedule is a function of call identity
 /// only, so identically-seeded worlds replay identical faults no matter
-/// which driver (or thread interleaving) issues the calls.
+/// which driver issues the calls.
 fn faulty_world(fault_seed: u64) -> mdq_services::domains::travel::TravelWorld {
     use mdq::services::fault::{FaultConfig, FaultProfile};
     let mut w = travel_world(2008);
@@ -206,7 +176,7 @@ fn faulty_world(fault_seed: u64) -> mdq_services::domains::travel::TravelWorld {
     w
 }
 
-/// Seeded-fault equivalence: all three deterministic drivers produce
+/// Seeded-fault equivalence: both deterministic drivers produce
 /// identical answers, identical per-service call counts (faulted
 /// attempts included) and identical retry counts under the same seeded
 /// fault schedule — and agree on which services, if any, degraded.
@@ -229,7 +199,7 @@ fn randomized_plans_executors_agree_under_seeded_faults() {
             &plan,
             &wp.schema,
             &wp.registry,
-            &ExecConfig { k: None },
+            &ExecConfig::default(),
             ExecContext::private(cache),
         )
         .unwrap_or_else(|e| panic!("{desc}: pipeline fails: {e}"));
@@ -241,25 +211,6 @@ fn randomized_plans_executors_agree_under_seeded_faults() {
                 .unwrap_or_else(|e| panic!("{desc}: pull fails: {e}"));
         let pulled = sorted(pull.answers(1 << 20));
         assert_eq!(pulled, baseline, "{desc}: pull answers");
-
-        let wt = faulty_world(fault_seed);
-        let thr = run_threaded(
-            &plan,
-            &wt.schema,
-            &wt.registry,
-            &ThreadedConfig {
-                time_scale: 0.0,
-                channel_capacity: 8,
-                k: None,
-            },
-            ExecContext::private(cache),
-        )
-        .unwrap_or_else(|e| panic!("{desc}: threaded fails: {e}"));
-        assert_eq!(
-            sorted(thr.answers.clone()),
-            baseline,
-            "{desc}: threaded answers"
-        );
 
         // identical attempts AND identical retries, service by service
         let pull_ledger = pull.ledger();
@@ -275,21 +226,11 @@ fn randomized_plans_executors_agree_under_seeded_faults() {
                 calls,
                 "{desc}: pull vs pipeline calls to {name}"
             );
-            assert_eq!(
-                thr.calls.get(&id).copied().unwrap_or(0),
-                calls,
-                "{desc}: threaded vs pipeline calls to {name}"
-            );
             let retries = pipeline.retries_to(id);
             assert_eq!(
                 pull_ledger.faults_for(id).retries,
                 retries,
                 "{desc}: pull vs pipeline retries to {name}"
-            );
-            assert_eq!(
-                thr.retries_to(id),
-                retries,
-                "{desc}: threaded vs pipeline retries to {name}"
             );
         }
 
@@ -298,10 +239,6 @@ fn randomized_plans_executors_agree_under_seeded_faults() {
             pull.partial_results(),
             pipeline.partial,
             "{desc}: pull vs pipeline partial report"
-        );
-        assert_eq!(
-            thr.partial, pipeline.partial,
-            "{desc}: threaded vs pipeline partial report"
         );
     }
 }
@@ -377,7 +314,7 @@ fn adaptive_drivers_agree_on_answers_calls_and_replans() {
 
         let (wp, plan, shared) = adaptive_fixture(fault_seed);
         let mut rp = adaptive_replanner(&wp);
-        let pipeline = run_adaptive(
+        let pipeline = run(
             &plan,
             &wp.world.schema,
             &wp.world.registry,
@@ -392,7 +329,7 @@ fn adaptive_drivers_agree_on_answers_calls_and_replans() {
             pipeline.replans >= 1,
             "{desc}: the mis-estimate must force a re-plan"
         );
-        let baseline = sorted(pipeline.report.answers.clone());
+        let baseline = sorted(pipeline.answers.clone());
         assert!(!baseline.is_empty(), "{desc}: answers exist");
 
         let (wq, plan_q, shared_q) = adaptive_fixture(fault_seed);
@@ -423,13 +360,13 @@ fn adaptive_drivers_agree_on_answers_calls_and_replans() {
             ("parts", wp.ids.parts),
             ("offers", wp.ids.offers),
         ] {
-            let calls = pipeline.report.calls_to(id);
+            let calls = pipeline.calls_to(id);
             assert_eq!(
                 pull.calls_to(id),
                 calls,
                 "{desc}: pull vs pipeline calls to {name}"
             );
-            let retries = pipeline.report.retries_to(id);
+            let retries = pipeline.retries_to(id);
             assert_eq!(
                 pull.ledger().faults_for(id).retries,
                 retries,
@@ -438,7 +375,7 @@ fn adaptive_drivers_agree_on_answers_calls_and_replans() {
         }
         assert_eq!(
             pull.partial_results(),
-            pipeline.report.partial,
+            pipeline.partial,
             "{desc}: pull vs pipeline partial report"
         );
     }
@@ -447,8 +384,8 @@ fn adaptive_drivers_agree_on_answers_calls_and_replans() {
 /// The operator batch size is a pure amortisation knob: sweeping it
 /// across 1 (tuple-at-a-time), 2, 7 (deliberately unaligned with page
 /// and chunk sizes) and 64 must leave answers, per-service call counts
-/// and retry counts byte-identical for the stage-materialised, pull and
-/// real-thread drivers — healthy and under a seeded fault schedule.
+/// and retry counts byte-identical for the stage-materialised and pull
+/// drivers — healthy and under a seeded fault schedule.
 #[test]
 fn batch_size_sweep_is_equivalent_to_tuple_at_a_time() {
     let mut rng = Rng::new(0xBA_7C);
@@ -500,28 +437,6 @@ fn batch_size_sweep_is_equivalent_to_tuple_at_a_time() {
                     "{desc}: batch={batch} pipeline answers"
                 );
 
-                let wt = world();
-                let thr = run_threaded(
-                    &plan,
-                    &wt.schema,
-                    &wt.registry,
-                    &ThreadedConfig {
-                        time_scale: 0.0,
-                        channel_capacity: 8,
-                        k: None,
-                    },
-                    ExecContext {
-                        batch,
-                        ..ExecContext::private(cache)
-                    },
-                )
-                .unwrap_or_else(|e| panic!("{desc}: batch={batch} threaded fails: {e}"));
-                assert_eq!(
-                    sorted(thr.answers.clone()),
-                    base_answers,
-                    "{desc}: batch={batch} threaded answers"
-                );
-
                 // the pull driver's batch size is the demand chunk:
                 // drain it `batch` answers at a time
                 let wq = world();
@@ -567,16 +482,6 @@ fn batch_size_sweep_is_equivalent_to_tuple_at_a_time() {
                         "{desc}: batch={batch} pipeline retries to {id:?}"
                     );
                     assert_eq!(
-                        thr.calls.get(&id).copied().unwrap_or(0),
-                        calls,
-                        "{desc}: batch={batch} threaded calls to {id:?}"
-                    );
-                    assert_eq!(
-                        thr.retries_to(id),
-                        retries,
-                        "{desc}: batch={batch} threaded retries to {id:?}"
-                    );
-                    assert_eq!(
                         pull.calls_to(id),
                         calls,
                         "{desc}: batch={batch} pull calls to {id:?}"
@@ -606,7 +511,7 @@ fn adaptive_batch_sweep_preserves_replans() {
 
         let (wb, plan_b, shared_b) = adaptive_fixture(fault_seed);
         let mut rp = adaptive_replanner(&wb);
-        let base = run_adaptive(
+        let base = run(
             &plan_b,
             &wb.world.schema,
             &wb.world.registry,
@@ -622,12 +527,12 @@ fn adaptive_batch_sweep_preserves_replans() {
             base.replans >= 1,
             "{desc}: the mis-estimate forces a re-plan"
         );
-        let base_answers = sorted(base.report.answers.clone());
+        let base_answers = sorted(base.answers.clone());
 
         for batch in [2usize, 7, 64] {
             let (w, plan, shared) = adaptive_fixture(fault_seed);
             let mut rp = adaptive_replanner(&w);
-            let out = run_adaptive(
+            let out = run(
                 &plan,
                 &w.world.schema,
                 &w.world.registry,
@@ -640,7 +545,7 @@ fn adaptive_batch_sweep_preserves_replans() {
             )
             .unwrap_or_else(|e| panic!("{desc}: batch={batch} adaptive fails: {e}"));
             assert_eq!(
-                sorted(out.report.answers.clone()),
+                sorted(out.answers.clone()),
                 base_answers,
                 "{desc}: batch={batch} adaptive answers"
             );
@@ -650,13 +555,13 @@ fn adaptive_batch_sweep_preserves_replans() {
             );
             for id in [w.ids.seed, w.ids.parts, w.ids.offers] {
                 assert_eq!(
-                    out.report.calls_to(id),
-                    base.report.calls_to(id),
+                    out.calls_to(id),
+                    base.calls_to(id),
                     "{desc}: batch={batch} adaptive calls to {id:?}"
                 );
                 assert_eq!(
-                    out.report.retries_to(id),
-                    base.report.retries_to(id),
+                    out.retries_to(id),
+                    base.retries_to(id),
                     "{desc}: batch={batch} adaptive retries to {id:?}"
                 );
             }
@@ -678,7 +583,7 @@ fn randomized_plans_topk_prefix_is_subset() {
             &plan,
             &w.schema,
             &w.registry,
-            &ExecConfig { k: None },
+            &ExecConfig::default(),
             ExecContext::private(CacheSetting::OneCall),
         )
         .expect("pipeline");

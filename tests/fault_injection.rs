@@ -51,7 +51,7 @@ fn run_optimal(world: &TravelWorld, plan: &Plan) -> ExecReport {
         plan,
         &world.schema,
         &world.registry,
-        &ExecConfig { k: None },
+        &ExecConfig::default(),
         ExecContext::private(CacheSetting::Optimal),
     )
     .expect("executes")
@@ -150,7 +150,7 @@ fn failed_pages_are_memoized_across_executions() {
         &plan,
         &w.schema,
         &w.registry,
-        &ExecConfig { k: None },
+        &ExecConfig::default(),
         ExecContext::shared(Arc::clone(&shared)),
     )
     .expect("executes");
@@ -162,7 +162,7 @@ fn failed_pages_are_memoized_across_executions() {
         &plan,
         &w.schema,
         &w.registry,
-        &ExecConfig { k: None },
+        &ExecConfig::default(),
         ExecContext::shared(Arc::clone(&shared)),
     )
     .expect("executes");
@@ -204,7 +204,7 @@ fn clearing_the_memo_recovers_a_healed_service() {
         &plan,
         &w.schema,
         &w.registry,
-        &ExecConfig { k: None },
+        &ExecConfig::default(),
         ExecContext::shared(Arc::clone(&shared)),
     )
     .expect("executes");
@@ -216,7 +216,7 @@ fn clearing_the_memo_recovers_a_healed_service() {
         &plan,
         &w.schema,
         &w.registry,
-        &ExecConfig { k: None },
+        &ExecConfig::default(),
         ExecContext::shared(Arc::clone(&shared)),
     )
     .expect("executes");
@@ -227,7 +227,7 @@ fn clearing_the_memo_recovers_a_healed_service() {
         &plan,
         &w.schema,
         &w.registry,
-        &ExecConfig { k: None },
+        &ExecConfig::default(),
         ExecContext::shared(Arc::clone(&shared)),
     )
     .expect("executes");
@@ -293,7 +293,7 @@ fn custom_policy_backoff_escalates_deterministically() {
         &plan,
         &w.schema,
         &w.registry,
-        &ExecConfig { k: None },
+        &ExecConfig::default(),
         ExecContext::shared(shared),
     )
     .expect("executes");
@@ -327,7 +327,7 @@ fn retries_respect_the_call_budget() {
         &plan,
         &w.schema,
         &w.registry,
-        &ExecConfig { k: None },
+        &ExecConfig::default(),
         ExecContext {
             budget: Some(2),
             ..ExecContext::shared(shared)
@@ -365,7 +365,7 @@ fn budget_starved_query_does_not_poison_the_page_for_others() {
         &plan,
         &w.schema,
         &w.registry,
-        &ExecConfig { k: None },
+        &ExecConfig::default(),
         ExecContext {
             budget: Some(1),
             ..ExecContext::shared(Arc::clone(&shared))
@@ -389,7 +389,7 @@ fn budget_starved_query_does_not_poison_the_page_for_others() {
         &plan,
         &w.schema,
         &w.registry,
-        &ExecConfig { k: None },
+        &ExecConfig::default(),
         ExecContext::shared(shared),
     )
     .expect("executes");
@@ -424,7 +424,7 @@ fn per_service_retry_override() {
         &plan,
         &w.schema,
         &w.registry,
-        &ExecConfig { k: None },
+        &ExecConfig::default(),
         ExecContext::shared(shared),
     )
     .expect("executes");

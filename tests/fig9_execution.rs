@@ -25,7 +25,7 @@ fn fig9_plan_executes_with_nl_join() {
         &plan,
         &w.schema,
         &w.registry,
-        &ExecConfig { k: None },
+        &ExecConfig::default(),
         ExecContext::private(CacheSetting::OneCall),
     )
     .expect("executes");
@@ -55,7 +55,7 @@ fn fig9_answers_subset_of_plan_o() {
             .expect("schema matches"),
         &w.schema,
         &w.registry,
-        &ExecConfig { k: None },
+        &ExecConfig::default(),
         ExecContext::private(CacheSetting::Optimal),
     )
     .expect("executes");
@@ -66,7 +66,7 @@ fn fig9_answers_subset_of_plan_o() {
         &plan_o,
         &w2.schema,
         &w2.registry,
-        &ExecConfig { k: None },
+        &ExecConfig::default(),
         ExecContext::private(CacheSetting::Optimal),
     )
     .expect("executes");
@@ -89,7 +89,7 @@ fn fig9_pull_agrees_and_halts() {
         &plan,
         &w.schema,
         &w.registry,
-        &ExecConfig { k: None },
+        &ExecConfig::default(),
         ExecContext::private(CacheSetting::Optimal),
     )
     .expect("executes");

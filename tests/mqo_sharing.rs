@@ -85,6 +85,7 @@ fn isolated_run(engine: &Mdq, text: &str) -> Vec<Tuple> {
             &optimized.candidate.plan,
             &ExecConfig {
                 k: Some(K as usize),
+                ..ExecConfig::default()
             },
             ExecContext::private(CacheSetting::OneCall),
         )
@@ -297,6 +298,7 @@ fn bounded_page_cache_reports_evictions() {
                     &optimized.candidate.plan,
                     &ExecConfig {
                         k: Some(K as usize),
+                        ..ExecConfig::default()
                     },
                     ExecContext::private(CacheSetting::Optimal),
                 )

@@ -1,8 +1,8 @@
 //! Trace completeness and runtime-stats reconciliation: every gateway
 //! call, retry and re-plan lands in exactly one span, and span-summed
-//! totals equal the accounting totals — per driver (pipeline, top-k,
-//! threaded) and through the serving layer under seeded faults with
-//! adaptive re-planning and MQO sharing. The EXPLAIN ANALYZE stats ride
+//! totals equal the accounting totals — per driver (pipeline, top-k)
+//! and through the serving layer under seeded faults with adaptive
+//! re-planning and MQO sharing. The EXPLAIN ANALYZE stats ride
 //! the same per-node counters, so they are pinned against the same
 //! accounting truth.
 
@@ -120,7 +120,7 @@ fn pipeline_trace_reconciles_with_accounting_under_faults() {
         &plan,
         &w.schema,
         &w.registry,
-        &ExecConfig { k: None },
+        &ExecConfig::default(),
         ExecContext::shared(Arc::clone(&shared)),
     )
     .expect("runs");
@@ -134,29 +134,6 @@ fn pipeline_trace_reconciles_with_accounting_under_faults() {
         report.answers.len(),
         "the output node's rows_out is the answer count"
     );
-}
-
-#[test]
-fn threaded_trace_reconciles_with_accounting_under_faults() {
-    let mut w = travel_world(2008);
-    script_flight(&mut w);
-    let plan = plan_o(&w);
-    let (shared, rec) = traced_state();
-    let config = ThreadedConfig {
-        time_scale: 1e-6,
-        ..ThreadedConfig::default()
-    };
-    let report = run_threaded(
-        &plan,
-        &w.schema,
-        &w.registry,
-        &config,
-        ExecContext::shared(Arc::clone(&shared)),
-    )
-    .expect("runs");
-    assert!(!report.answers.is_empty());
-    spans_reconcile(&rec.events(), &shared);
-    stats_reconcile(&report.operator_stats, &shared);
 }
 
 #[test]
@@ -190,7 +167,7 @@ fn untraced_run_records_nothing_but_keeps_operator_stats() {
         &plan,
         &w.schema,
         &w.registry,
-        &ExecConfig { k: None },
+        &ExecConfig::default(),
         ExecContext::shared(Arc::clone(&shared)),
     )
     .expect("runs");
@@ -207,7 +184,7 @@ fn explain_analyze_renders_the_observed_run() {
         &plan,
         &w.schema,
         &w.registry,
-        &ExecConfig { k: None },
+        &ExecConfig::default(),
         ExecContext::shared(Arc::clone(&shared)),
     )
     .expect("runs");

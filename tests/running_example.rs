@@ -91,7 +91,7 @@ fn conf_is_called_once_everywhere() {
                 &plan,
                 &world.schema,
                 &world.registry,
-                &ExecConfig { k: None },
+                &ExecConfig::default(),
                 ExecContext::private(cache),
             )
             .expect("executes");
@@ -177,7 +177,7 @@ fn optimizer_beats_measured_plans() {
         &chosen,
         &world.schema,
         &world.registry,
-        &ExecConfig { k: None },
+        &ExecConfig::default(),
         ExecContext::private(CacheSetting::OneCall),
     )
     .expect("executes");
@@ -189,7 +189,7 @@ fn optimizer_beats_measured_plans() {
             &p,
             &w.schema,
             &w.registry,
-            &ExecConfig { k: None },
+            &ExecConfig::default(),
             ExecContext::private(CacheSetting::OneCall),
         )
         .expect("executes");

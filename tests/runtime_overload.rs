@@ -14,7 +14,9 @@
 
 use mdq::model::schema::AccessPattern;
 use mdq::model::value::{Date, Tuple, Value};
-use mdq::runtime::net::{NetClient, NetServer, QueryOutcome, ServerFrame};
+use mdq::runtime::net::{
+    NetClient, NetServer, QueryOutcome, ServerFrame, MAX_TENANT_NAME_BYTES, MAX_WIRE_TENANTS,
+};
 use mdq::runtime::{QueryServer, RuntimeConfig, TenantPolicy};
 use mdq::services::domains::news::news_world;
 use mdq::services::domains::travel::travel_world;
@@ -537,6 +539,53 @@ fn a_client_that_asks_and_leaves_costs_the_server_nothing_lasting() {
         other => panic!("expected Done, got {other:?}"),
     }
     next.quit().expect("clean close");
+    net.shutdown();
+}
+
+/// `TENANT` self-registration is bounded in name length and in count:
+/// past either bound the frame is refused, nothing is registered, and
+/// the connection goes on as the tenant it was.
+#[test]
+fn a_flood_of_tenant_names_stops_growing_the_server() {
+    let server = Arc::new(QueryServer::from_world(
+        news_world(),
+        RuntimeConfig::default(),
+    ));
+    // the operator's own registrations are outside the wire bounds
+    let long_lived = "o".repeat(MAX_TENANT_NAME_BYTES + 1);
+    let ops = server.register_tenant(&long_lived, TenantPolicy::default());
+    let net = NetServer::start(Arc::clone(&server), "127.0.0.1:0").expect("binds loopback");
+    let mut client = RawClient::connect(net.addr());
+    let mut handshake = |name: &str| {
+        client.send(&format!("TENANT {name}"));
+        client.next_frame()
+    };
+
+    let too_long = "x".repeat(MAX_TENANT_NAME_BYTES + 1);
+    assert!(matches!(handshake(&too_long), ServerFrame::Err { .. }));
+    assert_eq!(server.tenant_id(&too_long), None);
+    assert_eq!(handshake(&long_lived), ServerFrame::Ok { tenant: ops });
+
+    let registered = |server: &QueryServer| server.metrics().tenants.len();
+    let before = registered(&server);
+    for i in 0..MAX_WIRE_TENANTS {
+        let frame = handshake(&format!("flood-{i}"));
+        assert!(matches!(frame, ServerFrame::Ok { .. }), "{i}: {frame:?}");
+    }
+    assert_eq!(registered(&server), before + MAX_WIRE_TENANTS);
+    for i in MAX_WIRE_TENANTS..MAX_WIRE_TENANTS + 100 {
+        let name = format!("flood-{i}");
+        assert!(matches!(handshake(&name), ServerFrame::Err { .. }));
+        assert_eq!(server.tenant_id(&name), None);
+    }
+    assert_eq!(registered(&server), before + MAX_WIRE_TENANTS);
+
+    // a name already registered still shakes hands, and the refusals
+    // left the connection usable
+    let known = server.tenant_id("flood-0").expect("registered above");
+    assert_eq!(handshake("flood-0"), ServerFrame::Ok { tenant: known });
+    client.send(&format!("QUERY k=1 {QUERY}"));
+    assert!(matches!(client.next_frame(), ServerFrame::Answer { .. }));
     net.shutdown();
 }
 

@@ -61,6 +61,7 @@ fn independent_run(engine: &Mdq, text: &str) -> (Vec<Tuple>, u64) {
             &optimized.candidate.plan,
             &ExecConfig {
                 k: Some(K as usize),
+                ..ExecConfig::default()
             },
             ExecContext::private(CacheSetting::Optimal),
         )

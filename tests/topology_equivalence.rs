@@ -38,7 +38,7 @@ fn all_19_topologies_agree_on_answers() {
             &plan,
             &w.schema,
             &w.registry,
-            &ExecConfig { k: None },
+            &ExecConfig::default(),
             ExecContext::private(CacheSetting::Optimal),
         )
         .expect("executes");
@@ -102,7 +102,7 @@ fn alternative_sequences_answer_subsets() {
             &plan,
             &w.schema,
             &w.registry,
-            &ExecConfig { k: None },
+            &ExecConfig::default(),
             ExecContext::private(CacheSetting::Optimal),
         )
         .expect("executes")
@@ -134,7 +134,7 @@ fn alternative_sequences_answer_subsets() {
             &plan,
             &w.schema,
             &w.registry,
-            &ExecConfig { k: None },
+            &ExecConfig::default(),
             ExecContext::private(CacheSetting::Optimal),
         )
         .expect("executes");
