@@ -115,14 +115,7 @@ fn main() {
     drop(tenant);
     net.shutdown();
 
-    let mean = |case: &str| {
-        let name = format!("serving/{N}-queries/{case}");
-        bench
-            .results()
-            .iter()
-            .find(|r| r.name == name)
-            .map(|r| r.mean_ns)
-    };
+    let mean = |case: &str| bench.mean_ns(&format!("serving/{N}-queries/{case}"));
     let band = mean("tcp/one-per-connection").zip(mean("tcp/one-connection"));
     if let Some((churned, held)) = band {
         bench.gauge(

@@ -114,6 +114,17 @@ impl Bench {
         });
     }
 
+    /// The mean of the entry measured under exactly `name`, if it ran
+    /// (a filtered run may have skipped it) — what a relational band
+    /// compares.
+    pub fn mean_ns(&self, name: &str) -> Option<u128> {
+        self.results
+            .borrow()
+            .iter()
+            .find(|r| r.name == name)
+            .map(|r| r.mean_ns)
+    }
+
     /// The results recorded so far, in measurement order.
     pub fn results(&self) -> Vec<BenchResult> {
         self.results.borrow().clone()

@@ -16,10 +16,12 @@
 //!
 //! **Who merges.** The shared state's [`Accounting`] registry:
 //! [`Accounting::merged`] folds the retired totals of dropped gateways
-//! with every live cell, under the registry lock, into one [`Counters`]
-//! snapshot. A reader that needs several numbers takes *one* snapshot
-//! and derives them all from it — totals and per-service splits then
-//! agree by construction, even mid-flight.
+//! with every live cell into one [`Counters`] snapshot (the registry
+//! lock is held to pick the totals and the cells, not while the cells
+//! are read — queries register and retire under it, and a poller must
+//! not starve them). A reader that needs several numbers takes *one*
+//! snapshot and derives them all from it — totals and per-service
+//! splits then agree by construction, even mid-flight.
 //!
 //! **Why cells stay live.** A cell folds into the retired totals only
 //! when its gateway drops ([`Accounting::retire`]); until then `merged`
@@ -268,11 +270,21 @@ impl Accounting {
     }
 
     /// Merges retired totals with every live cell into one snapshot —
-    /// the read side of all cumulative accounting.
+    /// the read side of all cumulative accounting. The registry lock
+    /// covers only the choice of *what* to read (the retired totals and
+    /// the live cells of that instant); the cells themselves are read
+    /// after it is released, so a metrics poller never holds up the
+    /// `register` / `retire` every query starts and ends with. A cell
+    /// that retires in between is still counted exactly once: it was
+    /// not yet in the retired totals taken, and retiring leaves its
+    /// counters in place.
     pub fn merged(&self) -> Counters {
-        let inner = self.inner.lock().expect("accounting registry lock");
-        let mut out = inner.retired.clone();
-        for cell in inner.cells.iter().filter_map(Weak::upgrade) {
+        let (mut out, cells) = {
+            let inner = self.inner.lock().expect("accounting registry lock");
+            let cells: Vec<_> = inner.cells.iter().filter_map(Weak::upgrade).collect();
+            (inner.retired.clone(), cells)
+        };
+        for cell in cells {
             cell.counters
                 .lock()
                 .expect("accounting cell lock")

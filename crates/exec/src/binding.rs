@@ -76,10 +76,42 @@ impl Binding {
         })
     }
 
-    /// Merges two bindings from parallel branches, requiring the shared
-    /// `on` variables to agree (the parallel-join condition); other
-    /// variables are unioned. Returns `None` on disagreement anywhere.
-    pub fn merge(&self, other: &Binding, on: &[VarId]) -> Option<Binding> {
+    /// Joins two bindings from parallel branches: the pair survives when
+    /// the `on` variables agree (the parallel-join condition — bound on
+    /// both sides and join-equal, or unbound on both), every other
+    /// variable bound on both sides agrees too, and every predicate in
+    /// `preds` holds over the union. All of that is decided through a
+    /// two-sided lookup *before* the joined row is built, so a rejected
+    /// pair allocates nothing. In the result, `self`'s value wins where
+    /// both sides bind a variable.
+    pub fn join(&self, other: &Binding, on: &[VarId], preds: &[Predicate]) -> Option<Binding> {
+        debug_assert_eq!(self.values.len(), other.values.len());
+        if on
+            .iter()
+            .any(|&v| self.get(v).is_some() != other.get(v).is_some())
+        {
+            return None;
+        }
+        let pairs = || self.values.iter().zip(other.values.iter());
+        if pairs().any(|(a, b)| matches!((a, b), (Some(a), Some(b)) if !a.join_eq(b))) {
+            return None;
+        }
+        let joined = |v: VarId| self.get(v).or_else(|| other.get(v)).cloned();
+        if !preds.iter().all(|p| p.eval(&joined) == Some(true)) {
+            return None;
+        }
+        Some(Binding {
+            values: pairs()
+                .map(|(a, b)| a.as_ref().or(b.as_ref()).cloned())
+                .collect(),
+        })
+    }
+
+    /// The predicate-less, allocate-then-check merge the joins used
+    /// before [`Binding::join`] — kept as the reference the differential
+    /// join oracle (and this module's own test) checks against.
+    #[cfg(test)]
+    pub(crate) fn merge(&self, other: &Binding, on: &[VarId]) -> Option<Binding> {
         debug_assert_eq!(self.values.len(), other.values.len());
         for v in on {
             match (self.get(*v), other.get(*v)) {

@@ -11,18 +11,58 @@
 //! service-invocation path: the [`ServiceGateway`](crate::gateway)
 //! consults a [`PageCache`] before forwarding any page request, and every
 //! executor drives its service calls through that gateway.
+//!
+//! A probe costs a hash of the borrowed key and a reference-count bump:
+//! invocations are filed per service under their owned key, which
+//! answers a `&[Value]` lookup without building one, and a cached
+//! [`Page`] is handed out shared, never copied.
 
 use mdq_model::schema::ServiceId;
 use mdq_model::value::{Tuple, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 pub use mdq_cost::estimate::CacheSetting;
+
+/// One fetched page: its tuples in rank order, behind a shared pointer
+/// — storing a page, serving it from the cache and handing it to an
+/// operator all share one allocation.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Page(Arc<[Tuple]>);
+
+impl std::ops::Deref for Page {
+    type Target = [Tuple];
+    fn deref(&self) -> &[Tuple] {
+        &self.0
+    }
+}
+
+impl From<Vec<Tuple>> for Page {
+    fn from(tuples: Vec<Tuple>) -> Self {
+        Page(tuples.into())
+    }
+}
+
+impl PartialEq<Vec<Tuple>> for Page {
+    fn eq(&self, other: &Vec<Tuple>) -> bool {
+        *self.0 == **other
+    }
+}
+
+/// Owned page lists — the `mdq-services` refresh driver's page-set
+/// type — collect from shared pages: the one place pages are copied
+/// out, at that boundary.
+impl FromIterator<Page> for Vec<Vec<Tuple>> {
+    fn from_iter<I: IntoIterator<Item = Page>>(pages: I) -> Self {
+        pages.into_iter().map(|p| p.to_vec()).collect()
+    }
+}
 
 /// The pages previously fetched for one invocation key.
 #[derive(Clone, Debug, Default)]
 pub struct PageStore {
     /// Fetched pages, in page order.
-    pub pages: Vec<Vec<Tuple>>,
+    pub pages: Vec<Page>,
     /// Whether the service reported no further pages after the last one.
     pub exhausted: bool,
 }
@@ -43,7 +83,7 @@ pub struct CacheStats {
 #[derive(Clone, Debug)]
 pub enum PageLookup {
     /// The page is cached: its tuples, and whether more pages follow.
-    Hit(Vec<Tuple>, bool),
+    Hit(Page, bool),
     /// The invocation is known to be exhausted before this page — the
     /// service has no such page, no request needed.
     PastEnd,
@@ -64,12 +104,22 @@ pub struct PageCache {
     capacity: usize,
     tick: u64,
     one_call: HashMap<ServiceId, (Vec<Value>, PageStore)>,
-    optimal: HashMap<(ServiceId, Vec<Value>), (PageStore, u64)>,
+    /// Per service, so a probe looks the borrowed key up as it is.
+    optimal: HashMap<ServiceId, HashMap<Vec<Value>, (PageStore, u64)>>,
     evictions: u64,
     /// Refcounted pins held by live subscription frontiers: a pinned
     /// invocation is never evicted (bounded LRU) nor invalidated — the
     /// standing-query delta computation re-reads exactly these pages.
-    pins: HashMap<(ServiceId, Vec<Value>), u32>,
+    pins: Pins,
+}
+
+/// Pin counts per service and invocation key.
+type Pins = HashMap<ServiceId, HashMap<Vec<Value>, u32>>;
+
+/// Whether `pins` holds a pin on `(service, key)` — free-standing so it
+/// can be asked while another field of the cache is being edited.
+fn pinned(pins: &Pins, service: ServiceId, key: &[Value]) -> bool {
+    pins.get(&service).is_some_and(|p| p.contains_key(key))
 }
 
 impl PageCache {
@@ -105,7 +155,7 @@ impl PageCache {
         match self.setting {
             CacheSetting::NoCache => 0,
             CacheSetting::OneCall => self.one_call.len(),
-            CacheSetting::Optimal => self.optimal.len(),
+            CacheSetting::Optimal => self.optimal.values().map(HashMap::len).sum(),
         }
     }
 
@@ -124,7 +174,8 @@ impl PageCache {
                 self.tick += 1;
                 let tick = self.tick;
                 self.optimal
-                    .get_mut(&(service, key.to_vec()))
+                    .get_mut(&service)?
+                    .get_mut(key)
                     .map(|(s, used)| {
                         *used = tick;
                         &*s
@@ -162,7 +213,7 @@ impl PageCache {
         service: ServiceId,
         key: &[Value],
         page: u32,
-        tuples: Vec<Tuple>,
+        tuples: impl Into<Page>,
         has_more: bool,
     ) {
         if self.capacity == 0 {
@@ -172,9 +223,7 @@ impl PageCache {
             CacheSetting::NoCache => return,
             CacheSetting::OneCall => {
                 if let Some((resident, _)) = self.one_call.get(&service) {
-                    if resident.as_slice() != key
-                        && self.pins.contains_key(&(service, resident.clone()))
-                    {
+                    if resident.as_slice() != key && self.is_pinned(service, resident) {
                         // a live subscription frontier pins the resident
                         // key: drop the new store instead of replacing
                         return;
@@ -196,27 +245,38 @@ impl PageCache {
                 }
                 &mut entry.1
             }
-            CacheSetting::Optimal => {
-                let full_key = (service, key.to_vec());
-                if self.optimal.len() >= self.capacity && !self.optimal.contains_key(&full_key) {
-                    self.evict_unpinned();
-                }
-                self.tick += 1;
-                let tick = self.tick;
-                let (store, used) = self.optimal.entry(full_key).or_default();
-                *used = tick;
-                store
-            }
+            CacheSetting::Optimal => &mut self.resident(service, key).0,
         };
         if (page as usize) > store.pages.len() {
             return; // non-contiguous: drop instead of padding with holes
         }
         if store.pages.len() == page as usize {
-            store.pages.push(tuples);
+            store.pages.push(tuples.into());
         }
         if !has_more {
             store.exhausted = true;
         }
+    }
+
+    /// The *optimal* entry of `(service, key)`, just used — made room
+    /// for (pin-aware LRU eviction at the capacity bound) and created
+    /// when the invocation is not resident.
+    fn resident(&mut self, service: ServiceId, key: &[Value]) -> &mut (PageStore, u64) {
+        let is_resident = self
+            .optimal
+            .get(&service)
+            .is_some_and(|keys| keys.contains_key(key));
+        if !is_resident && self.entries() >= self.capacity {
+            self.evict_unpinned();
+        }
+        self.tick += 1;
+        let keys = self.optimal.entry(service).or_default();
+        if !is_resident {
+            keys.insert(key.to_vec(), Default::default());
+        }
+        let entry = keys.get_mut(key).expect("resident or just inserted");
+        entry.1 = self.tick;
+        entry
     }
 
     /// Evicts the least-recently-used *unpinned* invocation (bounded
@@ -225,14 +285,17 @@ impl PageCache {
     /// temporarily exceeds its capacity rather than tearing pages out
     /// from under a standing query's delta computation.
     fn evict_unpinned(&mut self) {
-        if let Some(oldest) = self
+        let oldest = self
             .optimal
             .iter()
-            .filter(|(k, _)| !self.pins.contains_key(k))
-            .min_by_key(|(_, (_, used))| *used)
-            .map(|(k, _)| k.clone())
-        {
-            self.optimal.remove(&oldest);
+            .flat_map(|(service, keys)| keys.iter().map(move |(k, (_, used))| (*service, k, *used)))
+            .filter(|(service, k, _)| !self.is_pinned(*service, k))
+            .min_by_key(|(_, _, used)| *used)
+            .map(|(service, k, _)| (service, k.clone()));
+        if let Some((service, key)) = oldest {
+            if let Some(keys) = self.optimal.get_mut(&service) {
+                keys.remove(&key);
+            }
             self.evictions += 1;
         }
     }
@@ -242,19 +305,27 @@ impl PageCache {
     /// [`PageCache::invalidate_unpinned`]. Pins are independent of
     /// residency: pinning a key that is not (yet) cached is allowed.
     pub fn pin(&mut self, service: ServiceId, key: &[Value]) {
-        *self.pins.entry((service, key.to_vec())).or_insert(0) += 1;
+        let pins = self.pins.entry(service).or_default();
+        match pins.get_mut(key) {
+            Some(n) => *n += 1,
+            None => {
+                pins.insert(key.to_vec(), 1);
+            }
+        }
     }
 
     /// Releases one pin. Returns whether a pin was held.
     pub fn unpin(&mut self, service: ServiceId, key: &[Value]) -> bool {
-        let full_key = (service, key.to_vec());
-        match self.pins.get_mut(&full_key) {
+        let Some(pins) = self.pins.get_mut(&service) else {
+            return false;
+        };
+        match pins.get_mut(key) {
             Some(n) if *n > 1 => {
                 *n -= 1;
                 true
             }
             Some(_) => {
-                self.pins.remove(&full_key);
+                pins.remove(key);
                 true
             }
             None => false,
@@ -263,12 +334,12 @@ impl PageCache {
 
     /// Whether the invocation currently holds at least one pin.
     pub fn is_pinned(&self, service: ServiceId, key: &[Value]) -> bool {
-        self.pins.contains_key(&(service, key.to_vec()))
+        pinned(&self.pins, service, key)
     }
 
     /// Distinct invocations currently pinned.
     pub fn pinned_invocations(&self) -> usize {
-        self.pins.len()
+        self.pins.values().map(HashMap::len).sum()
     }
 
     /// A copy of an invocation's cached pages and exhaustion flag,
@@ -276,18 +347,16 @@ impl PageCache {
     /// tracks and diffs against. `None` when not resident (or the
     /// setting keeps no per-key store for it).
     pub fn export(&self, service: ServiceId, key: &[Value]) -> Option<(Vec<Vec<Tuple>>, bool)> {
-        match self.setting {
+        let store = match self.setting {
             CacheSetting::NoCache => None,
             CacheSetting::OneCall => self
                 .one_call
                 .get(&service)
                 .filter(|(k, _)| k.as_slice() == key)
-                .map(|(_, s)| (s.pages.clone(), s.exhausted)),
-            CacheSetting::Optimal => self
-                .optimal
-                .get(&(service, key.to_vec()))
-                .map(|(s, _)| (s.pages.clone(), s.exhausted)),
-        }
+                .map(|(_, s)| s),
+            CacheSetting::Optimal => self.optimal.get(&service)?.get(key).map(|(s, _)| s),
+        }?;
+        Some((store.pages.iter().cloned().collect(), store.exhausted))
     }
 
     /// Installs a whole refreshed page set for an invocation, replacing
@@ -305,13 +374,10 @@ impl PageCache {
         if self.capacity == 0 || self.setting != CacheSetting::Optimal {
             return;
         }
-        let full_key = (service, key.to_vec());
-        if self.optimal.len() >= self.capacity && !self.optimal.contains_key(&full_key) {
-            self.evict_unpinned();
-        }
-        self.tick += 1;
-        self.optimal
-            .insert(full_key, (PageStore { pages, exhausted }, self.tick));
+        self.resident(service, key).0 = PageStore {
+            pages: pages.into_iter().map(Page::from).collect(),
+            exhausted,
+        };
     }
 
     /// Drops every *unpinned* invocation (all settings), returning how
@@ -323,16 +389,16 @@ impl PageCache {
     /// [`PageCache::evictions`].
     pub fn invalidate_unpinned(&mut self) -> usize {
         let before = self.entries();
+        let pins = &self.pins;
         match self.setting {
             CacheSetting::NoCache => {}
-            CacheSetting::OneCall => {
-                let pins = &self.pins;
-                self.one_call
-                    .retain(|service, (key, _)| pins.contains_key(&(*service, key.clone())));
-            }
+            CacheSetting::OneCall => self
+                .one_call
+                .retain(|service, (key, _)| pinned(pins, *service, key)),
             CacheSetting::Optimal => {
-                let pins = &self.pins;
-                self.optimal.retain(|k, _| pins.contains_key(k));
+                for (service, keys) in &mut self.optimal {
+                    keys.retain(|key, _| pinned(pins, *service, key));
+                }
             }
         }
         before - self.entries()

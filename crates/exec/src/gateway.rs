@@ -61,7 +61,7 @@
 pub use crate::accounting::Counters;
 use crate::accounting::{Accounting, AcctCell};
 use crate::binding::Binding;
-use crate::cache::{CacheSetting, CacheStats, PageCache, PageLookup};
+use crate::cache::{CacheSetting, CacheStats, Page, PageCache, PageLookup};
 use crate::context::ExecContext;
 use crate::operator::ExecError;
 use mdq_cost::divergence::ObservedService;
@@ -220,8 +220,9 @@ impl std::fmt::Display for PartialResults {
 /// service).
 #[derive(Clone, Debug)]
 pub struct PageFetch {
-    /// The page's tuples, in rank order.
-    pub tuples: Vec<Tuple>,
+    /// The page's tuples, in rank order — shared with the client cache
+    /// when the page is (or has just become) resident there.
+    pub tuples: Page,
     /// Whether the service holds further pages for this invocation.
     pub has_more: bool,
     /// Summed simulated seconds this page's forwarding consumed —
@@ -238,7 +239,7 @@ pub struct PageFetch {
 impl PageFetch {
     fn empty() -> Self {
         PageFetch {
-            tuples: Vec::new(),
+            tuples: Page::default(),
             has_more: false,
             forwarded_latency: None,
             fault: None,
@@ -247,7 +248,7 @@ impl PageFetch {
 
     fn failed(fault: ServiceFault, forwarded_latency: Option<f64>) -> Self {
         PageFetch {
-            tuples: Vec::new(),
+            tuples: Page::default(),
             has_more: false,
             forwarded_latency,
             fault: Some(fault),
@@ -255,46 +256,72 @@ impl PageFetch {
     }
 }
 
-/// Releases a single-flight claim on its page shard, then wakes the
-/// shard's waiters. Lives across the whole `try_fetch`-and-retry
-/// sequence so the claim is released even if the service panics.
-struct FlightGuard {
-    shared: Arc<SharedServiceState>,
-    shard: usize,
+/// A single-flight claim on one page of its shard, released exactly
+/// once: by [`FlightGuard::finish`] on the success path — the fetched
+/// page is stored and the claim dropped under one lock acquisition — or
+/// by `Drop` on every other path, so the claim is released even if the
+/// service panics. The shard's waiters are woken only when there are
+/// any.
+struct FlightGuard<'a> {
+    shard: &'a PageShard,
     id: ServiceId,
-    key: Vec<Value>,
+    key: &'a [Value],
     page: u32,
+    released: bool,
 }
 
-impl Drop for FlightGuard {
-    fn drop(&mut self) {
-        let shard = &self.shared.shards[self.shard];
-        {
-            // this drop runs during unwind when a service panics:
-            // tolerate a poisoned lock — a second panic here would
-            // abort the process
-            let mut inner = shard
+impl FlightGuard<'_> {
+    /// Stores the fetched page and releases the claim, in one
+    /// acquisition of the shard lock.
+    fn finish(mut self, tuples: Page, has_more: bool) {
+        self.release(Some((tuples, has_more)));
+    }
+
+    fn release(&mut self, fetched: Option<(Page, bool)>) {
+        if std::mem::replace(&mut self.released, true) {
+            return;
+        }
+        let wake = {
+            // this runs during unwind when a service panics: tolerate a
+            // poisoned lock — a second panic here would abort the
+            // process
+            let mut inner = self
+                .shard
                 .inner
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            inner
-                .fetching
-                .remove(&(self.id, std::mem::take(&mut self.key), self.page));
+            if let Some((tuples, has_more)) = fetched {
+                inner
+                    .cache
+                    .store(self.id, self.key, self.page, tuples, has_more);
+            }
+            if let Some(at) = inner.flight_position(self.id, self.key, self.page) {
+                inner.fetching.swap_remove(at);
+            }
+            inner.waiters > 0
+        };
+        if wake {
+            self.shard.changed.notify_all();
         }
-        shard.changed.notify_all();
+    }
+}
+
+impl Drop for FlightGuard<'_> {
+    fn drop(&mut self) {
+        self.release(None);
     }
 }
 
 /// A held per-service concurrency slot. Dropping it releases the slot
-/// under the flow-control lock and wakes limit waiters.
-struct FlowSlot {
-    shared: Arc<SharedServiceState>,
+/// under the flow-control lock and wakes limit waiters, if any wait.
+struct FlowSlot<'a> {
+    shared: &'a SharedServiceState,
     id: ServiceId,
 }
 
-impl Drop for FlowSlot {
+impl Drop for FlowSlot<'_> {
     fn drop(&mut self) {
-        {
+        let wake = {
             // tolerates poison for the same reason as `FlightGuard`:
             // this path runs during unwind
             let mut flow = self
@@ -302,12 +329,25 @@ impl Drop for FlowSlot {
                 .flow
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Some(n) = flow.get_mut(&self.id) {
+            if let Some(n) = flow.in_flight.get_mut(&self.id) {
                 *n = n.saturating_sub(1);
             }
+            flow.waiters > 0
+        };
+        if wake {
+            self.shared.flow_changed.notify_all();
         }
-        self.shared.flow_changed.notify_all();
     }
+}
+
+/// The flow-control lock's interior.
+#[derive(Default)]
+struct FlowState {
+    /// Request-responses currently in flight per service.
+    in_flight: HashMap<ServiceId, usize>,
+    /// Threads parked on `flow_changed` — a release with none parked
+    /// skips the wake-up.
+    waiters: usize,
 }
 
 /// How many independently locked page shards an unbounded shared state
@@ -331,8 +371,13 @@ struct ShardInner {
     cache: PageCache,
     /// Pages currently being fetched from a service (single-flight:
     /// concurrent demands for the same page wait instead of duplicating
-    /// the request-response).
-    fetching: HashSet<(ServiceId, Vec<Value>, u32)>,
+    /// the request-response). A plain list: it is bounded by the
+    /// concurrent in-flight fetches, and scanning it borrowed avoids
+    /// cloning the key on every cache probe.
+    fetching: Vec<(ServiceId, Vec<Value>, u32)>,
+    /// Threads parked on the shard's `changed` — a released claim with
+    /// none parked skips the wake-up.
+    waiters: usize,
     /// Pages whose retry budget exhausted, with the terminal fault.
     /// Published *before* the single-flight claim is released, so a
     /// waiter blocked on the failing leader wakes with the error
@@ -344,21 +389,17 @@ struct ShardInner {
 }
 
 impl ShardInner {
-    /// Whether `(id, key, page)` is being fetched right now. A linear
-    /// scan: the set is bounded by concurrent in-flight fetches, and
-    /// probing it borrowed avoids cloning the key on every cache probe.
-    fn contains_flight(&self, id: ServiceId, key: &[Value], page: u32) -> bool {
+    /// Where in `fetching` the claim on `(id, key, page)` sits, when the
+    /// page is being fetched right now.
+    fn flight_position(&self, id: ServiceId, key: &[Value], page: u32) -> Option<usize> {
         self.fetching
             .iter()
-            .any(|(i, k, p)| *i == id && *p == page && k.as_slice() == key)
+            .position(|(i, k, p)| *i == id && *p == page && k.as_slice() == key)
     }
 
     /// The terminal fault of a permanently degraded page, if any.
-    /// Iterated borrowed for the same reason as [`contains_flight`]:
-    /// probing must not clone the key, and the memo stays small (one
-    /// entry per page that exhausted its retries).
-    ///
-    /// [`contains_flight`]: ShardInner::contains_flight
+    /// Iterated borrowed: probing must not clone the key, and the memo
+    /// stays small (one entry per page that exhausted its retries).
     fn failed_for(&self, id: ServiceId, key: &[Value], page: u32) -> Option<&ServiceFault> {
         self.failed
             .iter()
@@ -380,7 +421,8 @@ fn build_shards(setting: CacheSetting, capacity: usize) -> Box<[PageShard]> {
         .map(|_| PageShard {
             inner: Mutex::new(ShardInner {
                 cache: PageCache::with_capacity(setting, capacity),
-                fetching: HashSet::new(),
+                fetching: Vec::new(),
+                waiters: 0,
                 failed: HashMap::new(),
             }),
             changed: Condvar::new(),
@@ -569,10 +611,10 @@ pub struct SharedServiceState {
     /// Independently locked page-serving partitions, routed by
     /// `(service, input-key)` hash.
     shards: Box<[PageShard]>,
-    /// Request-responses currently in flight per service — only
-    /// consulted when `per_service_limit > 0`, and only ever locked to
-    /// acquire or release a slot, never across a fetch.
-    flow: Mutex<HashMap<ServiceId, usize>>,
+    /// Per-service flow control — only consulted when
+    /// `per_service_limit > 0`, and only ever locked to acquire or
+    /// release a slot, never across a fetch.
+    flow: Mutex<FlowState>,
     flow_changed: Condvar,
     /// The signature-keyed sub-result store, behind its own lock.
     sub: Mutex<SubResultInner>,
@@ -633,7 +675,7 @@ impl SharedServiceState {
     pub fn new(setting: CacheSetting, per_service_limit: usize) -> Self {
         SharedServiceState {
             shards: build_shards(setting, usize::MAX),
-            flow: Mutex::new(HashMap::new()),
+            flow: Mutex::new(FlowState::default()),
             flow_changed: Condvar::new(),
             sub: Mutex::new(SubResultInner::default()),
             sub_changed: Condvar::new(),
@@ -732,16 +774,15 @@ impl SharedServiceState {
     }
 
     /// Blocks until a concurrency slot for `id` is free, then claims it.
-    fn acquire_slot(self: &Arc<Self>, id: ServiceId) -> FlowSlot {
+    fn acquire_slot(&self, id: ServiceId) -> FlowSlot<'_> {
         let mut flow = self.flow.lock().expect("flow-control lock");
-        while flow.get(&id).copied().unwrap_or(0) >= self.per_service_limit {
+        while flow.in_flight.get(&id).copied().unwrap_or(0) >= self.per_service_limit {
+            flow.waiters += 1;
             flow = self.flow_changed.wait(flow).expect("flow-control lock");
+            flow.waiters -= 1;
         }
-        *flow.entry(id).or_insert(0) += 1;
-        FlowSlot {
-            shared: Arc::clone(self),
-            id,
-        }
+        *flow.in_flight.entry(id).or_insert(0) += 1;
+        FlowSlot { shared: self, id }
     }
 
     /// One snapshot of the cumulative call ledger: the retired totals
@@ -1415,9 +1456,8 @@ impl ServiceGateway {
     ) -> PageFetch {
         self.note_frontier(id, pattern, key);
         let shared = Arc::clone(&self.shared);
-        let shard_i = shared.shard_idx(id, key);
-        let shard = &shared.shards[shard_i];
-        let mut slot: Option<FlowSlot> = None;
+        let shard = &shared.shards[shared.shard_idx(id, key)];
+        let mut slot: Option<FlowSlot<'_>> = None;
         let mut inner = shard.inner.lock().expect("page shard lock");
         let guard = loop {
             match inner.cache.lookup(id, key, page) {
@@ -1455,9 +1495,11 @@ impl ServiceGateway {
             // no-op and we fall through to forwarding our own request).
             // Any held concurrency slot is released first — slots count
             // forwarded fetches, not sleepers
-            if inner.contains_flight(id, key, page) {
+            if inner.flight_position(id, key, page).is_some() {
                 slot = None;
+                inner.waiters += 1;
                 inner = shard.changed.wait(inner).expect("page shard lock");
+                inner.waiters -= 1;
                 continue;
             }
             // admission control: the query's forwarded-call budget
@@ -1492,16 +1534,16 @@ impl ServiceGateway {
                 inner = shard.inner.lock().expect("page shard lock");
                 continue; // re-probe: the page may have landed meanwhile
             }
-            inner.fetching.insert((id, key.to_vec(), page));
+            inner.fetching.push((id, key.to_vec(), page));
             drop(inner);
-            // releases the claim and notifies, on return AND on unwind —
-            // a panicking service must not wedge the waiters
+            // releases the claim and wakes its waiters, on return AND on
+            // unwind — a panicking service must not wedge them
             break FlightGuard {
-                shared: Arc::clone(&shared),
-                shard: shard_i,
+                shard,
                 id,
-                key: key.to_vec(),
+                key,
                 page,
+                released: false,
             };
         };
 
@@ -1535,14 +1577,9 @@ impl ServiceGateway {
             match service.try_fetch(pattern, key, page) {
                 Ok(r) => {
                     spent += r.latency;
-                    self.acct.record_ok(id, r.tuples.len(), r.latency);
-                    {
-                        let mut inner = shard.inner.lock().expect("page shard lock");
-                        inner
-                            .cache
-                            .store(id, key, page, r.tuples.clone(), r.has_more);
-                    }
-                    drop(guard);
+                    let tuples = Page::from(r.tuples);
+                    self.acct.record_ok(id, tuples.len(), r.latency);
+                    guard.finish(tuples.clone(), r.has_more);
                     drop(slot);
                     if let Some(ns) = self.node_acc() {
                         ns.calls += 1;
@@ -1553,14 +1590,14 @@ impl ServiceGateway {
                             SpanKind::ServiceCall {
                                 service: self.service_label(id),
                                 page: u64::from(page),
-                                tuples: r.tuples.len() as u64,
+                                tuples: tuples.len() as u64,
                                 ok: true,
                             },
                             r.latency,
                         );
                     }
                     return PageFetch {
-                        tuples: r.tuples,
+                        tuples,
                         has_more: r.has_more,
                         forwarded_latency: Some(spent),
                         fault: None,

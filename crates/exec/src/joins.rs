@@ -7,86 +7,187 @@
 //! the property that lets the engine compose a global ranking from the
 //! services' opaque relevance orders (§1), and it is property-tested.
 //!
-//! * **Nested loop** (`NlJoin`): materialise the *outer* (selective) side
-//!   first and index it by its equi-join key; each inner tuple then
-//!   probes the hash index instead of sweeping the whole outer side.
-//!   Candidate lists keep the outer scan order, so the emission order is
-//!   byte-identical to the original row-by-row grid sweep.
-//! * **Merge scan** (`MsJoin`): pull both sides in lockstep and traverse
-//!   the grid by anti-diagonals (Fig. 5).
+//! * **Nested loop** ([`NlJoin`]): materialise the *outer* (selective)
+//!   side first, then pull the inner side one binding at a time; pairs
+//!   leave inner-major, each inner binding's outer matches in outer
+//!   order.
+//! * **Merge scan** ([`MsJoin`]): pull both sides in lockstep and emit
+//!   the pairs of the grid by anti-diagonals (Fig. 5).
+//!
+//! # The order-and-demand contract
+//!
+//! What a join owes the rest of the engine is the *sequence* of pairs
+//! it emits and, at every prefix of that sequence, the *sequence of
+//! `next_binding` calls* it has issued to its inputs — upstream pulls
+//! are service calls, so call counts, top-k halting and the Fig. 5 /
+//! Fig. 11 reproductions all hang on the second as much as on the
+//! first. For the merge scan the contract reads: the pair of
+//! `left[i]` and `right[j]` leaves in `(d, i)` order, `d = i + j` its
+//! anti-diagonal; `left[0]` then `right[0]` are pulled before anything
+//! else, and from then on `right[d]` is pulled at the *head* of
+//! diagonal `d` (when the scan reaches `i = 0`) and `left[d]` at its
+//! *tail* (`i = d`), each only while its side is still open, and
+//! neither before every pair that precedes its cell has been emitted.
+//! A side that turns out empty ends the stream.
+//!
+//! How the pairs are *found* is not part of the contract. Neither join
+//! walks the grid: each arriving binding is filed under a 64-bit
+//! *key image* of its `on` values, chained to the earlier bindings of
+//! its side with the same image, and only key-equal cells are ever
+//! visited — the merge scan through one cursor per arrived binding
+//! over the other side's chain, merged by `(d, i)` in a heap. Work is
+//! proportional to the candidate pairs, not to the `(l + r)² / 2` cells
+//! a diagonal sweep touches, and the state is linear in what has
+//! arrived. A differential test in this module holds both joins to the
+//! cell-by-cell sweep they replaced: same emissions, same interleaved
+//! pull log, at every halting point.
+//!
+//! # Why the key image is sound
+//!
+//! Two bindings join on a variable when both leave it unbound or their
+//! values are equal under [`Value::join_eq`]. Across two numeric kinds
+//! (`Int`, `Float`, `Date`) `join_eq` is `total_cmp` equality on the
+//! `as_f64` image, and `total_cmp` equality is bit equality; within one
+//! kind it is exact equality, which is finer still; everything else
+//! needs the same kind and the same content. The key image folds
+//! exactly those things: the `f64` bits of a numeric, the bytes of a
+//! string, the flag of a boolean, and one constant each for `Null` and
+//! for *unbound*. So **joinable ⇒ equal image**, and no pair is ever
+//! missed. The converse does not hold (distinct `i64`s can share an
+//! `f64` image, and 64 bits collide), and does not need to: every
+//! candidate is verified value by value in [`Binding::join`] before it
+//! is emitted.
 
 use crate::binding::Binding;
-use crate::operator::{drain_into, Batch, Operator};
-use mdq_model::query::VarId;
+use crate::operator::{drain_into, Operator};
+use mdq_model::query::{Predicate, VarId};
 use mdq_model::value::Value;
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
-/// One component of a hash-join key: a canonical, hashable image of an
-/// `Option<&Value>` under which two bindings merge on a join variable
-/// exactly when their key parts are equal — up to the benign false
-/// positive of distinct `i64`s sharing an `f64` image, which the
-/// per-candidate [`Binding::merge`] re-verification rejects.
-///
-/// Soundness: [`Value::join_eq`] equality is `total_cmp` equality on
-/// the `as_f64` image for every numeric pairing (and `total_cmp`
-/// equality is bit equality), and kind+content equality otherwise — so
-/// `join_eq` never holds across two distinct `KeyPart`s. A join
-/// variable unbound on *both* sides also merges, hence the explicit
-/// `Unbound` part.
-#[derive(Clone, PartialEq, Eq, Hash)]
-enum KeyPart {
-    Num(u64),
-    Str(Arc<str>),
-    Bool(bool),
-    Null,
-    Unbound,
+#[cfg(test)]
+thread_local! {
+    /// Test hook: collapses every key image to one constant, so every
+    /// pair becomes a candidate and only verification keeps the result
+    /// right.
+    static COLLIDE_ALL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-fn key_part(v: Option<&Value>) -> KeyPart {
-    match v {
-        None => KeyPart::Unbound,
-        Some(Value::Null) => KeyPart::Null,
-        Some(Value::Bool(b)) => KeyPart::Bool(*b),
-        Some(Value::Str(s)) => KeyPart::Str(Arc::clone(s)),
-        Some(other) => KeyPart::Num(
-            other
-                .as_f64()
-                .expect("Int/Float/Date all have an f64 image")
-                .to_bits(),
-        ),
+#[inline]
+fn mix(h: u64, x: u64) -> u64 {
+    (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+/// The allocation-free 64-bit image of a binding's `on` values under
+/// which joinable bindings are equal (see the module docs).
+fn key_image(b: &Binding, on: &[VarId]) -> u64 {
+    #[cfg(test)]
+    if COLLIDE_ALL.get() {
+        return 0;
+    }
+    let mut h = 0;
+    for &v in on {
+        h = match b.get(v) {
+            None => mix(h, 1),
+            Some(Value::Null) => mix(h, 2),
+            Some(Value::Bool(flag)) => mix(h, 3 + u64::from(*flag)),
+            Some(Value::Str(s)) => s.as_bytes().chunks(8).fold(mix(h, 5), |h, chunk| {
+                let mut word = [0u8; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                mix(h, u64::from_le_bytes(word))
+            }),
+            Some(num) => mix(
+                h,
+                num.as_f64()
+                    .expect("Int/Float/Date all have an f64 image")
+                    .to_bits(),
+            ),
+        };
+    }
+    // the multiply mixes upwards only; fold the high half back down so
+    // the image is usable as a hash as it is
+    h ^ (h >> 32)
+}
+
+/// Passes an already-mixed key image through as its own hash.
+#[derive(Default)]
+struct ImageHasher(u64);
+
+impl Hasher for ImageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("key images are hashed as one u64")
+    }
+    fn write_u64(&mut self, image: u64) {
+        self.0 = image;
     }
 }
 
-fn join_key(b: &Binding, on: &[VarId]) -> Vec<KeyPart> {
-    on.iter().map(|&v| key_part(b.get(v))).collect()
+type ImageMap<V> = HashMap<u64, V, BuildHasherDefault<ImageHasher>>;
+
+/// "No binding": the end of a chain, or an empty one.
+const NONE: u32 = u32::MAX;
+
+/// A buffered binding, linked to the next binding of its side that
+/// shares its key image.
+struct Arrived {
+    binding: Binding,
+    next: u32,
 }
 
-/// The inner tuple currently probing the outer index.
-struct Probe {
-    inner: Binding,
-    /// Outer-side candidate indices in outer scan order.
-    cands: Arc<[usize]>,
-    pos: usize,
+/// One side's bindings of one key image, in arrival order: positions
+/// into the side's buffer, chained through [`Arrived::next`] — filing a
+/// binding allocates nothing.
+#[derive(Clone, Copy)]
+struct Chain {
+    head: u32,
+    tail: u32,
+}
+
+impl Chain {
+    const EMPTY: Chain = Chain {
+        head: NONE,
+        tail: NONE,
+    };
+
+    /// Appends `binding` to `buf` and to this chain.
+    fn push(&mut self, binding: Binding, buf: &mut Vec<Arrived>) {
+        let at = buf.len() as u32;
+        match self.tail {
+            NONE => self.head = at,
+            tail => buf[tail as usize].next = at,
+        }
+        self.tail = at;
+        buf.push(Arrived {
+            binding,
+            next: NONE,
+        });
+    }
 }
 
 /// Nested-loop rank-preserving join. The outer side is fully materialised
-/// up front (it is chosen to be the selective one, §3.3) into a hash
-/// index over the equi-join key; pairs are emitted inner-major: for each
-/// inner tuple, all outer matches in outer order — exactly the emission
-/// order of the naive grid sweep, at probe cost.
+/// up front (it is chosen to be the selective one, §3.3) and chained by
+/// key image; pairs are emitted inner-major: for each inner tuple, all
+/// outer matches in outer order — exactly the emission order of the
+/// naive grid sweep, at probe cost.
 pub struct NlJoin<O, I> {
     outer_src: Option<O>,
-    outer: Vec<Binding>,
-    /// Equi-key buckets over the outer side; with an empty `on` every
-    /// outer binding lands in the single empty-key bucket (full scan).
-    index: HashMap<Vec<KeyPart>, Arc<[usize]>>,
+    outer: Vec<Arrived>,
+    /// The outer side's chain per key image; with an empty `on` every
+    /// outer binding lands in one chain (full scan).
+    index: ImageMap<Chain>,
     inner: I,
     on: Vec<VarId>,
-    probe: Option<Probe>,
+    preds: Vec<Predicate>,
+    /// The inner tuple currently probing, and the outer position its
+    /// next candidate sits at.
+    probe: Option<(Binding, u32)>,
     /// When `true`, emitted pairs put the outer binding on the left of
-    /// the merge (association only affects nothing semantically — merge
-    /// is symmetric — but keeps provenance conventions tidy).
+    /// the join (where both sides bind a variable, the left value is
+    /// the one kept).
     outer_is_left: bool,
 }
 
@@ -100,27 +201,33 @@ where
         NlJoin {
             outer_src: Some(outer),
             outer: Vec::new(),
-            index: HashMap::new(),
+            index: ImageMap::default(),
             inner,
             on,
+            preds: Vec::new(),
             probe: None,
             outer_is_left,
         }
+    }
+
+    /// Emits only the pairs that also satisfy `preds`, decided before a
+    /// pair is built.
+    pub fn with_predicates(mut self, preds: Vec<Predicate>) -> Self {
+        self.preds = preds;
+        self
     }
 
     fn ensure_outer(&mut self) {
         if let Some(mut src) = self.outer_src.take() {
             let mut outer = Vec::new();
             drain_into(&mut src, 256, &mut outer);
-            let mut buckets: HashMap<Vec<KeyPart>, Vec<usize>> = HashMap::new();
-            for (i, b) in outer.iter().enumerate() {
-                buckets.entry(join_key(b, &self.on)).or_default().push(i);
+            self.outer.reserve(outer.len());
+            for b in outer {
+                self.index
+                    .entry(key_image(&b, &self.on))
+                    .or_insert(Chain::EMPTY)
+                    .push(b, &mut self.outer);
             }
-            self.index = buckets
-                .into_iter()
-                .map(|(k, v)| (k, Arc::from(v)))
-                .collect();
-            self.outer = outer;
         }
     }
 
@@ -130,33 +237,27 @@ where
             return None;
         }
         loop {
-            if self.probe.is_none() {
-                // the inner side is pulled strictly one binding at a
-                // time: bulk-pulling it would over-demand upstream
-                // service calls beyond what this join actually consumes
-                let inner = self.inner.next_binding()?;
-                let cands = self
-                    .index
-                    .get(&join_key(&inner, &self.on))
-                    .cloned()
-                    .unwrap_or_else(|| Arc::from(Vec::new()));
-                self.probe = Some(Probe {
-                    inner,
-                    cands,
-                    pos: 0,
-                });
-            }
-            let p = self.probe.as_mut().expect("just set");
-            while p.pos < p.cands.len() {
-                let o = &self.outer[p.cands[p.pos]];
-                p.pos += 1;
-                let merged = if self.outer_is_left {
-                    o.merge(&p.inner, &self.on)
+            let (inner, at) = match &mut self.probe {
+                Some(probe) => probe,
+                None => {
+                    // the inner side is pulled strictly one binding at a
+                    // time: bulk-pulling it would over-demand upstream
+                    // service calls beyond what this join actually consumes
+                    let inner = self.inner.next_binding()?;
+                    let chain = self.index.get(&key_image(&inner, &self.on));
+                    self.probe.insert((inner, chain.map_or(NONE, |c| c.head)))
+                }
+            };
+            while *at != NONE {
+                let o = &self.outer[*at as usize];
+                *at = o.next;
+                let joined = if self.outer_is_left {
+                    o.binding.join(inner, &self.on, &self.preds)
                 } else {
-                    p.inner.merge(o, &self.on)
+                    inner.join(&o.binding, &self.on, &self.preds)
                 };
-                if let Some(m) = merged {
-                    return Some(m);
+                if joined.is_some() {
+                    return joined;
                 }
             }
             self.probe = None;
@@ -174,19 +275,55 @@ where
     }
 }
 
-/// Merge-scan rank-preserving join: anti-diagonal traversal of the
-/// Cartesian grid, pulling both inputs in lockstep (Fig. 5, right).
+const LEFT: usize = 0;
+const RIGHT: usize = 1;
+
+/// Initial room per side of a merge scan: what the first few answers of
+/// a small-k query make arrive.
+const FIRST_ARRIVALS: usize = 16;
+
+/// Grid position `(d, i)` — anti-diagonal, then left index — as one
+/// integer that orders the way the merge scan emits.
+fn cell(d: u32, i: u32) -> u64 {
+    u64::from(d) << 32 | u64::from(i)
+}
+
+/// One arrived binding's walk over the key-equal bindings of the
+/// *opposite* side that had arrived before it — the candidate cells
+/// this binding completes, which lie in increasing [`cell`] order. The
+/// derived order compares `at` first, and no two cursors ever sit on
+/// the same cell.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Cursor {
+    /// The [`cell`] the cursor is at.
+    at: u64,
+    /// The opposite side's last key-equal binding at arrival time: the
+    /// cell the walk ends on.
+    last: u32,
+    /// Whether the walking binding is on the left side.
+    own_left: bool,
+}
+
+/// Merge-scan rank-preserving join: the pairs of the Cartesian grid by
+/// anti-diagonals, pulling both inputs in lockstep (Fig. 5, right) —
+/// see the module docs for the exact order-and-demand contract.
+///
+/// Pending state is one cursor per arrived binding that still has
+/// candidates ahead of it: `O(l + r)` whatever the key distribution, the
+/// one-key grid and the empty-`on` cross product included.
 pub struct MsJoin<L, R> {
     left: L,
     right: R,
-    lbuf: Batch,
-    rbuf: Batch,
-    l_done: bool,
-    r_done: bool,
+    /// What has arrived, and whether the side has ended, per side.
+    buf: [Vec<Arrived>; 2],
+    done: [bool; 2],
+    started: bool,
     on: Vec<VarId>,
-    /// Current anti-diagonal `d = i + j` and position `i` along it.
-    d: usize,
-    i: usize,
+    preds: Vec<Predicate>,
+    /// Both sides' chains per key image.
+    index: ImageMap<[Chain; 2]>,
+    /// Min-heap on `(d, i)`: the next candidate cell of every cursor.
+    pending: BinaryHeap<Reverse<Cursor>>,
 }
 
 impl<L, R> MsJoin<L, R>
@@ -199,75 +336,111 @@ where
         MsJoin {
             left,
             right,
-            lbuf: Vec::new(),
-            rbuf: Vec::new(),
-            l_done: false,
-            r_done: false,
+            buf: [Vec::new(), Vec::new()],
+            done: [false; 2],
+            started: false,
             on,
-            d: 0,
-            i: 0,
+            preds: Vec::new(),
+            index: ImageMap::default(),
+            pending: BinaryHeap::new(),
         }
     }
 
-    fn pull_left(&mut self, upto: usize) {
-        while !self.l_done && self.lbuf.len() <= upto {
-            match self.left.next_binding() {
-                Some(b) => self.lbuf.push(b),
-                None => self.l_done = true,
-            }
-        }
+    /// Emits only the pairs that also satisfy `preds`, decided before a
+    /// pair is built.
+    pub fn with_predicates(mut self, preds: Vec<Predicate>) -> Self {
+        self.preds = preds;
+        self
     }
 
-    fn pull_right(&mut self, upto: usize) {
-        while !self.r_done && self.rbuf.len() <= upto {
-            match self.right.next_binding() {
-                Some(b) => self.rbuf.push(b),
-                None => self.r_done = true,
-            }
+    /// Pulls the next binding of `side`; it opens a cursor over the
+    /// key-equal bindings of the other side already here.
+    fn pull(&mut self, side: usize) {
+        let next = match side {
+            LEFT => self.left.next_binding(),
+            _ => self.right.next_binding(),
+        };
+        let Some(binding) = next else {
+            self.done[side] = true;
+            return;
+        };
+        let chains = self
+            .index
+            .entry(key_image(&binding, &self.on))
+            .or_insert([Chain::EMPTY; 2]);
+        let (at, theirs) = (self.buf[side].len() as u32, chains[1 - side]);
+        if theirs.head != NONE {
+            let i = if side == LEFT { at } else { theirs.head };
+            self.pending.push(Reverse(Cursor {
+                at: cell(at + theirs.head, i),
+                last: theirs.tail,
+                own_left: side == LEFT,
+            }));
         }
+        chains[side].push(binding, &mut self.buf[side]);
+    }
+
+    /// Takes the pending cell `(i, j)` off the heap, moving its cursor
+    /// on to the binding's next candidate (or retiring it).
+    fn take_cell(&mut self) -> (usize, usize) {
+        let mut top = self.pending.peek_mut().expect("caller saw a candidate");
+        let cur = &mut top.0;
+        let i = cur.at as u32;
+        let j = (cur.at >> 32) as u32 - i;
+        let (theirs, side) = if cur.own_left { (j, RIGHT) } else { (i, LEFT) };
+        if theirs == cur.last {
+            std::collections::binary_heap::PeekMut::pop(top);
+        } else {
+            // the walking binding stays; the other index moves on
+            let step = self.buf[side][theirs as usize].next - theirs;
+            cur.at += cell(step, if cur.own_left { 0 } else { step });
+        }
+        (i as usize, j as usize)
     }
 
     fn pull_next(&mut self) -> Option<Binding> {
+        if !self.started {
+            self.started = true;
+            // one allocation each for what a small-k pull touches,
+            // instead of three doublings
+            self.buf.iter_mut().for_each(|b| b.reserve(FIRST_ARRIVALS));
+            self.index.reserve(FIRST_ARRIVALS);
+            self.pending.reserve(FIRST_ARRIVALS);
+            self.pull(LEFT);
+            self.pull(RIGHT);
+        }
+        // a provably empty side empties the grid
+        if self.buf[LEFT].is_empty() || self.buf[RIGHT].is_empty() {
+            return None;
+        }
         loop {
-            // a provably empty side empties the grid
-            if (self.l_done && self.lbuf.is_empty()) || (self.r_done && self.rbuf.is_empty()) {
-                return None;
-            }
-            // is the whole grid exhausted?
-            if self.l_done && self.r_done {
-                let max_d = match (self.lbuf.len(), self.rbuf.len()) {
-                    (0, _) | (_, 0) => return None,
-                    (l, r) => l + r - 2,
-                };
-                if self.d > max_d {
-                    return None;
-                }
-            }
-            let (d, i) = (self.d, self.i);
-            let j = d - i;
-            // advance cursor for the next call
-            if self.i < self.d {
-                self.i += 1;
+            // the cell each open side is next pulled at: right[d] at the
+            // head of diagonal d, left[d] at its tail
+            let (l, r) = (self.buf[LEFT].len() as u32, self.buf[RIGHT].len() as u32);
+            let pull_r = if self.done[RIGHT] {
+                u64::MAX
             } else {
-                self.d += 1;
-                self.i = 0;
-            }
-            // materialise the needed prefix of each side
-            self.pull_left(i);
-            self.pull_right(j);
-            if i >= self.lbuf.len() || j >= self.rbuf.len() {
-                // off-grid cell (one side shorter); skip.
-                // When a side is exhausted, cells beyond it never exist;
-                // if BOTH are exhausted the max_d check above terminates.
-                if self.l_done && self.r_done {
-                    continue;
+                cell(r, 0)
+            };
+            let pull_l = if self.done[LEFT] {
+                u64::MAX
+            } else {
+                cell(l, l)
+            };
+            let candidate = self.pending.peek().map_or(u64::MAX, |c| c.0.at);
+            if pull_r.min(pull_l) < candidate {
+                // every pair before the pull's cell is out: pull
+                self.pull(if pull_r < pull_l { RIGHT } else { LEFT });
+            } else if candidate == u64::MAX {
+                // both sides done, no candidate left
+                return None;
+            } else {
+                let (i, j) = self.take_cell();
+                let (l, r) = (&self.buf[LEFT][i].binding, &self.buf[RIGHT][j].binding);
+                let joined = l.join(r, &self.on, &self.preds);
+                if joined.is_some() {
+                    return joined;
                 }
-                // With one side still open the diagonal sweep continues —
-                // later diagonals revisit the open side.
-                continue;
-            }
-            if let Some(m) = self.lbuf[i].merge(&self.rbuf[j], &self.on) {
-                return Some(m);
             }
         }
     }
@@ -286,7 +459,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::{drain_all, Source};
+    use crate::operator::{drain_all, Batch, Source};
     use mdq_model::query::{Atom, Term};
     use mdq_model::schema::ServiceId;
     use mdq_model::value::{Tuple, Value};
@@ -495,5 +668,376 @@ mod tests {
         let right = stream(3, 2, &[(7, 0)]); // different key var → no overlap
         let out = drain_all(MsJoin::new(src(left), src(right), vec![]), 16);
         assert_eq!(out.len(), 2, "cross product on empty join condition");
+    }
+
+    // ---- the differential oracle: both joins against the sweep ----
+
+    use crate::operator::Filter;
+    use mdq_model::query::{CmpOp, Expr};
+    use mdq_model::rng::Rng;
+    use mdq_model::value::Date;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// What a join does to the world outside it, in order.
+    #[derive(Clone, Debug, PartialEq)]
+    enum Event {
+        PullLeft,
+        PullRight,
+        Emit(Binding),
+    }
+
+    type Log = Rc<RefCell<Vec<Event>>>;
+
+    /// A source that logs every `next_binding` call it receives.
+    struct Logged {
+        items: std::vec::IntoIter<Binding>,
+        log: Log,
+        side: Event,
+    }
+
+    impl Operator for Logged {
+        fn next_binding(&mut self) -> Option<Binding> {
+            self.log.borrow_mut().push(self.side.clone());
+            self.items.next()
+        }
+    }
+
+    fn logged(left: &[Binding], right: &[Binding]) -> (Logged, Logged, Log) {
+        let log = Log::default();
+        let side = |items: &[Binding], side| Logged {
+            items: Vec::from(items).into_iter(),
+            log: Rc::clone(&log),
+            side,
+        };
+        (
+            side(left, Event::PullLeft),
+            side(right, Event::PullRight),
+            log,
+        )
+    }
+
+    /// The reference merge scan: the cell-by-cell anti-diagonal sweep
+    /// [`MsJoin`] replaced, kept verbatim (predicate-less; the oracle
+    /// puts a [`Filter`] above it).
+    struct SweepJoin<L, R> {
+        left: L,
+        right: R,
+        lbuf: Batch,
+        rbuf: Batch,
+        l_done: bool,
+        r_done: bool,
+        on: Vec<VarId>,
+        d: usize,
+        i: usize,
+    }
+
+    impl<L: Operator, R: Operator> SweepJoin<L, R> {
+        fn new(left: L, right: R, on: Vec<VarId>) -> Self {
+            SweepJoin {
+                left,
+                right,
+                lbuf: Vec::new(),
+                rbuf: Vec::new(),
+                l_done: false,
+                r_done: false,
+                on,
+                d: 0,
+                i: 0,
+            }
+        }
+
+        fn pull_left(&mut self, upto: usize) {
+            while !self.l_done && self.lbuf.len() <= upto {
+                match self.left.next_binding() {
+                    Some(b) => self.lbuf.push(b),
+                    None => self.l_done = true,
+                }
+            }
+        }
+
+        fn pull_right(&mut self, upto: usize) {
+            while !self.r_done && self.rbuf.len() <= upto {
+                match self.right.next_binding() {
+                    Some(b) => self.rbuf.push(b),
+                    None => self.r_done = true,
+                }
+            }
+        }
+    }
+
+    impl<L: Operator, R: Operator> Operator for SweepJoin<L, R> {
+        fn next_binding(&mut self) -> Option<Binding> {
+            loop {
+                if (self.l_done && self.lbuf.is_empty()) || (self.r_done && self.rbuf.is_empty()) {
+                    return None;
+                }
+                if self.l_done && self.r_done && self.d > self.lbuf.len() + self.rbuf.len() - 2 {
+                    return None;
+                }
+                let (d, i) = (self.d, self.i);
+                let j = d - i;
+                if self.i < self.d {
+                    self.i += 1;
+                } else {
+                    self.d += 1;
+                    self.i = 0;
+                }
+                self.pull_left(i);
+                self.pull_right(j);
+                if i >= self.lbuf.len() || j >= self.rbuf.len() {
+                    continue;
+                }
+                if let Some(m) = self.lbuf[i].merge(&self.rbuf[j], &self.on) {
+                    return Some(m);
+                }
+            }
+        }
+    }
+
+    /// The reference nested loop: every inner binding against every
+    /// outer binding, no index.
+    struct NaiveNl<O, I> {
+        outer_src: Option<O>,
+        outer: Batch,
+        inner: I,
+        probe: Option<(Binding, usize)>,
+        on: Vec<VarId>,
+        outer_is_left: bool,
+    }
+
+    impl<O: Operator, I: Operator> Operator for NaiveNl<O, I> {
+        fn next_binding(&mut self) -> Option<Binding> {
+            if let Some(mut src) = self.outer_src.take() {
+                drain_into(&mut src, 256, &mut self.outer);
+            }
+            if self.outer.is_empty() {
+                return None;
+            }
+            loop {
+                if self.probe.is_none() {
+                    self.probe = Some((self.inner.next_binding()?, 0));
+                }
+                let (inner, pos) = self.probe.as_mut().expect("just set");
+                while *pos < self.outer.len() {
+                    let o = &self.outer[*pos];
+                    *pos += 1;
+                    let merged = if self.outer_is_left {
+                        o.merge(inner, &self.on)
+                    } else {
+                        inner.merge(o, &self.on)
+                    };
+                    if merged.is_some() {
+                        return merged;
+                    }
+                }
+                self.probe = None;
+            }
+        }
+    }
+
+    /// Pulls `m` times (or to exhaustion) and returns everything the
+    /// join did: its upstream pulls and its emissions, interleaved.
+    fn observe(mut join: impl Operator, log: &Log, m: usize) -> Vec<Event> {
+        for _ in 0..m {
+            match join.next_binding() {
+                Some(b) => log.borrow_mut().push(Event::Emit(b)),
+                None => break,
+            }
+        }
+        log.take()
+    }
+
+    // variable space of the generated streams
+    const KEYS: [VarId; 3] = [VarId(0), VarId(1), VarId(2)];
+    const SHARED: VarId = VarId(3);
+    const L_ID: VarId = VarId(4);
+    const R_ID: VarId = VarId(5);
+    const L_PRICE: VarId = VarId(6);
+    const R_PRICE: VarId = VarId(7);
+    const NVARS: usize = 8;
+
+    /// The value key `k` takes in key variable `var` — a function of
+    /// `(k, var)` up to join equality, so equal keys always join: the
+    /// numeric class renders `k` as `Int`, `Float` or `Date` at random
+    /// (`Int(1)` must meet `Float(1.0)`), the others are strings, nulls,
+    /// booleans and *unbound*.
+    fn key_value(rng: &mut Rng, k: u64, var: usize) -> Option<Value> {
+        match (k * 7 + var as u64 * 3) % 6 {
+            0 | 1 => Some(match rng.range_u64(0, 3) {
+                0 => Value::Int(k as i64),
+                1 => Value::float(k as f64),
+                _ => Value::Date(Date::from_ymd(1970, 1, 1).plus_days(k as i64)),
+            }),
+            2 => Some(Value::str(format!("key-{k}-longer-than-eight-bytes"))),
+            3 => Some(Value::Null),
+            4 => Some(Value::Bool(k % 4 < 2)),
+            _ => None,
+        }
+    }
+
+    fn side(rng: &mut Rng, len: usize, keys: u64, id: VarId, price: VarId) -> Batch {
+        (0..len)
+            .map(|rank| {
+                let k = rng.range_u64(0, keys);
+                let mut vars = vec![id, price];
+                let mut row = vec![
+                    Value::Int(rank as i64),
+                    Value::float(rng.range_u64(0, 100) as f64),
+                ];
+                for (var, &v) in KEYS.iter().enumerate() {
+                    if let Some(val) = key_value(rng, k, var) {
+                        vars.push(v);
+                        row.push(val);
+                    }
+                }
+                // a variable both sides may bind that is never in `on`:
+                // only the every-shared-slot check keeps it honest
+                if rng.range_u64(0, 4) > 0 {
+                    vars.push(SHARED);
+                    row.push(Value::Int(rng.range_u64(0, 2) as i64));
+                }
+                Binding::from_row(NVARS, &vars, &row)
+            })
+            .collect()
+    }
+
+    fn predicates(rng: &mut Rng) -> Vec<Predicate> {
+        let sum = |a, b| Expr::Add(Box::new(Expr::var(a)), Box::new(Expr::var(b)));
+        let pool = [
+            // the running example's shape: both sides, arithmetic
+            Predicate::new(sum(L_PRICE, R_PRICE), CmpOp::Lt, Expr::constant(90.0)),
+            Predicate::new(Expr::var(L_ID), CmpOp::Le, Expr::var(R_ID)),
+            Predicate::new(Expr::var(R_PRICE), CmpOp::Ge, Expr::constant(20.0)),
+            // pending (and so failing) wherever SHARED is unbound
+            Predicate::new(Expr::var(SHARED), CmpOp::Ge, Expr::constant(1i64)),
+        ];
+        pool.into_iter()
+            .filter(|_| rng.range_u64(0, 3) == 0)
+            .collect()
+    }
+
+    /// One seeded case: both joins against their references, full drain
+    /// and a random halting point, single pulls and one batched pull.
+    fn differential_case(rng: &mut Rng, case: usize) {
+        let (l_len, r_len) = (rng.range_usize(0, 41), rng.range_usize(0, 41));
+        let keys = [1, 3, (l_len + r_len).max(1) as u64][rng.range_usize(0, 3)];
+        let on = KEYS[..[0, 1, 3][rng.range_usize(0, 3)]].to_vec();
+        let left = side(rng, l_len, keys, L_ID, L_PRICE);
+        let right = side(rng, r_len, keys, R_ID, R_PRICE);
+        let preds = predicates(rng);
+        let what = format!("case {case}: {l_len} x {r_len}, {keys} keys, on {on:?}, {preds:?}");
+
+        let full = usize::MAX;
+        let halt = rng.range_usize(0, 12);
+        for m in [full, halt] {
+            let (l, r, log) = logged(&left, &right);
+            let reference = Filter::new(SweepJoin::new(l, r, on.clone()), preds.clone());
+            let expected = observe(reference, &log, m);
+
+            let (l, r, log) = logged(&left, &right);
+            let ms = MsJoin::new(l, r, on.clone()).with_predicates(preds.clone());
+            assert_eq!(
+                observe(ms, &log, m),
+                expected,
+                "merge scan, m = {m}, {what}"
+            );
+
+            // demand-exactness: one batched pull is m single pulls
+            if m != full {
+                let (l, r, log) = logged(&left, &right);
+                let mut ms = MsJoin::new(l, r, on.clone()).with_predicates(preds.clone());
+                let mut out = Batch::new();
+                ms.next_batch(m, &mut out);
+                let pulls = |events: &[Event]| {
+                    events
+                        .iter()
+                        .filter(|e| !matches!(e, Event::Emit(_)))
+                        .cloned()
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(pulls(&log.take()), pulls(&expected), "batched pull, {what}");
+            }
+
+            for outer_is_left in [true, false] {
+                let (l, r, log) = logged(&left, &right);
+                let reference = Filter::new(
+                    NaiveNl {
+                        outer_src: Some(l),
+                        outer: Vec::new(),
+                        inner: r,
+                        probe: None,
+                        on: on.clone(),
+                        outer_is_left,
+                    },
+                    preds.clone(),
+                );
+                let expected = observe(reference, &log, m);
+                let (l, r, log) = logged(&left, &right);
+                let nl =
+                    NlJoin::new(l, r, on.clone(), outer_is_left).with_predicates(preds.clone());
+                assert_eq!(
+                    observe(nl, &log, m),
+                    expected,
+                    "nested loop, m = {m}, {what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn joins_match_the_sweep_in_emissions_and_pull_log() {
+        let mut rng = Rng::new(0x6a01_2008);
+        for case in 0..400 {
+            differential_case(&mut rng, case);
+        }
+    }
+
+    /// With every key image forced equal, every pair is a candidate:
+    /// the result stays right only because each one is verified.
+    #[test]
+    fn colliding_key_images_are_caught_by_verification() {
+        struct Reset;
+        impl Drop for Reset {
+            fn drop(&mut self) {
+                COLLIDE_ALL.set(false);
+            }
+        }
+        let _reset = Reset;
+        COLLIDE_ALL.set(true);
+        let mut rng = Rng::new(0x5eed_c011);
+        for case in 0..60 {
+            differential_case(&mut rng, case);
+        }
+    }
+
+    /// A cross product (empty `on`) runs through the same cursors as a
+    /// selective join, and what is pending never outgrows what arrived.
+    #[test]
+    fn pending_state_is_linear_in_the_arrivals() {
+        let n = 2000;
+        let items: Vec<(i64, i64)> = (0..n).map(|v| (v, v)).collect();
+        let mut join = MsJoin::new(src(stream(0, 1, &items)), src(stream(3, 2, &items)), vec![]);
+        for _ in 0..25 {
+            join.next_binding().expect("4 000 000 pairs to go");
+        }
+        // the 25th answer is the fourth cell of diagonal 6: right[6] is
+        // here (pulled at the head), left[6] is not (pulled at the tail)
+        assert_eq!((join.buf[LEFT].len(), join.buf[RIGHT].len()), (6, 7));
+        assert!(join.pending.len() <= 13, "{} cursors", join.pending.len());
+
+        // and at every step of a full one-key drain
+        let items: Vec<(i64, i64)> = (0..60).map(|v| (1, v)).collect();
+        let mut join = MsJoin::new(
+            src(stream(0, 1, &items)),
+            src(stream(0, 2, &items)),
+            vec![VarId(0)],
+        );
+        let mut emitted = 0;
+        while join.next_binding().is_some() {
+            emitted += 1;
+            assert!(join.pending.len() <= join.buf[LEFT].len() + join.buf[RIGHT].len());
+        }
+        assert_eq!(emitted, 60 * 60);
     }
 }

@@ -32,8 +32,9 @@
 //! * [`cache`] — the three §5.1 client cache settings
 //!   ([`PageCache`](cache::PageCache));
 //! * [`binding`] — variable bindings flowing through operators;
-//! * [`joins`] — rank-preserving hash-indexed nested-loop and
-//!   merge-scan joins;
+//! * [`joins`] — rank-preserving key-indexed nested-loop and
+//!   merge-scan joins, which also run the predicates placed at their
+//!   node;
 //! * [`plan_info`] — predicate placement and pattern metadata.
 //!
 //! The two executors are thin drivers over that kernel, each with
@@ -88,7 +89,7 @@ pub use context::ExecContext;
 pub mod prelude {
     pub use crate::adaptive::{AdaptiveConfig, ReplanEvent, ReplanRequest, Replanner};
     pub use crate::binding::Binding;
-    pub use crate::cache::{CacheSetting, CacheStats, PageCache, PageLookup, PageStore};
+    pub use crate::cache::{CacheSetting, CacheStats, Page, PageCache, PageLookup, PageStore};
     pub use crate::context::ExecContext;
     pub use crate::gateway::{
         DegradedService, FaultStats, LocalGateway, PageFetch, PageShardStats, PartialResults,

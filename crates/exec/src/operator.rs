@@ -12,8 +12,11 @@
 //!   result tuples; consecutive cached pages are fetched as one run
 //!   under a single gateway lock acquisition;
 //! * [`Join`] — a rank-preserving parallel join in the plan's chosen
-//!   strategy (merge-scan or nested-loop, §3.3);
-//! * [`Filter`] — applies the predicates placed at a node;
+//!   strategy (merge-scan or nested-loop, §3.3); the predicates placed
+//!   at a join node run *inside* the join, which tests a candidate pair
+//!   before it allocates the joined row;
+//! * [`Filter`] — applies the predicates placed at an invoke or output
+//!   node;
 //! * [`Select`] — truncates a stream to the best `k` bindings.
 //!
 //! Batches carry *canonical rows*: a [`Binding`] is an `Arc`-shared
@@ -38,9 +41,8 @@ use crate::gateway::LocalGateway;
 use crate::plan_info::PlanInfo;
 use mdq_model::query::{Atom, Predicate};
 use mdq_model::schema::{Schema, ServiceId};
-use mdq_model::value::{Tuple, Value};
+use mdq_model::value::Value;
 use mdq_plan::dag::{JoinStrategy, NodeKind, Plan, Side};
-use std::collections::VecDeque;
 use std::fmt;
 
 /// Execution failures.
@@ -190,7 +192,6 @@ struct CurrentInput {
     binding: Binding,
     key: Vec<Value>,
     next_page: u32,
-    buf: VecDeque<Tuple>,
     done: bool,
     /// Summed latency of the pages this input actually forwarded.
     forwarded: f64,
@@ -220,8 +221,12 @@ pub struct Invoke<I> {
     /// One entry per input that forwarded at least one call: its summed
     /// latency. The materialised driver reads this for virtual time.
     input_latencies: Vec<f64>,
-    /// Reused scratch for batched page runs.
+    /// The current input's latest page run (reused scratch), read in
+    /// place through `at` — a cached page is shared with the cache, and
+    /// its tuples are bound straight out of it.
     page_buf: Vec<crate::gateway::PageFetch>,
+    /// Read cursor into `page_buf`: page, tuple within it.
+    at: (usize, usize),
     halted: bool,
 }
 
@@ -261,6 +266,7 @@ impl<I: Operator> Invoke<I> {
             current: None,
             input_latencies: Vec::new(),
             page_buf: Vec::new(),
+            at: (0, 0),
             halted: false,
         }
     }
@@ -281,6 +287,8 @@ impl<I: Operator> Invoke<I> {
     /// its invocation-level cache outcome (a *hit* only when no page of
     /// the whole invocation was forwarded).
     fn close_current(&mut self) {
+        self.page_buf.clear();
+        self.at = (0, 0);
         if let Some(cur) = self.current.take() {
             if cur.next_page > 0 {
                 let svc = self.svc_id;
@@ -299,11 +307,16 @@ impl<I: Operator> Invoke<I> {
                 return None;
             }
             if let Some(cur) = &mut self.current {
-                if let Some(t) = cur.buf.pop_front() {
-                    if let Some(nb) = cur.binding.bind_atom(&self.atom, &t) {
-                        return Some(nb);
+                while let Some(fetch) = self.page_buf.get(self.at.0) {
+                    match fetch.tuples.get(self.at.1) {
+                        Some(t) => {
+                            self.at.1 += 1;
+                            if let Some(nb) = cur.binding.bind_atom(&self.atom, t) {
+                                return Some(nb);
+                            }
+                        }
+                        None => self.at = (self.at.0 + 1, 0),
                     }
-                    continue;
                 }
                 let within_budget = self.max_pages.map(|m| cur.next_page < m).unwrap_or(true);
                 if !cur.done && within_budget {
@@ -325,6 +338,7 @@ impl<I: Operator> Invoke<I> {
                     let pattern = self.pattern;
                     let node = self.node;
                     self.page_buf.clear();
+                    self.at = (0, 0);
                     {
                         let key = &cur.key;
                         let buf = &mut self.page_buf;
@@ -334,7 +348,7 @@ impl<I: Operator> Invoke<I> {
                             g.set_active_node(None);
                         });
                     }
-                    for fetch in self.page_buf.drain(..) {
+                    for fetch in &self.page_buf {
                         cur.next_page += 1;
                         if let Some(lat) = fetch.forwarded_latency {
                             cur.forwarded += lat;
@@ -343,7 +357,6 @@ impl<I: Operator> Invoke<I> {
                         if !fetch.has_more {
                             cur.done = true;
                         }
-                        cur.buf.extend(fetch.tuples);
                     }
                     continue;
                 }
@@ -356,7 +369,6 @@ impl<I: Operator> Invoke<I> {
                         binding,
                         key,
                         next_page: 0,
-                        buf: VecDeque::new(),
                         done: false,
                         forwarded: 0.0,
                         any_forwarded: false,
@@ -389,25 +401,32 @@ pub struct Join<'a> {
 
 impl<'a> Join<'a> {
     /// Joins `left` and `right` on the shared variables `on` with the
-    /// given strategy. For nested loops, the strategy's `outer` side is
-    /// materialised first (it is chosen to be the selective one).
+    /// given strategy, keeping the pairs that satisfy `preds` — the
+    /// predicates placed at the join node, which the join decides
+    /// before it builds a pair (no [`Filter`] goes above a join). For
+    /// nested loops, the strategy's `outer` side is materialised first
+    /// (it is chosen to be the selective one).
     pub fn new<L, R>(
         left: L,
         right: R,
         strategy: &JoinStrategy,
         on: Vec<mdq_model::query::VarId>,
+        preds: Vec<Predicate>,
     ) -> Self
     where
         L: Operator + 'a,
         R: Operator + 'a,
     {
+        use crate::joins::{MsJoin, NlJoin};
         let inner: Box<dyn Operator + 'a> = match strategy {
-            JoinStrategy::MergeScan => Box::new(crate::joins::MsJoin::new(left, right, on)),
+            JoinStrategy::MergeScan => {
+                Box::new(MsJoin::new(left, right, on).with_predicates(preds))
+            }
             JoinStrategy::NestedLoop { outer: Side::Left } => {
-                Box::new(crate::joins::NlJoin::new(left, right, on, true))
+                Box::new(NlJoin::new(left, right, on, true).with_predicates(preds))
             }
             JoinStrategy::NestedLoop { outer: Side::Right } => {
-                Box::new(crate::joins::NlJoin::new(right, left, on, false))
+                Box::new(NlJoin::new(right, left, on, false).with_predicates(preds))
             }
         };
         Join { inner }
@@ -442,13 +461,10 @@ impl<I> Filter<I> {
         }
     }
 
-    /// The predicates for plan node `node`.
+    /// The predicates for plan node `node` (an invoke or output node:
+    /// a join node's predicates go to [`Join::new`]).
     pub fn for_node(plan: &Plan, info: &PlanInfo, node: usize, inner: I) -> Self {
-        let preds = info.preds_at_node[node]
-            .iter()
-            .map(|&p| plan.query.predicates[p].clone())
-            .collect();
-        Filter::new(inner, preds)
+        Filter::new(inner, info.predicates_at(plan, node))
     }
 
     fn passes(&self, b: &Binding) -> bool {
@@ -865,8 +881,13 @@ fn compile_raw(
                     override_op,
                     right.0,
                 );
-                let joined = Join::new(l, r, strategy, on.clone());
-                Box::new(Filter::for_node(plan, info, node, joined))
+                Box::new(Join::new(
+                    l,
+                    r,
+                    strategy,
+                    on.clone(),
+                    info.predicates_at(plan, node),
+                ))
             }
         }
     };

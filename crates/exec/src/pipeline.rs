@@ -273,16 +273,12 @@ pub fn run(
                     let (l, r) = (left.0, right.0);
                     let joined: Vec<Binding> = drain_all(
                         Probe::new(
-                            Filter::for_node(
-                                &plan,
-                                &info,
-                                i,
-                                Join::new(
-                                    Source(streams[l].iter().cloned()),
-                                    Source(streams[r].iter().cloned()),
-                                    strategy,
-                                    on.clone(),
-                                ),
+                            Join::new(
+                                Source(streams[l].iter().cloned()),
+                                Source(streams[r].iter().cloned()),
+                                strategy,
+                                on.clone(),
+                                info.predicates_at(&plan, i),
                             ),
                             gateway.clone(),
                             i,

@@ -1,6 +1,7 @@
 //! Pre-execution plan analysis shared by all executors.
 
 use mdq_model::binding::ApChoice;
+use mdq_model::query::Predicate;
 use mdq_model::schema::Schema;
 use mdq_plan::dag::{NodeKind, Plan};
 use std::collections::HashSet;
@@ -16,6 +17,17 @@ pub struct PlanInfo {
     pub input_positions: Vec<Vec<usize>>,
     /// For each plan node (invoke nodes only), the chosen pattern index.
     pub pattern_of_node: Vec<usize>,
+}
+
+impl PlanInfo {
+    /// The predicates applied at plan node `node`, cloned out of the
+    /// query for the operator that runs them.
+    pub fn predicates_at(&self, plan: &Plan, node: usize) -> Vec<Predicate> {
+        self.preds_at_node[node]
+            .iter()
+            .map(|&p| plan.query.predicates[p].clone())
+            .collect()
+    }
 }
 
 /// Analyzes `plan`, mirroring the predicate-placement rule of the cost
