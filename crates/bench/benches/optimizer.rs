@@ -2,7 +2,9 @@
 //! blind enumeration vs the exhaustive oracle, per metric — plus the
 //! search's exact costing-effort counters as gauges, so a change that
 //! makes the optimizer price more (or build more plans) shows as a
-//! number that does not depend on the machine.
+//! number that does not depend on the machine. Two searches also
+//! report the heap allocations (and bytes requested) of one run,
+//! counted by this target's global allocator.
 
 use mdq_bench::harness::Bench;
 use mdq_cost::estimate::CacheSetting;
@@ -10,11 +12,50 @@ use mdq_cost::metrics::{ExecutionTime, RequestResponse, SumCost};
 use mdq_cost::selectivity::SelectivityModel;
 use mdq_model::examples::{running_example_query, running_example_schema};
 use mdq_model::parser::parse_query;
-use mdq_optimizer::bnb::{optimize, OptimizerConfig};
+use mdq_optimizer::bnb::{optimize, Optimized, OptimizerConfig};
 use mdq_optimizer::context::{CostContext, CostingEffort};
 use mdq_optimizer::exhaustive::exhaustive_optimum;
 use mdq_plan::builder::StrategyRule;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
+
+/// The system allocator, counting every allocation (`alloc`,
+/// `alloc_zeroed` and `realloc` alike) and the bytes it requests.
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn count(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Relaxed);
+    ALLOC_BYTES.fetch_add(bytes as u64, Relaxed);
+}
+
+// SAFETY: every call is forwarded unchanged to `System`.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
 
 /// Records the costing effort of one `optimize` run under `name`.
 fn effort_gauges(bench: &Bench, name: &str, effort: CostingEffort) {
@@ -26,6 +67,18 @@ fn effort_gauges(bench: &Bench, name: &str, effort: CostingEffort) {
     ] {
         bench.gauge(&format!("{name}/{what}"), count as u64, unit);
     }
+}
+
+/// Records the heap allocations and bytes requested by one `run` under
+/// `name` (the bench is single-threaded, so the counters see only it).
+fn allocation_gauges(bench: &Bench, name: &str, run: impl FnOnce() -> Optimized) {
+    let (allocations, bytes) = (ALLOCATIONS.load(Relaxed), ALLOC_BYTES.load(Relaxed));
+    let out = run();
+    let allocations = ALLOCATIONS.load(Relaxed) - allocations;
+    let bytes = ALLOC_BYTES.load(Relaxed) - bytes;
+    drop(out);
+    bench.gauge(&format!("{name}/allocations"), allocations, "allocations");
+    bench.gauge(&format!("{name}/alloc-bytes"), bytes, "bytes");
 }
 
 fn main() {
@@ -62,6 +115,7 @@ fn main() {
             "optimize/travel/cold-template/etm-k5",
             run().stats.costing,
         );
+        allocation_gauges(&bench, "optimize/travel/cold-template/etm-k5", run);
     }
     for (name, metric) in [
         ("etm", &ExecutionTime as &dyn mdq_cost::metrics::CostMetric),
@@ -88,6 +142,9 @@ fn main() {
             &format!("optimize/travel/bnb/{name}"),
             run().stats.costing,
         );
+        if name == "etm" {
+            allocation_gauges(&bench, "optimize/travel/bnb/etm", run);
+        }
     }
     bench.measure("optimize/travel/bnb/etm-no-bounds", || {
         optimize(

@@ -2,9 +2,13 @@
 //!
 //! The workspace builds offline (no `criterion`), so the `benches/`
 //! targets use this: wall-clock timing with a warm-up pass, adaptive
-//! iteration counts (at least 50 for a case under 20 ms), and a
-//! `name-substring` filter from the command line. Invoke through
-//! `cargo bench -p mdq-bench [-- <filter>]`.
+//! iteration counts (at least 50 for a case under 20 ms) split into
+//! [`BATCHES`] timed batches, and a `name-substring` filter from the
+//! command line. Invoke through `cargo bench -p mdq-bench [-- <filter>]`.
+//!
+//! Each entry records the mean per iteration and, over the batches'
+//! per-iteration times, the median and quartiles (nearest rank): the
+//! spread says whether two runs differ by more than their noise.
 //!
 //! Besides the per-line console output, every run records its results;
 //! a bench target ends with [`Bench::write_json`], which emits a
@@ -24,6 +28,9 @@ const TARGET: Duration = Duration::from_millis(300);
 const MIN_ITERS: u32 = 5;
 const MIN_ITERS_SUBSECOND: u32 = 50;
 const MAX_ITERS: u32 = 10_000;
+/// Timed batches per entry; the iterations are split evenly across them
+/// (at least one each).
+pub const BATCHES: u32 = 10;
 
 /// One measured entry.
 #[derive(Clone, Debug)]
@@ -32,6 +39,13 @@ pub struct BenchResult {
     pub name: String,
     /// Mean wall time per iteration, nanoseconds.
     pub mean_ns: u128,
+    /// Median over the batches of the wall time per iteration,
+    /// nanoseconds.
+    pub median_ns: u128,
+    /// First quartile of the same, nanoseconds.
+    pub p25_ns: u128,
+    /// Third quartile of the same, nanoseconds.
+    pub p75_ns: u128,
     /// Iterations measured (after the warm-up/calibration pass).
     pub iters: u32,
 }
@@ -81,9 +95,10 @@ impl Bench {
         });
     }
 
-    /// Times `f`, printing `name: mean per iteration (iterations)`.
-    /// The closure's result is passed through [`black_box`] so the
-    /// optimiser cannot elide the work.
+    /// Times `f` in [`BATCHES`] batches, printing the mean per
+    /// iteration, the batches' median and quartiles, and the iteration
+    /// count. The closure's result is passed through [`black_box`] so
+    /// the optimiser cannot elide the work.
     pub fn measure<T>(&self, name: &str, mut f: impl FnMut() -> T) {
         if let Some(filter) = &self.filter {
             if !name.contains(filter.as_str()) {
@@ -100,16 +115,36 @@ impl Bench {
             MIN_ITERS
         };
         let iters = ((TARGET.as_nanos() / once.as_nanos()).max(1) as u32).clamp(floor, MAX_ITERS);
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        let total = start.elapsed();
+        let per_batch = iters.div_ceil(BATCHES);
+        let mut total = Duration::ZERO;
+        let mut batches: Vec<u128> = (0..BATCHES)
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..per_batch {
+                    black_box(f());
+                }
+                let elapsed = start.elapsed();
+                total += elapsed;
+                elapsed.as_nanos() / u128::from(per_batch)
+            })
+            .collect();
+        batches.sort_unstable();
+        let iters = per_batch * BATCHES;
         let per_iter = total / iters;
-        println!("{name:<44} {per_iter:>12.2?}/iter ({iters} iters)");
+        let quantile = |q: f64| nearest_rank(&batches, q);
+        let (p25, median, p75) = (quantile(0.25), quantile(0.5), quantile(0.75));
+        println!(
+            "{name:<44} {per_iter:>12.2?}/iter ({iters} iters; median {:.2?} [{:.2?}, {:.2?}])",
+            Duration::from_nanos(median as u64),
+            Duration::from_nanos(p25 as u64),
+            Duration::from_nanos(p75 as u64),
+        );
         self.results.borrow_mut().push(BenchResult {
             name: name.to_string(),
             mean_ns: per_iter.as_nanos(),
+            median_ns: median,
+            p25_ns: p25,
+            p75_ns: p75,
             iters,
         });
     }
@@ -155,9 +190,12 @@ impl Bench {
         json.push_str("  \"results\": [\n");
         for (i, r) in results.iter().enumerate() {
             json.push_str(&format!(
-                "    {{\"name\": \"{}\", \"mean_ns\": {}, \"iters\": {}}}{}\n",
+                "    {{\"name\": \"{}\", \"mean_ns\": {}, \"median_ns\": {}, \"p25_ns\": {}, \"p75_ns\": {}, \"iters\": {}}}{}\n",
                 escape(&r.name),
                 r.mean_ns,
+                r.median_ns,
+                r.p25_ns,
+                r.p75_ns,
                 r.iters,
                 if i + 1 < results.len() { "," } else { "" }
             ));
@@ -188,6 +226,12 @@ impl Bench {
             }
         }
     }
+}
+
+/// The nearest-rank `q`-quantile of ascending `sorted` (non-empty).
+fn nearest_rank(sorted: &[u128], q: f64) -> u128 {
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 /// Minimal JSON string escaping (names are ASCII identifiers + `/`).
@@ -224,7 +268,9 @@ mod tests {
         let results = bench.results();
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].name, "unit/no-op");
-        assert!(results[0].iters >= MIN_ITERS);
+        assert!(results[0].iters >= MIN_ITERS.max(BATCHES));
+        let r = &results[0];
+        assert!(r.p25_ns <= r.median_ns && r.median_ns <= r.p75_ns, "{r:?}");
         let dir = std::env::temp_dir().join("mdq-bench-harness-test");
         std::fs::create_dir_all(&dir).expect("mkdir");
         std::env::set_var("MDQ_BENCH_DIR", &dir);
@@ -233,11 +279,22 @@ mod tests {
         let text = std::fs::read_to_string(&path).expect("reads");
         assert!(text.contains("\"target\": \"unit\""), "{text}");
         assert!(text.contains("\"name\": \"unit/no-op\""), "{text}");
+        assert!(text.contains("\"median_ns\": "), "{text}");
+        assert!(text.contains("\"p75_ns\": "), "{text}");
         assert!(
             text.contains("\"name\": \"unit/gauge\", \"value\": 42, \"unit\": \"calls\""),
             "{text}"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn nearest_rank_quartiles() {
+        let ten: Vec<u128> = (1..=10).collect();
+        assert_eq!(nearest_rank(&ten, 0.25), 3);
+        assert_eq!(nearest_rank(&ten, 0.5), 5);
+        assert_eq!(nearest_rank(&ten, 0.75), 8);
+        assert_eq!(nearest_rank(&[7], 0.25), 7);
     }
 
     #[test]

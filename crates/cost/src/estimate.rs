@@ -17,13 +17,26 @@
 //! *one-call cache* pays per block (Eq. 2); *optimal cache* pays per
 //! distinct input combination, additionally capped by abstract-domain
 //! cardinalities.
+//!
+//! **Reuse across a search.** [`Estimator::prepare_into`] writes a
+//! plan's analysis into a [`PreparedPlan`] its caller keeps, reading the
+//! query's [`QueryFacts`] (predicate variables and σ's, domain
+//! cardinalities, input variables per atom and pattern), which the
+//! caller takes once. The optimizer keeps both in the costing workspace
+//! of a search — owned by that search's `CostContext`, never shared, and
+//! dropped with it — and prepares every candidate into them. The bits
+//! are those of a fresh [`Estimator::prepare`]: that is the same code on
+//! fresh buffers, every table is cleared or overwritten before it is
+//! read, the facts hold exactly the values the per-plan lookups computed,
+//! and the floating-point operations run in the same order.
 
 use crate::selectivity::SelectivityModel;
-use mdq_model::binding::input_vars;
-use mdq_model::query::VarId;
+use mdq_model::binding::push_input_vars;
+use mdq_model::query::{ConjunctiveQuery, VarId};
 use mdq_model::schema::{Chunking, Schema};
 use mdq_plan::dag::{NodeId, NodeKind, Plan};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// The logical-caching settings of §5.1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -57,7 +70,7 @@ impl CacheSetting {
 
 /// Per-node estimates produced by [`Estimator::annotate`]; the `t^in` /
 /// `t^out` annotations of Fig. 8.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Annotation {
     /// Tuples (or candidate pairs) arriving at each node.
     pub t_in: Vec<f64>,
@@ -69,10 +82,44 @@ pub struct Annotation {
     pub cache: CacheSetting,
 }
 
+impl Clone for Annotation {
+    fn clone(&self) -> Self {
+        Annotation {
+            t_in: self.t_in.clone(),
+            t_out: self.t_out.clone(),
+            calls: self.calls.clone(),
+            cache: self.cache,
+        }
+    }
+
+    /// Copies into the existing buffers: keeping the best annotation of a
+    /// search costs no allocation once they have grown.
+    fn clone_from(&mut self, source: &Self) {
+        self.t_in.clone_from(&source.t_in);
+        self.t_out.clone_from(&source.t_out);
+        self.calls.clone_from(&source.calls);
+        self.cache = source.cache;
+    }
+}
+
+impl Default for Annotation {
+    /// An annotation of no plan, to be overwritten.
+    fn default() -> Self {
+        Annotation {
+            t_in: Vec::new(),
+            t_out: Vec::new(),
+            calls: Vec::new(),
+            cache: CacheSetting::NoCache,
+        }
+    }
+}
+
 impl Annotation {
     /// Estimated size of the query answer (`t_out` of the Output node).
     pub fn out_size(&self) -> f64 {
-        *self.t_out.last().expect("plans always have an output node")
+        *self.t_out.last().expect(
+            "an annotation has one entry per plan node, and every plan ends in its Output node",
+        )
     }
 
     /// Calls attributed to the invoke node of plan-atom position `pos`.
@@ -86,13 +133,15 @@ impl Annotation {
 /// The §5.2 estimator. Borrowed context: schema for profiles/domains,
 /// selectivity model for predicate σ's.
 ///
-/// Estimation is split in two. [`Estimator::prepare`] analyses a plan
-/// once — everything that does not depend on the fetch factors — and
-/// [`PreparedPlan::evaluate`] turns a fetch vector into an
-/// [`Annotation`] with a straight loop over `f64`s. Phase 3 of the
-/// optimizer prepares each topology once and evaluates it per
-/// candidate vector; [`Estimator::annotate`] is the one-shot form of
-/// the same code.
+/// Estimation is split in three. [`Estimator::facts`] reads what a
+/// query contributes independently of any plan; [`Estimator::prepare_into`]
+/// analyses a plan once — everything that does not depend on the fetch
+/// factors — and [`PreparedPlan::evaluate`] turns a fetch vector into an
+/// [`Annotation`] with a straight loop over `f64`s. The optimizer takes
+/// the facts once per search, prepares each candidate into one reused
+/// [`PreparedPlan`] and evaluates it per fetch vector;
+/// [`Estimator::prepare`] and [`Estimator::annotate`] are the one-shot
+/// forms of the same code.
 #[derive(Clone, Copy, Debug)]
 pub struct Estimator<'a> {
     /// Service signatures and domain cardinalities.
@@ -179,7 +228,12 @@ enum Step {
 /// estimator's definition in a fixed order, so equal inputs give
 /// bit-equal estimates and the optimizer's cost ties always break the
 /// same way.
-#[derive(Clone, Debug)]
+///
+/// [`Estimator::prepare_into`] rewrites every table of a prepared plan
+/// for the next plan, keeping the buffers: what one plan left behind is
+/// cleared or overwritten before it can be read, so a reused prepared
+/// plan evaluates exactly like a fresh one.
+#[derive(Clone, Debug, Default)]
 pub struct PreparedPlan {
     steps: Vec<Step>,
     input_vars: Vec<InputVar>,
@@ -188,6 +242,50 @@ pub struct PreparedPlan {
     ann: Annotation,
     /// Scratch for `N(n)`: (minimal node, its variables' domain cap).
     minimal: Vec<(usize, f64)>,
+    /// Scratch of preparation: per node, the predicates applied at or
+    /// upstream of it (a bit set of `words` words per node), and the
+    /// dataflow-ancestor walks.
+    applied: Vec<u64>,
+    walk: AncestorWalk,
+}
+
+/// What a query contributes to the preparation of any plan over it:
+/// each predicate's variables and σ, each variable's domain cardinality
+/// and each atom's input variables under each of its access patterns.
+/// [`Estimator::facts`] reads them once; every
+/// [`Estimator::prepare_into`] of a plan over the query looks them up.
+#[derive(Clone, Debug)]
+pub struct QueryFacts {
+    query: Arc<ConjunctiveQuery>,
+    /// Per predicate: its variables and its selectivity.
+    predicates: Vec<(Vec<VarId>, f64)>,
+    /// Domain cardinality per variable id, read off the variable's first
+    /// occurrence in an atom (∞ when unknown; `None` for a variable in no
+    /// atom, read as ∞ too).
+    cardinality: Vec<Option<f64>>,
+    /// Per atom, the index in `inputs` of its first access pattern.
+    first_pattern: Vec<usize>,
+    /// Per (atom, pattern): its input variables, a range of `input_vars`.
+    inputs: Vec<Range<usize>>,
+    input_vars: Vec<VarId>,
+}
+
+impl QueryFacts {
+    /// Whether these are the facts of `query` (the same allocation, not
+    /// merely an equal query).
+    pub fn is_for(&self, query: &Arc<ConjunctiveQuery>) -> bool {
+        Arc::ptr_eq(&self.query, query)
+    }
+
+    /// Cardinality of the abstract domain of `v` (∞ when unknown).
+    fn cardinality(&self, v: VarId) -> f64 {
+        self.cardinality[v.0 as usize].unwrap_or(f64::INFINITY)
+    }
+
+    /// The input variables of `atom` under its access pattern `pattern`.
+    fn inputs(&self, atom: usize, pattern: usize) -> &[VarId] {
+        &self.input_vars[self.inputs[self.first_pattern[atom] + pattern].clone()]
+    }
 }
 
 impl PreparedPlan {
@@ -323,45 +421,105 @@ impl<'a> Estimator<'a> {
     }
 
     /// Analyses `plan` once for any number of
-    /// [`evaluate`](PreparedPlan::evaluate) calls.
+    /// [`evaluate`](PreparedPlan::evaluate) calls: [`Estimator::prepare_into`]
+    /// on fresh facts and a fresh prepared plan.
     pub fn prepare(&self, plan: &Plan) -> PreparedPlan {
+        let mut prepared = PreparedPlan::default();
+        self.prepare_into(plan, &self.facts(&plan.query), &mut prepared);
+        prepared
+    }
+
+    /// What `query` contributes to every plan over it, read once.
+    pub fn facts(&self, query: &Arc<ConjunctiveQuery>) -> QueryFacts {
+        let predicates = query
+            .predicates
+            .iter()
+            .map(|p| (p.vars(), self.selectivity.selectivity(p)))
+            .collect();
+        // a variable's domain is read off its first occurrence in an atom
+        let mut cardinality: Vec<Option<f64>> = vec![None; query.var_count()];
+        for atom in &query.atoms {
+            let sig = self.schema.service(atom.service);
+            for (i, t) in atom.terms.iter().enumerate() {
+                if let Some(v) = t.as_var() {
+                    cardinality[v.0 as usize].get_or_insert_with(|| {
+                        self.schema
+                            .domain_info(sig.domains[i])
+                            .cardinality
+                            .unwrap_or(f64::INFINITY)
+                    });
+                }
+            }
+        }
+        let (mut first_pattern, mut inputs, mut input_vars) = (Vec::new(), Vec::new(), Vec::new());
+        for (atom, a) in query.atoms.iter().enumerate() {
+            first_pattern.push(inputs.len());
+            for pattern in 0..self.schema.service(a.service).patterns.len() {
+                let start = input_vars.len();
+                push_input_vars(query, self.schema, atom, pattern, &mut input_vars);
+                inputs.push(start..input_vars.len());
+            }
+        }
+        QueryFacts {
+            query: Arc::clone(query),
+            predicates,
+            cardinality,
+            first_pattern,
+            inputs,
+            input_vars,
+        }
+    }
+
+    /// Analyses `plan` into `prepared`, overwriting whatever plan it held
+    /// and reusing its buffers; `facts` must be those of the plan's query
+    /// ([`QueryFacts::is_for`]) under this estimator.
+    pub fn prepare_into(&self, plan: &Plan, facts: &QueryFacts, prepared: &mut PreparedPlan) {
+        debug_assert!(facts.is_for(&plan.query), "facts of another query");
         let n = plan.nodes.len();
-        let query = &plan.query;
-        let pred_vars: Vec<Vec<VarId>> = query.predicates.iter().map(|p| p.vars()).collect();
-        // per node, which predicates have been applied at or upstream of it
-        let mut applied: Vec<Vec<bool>> = Vec::with_capacity(n);
-        let mut prepared = PreparedPlan {
-            steps: Vec::with_capacity(n),
-            input_vars: Vec::new(),
-            carriers: Vec::new(),
-            value_joins: Vec::new(),
-            ann: Annotation {
-                t_in: vec![0.0; n],
-                t_out: vec![0.0; n],
-                calls: vec![0.0; n],
-                cache: self.cache,
-            },
-            minimal: Vec::new(),
-        };
-        let mut walk = AncestorWalk::new(n);
+        let words = facts.predicates.len().div_ceil(64);
+        let PreparedPlan {
+            steps,
+            input_vars,
+            carriers,
+            value_joins,
+            ann,
+            minimal,
+            applied,
+            walk,
+        } = prepared;
+        steps.clear();
+        input_vars.clear();
+        carriers.clear();
+        value_joins.clear();
+        minimal.clear();
+        for column in [&mut ann.t_in, &mut ann.t_out, &mut ann.calls] {
+            column.clear();
+            column.resize(n, 0.0);
+        }
+        ann.cache = self.cache;
+        // per node, the predicates applied at or upstream of it
+        applied.clear();
+        applied.resize(n * words, 0);
+        walk.reset(n);
 
         for (i, node) in plan.nodes.iter().enumerate() {
             // predicates inherited from inputs, then those newly
             // applicable here: all vars bound, not yet applied
-            let mut done = vec![false; pred_vars.len()];
+            let (upstream, done) = applied.split_at_mut(i * words);
+            let done = &mut done[..words];
             for inp in &node.inputs {
-                for (d, &a) in done.iter_mut().zip(&applied[inp.0]) {
+                for (d, &a) in done.iter_mut().zip(&upstream[inp.0 * words..]) {
                     *d |= a;
                 }
             }
             let mut sigma = 1.0;
-            for (k, vars) in pred_vars.iter().enumerate() {
-                if !done[k] && vars.iter().all(|v| node.bound_vars.contains(v)) {
-                    done[k] = true;
-                    sigma *= self.selectivity.selectivity(&query.predicates[k]);
+            for (k, (vars, selectivity)) in facts.predicates.iter().enumerate() {
+                let (word, bit) = (k / 64, 1u64 << (k % 64));
+                if done[word] & bit == 0 && vars.iter().all(|v| node.bound_vars.contains(v)) {
+                    done[word] |= bit;
+                    sigma *= selectivity;
                 }
             }
-            applied.push(done);
 
             let step = match &node.kind {
                 NodeKind::Input => Step::Input,
@@ -370,19 +528,51 @@ impl<'a> Estimator<'a> {
                     sigma,
                 },
                 NodeKind::Invoke { atom } => {
-                    let sig = self.schema.service(query.atoms[*atom].service);
+                    let sig = self.schema.service(plan.query.atoms[*atom].service);
                     let size = match sig.chunking {
                         Chunking::Bulk => ResultSize::Bulk(sig.profile.erspi),
                         Chunking::Chunked { chunk_size } => ResultSize::Chunked {
                             chunk_size: chunk_size as f64,
-                            pos: plan.position_of(*atom).expect("atom covered by plan"),
+                            pos: plan.invoked_position(*atom),
                         },
+                    };
+                    // How the effective invocation count follows from the
+                    // input stream; the carrier sets land in the arenas.
+                    let calls = if self.cache == CacheSetting::NoCache {
+                        CallRule::PerTuple
+                    } else {
+                        let in_vars = facts.inputs(*atom, plan.choice.pattern_of(*atom));
+                        if in_vars.is_empty() {
+                            CallRule::Constant
+                        } else {
+                            let ancestors = walk.ancestors(plan, i);
+                            let start = input_vars.len();
+                            for &v in in_vars {
+                                let first = carriers.len();
+                                carriers.extend(
+                                    ancestors
+                                        .iter()
+                                        .copied()
+                                        .filter(|&a| plan.nodes[a].bound_vars.contains(&v)),
+                                );
+                                // variables with no carrying ancestor cannot
+                                // occur in admissible plans; treat as
+                                // unconstrained (no factor)
+                                if carriers.len() > first {
+                                    input_vars.push(InputVar {
+                                        carriers: first..carriers.len(),
+                                        cardinality: facts.cardinality(v),
+                                    });
+                                }
+                            }
+                            CallRule::Blocks(start..input_vars.len())
+                        }
                     };
                     Step::Invoke {
                         up: node.inputs[0].0,
                         sigma,
                         size,
-                        calls: self.call_rule(plan, i, *atom, &mut walk, &mut prepared),
+                        calls,
                     }
                 }
                 NodeKind::Join {
@@ -390,100 +580,43 @@ impl<'a> Estimator<'a> {
                 } => {
                     let divergence = walk.divergence(plan, *left, *right);
                     let div_bound = &plan.nodes[divergence].bound_vars;
-                    let start = prepared.value_joins.len();
-                    prepared.value_joins.extend(
+                    let start = value_joins.len();
+                    value_joins.extend(
                         on.iter()
                             .filter(|v| !div_bound.contains(v))
-                            .map(|v| self.domain_cardinality(plan, *v)),
+                            .map(|&v| facts.cardinality(v)),
                     );
                     Step::Join {
                         left: left.0,
                         right: right.0,
                         divergence,
                         sigma,
-                        value_joins: start..prepared.value_joins.len(),
+                        value_joins: start..value_joins.len(),
                     }
                 }
             };
-            prepared.steps.push(step);
+            steps.push(step);
         }
-        prepared
-    }
-
-    /// How the effective invocation count of invoke node `node_idx`
-    /// (query atom `atom`) follows from its input stream; the carrier
-    /// sets land in `prepared`'s arenas.
-    fn call_rule(
-        &self,
-        plan: &Plan,
-        node_idx: usize,
-        atom: usize,
-        walk: &mut AncestorWalk,
-        prepared: &mut PreparedPlan,
-    ) -> CallRule {
-        if self.cache == CacheSetting::NoCache {
-            return CallRule::PerTuple;
-        }
-        let in_vars = input_vars(&plan.query, self.schema, &plan.choice, atom);
-        if in_vars.is_empty() {
-            return CallRule::Constant;
-        }
-        let ancestors = walk.ancestors(plan, node_idx);
-        let start = prepared.input_vars.len();
-        for v in in_vars {
-            let first = prepared.carriers.len();
-            prepared.carriers.extend(
-                ancestors
-                    .iter()
-                    .copied()
-                    .filter(|&a| plan.nodes[a].bound_vars.contains(&v)),
-            );
-            // variables with no carrying ancestor cannot occur in
-            // admissible plans; treat as unconstrained (no factor)
-            if prepared.carriers.len() > first {
-                prepared.input_vars.push(InputVar {
-                    carriers: first..prepared.carriers.len(),
-                    cardinality: self.domain_cardinality(plan, v),
-                });
-            }
-        }
-        CallRule::Blocks(start..prepared.input_vars.len())
-    }
-
-    /// Cardinality of the abstract domain of `v` (∞ when unknown). The
-    /// variable's domain is read off its first occurrence in an atom.
-    fn domain_cardinality(&self, plan: &Plan, v: VarId) -> f64 {
-        for atom in &plan.query.atoms {
-            for (i, t) in atom.terms.iter().enumerate() {
-                if t.as_var() == Some(v) {
-                    let sig = self.schema.service(atom.service);
-                    return self
-                        .schema
-                        .domain_info(sig.domains[i])
-                        .cardinality
-                        .unwrap_or(f64::INFINITY);
-                }
-            }
-        }
-        f64::INFINITY
     }
 }
 
-/// Reused buffers for the dataflow-ancestor walks of one
-/// [`Estimator::prepare`].
+/// Reused buffers for the dataflow-ancestor walks of preparation.
+#[derive(Clone, Debug, Default)]
 struct AncestorWalk {
     seen: Vec<bool>,
     stack: Vec<usize>,
     out: Vec<usize>,
+    /// Membership in the first side's ancestry, for [`AncestorWalk::divergence`].
+    of_a: Vec<bool>,
 }
 
 impl AncestorWalk {
-    fn new(nodes: usize) -> Self {
-        AncestorWalk {
-            seen: vec![false; nodes],
-            stack: Vec::new(),
-            out: Vec::new(),
-        }
+    /// Sizes the buffers for a plan of `nodes` nodes.
+    fn reset(&mut self, nodes: usize) {
+        self.seen.clear();
+        self.seen.resize(nodes, false);
+        self.of_a.clear();
+        self.of_a.resize(nodes, false);
     }
 
     /// Dataflow ancestors of `id` (transitive inputs, excluding `id`),
@@ -508,18 +641,20 @@ impl AncestorWalk {
     /// every plan has the Input node as a common root; "deepest" by
     /// node index, which is a topological order).
     fn divergence(&mut self, plan: &Plan, a: NodeId, b: NodeId) -> usize {
-        let mut of_a = vec![false; plan.nodes.len()];
-        of_a[a.0] = true;
-        for &x in self.ancestors(plan, a.0) {
-            of_a[x] = true;
+        self.of_a.fill(false);
+        self.of_a[a.0] = true;
+        self.ancestors(plan, a.0);
+        for &x in &self.out {
+            self.of_a[x] = true;
         }
-        self.ancestors(plan, b.0)
+        self.ancestors(plan, b.0);
+        self.out
             .iter()
             .copied()
             .chain(std::iter::once(b.0))
-            .filter(|&x| of_a[x])
+            .filter(|&x| self.of_a[x])
             .max()
-            .expect("Input is a common ancestor")
+            .expect("both sides of a join descend from the Input node, their common root")
     }
 }
 

@@ -32,7 +32,7 @@ pub fn explain(plan: &Plan, schema: &Schema, ann: &Annotation) -> String {
             ),
             NodeKind::Invoke { atom } => {
                 let sig = schema.service(plan.query.atoms[*atom].service);
-                let pos = plan.position_of(*atom).expect("covered");
+                let pos = plan.invoked_position(*atom);
                 let f = plan.fetch_of(pos);
                 let work = f as f64 * ann.calls[i] * sig.profile.effective_response_time();
                 (

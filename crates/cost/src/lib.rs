@@ -81,7 +81,7 @@ pub mod prelude {
         diverging_services, profile_divergence, refresh_profiles, AdaptiveConfig, ObservedService,
         ServiceDivergence,
     };
-    pub use crate::estimate::{Annotation, CacheSetting, Estimator, PreparedPlan};
+    pub use crate::estimate::{Annotation, CacheSetting, Estimator, PreparedPlan, QueryFacts};
     pub use crate::explain::{explain, explain_analyze};
     pub use crate::metrics::{
         all_metrics, Bottleneck, CostMetric, ExecutionTime, RequestResponse, SumCost, TimeToScreen,

@@ -6,10 +6,19 @@
 //! branch-and-bound optimizer relies on — the cost of a partially
 //! constructed plan lower-bounds the cost of all its completions — and it
 //! is property-tested in this crate and in the optimizer.
+//!
+//! Pricing allocates nothing: the optimizer prices every candidate of a
+//! search in place, in the costing workspace its `CostContext` owns for
+//! that search alone, and the path metrics (execution time,
+//! time-to-screen) walk root-to-sink paths on the call stack rather than
+//! collecting [`Plan::paths`]. The walk visits the same paths in the
+//! same order and sums each path's τ in path order, and `max` does not
+//! depend on order, so the costs are bit-identical to those over the
+//! collected paths (tested against that definition).
 
 use crate::estimate::Annotation;
 use mdq_model::schema::Schema;
-use mdq_plan::dag::{NodeKind, Plan};
+use mdq_plan::dag::{NodeId, NodeKind, Plan};
 
 /// A cost metric: maps an annotated plan to a non-negative cost.
 pub trait CostMetric {
@@ -30,7 +39,7 @@ fn node_work(plan: &Plan, ann: &Annotation, schema: &Schema, idx: usize) -> f64 
     match plan.nodes[idx].kind {
         NodeKind::Invoke { atom } => {
             let sig = schema.service(plan.query.atoms[atom].service);
-            let pos = plan.position_of(atom).expect("covered");
+            let pos = plan.invoked_position(atom);
             plan.fetch_of(pos) as f64 * ann.calls[idx] * sig.profile.effective_response_time()
         }
         _ => 0.0,
@@ -49,11 +58,62 @@ fn node_tau(plan: &Plan, schema: &Schema, idx: usize) -> f64 {
     }
 }
 
+/// The last node of a root-to-sink path being walked, linked back to
+/// the rest of the path.
+struct PathEnd<'p> {
+    node: usize,
+    /// Σ τ over the path so far, summed from the root in path order
+    /// (as `Iterator::sum` would sum the path).
+    tau_sum: f64,
+    prev: Option<&'p PathEnd<'p>>,
+}
+
+impl PathEnd<'_> {
+    /// The path's nodes, last first.
+    fn nodes(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(Some(self), |end| end.prev).map(|end| end.node)
+    }
+}
+
+/// The maximum of `price` over every root-to-sink path of `plan` (0 for
+/// none) — the paths [`Plan::paths`] lists, walked depth first in the
+/// same order with the path kept on the call stack, so pricing a plan
+/// allocates nothing. Each path's τ sum is accumulated in path order and
+/// `max` ignores order, so every figure is bit-equal to pricing the
+/// collected paths.
+fn slowest_path(plan: &Plan, schema: &Schema, price: &dyn Fn(&PathEnd<'_>) -> f64) -> f64 {
+    fn walk(
+        plan: &Plan,
+        schema: &Schema,
+        price: &dyn Fn(&PathEnd<'_>) -> f64,
+        end: &PathEnd<'_>,
+    ) -> f64 {
+        let mut slowest = None;
+        for next in plan.consumers(NodeId(end.node)) {
+            let next = PathEnd {
+                node: next.0,
+                tau_sum: end.tau_sum + node_tau(plan, schema, next.0),
+                prev: Some(end),
+            };
+            let path = walk(plan, schema, price, &next);
+            slowest = Some(slowest.map_or(path, |s: f64| s.max(path)));
+        }
+        slowest.unwrap_or_else(|| price(end))
+    }
+    // `Iterator::sum` over `f64` starts from -0.0
+    let root = PathEnd {
+        node: plan.input_node().0,
+        tau_sum: -0.0 + node_tau(plan, schema, plan.input_node().0),
+        prev: None,
+    };
+    f64::max(0.0, walk(plan, schema, price, &root))
+}
+
 /// Number of billable requests issued by a node: `F_n · calls_n`.
 fn node_requests(plan: &Plan, ann: &Annotation, idx: usize) -> f64 {
     match plan.nodes[idx].kind {
         NodeKind::Invoke { atom } => {
-            let pos = plan.position_of(atom).expect("covered");
+            let pos = plan.invoked_position(atom);
             plan.fetch_of(pos) as f64 * ann.calls[idx]
         }
         _ => 0.0,
@@ -139,17 +199,11 @@ impl CostMetric for ExecutionTime {
     }
 
     fn cost(&self, plan: &Plan, ann: &Annotation, schema: &Schema) -> f64 {
-        plan.paths()
-            .into_iter()
-            .map(|path| {
-                let tau_sum: f64 = path.iter().map(|id| node_tau(plan, schema, id.0)).sum();
-                path.iter()
-                    .map(|id| {
-                        node_work(plan, ann, schema, id.0) + tau_sum - node_tau(plan, schema, id.0)
-                    })
-                    .fold(tau_sum, f64::max)
-            })
-            .fold(0.0, f64::max)
+        slowest_path(plan, schema, &|end| {
+            end.nodes()
+                .map(|i| node_work(plan, ann, schema, i) + end.tau_sum - node_tau(plan, schema, i))
+                .fold(end.tau_sum, f64::max)
+        })
     }
 }
 
@@ -186,12 +240,8 @@ impl CostMetric for TimeToScreen {
         "TTS"
     }
 
-    fn cost(&self, plan: &Plan, ann: &Annotation, schema: &Schema) -> f64 {
-        let _ = ann;
-        plan.paths()
-            .into_iter()
-            .map(|path| path.iter().map(|id| node_tau(plan, schema, id.0)).sum())
-            .fold(0.0, f64::max)
+    fn cost(&self, plan: &Plan, _ann: &Annotation, schema: &Schema) -> f64 {
+        slowest_path(plan, schema, &|end| end.tau_sum)
     }
 }
 
@@ -392,6 +442,97 @@ mod tests {
         schema.service_mut(weather).profile.failure_rate = 0.0;
         let rr_base = cost_of(&RequestResponse, &plan, &schema, CacheSetting::OneCall);
         assert!((rr_healthy - rr_base).abs() < 1e-12);
+    }
+
+    /// ETM and TTS walk the paths without collecting them; they must
+    /// equal, bit for bit, the definition over [`Plan::paths`] — over
+    /// every topology of every permissible pattern sequence of the
+    /// running example, complete and cut to a prefix, under random
+    /// response times, failure rates and fetch factors and every cache
+    /// setting.
+    #[test]
+    fn path_walk_equals_collected_paths() {
+        use mdq_model::binding::{permissible_sequences, SupplierMap};
+        use mdq_model::rng::Rng;
+        use mdq_plan::poset::all_topologies;
+
+        let etm = |plan: &Plan, ann: &Annotation, schema: &Schema| {
+            plan.paths()
+                .into_iter()
+                .map(|path| {
+                    let tau_sum: f64 = path.iter().map(|id| node_tau(plan, schema, id.0)).sum();
+                    path.iter()
+                        .map(|id| {
+                            node_work(plan, ann, schema, id.0) + tau_sum
+                                - node_tau(plan, schema, id.0)
+                        })
+                        .fold(tau_sum, f64::max)
+                })
+                .fold(0.0, f64::max)
+        };
+        let tts = |plan: &Plan, schema: &Schema| {
+            plan.paths()
+                .into_iter()
+                .map(|path| path.iter().map(|id| node_tau(plan, schema, id.0)).sum())
+                .fold(0.0, f64::max)
+        };
+
+        let RunningExample { schema, query } = running_example();
+        let query = Arc::new(query);
+        let sel = SelectivityModel::default();
+        let mut rng = Rng::new(0x7061_7468);
+        let mut plans = 0;
+        for choice in permissible_sequences(&query, &schema) {
+            let suppliers = SupplierMap::build(&query, &schema, &choice);
+            for poset in all_topologies(query.atoms.len(), &suppliers) {
+                for _ in 0..4 {
+                    let mut schema = schema.clone();
+                    let services: Vec<_> = schema.services().map(|(id, _)| id).collect();
+                    for id in services {
+                        let profile = &mut schema.service_mut(id).profile;
+                        profile.response_time *= rng.range_f64(0.1, 10.0);
+                        profile.failure_rate = if rng.bool(0.3) {
+                            rng.range_f64(0.0, 0.5)
+                        } else {
+                            0.0
+                        };
+                    }
+                    // a prefix: the first `cut` atoms of a topological order
+                    let order = poset.topological_order();
+                    let cut = rng.range_usize(1, order.len() + 1);
+                    let atoms = order[..cut].to_vec();
+                    let mut plan = build_plan(
+                        Arc::clone(&query),
+                        &schema,
+                        choice.clone(),
+                        poset.restrict(&atoms),
+                        atoms,
+                        &StrategyRule::default(),
+                    )
+                    .expect("a downward-closed prefix of an admissible topology lowers");
+                    for pos in plan.chunked_positions(&schema) {
+                        plan.set_fetch(pos, rng.range_u64(1, 9));
+                    }
+                    for cache in CacheSetting::ALL {
+                        let ann = Estimator::new(&schema, &sel, cache).annotate(&plan);
+                        assert_eq!(
+                            ExecutionTime.cost(&plan, &ann, &schema).to_bits(),
+                            etm(&plan, &ann, &schema).to_bits(),
+                            "ETM of {}",
+                            plan.summary(&schema)
+                        );
+                        assert_eq!(
+                            TimeToScreen.cost(&plan, &ann, &schema).to_bits(),
+                            tts(&plan, &schema).to_bits(),
+                            "TTS of {}",
+                            plan.summary(&schema)
+                        );
+                    }
+                    plans += 1;
+                }
+            }
+        }
+        assert!(plans > 100, "{plans} plans");
     }
 
     #[test]

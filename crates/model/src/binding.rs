@@ -53,17 +53,30 @@ pub fn input_vars(
     choice: &ApChoice,
     atom: usize,
 ) -> Vec<VarId> {
-    let a = &query.atoms[atom];
-    let pat = &schema.service(a.service).patterns[choice.pattern_of(atom)];
     let mut out = Vec::new();
+    push_input_vars(query, schema, atom, choice.pattern_of(atom), &mut out);
+    out
+}
+
+/// Appends to `out` the variables at input positions of atom `atom`
+/// under its access pattern `pattern`, in position order, each once.
+pub fn push_input_vars(
+    query: &ConjunctiveQuery,
+    schema: &Schema,
+    atom: usize,
+    pattern: usize,
+    out: &mut Vec<VarId>,
+) {
+    let a = &query.atoms[atom];
+    let pat = &schema.service(a.service).patterns[pattern];
+    let start = out.len();
     for i in pat.inputs() {
         if let Term::Var(v) = &a.terms[i] {
-            if !out.contains(v) {
+            if !out[start..].contains(v) {
                 out.push(*v);
             }
         }
     }
-    out
 }
 
 /// Variables at output positions of atom `atom` under `choice`.
@@ -115,8 +128,10 @@ pub fn callable_after(
     choice: &ApChoice,
     placed: &HashSet<usize>,
 ) -> Vec<usize> {
+    // bound in atom order, not in `placed`'s hash order: the same inserts
+    // in the same order grow the set the same way on every run
     let mut bound: HashSet<VarId> = HashSet::new();
-    for &p in placed {
+    for p in (0..query.atoms.len()).filter(|p| placed.contains(p)) {
         bound.extend(output_vars(query, schema, choice, p));
     }
     (0..query.atoms.len())

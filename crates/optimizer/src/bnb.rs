@@ -9,7 +9,7 @@
 
 use crate::context::{CostContext, CostingEffort};
 use crate::phase1::{ordered_sequences, sequence_lower_bound};
-use crate::phase2::{optimize_topology, Phase2Stats, PlanCandidate, SearchOptions};
+use crate::phase2::{optimize_topology, Leaders, Phase2Stats, PlanCandidate, SearchOptions};
 use crate::phase3::FetchHeuristic;
 use mdq_cost::estimate::CacheSetting;
 use mdq_cost::metrics::CostMetric;
@@ -18,6 +18,7 @@ use mdq_cost::shared::SharedWorkOracle;
 use mdq_model::query::ConjunctiveQuery;
 use mdq_model::schema::Schema;
 use mdq_plan::builder::StrategyRule;
+use mdq_plan::poset::MAX_ATOMS;
 use std::fmt;
 use std::sync::Arc;
 
@@ -91,6 +92,18 @@ impl Optimized {
     }
 }
 
+impl OptimizerConfig {
+    /// The settings phases 2 and 3 read.
+    pub(crate) fn search_options(&self) -> SearchOptions {
+        SearchOptions {
+            fetch_heuristic: self.fetch_heuristic,
+            max_fetch: self.max_fetch,
+            explore_fetches: self.explore_fetches,
+            use_bounds: self.use_bounds,
+        }
+    }
+}
+
 /// Optimization failures.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum OptimizeError {
@@ -100,6 +113,12 @@ pub enum OptimizeError {
     NotExecutable,
     /// The query has no atoms.
     EmptyQuery,
+    /// The body has more atoms than the topology search handles
+    /// ([`MAX_ATOMS`]).
+    TooManyAtoms {
+        /// Atoms in the query body.
+        atoms: usize,
+    },
 }
 
 impl fmt::Display for OptimizeError {
@@ -110,7 +129,19 @@ impl fmt::Display for OptimizeError {
                 "no permissible access-pattern sequence: the query is not executable"
             ),
             OptimizeError::EmptyQuery => write!(f, "query body has no atoms"),
+            OptimizeError::TooManyAtoms { atoms } => write!(
+                f,
+                "query body has {atoms} atoms; the optimizer handles at most {MAX_ATOMS}"
+            ),
         }
+    }
+}
+
+/// Refuses bodies wider than the topology search handles.
+pub(crate) fn check_width(query: &ConjunctiveQuery) -> Result<(), OptimizeError> {
+    match query.atoms.len() {
+        atoms if atoms > MAX_ATOMS => Err(OptimizeError::TooManyAtoms { atoms }),
+        _ => Ok(()),
     }
 }
 
@@ -159,28 +190,21 @@ pub(crate) fn search(
     if query.atoms.is_empty() {
         return Err(OptimizeError::EmptyQuery);
     }
+    check_width(&query)?;
     let sequences = ordered_sequences(&query, ctx);
     if sequences.is_empty() {
         return Err(OptimizeError::NotExecutable);
     }
 
-    let opts = SearchOptions {
-        fetch_heuristic: config.fetch_heuristic,
-        max_fetch: config.max_fetch,
-        explore_fetches: config.explore_fetches,
-        use_bounds: config.use_bounds,
-    };
-
     let mut stats = OptimizerStats {
         sequences_permissible: sequences.len(),
         ..OptimizerStats::default()
     };
-    let mut best: Option<PlanCandidate> = None;
-    let mut best_effort: Option<PlanCandidate> = None;
+    let mut leaders = Leaders::default();
 
     for choice in sequences {
         if config.use_bounds {
-            if let Some(b) = &best {
+            if let Some(b) = &leaders.best {
                 let lb = sequence_lower_bound(&query, ctx, &choice, &config.strategy);
                 if lb >= b.cost {
                     stats.sequences_pruned += 1;
@@ -188,45 +212,29 @@ pub(crate) fn search(
                 }
             }
         }
-        let incumbent = best.as_ref().map(|b| b.cost);
+        let incumbent = leaders.best.as_ref().map(|b| b.cost);
         let outcome = optimize_topology(
             &query,
             ctx,
             &choice,
             &config.strategy,
             config.k as f64,
-            opts,
+            config.search_options(),
             incumbent,
         );
-        stats.phase2.topologies_complete += outcome.stats.topologies_complete;
-        stats.phase2.partials_considered += outcome.stats.partials_considered;
-        stats.phase2.partials_pruned += outcome.stats.partials_pruned;
-        stats.phase2.fetch.vectors_costed += outcome.stats.fetch.vectors_costed;
-        stats.phase2.fetch.pruned_by_bound += outcome.stats.fetch.pruned_by_bound;
-        stats.phase2.fetch.pruned_infeasible += outcome.stats.fetch.pruned_infeasible;
-        if let Some(cand) = outcome.best {
-            let better = best.as_ref().map(|b| cand.cost < b.cost).unwrap_or(true);
-            if better {
-                best = Some(cand);
-            }
-        }
-        if let Some(cand) = outcome.best_effort {
-            let better = best_effort
-                .as_ref()
-                .map(|b| {
-                    let (co, bo) = (cand.annotation.out_size(), b.annotation.out_size());
-                    co > bo || (co == bo && cand.cost < b.cost)
-                })
-                .unwrap_or(true);
-            if better {
-                best_effort = Some(cand);
-            }
-        }
+        stats.phase2.add(&outcome.stats);
+        leaders.absorb(Leaders {
+            best: outcome.best,
+            best_effort: outcome.best_effort,
+        });
     }
 
-    let candidate = best
-        .or(best_effort)
-        .expect("at least one permissible sequence yields a plan");
+    // no topology of any sequence lowered (none admissible): nothing to
+    // execute
+    let candidate = leaders
+        .best
+        .or(leaders.best_effort)
+        .ok_or(OptimizeError::NotExecutable)?;
     stats.costing = ctx.effort();
     Ok(Optimized { candidate, stats })
 }
@@ -357,6 +365,45 @@ mod tests {
             Err(err) => assert_eq!(err, OptimizeError::NotExecutable),
             Ok(_) => panic!("expected NotExecutable"),
         }
+    }
+
+    /// A body of `atoms` atoms of one directly callable service.
+    fn wide_query(atoms: usize) -> (Schema, ConjunctiveQuery) {
+        use mdq_model::parser::parse_query;
+        use mdq_model::schema::ServiceBuilder;
+        let mut s = Schema::new();
+        ServiceBuilder::new(&mut s, "s")
+            .attr("X", "DX")
+            .pattern("o")
+            .register()
+            .expect("registers");
+        let body: Vec<String> = (0..atoms).map(|i| format!("s(X{i})")).collect();
+        let q = parse_query(&format!("q(X0) :- {}.", body.join(", ")), &s).expect("parses");
+        (s, q)
+    }
+
+    /// Topology enumeration keeps atom sets in a `u64`; a 64-atom level
+    /// used to make `1 << 64` — masked to `1 << 0` in release, so the
+    /// level silently enumerated nothing and the heuristic seeds came
+    /// back as if searched (a debug build overflowed instead). Wider
+    /// bodies are now refused with a typed error, before any search.
+    #[test]
+    fn bodies_wider_than_max_atoms_are_refused() {
+        let (s, q) = wide_query(MAX_ATOMS + 1);
+        let out = optimize(
+            Arc::new(q),
+            &s,
+            &RequestResponse,
+            &OptimizerConfig::default(),
+        );
+        assert_eq!(
+            out.err(),
+            Some(OptimizeError::TooManyAtoms {
+                atoms: MAX_ATOMS + 1
+            })
+        );
+        let (_, q) = wide_query(MAX_ATOMS);
+        assert_eq!(check_width(&q), Ok(()));
     }
 
     #[test]

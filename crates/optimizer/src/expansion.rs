@@ -189,7 +189,8 @@ pub fn expand_for_executability(
         // build the off-query atom: blocked var at the first matching
         // output position, fresh variables elsewhere
         let sig = schema.service(svc);
-        let var_domain = domain_of(&expanded, schema, var).expect("blocked vars occur in atoms");
+        let var_domain = domain_of(&expanded, schema, var)
+            .expect("a blocked variable is an input of some atom, whose domain is the variable's");
         let pattern = &sig.patterns[pattern_idx];
         let mut placed = false;
         let mut terms = Vec::with_capacity(sig.arity());

@@ -81,7 +81,7 @@ pub mod prelude {
     pub use crate::bnb::{
         optimize, optimize_shared, OptimizeError, Optimized, OptimizerConfig, OptimizerStats,
     };
-    pub use crate::context::{CostContext, CostingEffort, Pricer};
+    pub use crate::context::{CostContext, CostingEffort};
     pub use crate::exhaustive::exhaustive_optimum;
     pub use crate::expansion::{expand_for_executability, Expansion, ExpansionError};
     pub use crate::phase2::{

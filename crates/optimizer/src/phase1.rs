@@ -38,18 +38,10 @@ pub fn sequence_lower_bound(
     strategy: &StrategyRule,
 ) -> f64 {
     let suppliers = SupplierMap::build(query, ctx.schema, choice);
-    let directly = suppliers.directly_callable();
+    let unordered = Poset::antichain(query.atoms.len());
     let mut best = f64::INFINITY;
-    for atom in directly {
-        if let Ok(prefix) = ctx.build_plan(
-            &suppliers,
-            query,
-            choice,
-            Poset::antichain(1),
-            vec![atom],
-            strategy,
-        ) {
-            let (c, _) = ctx.cost(&prefix);
+    for atom in suppliers.directly_callable() {
+        if let Some(c) = ctx.price_prefix(&suppliers, query, choice, &unordered, [atom], strategy) {
             best = best.min(c);
         }
     }

@@ -14,7 +14,7 @@
 //! callable atom — favours time metrics).
 
 use crate::context::CostContext;
-use crate::phase3::{self, FetchHeuristic, FetchStats};
+use crate::phase3::{self, FetchHeuristic, FetchParams, FetchStats, Priced};
 use mdq_cost::estimate::Annotation;
 use mdq_model::binding::{callable_after, ApChoice, SupplierMap};
 use mdq_model::query::ConjunctiveQuery;
@@ -59,6 +59,18 @@ pub struct Phase2Stats {
     pub partials_pruned: usize,
     /// Aggregated phase-3 effort.
     pub fetch: FetchStats,
+}
+
+impl Phase2Stats {
+    /// Adds another search's counters.
+    pub(crate) fn add(&mut self, other: &Phase2Stats) {
+        self.topologies_complete += other.topologies_complete;
+        self.partials_considered += other.partials_considered;
+        self.partials_pruned += other.partials_pruned;
+        self.fetch.vectors_costed += other.fetch.vectors_costed;
+        self.fetch.pruned_by_bound += other.fetch.pruned_by_bound;
+        self.fetch.pruned_infeasible += other.fetch.pruned_infeasible;
+    }
 }
 
 /// Search-control options shared by phase 2/3.
@@ -140,42 +152,84 @@ pub fn max_parallel_topology(
     Poset::from_pairs(n, &pairs)
 }
 
-/// Prices one complete topology: builds the plan, runs phase 3, returns
-/// the candidate. `suppliers` is the supplier map of `(query, choice)`.
+/// The best plan reaching `k` and the best-effort fallback for when none
+/// does — what every level of the search keeps.
+#[derive(Default)]
+pub(crate) struct Leaders {
+    pub(crate) best: Option<PlanCandidate>,
+    pub(crate) best_effort: Option<PlanCandidate>,
+}
+
+impl Leaders {
+    /// Keeps a candidate priced at `priced` if it leads its kind: among
+    /// plans reaching `k` the cheaper; otherwise the larger estimated
+    /// output, then the cheaper. `take` produces the candidate — cloning
+    /// it out of the workspace — only then.
+    pub(crate) fn offer(&mut self, priced: Priced, take: impl FnOnce() -> PlanCandidate) {
+        let (slot, better) = if priced.meets_k {
+            let better = self.best.as_ref().is_none_or(|b| priced.cost < b.cost);
+            (&mut self.best, better)
+        } else {
+            let better = self.best_effort.as_ref().is_none_or(|b| {
+                let (co, bo) = (priced.out_size, b.annotation.out_size());
+                co > bo || (co == bo && priced.cost < b.cost)
+            });
+            (&mut self.best_effort, better)
+        };
+        if better {
+            *slot = Some(take());
+        }
+    }
+
+    /// Offers another level's leaders.
+    pub(crate) fn absorb(&mut self, other: Leaders) {
+        for candidate in [other.best, other.best_effort].into_iter().flatten() {
+            let priced = Priced {
+                cost: candidate.cost,
+                meets_k: candidate.meets_k,
+                out_size: candidate.annotation.out_size(),
+            };
+            self.offer(priced, || candidate);
+        }
+    }
+}
+
+/// Prices one complete topology — lowers it into the context's
+/// workspace and runs phase 3 on it, with `pinned` positions fixed — and
+/// offers the result to `leaders`, which clone it out only if it leads.
+/// Returns its figures; `None` when the topology is not admissible.
+/// `suppliers` is the supplier map of `(query, choice)`.
 #[allow(clippy::too_many_arguments)]
-pub fn instantiate_topology(
+pub(crate) fn instantiate_topology(
     query: &Arc<ConjunctiveQuery>,
     ctx: &CostContext<'_>,
     choice: &ApChoice,
     suppliers: &SupplierMap,
-    poset: Poset,
+    poset: &Poset,
     strategy: &StrategyRule,
-    k: f64,
-    opts: &SearchOptions,
-    incumbent: Option<f64>,
+    params: FetchParams<'_>,
     fetch_stats: &mut FetchStats,
-) -> Option<PlanCandidate> {
-    let n = query.atoms.len();
-    let mut plan = ctx
-        .build_plan(suppliers, query, choice, poset, (0..n).collect(), strategy)
-        .ok()?;
-    let outcome = phase3::optimize_fetches(
-        &mut plan,
-        ctx,
-        k,
-        opts.fetch_heuristic,
-        opts.max_fetch,
-        opts.explore_fetches,
-        incumbent,
-        fetch_stats,
-    );
-    plan.fetches.copy_from_slice(&outcome.fetches);
-    Some(PlanCandidate {
-        plan,
-        cost: outcome.cost,
-        annotation: outcome.annotation,
-        meets_k: outcome.meets_k,
-    })
+    leaders: &mut Leaders,
+) -> Option<Priced> {
+    let atoms = 0..query.atoms.len();
+    ctx.with_lowered(
+        suppliers,
+        query,
+        choice,
+        poset,
+        atoms,
+        strategy,
+        |pricer, scratch| {
+            let priced = phase3::search(pricer, scratch, params, fetch_stats);
+            leaders.offer(priced, || PlanCandidate {
+                plan: pricer.plan().clone(),
+                cost: priced.cost,
+                annotation: scratch.best_annotation().clone(),
+                meets_k: priced.meets_k,
+            });
+            priced
+        },
+    )
 }
 
 struct Phase2Visitor<'a, 'c> {
@@ -187,38 +241,35 @@ struct Phase2Visitor<'a, 'c> {
     k: f64,
     opts: SearchOptions,
     incumbent: f64,
-    best: Option<PlanCandidate>,
-    best_effort: Option<PlanCandidate>,
+    leaders: Leaders,
     stats: Phase2Stats,
 }
 
 impl Phase2Visitor<'_, '_> {
-    fn consider(&mut self, candidate: PlanCandidate) {
-        if candidate.meets_k {
-            if candidate.cost < self.incumbent {
-                self.incumbent = candidate.cost;
-            }
-            let better = self
-                .best
-                .as_ref()
-                .map(|b| candidate.cost < b.cost)
-                .unwrap_or(true);
-            if better {
-                self.best = Some(candidate);
-            }
-        } else {
-            // best-effort fallback: maximise output, then minimise cost
-            let better = self
-                .best_effort
-                .as_ref()
-                .map(|b| {
-                    let (co, bo) = (candidate.annotation.out_size(), b.annotation.out_size());
-                    co > bo || (co == bo && candidate.cost < b.cost)
-                })
-                .unwrap_or(true);
-            if better {
-                self.best_effort = Some(candidate);
-            }
+    /// Prices a complete topology against `incumbent`, keeping it if it
+    /// leads and lowering the incumbent when it reaches `k` cheaper.
+    fn instantiate(&mut self, poset: &Poset, incumbent: Option<f64>) {
+        let params = FetchParams {
+            k: self.k,
+            heuristic: self.opts.fetch_heuristic,
+            max_fetch: self.opts.max_fetch,
+            explore: self.opts.explore_fetches,
+            incumbent,
+            pinned: &[],
+        };
+        let priced = instantiate_topology(
+            self.query,
+            self.ctx,
+            self.choice,
+            self.suppliers,
+            poset,
+            self.strategy,
+            params,
+            &mut self.stats.fetch,
+            &mut self.leaders,
+        );
+        if let Some(priced) = priced.filter(|p| p.meets_k) {
+            self.incumbent = self.incumbent.min(priced.cost);
         }
     }
 }
@@ -231,20 +282,16 @@ impl TopologyVisitor for Phase2Visitor<'_, '_> {
             return true;
         }
         self.stats.partials_considered += 1;
-        let mut placed: Vec<usize> = state.placed.iter().copied().collect();
-        placed.sort_unstable();
-        let sub = state.poset.restrict(&placed);
-        let Ok(prefix) = self.ctx.build_plan(
+        let Some(lower_bound) = self.ctx.price_prefix(
             self.suppliers,
             self.query,
             self.choice,
-            sub,
-            placed,
+            &state.poset,
+            state.placed_atoms(),
             self.strategy,
         ) else {
             return true;
         };
-        let (lower_bound, _) = self.ctx.cost(&prefix);
         if lower_bound >= self.incumbent {
             self.stats.partials_pruned += 1;
             return false;
@@ -254,25 +301,8 @@ impl TopologyVisitor for Phase2Visitor<'_, '_> {
 
     fn on_complete(&mut self, poset: &Poset) {
         self.stats.topologies_complete += 1;
-        let incumbent = if self.opts.use_bounds {
-            Some(self.incumbent)
-        } else {
-            None
-        };
-        if let Some(cand) = instantiate_topology(
-            self.query,
-            self.ctx,
-            self.choice,
-            self.suppliers,
-            poset.clone(),
-            self.strategy,
-            self.k,
-            &self.opts,
-            incumbent,
-            &mut self.stats.fetch,
-        ) {
-            self.consider(cand);
-        }
+        let incumbent = self.opts.use_bounds.then_some(self.incumbent);
+        self.instantiate(poset, incumbent);
     }
 }
 
@@ -309,8 +339,7 @@ pub fn optimize_topology(
         k,
         opts,
         incumbent: initial_incumbent.unwrap_or(f64::INFINITY),
-        best: None,
-        best_effort: None,
+        leaders: Leaders::default(),
         stats: Phase2Stats::default(),
     };
 
@@ -326,28 +355,15 @@ pub fn optimize_topology(
             TopologyHeuristic::MaxParallel => max_parallel_topology(query, ctx.schema, choice),
         };
         if let Some(poset) = topo {
-            if let Some(cand) = instantiate_topology(
-                query,
-                ctx,
-                choice,
-                &suppliers,
-                poset,
-                strategy,
-                k,
-                &opts,
-                initial_incumbent.filter(|_| opts.use_bounds),
-                &mut visitor.stats.fetch,
-            ) {
-                visitor.consider(cand);
-            }
+            visitor.instantiate(&poset, initial_incumbent.filter(|_| opts.use_bounds));
         }
     }
 
     enumerate_topologies(query.atoms.len(), &suppliers, &mut visitor);
 
     Phase2Outcome {
-        best: visitor.best,
-        best_effort: visitor.best_effort,
+        best: visitor.leaders.best,
+        best_effort: visitor.leaders.best_effort,
         stats: visitor.stats,
     }
 }

@@ -17,6 +17,7 @@
 
 use crate::context::{CostContext, Pricer};
 use mdq_cost::estimate::Annotation;
+use mdq_model::schema::Schema;
 use mdq_plan::dag::Plan;
 
 /// The two §4.3.1 heuristics for initial fetch assignments.
@@ -66,19 +67,23 @@ pub struct FetchStats {
 /// Per-position fetch caps: decay-derived bound `⌈d_i / cs_i⌉` when known
 /// (§4.3.2), otherwise `max_fetch`.
 pub fn fetch_caps(plan: &Plan, ctx: &CostContext<'_>, max_fetch: u64) -> Vec<u64> {
-    plan.atoms
-        .iter()
-        .map(|&a| {
-            let sig = ctx.schema.service(plan.query.atoms[a].service);
-            if sig.chunking.is_chunked() {
-                sig.max_fetches_from_decay()
-                    .unwrap_or(max_fetch)
-                    .min(max_fetch)
-            } else {
-                1
-            }
-        })
-        .collect()
+    let mut caps = Vec::new();
+    fetch_caps_into(plan, ctx.schema, max_fetch, &mut caps);
+    caps
+}
+
+fn fetch_caps_into(plan: &Plan, schema: &Schema, max_fetch: u64, caps: &mut Vec<u64>) {
+    caps.clear();
+    caps.extend(plan.atoms.iter().map(|&a| {
+        let sig = schema.service(plan.query.atoms[a].service);
+        if sig.chunking.is_chunked() {
+            sig.max_fetches_from_decay()
+                .unwrap_or(max_fetch)
+                .min(max_fetch)
+        } else {
+            1
+        }
+    }));
 }
 
 /// Costs the vector `pricer` evaluated last, counting it.
@@ -155,22 +160,19 @@ pub fn heuristic_fetches(
     heuristic: FetchHeuristic,
     caps: &[u64],
 ) -> Vec<u64> {
-    let chunked = plan.chunked_positions(ctx.schema);
+    let open = plan.chunked_positions(ctx.schema);
     let base = vec![1; plan.atoms.len()];
-    heuristic_fetches_from(
-        &mut Pricer::new(ctx, plan),
-        k,
-        heuristic,
-        caps,
-        &base,
-        &chunked,
-    )
+    let mut f = Vec::new();
+    ctx.with_pricer(plan, |pricer, _| {
+        heuristic_fetches_from(pricer, k, heuristic, caps, &base, &open, &mut f);
+    });
+    f
 }
 
 /// [`heuristic_fetches`] generalised to a base vector and an explicit
-/// set of open positions: positions outside `open` stay at their `base`
-/// value — how suffix re-planning pins the factors of already-executed
-/// stages while re-tuning the rest.
+/// set of open positions, written into `f`: positions outside `open`
+/// stay at their `base` value — how suffix re-planning pins the factors
+/// of already-executed stages while re-tuning the rest.
 fn heuristic_fetches_from(
     pricer: &mut Pricer<'_, '_>,
     k: f64,
@@ -178,12 +180,14 @@ fn heuristic_fetches_from(
     caps: &[u64],
     base: &[u64],
     open: &[usize],
-) -> Vec<u64> {
-    let mut f: Vec<u64> = base.to_vec();
+    f: &mut Vec<u64>,
+) {
+    f.clear();
+    f.extend_from_slice(base);
     if open.is_empty() {
-        return f;
+        return;
     }
-    let mut out = pricer.out_size(&f);
+    let mut out = pricer.out_size(f);
     // safety valve against absurd caps: escalation is one +1 per round
     let mut rounds_left = 100_000usize;
     match heuristic {
@@ -201,7 +205,7 @@ fn heuristic_fetches_from(
                         continue;
                     }
                     f[pos] += 1;
-                    let out_after = pricer.out_size(&f);
+                    let out_after = pricer.out_size(f);
                     let cost_after = pricer.cost();
                     f[pos] -= 1;
                     let dcost = (cost_after - cost).max(f64::MIN_POSITIVE);
@@ -218,32 +222,74 @@ fn heuristic_fetches_from(
             }
         }
         FetchHeuristic::Square => {
-            let chunk_size: Vec<f64> = (0..f.len())
-                .map(|pos| {
-                    let plan = pricer.plan();
-                    let service = plan.query.atoms[plan.atoms[pos]].service;
-                    pricer.schema().service(service).chunk_size().unwrap_or(1) as f64
-                })
-                .collect();
             while out < k && rounds_left > 0 {
                 rounds_left -= 1;
                 // the position with the fewest explored tuples F·cs
+                let (plan, schema) = (pricer.plan(), pricer.schema());
+                let explored = |pos: usize| {
+                    let service = plan.query.atoms[plan.atoms[pos]].service;
+                    f[pos] as f64 * schema.service(service).chunk_size().unwrap_or(1) as f64
+                };
                 let Some(pos) = open
                     .iter()
                     .copied()
                     .filter(|&pos| f[pos] < caps[pos])
-                    .min_by(|&a, &b| {
-                        (f[a] as f64 * chunk_size[a]).total_cmp(&(f[b] as f64 * chunk_size[b]))
-                    })
+                    .min_by(|&a, &b| explored(a).total_cmp(&explored(b)))
                 else {
                     break; // all capped: k unreachable
                 };
                 f[pos] += 1;
-                out = pricer.out_size(&f);
+                out = pricer.out_size(f);
             }
         }
     }
-    f
+}
+
+/// Phase 3's vectors, kept in a search's workspace and reused by every
+/// plan whose fetch factors it searches.
+#[derive(Default)]
+pub(crate) struct FetchScratch {
+    caps: Vec<u64>,
+    /// The positions searched: chunked, not pinned.
+    open: Vec<usize>,
+    /// The vector the frontier search extends — the base vector (pinned
+    /// values, 1 elsewhere) before and after it.
+    current: Vec<u64>,
+    /// Probe vectors, none of which outlives one step of the search.
+    probe: Vec<u64>,
+    /// The best vector found so far and its priced annotation.
+    best: Vec<u64>,
+    best_ann: Annotation,
+}
+
+impl FetchScratch {
+    /// The annotation of the best vector of the last search.
+    pub(crate) fn best_annotation(&self) -> &Annotation {
+        &self.best_ann
+    }
+}
+
+/// What phase 3 found for one plan: the best vector's cost, whether it
+/// reaches `k`, and its estimated output — the figures a candidate is
+/// kept or discarded by.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Priced {
+    pub(crate) cost: f64,
+    pub(crate) meets_k: bool,
+    pub(crate) out_size: f64,
+}
+
+/// Phase 3's settings for one plan.
+#[derive(Clone, Copy)]
+pub(crate) struct FetchParams<'p> {
+    pub(crate) k: f64,
+    pub(crate) heuristic: FetchHeuristic,
+    pub(crate) max_fetch: u64,
+    /// Run the exact frontier search after the heuristic.
+    pub(crate) explore: bool,
+    pub(crate) incumbent: Option<f64>,
+    /// Positions fixed at a value, outside the search.
+    pub(crate) pinned: &'p [(usize, u64)],
 }
 
 /// Exact phase-3 search: explores the frontier of minimal feasible fetch
@@ -252,8 +298,8 @@ fn heuristic_fetches_from(
 /// partial assignment costed with the remaining factors at 1 lower-bounds
 /// its completions).
 ///
-/// Returns the best outcome found, or `None` when even the caps cannot
-/// reach `k` *and* no fallback is allowed.
+/// Returns the best outcome found — when even the caps cannot reach `k`,
+/// the best effort (every factor at its cap).
 #[allow(clippy::too_many_arguments)] // mirrors the paper's parameterisation
 pub fn optimize_fetches(
     plan: &mut Plan,
@@ -284,6 +330,8 @@ pub fn optimize_fetches(
 /// decisions of already-executed plan stages (whose pages are already
 /// paid for) survive a mid-flight re-optimization while the unexecuted
 /// suffix is re-tuned against refreshed statistics.
+///
+/// The chosen factors are left installed in `plan`.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's parameterisation
 pub fn optimize_fetches_pinned(
     plan: &mut Plan,
@@ -296,166 +344,219 @@ pub fn optimize_fetches_pinned(
     stats: &mut FetchStats,
     pinned: &[(usize, u64)],
 ) -> FetchOutcome {
-    let mut caps = fetch_caps(plan, ctx, max_fetch);
-    let mut base: Vec<u64> = vec![1; plan.atoms.len()];
-    for &(pos, value) in pinned {
+    let params = FetchParams {
+        k,
+        heuristic,
+        max_fetch,
+        explore,
+        incumbent,
+        pinned,
+    };
+    ctx.with_pricer(plan, |pricer, scratch| {
+        let priced = search(pricer, scratch, params, stats);
+        FetchOutcome {
+            fetches: scratch.best.clone(),
+            cost: priced.cost,
+            annotation: scratch.best_ann.clone(),
+            meets_k: priced.meets_k,
+        }
+    })
+}
+
+/// The search behind [`optimize_fetches_pinned`], in the workspace: the
+/// best vector is left in `scratch` (and installed in the plan), its
+/// figures returned.
+pub(crate) fn search(
+    pricer: &mut Pricer<'_, '_>,
+    scratch: &mut FetchScratch,
+    params: FetchParams<'_>,
+    stats: &mut FetchStats,
+) -> Priced {
+    let FetchScratch {
+        caps,
+        open,
+        current,
+        probe,
+        best,
+        best_ann,
+    } = scratch;
+    let k = params.k;
+    let (plan, schema) = (pricer.plan(), pricer.schema());
+    fetch_caps_into(plan, schema, params.max_fetch, caps);
+    current.clear();
+    current.resize(plan.atoms.len(), 1);
+    for &(pos, value) in params.pinned {
         let value = value.max(1);
-        base[pos] = value;
+        current[pos] = value;
         caps[pos] = value;
     }
-    let open: Vec<usize> = plan
-        .chunked_positions(ctx.schema)
-        .into_iter()
-        .filter(|pos| pinned.iter().all(|&(p, _)| p != *pos))
-        .collect();
+    open.clear();
+    open.extend(
+        plan.atoms
+            .iter()
+            .enumerate()
+            .filter(|&(pos, &atom)| {
+                schema
+                    .service(plan.query.atoms[atom].service)
+                    .chunking
+                    .is_chunked()
+                    && params.pinned.iter().all(|&(p, _)| p != pos)
+            })
+            .map(|(pos, _)| pos),
+    );
 
-    let mut pricer = Pricer::new(ctx, plan);
-    let outcome = |pricer: &mut Pricer<'_, '_>, fetches: Vec<u64>, stats: &mut FetchStats| {
-        let out = pricer.out_size(&fetches);
-        FetchOutcome {
-            fetches,
-            cost: cost_of_current(pricer, stats),
-            annotation: pricer.annotation().clone(),
+    // Prices the vector in `best` and keeps its annotation.
+    let settle = |pricer: &mut Pricer<'_, '_>,
+                  best: &[u64],
+                  best_ann: &mut Annotation,
+                  stats: &mut FetchStats| {
+        let out = pricer.out_size(best);
+        let cost = cost_of_current(pricer, stats);
+        best_ann.clone_from(pricer.annotation());
+        Priced {
+            cost,
             meets_k: out >= k,
+            out_size: out,
         }
     };
 
     // No knobs: cost as-is (pinned values included).
     if open.is_empty() {
-        return outcome(&mut pricer, base, stats);
+        best.clone_from(current);
+        return settle(pricer, best, best_ann, stats);
     }
 
     // Feasibility at the caps (decay may make k unreachable, §4.3.2).
-    let reachable = pricer.out_size(&caps) >= k;
+    let reachable = pricer.out_size(caps) >= k;
 
     // Heuristic first choice → initial upper bound.
-    let init = if reachable {
-        heuristic_fetches_from(&mut pricer, k, heuristic, &caps, &base, &open)
+    if reachable {
+        heuristic_fetches_from(pricer, k, params.heuristic, caps, current, open, best);
     } else {
-        caps.clone() // best effort: fetch everything allowed
-    };
-    let mut best = outcome(&mut pricer, init, stats);
+        best.clone_from(caps); // best effort: fetch everything allowed
+    }
+    let mut priced = settle(pricer, best, best_ann, stats);
 
-    if !explore || !reachable {
-        return best;
+    if !params.explore || !reachable {
+        return priced;
     }
 
     // Frontier exploration with B&B over the open positions.
-    let mut bound = match incumbent {
-        Some(b) => best.cost.min(b),
-        None => best.cost,
+    let bound = match params.incumbent {
+        Some(b) => priced.cost.min(b),
+        None => priced.cost,
     };
-    let mut current: Vec<u64> = base;
-    explore_rec(
-        &mut pricer,
+    Frontier {
         k,
-        &open,
-        &caps,
-        0,
-        &mut current,
-        &mut bound,
-        &mut best,
+        open,
+        caps,
+        current,
+        probe,
+        bound,
+        best,
+        best_ann,
+        priced: &mut priced,
         stats,
-    );
-    best
+    }
+    .explore(pricer, 0);
+    pricer.install(best);
+    priced
 }
 
-#[allow(clippy::too_many_arguments)]
-fn explore_rec(
-    pricer: &mut Pricer<'_, '_>,
+/// The frontier search's state over one plan.
+struct Frontier<'s> {
     k: f64,
-    chunked: &[usize],
-    caps: &[u64],
-    depth: usize,
-    current: &mut Vec<u64>,
-    bound: &mut f64,
-    best: &mut FetchOutcome,
-    stats: &mut FetchStats,
-) {
-    // Prune: remaining factors at cap still infeasible.
-    let mut probe = current.clone();
-    for &pos in &chunked[depth..] {
-        probe[pos] = caps[pos];
-    }
-    if pricer.out_size(&probe) < k {
-        stats.pruned_infeasible += 1;
-        return;
-    }
-    // Prune: current partial (remaining at 1) already beats the bound.
-    let mut floor = current.clone();
-    for &pos in &chunked[depth..] {
-        floor[pos] = 1;
-    }
-    pricer.out_size(&floor);
-    if cost_of_current(pricer, stats) >= *bound {
-        stats.pruned_by_bound += 1;
-        return;
+    open: &'s [usize],
+    caps: &'s [u64],
+    current: &'s mut [u64],
+    probe: &'s mut Vec<u64>,
+    bound: f64,
+    best: &'s mut Vec<u64>,
+    best_ann: &'s mut Annotation,
+    priced: &'s mut Priced,
+    stats: &'s mut FetchStats,
+}
+
+impl Frontier<'_> {
+    /// Sets the probe to the current vector with every open position
+    /// from `from` on at `value(pos)`.
+    fn probe_from(&mut self, from: usize, value: impl Fn(usize) -> u64) {
+        self.probe.clear();
+        self.probe.extend_from_slice(self.current);
+        for &pos in &self.open[from..] {
+            self.probe[pos] = value(pos);
+        }
     }
 
-    if depth == chunked.len() - 1 {
-        // last factor: minimal feasible value via binary search
-        // (out is monotone non-decreasing in the factor)
-        let pos = chunked[depth];
-        let (mut lo, mut hi) = (1u64, caps[pos]);
-        let mut probe = current.clone();
-        probe[pos] = hi;
-        if pricer.out_size(&probe) < k {
-            stats.pruned_infeasible += 1;
+    fn explore(&mut self, pricer: &mut Pricer<'_, '_>, depth: usize) {
+        let (k, open, caps) = (self.k, self.open, self.caps);
+        // Prune: remaining factors at cap still infeasible.
+        self.probe_from(depth, |pos| caps[pos]);
+        if pricer.out_size(self.probe) < k {
+            self.stats.pruned_infeasible += 1;
             return;
         }
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            probe[pos] = mid;
-            if pricer.out_size(&probe) >= k {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
+        // Prune: current partial (remaining at 1) already beats the bound.
+        self.probe_from(depth, |_| 1);
+        pricer.out_size(self.probe);
+        if cost_of_current(pricer, self.stats) >= self.bound {
+            self.stats.pruned_by_bound += 1;
+            return;
         }
-        probe[pos] = lo;
-        let out = pricer.out_size(&probe);
-        let cost = cost_of_current(pricer, stats);
-        if cost < *bound || (cost < best.cost) {
-            if cost < *bound {
-                *bound = cost;
-            }
-            if cost < best.cost || !best.meets_k {
-                *best = FetchOutcome {
-                    fetches: probe,
-                    cost,
-                    meets_k: out >= k,
-                    annotation: pricer.annotation().clone(),
-                };
-            }
-        }
-        return;
-    }
 
-    let pos = chunked[depth];
-    for f in 1..=caps[pos] {
-        current[pos] = f;
-        explore_rec(
-            pricer,
-            k,
-            chunked,
-            caps,
-            depth + 1,
-            current,
-            bound,
-            best,
-            stats,
-        );
-        // dominance: once (…, f, 1, …, 1) is feasible, any larger f is
-        // dominated (cost monotone) — stop raising this factor
-        let mut floor = current.clone();
-        for &p in &chunked[depth + 1..] {
-            floor[p] = 1;
+        if depth == open.len() - 1 {
+            // last factor: minimal feasible value via binary search
+            // (out is monotone non-decreasing in the factor)
+            let pos = open[depth];
+            let (mut lo, mut hi) = (1u64, caps[pos]);
+            self.probe_from(open.len(), |_| 1);
+            self.probe[pos] = hi;
+            if pricer.out_size(self.probe) < k {
+                self.stats.pruned_infeasible += 1;
+                return;
+            }
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                self.probe[pos] = mid;
+                if pricer.out_size(self.probe) >= k {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            self.probe[pos] = lo;
+            let out = pricer.out_size(self.probe);
+            let cost = cost_of_current(pricer, self.stats);
+            if cost < self.bound || (cost < self.priced.cost) {
+                if cost < self.bound {
+                    self.bound = cost;
+                }
+                if cost < self.priced.cost || !self.priced.meets_k {
+                    self.best.clone_from(self.probe);
+                    self.best_ann.clone_from(pricer.annotation());
+                    *self.priced = Priced {
+                        cost,
+                        meets_k: out >= k,
+                        out_size: out,
+                    };
+                }
+            }
+            return;
         }
-        if pricer.out_size(&floor) >= k {
-            break;
+
+        let pos = open[depth];
+        for f in 1..=caps[pos] {
+            self.current[pos] = f;
+            self.explore(pricer, depth + 1);
+            // dominance: once (…, f, 1, …, 1) is feasible, any larger f is
+            // dominated (cost monotone) — stop raising this factor
+            self.probe_from(depth + 1, |_| 1);
+            if pricer.out_size(self.probe) >= k {
+                break;
+            }
         }
+        self.current[pos] = 1;
     }
-    current[pos] = 1;
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //!   prefix demands exactly the cached pages), while the suffix order
 //!   and join placement are explored freely;
 //! * **phase 3** — executed positions' fetch factors are pinned
-//!   ([`optimize_fetches_pinned`]);
+//!   ([`optimize_fetches_pinned`](crate::phase3::optimize_fetches_pinned));
 //!   the suffix's factors are re-tuned against the refreshed profiles —
 //!   in practice the biggest adaptive win, since fetch factors are
 //!   chosen from upstream cardinality estimates and those are exactly
@@ -28,11 +28,11 @@
 //! re-planning against the stale estimates would reproduce the plan
 //! that is being abandoned.
 
-use crate::bnb::{OptimizeError, Optimized, OptimizerConfig, OptimizerStats};
+use crate::bnb::{check_width, OptimizeError, Optimized, OptimizerConfig, OptimizerStats};
 use crate::context::CostContext;
 use crate::phase1::ordered_sequences;
-use crate::phase2::{Phase2Stats, PlanCandidate};
-use crate::phase3::{optimize_fetches_pinned, FetchStats};
+use crate::phase2::{instantiate_topology, Leaders, Phase2Stats, PlanCandidate};
+use crate::phase3::FetchParams;
 use mdq_cost::metrics::CostMetric;
 use mdq_model::binding::{ApChoice, SupplierMap};
 use mdq_model::schema::Schema;
@@ -80,106 +80,44 @@ struct SuffixVisitor<'a, 'c> {
     config: &'a OptimizerConfig,
     pinned: &'a [(usize, u64)],
     incumbent: f64,
-    best: Option<PlanCandidate>,
-    best_effort: Option<PlanCandidate>,
+    leaders: Leaders,
     stats: Phase2Stats,
 }
 
 impl SuffixVisitor<'_, '_> {
-    fn consider(&mut self, candidate: PlanCandidate) {
-        if candidate.meets_k {
-            if candidate.cost < self.incumbent {
-                self.incumbent = candidate.cost;
-            }
-            if self
-                .best
-                .as_ref()
-                .map(|b| candidate.cost < b.cost)
-                .unwrap_or(true)
-            {
-                self.best = Some(candidate);
-            }
-        } else {
-            let better = self
-                .best_effort
-                .as_ref()
-                .map(|b| {
-                    let (co, bo) = (candidate.annotation.out_size(), b.annotation.out_size());
-                    co > bo || (co == bo && candidate.cost < b.cost)
-                })
-                .unwrap_or(true);
-            if better {
-                self.best_effort = Some(candidate);
-            }
-        }
-    }
-
-    fn instantiate(&mut self, poset: Poset) -> Option<PlanCandidate> {
-        instantiate_pinned(
+    /// Prices one complete topology with the executed fetch factors
+    /// pinned, keeping it if it leads.
+    fn instantiate(&mut self, poset: &Poset) {
+        let params = FetchParams {
+            k: self.config.k as f64,
+            heuristic: self.config.fetch_heuristic,
+            max_fetch: self.config.max_fetch,
+            explore: self.config.explore_fetches,
+            incumbent: Some(self.incumbent).filter(|c| c.is_finite()),
+            pinned: self.pinned,
+        };
+        let priced = instantiate_topology(
             self.query,
             self.ctx,
             self.choice,
             self.suppliers,
             poset,
-            self.config,
-            self.pinned,
-            Some(self.incumbent).filter(|c| c.is_finite()),
+            &self.config.strategy,
+            params,
             &mut self.stats.fetch,
-        )
+            &mut self.leaders,
+        );
+        if let Some(priced) = priced.filter(|p| p.meets_k) {
+            self.incumbent = self.incumbent.min(priced.cost);
+        }
     }
 }
 
 impl TopologyVisitor for SuffixVisitor<'_, '_> {
     fn on_complete(&mut self, poset: &Poset) {
         self.stats.topologies_complete += 1;
-        if let Some(cand) = self.instantiate(poset.clone()) {
-            self.consider(cand);
-        }
+        self.instantiate(poset);
     }
-}
-
-/// Prices one complete topology with the executed fetch factors pinned.
-#[allow(clippy::too_many_arguments)] // internal: mirrors instantiate_topology
-fn instantiate_pinned(
-    query: &Arc<mdq_model::query::ConjunctiveQuery>,
-    ctx: &CostContext<'_>,
-    choice: &ApChoice,
-    suppliers: &SupplierMap,
-    poset: Poset,
-    config: &OptimizerConfig,
-    pinned: &[(usize, u64)],
-    incumbent: Option<f64>,
-    fetch_stats: &mut FetchStats,
-) -> Option<PlanCandidate> {
-    let n = query.atoms.len();
-    let mut plan = ctx
-        .build_plan(
-            suppliers,
-            query,
-            choice,
-            poset,
-            (0..n).collect(),
-            &config.strategy,
-        )
-        .ok()?;
-    let outcome = optimize_fetches_pinned(
-        &mut plan,
-        ctx,
-        config.k as f64,
-        config.fetch_heuristic,
-        config.max_fetch,
-        config.explore_fetches,
-        incumbent,
-        fetch_stats,
-        pinned,
-    );
-    plan.fetches.copy_from_slice(&outcome.fetches);
-    Some(PlanCandidate {
-        plan,
-        cost: outcome.cost,
-        annotation: outcome.annotation,
-        meets_k: outcome.meets_k,
-    })
 }
 
 /// The splice of the running plan: its own poset with every executed ≺
@@ -243,6 +181,7 @@ pub fn reoptimize_suffix_in(
     if query.atoms.is_empty() {
         return Err(OptimizeError::EmptyQuery);
     }
+    check_width(&query)?;
     debug_assert!(current.is_complete(), "only complete plans are executed");
     if executed.is_empty() {
         return crate::bnb::search(query, ctx, config);
@@ -278,7 +217,9 @@ pub fn reoptimize_suffix_in(
     let pinned: Vec<(usize, u64)> = executed
         .iter()
         .map(|&a| {
-            let pos = current.position_of(a).expect("executed atoms are covered");
+            let pos = current
+                .position_of(a)
+                .expect("`executed` lists query atoms, and a complete plan covers every one");
             (pos, current.fetch_of(pos))
         })
         .collect();
@@ -291,8 +232,7 @@ pub fn reoptimize_suffix_in(
         sequences_permissible: sequences.len(),
         ..OptimizerStats::default()
     };
-    let mut best: Option<PlanCandidate> = None;
-    let mut best_effort: Option<PlanCandidate> = None;
+    let mut leaders = Leaders::default();
 
     for choice in &sequences {
         let suppliers = SupplierMap::build(&query, ctx.schema, choice);
@@ -303,9 +243,8 @@ pub fn reoptimize_suffix_in(
             suppliers: &suppliers,
             config,
             pinned: &pinned,
-            incumbent: best.as_ref().map(|b| b.cost).unwrap_or(f64::INFINITY),
-            best: None,
-            best_effort: None,
+            incumbent: leaders.best.as_ref().map_or(f64::INFINITY, |b| b.cost),
+            leaders: Leaders::default(),
             stats: Phase2Stats::default(),
         };
 
@@ -314,9 +253,7 @@ pub fn reoptimize_suffix_in(
         // patterns the splice poset may not admit)
         if *choice == current.choice {
             if let Some(poset) = splice_poset(current, executed) {
-                if let Some(cand) = visitor.instantiate(poset) {
-                    visitor.consider(cand);
-                }
+                visitor.instantiate(&poset);
             }
         }
 
@@ -340,30 +277,14 @@ pub fn reoptimize_suffix_in(
             enumerate_topologies(n, &admissible, &mut visitor);
         }
 
-        stats.phase2.topologies_complete += visitor.stats.topologies_complete;
-        stats.phase2.fetch.vectors_costed += visitor.stats.fetch.vectors_costed;
-        stats.phase2.fetch.pruned_by_bound += visitor.stats.fetch.pruned_by_bound;
-        stats.phase2.fetch.pruned_infeasible += visitor.stats.fetch.pruned_infeasible;
-        if let Some(cand) = visitor.best {
-            if best.as_ref().map(|b| cand.cost < b.cost).unwrap_or(true) {
-                best = Some(cand);
-            }
-        }
-        if let Some(cand) = visitor.best_effort {
-            let better = best_effort
-                .as_ref()
-                .map(|b| {
-                    let (co, bo) = (cand.annotation.out_size(), b.annotation.out_size());
-                    co > bo || (co == bo && cand.cost < b.cost)
-                })
-                .unwrap_or(true);
-            if better {
-                best_effort = Some(cand);
-            }
-        }
+        stats.phase2.add(&visitor.stats);
+        leaders.absorb(visitor.leaders);
     }
 
-    let candidate = best.or(best_effort).ok_or(OptimizeError::NotExecutable)?;
+    let candidate = leaders
+        .best
+        .or(leaders.best_effort)
+        .ok_or(OptimizeError::NotExecutable)?;
     stats.costing = ctx.effort();
     Ok(Optimized { candidate, stats })
 }

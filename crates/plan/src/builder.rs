@@ -7,11 +7,21 @@
 //! query output — explicit parallel-join nodes are inserted, marked with
 //! a rank-preserving strategy chosen by a [`StrategyRule`] (the paper
 //! fixes strategies per service pair at registration time, §3.3/§5).
+//!
+//! **One lowering, reused.** [`lower`] writes into a plan its caller
+//! holds; [`build_plan`] and [`build_plan_with`] run it once on a fresh
+//! plan. The optimizer lowers every candidate of a search — prefixes
+//! and complete topologies — into the one plan of its costing
+//! workspace, with one [`Lowering`], both owned by that search's
+//! `CostContext` and dropped with it. The previous candidate's nodes are
+//! recycled so their vectors are reused, and every field of every node
+//! is rewritten: the DAG is field for field the one a fresh
+//! [`build_plan`] makes.
 
 use crate::dag::{bound_vars_for, JoinStrategy, NodeId, NodeKind, Plan, PlanNode, Side};
 use crate::poset::Poset;
 use mdq_model::binding::{ApChoice, SupplierMap};
-use mdq_model::query::ConjunctiveQuery;
+use mdq_model::query::{ConjunctiveQuery, VarId};
 use mdq_model::schema::{Schema, ServiceId, ServiceKind};
 use std::collections::HashMap;
 use std::fmt;
@@ -174,8 +184,7 @@ fn check_shape(
 }
 
 /// [`build_plan`] with the supplier map of `(query, choice)` supplied by
-/// the caller: the optimizer lowers many topologies and prefixes of one
-/// access-pattern sequence and builds the map once for all of them.
+/// the caller — the one-shot form of [`lower`].
 pub fn build_plan_with(
     suppliers: &SupplierMap,
     query: Arc<ConjunctiveQuery>,
@@ -185,10 +194,153 @@ pub fn build_plan_with(
     atoms: Vec<usize>,
     rule: &StrategyRule,
 ) -> Result<Plan, BuildError> {
-    check_shape(&query, &choice, &poset, &atoms)?;
+    let mut plan = Plan {
+        query,
+        choice,
+        poset,
+        atoms,
+        nodes: Vec::new(),
+        fetches: Vec::new(),
+    };
+    lower(&mut plan, &mut Lowering::default(), suppliers, schema, rule)?;
+    Ok(plan)
+}
+
+/// Buffers one lowering needs besides the plan it writes, kept between
+/// lowerings by a caller that lowers many plans (the optimizer lowers
+/// every candidate of a search into one plan): the nodes of the plan
+/// lowered before are recycled, so their vectors are reused rather than
+/// reallocated.
+#[derive(Debug, Default)]
+pub struct Lowering {
+    /// Plan position of each query atom.
+    position_of: Vec<Option<usize>>,
+    /// Scratch of the topological sort.
+    level: Vec<usize>,
+    order: Vec<usize>,
+    /// `stream[pos]` = node producing the joined stream *including* the
+    /// atom at position `pos`.
+    stream: Vec<Option<NodeId>>,
+    /// Streams a join tree is about to merge.
+    branches: Vec<NodeId>,
+    nodes: NodeWriter,
+}
+
+/// Appends plan nodes, recycling those of the previous plan.
+#[derive(Debug, Default)]
+struct NodeWriter {
+    /// `tip[node]` = service tipping that node's stream (for the strategy
+    /// oracle; `None` for the Input node and joins).
+    tip: Vec<Option<ServiceId>>,
+    /// Nodes of the previous plan, the next one to reuse last.
+    spare: Vec<PlanNode>,
+    /// Join-variable vectors of recycled join nodes.
+    spare_vars: Vec<Vec<VarId>>,
+}
+
+impl NodeWriter {
+    /// Empties `nodes` into the spares.
+    fn recycle(&mut self, nodes: &mut Vec<PlanNode>) {
+        self.tip.clear();
+        for mut node in nodes.drain(..).rev() {
+            if let NodeKind::Join { on, .. } = std::mem::replace(&mut node.kind, NodeKind::Input) {
+                self.spare_vars.push(on);
+            }
+            self.spare.push(node);
+        }
+    }
+
+    fn push(
+        &mut self,
+        nodes: &mut Vec<PlanNode>,
+        query: &ConjunctiveQuery,
+        kind: NodeKind,
+        inputs: &[NodeId],
+    ) -> NodeId {
+        let mut node = self.spare.pop().unwrap_or_else(|| PlanNode {
+            kind: NodeKind::Input,
+            inputs: Vec::new(),
+            bound_vars: Vec::new(),
+        });
+        node.inputs.clear();
+        node.inputs.extend_from_slice(inputs);
+        bound_vars_for(query, nodes, &kind, inputs, &mut node.bound_vars);
+        self.tip.push(match kind {
+            NodeKind::Invoke { atom } => Some(query.atoms[atom].service),
+            _ => None,
+        });
+        node.kind = kind;
+        nodes.push(node);
+        NodeId(nodes.len() - 1)
+    }
+
+    /// Joins the streams of several branches with a left-deep tree (no
+    /// branch: the Input node's stream).
+    fn join_streams(
+        &mut self,
+        nodes: &mut Vec<PlanNode>,
+        query: &ConjunctiveQuery,
+        schema: &Schema,
+        rule: &StrategyRule,
+        branches: &[NodeId],
+    ) -> NodeId {
+        let Some((&first, rest)) = branches.split_first() else {
+            return NodeId(0);
+        };
+        let mut acc = first;
+        for &b in rest {
+            let mut on = self.spare_vars.pop().unwrap_or_default();
+            on.clear();
+            on.extend(
+                nodes[acc.0]
+                    .bound_vars
+                    .iter()
+                    .copied()
+                    .filter(|v| nodes[b.0].bound_vars.contains(v)),
+            );
+            let strategy = rule.choose(schema, self.tip[acc.0], self.tip[b.0]);
+            let kind = NodeKind::Join {
+                left: acc,
+                right: b,
+                strategy,
+                on,
+            };
+            acc = self.push(nodes, query, kind, &[acc, b]);
+        }
+        acc
+    }
+}
+
+/// Lowers the topology installed in `plan` — its `query`, `choice`,
+/// `poset` and `atoms` — into its `nodes`, and resets its `fetches` to 1.
+/// `suppliers` is the supplier map of `(query, choice)`.
+///
+/// The one lowering: [`build_plan`] and [`build_plan_with`] call it on a
+/// fresh plan; the optimizer calls it on the one plan its search reuses,
+/// with one `lowering` kept across calls. Either way the nodes written
+/// are the same, field for field. On error `plan.nodes` is unspecified.
+pub fn lower(
+    plan: &mut Plan,
+    lowering: &mut Lowering,
+    suppliers: &SupplierMap,
+    schema: &Schema,
+    rule: &StrategyRule,
+) -> Result<(), BuildError> {
+    check_shape(&plan.query, &plan.choice, &plan.poset, &plan.atoms)?;
+    let Lowering {
+        position_of,
+        level,
+        order,
+        stream,
+        branches,
+        nodes: writer,
+    } = lowering;
+    let (query, poset, atoms) = (&*plan.query, &plan.poset, &plan.atoms);
+
     // Admissibility: every position's input vars must be covered by its
     // strict predecessors (mapping positions back to query atom indices).
-    let mut position_of: Vec<Option<usize>> = vec![None; query.atoms.len()];
+    position_of.clear();
+    position_of.resize(query.atoms.len(), None);
     for (pos, &atom) in atoms.iter().enumerate() {
         position_of[atom] = Some(pos);
     }
@@ -203,116 +355,41 @@ pub fn build_plan_with(
         }
     }
 
-    let mut nodes: Vec<PlanNode> = vec![PlanNode {
-        kind: NodeKind::Input,
-        inputs: Vec::new(),
-        bound_vars: Vec::new(),
-    }];
-    // `stream[pos]` = node producing the joined stream *including* atom at
-    // position `pos`; `tip[node]` = service tipping that stream (for the
-    // strategy oracle; `None` for the Input node and joins).
-    let mut stream: Vec<Option<NodeId>> = vec![None; atoms.len()];
-    let mut tip: Vec<Option<ServiceId>> = vec![None];
-
-    let push = |nodes: &mut Vec<PlanNode>,
-                tip: &mut Vec<Option<ServiceId>>,
-                query: &ConjunctiveQuery,
-                kind: NodeKind,
-                inputs: Vec<NodeId>|
-     -> NodeId {
-        let bound = bound_vars_for(query, nodes, &kind, &inputs);
-        tip.push(match kind {
-            NodeKind::Invoke { atom } => Some(query.atoms[atom].service),
-            _ => None,
-        });
-        nodes.push(PlanNode {
-            kind,
-            inputs,
-            bound_vars: bound,
-        });
-        NodeId(nodes.len() - 1)
-    };
-
-    // Joins the streams of several branches with a left-deep tree.
-    let join_streams = |nodes: &mut Vec<PlanNode>,
-                        tip: &mut Vec<Option<ServiceId>>,
-                        query: &ConjunctiveQuery,
-                        branches: &[NodeId]|
-     -> NodeId {
-        debug_assert!(!branches.is_empty());
-        let mut acc = branches[0];
-        for &b in &branches[1..] {
-            let on: Vec<_> = nodes[acc.0]
-                .bound_vars
-                .iter()
-                .copied()
-                .filter(|v| nodes[b.0].bound_vars.contains(v))
-                .collect();
-            let strategy = rule.choose(schema, tip[acc.0], tip[b.0]);
-            let id = push(
-                nodes,
-                tip,
-                query,
-                NodeKind::Join {
-                    left: acc,
-                    right: b,
-                    strategy,
-                    on,
-                },
-                vec![acc, b],
-            );
-            acc = id;
-        }
-        acc
-    };
-
-    for pos in poset.topological_order() {
-        let covering = poset.covering_predecessors(pos);
-        let upstream: NodeId = if covering.is_empty() {
-            NodeId(0)
-        } else {
-            let branches: Vec<NodeId> = covering
-                .iter()
-                .map(|&c| stream[c].expect("topological order guarantees placement"))
-                .collect();
-            join_streams(&mut nodes, &mut tip, &query, &branches)
-        };
-        let id = push(
-            &mut nodes,
-            &mut tip,
-            &query,
+    let nodes = &mut plan.nodes;
+    writer.recycle(nodes);
+    writer.push(nodes, query, NodeKind::Input, &[]);
+    stream.clear();
+    stream.resize(atoms.len(), None);
+    poset.topological_order_into(level, order);
+    for &pos in order.iter() {
+        branches.clear();
+        branches.extend(poset.covering(pos).map(|c| {
+            stream[c].expect("a covering predecessor precedes its successor in topological order")
+        }));
+        let upstream = writer.join_streams(nodes, query, schema, rule, branches);
+        let id = writer.push(
+            nodes,
+            query,
             NodeKind::Invoke { atom: atoms[pos] },
-            vec![upstream],
+            &[upstream],
         );
         stream[pos] = Some(id);
     }
 
     // Merge the maximal branches into the output.
-    let sinks: Vec<NodeId> = poset
-        .maximal_elements()
-        .into_iter()
-        .map(|pos| stream[pos].expect("placed"))
-        .collect();
-    let final_stream = join_streams(&mut nodes, &mut tip, &query, &sinks);
-    push(
-        &mut nodes,
-        &mut tip,
-        &query,
-        NodeKind::Output,
-        vec![final_stream],
+    branches.clear();
+    branches.extend(
+        poset
+            .maximal()
+            .map(|pos| stream[pos].expect("the topological pass places every position")),
     );
+    let final_stream = writer.join_streams(nodes, query, schema, rule, branches);
+    writer.push(nodes, query, NodeKind::Output, &[final_stream]);
 
-    let fetches = vec![1u64; atoms.len()];
-    let plan = Plan {
-        query,
-        choice,
-        poset,
-        atoms,
-        nodes,
-        fetches,
-    };
+    plan.fetches.clear();
+    plan.fetches.resize(plan.atoms.len(), 1);
     debug_assert_eq!(plan.check_invariants(), Ok(()));
-    Ok(plan)
+    Ok(())
 }
 
 #[cfg(test)]

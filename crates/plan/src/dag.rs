@@ -133,6 +133,18 @@ impl Plan {
         self.atoms.iter().position(|&a| a == atom)
     }
 
+    /// Position of the atom an Invoke node of this plan executes.
+    ///
+    /// # Panics
+    ///
+    /// When the plan does not cover `atom`. Lowering makes exactly one
+    /// Invoke node per plan position, so an Invoke node's atom always is.
+    pub fn invoked_position(&self, atom: usize) -> usize {
+        self.position_of(atom).expect(
+            "an Invoke node's atom is a plan atom: lowering makes one Invoke node per position",
+        )
+    }
+
     /// The Input node id (always 0).
     pub fn input_node(&self) -> NodeId {
         NodeId(0)
@@ -163,8 +175,10 @@ impl Plan {
             .map(|(i, _)| NodeId(i))
     }
 
-    /// All root-to-output paths of the DAG, as node-id sequences. Used by
-    /// the execution-time metric (Eq. 4: max over paths).
+    /// All root-to-output paths of the DAG, as node-id sequences — the
+    /// paths the execution-time and time-to-screen metrics maximise over
+    /// (Eq. 4). The metrics walk them without collecting them; this is
+    /// the reference their tests hold that walk to.
     pub fn paths(&self) -> Vec<Vec<NodeId>> {
         let mut out = Vec::new();
         let mut stack = vec![self.input_node()];
@@ -215,7 +229,7 @@ impl Plan {
         if !matches!(self.nodes[0].kind, NodeKind::Input) {
             return Err("node 0 must be Input".into());
         }
-        if !matches!(self.nodes.last().expect("non-empty").kind, NodeKind::Output) {
+        if !matches!(self.nodes.last().map(|n| &n.kind), Some(NodeKind::Output)) {
             return Err("last node must be Output".into());
         }
         for (i, n) in self.nodes.iter().enumerate() {
@@ -276,25 +290,27 @@ impl Plan {
     }
 }
 
-/// Computes, for each plan node, the set of query variables bound in the
-/// tuples leaving it (inputs' vars plus, for invoke nodes, every variable
-/// of the atom).
+/// Writes into `out` the query variables bound in the tuples leaving a
+/// node of kind `kind` fed by `inputs`: the inputs' variables plus, for
+/// invoke nodes, every variable of the atom — sorted, without repeats.
 pub(crate) fn bound_vars_for(
     query: &ConjunctiveQuery,
     nodes: &[PlanNode],
     kind: &NodeKind,
     inputs: &[NodeId],
-) -> Vec<VarId> {
-    let mut v: Vec<VarId> = inputs
-        .iter()
-        .flat_map(|inp| nodes[inp.0].bound_vars.iter().copied())
-        .collect();
+    out: &mut Vec<VarId>,
+) {
+    out.clear();
+    out.extend(
+        inputs
+            .iter()
+            .flat_map(|inp| nodes[inp.0].bound_vars.iter().copied()),
+    );
     if let NodeKind::Invoke { atom } = kind {
-        v.extend(query.atoms[*atom].terms.iter().filter_map(|t| t.as_var()));
+        out.extend(query.atoms[*atom].terms.iter().filter_map(|t| t.as_var()));
     }
-    v.sort_unstable();
-    v.dedup();
-    v
+    out.sort_unstable();
+    out.dedup();
 }
 
 #[cfg(test)]

@@ -9,7 +9,8 @@
 //! * [`dag`] — executable plans: Input/Invoke/Join/Output dataflow DAGs
 //!   with pipe joins, parallel joins (NL / merge-scan) and fetch factors;
 //! * [`builder`] — lowering a topology + access-pattern choice into a
-//!   plan, with the per-service-pair join-strategy oracle;
+//!   plan (one lowering, run on a fresh plan or on one a caller reuses),
+//!   with the per-service-pair join-strategy oracle;
 //! * [`render`] — Graphviz DOT and ASCII rendering in Fig. 4's visual
 //!   syntax;
 //! * [`signature`] — invoke-prefix signatures: the canonical digests
@@ -44,11 +45,11 @@ pub(crate) mod test_fixtures {
 
 /// Convenient glob-import surface: `use mdq_plan::prelude::*;`.
 pub mod prelude {
-    pub use crate::builder::{build_plan, BuildError, StrategyRule};
+    pub use crate::builder::{build_plan, lower, BuildError, Lowering, StrategyRule};
     pub use crate::dag::{JoinStrategy, NodeId, NodeKind, Plan, PlanNode, Side};
     pub use crate::poset::{
         all_topologies, enumerate_topologies, Admissibility, PartialTopology, Poset,
-        TopologyVisitor, Unconstrained,
+        TopologyVisitor, Unconstrained, MAX_ATOMS,
     };
     pub use crate::render::{to_ascii, to_dot};
     pub use crate::signature::{invoke_prefixes, PlanPrefix};

@@ -16,10 +16,37 @@
 //! decomposition of the resulting poset, making the enumeration
 //! duplicate-free), and every atom's input variables must be covered by
 //! its predecessors (callability, Def. 3.1).
+//!
+//! The enumeration extends one [`PartialTopology`] in place and undoes
+//! each batch after its subtree: atom sets are `u64` bit sets, which is
+//! why it handles at most [`MAX_ATOMS`] atoms.
 
 use mdq_model::binding::SupplierMap;
 use std::collections::HashSet;
 use std::fmt;
+
+/// The widest body [`enumerate_topologies`] accepts. Placed atoms,
+/// antichains and batches are bit sets in one `u64`, and a batch is
+/// chosen by counting to `1 << k` over `k` feasible atoms — which must
+/// not reach 64.
+pub const MAX_ATOMS: usize = 63;
+
+/// Bit `i` of an atom bit set.
+#[inline]
+fn bit(i: usize) -> u64 {
+    1u64 << i
+}
+
+/// The members of bit set `set`, ascending.
+fn members(mut set: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (set != 0).then(|| {
+            let i = set.trailing_zeros() as usize;
+            set &= set - 1;
+            i
+        })
+    })
+}
 
 /// A strict partial order over `n` elements, stored transitively closed.
 ///
@@ -85,16 +112,18 @@ impl Poset {
         if self.lt(a, b) {
             return true;
         }
-        // connect every x ⪯ a to every y ⪰ b
+        // connect every x ⪯ a to every y ⪰ b; no write changes which x
+        // are ⪯ a or which y are ⪰ b (that would take b ⪯ a, refused
+        // above), so the sets can be read while writing
         let n = self.n;
-        let below_a: Vec<usize> = (0..n).filter(|&x| x == a || self.lt(x, a)).collect();
-        let above_b: Vec<usize> = (0..n).filter(|&y| y == b || self.lt(b, y)).collect();
-        for &x in &below_a {
-            for &y in &above_b {
-                if x == y {
-                    return false; // cycle
+        for x in 0..n {
+            if x != a && !self.lt(x, a) {
+                continue;
+            }
+            for y in 0..n {
+                if y == b || self.lt(b, y) {
+                    self.rel[x * n + y] = true;
                 }
-                self.rel[x * n + y] = true;
             }
         }
         true
@@ -114,9 +143,12 @@ impl Poset {
 
     /// Maximal elements (no successors).
     pub fn maximal_elements(&self) -> Vec<usize> {
-        (0..self.n)
-            .filter(|&i| (0..self.n).all(|j| !self.lt(i, j)))
-            .collect()
+        self.maximal().collect()
+    }
+
+    /// [`Poset::maximal_elements`], ascending, without collecting them.
+    pub(crate) fn maximal(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.n).filter(|&i| (0..self.n).all(|j| !self.lt(i, j)))
     }
 
     /// Covering pairs `(a, b)`: `a ≺ b` with no `c` strictly between —
@@ -135,16 +167,34 @@ impl Poset {
 
     /// Covering (immediate) predecessors of `b`.
     pub fn covering_predecessors(&self, b: usize) -> Vec<usize> {
+        self.covering(b).collect()
+    }
+
+    /// [`Poset::covering_predecessors`], ascending, without collecting
+    /// them.
+    pub(crate) fn covering(&self, b: usize) -> impl Iterator<Item = usize> + '_ {
         (0..self.n)
-            .filter(|&a| self.lt(a, b) && !(0..self.n).any(|c| self.lt(a, c) && self.lt(c, b)))
-            .collect()
+            .filter(move |&a| self.lt(a, b) && !(0..self.n).any(|c| self.lt(a, c) && self.lt(c, b)))
     }
 
     /// The level decomposition: level 0 = minimal elements; level `k` =
     /// atoms whose longest chain of predecessors has length `k`. This is
     /// the batch structure of the paper's incremental construction.
     pub fn levels(&self) -> Vec<Vec<usize>> {
-        let mut level = vec![0usize; self.n];
+        let mut level = Vec::new();
+        self.level_numbers(&mut level);
+        let max = level.iter().copied().max().unwrap_or(0);
+        let mut out = vec![Vec::new(); if self.n == 0 { 0 } else { max + 1 }];
+        for (i, &l) in level.iter().enumerate() {
+            out[l].push(i);
+        }
+        out
+    }
+
+    /// Writes every element's level (see [`Poset::levels`]) into `level`.
+    fn level_numbers(&self, level: &mut Vec<usize>) {
+        level.clear();
+        level.resize(self.n, 0);
         // relation is transitively closed, so longest-chain level can be
         // computed by repeated relaxation (n passes suffice)
         let mut changed = true;
@@ -159,32 +209,46 @@ impl Poset {
                 }
             }
         }
-        let max = level.iter().copied().max().unwrap_or(0);
-        let mut out = vec![Vec::new(); if self.n == 0 { 0 } else { max + 1 }];
-        for (i, &l) in level.iter().enumerate() {
-            out[l].push(i);
-        }
-        out
     }
 
     /// One topological order (by level, then index).
     pub fn topological_order(&self) -> Vec<usize> {
-        self.levels().into_iter().flatten().collect()
+        let mut order = Vec::new();
+        self.topological_order_into(&mut Vec::new(), &mut order);
+        order
+    }
+
+    /// [`Poset::topological_order`] written into `order`, with `level`
+    /// as scratch: the form lowering reuses across plans.
+    pub(crate) fn topological_order_into(&self, level: &mut Vec<usize>, order: &mut Vec<usize>) {
+        self.level_numbers(level);
+        order.clear();
+        order.extend(0..self.n);
+        // (level, index) keys are distinct, so the unstable sort is exact
+        order.sort_unstable_by_key(|&i| (level[i], i));
     }
 
     /// The subposet induced on `elems` (position `i` of the result is
     /// `elems[i]`). Transitive closure is preserved by restriction.
     pub fn restrict(&self, elems: &[usize]) -> Poset {
+        let mut out = Poset::antichain(0);
+        self.restrict_into(elems, &mut out);
+        out
+    }
+
+    /// [`Poset::restrict`] written into `out`, reusing its storage.
+    pub fn restrict_into(&self, elems: &[usize], out: &mut Poset) {
         let m = elems.len();
-        let mut rel = vec![false; m * m];
+        out.n = m;
+        out.rel.clear();
+        out.rel.resize(m * m, false);
         for (i, &a) in elems.iter().enumerate() {
             for (j, &b) in elems.iter().enumerate() {
                 if self.lt(a, b) {
-                    rel[i * m + j] = true;
+                    out.rel[i * m + j] = true;
                 }
             }
         }
-        Poset { n: m, rel }
     }
 
     /// Whether this poset extends `other` (contains all its relations).
@@ -273,13 +337,20 @@ impl Admissibility for SupplierMap {
 /// A partially constructed topology handed to [`TopologyVisitor`] hooks.
 #[derive(Clone, Debug)]
 pub struct PartialTopology {
-    /// Batches placed so far (each a parallel antichain).
+    /// Batches placed so far (each a parallel antichain, ascending).
     pub batches: Vec<Vec<usize>>,
     /// The relation among placed atoms (restricted to placed atoms; other
     /// rows/columns are empty).
     pub poset: Poset,
-    /// Set of placed atoms.
-    pub placed: HashSet<usize>,
+    /// The placed atoms as a bit set: bit `i` is set when atom `i` is.
+    pub placed: u64,
+}
+
+impl PartialTopology {
+    /// The placed atoms, ascending.
+    pub fn placed_atoms(&self) -> impl Iterator<Item = usize> {
+        members(self.placed)
+    }
 }
 
 /// Visitor driving / observing the enumeration; `on_partial` may prune.
@@ -300,155 +371,185 @@ pub trait TopologyVisitor {
 ///
 /// See the module docs for the construction; completeness and
 /// duplicate-freedom follow from batches being the level decomposition.
+///
+/// # Panics
+///
+/// When `n` exceeds [`MAX_ATOMS`]. The optimizer refuses such queries
+/// with a typed error before it enumerates.
 pub fn enumerate_topologies<A: Admissibility, V: TopologyVisitor>(
     n: usize,
     admissible: &A,
     visitor: &mut V,
 ) {
-    let mut state = PartialTopology {
-        batches: Vec::new(),
-        poset: Poset::antichain(n),
-        placed: HashSet::new(),
-    };
-    recurse(n, admissible, visitor, &mut state);
+    assert!(
+        n <= MAX_ATOMS,
+        "topology enumeration keeps atom sets in a u64: {n} atoms exceed MAX_ATOMS = {MAX_ATOMS}"
+    );
+    Enumeration {
+        n,
+        admissible,
+        visitor,
+        state: PartialTopology {
+            batches: Vec::new(),
+            poset: Poset::antichain(n),
+            placed: 0,
+        },
+        preds: vec![0; n],
+        closures: Vec::new(),
+        feasible: Vec::new(),
+        options: Vec::new(),
+        chosen: Vec::new(),
+        preds_set: HashSet::new(),
+        spare: Vec::new(),
+    }
+    .recurse();
 }
 
-fn recurse<A: Admissibility, V: TopologyVisitor>(
+/// One enumeration: the partial topology it extends in place and undoes
+/// after each batch's subtree, and stacks the open levels share (a level
+/// appends its entries and truncates them when it returns), so once the
+/// stacks have grown nothing is allocated per batch.
+struct Enumeration<'a, A, V> {
     n: usize,
-    admissible: &A,
-    visitor: &mut V,
-    state: &mut PartialTopology,
-) {
-    if state.placed.len() == n {
-        visitor.on_complete(&state.poset);
-        return;
-    }
-    let unplaced: Vec<usize> = (0..n).filter(|i| !state.placed.contains(i)).collect();
-    let placed_vec: Vec<usize> = {
-        let mut v: Vec<usize> = state.placed.iter().copied().collect();
-        v.sort_unstable();
-        v
-    };
-    let last_batch: Vec<usize> = state.batches.last().cloned().unwrap_or_default();
-
-    // Candidate predecessor sets are downward-closed subsets of the placed
-    // atoms, represented by their antichain of maximal elements. We
-    // enumerate antichains of the placed subposet and close them downward.
-    let antichains = enumerate_antichains(&placed_vec, &state.poset);
-
-    // For each unplaced atom, the feasible predecessor assignments.
-    let mut feasible: Vec<(usize, Vec<HashSet<usize>>)> = Vec::new();
-    for &b in &unplaced {
-        let mut opts = Vec::new();
-        for ac in &antichains {
-            let mut preds: HashSet<usize> = HashSet::new();
-            for &a in ac {
-                preds.insert(a);
-                preds.extend(state.poset.predecessors(a));
-            }
-            // level-decomposition canonicality: must touch the previous batch
-            if !state.batches.is_empty() && !last_batch.iter().any(|a| preds.contains(a)) {
-                continue;
-            }
-            if admissible.placeable(b, &preds) {
-                opts.push(preds);
-            }
-        }
-        if !opts.is_empty() {
-            feasible.push((b, opts));
-        }
-    }
-    if feasible.is_empty() {
-        return; // dead end: remaining atoms can never be placed
-    }
-
-    // Choose a non-empty subset of feasible atoms as the next batch, and
-    // for each a predecessor assignment.
-    let k = feasible.len();
-    for mask in 1u64..(1 << k) {
-        let members: Vec<usize> = (0..k).filter(|i| mask & (1 << i) != 0).collect();
-        assign_preds(
-            n,
-            admissible,
-            visitor,
-            state,
-            &feasible,
-            &members,
-            0,
-            &mut Vec::new(),
-        );
-    }
+    admissible: &'a A,
+    visitor: &'a mut V,
+    state: PartialTopology,
+    /// Strict predecessors of each placed atom (a bit set; 0 otherwise).
+    preds: Vec<u64>,
+    /// Per open level: the candidate predecessor sets — downward
+    /// closures of the placed subposet's antichains, canonical ones only.
+    closures: Vec<u64>,
+    /// Per open level: each atom with a feasible predecessor set, and the
+    /// range of `options` holding those sets.
+    feasible: Vec<(usize, usize, usize)>,
+    /// Feasible predecessor sets, stacked per level.
+    options: Vec<u64>,
+    /// The `options` index chosen for each member of the batch being
+    /// assembled.
+    chosen: Vec<usize>,
+    /// The predecessor set of one `placeable` query, in the form the
+    /// trait takes.
+    preds_set: HashSet<usize>,
+    /// Batch vectors of undone batches, reused by the next ones.
+    spare: Vec<Vec<usize>>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn assign_preds<A: Admissibility, V: TopologyVisitor>(
-    n: usize,
-    admissible: &A,
-    visitor: &mut V,
-    state: &mut PartialTopology,
-    feasible: &[(usize, Vec<HashSet<usize>>)],
-    members: &[usize],
-    idx: usize,
-    chosen: &mut Vec<usize>, // option index per member
-) {
-    if idx == members.len() {
-        // materialise the batch
-        let mut next = state.clone();
-        let mut batch = Vec::with_capacity(members.len());
-        for (slot, &m) in members.iter().enumerate() {
-            let (b, opts) = &feasible[m];
-            let preds = &opts[chosen[slot]];
-            for &a in preds {
-                let ok = next.poset.add_lt(a, *b);
-                debug_assert!(ok, "placed atoms cannot form cycles");
-            }
-            next.placed.insert(*b);
-            batch.push(*b);
+impl<A: Admissibility, V: TopologyVisitor> Enumeration<'_, A, V> {
+    fn recurse(&mut self) {
+        let placed = self.state.placed;
+        if placed.count_ones() as usize == self.n {
+            self.visitor.on_complete(&self.state.poset);
+            return;
         }
-        batch.sort_unstable();
-        next.batches.push(batch);
-        if visitor.on_partial(&next) {
-            recurse(n, admissible, visitor, &mut next);
-        }
-        return;
-    }
-    let (_, opts) = &feasible[members[idx]];
-    for o in 0..opts.len() {
-        chosen.push(o);
-        assign_preds(
-            n,
-            admissible,
-            visitor,
-            state,
-            feasible,
-            members,
-            idx + 1,
-            chosen,
-        );
-        chosen.pop();
-    }
-}
+        let (closures0, feasible0, options0) =
+            (self.closures.len(), self.feasible.len(), self.options.len());
 
-/// All antichains (including the empty one) of the subposet induced on
-/// `elems`.
-fn enumerate_antichains(elems: &[usize], poset: &Poset) -> Vec<Vec<usize>> {
-    let m = elems.len();
-    let mut out = Vec::new();
-    'mask: for mask in 0u64..(1 << m) {
-        let set: Vec<usize> = (0..m)
-            .filter(|i| mask & (1 << i) != 0)
-            .map(|i| elems[i])
-            .collect();
-        for i in 0..set.len() {
-            for j in i + 1..set.len() {
-                if !poset.incomparable(set[i], set[j]) {
-                    continue 'mask;
+        // Candidate predecessor sets are downward-closed subsets of the
+        // placed atoms, represented by their antichain of maximal
+        // elements: walk the antichains (the subsets of `placed` in
+        // increasing order, the empty one first) and close them downward.
+        // Level-decomposition canonicality: after the first batch, a set
+        // must touch the previous batch.
+        let last = self
+            .state
+            .batches
+            .last()
+            .map_or(0, |batch| batch.iter().fold(0, |set, &a| set | bit(a)));
+        let mut antichain = 0u64;
+        loop {
+            if members(antichain).all(|a| self.preds[a] & antichain == 0) {
+                let closure = members(antichain).fold(antichain, |set, a| set | self.preds[a]);
+                if self.state.batches.is_empty() || closure & last != 0 {
+                    self.closures.push(closure);
                 }
             }
+            if antichain == placed {
+                break;
+            }
+            antichain = antichain.wrapping_sub(placed) & placed;
         }
-        out.push(set);
+
+        // For each unplaced atom, the feasible predecessor sets.
+        for b in (0..self.n).filter(|&b| placed & bit(b) == 0) {
+            let start = self.options.len();
+            for i in closures0..self.closures.len() {
+                let closure = self.closures[i];
+                self.preds_set.clear();
+                self.preds_set.extend(members(closure));
+                if self.admissible.placeable(b, &self.preds_set) {
+                    self.options.push(closure);
+                }
+            }
+            if self.options.len() > start {
+                self.feasible.push((b, start, self.options.len()));
+            }
+        }
+
+        // Choose a non-empty subset of the feasible atoms as the next
+        // batch, and for each member a predecessor set. (None feasible:
+        // a dead end, the remaining atoms can never be placed.)
+        let k = self.feasible.len() - feasible0;
+        for batch in 1u64..(1 << k) {
+            self.assign(feasible0, batch, batch);
+        }
+        self.closures.truncate(closures0);
+        self.feasible.truncate(feasible0);
+        self.options.truncate(options0);
     }
-    out
+
+    /// Gives each member of `rest` (feasible entries counted from
+    /// `base`, lowest first) each of its predecessor sets in turn, then
+    /// places `batch`.
+    fn assign(&mut self, base: usize, batch: u64, rest: u64) {
+        if rest == 0 {
+            self.place(base, batch);
+            return;
+        }
+        let (_, start, end) = self.feasible[base + rest.trailing_zeros() as usize];
+        for option in start..end {
+            self.chosen.push(option);
+            self.assign(base, batch, rest & (rest - 1));
+            self.chosen.pop();
+        }
+    }
+
+    /// Places `batch` with the predecessor sets just chosen, visits the
+    /// result, and undoes it.
+    fn place(&mut self, base: usize, batch: u64) {
+        let n = self.n;
+        let first = self.chosen.len() - batch.count_ones() as usize;
+        let mut atoms = self.spare.pop().unwrap_or_default();
+        atoms.clear();
+        for (member, &option) in members(batch).zip(&self.chosen[first..]) {
+            let b = self.feasible[base + member].0;
+            let closure = self.options[option];
+            // `closure` is downward closed and `b` has no successors, so
+            // this is the transitive closure of adding a ≺ b for each a
+            for a in members(closure) {
+                self.state.poset.rel[a * n + b] = true;
+            }
+            self.preds[b] = closure;
+            atoms.push(b);
+        }
+        let placed = atoms.iter().fold(0, |set, &b| set | bit(b));
+        self.state.placed |= placed;
+        self.state.batches.push(atoms);
+        if self.visitor.on_partial(&self.state) {
+            self.recurse();
+        }
+        // undo: the batch's atoms had no relations before it was placed,
+        // and deeper levels have undone theirs
+        self.state.placed &= !placed;
+        if let Some(atoms) = self.state.batches.pop() {
+            for &b in &atoms {
+                for a in 0..n {
+                    self.state.poset.rel[a * n + b] = false;
+                }
+                self.preds[b] = 0;
+            }
+            self.spare.push(atoms);
+        }
+    }
 }
 
 /// Collects all admissible topologies into a vector (convenience wrapper
@@ -559,6 +660,14 @@ mod tests {
             .count();
         assert_eq!(v.complete, want);
         assert!(want < 19);
+    }
+
+    /// 64 atoms do not fit the enumeration's bit sets: refused loudly,
+    /// not enumerated as nothing.
+    #[test]
+    #[should_panic(expected = "exceed MAX_ATOMS")]
+    fn enumeration_refuses_more_than_max_atoms() {
+        all_topologies(MAX_ATOMS + 1, &Unconstrained);
     }
 
     #[test]

@@ -26,9 +26,7 @@ pub fn to_dot(plan: &Plan, schema: &Schema) -> String {
             }
             NodeKind::Invoke { atom } => {
                 let sig = schema.service(plan.query.atoms[*atom].service);
-                let pos = plan
-                    .position_of(*atom)
-                    .expect("invoke nodes cover plan atoms");
+                let pos = plan.invoked_position(*atom);
                 let mut label = sig.name.to_string();
                 if sig.profile.is_proliferative() && sig.kind == ServiceKind::Exact {
                     label.push('*');
@@ -85,7 +83,7 @@ pub fn to_ascii(plan: &Plan, schema: &Schema) -> String {
             }
             NodeKind::Invoke { atom } => {
                 let sig = schema.service(plan.query.atoms[*atom].service);
-                let pos = plan.position_of(*atom).expect("covered");
+                let pos = plan.invoked_position(*atom);
                 let mut marks = String::new();
                 if sig.profile.is_proliferative() && sig.kind == ServiceKind::Exact {
                     marks.push('*');

@@ -77,7 +77,7 @@ pub fn invoke_prefixes(plan: &Plan) -> Vec<PlanPrefix> {
             .map(|(k, _)| k)
             .collect();
         applied.extend(preds.iter().copied());
-        let pos = plan.position_of(atom).expect("chain atoms are covered");
+        let pos = plan.invoked_position(atom);
         steps.push(PrefixStep {
             atom,
             pattern: plan.choice.0[atom],

@@ -49,10 +49,10 @@
 //! | "bound is better", `⪰IO` (§4.1.1) | [`mdq_model::cogency`] |
 //! | pattern-space exploration (§4.1.2) | [`mdq_optimizer::phase1`] |
 //! | "selective and parallel are better" (§4.2.1) | [`selective_serial_topology`](mdq_optimizer::phase2::selective_serial_topology), [`max_parallel_topology`](mdq_optimizer::phase2::max_parallel_topology) |
-//! | incremental DAG construction (§4.2.2) | [`enumerate_topologies`](mdq_plan::poset::enumerate_topologies); each partial lowered by [`CostContext::build_plan`](mdq_optimizer::context::CostContext::build_plan) and priced by [`CostContext::cost`](mdq_optimizer::context::CostContext::cost) |
+//! | incremental DAG construction (§4.2.2) | [`enumerate_topologies`](mdq_plan::poset::enumerate_topologies); each partial lowered by [`lower`](mdq_plan::builder::lower) into the search's [`CostContext`](mdq_optimizer::context::CostContext) workspace and priced there |
 //! | the 19-plan space (Example 5.1) | [`all_topologies`](mdq_plan::poset::all_topologies), `tests/running_example.rs` |
 //! | "greedy" / "square is better" (§4.3.1) | [`FetchHeuristic`](mdq_optimizer::phase3::FetchHeuristic) |
-//! | dominance-pruned fetch space (§4.3.2) | [`optimize_fetches`](mdq_optimizer::phase3::optimize_fetches), one [`Pricer`](mdq_optimizer::context::Pricer) per topology |
+//! | dominance-pruned fetch space (§4.3.2) | [`optimize_fetches`](mdq_optimizer::phase3::optimize_fetches), each topology prepared once and priced per vector in the workspace |
 //! | decay caps `⌈d/cs⌉` (§4.3.2) | [`ServiceSignature::max_fetches_from_decay`](mdq_model::schema::ServiceSignature::max_fetches_from_decay) |
 //!
 //! ## §5 — Execution settings and costs
@@ -66,7 +66,7 @@
 //! | threads share §5.1 state without serializing on it | the sharded page cache + per-gateway [`accounting cells`](mdq_exec::gateway::SharedServiceState) — `crates/bench/benches/contention.rs` → `BENCH_contention.json` |
 //! | page-fetch runs (chunked services, §5.1) | [`ServiceGateway::fetch_page_run`](mdq_exec::gateway::ServiceGateway::fetch_page_run): consecutive cached pages under one shard lock, at most one forwarded call |
 //! | no / one-call / optimal cache (§5.1) | [`PageCache`](mdq_exec::cache::PageCache) (inside the gateway), [`CacheSetting`](mdq_cost::estimate::CacheSetting) |
-//! | Eq. 1 (no-cache tout) / Eq. 2 (`N(n)` minimal contributors) (§5.2) | [`Estimator::prepare`](mdq_cost::estimate::Estimator::prepare) (carrier sets, σ products, once per plan) + [`PreparedPlan::evaluate`](mdq_cost::estimate::PreparedPlan::evaluate) (per fetch vector); [`Estimator::annotate`](mdq_cost::estimate::Estimator::annotate) is the one-shot form |
+//! | Eq. 1 (no-cache tout) / Eq. 2 (`N(n)` minimal contributors) (§5.2) | [`Estimator::facts`](mdq_cost::estimate::Estimator::facts) (once per query) + [`Estimator::prepare_into`](mdq_cost::estimate::Estimator::prepare_into) (carrier sets, σ products, once per plan) + [`PreparedPlan::evaluate`](mdq_cost::estimate::PreparedPlan::evaluate) (per fetch vector); [`Estimator::annotate`](mdq_cost::estimate::Estimator::annotate) is the one-shot form |
 //! | Eq. 3 (SCM) | [`SumCost`](mdq_cost::metrics::SumCost) |
 //! | Eq. 4 (ETM; see the monotonicity erratum) | [`ExecutionTime`](mdq_cost::metrics::ExecutionTime) |
 //! | Eq. 5/6/7 + n-ary closed forms (§5.3.1) | [`closed_form_single`](mdq_optimizer::phase3::closed_form_single), [`closed_form_pair`](mdq_optimizer::phase3::closed_form_pair), [`closed_form_sequential`](mdq_optimizer::phase3::closed_form_sequential), [`closed_form_n`](mdq_optimizer::phase3::closed_form_n) |
