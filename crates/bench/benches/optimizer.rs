@@ -6,7 +6,7 @@
 //! report the heap allocations (and bytes requested) of one run,
 //! counted by this target's global allocator.
 
-use mdq_bench::harness::Bench;
+use mdq_bench::harness::{count_allocations, Bench, CountingAlloc};
 use mdq_cost::estimate::CacheSetting;
 use mdq_cost::metrics::{ExecutionTime, RequestResponse, SumCost};
 use mdq_cost::selectivity::SelectivityModel;
@@ -16,46 +16,10 @@ use mdq_optimizer::bnb::{optimize, Optimized, OptimizerConfig};
 use mdq_optimizer::context::{CostContext, CostingEffort};
 use mdq_optimizer::exhaustive::exhaustive_optimum;
 use mdq_plan::builder::StrategyRule;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
-/// The system allocator, counting every allocation (`alloc`,
-/// `alloc_zeroed` and `realloc` alike) and the bytes it requests.
-struct Counting;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
-fn count(bytes: usize) {
-    ALLOCATIONS.fetch_add(1, Relaxed);
-    ALLOC_BYTES.fetch_add(bytes as u64, Relaxed);
-}
-
-// SAFETY: every call is forwarded unchanged to `System`.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Records the costing effort of one `optimize` run under `name`.
 fn effort_gauges(bench: &Bench, name: &str, effort: CostingEffort) {
@@ -72,10 +36,7 @@ fn effort_gauges(bench: &Bench, name: &str, effort: CostingEffort) {
 /// Records the heap allocations and bytes requested by one `run` under
 /// `name` (the bench is single-threaded, so the counters see only it).
 fn allocation_gauges(bench: &Bench, name: &str, run: impl FnOnce() -> Optimized) {
-    let (allocations, bytes) = (ALLOCATIONS.load(Relaxed), ALLOC_BYTES.load(Relaxed));
-    let out = run();
-    let allocations = ALLOCATIONS.load(Relaxed) - allocations;
-    let bytes = ALLOC_BYTES.load(Relaxed) - bytes;
+    let (out, allocations, bytes) = count_allocations(run);
     drop(out);
     bench.gauge(&format!("{name}/allocations"), allocations, "allocations");
     bench.gauge(&format!("{name}/alloc-bytes"), bytes, "bytes");

@@ -15,11 +15,69 @@
 //! machine-readable `BENCH_<target>.json` at the workspace root so the
 //! perf trajectory is tracked across PRs. Set `MDQ_BENCH_DIR` to
 //! redirect the output directory.
+//!
+//! Allocation gauges: a bench binary that declares
+//! `#[global_allocator] static GLOBAL: CountingAlloc = CountingAlloc;`
+//! counts every heap allocation the process makes, and
+//! [`count_allocations`] reads the counters around one closure.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::RefCell;
 use std::hint::black_box;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::{Duration, Instant};
+
+/// The system allocator, counting every allocation (`alloc`,
+/// `alloc_zeroed` and `realloc` alike) and the bytes it requests. It
+/// counts only in a binary that declares it its `#[global_allocator]`.
+pub struct CountingAlloc;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn count(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Relaxed);
+    ALLOC_BYTES.fetch_add(bytes as u64, Relaxed);
+}
+
+// SAFETY: every call is forwarded unchanged to `System`.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+/// Heap allocations and bytes requested so far by the whole process
+/// (every thread), as [`CountingAlloc`] counted them.
+pub fn allocated() -> (u64, u64) {
+    (ALLOCATIONS.load(Relaxed), ALLOC_BYTES.load(Relaxed))
+}
+
+/// Runs `f` and returns its result with the heap allocations and bytes
+/// the process made meanwhile. The result is dropped by the caller,
+/// outside the count; on a single thread the count is exactly `f`'s.
+pub fn count_allocations<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let (allocations, bytes) = allocated();
+    let out = f();
+    let (allocations_after, bytes_after) = allocated();
+    (out, allocations_after - allocations, bytes_after - bytes)
+}
 
 /// Target measurement time per benchmark.
 const TARGET: Duration = Duration::from_millis(300);

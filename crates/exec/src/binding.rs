@@ -5,6 +5,7 @@
 //! (unifying against constants and already-bound variables — the pipe
 //! join); parallel join nodes merge bindings from two branches.
 
+use crate::plan_info::NodePredicates;
 use mdq_model::query::{Atom, ConjunctiveQuery, Predicate, Term, VarId};
 use mdq_model::value::{Tuple, Value};
 use std::sync::Arc;
@@ -23,7 +24,7 @@ impl Binding {
     /// The empty binding over `nvars` variables.
     pub fn empty(nvars: usize) -> Self {
         Binding {
-            values: vec![None; nvars].into(),
+            values: (0..nvars).map(|_| None).collect(),
         }
     }
 
@@ -40,40 +41,69 @@ impl Binding {
     /// filtered out, implementing both output-constant selections and
     /// pipe-join equality.
     pub fn bind_atom(&self, atom: &Atom, result: &Tuple) -> Option<Binding> {
+        self.bind_atom_where(atom, result, &NodePredicates::none())
+    }
+
+    /// [`Binding::bind_atom`], keeping the extended binding only when
+    /// every predicate in `preds` holds over it — the predicates placed
+    /// at an invoke node. Unification and the predicates are decided
+    /// first, against the tuple in place, so a rejected tuple allocates
+    /// nothing and an accepted one builds its row in a single allocation
+    /// (none when it binds no new variable).
+    pub fn bind_atom_where(
+        &self,
+        atom: &Atom,
+        result: &Tuple,
+        preds: &NodePredicates,
+    ) -> Option<Binding> {
         debug_assert_eq!(atom.terms.len(), result.arity());
-        let mut new: Option<Vec<Option<Value>>> = None;
+        let mut binds = false;
         for (i, term) in atom.terms.iter().enumerate() {
             let actual = result.get(i);
-            match term {
-                Term::Const(c) => {
-                    if !c.join_eq(actual) {
-                        return None;
+            let bound = match term {
+                Term::Const(c) => Some(c),
+                Term::Var(v) => match self.get(*v) {
+                    Some(value) => Some(value),
+                    // an unbound variable is bound by its first
+                    // occurrence in the atom, which later ones must match
+                    None => {
+                        binds = true;
+                        atom.terms[..i]
+                            .iter()
+                            .position(|t| t == term)
+                            .map(|first| result.get(first))
                     }
-                }
-                Term::Var(v) => {
-                    let slot = v.0 as usize;
-                    let current = new
-                        .as_ref()
-                        .map(|n| n[slot].as_ref())
-                        .unwrap_or_else(|| self.values[slot].as_ref());
-                    match current {
-                        Some(bound) => {
-                            if !bound.join_eq(actual) {
-                                return None;
-                            }
-                        }
-                        None => {
-                            let n = new.get_or_insert_with(|| self.values.to_vec());
-                            n[slot] = Some(actual.clone());
-                        }
-                    }
-                }
+                },
+            };
+            if bound.is_some_and(|b| !b.join_eq(actual)) {
+                return None;
             }
         }
-        Some(match new {
-            Some(n) => Binding { values: n.into() },
-            None => self.clone(),
-        })
+        if !preds.is_empty() {
+            // the extended binding, read without building it
+            let extended = |v: VarId| match self.get(v) {
+                Some(value) => Some(value.clone()),
+                None => atom
+                    .terms
+                    .iter()
+                    .position(|t| t.as_var() == Some(v))
+                    .map(|first| result.get(first).clone()),
+            };
+            if !preds.all(|p| p.eval(&extended) == Some(true)) {
+                return None;
+            }
+        }
+        if !binds {
+            return Some(self.clone());
+        }
+        let mut values: Arc<[Option<Value>]> = Arc::from(&self.values[..]);
+        let row = Arc::get_mut(&mut values).expect("a fresh row has no other owner");
+        for (i, term) in atom.terms.iter().enumerate() {
+            if let Term::Var(v) = term {
+                row[v.0 as usize].get_or_insert_with(|| result.get(i).clone());
+            }
+        }
+        Some(Binding { values })
     }
 
     /// Joins two bindings from parallel branches: the pair survives when
@@ -84,7 +114,7 @@ impl Binding {
     /// two-sided lookup *before* the joined row is built, so a rejected
     /// pair allocates nothing. In the result, `self`'s value wins where
     /// both sides bind a variable.
-    pub fn join(&self, other: &Binding, on: &[VarId], preds: &[Predicate]) -> Option<Binding> {
+    pub fn join(&self, other: &Binding, on: &[VarId], preds: &NodePredicates) -> Option<Binding> {
         debug_assert_eq!(self.values.len(), other.values.len());
         if on
             .iter()
@@ -97,7 +127,7 @@ impl Binding {
             return None;
         }
         let joined = |v: VarId| self.get(v).or_else(|| other.get(v)).cloned();
-        if !preds.iter().all(|p| p.eval(&joined) == Some(true)) {
+        if !preds.all(|p| p.eval(&joined) == Some(true)) {
             return None;
         }
         Some(Binding {
@@ -190,13 +220,31 @@ impl Binding {
     /// if an input variable is unbound (the plan is being executed out
     /// of order — a bug).
     pub fn input_key(&self, atom: &Atom, input_positions: &[usize]) -> Option<Vec<Value>> {
-        input_positions
-            .iter()
-            .map(|&i| match &atom.terms[i] {
-                Term::Const(c) => Some(c.clone()),
-                Term::Var(v) => self.get(*v).cloned(),
-            })
-            .collect()
+        let mut key = Vec::with_capacity(input_positions.len());
+        self.input_key_into(atom, input_positions.iter().copied(), &mut key)
+            .then_some(key)
+    }
+
+    /// [`Binding::input_key`] into a reused buffer: clears `key`, then
+    /// fills it; `false` (with `key` partial) if an input is unbound.
+    pub fn input_key_into(
+        &self,
+        atom: &Atom,
+        input_positions: impl IntoIterator<Item = usize>,
+        key: &mut Vec<Value>,
+    ) -> bool {
+        key.clear();
+        for i in input_positions {
+            let value = match &atom.terms[i] {
+                Term::Const(c) => c,
+                Term::Var(v) => match self.get(*v) {
+                    Some(value) => value,
+                    None => return false,
+                },
+            };
+            key.push(value.clone());
+        }
+        true
     }
 }
 

@@ -17,10 +17,48 @@
 //! answers a `&[Value]` lookup without building one, and a cached
 //! [`Page`] is handed out shared, never copied.
 
+use crate::joins::mix;
 use mdq_model::schema::ServiceId;
 use mdq_model::value::{Tuple, Value};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
+
+/// An unkeyed hasher that folds its input a word at a time, for keys no
+/// client chooses — service ids — and for spreading invocation keys
+/// over page shards, where a crafted key costs lock contention at
+/// worst: the per-shard maps of invocation keys keep their keyed hash.
+#[derive(Default)]
+pub(crate) struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.0 = mix(self.0, u64::from_le_bytes(word));
+        }
+    }
+    fn write_u8(&mut self, n: u8) {
+        self.0 = mix(self.0, n.into());
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.0 = mix(self.0, n.into());
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = mix(self.0, n);
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.0 = mix(self.0, n as u64);
+    }
+    fn finish(&self) -> u64 {
+        // the multiply mixes upwards only: fold the high half down
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// A map keyed by service id.
+type ByService<V> = HashMap<ServiceId, V, BuildHasherDefault<WordHasher>>;
 
 pub use mdq_cost::estimate::CacheSetting;
 
@@ -105,7 +143,7 @@ pub struct PageCache {
     tick: u64,
     one_call: HashMap<ServiceId, (Vec<Value>, PageStore)>,
     /// Per service, so a probe looks the borrowed key up as it is.
-    optimal: HashMap<ServiceId, HashMap<Vec<Value>, (PageStore, u64)>>,
+    optimal: ByService<HashMap<Vec<Value>, (PageStore, u64)>>,
     evictions: u64,
     /// Refcounted pins held by live subscription frontiers: a pinned
     /// invocation is never evicted (bounded LRU) nor invalidated — the
@@ -137,7 +175,7 @@ impl PageCache {
             capacity,
             tick: 0,
             one_call: HashMap::new(),
-            optimal: HashMap::new(),
+            optimal: ByService::default(),
             evictions: 0,
             pins: HashMap::new(),
         }

@@ -765,7 +765,7 @@ impl SharedServiceState {
         if self.shards.len() == 1 {
             return 0;
         }
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let mut h = crate::cache::WordHasher::default();
         id.hash(&mut h);
         if !matches!(self.setting, CacheSetting::OneCall) {
             key.hash(&mut h);
@@ -1335,7 +1335,7 @@ impl ExecContext<'_> {
         schema: &Schema,
         registry: &ServiceRegistry,
     ) -> Result<ServiceGateway, ExecError> {
-        let mut services = HashMap::new();
+        let mut services = HashMap::with_capacity(plan.atoms.len());
         for &atom in plan.atoms.iter() {
             let svc_id = plan.query.atoms[atom].service;
             let service = registry.get(svc_id).ok_or_else(|| {
@@ -1717,8 +1717,7 @@ impl ServiceGateway {
         let mut served: u64 = 0;
         let mut stop = false;
         {
-            let shared = Arc::clone(&self.shared);
-            let shard = &shared.shards[shared.shard_idx(id, key)];
+            let shard = &self.shared.shards[self.shared.shard_idx(id, key)];
             let mut inner = shard.inner.lock().expect("page shard lock");
             while page < end {
                 match inner.cache.lookup(id, key, page) {
@@ -1868,7 +1867,14 @@ impl ServiceGateway {
     ///
     /// [`ServiceProfile`]: mdq_model::schema::ServiceProfile
     pub fn ledger(&self) -> Counters {
-        self.acct.read(Counters::clone)
+        self.read_ledger(Counters::clone)
+    }
+
+    /// Reads this execution's ledger in place: `f` sees one consistent
+    /// [`Counters`] and returns only what it derives, so a reader after
+    /// a few totals copies no per-service map.
+    pub fn read_ledger<R>(&self, f: impl FnOnce(&Counters) -> R) -> R {
+        self.acct.read(f)
     }
 
     /// Request-responses this execution forwarded to `id` so far.

@@ -60,7 +60,8 @@
 
 use crate::binding::Binding;
 use crate::operator::{drain_into, Operator};
-use mdq_model::query::{Predicate, VarId};
+use crate::plan_info::NodePredicates;
+use mdq_model::query::VarId;
 use mdq_model::value::Value;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -74,8 +75,9 @@ thread_local! {
     static COLLIDE_ALL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
+/// Folds one word into a running 64-bit image.
 #[inline]
-fn mix(h: u64, x: u64) -> u64 {
+pub(crate) fn mix(h: u64, x: u64) -> u64 {
     (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
 
@@ -181,7 +183,7 @@ pub struct NlJoin<O, I> {
     index: ImageMap<Chain>,
     inner: I,
     on: Vec<VarId>,
-    preds: Vec<Predicate>,
+    preds: NodePredicates,
     /// The inner tuple currently probing, and the outer position its
     /// next candidate sits at.
     probe: Option<(Binding, u32)>,
@@ -204,7 +206,7 @@ where
             index: ImageMap::default(),
             inner,
             on,
-            preds: Vec::new(),
+            preds: NodePredicates::none(),
             probe: None,
             outer_is_left,
         }
@@ -212,8 +214,8 @@ where
 
     /// Emits only the pairs that also satisfy `preds`, decided before a
     /// pair is built.
-    pub fn with_predicates(mut self, preds: Vec<Predicate>) -> Self {
-        self.preds = preds;
+    pub fn with_predicates(mut self, preds: impl Into<NodePredicates>) -> Self {
+        self.preds = preds.into();
         self
     }
 
@@ -319,7 +321,7 @@ pub struct MsJoin<L, R> {
     done: [bool; 2],
     started: bool,
     on: Vec<VarId>,
-    preds: Vec<Predicate>,
+    preds: NodePredicates,
     /// Both sides' chains per key image.
     index: ImageMap<[Chain; 2]>,
     /// Min-heap on `(d, i)`: the next candidate cell of every cursor.
@@ -340,7 +342,7 @@ where
             done: [false; 2],
             started: false,
             on,
-            preds: Vec::new(),
+            preds: NodePredicates::none(),
             index: ImageMap::default(),
             pending: BinaryHeap::new(),
         }
@@ -348,8 +350,8 @@ where
 
     /// Emits only the pairs that also satisfy `preds`, decided before a
     /// pair is built.
-    pub fn with_predicates(mut self, preds: Vec<Predicate>) -> Self {
-        self.preds = preds;
+    pub fn with_predicates(mut self, preds: impl Into<NodePredicates>) -> Self {
+        self.preds = preds.into();
         self
     }
 
@@ -673,7 +675,7 @@ mod tests {
     // ---- the differential oracle: both joins against the sweep ----
 
     use crate::operator::Filter;
-    use mdq_model::query::{CmpOp, Expr};
+    use mdq_model::query::{CmpOp, Expr, Predicate};
     use mdq_model::rng::Rng;
     use mdq_model::value::Date;
     use std::cell::RefCell;

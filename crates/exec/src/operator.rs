@@ -10,13 +10,14 @@
 //!   binding it extracts the input key, pages through the service on
 //!   demand (within the phase-3 fetch budget, or elastically), and binds
 //!   result tuples; consecutive cached pages are fetched as one run
-//!   under a single gateway lock acquisition;
+//!   under a single gateway lock acquisition. The predicates placed at
+//!   an invoke node run *inside* it, on each tuple before its row is
+//!   built ([`Binding::bind_atom_where`]);
 //! * [`Join`] — a rank-preserving parallel join in the plan's chosen
 //!   strategy (merge-scan or nested-loop, §3.3); the predicates placed
 //!   at a join node run *inside* the join, which tests a candidate pair
 //!   before it allocates the joined row;
-//! * [`Filter`] — applies the predicates placed at an invoke or output
-//!   node;
+//! * [`Filter`] — applies the predicates placed at the output node;
 //! * [`Select`] — truncates a stream to the best `k` bindings.
 //!
 //! Batches carry *canonical rows*: a [`Binding`] is an `Arc`-shared
@@ -38,12 +39,17 @@
 
 use crate::binding::Binding;
 use crate::gateway::LocalGateway;
-use crate::plan_info::PlanInfo;
-use mdq_model::query::{Atom, Predicate};
+use crate::joins::{MsJoin, NlJoin};
+use crate::plan_info::{NodePredicates, PlanInfo};
+use mdq_model::bitset::BitSet;
+use mdq_model::query::{ConjunctiveQuery, VarId};
 use mdq_model::schema::{Schema, ServiceId};
 use mdq_model::value::Value;
 use mdq_plan::dag::{JoinStrategy, NodeKind, Plan, Side};
+use std::cell::RefCell;
 use std::fmt;
+use std::rc::Rc;
+use std::sync::Arc;
 
 /// Execution failures.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -187,10 +193,10 @@ pub fn drain_into(op: &mut impl Operator, batch: usize, out: &mut Batch) {
     while op.next_batch(batch, out) == batch {}
 }
 
-/// Paging state for the input binding currently being expanded.
+/// Paging state for the input binding currently being expanded (its
+/// input key is the operator's reused `key` buffer).
 struct CurrentInput {
     binding: Binding,
-    key: Vec<Value>,
     next_page: u32,
     done: bool,
     /// Summed latency of the pages this input actually forwarded.
@@ -210,14 +216,23 @@ pub struct Invoke<I> {
     /// EXPLAIN ANALYZE row.
     node: usize,
     svc_id: ServiceId,
-    service_name: String,
+    /// The service's name, for the error an unbound input raises.
+    service_name: Arc<str>,
     pattern: usize,
-    input_positions: Vec<usize>,
-    atom: Atom,
+    input_positions: BitSet,
+    /// The plan's query and the index of the invoked atom in it: the
+    /// atom is read in place, never copied.
+    query: Arc<ConjunctiveQuery>,
+    atom: usize,
     /// Page budget per input (the phase-3 fetch factor); `None` pages
     /// elastically while downstream demand is unmet.
     max_pages: Option<u32>,
     current: Option<CurrentInput>,
+    /// The current input's key, rebuilt in place for every input.
+    key: Vec<Value>,
+    /// The predicates placed at this node, tested against each tuple
+    /// before its binding is built.
+    preds: NodePredicates,
     /// One entry per input that forwarded at least one call: its summed
     /// latency. The materialised driver reads this for virtual time.
     input_latencies: Vec<f64>,
@@ -245,23 +260,26 @@ impl<I: Operator> Invoke<I> {
         let NodeKind::Invoke { atom } = plan.nodes[node].kind else {
             panic!("node {node} is not an invoke node");
         };
-        let atom_ref = plan.query.atoms[atom].clone();
-        let svc_id = atom_ref.service;
+        let svc_id = plan.query.atoms[atom].service;
         let pos = plan.position_of(atom).expect("plan covers atom");
         let max_pages = if elastic {
             None
         } else {
             Some(plan.fetch_of(pos) as u32)
         };
+        let input_positions = info.input_positions[node].clone();
         Invoke {
             upstream,
             gateway,
             node,
             svc_id,
-            service_name: schema.service(svc_id).name.to_string(),
+            service_name: Arc::clone(&schema.service(svc_id).name),
             pattern: info.pattern_of_node[node],
-            input_positions: info.input_positions[node].clone(),
-            atom: atom_ref,
+            key: Vec::with_capacity(input_positions.len()),
+            input_positions,
+            query: Arc::clone(&plan.query),
+            atom,
+            preds: info.predicates_at(plan, node),
             max_pages,
             current: None,
             input_latencies: Vec::new(),
@@ -307,11 +325,12 @@ impl<I: Operator> Invoke<I> {
                 return None;
             }
             if let Some(cur) = &mut self.current {
+                let atom = &self.query.atoms[self.atom];
                 while let Some(fetch) = self.page_buf.get(self.at.0) {
                     match fetch.tuples.get(self.at.1) {
                         Some(t) => {
                             self.at.1 += 1;
-                            if let Some(nb) = cur.binding.bind_atom(&self.atom, t) {
+                            if let Some(nb) = cur.binding.bind_atom_where(atom, t, &self.preds) {
                                 return Some(nb);
                             }
                         }
@@ -340,7 +359,7 @@ impl<I: Operator> Invoke<I> {
                     self.page_buf.clear();
                     self.at = (0, 0);
                     {
-                        let key = &cur.key;
+                        let key = &self.key;
                         let buf = &mut self.page_buf;
                         self.gateway.with(|g| {
                             g.set_active_node(Some(node));
@@ -363,25 +382,22 @@ impl<I: Operator> Invoke<I> {
                 self.close_current();
             }
             let binding = self.upstream.next_binding()?;
-            match binding.input_key(&self.atom, &self.input_positions) {
-                Some(key) => {
-                    self.current = Some(CurrentInput {
-                        binding,
-                        key,
-                        next_page: 0,
-                        done: false,
-                        forwarded: 0.0,
-                        any_forwarded: false,
-                    });
-                }
-                None => {
-                    self.halted = true;
-                    let err = ExecError::UnboundInput {
-                        service: self.service_name.clone(),
-                    };
-                    self.gateway.with(|g| g.poison(err));
-                    return None;
-                }
+            let atom = &self.query.atoms[self.atom];
+            if binding.input_key_into(atom, &self.input_positions, &mut self.key) {
+                self.current = Some(CurrentInput {
+                    binding,
+                    next_page: 0,
+                    done: false,
+                    forwarded: 0.0,
+                    any_forwarded: false,
+                });
+            } else {
+                self.halted = true;
+                let err = ExecError::UnboundInput {
+                    service: self.service_name.to_string(),
+                };
+                self.gateway.with(|g| g.poison(err));
+                return None;
             }
         }
     }
@@ -393,52 +409,59 @@ impl<I: Operator> Operator for Invoke<I> {
     }
 }
 
-/// The parallel-join operator: dispatches to the plan's chosen
-/// rank-preserving strategy (§3.3).
-pub struct Join<'a> {
-    inner: Box<dyn Operator + 'a>,
+/// The parallel-join operator: the plan's chosen rank-preserving
+/// strategy (§3.3), run in place.
+pub enum Join<L, R> {
+    /// Merge scan over both sides in lockstep.
+    MergeScan(MsJoin<L, R>),
+    /// Nested loop with the left side materialised as the outer one.
+    OuterLeft(NlJoin<L, R>),
+    /// Nested loop with the right side materialised as the outer one.
+    OuterRight(NlJoin<R, L>),
 }
 
-impl<'a> Join<'a> {
+impl<L: Operator, R: Operator> Join<L, R> {
     /// Joins `left` and `right` on the shared variables `on` with the
     /// given strategy, keeping the pairs that satisfy `preds` — the
     /// predicates placed at the join node, which the join decides
     /// before it builds a pair (no [`Filter`] goes above a join). For
     /// nested loops, the strategy's `outer` side is materialised first
     /// (it is chosen to be the selective one).
-    pub fn new<L, R>(
+    pub fn new(
         left: L,
         right: R,
         strategy: &JoinStrategy,
-        on: Vec<mdq_model::query::VarId>,
-        preds: Vec<Predicate>,
-    ) -> Self
-    where
-        L: Operator + 'a,
-        R: Operator + 'a,
-    {
-        use crate::joins::{MsJoin, NlJoin};
-        let inner: Box<dyn Operator + 'a> = match strategy {
+        on: Vec<VarId>,
+        preds: impl Into<NodePredicates>,
+    ) -> Self {
+        match strategy {
             JoinStrategy::MergeScan => {
-                Box::new(MsJoin::new(left, right, on).with_predicates(preds))
+                Join::MergeScan(MsJoin::new(left, right, on).with_predicates(preds))
             }
             JoinStrategy::NestedLoop { outer: Side::Left } => {
-                Box::new(NlJoin::new(left, right, on, true).with_predicates(preds))
+                Join::OuterLeft(NlJoin::new(left, right, on, true).with_predicates(preds))
             }
             JoinStrategy::NestedLoop { outer: Side::Right } => {
-                Box::new(NlJoin::new(right, left, on, false).with_predicates(preds))
+                Join::OuterRight(NlJoin::new(right, left, on, false).with_predicates(preds))
             }
-        };
-        Join { inner }
+        }
     }
 }
 
-impl Operator for Join<'_> {
+impl<L: Operator, R: Operator> Operator for Join<L, R> {
     fn next_binding(&mut self) -> Option<Binding> {
-        self.inner.next_binding()
+        match self {
+            Join::MergeScan(j) => j.next_binding(),
+            Join::OuterLeft(j) => j.next_binding(),
+            Join::OuterRight(j) => j.next_binding(),
+        }
     }
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> usize {
-        self.inner.next_batch(max, out)
+        match self {
+            Join::MergeScan(j) => j.next_batch(max, out),
+            Join::OuterLeft(j) => j.next_batch(max, out),
+            Join::OuterRight(j) => j.next_batch(max, out),
+        }
     }
 }
 
@@ -446,29 +469,29 @@ impl Operator for Join<'_> {
 /// predicate placed at the node.
 pub struct Filter<I> {
     inner: I,
-    preds: Vec<Predicate>,
+    preds: NodePredicates,
     /// Reused scratch for batched filtering.
     scratch: Batch,
 }
 
 impl<I> Filter<I> {
     /// Filters `inner` by `preds`.
-    pub fn new(inner: I, preds: Vec<Predicate>) -> Self {
+    pub fn new(inner: I, preds: impl Into<NodePredicates>) -> Self {
         Filter {
             inner,
-            preds,
+            preds: preds.into(),
             scratch: Vec::new(),
         }
     }
 
-    /// The predicates for plan node `node` (an invoke or output node:
-    /// a join node's predicates go to [`Join::new`]).
+    /// The predicates for plan node `node` (the output node: an invoke
+    /// node applies its own, a join node's go to [`Join::new`]).
     pub fn for_node(plan: &Plan, info: &PlanInfo, node: usize, inner: I) -> Self {
         Filter::new(inner, info.predicates_at(plan, node))
     }
 
     fn passes(&self, b: &Binding) -> bool {
-        self.preds.iter().all(|p| b.eval_predicate(p) == Some(true))
+        self.preds.all(|p| b.eval_predicate(p) == Some(true))
     }
 }
 
@@ -495,7 +518,7 @@ impl<I: Operator> Operator for Filter<I> {
             let got = self.inner.next_batch(want, &mut self.scratch);
             let preds = &self.preds;
             for b in self.scratch.drain(..) {
-                if preds.iter().all(|p| b.eval_predicate(p) == Some(true)) {
+                if preds.all(|p| b.eval_predicate(p) == Some(true)) {
                     out.push(b);
                     n += 1;
                 }
@@ -655,7 +678,7 @@ struct SharedNode {
 /// forwards exactly the same calls as the materialised one. Replay is
 /// an `Arc` refcount bump per binding, never a value deep copy.
 struct Tee {
-    shared: std::rc::Rc<std::cell::RefCell<SharedNode>>,
+    shared: Rc<RefCell<SharedNode>>,
     pos: usize,
 }
 
@@ -717,141 +740,128 @@ impl Operator for Tee {
 /// prefix (`mdq-runtime`'s sub-result sharing) is spliced under the
 /// rest of the plan — a multi-consumer override node still goes through
 /// the shared replay cursor, so fan-outs see one stream.
+///
+/// Each node costs one boxed operator: its kernel (with its placed
+/// predicates) and its statistics probe are one value. The operators
+/// read atoms and predicates through the plan's `Arc<ConjunctiveQuery>`
+/// ([`NodePredicates`]) instead of copies.
 pub fn compile_with(
     plan: &Plan,
     schema: &Schema,
     info: &PlanInfo,
     gateway: &LocalGateway,
     elastic: bool,
-    mut override_op: Option<(usize, Box<dyn Operator>)>,
+    override_op: Option<(usize, Box<dyn Operator>)>,
 ) -> Box<dyn Operator> {
-    let mut consumers = vec![0usize; plan.nodes.len()];
+    let mut nodes: Vec<CompiledNode> = plan
+        .nodes
+        .iter()
+        .map(|_| CompiledNode {
+            consumers: 0,
+            shared: None,
+        })
+        .collect();
     for node in &plan.nodes {
         for inp in &node.inputs {
-            consumers[inp.0] += 1;
+            nodes[inp.0].consumers += 1;
         }
     }
-    let mut shared = std::collections::HashMap::new();
-    compile_node(
+    Compiler {
         plan,
         schema,
         info,
         gateway,
         elastic,
-        &consumers,
-        &mut shared,
-        &mut override_op,
-        plan.output_node().0,
-    )
-}
-
-#[allow(clippy::too_many_arguments)] // internal recursion carrying compile state
-fn compile_node(
-    plan: &Plan,
-    schema: &Schema,
-    info: &PlanInfo,
-    gateway: &LocalGateway,
-    elastic: bool,
-    consumers: &[usize],
-    shared: &mut std::collections::HashMap<usize, std::rc::Rc<std::cell::RefCell<SharedNode>>>,
-    override_op: &mut Option<(usize, Box<dyn Operator>)>,
-    node: usize,
-) -> Box<dyn Operator> {
-    if consumers[node] > 1 {
-        if let Some(cell) = shared.get(&node) {
-            return Box::new(Tee {
-                shared: std::rc::Rc::clone(cell),
-                pos: 0,
-            });
-        }
-        let op = compile_raw(
-            plan,
-            schema,
-            info,
-            gateway,
-            elastic,
-            consumers,
-            shared,
-            override_op,
-            node,
-        );
-        let cell = std::rc::Rc::new(std::cell::RefCell::new(SharedNode {
-            op,
-            buf: Vec::new(),
-            done: false,
-        }));
-        shared.insert(node, std::rc::Rc::clone(&cell));
-        return Box::new(Tee {
-            shared: cell,
-            pos: 0,
-        });
-    }
-    compile_raw(
-        plan,
-        schema,
-        info,
-        gateway,
-        elastic,
-        consumers,
-        shared,
+        nodes,
         override_op,
-        node,
-    )
+    }
+    .node(plan.output_node().0)
 }
 
-#[allow(clippy::too_many_arguments)] // internal recursion carrying compile state
-fn compile_raw(
-    plan: &Plan,
-    schema: &Schema,
-    info: &PlanInfo,
-    gateway: &LocalGateway,
+/// Compile state of one plan node.
+struct CompiledNode {
+    /// Plan nodes reading this one.
+    consumers: usize,
+    /// The shared execution, once a multi-consumer node is compiled.
+    shared: Option<Rc<RefCell<SharedNode>>>,
+}
+
+/// What [`compile_with`] carries down the plan.
+struct Compiler<'p> {
+    plan: &'p Plan,
+    schema: &'p Schema,
+    info: &'p PlanInfo,
+    gateway: &'p LocalGateway,
     elastic: bool,
-    consumers: &[usize],
-    shared: &mut std::collections::HashMap<usize, std::rc::Rc<std::cell::RefCell<SharedNode>>>,
-    override_op: &mut Option<(usize, Box<dyn Operator>)>,
-    node: usize,
-) -> Box<dyn Operator> {
-    let op: Box<dyn Operator> = if override_op.as_ref().is_some_and(|(n, _)| *n == node) {
-        // the subtree at this node is already accounted for (replayed
-        // or eagerly materialized): stand its stream in, compile nothing
-        // beneath it
-        override_op.take().expect("checked above").1
-    } else {
+    nodes: Vec<CompiledNode>,
+    override_op: Option<(usize, Box<dyn Operator>)>,
+}
+
+impl Compiler<'_> {
+    /// The stream of `node` for one consumer: the node itself, or a
+    /// cursor over its shared execution when it has several consumers.
+    fn node(&mut self, node: usize) -> Box<dyn Operator> {
+        if self.nodes[node].consumers <= 1 {
+            return self.raw(node);
+        }
+        let shared = match &self.nodes[node].shared {
+            Some(cell) => Rc::clone(cell),
+            None => {
+                let op = self.raw(node);
+                let cell = Rc::new(RefCell::new(SharedNode {
+                    op,
+                    buf: Vec::new(),
+                    done: false,
+                }));
+                self.nodes[node].shared = Some(Rc::clone(&cell));
+                cell
+            }
+        };
+        Box::new(Tee { shared, pos: 0 })
+    }
+
+    /// `op` as the boxed stream of `node`, behind its statistics probe
+    /// — every node's output passes one, an override stand-in included,
+    /// so a replayed prefix's rows still show up as its `rows_out`.
+    fn probed(&self, op: impl Operator + 'static, node: usize) -> Box<dyn Operator> {
+        Box::new(Probe::new(op, self.gateway.clone(), node))
+    }
+
+    /// Compiles `node` itself.
+    fn raw(&mut self, node: usize) -> Box<dyn Operator> {
+        if self.override_op.as_ref().is_some_and(|(n, _)| *n == node) {
+            // the subtree at this node is already accounted for (replayed
+            // or eagerly materialized): stand its stream in, compile
+            // nothing beneath it
+            let (_, op) = self.override_op.take().expect("checked above");
+            return self.probed(op, node);
+        }
+        let plan = self.plan;
         match &plan.nodes[node].kind {
-            NodeKind::Input => Box::new(Source(std::iter::once(Binding::empty(
-                plan.query.var_count(),
-            )))),
+            NodeKind::Input => self.probed(
+                Source(std::iter::once(Binding::empty(plan.query.var_count()))),
+                node,
+            ),
             NodeKind::Output => {
-                let up = plan.nodes[node].inputs[0].0;
-                let inner = compile_node(
-                    plan,
-                    schema,
-                    info,
-                    gateway,
-                    elastic,
-                    consumers,
-                    shared,
-                    override_op,
-                    up,
-                );
-                Box::new(Filter::for_node(plan, info, node, inner))
+                let inner = self.node(plan.nodes[node].inputs[0].0);
+                if self.info.preds_at_node[node].is_empty() {
+                    self.probed(inner, node)
+                } else {
+                    self.probed(Filter::for_node(plan, self.info, node, inner), node)
+                }
             }
             NodeKind::Invoke { .. } => {
-                let up = plan.nodes[node].inputs[0].0;
-                let upstream = compile_node(
+                let upstream = self.node(plan.nodes[node].inputs[0].0);
+                let invoke = Invoke::for_node(
                     plan,
-                    schema,
-                    info,
-                    gateway,
-                    elastic,
-                    consumers,
-                    shared,
-                    override_op,
-                    up,
+                    self.schema,
+                    self.info,
+                    node,
+                    upstream,
+                    self.gateway.clone(),
+                    self.elastic,
                 );
-                let invoke =
-                    Invoke::for_node(plan, schema, info, node, upstream, gateway.clone(), elastic);
-                Box::new(Filter::for_node(plan, info, node, invoke))
+                self.probed(invoke, node)
             }
             NodeKind::Join {
                 left,
@@ -859,40 +869,11 @@ fn compile_raw(
                 strategy,
                 on,
             } => {
-                let l = compile_node(
-                    plan,
-                    schema,
-                    info,
-                    gateway,
-                    elastic,
-                    consumers,
-                    shared,
-                    override_op,
-                    left.0,
-                );
-                let r = compile_node(
-                    plan,
-                    schema,
-                    info,
-                    gateway,
-                    elastic,
-                    consumers,
-                    shared,
-                    override_op,
-                    right.0,
-                );
-                Box::new(Join::new(
-                    l,
-                    r,
-                    strategy,
-                    on.clone(),
-                    info.predicates_at(plan, node),
-                ))
+                let l = self.node(left.0);
+                let r = self.node(right.0);
+                let preds = self.info.predicates_at(plan, node);
+                self.probed(Join::new(l, r, strategy, on.clone(), preds), node)
             }
         }
-    };
-    // every node's output stream passes through a statistics probe, the
-    // override stand-in included — so a replayed prefix's rows still
-    // show up as the node's `rows_out`
-    Box::new(Probe::new(op, gateway.clone(), node))
+    }
 }

@@ -212,14 +212,8 @@ pub fn run(
                         gateway.clone(),
                         false,
                     );
-                    let out: Vec<Binding> = drain_all(
-                        Probe::new(
-                            Filter::for_node(&plan, &info, i, &mut invoke),
-                            gateway.clone(),
-                            i,
-                        ),
-                        batch,
-                    );
+                    let out: Vec<Binding> =
+                        drain_all(Probe::new(&mut invoke, gateway.clone(), i), batch);
                     if let Some(err) = gateway.with(|g| g.take_error()) {
                         return Err(err);
                     }

@@ -26,7 +26,7 @@ use crate::context::ExecContext;
 use crate::gateway::{
     InvocationFrontier, LocalGateway, PrefixResolution, SharedServiceState, TenantId,
 };
-use crate::operator::{compile_with, drain_all, ExecError, Filter, Invoke, Operator, Source};
+use crate::operator::{compile_with, drain_all, ExecError, Invoke, Operator, Source};
 use crate::plan_info::{analyze, PlanInfo};
 use mdq_model::fingerprint::SubplanSignature;
 use mdq_model::schema::{Schema, ServiceId};
@@ -218,7 +218,7 @@ fn prepare_shared_prefix(
         let invoke = Invoke::for_node(plan, schema, info, node, base, gateway.clone(), false);
         // the eager drain runs batched: whole pages flow through the
         // chain per gateway-lock acquisition instead of tuple-at-a-time
-        let drained: Vec<Binding> = drain_all(Filter::for_node(plan, info, node, invoke), batch);
+        let drained: Vec<Binding> = drain_all(invoke, batch);
         let healthy = gateway.with(|g| g.error().is_none() && !g.is_degraded());
         if healthy {
             let cost = base_cost + gateway.with(|g| g.total_calls()) - start_calls;
@@ -490,6 +490,12 @@ impl<'a> TopKExecution<'a> {
     /// statistics — all from one instant.
     pub fn ledger(&self) -> crate::gateway::Counters {
         self.gateway.with(|g| g.ledger())
+    }
+
+    /// Reads this execution's ledger in place — [`TopKExecution::ledger`]
+    /// without the copy, for a reader after a few figures.
+    pub fn read_ledger<R>(&self, f: impl FnOnce(&crate::gateway::Counters) -> R) -> R {
+        self.gateway.with(|g| g.read_ledger(f))
     }
 
     /// The partial-results report so far: `Some` once any service has

@@ -24,6 +24,44 @@
 //!
 //! The plan cache of `mdq-runtime` keys on this fingerprint (plus `k`).
 //!
+//! **Why equal canonical texts mean equal queries.** The text reads back
+//! one way only. It is the atoms `a<service>(<term>,…);` in canonical
+//! order, the predicates `<expr><op><expr>[@σ];` sorted, then
+//! `h:<term>,…`. A term is a canonical variable `?<n>` or a constant; an
+//! expression other than a term is parenthesized. A string constant is
+//! written between single quotes with every `\` and `'` inside it
+//! escaped by a `\`, so the first unescaped quote closes it and no
+//! string can spell out the punctuation around it — before this
+//! escaping, `Conf = "c';?3='x"` rendered exactly as the two predicates
+//! `Conf = 'c', City = 'x'`, and the plan cache ran one query for the
+//! other. A date is quoted too, around digits, `-` and `/` only, and no
+//! other constant renders a quote, `,`, `;`, `(` or `)`. So reading a
+//! canonical text back yields the atom list, the
+//! predicate multiset and the head, variables named by their canonical
+//! numbers: equal texts are equal queries up to variable renaming and
+//! the listing order of predicates (and of atoms whose sort keys tie).
+//! Two kinds of constant still render alike, and only these: an
+//! integral float and the equal integer (`28.0` and `28` both render
+//! `28`) — they compare equal, but a service takes them as different
+//! input keys, and integer arithmetic overflows where float arithmetic
+//! does not — and a string constant spelled like a date, which the
+//! parser never produces (a date-shaped literal is a date). Telling the
+//! first pair apart changes the fingerprint of every query with an
+//! integral float constant, so it waits for the next change of key: a
+//! shape key that lifts constants out must keep their kinds.
+//!
+//! **What the writer borrows.** One canonical writer renders a query
+//! into any [`fmt::Write`] sink, reading the query in place:
+//! [`canonical_text`] gives it a `String`, [`fingerprint`] an FNV-1a
+//! hasher that digests the bytes as they are written — so the
+//! fingerprint is FNV-1a over exactly [`canonical_text`], and no text
+//! is held — and the subplan functions share its term, expression and
+//! predicate rendering. Its allocations are the table of canonical
+//! variable numbers and one scratch buffer, where the atoms' sort keys
+//! and then the predicates are rendered to be sorted. For a query whose
+//! string constants hold no `'` or `\` the bytes are those the earlier
+//! string-per-part renderer produced, so its fingerprint is unchanged.
+//!
 //! Known limitation (safe direction): atoms whose name-independent sort
 //! keys tie — e.g. a self-join invoking one service twice with the same
 //! constant/variable pattern — keep their submission order, so listing
@@ -32,10 +70,9 @@
 //! plan-cache miss (the optimizer reruns); equal fingerprints still
 //! always mean equal templates.
 
-use crate::query::{ConjunctiveQuery, Expr, Term, VarId};
-use std::collections::HashMap;
+use crate::query::{Atom, ConjunctiveQuery, Expr, Predicate, Term, VarId};
+use crate::value::Value;
 use std::fmt;
-use std::fmt::Write as _;
 
 /// A 64-bit digest of a query's canonical form.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -103,9 +140,10 @@ pub struct SubplanSig {
 /// preserved; the query head is deliberately excluded — a prefix's
 /// downstream is open.
 pub fn subplan_signature(query: &ConjunctiveQuery, steps: &[PrefixStep]) -> SubplanSig {
-    let (text, vars) = subplan_canonical_text(query, steps);
+    let mut digest = Fnv1a(FNV1A_OFFSET);
+    let vars = write_subplan(query, steps, &mut digest).expect(INFALLIBLE);
     SubplanSig {
-        signature: SubplanSignature(fnv1a(text.as_bytes())),
+        signature: SubplanSignature(digest.0),
         vars,
     }
 }
@@ -116,73 +154,17 @@ pub fn subplan_canonical_text(
     query: &ConjunctiveQuery,
     steps: &[PrefixStep],
 ) -> (String, Vec<VarId>) {
-    // variables renumbered by first occurrence scanning the steps in
-    // execution order; every predicate applied at a step only mentions
-    // variables bound by that step or earlier, so the map is total
-    let mut canon: HashMap<u32, usize> = HashMap::new();
-    let mut vars: Vec<VarId> = Vec::new();
-    for step in steps {
-        for t in &query.atoms[step.atom].terms {
-            if let Term::Var(v) = t {
-                if let std::collections::hash_map::Entry::Vacant(e) = canon.entry(v.0) {
-                    e.insert(vars.len());
-                    vars.push(*v);
-                }
-            }
-        }
-    }
-
-    let render_term = |t: &Term, out: &mut String| match t {
-        Term::Var(v) => {
-            let _ = write!(out, "?{}", canon.get(&v.0).copied().unwrap_or(usize::MAX));
-        }
-        Term::Const(c) => {
-            let _ = write!(out, "{c}");
-        }
-    };
-
     let mut text = String::new();
-    for step in steps {
-        let atom = &query.atoms[step.atom];
-        let _ = write!(text, "a{}p{}f{}(", atom.service.0, step.pattern, step.fetch);
-        for (i, t) in atom.terms.iter().enumerate() {
-            if i > 0 {
-                text.push(',');
-            }
-            render_term(t, &mut text);
-        }
-        text.push(')');
-        // predicates applied at this step, rendered then sorted —
-        // conjunction is order-free
-        let mut preds: Vec<String> = step
-            .preds
-            .iter()
-            .map(|&k| {
-                let p = &query.predicates[k];
-                let mut s = String::new();
-                render_expr(&p.lhs, &render_term, &mut s);
-                let _ = write!(s, "{}", p.op);
-                render_expr(&p.rhs, &render_term, &mut s);
-                if let Some(sigma) = p.selectivity_hint {
-                    let _ = write!(s, "@{sigma}");
-                }
-                s
-            })
-            .collect();
-        preds.sort();
-        for p in &preds {
-            text.push('[');
-            text.push_str(p);
-            text.push(']');
-        }
-        text.push(';');
-    }
+    let vars = write_subplan(query, steps, &mut text).expect(INFALLIBLE);
     (text, vars)
 }
 
-/// Fingerprints `query`: FNV-1a over [`canonical_text`].
+/// Fingerprints `query`: FNV-1a over [`canonical_text`], digested as
+/// the canonical writer produces it.
 pub fn fingerprint(query: &ConjunctiveQuery) -> QueryFingerprint {
-    QueryFingerprint(fnv1a(canonical_text(query).as_bytes()))
+    let mut digest = Fnv1a(FNV1A_OFFSET);
+    write_canonical(query, &mut digest).expect(INFALLIBLE);
+    QueryFingerprint(digest.0)
 }
 
 /// The canonical rendering the fingerprint hashes: atoms in a
@@ -192,133 +174,308 @@ pub fn fingerprint(query: &ConjunctiveQuery) -> QueryFingerprint {
 /// The query *name* is deliberately excluded — `q(...)` and `q2(...)`
 /// with identical bodies are the same template.
 pub fn canonical_text(query: &ConjunctiveQuery) -> String {
-    // 1. order atoms by a key that does not mention variable identity
-    //    beyond the atom's own repetition pattern (stable, so equal keys
-    //    keep submission order — a deterministic tie-break);
-    let mut order: Vec<usize> = (0..query.atoms.len()).collect();
-    let keys: Vec<String> = query.atoms.iter().map(local_atom_key).collect();
-    order.sort_by(|&a, &b| keys[a].cmp(&keys[b]).then(a.cmp(&b)));
-
-    // 2. renumber variables by first occurrence scanning atoms in that
-    //    order (safety guarantees every head/predicate variable occurs
-    //    in some atom, so the map is total);
-    let mut canon: HashMap<u32, usize> = HashMap::new();
-    for &a in &order {
-        for t in &query.atoms[a].terms {
-            if let Term::Var(v) = t {
-                let next = canon.len();
-                canon.entry(v.0).or_insert(next);
-            }
-        }
-    }
-
-    let render_term = |t: &Term, out: &mut String| match t {
-        Term::Var(v) => {
-            let _ = write!(out, "?{}", canon.get(&v.0).copied().unwrap_or(usize::MAX));
-        }
-        Term::Const(c) => {
-            let _ = write!(out, "{c}");
-        }
-    };
-
     let mut text = String::new();
-    for &a in &order {
-        let atom = &query.atoms[a];
-        let _ = write!(text, "a{}(", atom.service.0);
-        for (i, t) in atom.terms.iter().enumerate() {
-            if i > 0 {
-                text.push(',');
-            }
-            render_term(t, &mut text);
-        }
-        text.push_str(");");
-    }
-
-    // 3. predicates rendered with canonical variables, then sorted —
-    //    conjunction is order-free;
-    let mut preds: Vec<String> = query
-        .predicates
-        .iter()
-        .map(|p| {
-            let mut s = String::new();
-            render_expr(&p.lhs, &render_term, &mut s);
-            let _ = write!(s, "{}", p.op);
-            render_expr(&p.rhs, &render_term, &mut s);
-            if let Some(sigma) = p.selectivity_hint {
-                // a hint steers the optimizer, so it is part of the shape
-                let _ = write!(s, "@{sigma}");
-            }
-            s
-        })
-        .collect();
-    preds.sort();
-    for p in &preds {
-        text.push_str(p);
-        text.push(';');
-    }
-
-    // 4. the head: output positions in order.
-    text.push_str("h:");
-    for (i, v) in query.head.iter().enumerate() {
-        if i > 0 {
-            text.push(',');
-        }
-        let _ = write!(text, "?{}", canon.get(&v.0).copied().unwrap_or(usize::MAX));
-    }
+    write_canonical(query, &mut text).expect(INFALLIBLE);
     text
 }
 
-fn render_expr(e: &Expr, render_term: &impl Fn(&Term, &mut String), out: &mut String) {
-    match e {
-        Expr::Term(t) => render_term(t, out),
-        Expr::Add(a, b) => {
-            out.push('(');
-            render_expr(a, render_term, out);
-            out.push('+');
-            render_expr(b, render_term, out);
-            out.push(')');
-        }
-        Expr::Sub(a, b) => {
-            out.push('(');
-            render_expr(a, render_term, out);
-            out.push('-');
-            render_expr(b, render_term, out);
-            out.push(')');
-        }
-        Expr::Mul(a, b) => {
-            out.push('(');
-            render_expr(a, render_term, out);
-            out.push('*');
-            render_expr(b, render_term, out);
-            out.push(')');
-        }
+/// Both sinks the writer is given — a `String` and [`Fnv1a`] — accept
+/// every write.
+const INFALLIBLE: &str = "canonical sinks accept every write";
+
+/// The canonical number of a variable outside every atom (a query that
+/// failed validation): what the renderer prints for it.
+const UNNUMBERED: usize = usize::MAX;
+
+/// FNV-1a as a sink: digests each write, holds no text.
+struct Fnv1a(u64);
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = fnv1a_append(self.0, s.as_bytes());
+        Ok(())
     }
 }
 
-/// An atom sort key independent of global variable names: the service id
-/// plus, per position, either the constant or the position of the
-/// variable's first occurrence *within this atom* (its repetition
-/// pattern).
-fn local_atom_key(atom: &crate::query::Atom) -> String {
-    let mut locals: HashMap<u32, usize> = HashMap::new();
-    let mut key = format!("a{}(", atom.service.0);
-    for (i, t) in atom.terms.iter().enumerate() {
-        if i > 0 {
-            key.push(',');
+/// The writer's working state: canonical numbers by variable id, and
+/// the scratch buffer items are rendered into to be sorted.
+struct Canon {
+    numbers: Vec<usize>,
+    /// Rendered items, back to back.
+    text: String,
+    /// Per item: its byte range in `text` and its index.
+    items: Vec<(usize, usize, usize)>,
+}
+
+impl Canon {
+    /// Unnumbered variables, room for `items` items.
+    fn new(query: &ConjunctiveQuery, items: usize) -> Self {
+        // a query built by hand may use ids past its interned names
+        let slots = query
+            .atoms
+            .iter()
+            .flat_map(|a| &a.terms)
+            .filter_map(|t| t.as_var())
+            .map(|v| v.0 as usize + 1)
+            .fold(query.var_count(), usize::max);
+        Canon {
+            numbers: vec![UNNUMBERED; slots],
+            text: String::with_capacity(32 * items + 32),
+            items: Vec::with_capacity(items),
         }
-        match t {
-            Term::Var(v) => {
-                let next = locals.len();
-                let idx = *locals.entry(v.0).or_insert(next);
-                let _ = write!(key, "v{idx}");
+    }
+
+    /// Numbers the variables of `atom` not numbered yet, in order of
+    /// first occurrence, from `next` on; returns the next free number.
+    fn number_atom(&mut self, atom: &Atom, mut next: usize) -> usize {
+        for v in atom.terms.iter().filter_map(Term::as_var) {
+            let slot = &mut self.numbers[v.0 as usize];
+            if *slot == UNNUMBERED {
+                *slot = next;
+                next += 1;
             }
-            Term::Const(c) => {
-                let _ = write!(key, "{c}");
+        }
+        next
+    }
+
+    /// Forgets the numbers of `atom`'s variables.
+    fn unnumber_atom(&mut self, atom: &Atom) {
+        for v in atom.terms.iter().filter_map(Term::as_var) {
+            self.numbers[v.0 as usize] = UNNUMBERED;
+        }
+    }
+
+    /// Renders one item into the scratch buffer with `render`.
+    fn push_item(&mut self, index: usize, render: impl FnOnce(&mut String, &[usize])) {
+        let start = self.text.len();
+        render(&mut self.text, &self.numbers);
+        self.items.push((start, self.text.len(), index));
+    }
+
+    /// The items, sorted by rendering and then by index.
+    fn sort_items(&mut self) {
+        let text = &self.text;
+        self.items
+            .sort_unstable_by(|a, b| text[a.0..a.1].cmp(&text[b.0..b.1]).then(a.2.cmp(&b.2)));
+    }
+
+    fn clear_items(&mut self) {
+        self.text.clear();
+        self.items.clear();
+    }
+
+    /// Writes `preds` with canonical variables, sorted — conjunction is
+    /// order-free — each between `open` and `close`.
+    fn write_predicates<'q, W: fmt::Write>(
+        &mut self,
+        preds: impl Iterator<Item = &'q Predicate>,
+        open: &str,
+        close: &str,
+        out: &mut W,
+    ) -> fmt::Result {
+        self.clear_items();
+        for (i, p) in preds.enumerate() {
+            self.push_item(i, |text, numbers| {
+                write_predicate(text, p, numbers).expect(INFALLIBLE)
+            });
+        }
+        self.sort_items();
+        for &(start, end, _) in &self.items {
+            out.write_str(open)?;
+            out.write_str(&self.text[start..end])?;
+            out.write_str(close)?;
+        }
+        Ok(())
+    }
+}
+
+/// Renders `query`'s canonical form into `out`.
+fn write_canonical<W: fmt::Write>(query: &ConjunctiveQuery, out: &mut W) -> fmt::Result {
+    let mut canon = Canon::new(query, query.atoms.len().max(query.predicates.len()));
+    // 1. order atoms by a key that does not mention variable identity
+    //    beyond the atom's own repetition pattern (ties keep submission
+    //    order — a deterministic tie-break);
+    for (a, atom) in query.atoms.iter().enumerate() {
+        // the key numbers the atom's variables among themselves only
+        canon.number_atom(atom, 0);
+        canon.push_item(a, |text, numbers| {
+            write_atom(text, atom, numbers, 'v').expect(INFALLIBLE)
+        });
+        canon.unnumber_atom(atom);
+    }
+    canon.sort_items();
+
+    // 2. renumber variables by first occurrence scanning atoms in that
+    //    order (safety guarantees every head/predicate variable occurs
+    //    in some atom, so the numbering is total), and write the atoms;
+    let mut next = 0;
+    for i in 0..canon.items.len() {
+        let atom = &query.atoms[canon.items[i].2];
+        next = canon.number_atom(atom, next);
+        write_atom(out, atom, &canon.numbers, '?')?;
+        out.write_char(';')?;
+    }
+
+    // 3. predicates with canonical variables, sorted;
+    canon.write_predicates(query.predicates.iter(), "", ";", out)?;
+
+    // 4. the head: output positions in order.
+    out.write_str("h:")?;
+    for (i, v) in query.head.iter().enumerate() {
+        if i > 0 {
+            out.write_char(',')?;
+        }
+        out.write_char('?')?;
+        write_number(out, number_of(&canon.numbers, *v))?;
+    }
+    Ok(())
+}
+
+/// Renders the invoke prefix `steps` into `out`; returns the canonical
+/// variable order.
+fn write_subplan<W: fmt::Write>(
+    query: &ConjunctiveQuery,
+    steps: &[PrefixStep],
+    out: &mut W,
+) -> Result<Vec<VarId>, fmt::Error> {
+    let items = steps.iter().map(|s| s.preds.len()).max().unwrap_or(0);
+    let mut canon = Canon::new(query, items);
+    // variables renumbered by first occurrence scanning the steps in
+    // execution order; every predicate applied at a step only mentions
+    // variables bound by that step or earlier, so the numbering is total
+    let mut vars: Vec<VarId> = Vec::new();
+    for step in steps {
+        for v in query.atoms[step.atom].terms.iter().filter_map(Term::as_var) {
+            let slot = &mut canon.numbers[v.0 as usize];
+            if *slot == UNNUMBERED {
+                *slot = vars.len();
+                vars.push(v);
             }
         }
     }
-    key.push(')');
-    key
+    for step in steps {
+        let atom = &query.atoms[step.atom];
+        write!(out, "a{}p{}f{}", atom.service.0, step.pattern, step.fetch)?;
+        write_terms(out, atom, &canon.numbers, '?')?;
+        // predicates applied at this step, sorted
+        let preds = step.preds.iter().map(|&k| &query.predicates[k]);
+        canon.write_predicates(preds, "[", "]", out)?;
+        out.write_char(';')?;
+    }
+    Ok(vars)
+}
+
+/// `a<service>(<term>,…)`, variables printed as `<var><number>`.
+fn write_atom<W: fmt::Write>(
+    out: &mut W,
+    atom: &Atom,
+    numbers: &[usize],
+    var: char,
+) -> fmt::Result {
+    out.write_char('a')?;
+    write_number(out, atom.service.0.into())?;
+    write_terms(out, atom, numbers, var)
+}
+
+/// `(<term>,…)`, variables printed as `<var><number>`.
+fn write_terms<W: fmt::Write>(
+    out: &mut W,
+    atom: &Atom,
+    numbers: &[usize],
+    var: char,
+) -> fmt::Result {
+    out.write_char('(')?;
+    for (i, t) in atom.terms.iter().enumerate() {
+        if i > 0 {
+            out.write_char(',')?;
+        }
+        match t {
+            Term::Var(v) => {
+                out.write_char(var)?;
+                write_number(out, number_of(numbers, *v))?;
+            }
+            Term::Const(c) => write_constant(out, c)?,
+        }
+    }
+    out.write_char(')')
+}
+
+/// The canonical number of `v` under `numbers`, as written.
+fn number_of(numbers: &[usize], v: VarId) -> u64 {
+    numbers.get(v.0 as usize).copied().unwrap_or(UNNUMBERED) as u64
+}
+
+/// `n` in decimal: what `write!(out, "{n}")` writes, without the
+/// formatting machinery — the writer prints dozens of small numbers.
+fn write_number<W: fmt::Write>(out: &mut W, mut n: u64) -> fmt::Result {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.write_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"))
+}
+
+/// A constant as the canonical form spells it: a string between single
+/// quotes with `\` and `'` escaped by a `\`, anything else as it
+/// displays.
+fn write_constant<W: fmt::Write>(out: &mut W, c: &Value) -> fmt::Result {
+    let s = match c {
+        Value::Str(s) => s,
+        Value::Int(i) => {
+            if *i < 0 {
+                out.write_char('-')?;
+            }
+            return write_number(out, i.unsigned_abs());
+        }
+        other => return write!(out, "{other}"),
+    };
+    out.write_char('\'')?;
+    let mut rest: &str = s;
+    while let Some(at) = rest.find(['\\', '\'']) {
+        out.write_str(&rest[..at])?;
+        out.write_char('\\')?;
+        // the escaped character is one byte: `at + 1` is a boundary
+        out.write_str(&rest[at..at + 1])?;
+        rest = &rest[at + 1..];
+    }
+    out.write_str(rest)?;
+    out.write_char('\'')
+}
+
+fn write_expr<W: fmt::Write>(out: &mut W, e: &Expr, numbers: &[usize]) -> fmt::Result {
+    let (a, op, b) = match e {
+        Expr::Term(Term::Var(v)) => {
+            out.write_char('?')?;
+            return write_number(out, number_of(numbers, *v));
+        }
+        Expr::Term(Term::Const(c)) => return write_constant(out, c),
+        Expr::Add(a, b) => (a, '+', b),
+        Expr::Sub(a, b) => (a, '-', b),
+        Expr::Mul(a, b) => (a, '*', b),
+    };
+    out.write_char('(')?;
+    write_expr(out, a, numbers)?;
+    out.write_char(op)?;
+    write_expr(out, b, numbers)?;
+    out.write_char(')')
+}
+
+/// `<lhs><op><rhs>`, then `@σ` when the predicate carries a hint — a
+/// hint steers the optimizer, so it is part of the shape.
+fn write_predicate<W: fmt::Write>(out: &mut W, p: &Predicate, numbers: &[usize]) -> fmt::Result {
+    write_expr(out, &p.lhs, numbers)?;
+    write!(out, "{}", p.op)?;
+    write_expr(out, &p.rhs, numbers)?;
+    match p.selectivity_hint {
+        Some(sigma) => write!(out, "@{sigma}"),
+        None => Ok(()),
+    }
 }
 
 /// The FNV-1a 64-bit offset basis — the initial state for
@@ -493,6 +650,74 @@ mod tests {
         // canonical order is Conf, S, E, City, T
         let names: Vec<&str> = sig.vars.iter().map(|v| q.var_name(*v)).collect();
         assert_eq!(names, vec!["Conf", "S", "E", "City", "T"]);
+    }
+
+    #[test]
+    fn a_quoted_constant_cannot_spell_out_other_predicates() {
+        // one constant carrying `';?3='` against two real predicates
+        let forged = "q(Conf) :- conf('DB', Conf, S, E, City), \
+                      Conf = \"conf-city41-1';?3='city41\".";
+        let imitated = "q(Conf) :- conf('DB', Conf, S, E, City), \
+                        Conf = 'conf-city41-1', City = 'city41'.";
+        let schema = running_example_schema();
+        let forged = parse_query(forged, &schema).expect("parses");
+        let imitated = parse_query(imitated, &schema).expect("parses");
+        assert_ne!(canonical_text(&forged), canonical_text(&imitated));
+        assert_ne!(fingerprint(&forged), fingerprint(&imitated));
+    }
+
+    #[test]
+    fn a_quoted_constant_cannot_spell_out_other_prefix_predicates() {
+        // the prefix form brackets each predicate: `'][?3='` closes one
+        let forged = "q(Conf) :- conf('DB', Conf, S, E, City), \
+                      Conf = \"x'][?3='y\".";
+        let imitated = "q(Conf) :- conf('DB', Conf, S, E, City), \
+                        Conf = 'x', City = 'y'.";
+        let schema = running_example_schema();
+        let forged = parse_query(forged, &schema).expect("parses");
+        let imitated = parse_query(imitated, &schema).expect("parses");
+        let sign = |q: &ConjunctiveQuery| {
+            let steps = [PrefixStep {
+                atom: 0,
+                pattern: 0,
+                fetch: 1,
+                preds: (0..q.predicates.len()).collect(),
+            }];
+            (
+                subplan_canonical_text(q, &steps).0,
+                subplan_signature(q, &steps),
+            )
+        };
+        let (forged_text, forged_sig) = sign(&forged);
+        let (imitated_text, imitated_sig) = sign(&imitated);
+        assert_ne!(forged_text, imitated_text);
+        assert_ne!(forged_sig.signature, imitated_sig.signature);
+    }
+
+    #[test]
+    fn subplan_signature_hashes_its_canonical_text() {
+        let schema = running_example_schema();
+        let q = parse_query(BASE, &schema).expect("parses");
+        let mut steps = prefix_steps(&q, &[0, 1]);
+        steps[1].preds = vec![0];
+        let (text, vars) = subplan_canonical_text(&q, &steps);
+        let sig = subplan_signature(&q, &steps);
+        assert_eq!(sig.signature.0, fnv1a(text.as_bytes()));
+        assert_eq!(sig.vars, vars);
+    }
+
+    #[test]
+    fn quotes_and_backslashes_are_escaped() {
+        let schema = running_example_schema();
+        let q = parse_query(
+            "q(C) :- conf(\"it's\", C, S, E, City), City = 'a\\b'.",
+            &schema,
+        )
+        .expect("parses");
+        assert_eq!(
+            canonical_text(&q),
+            "a0('it\\'s',?0,?1,?2,?3);?3='a\\\\b';h:?0"
+        );
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! * [`cogency`] — the `⪰IO` order and the "bound is better" heuristic
 //!   (§4.1.1);
 //! * [`fingerprint`] — template normalization: alpha-renaming- and
-//!   predicate-order-invariant query fingerprints for plan caching.
+//!   predicate-order-invariant query fingerprints for plan caching;
+//! * [`bitset`] — sets of small indices (variables, predicates,
+//!   argument positions) in one inline word.
 //!
 //! Downstream crates build plans (`mdq-plan`), estimate costs
 //! (`mdq-cost`), optimize (`mdq-optimizer`) and execute (`mdq-exec`) on
@@ -27,6 +29,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod binding;
+pub mod bitset;
 pub mod cogency;
 pub mod examples;
 pub mod fingerprint;

@@ -19,6 +19,20 @@
 //! `+`, `-`, `*` arithmetic on either side, and may carry a selectivity
 //! hint as an `@σ` suffix (e.g. `FPrice + HPrice < 2000 @0.01`) — the
 //! per-query-template estimates of §3.4.
+//!
+//! **What is borrowed.** The lexer turns the whole input into tokens
+//! first, and an identifier or string token is a `&str` slice of the
+//! input, copied nowhere: the parser reads each one in place, and only
+//! what the query keeps — a variable's name, a string constant — is
+//! allocated, once. Before building the query the parser counts, in the
+//! tokens, the room its lists need. The result is the query the earlier
+//! owned-token parser built (same variables in the same order, same
+//! atoms, predicates and errors — `tests/golden/parsed_queries.txt`
+//! holds both to it), in about a quarter of the allocations.
+//!
+//! Every slice the lexer takes starts and ends at an ASCII byte (a
+//! quote, a digit, an identifier character), so no input — non-ASCII
+//! text included — can make it slice inside a character.
 
 use crate::query::{CmpOp, ConjunctiveQuery, Expr, Predicate, Term};
 use crate::schema::Schema;
@@ -51,12 +65,13 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Clone, Debug, PartialEq)]
-enum Tok {
-    Ident(String), // starts with letter or underscore
+/// One token. Identifiers and string literals borrow the input.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Tok<'a> {
+    Ident(&'a str), // starts with letter or underscore
     Int(i64),
     Float(f64),
-    Str(String), // quoted
+    Str(&'a str), // quoted, quotes stripped
     LParen,
     RParen,
     Comma,
@@ -100,184 +115,189 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn next_tok(&mut self) -> Result<Option<(usize, Tok)>, ParseError> {
+    /// One byte of punctuation: the token, past it.
+    fn single(&mut self, tok: Tok<'a>) -> Tok<'a> {
+        self.pos += 1;
+        tok
+    }
+
+    /// `short`, or `long` when the next byte is `second`.
+    fn maybe_two(&mut self, second: u8, long: Tok<'a>, short: Tok<'a>) -> Tok<'a> {
+        if self.bytes.get(self.pos + 1) == Some(&second) {
+            self.pos += 2;
+            long
+        } else {
+            self.pos += 1;
+            short
+        }
+    }
+
+    fn next_tok(&mut self) -> Result<Option<(usize, Tok<'a>)>, ParseError> {
         self.skip_ws();
         if self.pos >= self.bytes.len() {
             return Ok(None);
         }
         let start = self.pos;
-        let b = self.bytes[self.pos];
-        let tok =
-            match b {
-                b'(' => {
-                    self.pos += 1;
-                    Tok::LParen
-                }
-                b')' => {
-                    self.pos += 1;
-                    Tok::RParen
-                }
-                b',' => {
-                    self.pos += 1;
-                    Tok::Comma
-                }
-                b'.' => {
-                    self.pos += 1;
-                    Tok::Dot
-                }
-                b'+' => {
-                    self.pos += 1;
-                    Tok::Plus
-                }
-                b'*' => {
-                    self.pos += 1;
-                    Tok::Star
-                }
-                b'@' => {
-                    self.pos += 1;
-                    Tok::At
-                }
-                b'-' => {
-                    self.pos += 1;
-                    Tok::Minus
-                }
-                b':' => {
-                    if self.bytes.get(self.pos + 1) == Some(&b'-') {
-                        self.pos += 2;
-                        Tok::Turnstile
-                    } else {
-                        return Err(ParseError::new(start, "expected `:-`"));
-                    }
-                }
-                b'<' => {
-                    if self.bytes.get(self.pos + 1) == Some(&b'=') {
-                        self.pos += 2;
-                        Tok::Cmp(CmpOp::Le)
-                    } else {
-                        self.pos += 1;
-                        Tok::Cmp(CmpOp::Lt)
-                    }
-                }
-                b'>' => {
-                    if self.bytes.get(self.pos + 1) == Some(&b'=') {
-                        self.pos += 2;
-                        Tok::Cmp(CmpOp::Ge)
-                    } else {
-                        self.pos += 1;
-                        Tok::Cmp(CmpOp::Gt)
-                    }
-                }
-                b'=' => {
-                    self.pos += 1;
-                    Tok::Cmp(CmpOp::Eq)
-                }
-                b'!' => {
-                    if self.bytes.get(self.pos + 1) == Some(&b'=') {
-                        self.pos += 2;
-                        Tok::Cmp(CmpOp::Ne)
-                    } else {
-                        return Err(ParseError::new(start, "expected `!=`"));
-                    }
-                }
-                b'\'' | b'"' => {
-                    let quote = b;
-                    self.pos += 1;
-                    let s_start = self.pos;
-                    while self.pos < self.bytes.len() && self.bytes[self.pos] != quote {
-                        self.pos += 1;
-                    }
-                    if self.pos >= self.bytes.len() {
-                        return Err(ParseError::new(start, "unterminated string literal"));
-                    }
-                    let s = self.src[s_start..self.pos].to_string();
-                    self.pos += 1; // closing quote
-                    Tok::Str(s)
-                }
-                b'0'..=b'9' => {
-                    let mut end = self.pos;
-                    let mut is_float = false;
-                    while end < self.bytes.len() {
-                        match self.bytes[end] {
-                            b'0'..=b'9' => end += 1,
-                            b'.' if !is_float
-                                && end + 1 < self.bytes.len()
-                                && self.bytes[end + 1].is_ascii_digit() =>
-                            {
-                                is_float = true;
-                                end += 1;
-                            }
-                            _ => break,
-                        }
-                    }
-                    let text = &self.src[self.pos..end];
-                    self.pos = end;
-                    if is_float {
-                        Tok::Float(text.parse().map_err(|_| {
-                            ParseError::new(start, format!("invalid float `{text}`"))
-                        })?)
-                    } else {
-                        Tok::Int(text.parse().map_err(|_| {
-                            ParseError::new(start, format!("invalid integer `{text}`"))
-                        })?)
-                    }
-                }
-                b'A'..=b'Z' | b'a'..=b'z' | b'_' => {
-                    let mut end = self.pos;
-                    while end < self.bytes.len()
-                        && (self.bytes[end].is_ascii_alphanumeric() || self.bytes[end] == b'_')
-                    {
-                        end += 1;
-                    }
-                    let ident = self.src[self.pos..end].to_string();
-                    self.pos = end;
-                    Tok::Ident(ident)
-                }
-                other => {
-                    return Err(ParseError::new(
-                        start,
-                        format!("unexpected character `{}`", other as char),
-                    ))
-                }
-            };
+        let tok = match self.bytes[self.pos] {
+            b'(' => self.single(Tok::LParen),
+            b')' => self.single(Tok::RParen),
+            b',' => self.single(Tok::Comma),
+            b'.' => self.single(Tok::Dot),
+            b'+' => self.single(Tok::Plus),
+            b'*' => self.single(Tok::Star),
+            b'@' => self.single(Tok::At),
+            b'-' => self.single(Tok::Minus),
+            b'=' => self.single(Tok::Cmp(CmpOp::Eq)),
+            b'<' => self.maybe_two(b'=', Tok::Cmp(CmpOp::Le), Tok::Cmp(CmpOp::Lt)),
+            b'>' => self.maybe_two(b'=', Tok::Cmp(CmpOp::Ge), Tok::Cmp(CmpOp::Gt)),
+            b':' if self.bytes.get(self.pos + 1) == Some(&b'-') => {
+                self.pos += 2;
+                Tok::Turnstile
+            }
+            b':' => return Err(ParseError::new(start, "expected `:-`")),
+            b'!' if self.bytes.get(self.pos + 1) == Some(&b'=') => {
+                self.pos += 2;
+                Tok::Cmp(CmpOp::Ne)
+            }
+            b'!' => return Err(ParseError::new(start, "expected `!=`")),
+            quote @ (b'\'' | b'"') => {
+                let body = start + 1;
+                let Some(len) = self.bytes[body..].iter().position(|&b| b == quote) else {
+                    return Err(ParseError::new(start, "unterminated string literal"));
+                };
+                self.pos = body + len + 1; // past the closing quote
+                Tok::Str(&self.src[body..body + len])
+            }
+            b'0'..=b'9' => self.number(start)?,
+            b'A'..=b'Z' | b'a'..=b'z' | b'_' => {
+                let len = self.bytes[start..]
+                    .iter()
+                    .position(|b| !(b.is_ascii_alphanumeric() || *b == b'_'))
+                    .unwrap_or(self.bytes.len() - start);
+                self.pos = start + len;
+                Tok::Ident(&self.src[start..self.pos])
+            }
+            _ => {
+                // report the character, not its first byte: `start` is
+                // a character boundary (every token ends at an ASCII
+                // byte), and `get` would refuse it if it were not
+                let c = self
+                    .src
+                    .get(start..)
+                    .and_then(|rest| rest.chars().next())
+                    .unwrap_or(char::REPLACEMENT_CHARACTER);
+                return Err(ParseError::new(
+                    start,
+                    format!("unexpected character `{c}`"),
+                ));
+            }
+        };
         Ok(Some((start, tok)))
+    }
+
+    /// An integer, or a float with one `.` between digits.
+    fn number(&mut self, start: usize) -> Result<Tok<'a>, ParseError> {
+        let mut end = start;
+        let mut is_float = false;
+        while end < self.bytes.len() {
+            match self.bytes[end] {
+                b'0'..=b'9' => end += 1,
+                b'.' if !is_float
+                    && end + 1 < self.bytes.len()
+                    && self.bytes[end + 1].is_ascii_digit() =>
+                {
+                    is_float = true;
+                    end += 1;
+                }
+                _ => break,
+            }
+        }
+        let text = &self.src[start..end];
+        self.pos = end;
+        if is_float {
+            // a numeral too long for an f64 is an error, not infinity
+            match text.parse::<f64>() {
+                Ok(v) if v.is_finite() => Ok(Tok::Float(v)),
+                _ => Err(ParseError::new(start, format!("invalid float `{text}`"))),
+            }
+        } else {
+            text.parse()
+                .map(Tok::Int)
+                .map_err(|_| ParseError::new(start, format!("invalid integer `{text}`")))
+        }
     }
 }
 
-fn lex(src: &str) -> Result<Vec<(usize, Tok)>, ParseError> {
+/// Every token of `src`, or its first lexical error. Queries run about
+/// three bytes per token, so one allocation usually holds them all; a
+/// long input grows the list as it lexes instead of reserving for it.
+fn lex(src: &str) -> Result<Vec<(usize, Tok<'_>)>, ParseError> {
     let mut lx = Lexer::new(src);
-    let mut toks = Vec::new();
+    let mut toks = Vec::with_capacity((src.len() / 3 + 8).min(1024));
     while let Some(t) = lx.next_tok()? {
         toks.push(t);
     }
     Ok(toks)
 }
 
-struct Parser<'a> {
-    toks: Vec<(usize, Tok)>,
+fn is_var_name(id: &str) -> bool {
+    id.starts_with(|c: char| c.is_ascii_uppercase())
+}
+
+/// Room the query's lists need, counted in the tokens: `(variables,
+/// head, atoms, predicates)`. Upper bounds — a variable named twice
+/// counts twice — so building the query never grows a list.
+fn capacities(toks: &[(usize, Tok<'_>)]) -> (usize, usize, usize, usize) {
+    let (mut vars, mut head, mut calls, mut predicates) = (0, 0, 0, 0);
+    // the head is what the first `(`…`)` holds
+    let mut in_head = None;
+    let mut prev = None;
+    for &(_, t) in toks {
+        match t {
+            Tok::Ident(id) => {
+                vars += usize::from(is_var_name(id));
+                head += usize::from(in_head == Some(true));
+            }
+            // every `name(` but the head's opens an atom
+            Tok::LParen => {
+                calls += usize::from(matches!(prev, Some(Tok::Ident(_))));
+                in_head.get_or_insert(true);
+            }
+            Tok::RParen => in_head = Some(false),
+            Tok::Cmp(_) => predicates += 1,
+            _ => {}
+        }
+        prev = Some(t);
+    }
+    (vars, head, calls.saturating_sub(1), predicates)
+}
+
+struct Parser<'a, 's> {
+    toks: Vec<(usize, Tok<'a>)>,
     i: usize,
-    schema: &'a Schema,
+    schema: &'s Schema,
     query: ConjunctiveQuery,
 }
 
-impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.i).map(|(_, t)| t)
+impl<'a> Parser<'a, '_> {
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.i).map(|&(_, t)| t)
     }
 
     fn pos(&self) -> usize {
         self.toks.get(self.i).map(|(p, _)| *p).unwrap_or(usize::MAX)
     }
 
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.i).map(|(_, t)| t.clone());
+    fn bump(&mut self) -> Option<Tok<'a>> {
+        let t = self.peek();
         self.i += 1;
         t
     }
 
-    fn expect(&mut self, want: &Tok, what: &str) -> Result<(), ParseError> {
+    fn expect(&mut self, want: Tok<'_>, what: &str) -> Result<(), ParseError> {
         let p = self.pos();
         match self.bump() {
-            Some(ref t) if t == want => Ok(()),
+            Some(t) if t == want => Ok(()),
             _ => Err(ParseError::new(p, format!("expected {what}"))),
         }
     }
@@ -293,17 +313,17 @@ impl<'a> Parser<'a> {
         let p = self.pos();
         match self.bump() {
             Some(Tok::Ident(id)) => {
-                if id.starts_with(|c: char| c.is_ascii_uppercase()) {
-                    Ok(Term::Var(self.query.var(&id)))
+                if is_var_name(id) {
+                    Ok(Term::Var(self.query.var(id)))
                 } else if id == "_" {
                     Err(ParseError::new(p, "anonymous variables are not supported"))
                 } else {
-                    Ok(Term::Const(Value::str(&id)))
+                    Ok(Term::Const(Value::str(id)))
                 }
             }
             Some(Tok::Int(v)) => Ok(Term::Const(Value::Int(v))),
             Some(Tok::Float(v)) => Ok(Term::Const(Value::float(v))),
-            Some(Tok::Str(s)) => Ok(Term::Const(Self::const_from_str(&s))),
+            Some(Tok::Str(s)) => Ok(Term::Const(Self::const_from_str(s))),
             Some(Tok::Minus) => match self.bump() {
                 Some(Tok::Int(v)) => Ok(Term::Const(Value::Int(-v))),
                 Some(Tok::Float(v)) => Ok(Term::Const(Value::float(-v))),
@@ -348,81 +368,85 @@ impl<'a> Parser<'a> {
         Ok(lhs)
     }
 
-    /// An item is an atom (`ident(`) or a predicate.
+    /// An item is an atom (a lowercase `ident(`) or a predicate.
     fn parse_item(&mut self) -> Result<(), ParseError> {
-        let is_atom = matches!(
-            (self.peek(), self.toks.get(self.i + 1).map(|(_, t)| t)),
-            (Some(Tok::Ident(id)), Some(Tok::LParen))
-                if id.starts_with(|c: char| c.is_ascii_lowercase())
-        );
-        if is_atom {
-            let p = self.pos();
-            let name = match self.bump() {
-                Some(Tok::Ident(id)) => id,
-                _ => unreachable!("peeked an identifier"),
-            };
-            let service = self
-                .schema
-                .service_by_name(&name)
-                .ok_or_else(|| ParseError::new(p, format!("unknown service `{name}`")))?;
-            self.expect(&Tok::LParen, "`(`")?;
-            let mut terms = Vec::new();
-            if !matches!(self.peek(), Some(Tok::RParen)) {
-                loop {
-                    terms.push(self.parse_term()?);
-                    match self.peek() {
-                        Some(Tok::Comma) => {
-                            self.bump();
-                        }
-                        _ => break,
-                    }
-                }
+        match (self.toks.get(self.i), self.toks.get(self.i + 1)) {
+            (Some(&(p, Tok::Ident(name))), Some((_, Tok::LParen)))
+                if name.starts_with(|c: char| c.is_ascii_lowercase()) =>
+            {
+                self.i += 1;
+                self.parse_atom(p, name)
             }
-            self.expect(&Tok::RParen, "`)`")?;
-            self.query.atom(service, terms);
-            Ok(())
-        } else {
-            let lhs = self.parse_expr()?;
-            let p = self.pos();
-            let op = match self.bump() {
-                Some(Tok::Cmp(op)) => op,
-                _ => return Err(ParseError::new(p, "expected comparison operator")),
-            };
-            let rhs = self.parse_expr()?;
-            let mut pred = Predicate::new(lhs, op, rhs);
-            if matches!(self.peek(), Some(Tok::At)) {
-                self.bump();
-                let p = self.pos();
-                let sigma = match self.bump() {
-                    Some(Tok::Float(v)) => v,
-                    Some(Tok::Int(v)) => v as f64,
-                    _ => return Err(ParseError::new(p, "expected selectivity after `@`")),
-                };
-                if !(0.0..=1.0).contains(&sigma) {
-                    return Err(ParseError::new(p, "selectivity must be in [0, 1]"));
-                }
-                pred = pred.with_selectivity(sigma);
-            }
-            self.query.predicate(pred);
-            Ok(())
+            _ => self.parse_predicate(),
         }
     }
 
-    fn parse_query(mut self) -> Result<ConjunctiveQuery, ParseError> {
-        // head
+    /// The atom `name(…)`, its name read at `p`.
+    fn parse_atom(&mut self, p: usize, name: &str) -> Result<(), ParseError> {
+        let service = self
+            .schema
+            .service_by_name(name)
+            .ok_or_else(|| ParseError::new(p, format!("unknown service `{name}`")))?;
+        self.expect(Tok::LParen, "`(`")?;
+        let mut terms = Vec::new();
+        if !matches!(self.peek(), Some(Tok::RParen)) {
+            // one term per comma up to the `)`, plus one
+            let commas = self.toks[self.i..]
+                .iter()
+                .take_while(|(_, t)| *t != Tok::RParen)
+                .filter(|(_, t)| *t == Tok::Comma)
+                .count();
+            terms.reserve_exact(commas + 1);
+            loop {
+                terms.push(self.parse_term()?);
+                match self.peek() {
+                    Some(Tok::Comma) => {
+                        self.bump();
+                    }
+                    _ => break,
+                }
+            }
+        }
+        self.expect(Tok::RParen, "`)`")?;
+        self.query.atom(service, terms);
+        Ok(())
+    }
+
+    fn parse_predicate(&mut self) -> Result<(), ParseError> {
+        let lhs = self.parse_expr()?;
         let p = self.pos();
-        let name = match self.bump() {
-            Some(Tok::Ident(id)) => id,
-            _ => return Err(ParseError::new(p, "expected query name")),
+        let op = match self.bump() {
+            Some(Tok::Cmp(op)) => op,
+            _ => return Err(ParseError::new(p, "expected comparison operator")),
         };
-        self.query.name = std::sync::Arc::from(name.as_str());
-        self.expect(&Tok::LParen, "`(`")?;
+        let rhs = self.parse_expr()?;
+        let mut pred = Predicate::new(lhs, op, rhs);
+        if matches!(self.peek(), Some(Tok::At)) {
+            self.bump();
+            let p = self.pos();
+            let sigma = match self.bump() {
+                Some(Tok::Float(v)) => v,
+                Some(Tok::Int(v)) => v as f64,
+                _ => return Err(ParseError::new(p, "expected selectivity after `@`")),
+            };
+            if !(0.0..=1.0).contains(&sigma) {
+                return Err(ParseError::new(p, "selectivity must be in [0, 1]"));
+            }
+            pred = pred.with_selectivity(sigma);
+        }
+        self.query.predicate(pred);
+        Ok(())
+    }
+
+    /// The rest of the query, after its name.
+    fn parse_query(mut self) -> Result<ConjunctiveQuery, ParseError> {
+        self.expect(Tok::LParen, "`(`")?;
         if !matches!(self.peek(), Some(Tok::RParen)) {
             loop {
                 let p = self.pos();
                 match self.bump() {
-                    Some(Tok::Ident(id)) if id.starts_with(|c: char| c.is_ascii_uppercase()) => {
-                        let v = self.query.var(&id);
+                    Some(Tok::Ident(id)) if is_var_name(id) => {
+                        let v = self.query.var(id);
                         self.query.head_var(v);
                     }
                     _ => return Err(ParseError::new(p, "expected head variable")),
@@ -435,8 +459,8 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-        self.expect(&Tok::RParen, "`)`")?;
-        self.expect(&Tok::Turnstile, "`:-`")?;
+        self.expect(Tok::RParen, "`)`")?;
+        self.expect(Tok::Turnstile, "`:-`")?;
         loop {
             self.parse_item()?;
             match self.peek() {
@@ -465,11 +489,19 @@ impl<'a> Parser<'a> {
 /// validated — call [`ConjunctiveQuery::validate`].
 pub fn parse_query(src: &str, schema: &Schema) -> Result<ConjunctiveQuery, ParseError> {
     let toks = lex(src)?;
+    let name = match toks.first() {
+        Some(&(_, Tok::Ident(name))) => name,
+        first => {
+            let p = first.map(|(p, _)| *p).unwrap_or(usize::MAX);
+            return Err(ParseError::new(p, "expected query name"));
+        }
+    };
+    let (vars, head, atoms, predicates) = capacities(&toks);
     let parser = Parser {
+        query: ConjunctiveQuery::with_capacity(name, vars, head, atoms, predicates),
         toks,
-        i: 0,
+        i: 1,
         schema,
-        query: ConjunctiveQuery::new("q"),
     };
     parser.parse_query()
 }

@@ -6,6 +6,7 @@
 //! over variables and constants (the running example uses both
 //! `Temperature ≥ 28` and `FPrice + HPrice < 2000`).
 
+use crate::bitset::BitSet;
 use crate::schema::{Schema, ServiceId};
 use crate::value::Value;
 use std::collections::{HashMap, HashSet};
@@ -151,17 +152,21 @@ impl Expr {
     }
 
     fn collect_vars(&self, out: &mut Vec<VarId>) {
+        self.all_vars(&mut |v| {
+            if !out.contains(&v) {
+                out.push(v);
+            }
+            true
+        });
+    }
+
+    /// Whether `f` holds for every variable occurrence, left to right;
+    /// stops at the first that fails. Allocates nothing.
+    pub fn all_vars(&self, f: &mut impl FnMut(VarId) -> bool) -> bool {
         match self {
-            Expr::Term(Term::Var(v)) => {
-                if !out.contains(v) {
-                    out.push(*v);
-                }
-            }
-            Expr::Term(Term::Const(_)) => {}
-            Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) => {
-                a.collect_vars(out);
-                b.collect_vars(out);
-            }
+            Expr::Term(Term::Var(v)) => f(*v),
+            Expr::Term(Term::Const(_)) => true,
+            Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) => a.all_vars(f) && b.all_vars(f),
         }
     }
 
@@ -223,6 +228,12 @@ impl Predicate {
             }
         }
         v
+    }
+
+    /// Whether `f` holds for every variable occurrence, left side first
+    /// ([`Expr::all_vars`]) — [`Predicate::vars`] without the `Vec`.
+    pub fn all_vars(&self, mut f: impl FnMut(VarId) -> bool) -> bool {
+        self.lhs.all_vars(&mut f) && self.rhs.all_vars(&mut f)
     }
 
     /// Evaluates the predicate; unbound variables or incomparable values
@@ -319,6 +330,25 @@ impl ConjunctiveQuery {
         }
     }
 
+    /// An empty query with room for the given numbers of variables,
+    /// head variables, atoms and predicates — what the parser counted
+    /// in the tokens before building the query.
+    pub(crate) fn with_capacity(
+        name: &str,
+        vars: usize,
+        head: usize,
+        atoms: usize,
+        predicates: usize,
+    ) -> Self {
+        ConjunctiveQuery {
+            name: Arc::from(name),
+            head: Vec::with_capacity(head),
+            atoms: Vec::with_capacity(atoms),
+            predicates: Vec::with_capacity(predicates),
+            var_names: Vec::with_capacity(vars),
+        }
+    }
+
     /// Interns a variable by name and returns its id (idempotent).
     pub fn var(&mut self, name: impl AsRef<str>) -> VarId {
         let name = name.as_ref();
@@ -371,7 +401,7 @@ impl ConjunctiveQuery {
         if self.atoms.is_empty() {
             return Err(QueryError::EmptyBody);
         }
-        let mut body_vars: HashSet<VarId> = HashSet::new();
+        let mut body_vars = BitSet::new();
         for a in &self.atoms {
             let sig = schema.service(a.service);
             if a.terms.len() != sig.arity() {
@@ -384,7 +414,7 @@ impl ConjunctiveQuery {
             for (i, t) in a.terms.iter().enumerate() {
                 match t {
                     Term::Var(v) => {
-                        body_vars.insert(*v);
+                        body_vars.insert(v.0 as usize);
                     }
                     Term::Const(c) => {
                         let dom = schema.domain_info(sig.domains[i]);
@@ -398,16 +428,21 @@ impl ConjunctiveQuery {
                 }
             }
         }
-        for v in &self.head {
-            if !body_vars.contains(v) {
-                return Err(QueryError::UnsafeHeadVar(self.var_name(*v).to_string()));
-            }
+        let in_body = |v: VarId| body_vars.contains(v.0 as usize);
+        if let Some(v) = self.head.iter().find(|v| !in_body(**v)) {
+            return Err(QueryError::UnsafeHeadVar(self.var_name(*v).to_string()));
         }
         for p in &self.predicates {
-            for v in p.vars() {
-                if !body_vars.contains(&v) {
-                    return Err(QueryError::UnsafePredicateVar(self.var_name(v).to_string()));
+            let mut unsafe_var = None;
+            p.all_vars(|v| {
+                let safe = in_body(v);
+                if !safe {
+                    unsafe_var = Some(v);
                 }
+                safe
+            });
+            if let Some(v) = unsafe_var {
+                return Err(QueryError::UnsafePredicateVar(self.var_name(v).to_string()));
             }
         }
         Ok(())
@@ -442,7 +477,7 @@ impl ConjunctiveQuery {
     fn fmt_term(&self, t: &Term, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match t {
             Term::Var(v) => write!(f, "{}", self.var_name(*v)),
-            Term::Const(c) => write!(f, "{c}"),
+            Term::Const(c) => write!(f, "{}", Literal(c)),
         }
     }
 
@@ -468,7 +503,35 @@ impl ConjunctiveQuery {
     }
 }
 
-/// Display adapter returned by [`ConjunctiveQuery::display`].
+/// A constant as query text that parses back to the same value: a
+/// string in single quotes (in double quotes when it holds a single
+/// quote), a date quoted, a float with its decimal point.
+///
+/// Every constant the parser produces has such a spelling — a literal
+/// delimited by one kind of quote cannot contain it — so a parsed
+/// query's [`display`](ConjunctiveQuery::display) parses back to an
+/// identical query.
+pub struct Literal<'a>(pub &'a Value);
+
+impl fmt::Display for Literal<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Value::Str(s) if s.contains('\'') => write!(f, "\"{s}\""),
+            Value::Str(s) => write!(f, "'{s}'"),
+            Value::Date(d) => write!(f, "'{d}'"),
+            Value::Int(i) => write!(f, "{i}"),
+            Value::Float(x) if x.get().is_finite() && x.get().fract() == 0.0 => {
+                write!(f, "{:.1}", x.get())
+            }
+            Value::Float(x) => write!(f, "{x}"),
+            Value::Bool(b) => write!(f, "{b}"),
+            Value::Null => f.write_str("''"),
+        }
+    }
+}
+
+/// Display adapter returned by [`ConjunctiveQuery::display`]: the
+/// query's text, selectivity hints included.
 pub struct QueryDisplay<'a> {
     q: &'a ConjunctiveQuery,
     schema: &'a Schema,
@@ -485,12 +548,10 @@ impl fmt::Display for QueryDisplay<'_> {
             write!(f, "{}", q.var_name(*v))?;
         }
         write!(f, ") :- ")?;
-        let mut first = true;
-        for a in &q.atoms {
-            if !first {
+        for (i, a) in q.atoms.iter().enumerate() {
+            if i > 0 {
                 write!(f, ", ")?;
             }
-            first = false;
             write!(f, "{}(", self.schema.service(a.service).name)?;
             for (i, t) in a.terms.iter().enumerate() {
                 if i > 0 {
@@ -500,11 +561,16 @@ impl fmt::Display for QueryDisplay<'_> {
             }
             write!(f, ")")?;
         }
-        for p in &q.predicates {
-            write!(f, ", ")?;
+        for (i, p) in q.predicates.iter().enumerate() {
+            if i > 0 || !q.atoms.is_empty() {
+                write!(f, ", ")?;
+            }
             q.fmt_expr(&p.lhs, f)?;
             write!(f, " {} ", p.op)?;
             q.fmt_expr(&p.rhs, f)?;
+            if let Some(sigma) = p.selectivity_hint {
+                write!(f, " @{sigma}")?;
+            }
         }
         write!(f, ".")
     }

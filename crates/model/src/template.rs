@@ -18,7 +18,7 @@
 //! optimizer's plan (chosen per template) is reused.
 
 use crate::parser::{parse_query, ParseError};
-use crate::query::ConjunctiveQuery;
+use crate::query::{ConjunctiveQuery, Literal};
 use crate::schema::Schema;
 use crate::value::Value;
 use std::collections::HashSet;
@@ -133,24 +133,7 @@ impl QueryTemplate {
 
 /// Formats a value as query-literal text.
 fn literal(v: &Value) -> String {
-    match v {
-        // the parser re-reads quoted strings (and date-shaped ones as
-        // dates), so `Display` — which quotes Str and Date — is exactly
-        // the literal syntax
-        Value::Str(s) => format!("'{s}'"),
-        Value::Date(d) => format!("'{d}'"),
-        Value::Int(i) => i.to_string(),
-        Value::Float(x) => {
-            let f = x.get();
-            if (f - f.round()).abs() < f64::EPSILON {
-                format!("{f:.1}") // keep the dot so it re-parses as float
-            } else {
-                format!("{f}")
-            }
-        }
-        Value::Bool(b) => b.to_string(),
-        Value::Null => "''".to_string(),
-    }
+    Literal(v).to_string()
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! optimizer can reason about join compatibility and domain cardinalities.
 
 use std::cmp::Ordering;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -131,18 +131,26 @@ impl Date {
     }
 
     /// Parses `YYYY/MM/DD` or `YYYY-MM-DD` (months/days may omit the
-    /// leading zero, as in the paper's `'2007/3/14'`).
+    /// leading zero, as in the paper's `'2007/3/14'`). Years beyond
+    /// ±[`Date::MAX_YEAR`] are not dates: their day count would overflow.
     pub fn parse(s: &str) -> Option<Self> {
         let sep = if s.contains('/') { '/' } else { '-' };
         let mut it = s.split(sep);
         let y: i32 = it.next()?.trim().parse().ok()?;
         let m: u32 = it.next()?.trim().parse().ok()?;
         let d: u32 = it.next()?.trim().parse().ok()?;
-        if it.next().is_some() || !(1..=12).contains(&m) || !(1..=31).contains(&d) {
+        if it.next().is_some()
+            || !(1..=12).contains(&m)
+            || !(1..=31).contains(&d)
+            || y.unsigned_abs() > Date::MAX_YEAR
+        {
             return None;
         }
         Some(Date::from_ymd(y, m, d))
     }
+
+    /// The largest year magnitude [`Date::parse`] accepts.
+    pub const MAX_YEAR: u32 = 1_000_000;
 }
 
 impl fmt::Display for Date {
@@ -250,18 +258,29 @@ impl Value {
     /// Semantic equality used for equi-joins: numeric values match across
     /// `Int`/`Float`; other kinds require identical kind and content.
     pub fn join_eq(&self, rhs: &Value) -> bool {
-        self.compare(rhs) == Some(Ordering::Equal)
+        match (self, rhs) {
+            // values of one stream share their strings: equal pointers
+            // settle it without reading the bytes
+            (Value::Str(a), Value::Str(b)) => Arc::ptr_eq(a, b) || a == b,
+            _ => self.compare(rhs) == Some(Ordering::Equal),
+        }
     }
 }
 
+// Every arm writes without the formatter's width or fill, so a value
+// displays the same inside a padded field as on its own.
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Value::Null => write!(f, "null"),
+            Value::Null => f.write_str("null"),
             Value::Bool(b) => write!(f, "{b}"),
             Value::Int(i) => write!(f, "{i}"),
             Value::Float(x) => write!(f, "{x}"),
-            Value::Str(s) => write!(f, "'{s}'"),
+            Value::Str(s) => {
+                f.write_char('\'')?;
+                f.write_str(s)?;
+                f.write_char('\'')
+            }
             Value::Date(d) => write!(f, "'{d}'"),
         }
     }
@@ -349,14 +368,14 @@ impl Tuple {
 
 impl fmt::Display for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "⟨")?;
+        f.write_str("⟨")?;
         for (i, v) in self.0.iter().enumerate() {
             if i > 0 {
-                write!(f, ", ")?;
+                f.write_str(", ")?;
             }
-            write!(f, "{v}")?;
+            fmt::Display::fmt(v, f)?;
         }
-        write!(f, "⟩")
+        f.write_str("⟩")
     }
 }
 

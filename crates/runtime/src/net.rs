@@ -108,6 +108,7 @@ use crate::server::{QueryServer, Rejection};
 use crate::session::{QuerySession, SessionEvent};
 use crate::tenant::{TenantPolicy, DEFAULT_TENANT};
 use mdq_exec::gateway::TenantId;
+use mdq_model::value::Tuple;
 use mdq_obs::span::SpanKind;
 use std::fmt::{self, Write as _};
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -146,36 +147,40 @@ const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 /// Why an encoder may unwrap its `fmt::Result`.
 const STRING_WRITE: &str = "a String accepts every write";
 
-/// Displays text with its newline characters replaced, so that it fits
-/// a one-line frame.
-struct OneLine<'a>(&'a str);
+/// Writes through to the sink it wraps with newline characters
+/// escaped, so that whatever is displayed into it fits a one-line frame.
+struct OneLine<W>(W);
 
-impl fmt::Display for OneLine<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // a search for one character is a `memchr`, for either of two
-        // a character-by-character scan: hence two nested splits
-        for (i, line) in self.0.split('\n').enumerate() {
-            if i > 0 {
-                f.write_str("\\n")?;
-            }
-            for (j, part) in line.split('\r').enumerate() {
-                if j > 0 {
-                    f.write_str("\\r")?;
-                }
-                f.write_str(part)?;
-            }
+impl<W: fmt::Write> fmt::Write for OneLine<W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        // a displayed value arrives in short pieces: one byte scan each
+        let mut rest = s;
+        while let Some(at) = rest.bytes().position(|b| b == b'\n' || b == b'\r') {
+            self.0.write_str(&rest[..at])?;
+            self.0.write_str(if rest.as_bytes()[at] == b'\n' {
+                "\\n"
+            } else {
+                "\\r"
+            })?;
+            rest = &rest[at + 1..];
         }
-        Ok(())
+        self.0.write_str(rest)
     }
+}
+
+/// Appends `text` as displayed, newlines escaped.
+fn one_line(out: &mut String, text: impl fmt::Display) -> fmt::Result {
+    write!(OneLine(out), "{text}")
 }
 
 /// Appends `<verb> [k=<n>] <text>`, the line `QUERY` and `SUBSCRIBE`
 /// share ([`parse_query_tail`] reads it back).
 fn write_query(out: &mut String, verb: &str, k: Option<u64>, text: &str) -> fmt::Result {
     match k {
-        Some(k) => write!(out, "{verb} k={k} {}", OneLine(text)),
-        None => write!(out, "{verb} {}", OneLine(text)),
+        Some(k) => write!(out, "{verb} k={k} ")?,
+        None => write!(out, "{verb} ")?,
     }
+    one_line(out, text)
 }
 
 /// One frame from client to server.
@@ -233,7 +238,10 @@ impl ClientFrame {
     /// Appends the frame's line (no trailing newline) to `out`.
     fn write_to(&self, out: &mut String) -> fmt::Result {
         match self {
-            ClientFrame::Tenant { name } => write!(out, "TENANT {}", OneLine(name)),
+            ClientFrame::Tenant { name } => {
+                out.push_str("TENANT ");
+                one_line(out, name)
+            }
             ClientFrame::Query { k, text } => write_query(out, "QUERY", *k, text),
             ClientFrame::Subscribe { k, text } => write_query(out, "SUBSCRIBE", *k, text),
             ClientFrame::Poll { id } => write!(out, "POLL {id}"),
@@ -419,6 +427,16 @@ impl ServerFrame {
         line
     }
 
+    /// Appends the `ANSWER` line of `tuple` (no trailing newline) to
+    /// `out`, rendering the tuple straight into it — the one answer
+    /// encoder. [`ServerFrame::Answer`] encodes its text through it, and
+    /// a connection streams a session's tuples through it without a
+    /// `String` per answer; the bytes are the same either way.
+    pub fn encode_answer(out: &mut String, tuple: &dyn fmt::Display) {
+        out.push_str("ANSWER ");
+        one_line(out, tuple).expect(STRING_WRITE);
+    }
+
     /// Appends the frame's line (no trailing newline) to `out` — what
     /// [`encode`](ServerFrame::encode) returns, without the `String`
     /// per frame.
@@ -426,7 +444,10 @@ impl ServerFrame {
         let written = match self {
             ServerFrame::Hello { proto } => write!(out, "HELLO {proto}"),
             ServerFrame::Ok { tenant } => write!(out, "OK tenant={tenant}"),
-            ServerFrame::Answer { tuple } => write!(out, "ANSWER {}", OneLine(tuple)),
+            ServerFrame::Answer { tuple } => {
+                Self::encode_answer(out, tuple);
+                Ok(())
+            }
             ServerFrame::Done {
                 answers,
                 calls,
@@ -446,7 +467,8 @@ impl ServerFrame {
                 tuple,
             } => {
                 let op = if *added { '+' } else { '-' };
-                write!(out, "DELTA id={id} epoch={epoch} op={op} {}", OneLine(tuple))
+                write!(out, "DELTA id={id} epoch={epoch} op={op} ")
+                    .and_then(|()| one_line(out, tuple))
             }
             ServerFrame::Synced { id, epoch, deltas } => {
                 write!(out, "SYNCED id={id} epoch={epoch} deltas={deltas}")
@@ -462,7 +484,10 @@ impl ServerFrame {
                 "REFRESHED epoch={epoch} refreshed={refreshed} changed={changed} calls={calls} deltas={deltas}"
             ),
             ServerFrame::Unsubscribed { id } => write!(out, "UNSUBSCRIBED id={id}"),
-            ServerFrame::Err { reason } => write!(out, "ERR {}", OneLine(reason)),
+            ServerFrame::Err { reason } => {
+                out.push_str("ERR ");
+                one_line(out, reason)
+            }
             ServerFrame::Shed { retry_after_ms } => {
                 write!(out, "SHED retry-after-ms={retry_after_ms}")
             }
@@ -817,8 +842,20 @@ impl<W: Write> FrameWriter<W> {
 
     /// Queues one frame. Returns whether the peer is still there.
     fn push(&mut self, frame: &ServerFrame) -> bool {
+        self.push_line(|buf| frame.encode_into(buf))
+    }
+
+    /// Queues the `ANSWER` frame of `tuple`, rendered into the buffer
+    /// in place ([`ServerFrame::encode_answer`]). Returns whether the
+    /// peer is still there.
+    fn push_answer(&mut self, tuple: &Tuple) -> bool {
+        self.push_line(|buf| ServerFrame::encode_answer(buf, tuple))
+    }
+
+    /// Queues the line `encode` appends.
+    fn push_line(&mut self, encode: impl FnOnce(&mut String)) -> bool {
         if self.open {
-            frame.encode_into(&mut self.buf);
+            encode(&mut self.buf);
             self.buf.push('\n');
             if self.buf.len() >= MAX_FRAME_BYTES {
                 self.flush();
@@ -929,11 +966,7 @@ fn handle_connection(shared: &NetShared, stream: &TcpStream, peer: SocketAddr) {
                             id: ticket.id,
                             epoch: ticket.epoch,
                             answers: ticket.answers.len() as u64,
-                        }) && ticket.answers.iter().all(|t| {
-                            out.push(&ServerFrame::Answer {
-                                tuple: t.to_string(),
-                            })
-                        })
+                        }) && ticket.answers.iter().all(|t| out.push_answer(t))
                     }
                     Err(reason) => out.push(&ServerFrame::Err { reason }),
                 }
@@ -1062,9 +1095,7 @@ fn stream_session(session: &QuerySession, out: &mut FrameWriter<impl Write>) -> 
         match event {
             Some(SessionEvent::Answer(tuple)) => {
                 answers += 1;
-                if !out.push(&ServerFrame::Answer {
-                    tuple: tuple.to_string(),
-                }) {
+                if !out.push_answer(&tuple) {
                     return false;
                 }
             }

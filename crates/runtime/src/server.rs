@@ -1247,10 +1247,10 @@ fn process(state: &ServerState, job: Job) {
     if let Some(t) = &query_trace {
         t.instant(SpanKind::QueryDone { answers: produced });
     }
-    // one snapshot of the execution's ledger: calls, latency and faults
+    // the execution's ledger, read in place: calls, latency and faults
     // all from the same instant
-    let ledger = exec.ledger();
-    let faults = ledger.total_faults();
+    let (faults, forwarded_calls, forwarded_latency) =
+        exec.read_ledger(|l| (l.total_faults(), l.total_calls(), l.total_latency()));
     let error = exec.error();
     let partial = exec.partial_results();
     let replans = exec.replans();
@@ -1298,8 +1298,8 @@ fn process(state: &ServerState, job: Job) {
     let _ = job.events.send(SessionEvent::Done(QueryStats {
         tenant: job.tenant,
         plan_cache_hit,
-        forwarded_calls: ledger.total_calls(),
-        forwarded_latency: ledger.total_latency(),
+        forwarded_calls,
+        forwarded_latency,
         wall_seconds: wall,
         retries: faults.retries,
         timeouts: faults.timeouts,

@@ -241,3 +241,39 @@ fn canonical_text_is_deterministic_across_parses() {
     assert_eq!(canonical_text(&a), canonical_text(&b));
     assert_eq!(format!("{}", fingerprint(&a)).len(), 16, "hex digest");
 }
+
+/// A string constant whose text contains the canonical form's own
+/// punctuation (a quote, then `;?3='…`).
+const FORGED: &str = "q(Conf) :- conf('DB', Conf, Start, End, City), \
+                      Conf = \"conf-city41-1';?3='city41\".";
+/// The template the forged constant imitates: the same atom with two
+/// equality predicates.
+const IMITATED: &str = "q(Conf) :- conf('DB', Conf, Start, End, City), \
+                        Conf = 'conf-city41-1', City = 'city41'.";
+
+#[test]
+fn a_quote_in_a_string_constant_cannot_forge_another_template() {
+    let e = engine();
+    let forged = e.parse(FORGED).expect("parses");
+    let imitated = e.parse(IMITATED).expect("parses");
+    assert_ne!(canonical_text(&forged), canonical_text(&imitated));
+    assert_ne!(fingerprint(&forged), fingerprint(&imitated));
+}
+
+#[test]
+fn the_plan_cache_never_runs_a_forged_template_as_another() {
+    use mdq::runtime::{QueryServer, RuntimeConfig};
+    // alone, the forged query's single constant matches no conference
+    let alone = QueryServer::new(engine(), RuntimeConfig::default())
+        .submit(FORGED, Some(5))
+        .collect()
+        .expect("runs");
+    assert!(alone.answers.is_empty(), "{:?}", alone.answers);
+    // after the imitated template is cached, it still answers as itself
+    let server = QueryServer::new(engine(), RuntimeConfig::default());
+    let imitated = server.submit(IMITATED, Some(5)).collect().expect("runs");
+    assert!(!imitated.answers.is_empty(), "the imitated query answers");
+    let forged = server.submit(FORGED, Some(5)).collect().expect("runs");
+    assert!(!forged.stats.plan_cache_hit, "a forged template misses");
+    assert_eq!(forged.answers, alone.answers);
+}
