@@ -107,12 +107,14 @@ fn run_pass(
     });
 }
 
-fn mean_ns(bench: &Bench, name: &str) -> Option<u128> {
+/// The median of `name`'s timed batches — the gauges below are ratios
+/// of medians, so one descheduled batch cannot move them.
+fn median_ns(bench: &Bench, name: &str) -> Option<u128> {
     bench
         .results()
         .iter()
         .find(|r| r.name == name)
-        .map(|r| r.mean_ns)
+        .map(|r| r.median_ns)
 }
 
 /// Pre-warms the hot working set so every measured hot fetch is a hit.
@@ -166,8 +168,8 @@ fn main() {
     // speedup of the full workload at 8 workers vs 1 (percent; 800 is
     // ideal latency overlap, ≥200 is the regression floor)
     if let (Some(t1), Some(t8)) = (
-        mean_ns(&bench, &format!("contention/{TOTAL_OPS}-ops/1-workers")),
-        mean_ns(&bench, &format!("contention/{TOTAL_OPS}-ops/8-workers")),
+        median_ns(&bench, &format!("contention/{TOTAL_OPS}-ops/1-workers")),
+        median_ns(&bench, &format!("contention/{TOTAL_OPS}-ops/8-workers")),
     ) {
         bench.gauge(
             "contention/speedup/8-workers-vs-1",
@@ -179,11 +181,11 @@ fn main() {
     // acquisitions and cache reads, so the 8-worker excess over the
     // uncontended single worker estimates time lost to the locks
     if let (Some(w1), Some(w8)) = (
-        mean_ns(
+        median_ns(
             &bench,
             &format!("contention/hot-only/{TOTAL_OPS}-ops/1-workers"),
         ),
-        mean_ns(
+        median_ns(
             &bench,
             &format!("contention/hot-only/{TOTAL_OPS}-ops/8-workers"),
         ),
@@ -201,7 +203,7 @@ fn main() {
         );
         // tracing-enabled cost relative to the untraced hot path
         // (percent; 100 = free)
-        if let Some(t1) = mean_ns(
+        if let Some(t1) = median_ns(
             &bench,
             &format!("contention/hot-only-traced/{TOTAL_OPS}-ops/1-workers"),
         ) {

@@ -33,6 +33,7 @@
 
 use crate::cache::CacheStats;
 use crate::gateway::FaultStats;
+use crate::store::recover;
 use mdq_cost::divergence::ObservedService;
 use mdq_model::schema::ServiceId;
 use mdq_obs::histogram::{Histogram, LatencySummary, SERVICE_LATENCY_BOUNDS};
@@ -166,12 +167,14 @@ pub(crate) struct AcctCell {
 
 impl AcctCell {
     fn update(&self, f: impl FnOnce(&mut Counters)) {
-        f(&mut self.counters.lock().expect("accounting cell lock"));
+        let mut counters = recover(self.counters.lock());
+        f(&mut counters);
     }
 
     /// Reads the cell in place — the per-execution accessors' path.
     pub fn read<R>(&self, f: impl FnOnce(&Counters) -> R) -> R {
-        f(&self.counters.lock().expect("accounting cell lock"))
+        let counters = recover(self.counters.lock());
+        f(&counters)
     }
 
     /// Records one successful forwarded call.
@@ -252,7 +255,7 @@ impl Accounting {
         let cell = Arc::new(AcctCell {
             counters: Mutex::new(Counters::default()),
         });
-        let mut inner = self.inner.lock().expect("accounting registry lock");
+        let mut inner = recover(self.inner.lock());
         inner.cells.retain(|w| w.strong_count() > 0);
         inner.cells.push(Arc::downgrade(&cell));
         cell
@@ -260,8 +263,8 @@ impl Accounting {
 
     /// Folds a dropping gateway's cell into the retired totals.
     pub fn retire(&self, cell: &Arc<AcctCell>) {
-        let mut inner = self.inner.lock().expect("accounting registry lock");
-        let counters = cell.counters.lock().expect("accounting cell lock");
+        let mut inner = recover(self.inner.lock());
+        let counters = recover(cell.counters.lock());
         counters.merge_into(&mut inner.retired);
         drop(counters);
         inner
@@ -280,15 +283,12 @@ impl Accounting {
     /// counters in place.
     pub fn merged(&self) -> Counters {
         let (mut out, cells) = {
-            let inner = self.inner.lock().expect("accounting registry lock");
+            let inner = recover(self.inner.lock());
             let cells: Vec<_> = inner.cells.iter().filter_map(Weak::upgrade).collect();
             (inner.retired.clone(), cells)
         };
         for cell in cells {
-            cell.counters
-                .lock()
-                .expect("accounting cell lock")
-                .merge_into(&mut out);
+            recover(cell.counters.lock()).merge_into(&mut out);
         }
         out
     }

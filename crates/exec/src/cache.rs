@@ -13,11 +13,13 @@
 //! executor drives its service calls through that gateway.
 //!
 //! A probe costs a hash of the borrowed key and a reference-count bump:
-//! invocations are filed per service under their owned key, which
-//! answers a `&[Value]` lookup without building one, and a cached
-//! [`Page`] is handed out shared, never copied.
+//! invocations are filed per service under their owned key, and a
+//! cached [`Page`] is handed out shared. Those per-service maps index
+//! into one [`Lru`], so a bounded *optimal* cache evicts exactly and
+//! globally, skipping pinned invocations without a scan.
 
 use crate::joins::mix;
+use crate::store::Lru;
 use mdq_model::schema::ServiceId;
 use mdq_model::value::{Tuple, Value};
 use std::collections::HashMap;
@@ -140,16 +142,22 @@ pub struct PageCache {
     /// Max distinct invocation keys held (`usize::MAX` = unbounded, the
     /// paper's idealised optimal cache; `0` disables caching entirely).
     capacity: usize,
-    tick: u64,
     one_call: HashMap<ServiceId, (Vec<Value>, PageStore)>,
-    /// Per service, so a probe looks the borrowed key up as it is.
-    optimal: ByService<HashMap<Vec<Value>, (PageStore, u64)>>,
+    /// Per service, so a probe looks the borrowed key up as it is, with
+    /// the entry's slot in `order`.
+    optimal: ByService<HashMap<Arc<[Value]>, Resident>>,
+    /// Recency of the *optimal* invocations; a lookup touches it only
+    /// while the cache is bounded (an unbounded one never evicts).
+    order: Lru<(ServiceId, Arc<[Value]>)>,
     evictions: u64,
     /// Refcounted pins held by live subscription frontiers: a pinned
     /// invocation is never evicted (bounded LRU) nor invalidated — the
     /// standing-query delta computation re-reads exactly these pages.
     pins: Pins,
 }
+
+/// An *optimal* invocation's pages and its slot in the recency order.
+type Resident = (PageStore, usize);
 
 /// Pin counts per service and invocation key.
 type Pins = HashMap<ServiceId, HashMap<Vec<Value>, u32>>;
@@ -173,9 +181,9 @@ impl PageCache {
         PageCache {
             setting,
             capacity,
-            tick: 0,
             one_call: HashMap::new(),
             optimal: ByService::default(),
+            order: Lru::default(),
             evictions: 0,
             pins: HashMap::new(),
         }
@@ -193,7 +201,7 @@ impl PageCache {
         match self.setting {
             CacheSetting::NoCache => 0,
             CacheSetting::OneCall => self.one_call.len(),
-            CacheSetting::Optimal => self.optimal.values().map(HashMap::len).sum(),
+            CacheSetting::Optimal => self.order.len(),
         }
     }
 
@@ -209,15 +217,11 @@ impl PageCache {
                 .filter(|(k, _)| k.as_slice() == key)
                 .map(|(_, s)| s),
             CacheSetting::Optimal => {
-                self.tick += 1;
-                let tick = self.tick;
-                self.optimal
-                    .get_mut(&service)?
-                    .get_mut(key)
-                    .map(|(s, used)| {
-                        *used = tick;
-                        &*s
-                    })
+                let (store, at) = self.optimal.get(&service)?.get(key)?;
+                if self.capacity != usize::MAX {
+                    self.order.touch(*at);
+                }
+                Some(store)
             }
         }
     }
@@ -283,7 +287,10 @@ impl PageCache {
                 }
                 &mut entry.1
             }
-            CacheSetting::Optimal => &mut self.resident(service, key).0,
+            CacheSetting::Optimal => match self.resident(service, key) {
+                Some(store) => store,
+                None => return,
+            },
         };
         if (page as usize) > store.pages.len() {
             return; // non-contiguous: drop instead of padding with holes
@@ -299,22 +306,20 @@ impl PageCache {
     /// The *optimal* entry of `(service, key)`, just used — made room
     /// for (pin-aware LRU eviction at the capacity bound) and created
     /// when the invocation is not resident.
-    fn resident(&mut self, service: ServiceId, key: &[Value]) -> &mut (PageStore, u64) {
-        let is_resident = self
-            .optimal
-            .get(&service)
-            .is_some_and(|keys| keys.contains_key(key));
-        if !is_resident && self.entries() >= self.capacity {
-            self.evict_unpinned();
+    fn resident(&mut self, service: ServiceId, key: &[Value]) -> Option<&mut PageStore> {
+        match self.optimal.get(&service).and_then(|keys| keys.get(key)) {
+            Some(&(_, at)) => self.order.touch(at),
+            None => {
+                if self.order.len() >= self.capacity {
+                    self.evict_unpinned();
+                }
+                let key = Arc::<[Value]>::from(key);
+                let at = self.order.push((service, Arc::clone(&key)));
+                let keys = self.optimal.entry(service).or_default();
+                keys.insert(key, (PageStore::default(), at));
+            }
         }
-        self.tick += 1;
-        let keys = self.optimal.entry(service).or_default();
-        if !is_resident {
-            keys.insert(key.to_vec(), Default::default());
-        }
-        let entry = keys.get_mut(key).expect("resident or just inserted");
-        entry.1 = self.tick;
-        entry
+        Some(&mut self.optimal.get_mut(&service)?.get_mut(key)?.0)
     }
 
     /// Evicts the least-recently-used *unpinned* invocation (bounded
@@ -323,14 +328,8 @@ impl PageCache {
     /// temporarily exceeds its capacity rather than tearing pages out
     /// from under a standing query's delta computation.
     fn evict_unpinned(&mut self) {
-        let oldest = self
-            .optimal
-            .iter()
-            .flat_map(|(service, keys)| keys.iter().map(move |(k, (_, used))| (*service, k, *used)))
-            .filter(|(service, k, _)| !self.is_pinned(*service, k))
-            .min_by_key(|(_, _, used)| *used)
-            .map(|(service, k, _)| (service, k.clone()));
-        if let Some((service, key)) = oldest {
+        let pins = &self.pins;
+        if let Some((service, key)) = self.order.evict(|(s, k)| pinned(pins, *s, k)) {
             if let Some(keys) = self.optimal.get_mut(&service) {
                 keys.remove(&key);
             }
@@ -412,10 +411,12 @@ impl PageCache {
         if self.capacity == 0 || self.setting != CacheSetting::Optimal {
             return;
         }
-        self.resident(service, key).0 = PageStore {
-            pages: pages.into_iter().map(Page::from).collect(),
-            exhausted,
-        };
+        if let Some(store) = self.resident(service, key) {
+            *store = PageStore {
+                pages: pages.into_iter().map(Page::from).collect(),
+                exhausted,
+            };
+        }
     }
 
     /// Drops every *unpinned* invocation (all settings), returning how
@@ -434,8 +435,15 @@ impl PageCache {
                 .one_call
                 .retain(|service, (key, _)| pinned(pins, *service, key)),
             CacheSetting::Optimal => {
+                let order = &mut self.order;
                 for (service, keys) in &mut self.optimal {
-                    keys.retain(|key, _| pinned(pins, *service, key));
+                    keys.retain(|key, (_, at)| {
+                        let keep = pinned(pins, *service, key);
+                        if !keep {
+                            order.remove(*at);
+                        }
+                        keep
+                    });
                 }
             }
         }

@@ -1,62 +1,47 @@
 //! The service gateway — the *single* invocation path of the engine.
 //!
 //! Both drivers (stage-materialised, pull-based top-k) drive their
-//! service calls through one [`ServiceGateway`]. The gateway owns:
+//! service calls through one [`ServiceGateway`]. It owns:
 //!
-//! * **registry lookup** — runtime services are resolved once, up front,
-//!   so a missing registration surfaces as
-//!   [`ExecError::MissingService`] before any call is made;
-//! * **paging** — page requests are forwarded in order and accounted as
-//!   individual request-responses (the unit of every cost metric), and
-//!   runs of already-cached pages are served in one batched probe
-//!   ([`ServiceGateway::fetch_page_run`]) so the batched operator
-//!   kernel pays one lock acquisition per run, not per tuple;
-//! * **admission control** — an optional per-query *call budget*: once a
-//!   query has forwarded that many request-responses, further fetches are
-//!   refused and the execution fails with
-//!   [`ExecError::CallBudgetExhausted`].
-//!
-//! * **resilience** — services may fault
-//!   ([`ServiceFault`]): the
-//!   gateway retries each page under a per-service [`RetryPolicy`]
-//!   (bounded attempts, deterministic backoff accounting in simulated
-//!   seconds, call-budget aware), and when retries exhaust it *degrades*
-//!   the page instead of failing the query — the execution completes
-//!   with [`PartialResults`] naming the degraded services and their
+//! * **registry lookup** — services are resolved up front, so a missing
+//!   registration is [`ExecError::MissingService`] before any call;
+//! * **paging** — pages are forwarded in order, each one accounted
+//!   request-response (the unit of every cost metric); runs of cached
+//!   pages are served in one probe ([`ServiceGateway::fetch_page_run`]);
+//! * **admission control** — an optional per-query *call budget*, past
+//!   which fetches are refused with [`ExecError::CallBudgetExhausted`];
+//! * **resilience** — a faulting service ([`ServiceFault`]) is retried
+//!   under a per-service [`RetryPolicy`] (backoff accounted in simulated
+//!   seconds); once retries exhaust the page *degrades* instead of
+//!   failing the query, which completes with [`PartialResults`] and its
 //!   [`FaultStats`].
 //!
 //! Cache and accounting live one level down, in a [`SharedServiceState`]
-//! — but no longer behind one mutex. The shared state is **partitioned**
-//! so concurrent executions stop serializing each other:
+//! partitioned so concurrent executions do not serialize each other.
+//! Its caches are users of the one [`crate::store`] primitive (a
+//! [`Guarded`] lock with single-flight [`Claim`]s, an exact LRU, a
+//! bounded [`FailureMemo`]):
 //!
-//! * the §5.1 [`PageCache`] is split into independently locked *shards*,
-//!   routed by `(service, input-key)` hash; single-flight page
-//!   deduplication and the failed-page memo (a page whose retries
-//!   exhausted is published so single-flight waiters wake with the fault
-//!   instead of hanging or re-fetching) live with their shard, so two
-//!   queries touching different invocations never contend;
-//! * the per-service concurrency limit has its own tiny flow-control
-//!   lock, held only to acquire or release a slot — never across a
-//!   fetch;
-//! * the sub-result store (materialized invoke prefixes) has its own
-//!   lock and condition variable;
-//! * call/latency/fault/observation accounting is **one ledger per
-//!   execution**: each gateway's cell (`crate::accounting`) is the only
-//!   place a forwarded call is booked, and readers merge the cells into
-//!   one [`Counters`] snapshot ([`SharedServiceState::ledger`]), so
-//!   metrics never serialize the page path at all.
+//! * the §5.1 [`PageCache`] is split into independently locked *shards*
+//!   routed by `(service, input-key)` hash; a page's claims and its
+//!   failure memo live with its shard, so two queries touching different
+//!   invocations never contend;
+//! * the per-service concurrency limit has its own flow-control lock,
+//!   held only to acquire or release a slot — never across a fetch;
+//! * the sub-result store (materialized invoke prefixes under an LRU
+//!   bound and per-tenant quotas) has its own lock;
+//! * accounting is **one ledger per execution** (`crate::accounting`),
+//!   merged into one [`Counters`] snapshot on read
+//!   ([`SharedServiceState::ledger`]), so metrics never serialize the
+//!   page path.
 //!
 //! A stand-alone execution owns a private state
 //! ([`ExecContext::private`] — the paper's one-query-at-a-time
 //! setting); the `mdq-runtime` serving layer hands *one* `Arc`-shared
-//! state to every concurrent query ([`ExecContext::shared`]), so pages
-//! fetched by one query are hits for the next and service-call
-//! accounting spans the whole workload. [`ExecContext::gateway`] is the
-//! one place a gateway is built.
-//!
-//! Both drivers run an execution on one thread and hand every operator
-//! of it a clone of one [`LocalGateway`] (`Rc<RefCell>`); concurrency
-//! across executions lives in the [`SharedServiceState`] underneath.
+//! state to every concurrent query ([`ExecContext::shared`]).
+//! [`ExecContext::gateway`] is the one place a gateway is built; both
+//! drivers hand every operator of an execution a clone of one
+//! [`LocalGateway`] (`Rc<RefCell>`).
 
 pub use crate::accounting::Counters;
 use crate::accounting::{Accounting, AcctCell};
@@ -64,6 +49,7 @@ use crate::binding::Binding;
 use crate::cache::{CacheSetting, CacheStats, Page, PageCache, PageLookup};
 use crate::context::ExecContext;
 use crate::operator::ExecError;
+use crate::store::{recover, Claim, FailureMemo, Guarded, LruMap, FAILURE_MEMO_CAP};
 use mdq_cost::divergence::ObservedService;
 use mdq_cost::shared::SharedWorkOracle;
 use mdq_model::fingerprint::SubplanSignature;
@@ -76,12 +62,13 @@ use mdq_plan::dag::Plan;
 use mdq_services::refresh::InvocationKey;
 use mdq_services::registry::ServiceRegistry;
 use mdq_services::service::{Service, ServiceFault};
+use std::borrow::Borrow;
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 /// Bounded-retry policy for faulted service calls.
 ///
@@ -237,13 +224,17 @@ pub struct PageFetch {
 }
 
 impl PageFetch {
-    fn empty() -> Self {
+    fn cached(tuples: Page, has_more: bool) -> Self {
         PageFetch {
-            tuples: Page::default(),
-            has_more: false,
+            tuples,
+            has_more,
             forwarded_latency: None,
             fault: None,
         }
+    }
+
+    fn empty() -> Self {
+        Self::cached(Page::default(), false)
     }
 
     fn failed(fault: ServiceFault, forwarded_latency: Option<f64>) -> Self {
@@ -256,64 +247,8 @@ impl PageFetch {
     }
 }
 
-/// A single-flight claim on one page of its shard, released exactly
-/// once: by [`FlightGuard::finish`] on the success path — the fetched
-/// page is stored and the claim dropped under one lock acquisition — or
-/// by `Drop` on every other path, so the claim is released even if the
-/// service panics. The shard's waiters are woken only when there are
-/// any.
-struct FlightGuard<'a> {
-    shard: &'a PageShard,
-    id: ServiceId,
-    key: &'a [Value],
-    page: u32,
-    released: bool,
-}
-
-impl FlightGuard<'_> {
-    /// Stores the fetched page and releases the claim, in one
-    /// acquisition of the shard lock.
-    fn finish(mut self, tuples: Page, has_more: bool) {
-        self.release(Some((tuples, has_more)));
-    }
-
-    fn release(&mut self, fetched: Option<(Page, bool)>) {
-        if std::mem::replace(&mut self.released, true) {
-            return;
-        }
-        let wake = {
-            // this runs during unwind when a service panics: tolerate a
-            // poisoned lock — a second panic here would abort the
-            // process
-            let mut inner = self
-                .shard
-                .inner
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Some((tuples, has_more)) = fetched {
-                inner
-                    .cache
-                    .store(self.id, self.key, self.page, tuples, has_more);
-            }
-            if let Some(at) = inner.flight_position(self.id, self.key, self.page) {
-                inner.fetching.swap_remove(at);
-            }
-            inner.waiters > 0
-        };
-        if wake {
-            self.shard.changed.notify_all();
-        }
-    }
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        self.release(None);
-    }
-}
-
 /// A held per-service concurrency slot. Dropping it releases the slot
-/// under the flow-control lock and wakes limit waiters, if any wait.
+/// and wakes limit waiters, if any wait.
 struct FlowSlot<'a> {
     shared: &'a SharedServiceState,
     id: ServiceId,
@@ -321,33 +256,12 @@ struct FlowSlot<'a> {
 
 impl Drop for FlowSlot<'_> {
     fn drop(&mut self) {
-        let wake = {
-            // tolerates poison for the same reason as `FlightGuard`:
-            // this path runs during unwind
-            let mut flow = self
-                .shared
-                .flow
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Some(n) = flow.in_flight.get_mut(&self.id) {
+        self.shared.flow.update(|in_flight| {
+            if let Some(n) = in_flight.get_mut(&self.id) {
                 *n = n.saturating_sub(1);
             }
-            flow.waiters > 0
-        };
-        if wake {
-            self.shared.flow_changed.notify_all();
-        }
+        });
     }
-}
-
-/// The flow-control lock's interior.
-#[derive(Default)]
-struct FlowState {
-    /// Request-responses currently in flight per service.
-    in_flight: HashMap<ServiceId, usize>,
-    /// Threads parked on `flow_changed` — a release with none parked
-    /// skips the wake-up.
-    waiters: usize,
 }
 
 /// How many independently locked page shards an unbounded shared state
@@ -356,56 +270,60 @@ struct FlowState {
 /// must see every invocation key).
 const PAGE_SHARDS: usize = 8;
 
-/// One independently locked partition of the page-serving state: a
-/// slice of the §5.1 [`PageCache`] plus the single-flight set and
-/// failed-page memo for the invocations routed here.
-struct PageShard {
-    inner: Mutex<ShardInner>,
-    /// Signalled when a flight claim on this shard is released —
-    /// single-flight waiters park here.
-    changed: Condvar,
+/// One page of one invocation, owned: the key a shard files its
+/// single-flight claims and its failure memo under.
+#[derive(PartialEq, Eq, Hash)]
+struct PageKey(ServiceId, Vec<Value>, u32);
+
+/// A page's identity, owned ([`PageKey`]) or borrowed from a probe, so
+/// probing the claims and the failure memo clones no key.
+trait PageId {
+    fn parts(&self) -> (ServiceId, &[Value], u32);
 }
 
-/// The interior of one [`PageShard`].
+impl PageId for PageKey {
+    fn parts(&self) -> (ServiceId, &[Value], u32) {
+        (self.0, &self.1, self.2)
+    }
+}
+
+impl PageId for (ServiceId, &[Value], u32) {
+    fn parts(&self) -> (ServiceId, &[Value], u32) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn PageId + 'a> for PageKey {
+    fn borrow(&self) -> &(dyn PageId + 'a) {
+        self
+    }
+}
+
+// hashes exactly as `PageKey`'s derived `Hash`: a `Vec` hashes as its slice
+impl Hash for dyn PageId + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for dyn PageId + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn PageId + '_ {}
+
+/// One independently locked partition of the page-serving state, with
+/// the single-flight claims on the pages routed to it.
+type PageShard = Guarded<ShardInner, PageKey>;
+
+/// The state of one [`PageShard`].
 struct ShardInner {
     cache: PageCache,
-    /// Pages currently being fetched from a service (single-flight:
-    /// concurrent demands for the same page wait instead of duplicating
-    /// the request-response). A plain list: it is bounded by the
-    /// concurrent in-flight fetches, and scanning it borrowed avoids
-    /// cloning the key on every cache probe.
-    fetching: Vec<(ServiceId, Vec<Value>, u32)>,
-    /// Threads parked on the shard's `changed` — a released claim with
-    /// none parked skips the wake-up.
-    waiters: usize,
-    /// Pages whose retry budget exhausted, with the terminal fault.
-    /// Published *before* the single-flight claim is released, so a
-    /// waiter blocked on the failing leader wakes with the error
-    /// instead of hanging or re-fetching the fault storm. Entries are
-    /// held until [`SharedServiceState::clear_failed_pages`] — no
-    /// execution re-probes a condemned page, so recovery after an
-    /// outage is an explicit operator action.
-    failed: HashMap<(ServiceId, Vec<Value>, u32), ServiceFault>,
-}
-
-impl ShardInner {
-    /// Where in `fetching` the claim on `(id, key, page)` sits, when the
-    /// page is being fetched right now.
-    fn flight_position(&self, id: ServiceId, key: &[Value], page: u32) -> Option<usize> {
-        self.fetching
-            .iter()
-            .position(|(i, k, p)| *i == id && *p == page && k.as_slice() == key)
-    }
-
-    /// The terminal fault of a permanently degraded page, if any.
-    /// Iterated borrowed: probing must not clone the key, and the memo
-    /// stays small (one entry per page that exhausted its retries).
-    fn failed_for(&self, id: ServiceId, key: &[Value], page: u32) -> Option<&ServiceFault> {
-        self.failed
-            .iter()
-            .find(|((i, k, p), _)| *i == id && *p == page && k.as_slice() == key)
-            .map(|(_, f)| f)
-    }
+    /// Pages whose retries exhausted, with the terminal fault; the
+    /// shards split [`FAILURE_MEMO_CAP`] between them.
+    failed: FailureMemo<PageKey, ServiceFault>,
 }
 
 fn build_shards(setting: CacheSetting, capacity: usize) -> Box<[PageShard]> {
@@ -418,14 +336,11 @@ fn build_shards(setting: CacheSetting, capacity: usize) -> Box<[PageShard]> {
         1
     };
     (0..shards)
-        .map(|_| PageShard {
-            inner: Mutex::new(ShardInner {
+        .map(|_| {
+            Guarded::new(ShardInner {
                 cache: PageCache::with_capacity(setting, capacity),
-                fetching: Vec::new(),
-                waiters: 0,
-                failed: HashMap::new(),
-            }),
-            changed: Condvar::new(),
+                failed: FailureMemo::with_cap(FAILURE_MEMO_CAP / shards),
+            })
         })
         .collect()
 }
@@ -436,44 +351,25 @@ fn build_shards(setting: CacheSetting, capacity: usize) -> Box<[PageShard]> {
 pub type InvocationFrontier = HashSet<InvocationKey>;
 
 /// One materialized invoke prefix: the bindings its chain produced,
-/// `Arc`-shared so a replay is a refcount bump, never a deep copy. The
-/// publisher's variable list and variable-space width ride along so a
-/// subscriber in the *same* space clones the `Arc` directly, and one in
-/// a different space can remap.
-struct SubResultEntry {
-    rows: SubResultRows,
+/// `Arc`-shared so a replay is a refcount bump, with the publisher's
+/// variables so a subscriber in another variable space can remap.
+pub(crate) struct SubResultEntry {
+    pub rows: SubResultRows,
     /// The chain variables the rows bind, in the signature's canonical
     /// order (the publisher's numbering).
-    vars: Arc<[VarId]>,
+    pub vars: Arc<[VarId]>,
     /// Variable-space width of the publishing execution.
-    nvars: usize,
-    /// Forwarded request-responses the materializing execution spent
-    /// producing this prefix — what a replay saves its subscriber.
-    cost_calls: u64,
-    /// LRU recency stamp.
-    used: u64,
+    pub nvars: usize,
+    /// Forwarded calls the publisher spent — what a replay saves.
+    pub cost_calls: u64,
     /// The tenant that published the entry (`None` for untenanted
-    /// executions) — the hook for per-tenant store quotas.
-    tenant: Option<TenantId>,
-    /// The invocations the prefix's rows were computed from, recorded
-    /// only by frontier-enabled (standing) publishers. `None` means the
-    /// provenance is unknown: ad-hoc entries replay fine within an
-    /// epoch but can never survive a refresh pass, and a standing
-    /// replay must skip them (its own frontier would be incomplete).
-    frontier: Option<Arc<InvocationFrontier>>,
-}
-
-/// The sub-result store's interior (guarded by its own lock — the page
-/// shards never wait on a materialization and vice versa).
-#[derive(Default)]
-struct SubResultInner {
-    tick: u64,
-    entries: HashMap<SubplanSignature, SubResultEntry>,
-    /// Signatures currently being materialized (single-flight: a query
-    /// whose prefix is being computed waits and replays, instead of
-    /// duplicating the chain's service calls).
-    computing: HashSet<SubplanSignature>,
-    stats: SubResultStats,
+    /// executions), whose quota it counts against.
+    pub tenant: Option<TenantId>,
+    /// The invocations the rows were computed from, recorded only by
+    /// standing publishers. `None` (unknown provenance) entries replay
+    /// within an epoch but never survive a refresh or replay into a
+    /// standing query.
+    pub frontier: Option<Arc<InvocationFrontier>>,
 }
 
 /// Counters of the signature-keyed sub-result store.
@@ -485,23 +381,19 @@ pub struct SubResultStats {
     pub misses: u64,
     /// Materialized prefixes dropped by the LRU bound.
     pub evictions: u64,
-    /// Summed materializing cost of every replayed entry — the calls a
-    /// cold, uncached subscriber would have forwarded to produce the
-    /// prefix itself (an upper bound on the actual saving when the
-    /// page cache would have absorbed part of the work).
+    /// Summed materializing cost of every replayed entry — an upper
+    /// bound on the calls saved, as the page cache may absorb some.
     pub calls_saved: u64,
     /// Prefixes currently materialized.
     pub entries: u64,
-    /// Materialized prefixes a tenant's own quota displaced (the
-    /// publishing tenant's least-recent entry, never another
-    /// tenant's — see [`SharedServiceState::set_tenant_sub_quota`]).
+    /// Prefixes a tenant's own quota displaced
+    /// ([`SharedServiceState::set_tenant_sub_quota`]).
     pub quota_evictions: u64,
-    /// Materialized prefixes dropped wholesale by refresh passes
-    /// ([`SharedServiceState::invalidate_sub_results`]) — staleness,
-    /// not capacity pressure.
+    /// Prefixes refresh passes dropped as stale
+    /// ([`SharedServiceState::invalidate_sub_results`]).
     pub invalidated: u64,
-    /// Materialized prefixes a refresh pass kept alive because every
-    /// invocation they depend on came through the epoch unchanged
+    /// Prefixes a refresh pass kept because their invocations came
+    /// through the epoch unchanged
     /// ([`SharedServiceState::retain_sub_results`]).
     pub retained: u64,
 }
@@ -509,32 +401,205 @@ pub struct SubResultStats {
 /// The `Arc`-shared bindings of one materialized prefix.
 pub(crate) type SubResultRows = Arc<Vec<Binding>>;
 
-/// A materialized prefix handed to a subscriber for replay.
+/// A materialized prefix handed to a subscriber for replay: the stored
+/// entry, shared, and the chain level (1-based) it covers.
 pub(crate) struct ReplayEntry {
-    /// Chain level (1-based) the prefix covers.
     pub level: usize,
-    /// The prefix's bindings, `Arc`-shared with the store.
-    pub rows: SubResultRows,
-    /// The publisher's chain variables, in canonical order.
-    pub vars: Arc<[VarId]>,
-    /// The publisher's variable-space width.
-    pub nvars: usize,
-    /// Forwarded calls the publisher spent producing the prefix.
-    pub cost_calls: u64,
-    /// The invocations the prefix was computed from (`None` for ad-hoc
-    /// entries). A frontier-enabled subscriber merges this into its own
-    /// frontier so replayed dependencies are still tracked.
-    pub frontier: Option<Arc<InvocationFrontier>>,
+    entry: Arc<SubResultEntry>,
 }
 
-/// What [`SharedServiceState::resolve_prefixes`] decided for one
-/// execution's invoke-prefix chain.
-pub(crate) struct PrefixResolution {
-    /// The longest materialized prefix to replay, if any.
+impl std::ops::Deref for ReplayEntry {
+    type Target = SubResultEntry;
+    fn deref(&self) -> &SubResultEntry {
+        &self.entry
+    }
+}
+
+/// A claim on materializing one prefix level.
+pub(crate) type SubClaim<'a> = Claim<'a, SubInner, SubplanSignature>;
+
+/// What `SubResults::resolve` decided for one execution's chain: the
+/// longest materialized prefix to replay, and the levels (1-based) it
+/// claimed — each claim to publish, or drop to abandon the level.
+pub(crate) struct PrefixResolution<'a> {
     pub replay: Option<ReplayEntry>,
-    /// Chain levels (1-based) this execution claimed for
-    /// materialization: it must publish or abandon every one.
-    pub claimed: Vec<usize>,
+    pub claimed: Vec<(usize, SubClaim<'a>)>,
+}
+
+/// The signature-keyed sub-result store: materialized invoke prefixes
+/// under an LRU bound and per-tenant quotas, each materialized
+/// single-flight.
+pub(crate) struct SubResults {
+    /// Max materialized prefixes; `0` disables the store. Fixed at
+    /// build, so "is the store on?" needs no prefix signing and no lock.
+    capacity: usize,
+    inner: Guarded<SubInner, SubplanSignature>,
+}
+
+/// The state behind the sub-result store's lock.
+#[derive(Default)]
+pub(crate) struct SubInner {
+    entries: LruMap<SubplanSignature, Arc<SubResultEntry>>,
+    /// Entries held per tenant, so a quota check is one lookup.
+    held: HashMap<TenantId, u64>,
+    stats: SubResultStats,
+}
+
+/// Uncounts `entry` from its tenant's holdings.
+fn release_held(held: &mut HashMap<TenantId, u64>, entry: &SubResultEntry) {
+    if let Some(n) = entry.tenant.and_then(|t| held.get_mut(&t)) {
+        *n -= 1;
+    }
+}
+
+impl SubResults {
+    fn new(capacity: usize) -> Self {
+        let inner = Guarded::new(SubInner::default());
+        SubResults { capacity, inner }
+    }
+
+    /// Whether the store is on.
+    pub(crate) fn enabled(&self) -> bool {
+        self.capacity > 0
+    }
+
+    fn stats(&self) -> SubResultStats {
+        let sub = self.inner.lock();
+        SubResultStats {
+            entries: sub.entries.len() as u64,
+            ..sub.stats
+        }
+    }
+
+    /// Decides, for one execution whose chain carries `sigs` (level 1
+    /// first), what to replay and what it must materialize. When a
+    /// wanted level is being materialized concurrently, this waits until
+    /// that level is published (then replays it) or abandoned (then
+    /// claims it).
+    ///
+    /// With `materialize = false` the call is read-only: the longest
+    /// materialized prefix still replays, but nothing is claimed or
+    /// waited for. With `frontier_only = true` only entries that carry
+    /// a recorded [`InvocationFrontier`] replay — a standing query
+    /// replaying a provenance-less entry would miss refreshes — while
+    /// frontier-less levels stay claimable, so it re-materializes them
+    /// *with* provenance.
+    pub(crate) fn resolve(
+        &self,
+        sigs: &[SubplanSignature],
+        materialize: bool,
+        frontier_only: bool,
+    ) -> PrefixResolution<'_> {
+        let mut sub = self.inner.lock();
+        loop {
+            let hit = (0..sigs.len()).rev().find(|&i| {
+                sub.entries
+                    .peek(&sigs[i])
+                    .is_some_and(|e| !frontier_only || e.frontier.is_some())
+            });
+            let from = hit.map_or(0, |i| i + 1);
+            if materialize && sigs[from..].iter().any(|s| sub.is_claimed(s)) {
+                // a concurrent execution is materializing a level we
+                // want: wait for its publish/abandon, then re-resolve
+                sub = self.inner.wait(sub);
+                continue;
+            }
+            let replay = hit.and_then(|i| {
+                let entry = Arc::clone(sub.entries.get(&sigs[i])?);
+                Some(ReplayEntry {
+                    level: i + 1,
+                    entry,
+                })
+            });
+            if let Some(r) = &replay {
+                sub.stats.hits += 1;
+                sub.stats.calls_saved += r.cost_calls;
+            } else {
+                sub.stats.misses += 1;
+            }
+            let mut claimed = Vec::new();
+            for (i, sig) in sigs.iter().enumerate().skip(from) {
+                if materialize && !sub.is_claimed(sig) {
+                    claimed.push((i + 1, self.inner.claim(&mut sub, *sig)));
+                }
+            }
+            return PrefixResolution { replay, claimed };
+        }
+    }
+
+    /// Publishes a materialized prefix under `sig`, LRU-evicting when
+    /// full, and releases the claim. `quota` is the publishing tenant's:
+    /// at its quota it evicts its *own* least-recent entry, and with
+    /// quota 0 it releases the claim without storing.
+    pub(crate) fn publish(
+        &self,
+        claim: SubClaim<'_>,
+        sig: SubplanSignature,
+        entry: SubResultEntry,
+        quota: Option<u64>,
+    ) {
+        let capacity = self.capacity;
+        claim.publish(|sub| {
+            if capacity == 0 || quota == Some(0) {
+                return;
+            }
+            let resident = sub.entries.peek(&sig).is_some();
+            if let (Some(tenant), Some(quota), false) = (entry.tenant, quota, resident) {
+                if sub.held.get(&tenant).copied().unwrap_or(0) >= quota {
+                    let own = sub.entries.evict(|_, e| e.tenant != Some(tenant));
+                    if let Some((_, own)) = own {
+                        release_held(&mut sub.held, &own);
+                        sub.stats.quota_evictions += 1;
+                    }
+                }
+            }
+            if !resident && sub.entries.len() >= capacity {
+                if let Some((_, oldest)) = sub.entries.evict(|_, _| false) {
+                    release_held(&mut sub.held, &oldest);
+                    sub.stats.evictions += 1;
+                }
+            }
+            if let Some(tenant) = entry.tenant {
+                *sub.held.entry(tenant).or_insert(0) += 1;
+            }
+            if let Some(old) = sub.entries.insert(sig, Arc::new(entry)) {
+                release_held(&mut sub.held, &old);
+            }
+        });
+    }
+
+    fn invalidate(&self) -> u64 {
+        let mut sub = self.inner.lock();
+        let dropped = sub.entries.clear() as u64;
+        sub.held.clear();
+        sub.stats.invalidated += dropped;
+        dropped
+    }
+
+    fn retain(&self, retain: impl Fn(&InvocationFrontier) -> bool) -> (u64, u64) {
+        let mut sub = self.inner.lock();
+        let SubInner {
+            entries,
+            held,
+            stats,
+        } = &mut **sub;
+        let dropped = entries.retain(|_, e| {
+            let keep = e.frontier.as_deref().is_some_and(&retain);
+            if !keep {
+                release_held(held, e);
+            }
+            keep
+        }) as u64;
+        let retained = entries.len() as u64;
+        stats.invalidated += dropped;
+        stats.retained += retained;
+        (dropped, retained)
+    }
+
+    fn is_materialized(&self, sig: SubplanSignature) -> bool {
+        let sub = self.inner.lock();
+        self.enabled() && (sub.entries.peek(&sig).is_some() || sub.is_claimed(&sig))
+    }
 }
 
 /// A tenant identifier as the shared state accounts it. The serving
@@ -552,8 +617,8 @@ pub struct TenantCell {
     calls: AtomicU64,
     /// Cumulative forwarded-call budget; `u64::MAX` = unlimited.
     budget: AtomicU64,
-    /// Max sub-result entries this tenant may hold materialized;
-    /// `usize::MAX` = unlimited, `0` = the tenant never publishes.
+    /// Max sub-result entries this tenant may hold; `u64::MAX` =
+    /// unlimited, `0` = the tenant never publishes.
     sub_quota: AtomicU64,
 }
 
@@ -584,6 +649,12 @@ impl TenantCell {
         self.calls.load(AtomicOrdering::Relaxed) < self.budget.load(AtomicOrdering::Relaxed)
     }
 
+    /// The refusal of a call the budget has no room for.
+    fn refusal(&self, tenant: TenantId) -> ExecError {
+        let budget = self.budget().unwrap_or(0);
+        ExecError::TenantBudgetExhausted { tenant, budget }
+    }
+
     /// Reserves one forwarded call against the budget. Exact under
     /// concurrency: the compare-and-swap loop means `calls` can never
     /// exceed the budget, no matter how many executions race.
@@ -597,32 +668,23 @@ impl TenantCell {
     }
 }
 
-/// Cross-query shared execution state: the sharded client [`PageCache`]
-/// with per-shard single-flight deduplication, the flow-control lock
-/// enforcing per-service concurrency limits, the sub-result store, and
-/// the merge-on-read accounting registry.
+/// Cross-query shared execution state: the sharded client [`PageCache`],
+/// the flow-control lock, the sub-result store and the merge-on-read
+/// accounting registry (see the module docs).
 ///
 /// Every [`ServiceGateway`] sits on top of one of these. A private state
 /// per execution reproduces the engine's historical behaviour exactly;
-/// one state `Arc`-shared by many concurrent executions is what turns
-/// the §5.1 cache into a *server-side* cache amortised across a
-/// workload.
+/// one state `Arc`-shared by many concurrent executions turns the §5.1
+/// cache into a *server-side* cache amortised across a workload.
 pub struct SharedServiceState {
     /// Independently locked page-serving partitions, routed by
     /// `(service, input-key)` hash.
     shards: Box<[PageShard]>,
-    /// Per-service flow control — only consulted when
-    /// `per_service_limit > 0`, and only ever locked to acquire or
-    /// release a slot, never across a fetch.
-    flow: Mutex<FlowState>,
-    flow_changed: Condvar,
+    /// Request-responses in flight per service, consulted only when
+    /// `per_service_limit > 0`; never held across a fetch.
+    flow: Guarded<HashMap<ServiceId, usize>>,
     /// The signature-keyed sub-result store, behind its own lock.
-    sub: Mutex<SubResultInner>,
-    sub_changed: Condvar,
-    /// Max materialized prefixes the store holds; `0` disables it.
-    /// Immutable after build, so "is the store on?" is a field read —
-    /// asked *before* anyone signs a prefix or takes the store lock.
-    sub_capacity: usize,
+    sub: SubResults,
     /// Per-tenant budget/usage cells, resolved once per gateway — the
     /// hot path only ever touches the tenant's own atomics.
     tenants: Mutex<HashMap<TenantId, Arc<TenantCell>>>,
@@ -636,9 +698,8 @@ pub struct SharedServiceState {
     /// Per-service retry-policy overrides (immutable after build).
     retry_overrides: HashMap<ServiceId, RetryPolicy>,
     /// Span-trace recorder, when attached: every gateway built over
-    /// this state then registers its own track (per-worker buffer) and
-    /// records typed spans. `None` (the default) keeps the hot path at
-    /// a single branch per record site.
+    /// this state then records typed spans on its own track. `None`
+    /// (the default) costs one branch per record site.
     trace: Mutex<Option<Arc<TraceRecorder>>>,
 }
 
@@ -668,18 +729,14 @@ impl std::fmt::Debug for SharedServiceState {
 
 impl SharedServiceState {
     /// A fresh state with the given cache setting and per-service
-    /// concurrency limit (`0` = unlimited). The page cache is unbounded
-    /// and the sub-result store disabled — the PR 2 serving behaviour;
-    /// see [`SharedServiceState::with_page_capacity`] and
-    /// [`SharedServiceState::with_sub_results`].
+    /// concurrency limit (`0` = unlimited), an unbounded page cache
+    /// ([`SharedServiceState::with_page_capacity`]) and the sub-result
+    /// store off ([`SharedServiceState::with_sub_results`]).
     pub fn new(setting: CacheSetting, per_service_limit: usize) -> Self {
         SharedServiceState {
             shards: build_shards(setting, usize::MAX),
-            flow: Mutex::new(FlowState::default()),
-            flow_changed: Condvar::new(),
-            sub: Mutex::new(SubResultInner::default()),
-            sub_changed: Condvar::new(),
-            sub_capacity: 0,
+            flow: Guarded::new(HashMap::new()),
+            sub: SubResults::new(0),
             tenants: Mutex::new(HashMap::new()),
             acct: Accounting::default(),
             setting,
@@ -694,7 +751,7 @@ impl SharedServiceState {
     /// Callable after sharing: gateways built from then on register a
     /// track and record spans; existing gateways are unaffected.
     pub fn set_trace(&self, recorder: Option<Arc<TraceRecorder>>) {
-        *self.trace.lock().expect("trace slot lock") = recorder;
+        *recover(self.trace.lock()) = recorder;
     }
 
     /// Builder-style [`SharedServiceState::set_trace`].
@@ -705,33 +762,28 @@ impl SharedServiceState {
 
     /// The attached span-trace recorder, if any.
     pub fn trace_recorder(&self) -> Option<Arc<TraceRecorder>> {
-        self.trace.lock().expect("trace slot lock").clone()
+        recover(self.trace.lock()).clone()
     }
 
     /// Bounds the shared page cache to `capacity` distinct invocation
-    /// keys (`0` disables client-side page caching; `usize::MAX` keeps
-    /// it unbounded). Builder style, before sharing. A bounded cache
-    /// collapses to a single shard so eviction order stays globally
-    /// exact.
+    /// keys (`0` disables it; `usize::MAX` keeps it unbounded), before
+    /// sharing. A bounded cache is one shard, so its LRU stays global.
     pub fn with_page_capacity(mut self, capacity: usize) -> Self {
         self.shards = build_shards(self.setting, capacity);
         self
     }
 
-    /// Enables the signature-keyed sub-result store with room for
-    /// `capacity` materialized invoke prefixes (`0` — the default —
-    /// disables cross-query sub-result sharing). Builder style, before
-    /// sharing.
+    /// Enables the sub-result store with room for `capacity`
+    /// materialized invoke prefixes (`0`, the default, disables it),
+    /// before sharing.
     pub fn with_sub_results(mut self, capacity: usize) -> Self {
-        self.sub_capacity = capacity;
+        self.sub = SubResults::new(capacity);
         self
     }
 
-    /// Whether the sub-result store is enabled. With it off (the
-    /// default) an execution skips prefix signing and the store lock
-    /// altogether.
-    pub fn sub_results_enabled(&self) -> bool {
-        self.sub_capacity > 0
+    /// The sub-result store.
+    pub(crate) fn sub_results(&self) -> &SubResults {
+        &self.sub
     }
 
     /// Sets the default retry policy (builder style, before sharing).
@@ -761,27 +813,25 @@ impl SharedServiceState {
     /// the key is excluded from the hash: that setting keeps one cached
     /// invocation *per service*, and replacement is only exact when
     /// every key of a service lands on the same shard.
-    fn shard_idx(&self, id: ServiceId, key: &[Value]) -> usize {
+    fn shard(&self, id: ServiceId, key: &[Value]) -> &PageShard {
         if self.shards.len() == 1 {
-            return 0;
+            return &self.shards[0];
         }
         let mut h = crate::cache::WordHasher::default();
         id.hash(&mut h);
         if !matches!(self.setting, CacheSetting::OneCall) {
             key.hash(&mut h);
         }
-        (h.finish() % self.shards.len() as u64) as usize
+        &self.shards[(h.finish() % self.shards.len() as u64) as usize]
     }
 
     /// Blocks until a concurrency slot for `id` is free, then claims it.
     fn acquire_slot(&self, id: ServiceId) -> FlowSlot<'_> {
-        let mut flow = self.flow.lock().expect("flow-control lock");
-        while flow.in_flight.get(&id).copied().unwrap_or(0) >= self.per_service_limit {
-            flow.waiters += 1;
-            flow = self.flow_changed.wait(flow).expect("flow-control lock");
-            flow.waiters -= 1;
+        let mut flow = self.flow.lock();
+        while flow.get(&id).copied().unwrap_or(0) >= self.per_service_limit {
+            flow = self.flow.wait(flow);
         }
-        *flow.in_flight.entry(id).or_insert(0) += 1;
+        *flow.entry(id).or_insert(0) += 1;
         FlowSlot { shared: self, id }
     }
 
@@ -811,42 +861,33 @@ impl SharedServiceState {
     }
 
     /// Snapshot of the cumulative per-service observations (tuples,
-    /// latency and faults of every forwarded call) across all
-    /// executions sharing this state.
-    ///
-    /// This is the serving layer's substitute for a sampling-profiler
-    /// pass: feed the snapshot to
-    /// [`refresh_profiles`](mdq_cost::divergence::refresh_profiles) to
-    /// seed or re-seed the schema's [`ServiceProfile`]s from live
-    /// gateway accounting.
+    /// latency and faults of every forwarded call) across all executions
+    /// sharing this state — what
+    /// [`refresh_profiles`](mdq_cost::divergence::refresh_profiles) seeds a
+    /// schema's [`ServiceProfile`]s from.
     ///
     /// [`ServiceProfile`]: mdq_model::schema::ServiceProfile
     pub fn observed_snapshot(&self) -> HashMap<ServiceId, ObservedService> {
         self.ledger().observed().clone()
     }
 
+    /// Sums `f` over the page shards.
+    fn per_shard(&self, f: impl Fn(&mut ShardInner) -> usize) -> usize {
+        self.shards.iter().map(|s| f(&mut s.lock())).sum()
+    }
+
     /// Pages currently memoized as permanently degraded.
     pub fn failed_pages(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.inner.lock().expect("page shard lock").failed.len())
-            .sum()
+        self.per_shard(|s| s.failed.len())
     }
 
     /// Forgets every memoized page failure, returning how many were
-    /// dropped. The memo is deliberately held until cleared — nothing
-    /// re-probes a condemned page, so nothing can organically heal it —
-    /// which makes this the recovery lever for a long-lived state after
-    /// a service outage ends (a server's operator reaches it through
-    /// `QueryServer::shared_state`).
+    /// dropped. Nothing re-probes a condemned page, so nothing can
+    /// organically heal it: this is the recovery lever for a long-lived
+    /// state after a service outage ends (a server's operator reaches
+    /// it through `QueryServer::shared_state`).
     pub fn clear_failed_pages(&self) -> usize {
-        let mut n = 0;
-        for shard in self.shards.iter() {
-            let mut inner = shard.inner.lock().expect("page shard lock");
-            n += inner.failed.len();
-            inner.failed.clear();
-        }
-        n
+        self.per_shard(|s| s.failed.clear())
     }
 
     /// Cumulative invocation-level cache statistics for `id`.
@@ -857,10 +898,7 @@ impl SharedServiceState {
     /// Page-cache invocation entries dropped to respect the configured
     /// capacity bound, summed across shards.
     pub fn page_cache_evictions(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.inner.lock().expect("page shard lock").cache.evictions())
-            .sum()
+        self.per_shard(|s| s.cache.evictions() as usize) as u64
     }
 
     /// Occupancy, eviction and failed-page counters of every page
@@ -870,7 +908,7 @@ impl SharedServiceState {
         self.shards
             .iter()
             .map(|s| {
-                let inner = s.inner.lock().expect("page shard lock");
+                let inner = s.lock();
                 PageShardStats {
                     entries: inner.cache.entries() as u64,
                     evictions: inner.cache.evictions(),
@@ -884,7 +922,7 @@ impl SharedServiceState {
     /// use. Gateways resolve their cell once, at construction — the
     /// per-call charge is then a pair of atomics, no map lookup.
     pub fn tenant_cell(&self, tenant: TenantId) -> Arc<TenantCell> {
-        let mut tenants = self.tenants.lock().unwrap_or_else(|p| p.into_inner());
+        let mut tenants = recover(self.tenants.lock());
         Arc::clone(
             tenants
                 .entry(tenant)
@@ -916,208 +954,20 @@ impl SharedServiceState {
     /// Forwarded calls charged to `tenant` so far (0 for a tenant never
     /// seen).
     pub fn tenant_calls(&self, tenant: TenantId) -> u64 {
-        self.tenants
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(&tenant)
-            .map(|c| c.calls())
-            .unwrap_or(0)
+        let tenants = recover(self.tenants.lock());
+        tenants.get(&tenant).map_or(0, |c| c.calls())
     }
 
     /// Whether `tenant` has room for at least one further forwarded
     /// call — the serving layer's cheap admission probe.
     pub fn tenant_has_room(&self, tenant: TenantId) -> bool {
-        self.tenants
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(&tenant)
-            .map(|c| c.has_room())
-            .unwrap_or(true)
+        let tenants = recover(self.tenants.lock());
+        tenants.get(&tenant).is_none_or(|c| c.has_room())
     }
 
     /// Counters of the sub-result store (all zero while disabled).
     pub fn sub_result_stats(&self) -> SubResultStats {
-        let sub = self.sub.lock().expect("sub-result lock");
-        SubResultStats {
-            entries: sub.entries.len() as u64,
-            ..sub.stats
-        }
-    }
-
-    /// Decides, for one execution whose chain carries `sigs` (level 1
-    /// first), what to replay from the sub-result store and what the
-    /// execution must materialize. Single-flight: when a wanted level
-    /// is being materialized by a concurrent execution, this blocks
-    /// until that level is published (then replays it) or abandoned
-    /// (then claims it). Every claimed level must later be
-    /// [`publish_sub_result`]ed or [`abandon_sub_results`]ed. Callers
-    /// ask [`sub_results_enabled`] first — a disabled store is never
-    /// resolved against.
-    ///
-    /// With `materialize = false` the call is read-only: the longest
-    /// already-materialized prefix still replays (free work is free),
-    /// but nothing is claimed and nothing is waited for — the caller
-    /// has no evidence anyone will reuse this prefix and must not pay
-    /// the eager-drain cost.
-    ///
-    /// With `frontier_only = true` only entries that carry a recorded
-    /// [`InvocationFrontier`] are eligible to replay: a standing query
-    /// replaying a provenance-less entry would record an incomplete
-    /// frontier and miss refreshes. Frontier-less levels are still
-    /// claimable, so the standing execution re-materializes them *with*
-    /// provenance (overwriting the ad-hoc entry on publish).
-    ///
-    /// [`publish_sub_result`]: SharedServiceState::publish_sub_result
-    /// [`abandon_sub_results`]: SharedServiceState::abandon_sub_results
-    /// [`sub_results_enabled`]: SharedServiceState::sub_results_enabled
-    pub(crate) fn resolve_prefixes(
-        &self,
-        sigs: &[SubplanSignature],
-        materialize: bool,
-        frontier_only: bool,
-    ) -> PrefixResolution {
-        let mut sub = self.sub.lock().expect("sub-result lock");
-        loop {
-            let hit = (0..sigs.len()).rev().find(|&i| {
-                sub.entries
-                    .get(&sigs[i])
-                    .is_some_and(|e| !frontier_only || e.frontier.is_some())
-            });
-            let from = hit.map(|i| i + 1).unwrap_or(0);
-            if materialize && (from..sigs.len()).any(|i| sub.computing.contains(&sigs[i])) {
-                // a concurrent execution is materializing a level we
-                // want: wait for its publish/abandon, then re-resolve
-                sub = self.sub_changed.wait(sub).expect("sub-result lock");
-                continue;
-            }
-            let replay = match hit {
-                Some(i) => {
-                    sub.tick += 1;
-                    let tick = sub.tick;
-                    sub.stats.hits += 1;
-                    let entry = sub.entries.get_mut(&sigs[i]).expect("present");
-                    entry.used = tick;
-                    let replay = ReplayEntry {
-                        level: i + 1,
-                        rows: Arc::clone(&entry.rows),
-                        vars: Arc::clone(&entry.vars),
-                        nvars: entry.nvars,
-                        cost_calls: entry.cost_calls,
-                        frontier: entry.frontier.clone(),
-                    };
-                    sub.stats.calls_saved += replay.cost_calls;
-                    Some(replay)
-                }
-                None => {
-                    sub.stats.misses += 1;
-                    None
-                }
-            };
-            let mut claimed = Vec::new();
-            if materialize {
-                for (i, sig) in sigs.iter().enumerate().skip(from) {
-                    if sub.computing.insert(*sig) {
-                        claimed.push(i + 1);
-                    }
-                }
-            }
-            return PrefixResolution { replay, claimed };
-        }
-    }
-
-    /// Publishes a materialized prefix under `sig`: releases the
-    /// single-flight claim, stores the bindings (LRU-evicting when
-    /// full) and wakes every waiter. `vars` is the chain's canonical
-    /// variable list and `nvars` the publisher's variable-space width —
-    /// a subscriber in the same space replays the `Arc` directly.
-    /// `tenant` attributes the entry for per-tenant store quotas: a
-    /// tenant at its quota evicts its *own* least-recent entry (never
-    /// another tenant's), and a tenant with quota 0 releases the claim
-    /// without storing at all.
-    /// `frontier` records the invocations the rows were computed from;
-    /// frontier-enabled (standing) publishers pass it so the entry can
-    /// survive refresh passes and replay into other standing queries.
-    #[allow(clippy::too_many_arguments)] // one parameter per entry fact
-    pub(crate) fn publish_sub_result(
-        &self,
-        sig: SubplanSignature,
-        rows: Vec<Binding>,
-        vars: Arc<[VarId]>,
-        nvars: usize,
-        cost_calls: u64,
-        tenant: Option<TenantId>,
-        frontier: Option<Arc<InvocationFrontier>>,
-    ) {
-        // resolve the quota before taking the sub-result lock — the
-        // tenant map and the store have independent locks, never nested
-        let quota = tenant.map(|t| self.tenant_cell(t).sub_quota.load(AtomicOrdering::Relaxed));
-        {
-            let mut sub = self.sub.lock().expect("sub-result lock");
-            sub.computing.remove(&sig);
-            if self.sub_capacity > 0 && quota != Some(0) {
-                if let (Some(tenant), Some(quota)) = (tenant, quota) {
-                    let held = sub
-                        .entries
-                        .values()
-                        .filter(|e| e.tenant == Some(tenant))
-                        .count() as u64;
-                    if held >= quota && !sub.entries.contains_key(&sig) {
-                        if let Some(own_oldest) = sub
-                            .entries
-                            .iter()
-                            .filter(|(_, e)| e.tenant == Some(tenant))
-                            .min_by_key(|(_, e)| e.used)
-                            .map(|(k, _)| *k)
-                        {
-                            sub.entries.remove(&own_oldest);
-                            sub.stats.quota_evictions += 1;
-                        }
-                    }
-                }
-                if sub.entries.len() >= self.sub_capacity && !sub.entries.contains_key(&sig) {
-                    if let Some(oldest) = sub
-                        .entries
-                        .iter()
-                        .min_by_key(|(_, e)| e.used)
-                        .map(|(k, _)| *k)
-                    {
-                        sub.entries.remove(&oldest);
-                        sub.stats.evictions += 1;
-                    }
-                }
-                sub.tick += 1;
-                let used = sub.tick;
-                sub.entries.insert(
-                    sig,
-                    SubResultEntry {
-                        rows: Arc::new(rows),
-                        vars,
-                        nvars,
-                        cost_calls,
-                        used,
-                        tenant,
-                        frontier,
-                    },
-                );
-            }
-        }
-        self.sub_changed.notify_all();
-    }
-
-    /// Releases single-flight claims without publishing (the
-    /// materializing execution errored, exhausted its budget or saw a
-    /// degraded page — a partial prefix must never replay to others).
-    pub(crate) fn abandon_sub_results(&self, sigs: &[SubplanSignature]) {
-        if sigs.is_empty() {
-            return;
-        }
-        {
-            let mut sub = self.sub.lock().expect("sub-result lock");
-            for sig in sigs {
-                sub.computing.remove(sig);
-            }
-        }
-        self.sub_changed.notify_all();
+        self.sub.stats()
     }
 
     // ---- standing-query support: frontier pins + refresh installs ----
@@ -1130,38 +980,17 @@ impl SharedServiceState {
     ///
     /// [`invalidate_unpinned_pages`]: SharedServiceState::invalidate_unpinned_pages
     pub fn pin_invocation(&self, id: ServiceId, key: &[Value]) {
-        let shard = &self.shards[self.shard_idx(id, key)];
-        shard
-            .inner
-            .lock()
-            .expect("page shard lock")
-            .cache
-            .pin(id, key);
+        self.shard(id, key).lock().cache.pin(id, key);
     }
 
     /// Releases one pin on `(id, key)`. Returns whether one was held.
     pub fn unpin_invocation(&self, id: ServiceId, key: &[Value]) -> bool {
-        let shard = &self.shards[self.shard_idx(id, key)];
-        shard
-            .inner
-            .lock()
-            .expect("page shard lock")
-            .cache
-            .unpin(id, key)
+        self.shard(id, key).lock().cache.unpin(id, key)
     }
 
     /// Distinct invocations currently pinned, summed across shards.
     pub fn pinned_invocations(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.inner
-                    .lock()
-                    .expect("page shard lock")
-                    .cache
-                    .pinned_invocations()
-            })
-            .sum()
+        self.per_shard(|s| s.cache.pinned_invocations())
     }
 
     /// A copy of `(id, key)`'s cached pages and exhaustion flag without
@@ -1171,13 +1000,7 @@ impl SharedServiceState {
         id: ServiceId,
         key: &[Value],
     ) -> Option<(Vec<Vec<Tuple>>, bool)> {
-        let shard = &self.shards[self.shard_idx(id, key)];
-        shard
-            .inner
-            .lock()
-            .expect("page shard lock")
-            .cache
-            .export(id, key)
+        self.shard(id, key).lock().cache.export(id, key)
     }
 
     /// Installs a refreshed page set for `(id, key)` wholesale and
@@ -1192,12 +1015,9 @@ impl SharedServiceState {
         pages: Vec<Vec<Tuple>>,
         exhausted: bool,
     ) {
-        let shard = &self.shards[self.shard_idx(id, key)];
-        let mut inner = shard.inner.lock().expect("page shard lock");
+        let mut inner = self.shard(id, key).lock();
         inner.cache.replace(id, key, pages, exhausted);
-        inner
-            .failed
-            .retain(|(i, k, _), _| !(*i == id && k.as_slice() == key));
+        inner.failed.retain(|k| !(k.0 == id && k.1 == key));
     }
 
     /// Drops every *unpinned* cached invocation across all shards,
@@ -1205,16 +1025,7 @@ impl SharedServiceState {
     /// pages outside any subscription frontier may predate the new
     /// epoch, and serving them would mix generations within one answer.
     pub fn invalidate_unpinned_pages(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.inner
-                    .lock()
-                    .expect("page shard lock")
-                    .cache
-                    .invalidate_unpinned()
-            })
-            .sum()
+        self.per_shard(|s| s.cache.invalidate_unpinned())
     }
 
     /// Drops every materialized sub-result entry (single-flight claims
@@ -1224,11 +1035,7 @@ impl SharedServiceState {
     /// a stale prefix replayed into a standing query would silently
     /// resurrect the previous epoch.
     pub fn invalidate_sub_results(&self) -> u64 {
-        let mut sub = self.sub.lock().expect("sub-result lock");
-        let dropped = sub.entries.len() as u64;
-        sub.entries.clear();
-        sub.stats.invalidated += dropped;
-        dropped
+        self.sub.invalidate()
     }
 
     /// Epoch-scoped sub-result invalidation: keeps every entry whose
@@ -1238,15 +1045,7 @@ impl SharedServiceState {
     /// entries, whose dependencies are unknown. Returns
     /// `(dropped, retained)` and bumps the matching stats.
     pub fn retain_sub_results(&self, retain: impl Fn(&InvocationFrontier) -> bool) -> (u64, u64) {
-        let mut sub = self.sub.lock().expect("sub-result lock");
-        let before = sub.entries.len() as u64;
-        sub.entries
-            .retain(|_, e| e.frontier.as_deref().is_some_and(&retain));
-        let retained = sub.entries.len() as u64;
-        let dropped = before - retained;
-        sub.stats.invalidated += dropped;
-        sub.stats.retained += retained;
-        (dropped, retained)
+        self.sub.retain(retain)
     }
 }
 
@@ -1256,11 +1055,7 @@ impl SharedServiceState {
 /// free by the time a plan starting with it executes).
 impl SharedWorkOracle for SharedServiceState {
     fn is_materialized(&self, sig: SubplanSignature) -> bool {
-        if !self.sub_results_enabled() {
-            return false;
-        }
-        let sub = self.sub.lock().expect("sub-result lock");
-        sub.entries.contains_key(&sig) || sub.computing.contains(&sig)
+        self.sub.is_materialized(sig)
     }
 }
 
@@ -1275,22 +1070,17 @@ impl SharedWorkOracle for SharedServiceState {
 pub struct ServiceGateway {
     services: HashMap<ServiceId, Arc<dyn Service>>,
     shared: Arc<SharedServiceState>,
-    /// This execution's ledger: the one place its forwarded calls,
-    /// faults, observations and invocation hits/misses are recorded.
-    /// Registered with the shared state (so merged snapshots see it
-    /// live) and retired into the shared totals on drop.
+    /// This execution's ledger, registered with the shared state and
+    /// retired into its totals on drop.
     acct: Arc<AcctCell>,
     budget: Option<u64>,
     /// The tenant this execution is attributed to, with its budget
-    /// cell resolved once — every forwarded attempt is charged against
-    /// it (reserve-then-forward, so concurrent executions of the same
-    /// tenant can never overshoot the cumulative budget).
+    /// cell resolved once; every forwarded attempt reserves against it.
     tenant: Option<(TenantId, Arc<TenantCell>)>,
     error: Option<ExecError>,
-    /// Services with at least one degraded page, with the terminal
+    /// Services with at least one degraded page, with the last terminal
     /// fault observed (ordered, so partial results report stably).
-    degraded: BTreeSet<ServiceId>,
-    last_faults: HashMap<ServiceId, ServiceFault>,
+    degraded: BTreeMap<ServiceId, ServiceFault>,
     /// This execution's span track, when the shared state has a
     /// recorder attached (`None` costs one branch per record site).
     trace: Option<QueryTrace>,
@@ -1357,8 +1147,7 @@ impl ExecContext<'_> {
             budget: self.budget.filter(|&b| b > 0),
             tenant,
             error: None,
-            degraded: BTreeSet::new(),
-            last_faults: HashMap::new(),
+            degraded: BTreeMap::new(),
             trace,
             node_stats: vec![OperatorStats::default(); plan.nodes.len()],
             active_node: None,
@@ -1434,19 +1223,21 @@ impl ServiceGateway {
         self.tenant.as_ref().map(|(t, _)| *t)
     }
 
-    /// Serves page `page` of the invocation `(service, pattern, key)`:
-    /// from the client cache when the setting allows, forwarding one
-    /// request-response otherwise.
-    ///
-    /// Forwarding is subject to admission control (the per-query call
-    /// budget — exhaustion poisons the execution and serves an empty
-    /// page), single-flight deduplication (a page already being fetched
-    /// by a concurrent execution is awaited, not re-requested), the
-    /// per-service concurrency limit, and the per-service
-    /// [`RetryPolicy`]: faulted attempts are retried with accounted
-    /// backoff while the retry and call budgets allow; a page whose
-    /// retries exhaust is memoized as failed and served as a degraded
-    /// (empty, final) page — see [`ServiceGateway::partial_results`].
+    /// The tenant the sub-result entries this execution publishes are
+    /// charged to, with its store quota.
+    pub(crate) fn sub_result_owner(&self) -> Option<(TenantId, u64)> {
+        let (tenant, cell) = self.tenant.as_ref()?;
+        Some((*tenant, cell.sub_quota.load(AtomicOrdering::Relaxed)))
+    }
+
+    /// Serves page `page` of the invocation `(service, pattern, key)`: from
+    /// the client cache when the setting allows, forwarding one
+    /// request-response otherwise — under the call and tenant budgets
+    /// (exhaustion poisons the execution and serves an empty page),
+    /// single-flight deduplication, the per-service concurrency limit and
+    /// the [`RetryPolicy`]. A page whose retries exhaust is memoized as
+    /// failed and served degraded (empty, final) — see
+    /// [`ServiceGateway::partial_results`].
     pub fn fetch_page(
         &mut self,
         id: ServiceId,
@@ -1456,21 +1247,17 @@ impl ServiceGateway {
     ) -> PageFetch {
         self.note_frontier(id, pattern, key);
         let shared = Arc::clone(&self.shared);
-        let shard = &shared.shards[shared.shard_idx(id, key)];
+        let shard = shared.shard(id, key);
+        let probe: &dyn PageId = &(id, key, page);
         let mut slot: Option<FlowSlot<'_>> = None;
-        let mut inner = shard.inner.lock().expect("page shard lock");
-        let guard = loop {
+        let mut inner = shard.lock();
+        let claim = loop {
             match inner.cache.lookup(id, key, page) {
                 PageLookup::Hit(tuples, has_more) => {
                     drop(inner);
                     drop(slot);
                     self.note_cached(id, 1);
-                    return PageFetch {
-                        tuples,
-                        has_more,
-                        forwarded_latency: None,
-                        fault: None,
-                    };
+                    return PageFetch::cached(tuples, has_more);
                 }
                 PageLookup::PastEnd => return PageFetch::empty(),
                 PageLookup::Unknown => {}
@@ -1478,7 +1265,7 @@ impl ServiceGateway {
             // a page that already exhausted someone's retry budget is
             // served from the failed-page memo: no fault storm, and a
             // single-flight waiter woken by a failing leader lands here
-            if let Some(fault) = inner.failed_for(id, key, page) {
+            if let Some(fault) = inner.failed.get(probe) {
                 let fault = fault.clone();
                 drop(inner);
                 drop(slot);
@@ -1495,57 +1282,38 @@ impl ServiceGateway {
             // no-op and we fall through to forwarding our own request).
             // Any held concurrency slot is released first — slots count
             // forwarded fetches, not sleepers
-            if inner.flight_position(id, key, page).is_some() {
+            if inner.is_claimed(probe) {
                 slot = None;
-                inner.waiters += 1;
-                inner = shard.changed.wait(inner).expect("page shard lock");
-                inner.waiters -= 1;
+                inner = shard.wait(inner);
                 continue;
             }
-            // admission control: the query's forwarded-call budget
-            if let Some(budget) = self.budget {
-                if self.total_calls() >= budget {
-                    drop(inner);
-                    drop(slot);
-                    self.poison(ExecError::CallBudgetExhausted { budget });
-                    return PageFetch::empty();
+            // admission control: the query's forwarded-call budget, then
+            // the tenant's cumulative one (a cheap non-reserving probe —
+            // the reservation happens once the claim is held)
+            let refusal = match (self.budget, &self.tenant) {
+                (Some(budget), _) if self.total_calls() >= budget => {
+                    Some(ExecError::CallBudgetExhausted { budget })
                 }
-            }
-            // admission control: the tenant's cumulative budget (cheap
-            // non-reserving probe — the actual reservation happens once
-            // the single-flight claim is held, right before forwarding)
-            if let Some((tenant, cell)) = &self.tenant {
-                if !cell.has_room() {
-                    let err = ExecError::TenantBudgetExhausted {
-                        tenant: *tenant,
-                        budget: cell.budget().unwrap_or(0),
-                    };
-                    drop(inner);
-                    drop(slot);
-                    self.poison(err);
-                    return PageFetch::empty();
-                }
+                (_, Some((tenant, cell))) if !cell.has_room() => Some(cell.refusal(*tenant)),
+                _ => None,
+            };
+            if let Some(err) = refusal {
+                self.poison(err);
+                return PageFetch::empty();
             }
             // per-service concurrency limit: slots come from the
             // flow-control lock, never held together with a shard lock
             if shared.per_service_limit > 0 && slot.is_none() {
                 drop(inner);
                 slot = Some(shared.acquire_slot(id));
-                inner = shard.inner.lock().expect("page shard lock");
+                inner = shard.lock();
                 continue; // re-probe: the page may have landed meanwhile
             }
-            inner.fetching.push((id, key.to_vec(), page));
-            drop(inner);
-            // releases the claim and wakes its waiters, on return AND on
+            // the claim releases and wakes its waiters on return AND on
             // unwind — a panicking service must not wedge them
-            break FlightGuard {
-                shard,
-                id,
-                key,
-                page,
-                released: false,
-            };
+            break shard.claim(&mut inner, PageKey(id, key.to_vec(), page));
         };
+        drop(inner);
 
         let service = Arc::clone(
             self.services
@@ -1555,15 +1323,10 @@ impl ServiceGateway {
         // reserve the first attempt against the tenant budget *before*
         // forwarding: a CAS on the cell, so racing executions of one
         // tenant cannot collectively overshoot. Losing the race releases
-        // the flight claim (guard drop wakes the waiters).
+        // the flight claim (its drop wakes the waiters).
         if let Some((tenant, cell)) = &self.tenant {
             if !cell.try_charge() {
-                let err = ExecError::TenantBudgetExhausted {
-                    tenant: *tenant,
-                    budget: cell.budget().unwrap_or(0),
-                };
-                drop(guard);
-                drop(slot);
+                let err = cell.refusal(*tenant);
                 self.poison(err);
                 return PageFetch::empty();
             }
@@ -1579,23 +1342,9 @@ impl ServiceGateway {
                     spent += r.latency;
                     let tuples = Page::from(r.tuples);
                     self.acct.record_ok(id, tuples.len(), r.latency);
-                    guard.finish(tuples.clone(), r.has_more);
+                    claim.publish(|s| s.cache.store(id, key, page, tuples.clone(), r.has_more));
                     drop(slot);
-                    if let Some(ns) = self.node_acc() {
-                        ns.calls += 1;
-                        ns.sim_seconds += r.latency;
-                    }
-                    if let Some(t) = &self.trace {
-                        t.record(
-                            SpanKind::ServiceCall {
-                                service: self.service_label(id),
-                                page: u64::from(page),
-                                tuples: tuples.len() as u64,
-                                ok: true,
-                            },
-                            r.latency,
-                        );
-                    }
+                    self.note_call(id, page, Some(tuples.len()), r.latency);
                     return PageFetch {
                         tuples,
                         has_more: r.has_more,
@@ -1630,56 +1379,33 @@ impl ServiceGateway {
                         }
                     });
                     spent += wait.unwrap_or(0.0);
-                    if let Some(ns) = self.node_acc() {
-                        ns.calls += 1;
-                        ns.sim_seconds += fault_latency;
-                        if let Some(w) = wait {
+                    self.note_call(id, page, None, fault_latency);
+                    if let Some(wait) = wait {
+                        if let Some(ns) = self.node_acc() {
                             ns.retries += 1;
-                            ns.sim_seconds += w;
+                            ns.sim_seconds += wait;
                         }
-                    }
-                    if let Some(t) = &self.trace {
-                        t.record(
-                            SpanKind::ServiceCall {
-                                service: self.service_label(id),
-                                page: u64::from(page),
-                                tuples: 0,
-                                ok: false,
-                            },
-                            fault_latency,
-                        );
-                        if let Some(w) = wait {
-                            t.record(
-                                SpanKind::Retry {
-                                    service: self.service_label(id),
-                                },
-                                w,
-                            );
+                        if let Some(t) = &self.trace {
+                            let service = self.service_label(id);
+                            t.record(SpanKind::Retry { service }, wait);
                         }
-                    }
-                    match wait {
-                        Some(wait) => self.acct.record_retry(id, wait),
-                        None => {
-                            self.acct.record_exhausted(id);
-                            // publish the terminal fault while still
-                            // holding the single-flight claim: waiters
-                            // wake into the memo. ONLY a genuinely
-                            // exhausted retry policy condemns the page
-                            // globally — one query running out of its
-                            // own call budget says nothing about the
-                            // page, and other queries must stay free
-                            // to retry
-                            if attempt >= policy.max_retries {
-                                let mut inner = shard.inner.lock().expect("page shard lock");
-                                inner.failed.insert((id, key.to_vec(), page), fault.clone());
-                            }
-                        }
-                    }
-                    if wait.is_some() {
+                        self.acct.record_retry(id, wait);
                         attempt += 1;
                         continue;
                     }
-                    drop(guard);
+                    self.acct.record_exhausted(id);
+                    // publish the terminal fault while still holding the
+                    // single-flight claim: waiters wake into the memo.
+                    // ONLY a genuinely exhausted retry policy condemns
+                    // the page globally — one query running out of its
+                    // own call budget says nothing about the page, and
+                    // other queries must stay free to retry
+                    if attempt >= policy.max_retries {
+                        let page = PageKey(id, key.to_vec(), page);
+                        claim.publish(|s| s.failed.insert(page, fault.clone()));
+                    } else {
+                        drop(claim);
+                    }
                     drop(slot);
                     self.note_degraded(id, fault.clone());
                     return PageFetch::failed(fault, Some(spent));
@@ -1688,20 +1414,13 @@ impl ServiceGateway {
         }
     }
 
-    /// Serves up to `max_pages` consecutive pages of one invocation
-    /// starting at `first_page`, pushing one [`PageFetch`] per page
-    /// served.
-    ///
-    /// Runs of already-cached pages are drained under a **single**
-    /// shard-lock acquisition — the batched kernel's amortization of
-    /// per-page lock traffic — ending early at the invocation's last
-    /// page. Forwarding stays exactly as lazy as tuple-at-a-time
-    /// demand: only when the *first* requested page is uncached does
-    /// the run forward that one page through the full
-    /// [`fetch_page`](ServiceGateway::fetch_page) path (single-flight,
-    /// flow control, retries); a run that served cached pages stops
-    /// *before* the first miss, leaving it to a later demand that may
-    /// never come.
+    /// Serves up to `max_pages` consecutive pages of one invocation from
+    /// `first_page`, pushing one [`PageFetch`] per page. Cached pages are
+    /// drained under **one** shard-lock acquisition, ending at the
+    /// invocation's last page. Forwarding stays as lazy as tuple-at-a-time
+    /// demand: only an uncached *first* page is forwarded (through
+    /// [`fetch_page`](ServiceGateway::fetch_page)); a run that served
+    /// cached pages stops *before* its first miss.
     pub fn fetch_page_run(
         &mut self,
         id: ServiceId,
@@ -1717,21 +1436,14 @@ impl ServiceGateway {
         let mut served: u64 = 0;
         let mut stop = false;
         {
-            let shard = &self.shared.shards[self.shared.shard_idx(id, key)];
-            let mut inner = shard.inner.lock().expect("page shard lock");
+            let mut inner = self.shared.shard(id, key).lock();
             while page < end {
                 match inner.cache.lookup(id, key, page) {
                     PageLookup::Hit(tuples, has_more) => {
-                        let last = !has_more;
-                        out.push(PageFetch {
-                            tuples,
-                            has_more,
-                            forwarded_latency: None,
-                            fault: None,
-                        });
+                        out.push(PageFetch::cached(tuples, has_more));
                         page += 1;
                         served += 1;
-                        if last {
+                        if !has_more {
                             stop = true;
                             break;
                         }
@@ -1756,10 +1468,27 @@ impl ServiceGateway {
         out.push(self.fetch_page(id, pattern, key, page));
     }
 
+    /// Books one forwarded attempt — `tuples` on success — on the active
+    /// node and the trace.
+    fn note_call(&mut self, id: ServiceId, page: u32, tuples: Option<usize>, latency: f64) {
+        if let Some(ns) = self.node_acc() {
+            ns.calls += 1;
+            ns.sim_seconds += latency;
+        }
+        if let Some(t) = &self.trace {
+            let call = SpanKind::ServiceCall {
+                service: self.service_label(id),
+                page: u64::from(page),
+                tuples: tuples.unwrap_or(0) as u64,
+                ok: tuples.is_some(),
+            };
+            t.record(call, latency);
+        }
+    }
+
     /// Records that `id` served a degraded page to this execution.
     fn note_degraded(&mut self, id: ServiceId, fault: ServiceFault) {
-        self.degraded.insert(id);
-        self.last_faults.insert(id, fault);
+        self.degraded.insert(id, fault);
     }
 
     /// The service's display name for span labels.
@@ -1908,14 +1637,10 @@ impl ServiceGateway {
         let mut degraded: Vec<DegradedService> = self
             .degraded
             .iter()
-            .map(|id| DegradedService {
+            .map(|(id, fault)| DegradedService {
                 service: self.service_label(*id),
                 stats: ledger.faults_for(*id),
-                last_fault: self
-                    .last_faults
-                    .get(id)
-                    .cloned()
-                    .expect("degraded services record their terminal fault"),
+                last_fault: fault.clone(),
             })
             .collect();
         degraded.sort_by(|a, b| a.service.cmp(&b.service));
@@ -1964,6 +1689,18 @@ mod tests {
     use mdq_plan::builder::{build_plan, StrategyRule};
     use mdq_plan::poset::Poset;
     use mdq_services::domains::travel::travel_world;
+
+    impl SharedServiceState {
+        /// `SubResults::resolve` on this state's store.
+        pub(crate) fn resolve_prefixes(
+            &self,
+            sigs: &[SubplanSignature],
+            materialize: bool,
+            frontier_only: bool,
+        ) -> PrefixResolution<'_> {
+            self.sub.resolve(sigs, materialize, frontier_only)
+        }
+    }
 
     fn plan_o(world: &mdq_services::domains::travel::TravelWorld) -> Plan {
         let poset = Poset::from_pairs(

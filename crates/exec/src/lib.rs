@@ -81,6 +81,7 @@ pub mod operator;
 pub mod pipeline;
 pub mod plan_info;
 pub mod results;
+pub mod store;
 pub mod topk;
 
 pub use context::ExecContext;

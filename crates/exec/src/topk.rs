@@ -24,13 +24,15 @@ use crate::adaptive::Controller;
 use crate::binding::Binding;
 use crate::context::ExecContext;
 use crate::gateway::{
-    InvocationFrontier, LocalGateway, PrefixResolution, SharedServiceState, TenantId,
+    InvocationFrontier, LocalGateway, PrefixResolution, SharedServiceState, SubResultEntry,
+    TenantId,
 };
 use crate::operator::{compile_with, drain_all, ExecError, Invoke, Operator, Source};
 use crate::plan_info::{analyze, PlanInfo};
 use mdq_model::fingerprint::SubplanSignature;
 use mdq_model::schema::{Schema, ServiceId};
 use mdq_model::value::Tuple;
+use mdq_obs::span::SpanKind;
 use mdq_plan::dag::Plan;
 use mdq_plan::signature::invoke_prefixes;
 use mdq_services::registry::ServiceRegistry;
@@ -49,8 +51,7 @@ pub struct TopKExecution<'a> {
     batch: usize,
     /// Materialized prefixes this execution replayed (0 or 1).
     sub_result_hits: u64,
-    /// Forwarded calls the replay saved (the replayed entry's
-    /// materializing cost).
+    /// Forwarded calls the replay saved.
     sub_calls_saved: u64,
     /// Present when the context carried a re-planner.
     splicer: Option<Box<Splicer<'a>>>,
@@ -81,6 +82,7 @@ struct Splicer<'a> {
 }
 
 /// What sub-result resolution produced for one pull execution.
+#[derive(Default)]
 struct PrefixOutcome {
     /// Stream standing in for a plan node's whole subtree, if any.
     override_op: Option<(usize, Box<dyn Operator>)>,
@@ -88,48 +90,14 @@ struct PrefixOutcome {
     calls_saved: u64,
 }
 
-impl PrefixOutcome {
-    fn none() -> Self {
-        PrefixOutcome {
-            override_op: None,
-            sub_result_hits: 0,
-            calls_saved: 0,
-        }
-    }
-}
-
-/// Releases unpublished single-flight claims on drop, so a panicking
-/// materialization can never leave waiters blocked.
-struct SubClaims {
-    shared: Arc<SharedServiceState>,
-    remaining: Vec<SubplanSignature>,
-}
-
-impl SubClaims {
-    fn mark_published(&mut self, sig: SubplanSignature) {
-        self.remaining.retain(|s| *s != sig);
-    }
-}
-
-impl Drop for SubClaims {
-    fn drop(&mut self) {
-        self.shared.abandon_sub_results(&self.remaining);
-    }
-}
-
 /// The multi-query-optimization hook of the pull executor: probes the
 /// shared state's sub-result store for this plan's invoke-prefix chain.
-/// The longest already-materialized prefix *replays* (its bindings
-/// stand in for the chain's subtree — zero service calls); the levels
-/// beyond it are claimed single-flight and *eagerly materialized* (the
-/// chain is drained here, its rows published for every later
-/// subscriber). With the store disabled — the default — this is a no-op
-/// and execution is exactly the pre-MQO pull engine.
-///
-/// A materialization that turns unhealthy (poisoned gateway, degraded
-/// page) publishes nothing: a partial prefix must never replay to
-/// others, and the drained stream still serves *this* execution, which
-/// observed the degradation itself.
+/// The longest materialized prefix *replays* (its bindings stand in for
+/// the chain's subtree — zero service calls); the levels beyond it are
+/// claimed, *eagerly materialized* and published. With the store off —
+/// the default — this is a no-op. A materialization that turns
+/// unhealthy (poisoned gateway, degraded page) publishes nothing: a
+/// partial prefix must never replay to others.
 fn prepare_shared_prefix(
     plan: &Plan,
     schema: &Schema,
@@ -143,13 +111,14 @@ fn prepare_shared_prefix(
     // deterministic function of the plan, so they never share. And the
     // store's capacity is fixed at build: with it off (the default)
     // nothing below — prefix signing, the store lock — is worth paying
-    if elastic || !gateway.with(|g| g.shared_state().sub_results_enabled()) {
-        return PrefixOutcome::none();
+    if elastic || !gateway.with(|g| g.shared_state().sub_results().enabled()) {
+        return PrefixOutcome::default();
     }
     let shared = gateway.with(|g| Arc::clone(g.shared_state()));
+    let store = shared.sub_results();
     let prefixes = invoke_prefixes(plan);
     if prefixes.is_empty() {
-        return PrefixOutcome::none();
+        return PrefixOutcome::default();
     }
     let sigs: Vec<SubplanSignature> = prefixes.iter().map(|p| p.signature).collect();
     // a frontier-recording (standing) execution may only replay entries
@@ -157,25 +126,30 @@ fn prepare_shared_prefix(
     // provenance-less replay would leave the subscription blind to
     // refreshes of the prefix's invocations
     let frontier_mode = gateway.with(|g| g.frontier_enabled());
-    let PrefixResolution { replay, claimed } =
-        shared.resolve_prefixes(&sigs, materialize, frontier_mode);
+    let PrefixResolution { replay, claimed } = store.resolve(&sigs, materialize, frontier_mode);
 
     let nvars = plan.query.var_count();
-    let mut hits = 0u64;
-    let mut base_cost = 0u64;
-    let mut level = 0usize;
-    let mut replayed_rows = 0u64;
+    let mut outcome = PrefixOutcome::default();
+    let mut level = 0;
     let mut base: Box<dyn Operator> = match replay {
         Some(entry) => {
-            hits = 1;
-            base_cost = entry.cost_calls;
             level = entry.level;
-            replayed_rows = entry.rows.len() as u64;
-            if let Some(entry_frontier) = &entry.frontier {
-                gateway.with(|g| g.extend_frontier(entry_frontier));
-            }
-            let sub_vars = prefixes[entry.level - 1].vars.clone();
-            let rows = entry.rows;
+            outcome.sub_result_hits = 1;
+            outcome.calls_saved = entry.cost_calls;
+            let rows = Arc::clone(&entry.rows);
+            gateway.with(|g| {
+                if let Some(entry_frontier) = &entry.frontier {
+                    g.extend_frontier(entry_frontier);
+                }
+                g.record_node_replay(prefixes[level - 1].node, rows.len() as u64);
+                let replay = SpanKind::SubResultReplay {
+                    level: level as u64,
+                    rows: rows.len() as u64,
+                    calls_saved: entry.cost_calls,
+                };
+                g.trace_span(replay, 0.0);
+            });
+            let sub_vars = prefixes[level - 1].vars.clone();
             if entry.nvars == nvars && entry.vars.as_ref() == sub_vars.as_slice() {
                 // same variable space: the stored bindings ARE the
                 // replay — every pull is an `Arc` bump, never a deep
@@ -184,7 +158,7 @@ fn prepare_shared_prefix(
             } else {
                 // different numbering: remap through the canonical row
                 // lazily, per pull
-                let pub_vars = entry.vars;
+                let pub_vars = Arc::clone(&entry.vars);
                 Box::new(Source((0..rows.len()).map(move |i| {
                     Binding::from_row(nvars, &sub_vars, &rows[i].to_row(&pub_vars))
                 })))
@@ -192,28 +166,12 @@ fn prepare_shared_prefix(
         }
         None => Box::new(Source(std::iter::once(Binding::empty(nvars)))),
     };
-    if hits > 0 {
-        let node = prefixes[level - 1].node;
-        gateway.with(|g| {
-            g.record_node_replay(node, replayed_rows);
-            g.trace_span(
-                mdq_obs::span::SpanKind::SubResultReplay {
-                    level: level as u64,
-                    rows: replayed_rows,
-                    calls_saved: base_cost,
-                },
-                0.0,
-            );
-        });
-    }
 
-    let mut claims = SubClaims {
-        shared: Arc::clone(&shared),
-        remaining: claimed.iter().map(|&l| sigs[l - 1]).collect(),
-    };
-    let tenant = gateway.with(|g| g.tenant_id());
+    let owner = gateway.with(|g| g.sub_result_owner());
     let start_calls = gateway.with(|g| g.total_calls());
-    for &lvl in &claimed {
+    // a claim not published below is released when it drops — on an
+    // unhealthy level, on the levels after it, and on unwind
+    for (lvl, claim) in claimed {
         let node = prefixes[lvl - 1].node;
         let invoke = Invoke::for_node(plan, schema, info, node, base, gateway.clone(), false);
         // the eager drain runs batched: whole pages flow through the
@@ -221,48 +179,38 @@ fn prepare_shared_prefix(
         let drained: Vec<Binding> = drain_all(invoke, batch);
         let healthy = gateway.with(|g| g.error().is_none() && !g.is_degraded());
         if healthy {
-            let cost = base_cost + gateway.with(|g| g.total_calls()) - start_calls;
+            let cost = outcome.calls_saved + gateway.with(|g| g.total_calls()) - start_calls;
             // publishing shares the drained bindings (`Arc` bumps) —
             // the store never holds a deep copy of the rows. A standing
             // publisher attaches its frontier so far: after this level's
             // drain it is exactly the prefix's invocation set.
-            shared.publish_sub_result(
-                sigs[lvl - 1],
-                drained.clone(),
-                prefixes[lvl - 1].vars.clone().into(),
+            let entry = SubResultEntry {
+                rows: Arc::new(drained.clone()),
+                vars: prefixes[lvl - 1].vars.clone().into(),
                 nvars,
-                cost,
-                tenant,
-                gateway.with(|g| g.frontier_snapshot()),
-            );
-            claims.mark_published(sigs[lvl - 1]);
-            gateway.with(|g| {
-                g.trace_span(
-                    mdq_obs::span::SpanKind::SubResultMaterialize {
-                        level: lvl as u64,
-                        rows: drained.len() as u64,
-                    },
-                    0.0,
-                )
-            });
+                cost_calls: cost,
+                tenant: owner.map(|(t, _)| t),
+                frontier: gateway.with(|g| g.frontier_snapshot()),
+            };
+            store.publish(claim, sigs[lvl - 1], entry, owner.map(|(_, q)| q));
+            let rows = drained.len() as u64;
+            let materialize = SpanKind::SubResultMaterialize {
+                level: lvl as u64,
+                rows,
+            };
+            gateway.with(|g| g.trace_span(materialize, 0.0));
         }
         base = Box::new(Source(drained.into_iter()));
         level = lvl;
         if !healthy {
-            // the guard abandons the remaining claims on drop
             break;
         }
     }
-    drop(claims);
 
-    if level == 0 {
-        return PrefixOutcome::none();
+    if level > 0 {
+        outcome.override_op = Some((prefixes[level - 1].node, base));
     }
-    PrefixOutcome {
-        override_op: Some((prefixes[level - 1].node, base)),
-        sub_result_hits: hits,
-        calls_saved: base_cost,
-    }
+    outcome
 }
 
 impl<'a> TopKExecution<'a> {
@@ -270,20 +218,16 @@ impl<'a> TopKExecution<'a> {
     /// constructor of the pull driver.
     ///
     /// Every forwarded call (the eager prefix drain included — it runs
-    /// here, during construction) counts against `ctx.budget` and is
-    /// charged to `ctx.tenant`. Sub-result sharing, when the state's
-    /// store is enabled, is opportunistic: an already-materialized
-    /// invoke prefix replays, and with `ctx.materialize` the
-    /// unmaterialized levels are claimed, drained and published here.
-    /// A frontier-recording (`ctx.frontier`, standing) execution joins
-    /// the store under two rules enforced underneath: it only replays
-    /// entries that carry a recorded [`InvocationFrontier`] (merged
-    /// into its own, so replayed dependencies still refresh), and the
-    /// entries it publishes carry one (so a refresh pass can retain
-    /// exactly the entries whose invocations came through an epoch
-    /// unchanged). With a re-planner in `ctx.adaptive` the execution
-    /// runs its own chain — a splice would invalidate a replayed
-    /// prefix — and checks for divergence between answers.
+    /// here) counts against `ctx.budget` and is charged to `ctx.tenant`.
+    /// With the state's sub-result store on, an already-materialized invoke
+    /// prefix replays, and with `ctx.materialize` the unmaterialized levels
+    /// are claimed, drained and published here. A frontier-recording
+    /// (standing) execution replays only entries carrying a recorded
+    /// [`InvocationFrontier`] (merged into its own) and publishes entries
+    /// carrying one, so a refresh pass can retain exactly the entries whose
+    /// invocations came through an epoch unchanged. With a re-planner in
+    /// `ctx.adaptive` the execution runs its own chain and checks for
+    /// divergence between answers.
     ///
     /// [`InvocationFrontier`]: crate::gateway::InvocationFrontier
     pub fn start(
@@ -296,7 +240,7 @@ impl<'a> TopKExecution<'a> {
         let info = analyze(plan, schema);
         let batch = ctx.batch.max(1);
         let prep = match ctx.adaptive {
-            Some(_) => PrefixOutcome::none(),
+            Some(_) => PrefixOutcome::default(),
             None => prepare_shared_prefix(
                 plan,
                 schema,

@@ -108,6 +108,7 @@ use crate::server::{QueryServer, Rejection};
 use crate::session::{QuerySession, SessionEvent};
 use crate::tenant::{TenantPolicy, DEFAULT_TENANT};
 use mdq_exec::gateway::TenantId;
+use mdq_exec::store::recover;
 use mdq_model::value::Tuple;
 use mdq_obs::span::SpanKind;
 use std::fmt::{self, Write as _};
@@ -115,7 +116,7 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::TryRecvError;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -600,12 +601,6 @@ impl ServerFrame {
             other => Err(format!("unknown frame {other:?}")),
         }
     }
-}
-
-/// Recovers a mutex guard from a poisoned lock (a panicked connection
-/// handler must not wedge the listener).
-fn recover<T>(r: Result<T, PoisonError<T>>) -> T {
-    r.unwrap_or_else(PoisonError::into_inner)
 }
 
 struct NetShared {

@@ -9,27 +9,21 @@
 //! every repeat. A small LRU bound ([`PlanCache`]) keeps the cache from
 //! growing with workload cardinality.
 //!
-//! The crate-internal `PlanResolver` owns every template → plan decision the server
-//! makes: the LRU, the set of templates being optimized right now
-//! (single-flight: concurrent submissions of one template wait for the
-//! first optimization instead of duplicating it), the memo of templates
-//! that failed to optimize, and the revalidation of entries priced under
-//! a transient shared-work discount. Workers, the admission batcher and
-//! `subscribe` all resolve through `PlanResolver::resolve`; nothing
-//! else touches the state behind it.
-//!
-//! **Publish, then release.** The claim owner stores its outcome — the
-//! plan in the LRU, or the reason in the failed memo — *before* its
-//! claim is released and the waiters are woken, so a waiter always wakes
-//! into the plan or the error, never into an empty cache it would
-//! re-claim to re-run a doomed optimization. The release itself happens
-//! on return *and* on unwind: a panicking optimizer frees its template
-//! instead of parking every later submission forever.
+//! The crate-internal `PlanResolver` owns every template → plan decision
+//! the server makes — workers, the admission batcher and `subscribe` all
+//! resolve through `PlanResolver::resolve`. It is a thin user of
+//! [`mdq_exec::store`]: the LRU, single-flight claims (concurrent
+//! submissions of one template wait for the first optimization), the
+//! memo of templates that failed to optimize, plus the revalidation of
+//! entries priced under a transient shared-work discount. The claim
+//! owner publishes the plan or the reason *before* it releases, so a
+//! waiter never wakes into an empty cache and re-runs a doomed
+//! optimization; a panicking optimizer still releases its template.
 
+use mdq_exec::store::{FailureMemo, Guarded, LruMap, FAILURE_MEMO_CAP};
 use mdq_model::fingerprint::QueryFingerprint;
 use mdq_plan::dag::Plan;
-use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 /// Cache key: the normalized query shape plus the answer target (phase-3
 /// fetch factors are chosen for a specific `k`).
@@ -39,19 +33,15 @@ pub type PlanKey = (QueryFingerprint, u64);
 struct Entry {
     plan: Arc<Plan>,
     /// `true` when the plan was chosen under an admission batch's
-    /// shared-work discount: it assumed a materialized prefix, so a
-    /// later hit must revalidate that the prefix is still live before
-    /// reusing it (and re-optimize standalone only if it is not —
-    /// never paying the optimizer twice up front on the cold path).
+    /// shared-work discount: it assumed a materialized prefix, which a
+    /// later hit must find still live (see [`PlanResolver::resolve`]).
     discounted: bool,
-    used: u64,
 }
 
 /// An LRU map from [`PlanKey`] to the optimized plan.
 pub struct PlanCache {
     capacity: usize,
-    tick: u64,
-    entries: HashMap<PlanKey, Entry>,
+    entries: LruMap<PlanKey, Entry>,
 }
 
 impl PlanCache {
@@ -60,21 +50,16 @@ impl PlanCache {
     pub fn new(capacity: usize) -> Self {
         PlanCache {
             capacity,
-            tick: 0,
-            entries: HashMap::new(),
+            entries: LruMap::default(),
         }
     }
 
     /// Looks up a plan, refreshing its recency. The flag is `true` for
-    /// plans priced under a shared-work discount (see
-    /// [`PlanCache::insert_discounted`]).
+    /// plans priced under a shared-work discount.
     pub fn get(&mut self, key: &PlanKey) -> Option<(Arc<Plan>, bool)> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.entries.get_mut(key).map(|e| {
-            e.used = tick;
-            (Arc::clone(&e.plan), e.discounted)
-        })
+        self.entries
+            .get(key)
+            .map(|e| (Arc::clone(&e.plan), e.discounted))
     }
 
     /// Inserts a standalone-priced plan, evicting the
@@ -83,35 +68,14 @@ impl PlanCache {
         self.insert_entry(key, plan, false);
     }
 
-    /// Inserts a plan priced under a transient shared-work discount;
-    /// lookups report the flag so callers can revalidate.
-    pub fn insert_discounted(&mut self, key: PlanKey, plan: Arc<Plan>) {
-        self.insert_entry(key, plan, true);
-    }
-
     fn insert_entry(&mut self, key: PlanKey, plan: Arc<Plan>, discounted: bool) {
         if self.capacity == 0 {
             return;
         }
-        self.tick += 1;
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
-            if let Some(oldest) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.used)
-                .map(|(k, _)| *k)
-            {
-                self.entries.remove(&oldest);
-            }
+        if self.entries.len() >= self.capacity && self.entries.peek(&key).is_none() {
+            self.entries.evict(|_, _| false);
         }
-        self.entries.insert(
-            key,
-            Entry {
-                plan,
-                discounted,
-                used: self.tick,
-            },
-        );
+        self.entries.insert(key, Entry { plan, discounted });
     }
 
     /// Cached plans.
@@ -125,62 +89,33 @@ impl PlanCache {
     }
 }
 
-/// Bound on the failed-plan memo; reaching it clears the memo (the
-/// next submission of a broken template re-runs the optimizer once and
-/// re-memoizes — coarse, but the memo only suppresses repeat work).
-const FAILED_PLAN_CAP: usize = 1_024;
-
 /// How one [`PlanResolver::resolve`] call was answered.
 pub(crate) enum Resolution {
-    /// From the cache — possibly after waiting on another caller's
-    /// claim. The optimize closure did not run.
+    /// From the cache, possibly after waiting on another caller's claim.
     Hit(Arc<Plan>),
     /// This call ran the optimize closure; its plan is now cached.
     Optimized(Arc<Plan>),
     /// This call ran the optimize closure and it failed; the reason is
     /// now memoized for the template.
     Failed(String),
-    /// The template is memoized as unoptimizable (by an earlier call,
-    /// or by the claim owner this call waited on). The closure did not
-    /// run.
+    /// The template was already memoized as unoptimizable.
     FailedBefore(String),
 }
 
 /// The state behind the resolver's one lock.
 struct ResolverState {
     cache: PlanCache,
-    /// Templates being optimized right now, by their claim owners.
-    optimizing: HashSet<PlanKey>,
-    /// Templates that failed to optimize, with the reason — the
-    /// plan-cache analogue of the gateway's failed-page memo.
-    failed: HashMap<PlanKey, String>,
+    /// Templates that failed to optimize, with the reason.
+    failed: FailureMemo<PlanKey, String>,
 }
 
-/// The single owner of template → plan resolution: LRU, single-flight
-/// claims, failed-plan memo and discounted-entry revalidation behind
-/// one lock and one condition variable (see the module docs).
+/// The single owner of template → plan resolution, behind one
+/// [`Guarded`] lock (see the module docs).
 pub(crate) struct PlanResolver {
     /// `0` disables plan caching: every resolve runs its closure — no
     /// claims, no waiting, no memo.
     capacity: usize,
-    state: Mutex<ResolverState>,
-    /// Signalled when a claim is released, so waiters re-probe.
-    ready: Condvar,
-}
-
-/// Releases a single-flight claim and wakes the waiters — on return AND
-/// on unwind, so a panicking optimizer cannot leave every future
-/// submission of the template blocked on the condition variable.
-struct Claim<'a> {
-    resolver: &'a PlanResolver,
-    key: PlanKey,
-}
-
-impl Drop for Claim<'_> {
-    fn drop(&mut self) {
-        self.resolver.lock().optimizing.remove(&self.key);
-        self.resolver.ready.notify_all();
-    }
+    state: Guarded<ResolverState, PlanKey>,
 }
 
 impl PlanResolver {
@@ -189,38 +124,23 @@ impl PlanResolver {
     pub(crate) fn new(capacity: usize) -> Self {
         PlanResolver {
             capacity,
-            state: Mutex::new(ResolverState {
+            state: Guarded::new(ResolverState {
                 cache: PlanCache::new(capacity),
-                optimizing: HashSet::new(),
-                failed: HashMap::new(),
+                failed: FailureMemo::with_cap(FAILURE_MEMO_CAP),
             }),
-            ready: Condvar::new(),
         }
     }
 
-    /// Tolerates a poisoned lock: every update leaves the state valid
-    /// (worst case a stale entry), [`Claim`]'s drop runs during unwind
-    /// where a second panic would abort the process, and propagating
-    /// the poison would let one panicking job take every worker down.
-    fn lock(&self) -> MutexGuard<'_, ResolverState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Resolves `key` to a plan: from the cache when it holds one (a
-    /// warm hit is one lock acquisition and an `Arc` bump), from the
-    /// failed memo when the template is known to be unoptimizable, and
-    /// otherwise by running `optimize` under a single-flight claim —
-    /// concurrent resolves of the same key park until the claim is
-    /// released and then re-probe.
+    /// Resolves `key` to a plan: from the cache (a warm hit is one lock
+    /// acquisition and an `Arc` bump), from the failed memo, or by running
+    /// `optimize` under a single-flight claim that concurrent resolves of
+    /// the key wait on.
     ///
     /// `optimize` returns the plan and whether it was priced under a
-    /// transient shared-work discount. A discounted entry assumed a
-    /// materialized prefix, so a later probe reuses it only while
-    /// `live` says that prefix still is; once it is gone the entry is
-    /// stale and the prober claims the key and re-optimizes, overwriting
-    /// it. Recording the discount instead of refusing to cache such a
-    /// plan is what keeps the cold path from paying the optimizer twice
-    /// for one admission.
+    /// transient shared-work discount. Such an entry assumed a materialized
+    /// prefix, so a later probe reuses it only while `live` says the prefix
+    /// still is; otherwise the prober re-optimizes and overwrites it —
+    /// which keeps the cold path from paying the optimizer twice.
     pub(crate) fn resolve(
         &self,
         key: PlanKey,
@@ -233,8 +153,8 @@ impl PlanResolver {
                 Err(reason) => Resolution::Failed(reason),
             };
         }
-        let mut state = self.lock();
-        loop {
+        let mut state = self.state.lock();
+        let claim = loop {
             if let Some(reason) = state.failed.get(&key) {
                 return Resolution::FailedBefore(reason.clone());
             }
@@ -243,60 +163,42 @@ impl PlanResolver {
                     return Resolution::Hit(plan);
                 }
             }
-            if state.optimizing.insert(key) {
-                break;
+            if !state.is_claimed(&key) {
+                break self.state.claim(&mut state, key);
             }
-            state = self
-                .ready
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        drop(state);
-        let claim = Claim {
-            resolver: self,
-            key,
+            state = self.state.wait(state);
         };
-        let outcome = optimize();
-        // publish while the claim is still held; `claim` drops after
-        // this guard, so the waiters it wakes find the outcome
-        let mut state = self.lock();
-        let resolution = match outcome {
+        drop(state);
+        // the claim publishes the outcome before it releases, so the
+        // waiters it wakes find the plan or the reason
+        match optimize() {
             Ok((plan, discounted)) => {
-                state.cache.insert_entry(key, Arc::clone(&plan), discounted);
+                claim.publish(|s| s.cache.insert_entry(key, Arc::clone(&plan), discounted));
                 Resolution::Optimized(plan)
             }
             Err(reason) => {
-                // coarse reset over per-entry eviction: failures are
-                // rare, and a full memo means something systemic that a
-                // restart-style flush handles better than LRU churn
-                if state.failed.len() >= FAILED_PLAN_CAP {
-                    state.failed.clear();
-                }
-                state.failed.insert(key, reason.clone());
+                claim.publish(|s| s.failed.insert(key, reason.clone()));
                 Resolution::Failed(reason)
             }
-        };
-        drop(state);
-        drop(claim);
-        resolution
+        }
     }
 
     /// Replaces `key`'s entry with a standalone-priced plan — how a
     /// query that re-planned mid-flight publishes its better plan for
     /// the template's next submission.
     pub(crate) fn republish(&self, key: PlanKey, plan: Arc<Plan>) {
-        self.lock().cache.insert(key, plan);
+        self.state.lock().cache.insert(key, plan);
     }
 
     /// Forgets every memoized plan failure, returning how many were
     /// dropped; the next resolve of such a template optimizes again.
     pub(crate) fn forget_failed(&self) -> usize {
-        std::mem::take(&mut self.lock().failed).len()
+        self.state.lock().failed.clear()
     }
 
     /// Plans currently cached.
     pub(crate) fn len(&self) -> usize {
-        self.lock().cache.len()
+        self.state.lock().cache.len()
     }
 }
 
@@ -351,21 +253,6 @@ mod tests {
         assert!(cache.get(&(fp, 2)).is_none());
         assert!(cache.get(&(fp, 1)).is_some());
         assert!(cache.get(&(fp, 3)).is_some());
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn discounted_flag_round_trips_and_is_overwritable() {
-        let plan = some_plan();
-        let fp = fingerprint(&plan.query);
-        let mut cache = PlanCache::new(2);
-        cache.insert_discounted((fp, 1), Arc::clone(&plan));
-        cache.insert((fp, 2), Arc::clone(&plan));
-        assert_eq!(cache.get(&(fp, 1)).map(|(_, d)| d), Some(true));
-        assert_eq!(cache.get(&(fp, 2)).map(|(_, d)| d), Some(false));
-        // a standalone re-optimization replaces the discounted entry
-        cache.insert((fp, 1), Arc::clone(&plan));
-        assert_eq!(cache.get(&(fp, 1)).map(|(_, d)| d), Some(false));
         assert_eq!(cache.len(), 2);
     }
 

@@ -27,6 +27,7 @@ use mdq_cost::metrics::ExecutionTime;
 use mdq_cost::shared::SharedWorkOracle;
 use mdq_exec::adaptive::Replanner;
 use mdq_exec::gateway::{RetryPolicy, SharedServiceState, TenantId};
+use mdq_exec::store::recover;
 use mdq_exec::topk::TopKExecution;
 use mdq_exec::ExecContext;
 use mdq_model::fingerprint::{fingerprint, SubplanSignature};
@@ -41,7 +42,7 @@ use mdq_services::domains::World;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -175,14 +176,6 @@ struct ServerState {
 /// coarse reset is fine — the set only steers a materialize-or-not
 /// heuristic, never correctness).
 const ADMITTED_PREFIX_CAP: usize = 16_384;
-
-/// Recovers a mutex guard from a poisoned lock: the protected state is
-/// counters/caches whose worst case after an interrupted update is a
-/// stale entry, never corruption — and propagating the poison would let
-/// one panicking job take down every worker with it.
-fn recover<T>(r: Result<T, PoisonError<T>>) -> T {
-    r.unwrap_or_else(PoisonError::into_inner)
-}
 
 struct Job {
     text: String,
@@ -499,7 +492,7 @@ impl QueryServer {
                     // one bad query must not take down the pool: a
                     // panicking job fails its own session, the worker
                     // recovers and serves the next job (lock poisoning
-                    // is tolerated throughout — see `recover`)
+                    // is tolerated throughout — see `mdq_exec::store::recover`)
                     let events = job.events.clone();
                     let tinfo = Arc::clone(&job.tinfo);
                     let run = std::panic::catch_unwind(AssertUnwindSafe(|| process(&state, job)));

@@ -67,6 +67,7 @@
 use crate::metrics::Metrics;
 use mdq_cost::shared::SharedWorkOracle;
 use mdq_exec::gateway::{SharedServiceState, TenantId};
+use mdq_exec::store::recover;
 use mdq_exec::topk::TopKExecution;
 use mdq_exec::ExecContext;
 use mdq_model::fingerprint::SubplanSignature;
@@ -82,14 +83,8 @@ use mdq_services::registry::ServiceRegistry;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// Recovers a mutex guard from a poisoned lock (same policy as the
-/// server: the protected state degrades to staleness, not corruption).
-fn recover<T>(r: Result<T, PoisonError<T>>) -> T {
-    r.unwrap_or_else(PoisonError::into_inner)
-}
 
 /// What a new subscription hands back: the id to poll with, the epoch
 /// the initial answers were materialized at, and the answers

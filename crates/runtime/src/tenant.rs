@@ -9,8 +9,9 @@
 //! policy — the pre-tenancy behavior, unchanged.
 
 use mdq_exec::gateway::TenantId;
+use mdq_exec::store::recover;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 
 /// The tenant a bare [`QueryServer::submit`] runs as (always
 /// registered, unlimited policy).
@@ -107,7 +108,7 @@ impl TenantRegistry {
     /// registration wins, so a reconnecting client cannot relax its own
     /// limits).
     pub(crate) fn register(&self, name: &str, policy: TenantPolicy) -> TenantId {
-        let mut tenants = self.tenants.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut tenants = recover(self.tenants.lock());
         if let Some(id) = tenants.iter().position(|t| t.name == name) {
             return id as TenantId;
         }
@@ -117,18 +118,12 @@ impl TenantRegistry {
 
     /// The tenant registered under `id`, if any.
     pub(crate) fn get(&self, id: TenantId) -> Option<Arc<TenantInfo>> {
-        self.tenants
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(id as usize)
-            .cloned()
+        recover(self.tenants.lock()).get(id as usize).cloned()
     }
 
     /// The id registered under `name`, if any.
     pub(crate) fn lookup(&self, name: &str) -> Option<TenantId> {
-        self.tenants
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        recover(self.tenants.lock())
             .iter()
             .position(|t| t.name == name)
             .map(|i| i as TenantId)
@@ -136,10 +131,7 @@ impl TenantRegistry {
 
     /// Every registered tenant, in id order.
     pub(crate) fn all(&self) -> Vec<Arc<TenantInfo>> {
-        self.tenants
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+        recover(self.tenants.lock()).clone()
     }
 }
 

@@ -236,6 +236,31 @@ fn clearing_the_memo_recovers_a_healed_service() {
     assert_eq!(shared.failed_pages(), 0);
 }
 
+/// The failed-page memo is bounded: 1 025 distinct pages whose retries
+/// exhausted leave at most 1 024 memoized, however the shards split
+/// them.
+#[test]
+fn the_failed_page_memo_is_bounded() {
+    let mut w = travel_world(2008);
+    let plan = plan_o(&w);
+    script(
+        &mut w,
+        |w| w.ids.conf,
+        FaultPlan::new().fail_always(PlannedFault::Error),
+    );
+    let shared =
+        Arc::new(SharedServiceState::new(CacheSetting::Optimal, 0).with_retry(RetryPolicy::NONE));
+    let mut g = ExecContext::shared(Arc::clone(&shared))
+        .gateway(&plan, &w.schema, &w.registry)
+        .expect("builds");
+    for i in 0..1_025 {
+        let key = [mdq::model::value::Value::str(format!("area-{i}"))];
+        assert!(g.fetch_page(w.ids.conf, 0, &key, 0).fault.is_some());
+    }
+    let memoized = shared.failed_pages();
+    assert!(memoized > 0 && memoized <= 1_024, "{memoized} memoized");
+}
+
 /// A rate-limited service's `retry_after` dominates the policy backoff
 /// and is accounted exactly, in simulated seconds.
 #[test]
