@@ -12,18 +12,20 @@
 //! * **metrics reconcile** — the server's cumulative refresh/delta
 //!   counters equal the sums of the per-pass [`RefreshSummary`]s and
 //!   the deltas the client actually polled, and the registry's call
-//!   counters account for at least every driver attempt;
+//!   counters account for exactly every gateway and refresh attempt;
 //! * **stale-kept on failure** — an invocation whose refresh exhausts
 //!   its retries keeps its stale pages whole: it counts as `failed`,
 //!   emits no delta, and the subscription keeps serving its last
 //!   answers.
 
+use mdq::model::schema::ServiceId;
 use mdq::model::value::{Tuple, Value};
 use mdq::runtime::{RefreshSummary, DEFAULT_TENANT};
-use mdq::services::domains::travel::travel_world;
+use mdq::services::domains::travel::{travel_world, TravelIds};
 use mdq::services::domains::World;
 use mdq::services::fault::{FaultConfig, FaultPlan, FaultProfile, PlannedFault};
 use mdq::services::refresh::{refreshing_registry, EpochClock, RefreshConfig, RefreshPolicy};
+use mdq::services::registry::ServiceRegistry;
 use mdq::{Mdq, QueryServer, RuntimeConfig};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -76,6 +78,14 @@ fn fold(rows: &mut Vec<Tuple>, added: &[Tuple], retracted: &[Tuple]) {
         rows.swap_remove(at);
     }
     rows.extend(added.iter().cloned());
+}
+
+/// Cumulative request-responses across every service of `reg`.
+fn total_calls(reg: &ServiceRegistry) -> u64 {
+    reg.ids()
+        .filter_map(|id| reg.counter(id))
+        .map(|c| c.calls())
+        .sum()
 }
 
 fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
@@ -335,5 +345,104 @@ fn dead_source_keeps_stale_pages_and_emits_no_deltas() {
             );
         }
         assert_eq!(server.metrics().refresh_failures, failed);
+        // every attempt the registry saw was either forwarded by a
+        // gateway or issued by a refresh pass — nothing fetches off
+        // the books
+        let m = server.metrics();
+        assert_eq!(
+            total_calls(server.engine().registry()),
+            m.total_service_calls + m.refresh_calls,
+            "registry attempts reconcile exactly with gateway + refresh calls"
+        );
+    });
+}
+
+/// A still, seeded travel world (no drift) whose service `faulty`
+/// picks is scripted to fault per `faults`: subscribe the travel query
+/// once and refresh `passes` times. Returns the subscription's folded
+/// answers after the last pass beside a from-scratch run of the same
+/// query on an unfaulted twin world.
+fn degraded_then_refreshed(
+    faulty: fn(&TravelIds) -> ServiceId,
+    faults: FaultPlan,
+    budget: u32,
+    k: u64,
+    passes: u64,
+) -> (Vec<Tuple>, Vec<Tuple>) {
+    let world = |clock: &Arc<EpochClock>, faults: Option<FaultPlan>| {
+        let w = travel_world(2008);
+        let still = RefreshConfig::seeded(3)
+            .with_change_rate(0.0)
+            .with_drop_rate(0.0);
+        let mut registry = refreshing_registry(&w.registry, clock, still);
+        if let Some(plan) = faults {
+            let id = faulty(&w.ids);
+            let inner = Arc::clone(registry.get(id).expect("registered"));
+            registry.register(id, FaultProfile::scripted(inner, plan));
+        }
+        Mdq::from_world(World {
+            schema: w.schema,
+            query: w.query,
+            registry,
+        })
+    };
+    let text = travel_query("DB", budget);
+    let clock = EpochClock::new();
+    let server = QueryServer::new(world(&clock, Some(faults)), RuntimeConfig::default());
+    server.attach_refresh(Arc::clone(&clock), RefreshPolicy::every(1));
+    let ticket = server
+        .subscribe(DEFAULT_TENANT, &text, Some(k))
+        .expect("a degraded subscription still registers");
+    let mut folded = ticket.answers;
+    for _ in 0..passes {
+        server.refresh();
+        for delta in server.poll_deltas(DEFAULT_TENANT, ticket.id).expect("live") {
+            fold(&mut folded, &delta.added, &delta.retracted);
+        }
+    }
+    let twin = QueryServer::new(world(&EpochClock::new(), None), RuntimeConfig::default());
+    let rerun = twin
+        .submit(&text, Some(k))
+        .collect()
+        .expect("unfaulted rerun succeeds");
+    (sorted(folded), sorted(rerun.answers))
+}
+
+/// A subscription whose first evaluation was served a degraded
+/// `conf('DB')` page (3 timeouts, more than the gateway retries) holds
+/// partial answers. The refresh pass re-fetches that invocation
+/// healthily and finds it unchanged — so only the degraded evaluation
+/// itself marks the subscription for re-evaluation, and the next pass
+/// must heal it to what a rerun returns.
+#[test]
+fn degraded_first_evaluation_heals_on_the_next_pass() {
+    with_watchdog(300, || {
+        let (healed, rerun) = degraded_then_refreshed(
+            |ids| ids.conf,
+            FaultPlan::new().fail_inputs(vec![Value::str("DB")], 3, PlannedFault::Timeout),
+            950,
+            K,
+            3,
+        );
+        assert_eq!(rerun.len(), 5, "the unfaulted world answers k rows");
+        assert_eq!(healed, rerun, "partial answers must not outlive the fault");
+    });
+}
+
+/// The same with a degraded *second* hotel page: the refresh pass
+/// re-demands only the tracked page depth, so the fault is invisible
+/// to it; the degraded evaluation must still be retried until whole.
+#[test]
+fn degraded_deeper_page_heals_on_the_next_pass() {
+    with_watchdog(300, || {
+        let (healed, rerun) = degraded_then_refreshed(
+            |ids| ids.hotel,
+            FaultPlan::new().fail_page(1, 3, PlannedFault::Timeout),
+            5_000,
+            200,
+            3,
+        );
+        assert_eq!(rerun.len(), 57, "the unfaulted world answers 57 rows");
+        assert_eq!(healed, rerun, "partial answers must not outlive the fault");
     });
 }
