@@ -89,8 +89,8 @@ impl PartialEq<Vec<Tuple>> for Page {
     }
 }
 
-/// Owned page lists — the `mdq-services` refresh driver's page-set
-/// type — collect from shared pages: the one place pages are copied
+/// Owned page lists — the page-set type standing queries track —
+/// collect from shared pages: the one place pages are copied
 /// out, at that boundary.
 impl FromIterator<Page> for Vec<Vec<Tuple>> {
     fn from_iter<I: IntoIterator<Item = Page>>(pages: I) -> Self {
@@ -380,7 +380,7 @@ impl PageCache {
     }
 
     /// A copy of an invocation's cached pages and exhaustion flag,
-    /// without touching LRU recency — the snapshot a refresh driver
+    /// without touching LRU recency — the baseline a standing query
     /// tracks and diffs against. `None` when not resident (or the
     /// setting keeps no per-key store for it).
     pub fn export(&self, service: ServiceId, key: &[Value]) -> Option<(Vec<Vec<Tuple>>, bool)> {

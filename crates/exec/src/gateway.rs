@@ -347,7 +347,7 @@ fn build_shards(setting: CacheSetting, capacity: usize) -> Box<[PageShard]> {
 
 /// The invocation set a materialized prefix (or a standing query's
 /// answers) depends on — the unit the refresh pass diffs against to
-/// decide what survived an epoch, in the refresh driver's own key type.
+/// decide what survived an epoch, in the standing queries' own key type.
 pub type InvocationFrontier = HashSet<InvocationKey>;
 
 /// One materialized invoke prefix: the bindings its chain produced,
@@ -994,7 +994,7 @@ impl SharedServiceState {
     }
 
     /// A copy of `(id, key)`'s cached pages and exhaustion flag without
-    /// touching LRU recency — the snapshot a refresh driver tracks.
+    /// touching LRU recency — the baseline a standing query tracks.
     pub fn export_invocation(
         &self,
         id: ServiceId,

@@ -167,8 +167,8 @@ struct ServerState {
     admitted_prefixes: Mutex<HashSet<SubplanSignature>>,
     tenants: TenantRegistry,
     metrics: Metrics,
-    /// Standing queries: subscriptions, their pinned frontiers, the
-    /// shared refresh driver and the epoch clock.
+    /// Standing queries: subscriptions, the invocations their
+    /// frontiers pin, the refresh pass and the epoch clock.
     subs: SubscriptionManager,
 }
 

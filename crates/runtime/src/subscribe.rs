@@ -5,23 +5,32 @@
 //! crate-internal `SubscriptionManager` (driven through
 //! [`QueryServer::subscribe`](crate::server::QueryServer::subscribe))
 //! materializes its answers once through a
-//! frontier-recording execution ([`ExecContext::frontier`]), pins
-//! every invocation the execution touched in the shared page cache, and
-//! registers the invocations with a [`RefreshDriver`]. A refresh pass
-//! then advances the epoch, re-fetches due invocations *once* for all
-//! subscriptions, installs the changed page sets into the shared cache,
-//! and re-evaluates only the subscriptions whose frontier intersects the
-//! changed set — emitting each one a [`Delta`] (added/retracted answer
-//! rows) instead of a full answer stream.
+//! frontier-recording execution ([`ExecContext::frontier`]) and tracks
+//! every invocation the execution touched in one table: a refcount of
+//! the frontiers covering it, and the pages the subscription read (the
+//! shared page cache's own snapshot). The first ref pins the page-cache
+//! entry and the last ref unpins it, so *tracked ⟺ cache-pinned* is the
+//! only invariant to keep. A refresh pass then advances the epoch,
+//! re-fetches due invocations *once* for all subscriptions, installs
+//! the changed page sets into the shared cache, and re-evaluates only
+//! the subscriptions whose frontier intersects the changed set —
+//! emitting each one a [`Delta`] (added/retracted answer rows) instead
+//! of a full answer stream.
+//!
+//! The refresh pass's fetch loop and the gateway are the only places a
+//! standing query calls a service, and neither runs under the state
+//! lock. An invocation the cache holds no snapshot of (a degraded first
+//! page, an evicted entry, a cache that keeps nothing) starts tracked
+//! with no pages and is due at the next pass, which reads it whole.
 //!
 //! A refresh pass runs as a three-phase pipeline:
 //!
 //! ```text
-//!   snapshot ── state lock ── due jobs + subscription snapshots
+//!   snapshot ── state lock ── due re-fetches + subscription snapshots
 //!      │
 //!   fetch ──── lock-free ─── due re-fetches fanned across
 //!      │                     `refresh_workers` threads; outcomes
-//!      │                     merged in job order (brief lock),
+//!      │                     merged in pass order (brief lock),
 //!      │                     changed pages installed, sub-results
 //!      │                     retained/dropped per epoch scope
 //!      │
@@ -32,11 +41,11 @@
 //!      │                     sub-result store (batch MQO decision)
 //!      │
 //!   commit ─── state lock ── in subscription-id order: swap
-//!                            answers/frontiers, adjust pins,
+//!                            answers/frontiers, adjust tracking,
 //!                            queue Delta { added, retracted }
 //! ```
 //!
-//! The determinism contract: every phase is a barrier, jobs touch
+//! The determinism contract: every phase is a barrier, re-fetches touch
 //! distinct invocations, drift/fault schedules are identity-hashed
 //! (order-independent), page-shard and sub-result single-flight make
 //! the total forwarded calls worker-count-invariant, and the commit
@@ -53,11 +62,12 @@
 //! unchanged frontier means a re-evaluation would read byte-identical
 //! pages and produce byte-identical answers — skipping it loses
 //! nothing. The delta-vs-rerun oracle suite pins exactly this. The one
-//! exception is a subscription whose *last* re-evaluation failed
-//! (budget, hard fault): its answers lag pages already installed in
-//! the cache, so it is marked dirty and re-evaluated on every pass —
-//! frontier intersection or not — until an evaluation succeeds and the
-//! fold-to-current-answers invariant holds again.
+//! exception is a subscription whose *last* evaluation failed (budget,
+//! hard fault) or was served a degraded page: its answers lag pages
+//! already installed in the cache, or were read around a page that
+//! never arrived, so it is marked dirty and re-evaluated on every pass
+//! — frontier intersection or not — until an evaluation succeeds whole
+//! and the fold-to-current-answers invariant holds again.
 //!
 //! Access control: subscriptions belong to the tenant that registered
 //! them. Polling (destructive — it drains the queue), current-answer
@@ -76,10 +86,9 @@ use mdq_model::value::Tuple;
 use mdq_obs::span::SpanKind;
 use mdq_plan::dag::Plan;
 use mdq_plan::signature::invoke_prefixes;
-use mdq_services::refresh::{
-    Epoch, EpochClock, InvocationKey, RefreshDriver, RefreshJob, RefreshPolicy,
-};
+use mdq_services::refresh::{Epoch, EpochClock, InvocationKey, RefreshPolicy};
 use mdq_services::registry::ServiceRegistry;
+use mdq_services::service::Service;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -112,8 +121,8 @@ pub struct Delta {
     pub retracted: Vec<Tuple>,
 }
 
-/// What one [`QueryServer::refresh`] pass did, across the driver and
-/// every subscription.
+/// What one [`QueryServer::refresh`] pass did, across the tracked
+/// invocations and every subscription.
 ///
 /// [`QueryServer::refresh`]: crate::server::QueryServer::refresh
 #[derive(Clone, Debug, Default)]
@@ -124,7 +133,8 @@ pub struct RefreshSummary {
     pub refreshed: u64,
     /// Tracked invocations still within TTL, skipped.
     pub skipped: u64,
-    /// Request-response attempts the driver issued (retries included).
+    /// Request-response attempts the pass's re-fetches issued (retries
+    /// included).
     pub calls: u64,
     /// Invocations whose page sets changed.
     pub invocations_changed: u64,
@@ -205,9 +215,10 @@ struct Subscription {
     current: Current,
     /// Deltas queued since the last poll, in epoch order.
     queued: Vec<Delta>,
-    /// The last re-evaluation failed: the answers lag pages already
-    /// installed in the cache. Re-evaluate on every pass (frontier
-    /// intersection or not) until one succeeds.
+    /// The last evaluation failed or was served a degraded page: the
+    /// answers lag pages already installed in the cache, or are
+    /// partial. Re-evaluate on every pass (frontier intersection or
+    /// not) until one succeeds whole.
     dirty: bool,
 }
 
@@ -222,23 +233,39 @@ pub(crate) enum SubscribeError {
     Eval(String),
 }
 
-/// The mutable core: subscriptions, the shared refresh driver, and the
-/// pin refcounts tying both to the shared page cache.
+/// Fetch attempts a refresh re-fetch makes per page before it gives up
+/// and keeps the invocation's stale pages whole.
+const REFRESH_ATTEMPTS: u32 = 4;
+
+/// One invocation some live subscription read.
+struct Tracked {
+    /// Live subscription frontiers covering the invocation.
+    refs: u32,
+    service: Arc<dyn Service>,
+    /// The pages as last read — the cache's snapshot when tracking
+    /// began, then each changed re-fetch: the baseline the next
+    /// re-fetch is diffed against. Empty until a read succeeds.
+    pages: Vec<Vec<Tuple>>,
+    /// Whether the service reported no page after the last.
+    exhausted: bool,
+    /// The epoch `pages` were last confirmed at.
+    read_at: Epoch,
+}
+
+/// The mutable core: subscriptions and the invocations they read.
 struct SubState {
     policy: RefreshPolicy,
     next_id: u64,
     /// `BTreeMap` so refresh passes visit subscriptions in id order —
     /// deterministic delta streams for seeded replay assertions.
     subs: BTreeMap<u64, Subscription>,
-    /// How many live subscriptions' frontiers cover each invocation.
-    /// The invariant `pins.contains_key(k) ⟺ the driver tracks k ⟺
-    /// page-cache entry pinned` holds between calls.
-    pins: HashMap<InvocationKey, u32>,
+    /// Every invocation a live subscription's frontier covers. An entry
+    /// exists iff its page-cache entry is pinned.
+    tracked: HashMap<InvocationKey, Tracked>,
     /// How many live subscriptions' plans carry each invoke-prefix
     /// signature — the "someone else wants this prefix" evidence the
     /// subscribe-time materialization decision consults.
     sig_refs: HashMap<SubplanSignature, u32>,
-    driver: RefreshDriver,
 }
 
 /// Everything a subscription operation needs from the server.
@@ -249,8 +276,9 @@ pub(crate) struct EngineCtx<'a> {
     pub(crate) metrics: &'a Metrics,
 }
 
-/// The server's standing-query registry: subscriptions, their pinned
-/// frontiers, and the shared refresh driver. One per [`QueryServer`].
+/// The server's standing-query registry: subscriptions, the
+/// invocations their frontiers pin, and the refresh pass over them.
+/// One per [`QueryServer`].
 ///
 /// [`QueryServer`]: crate::server::QueryServer
 pub(crate) struct SubscriptionManager {
@@ -276,9 +304,8 @@ impl SubscriptionManager {
                 policy: RefreshPolicy::every(1),
                 next_id: 1,
                 subs: BTreeMap::new(),
-                pins: HashMap::new(),
+                tracked: HashMap::new(),
                 sig_refs: HashMap::new(),
-                driver: RefreshDriver::new(),
             }),
         }
     }
@@ -328,17 +355,19 @@ impl SubscriptionManager {
     }
 
     /// Registers a standing query: materializes its answers through a
-    /// frontier-recording execution, pins every touched invocation in
-    /// the shared page cache and tracks it in the refresh driver.
+    /// frontier-recording execution and tracks every touched
+    /// invocation (pinning it in the shared page cache).
     ///
-    /// Holds the pass gate and the state lock across the materializing
-    /// execution so a concurrent refresh pass cannot invalidate the
-    /// pages between the drain and the pin — subscribes serialize
-    /// against refreshes, not against ad-hoc queries.
+    /// Holds the pass gate across the materializing execution so a
+    /// concurrent refresh pass cannot invalidate the pages between the
+    /// drain and the pin — subscribes serialize against refreshes, not
+    /// against ad-hoc queries. The state lock is not held while the
+    /// execution fetches, so polls stay responsive.
     ///
     /// `cap` bounds the tenant's live subscriptions (`0` = unlimited);
-    /// the check runs under the state lock, so concurrent subscribes
-    /// cannot race past it. `budget` caps the forwarded calls of the
+    /// the check runs under the pass gate, which every registration
+    /// takes, so concurrent subscribes cannot race past it. `budget`
+    /// caps the forwarded calls of the
     /// materializing evaluation — the same admission lever ad-hoc
     /// queries get, so `SUBSCRIBE` is not a budget-less execution.
     pub(crate) fn subscribe(
@@ -351,14 +380,6 @@ impl SubscriptionManager {
         budget: Option<u64>,
     ) -> Result<SubscriptionTicket, SubscribeError> {
         let _pass = recover(self.pass.lock());
-        let mut st = recover(self.state.lock());
-        if cap > 0 {
-            let active = st.subs.values().filter(|s| s.tenant == tenant).count();
-            if active >= cap {
-                return Err(SubscribeError::CapReached { active });
-            }
-        }
-        let epoch = self.epoch();
         // materialize the plan's invoke prefixes into the sub-result
         // store only on sharing evidence: another live subscription
         // carries the signature (its re-evaluations will replay it) or
@@ -366,13 +387,24 @@ impl SubscriptionManager {
         // admission batcher applies to one-shot bursts
         let prefix_sigs: Arc<Vec<SubplanSignature>> =
             Arc::new(invoke_prefixes(plan).iter().map(|p| p.signature).collect());
-        let materialize = prefix_sigs
-            .iter()
-            .any(|sig| st.sig_refs.contains_key(sig) || ctx.shared.is_materialized(*sig));
-        let (answers, frontier) =
+        let materialize = {
+            let st = recover(self.state.lock());
+            if cap > 0 {
+                let active = st.subs.values().filter(|s| s.tenant == tenant).count();
+                if active >= cap {
+                    return Err(SubscribeError::CapReached { active });
+                }
+            }
+            prefix_sigs
+                .iter()
+                .any(|sig| st.sig_refs.contains_key(sig) || ctx.shared.is_materialized(*sig))
+        };
+        let epoch = self.epoch();
+        let (answers, frontier, degraded) =
             evaluate(ctx, plan, k, tenant, budget, materialize).map_err(SubscribeError::Eval)?;
+        let mut st = recover(self.state.lock());
         for key in &frontier {
-            pin_and_track(&mut st, ctx, key, epoch);
+            st.track(ctx, key, epoch);
         }
         for sig in prefix_sigs.iter() {
             *st.sig_refs.entry(*sig).or_insert(0) += 1;
@@ -388,7 +420,7 @@ impl SubscriptionManager {
                 k,
                 current: Current::new(answers.clone(), frontier),
                 queued: Vec::new(),
-                dirty: false,
+                dirty: degraded,
             },
         );
         ctx.metrics
@@ -397,10 +429,10 @@ impl SubscriptionManager {
         Ok(SubscriptionTicket { id, epoch, answers })
     }
 
-    /// Deregisters subscription `id`, unpinning every frontier
-    /// invocation no other subscription still covers. Queued deltas
-    /// are dropped. Returns whether the id was known *and* owned by
-    /// `caller` (operators may deregister any subscription).
+    /// Deregisters subscription `id`, untracking (and unpinning) every
+    /// frontier invocation no other subscription still covers. Queued
+    /// deltas are dropped. Returns whether the id was known *and* owned
+    /// by `caller` (operators may deregister any subscription).
     pub(crate) fn unsubscribe(
         &self,
         ctx: &EngineCtx<'_>,
@@ -416,7 +448,7 @@ impl SubscriptionManager {
         }
         let sub = st.subs.remove(&id).expect("checked above");
         for key in sub.current.frontier() {
-            unpin(&mut st, ctx, key);
+            st.untrack(ctx, key);
         }
         for sig in sub.prefix_sigs.iter() {
             if let Some(n) = st.sig_refs.get_mut(sig) {
@@ -434,12 +466,12 @@ impl SubscriptionManager {
 
     /// One refresh pass, run as the three-phase pipeline described in
     /// the module docs: **snapshot** (state lock: advance the epoch,
-    /// split the due re-fetches into jobs, snapshot the subscriptions),
-    /// **fetch & evaluate** (lock-free: fan jobs and affected
+    /// list the due re-fetches, snapshot the subscriptions), **fetch &
+    /// evaluate** (lock-free: fan re-fetches and affected
     /// re-evaluations across `workers` threads, merge deterministically,
     /// install changed pages, retain epoch-valid sub-results), and
     /// **commit** (state lock, subscription-id order: swap
-    /// answers/frontiers, adjust pins, queue deltas). Holds the pass
+    /// answers/frontiers, adjust tracking, queue deltas). Holds the pass
     /// gate throughout, so registrations serialize against the pass
     /// while polls stay responsive.
     pub(crate) fn refresh(&self, ctx: &EngineCtx<'_>, workers: usize) -> RefreshSummary {
@@ -449,10 +481,10 @@ impl SubscriptionManager {
 
         // ---- phase 1: snapshot (state lock) ----
         let snapshot_started = Instant::now();
-        let (epoch, jobs, skipped, snaps) = {
+        let (epoch, due, skipped, snaps) = {
             let st = recover(self.state.lock());
             let epoch = recover(self.clock.lock()).advance();
-            let (jobs, skipped) = st.driver.due_jobs(epoch, &st.policy);
+            let (due, skipped) = st.due(epoch);
             // BTreeMap iteration: snapshots ascend by id, so every
             // later per-sub stage inherits deterministic order
             let snaps: Vec<SubSnapshot> = st
@@ -469,34 +501,33 @@ impl SubscriptionManager {
                     answers: s.current.answers().to_vec(),
                 })
                 .collect();
-            (epoch, jobs, skipped, snaps)
+            (epoch, due, skipped, snaps)
         };
+        let refetches = due.len() as u64;
         // stale-state hygiene before anything re-reads the cache: an
         // unpinned page or a condemned page embeds the previous epoch
         // and would leak it into answers (the page shards have their
         // own locks — no state lock needed)
         ctx.shared.invalidate_unpinned_pages();
         ctx.shared.clear_failed_pages();
-        phase_span(ctx, epoch, "snapshot", jobs.len() as u64, snapshot_started);
+        phase_span(ctx, epoch, "snapshot", refetches, snapshot_started);
 
         // ---- phase 2a: fetch (lock-free fan-out) ----
         let fetch_started = Instant::now();
-        let outcomes = fan_out(&jobs, workers, RefreshJob::run);
-        // outcomes arrive back in job (= serial pass) order, so the
-        // merged report is byte-identical to a single-threaded pass
-        let report = {
-            let mut st = recover(self.state.lock());
-            st.driver.apply(epoch, skipped, outcomes)
+        let outcomes = fan_out(&due, workers, Refetch::run);
+        // outcomes arrive back in pass order, so the merged summary is
+        // byte-identical to a single-threaded pass
+        let mut summary = RefreshSummary {
+            epoch,
+            skipped,
+            ..RefreshSummary::default()
         };
-        let mut changed: HashSet<InvocationKey> = HashSet::with_capacity(report.changed.len());
-        for c in &report.changed {
-            ctx.shared.install_invocation(
-                c.key.service,
-                &c.key.inputs,
-                c.pages.clone(),
-                c.exhausted,
-            );
-            changed.insert(c.key.clone());
+        let fresh = recover(self.state.lock()).apply(epoch, due, outcomes, &mut summary);
+        let mut changed: HashSet<InvocationKey> = HashSet::with_capacity(fresh.len());
+        for (key, pages, exhausted) in fresh {
+            ctx.shared
+                .install_invocation(key.service, &key.inputs, pages, exhausted);
+            changed.insert(key);
         }
         // epoch-scoped sub-result invalidation: an entry survives iff
         // every invocation it was computed from is still pinned (its
@@ -506,19 +537,19 @@ impl SubscriptionManager {
         // were) — such an entry replays byte-identically at the new
         // epoch. Everything else would resurrect a previous epoch and
         // is dropped, as the pre-pipeline wholesale wipe dropped all.
-        // The pin table is read in place under a brief state lock: the
-        // pass gate keeps it unchanged until this pass's own commit.
+        // The tracked table is read in place under a brief state lock:
+        // the pass gate keeps it unchanged until this pass's own commit.
         let (_, sub_results_retained) = {
             let st = recover(self.state.lock());
             ctx.shared.retain_sub_results(|frontier| {
                 frontier
                     .iter()
-                    .all(|inv| st.pins.contains_key(inv) && !changed.contains(inv))
+                    .all(|inv| st.tracked.contains_key(inv) && !changed.contains(inv))
             })
         };
         ctx.metrics
             .observe_refresh_fetch(fetch_started.elapsed().as_secs_f64());
-        phase_span(ctx, epoch, "fetch", jobs.len() as u64, fetch_started);
+        phase_span(ctx, epoch, "fetch", refetches, fetch_started);
 
         // ---- phase 2b: evaluate (lock-free fan-out) ----
         let evaluate_started = Instant::now();
@@ -545,11 +576,12 @@ impl SubscriptionManager {
                 .iter()
                 .any(|sig| sig_counts[sig] > 1 || ctx.shared.is_materialized(*sig));
             let result = evaluate(ctx, &snap.plan, snap.k, snap.tenant, None, materialize).map(
-                |(answers, frontier)| {
+                |(answers, frontier, degraded)| {
                     let (added, retracted) = multiset_diff(&snap.answers, &answers);
                     Evaluated {
                         answers,
                         frontier,
+                        degraded,
                         added,
                         retracted,
                     }
@@ -569,18 +601,8 @@ impl SubscriptionManager {
 
         // ---- phase 3: commit (state lock, subscription-id order) ----
         let commit_started = Instant::now();
-        let mut summary = RefreshSummary {
-            epoch,
-            refreshed: report.refreshed,
-            skipped: report.skipped,
-            calls: report.calls,
-            invocations_changed: report.changed.len() as u64,
-            pages_changed: report.pages_changed,
-            failed: report.failed,
-            subscriptions_evaluated: evals.len() as u64,
-            sub_results_retained,
-            ..RefreshSummary::default()
-        };
+        summary.subscriptions_evaluated = evals.len() as u64;
+        summary.sub_results_retained = sub_results_retained;
         {
             let mut st = recover(self.state.lock());
             // the commit phase: `evals` ascends by subscription id, so
@@ -604,14 +626,16 @@ impl SubscriptionManager {
                 };
                 let old_frontier = st.subs[&id].current.frontier().clone();
                 for key in done.frontier.difference(&old_frontier) {
-                    pin_and_track(&mut st, ctx, key, epoch);
+                    st.track(ctx, key, epoch);
                 }
                 for key in old_frontier.difference(&done.frontier) {
-                    unpin(&mut st, ctx, key);
+                    st.untrack(ctx, key);
                 }
                 let sub = st.subs.get_mut(&id).expect("pass-gated");
                 sub.current.commit(done.answers, done.frontier);
-                sub.dirty = false;
+                // a degraded evaluation commits what it read, and is
+                // retried like a failed one until it reads whole
+                sub.dirty = done.degraded;
                 if done.added.is_empty() && done.retracted.is_empty() {
                     continue;
                 }
@@ -693,6 +717,7 @@ struct SubSnapshot {
 struct Evaluated {
     answers: Vec<Tuple>,
     frontier: HashSet<InvocationKey>,
+    degraded: bool,
     added: Vec<Tuple>,
     retracted: Vec<Tuple>,
 }
@@ -747,7 +772,8 @@ fn fan_out<T: Sync, R: Send>(items: &[T], workers: usize, f: impl Fn(&T) -> R + 
 }
 
 /// Runs one frontier-recording evaluation of `plan` and drains up to
-/// `k` answers. `budget` bounds the evaluation's forwarded calls: the
+/// `k` answers, the frontier they were read through, and whether any
+/// page was served degraded (the answers are partial). `budget` bounds the evaluation's forwarded calls: the
 /// client-triggered subscribe path passes the tenant's per-query
 /// budget (so `SUBSCRIBE` gets the same admission lever as `QUERY`),
 /// while server-driven refresh re-evaluations pass `None` —
@@ -761,7 +787,7 @@ fn evaluate(
     tenant: TenantId,
     budget: Option<u64>,
     materialize: bool,
-) -> Result<(Vec<Tuple>, HashSet<InvocationKey>), String> {
+) -> Result<(Vec<Tuple>, HashSet<InvocationKey>, bool), String> {
     let mut exec = TopKExecution::start(
         plan,
         ctx.schema,
@@ -785,45 +811,176 @@ fn evaluate(
     if let Some(err) = exec.error() {
         return Err(err.to_string());
     }
-    Ok((answers, exec.frontier()))
+    Ok((answers, exec.frontier(), exec.partial_results().is_some()))
 }
 
-/// Bumps `key`'s pin refcount; the first pin also pins the page-cache
-/// entry and registers the invocation with the refresh driver, seeded
-/// from the cache's own snapshot (no extra service calls).
-///
-/// The registry lookup comes *first*: pinning before it could leave a
-/// permanently-pinned, never-refreshed invocation when the service is
-/// unknown, breaking the `pins ⟺ tracked ⟺ cache-pinned` invariant.
-/// An unresolvable service is skipped whole — not pinned, not counted.
-fn pin_and_track(st: &mut SubState, ctx: &EngineCtx<'_>, key: &InvocationKey, epoch: Epoch) {
-    let Some(service) = ctx.registry.get(key.service) else {
-        return;
-    };
-    let n = st.pins.entry(key.clone()).or_insert(0);
-    *n += 1;
-    if *n > 1 {
-        return;
+impl SubState {
+    /// Adds one frontier ref to `key`. The first ref pins the
+    /// page-cache entry and tracks the invocation from the cache's own
+    /// snapshot — the pages the subscription just read. Without one
+    /// the entry starts with no pages, due at the next pass; nothing is
+    /// fetched here.
+    ///
+    /// The registry lookup comes first: an unresolvable service is
+    /// skipped whole — not pinned, not tracked — so no page stays
+    /// pinned that no pass refreshes.
+    fn track(&mut self, ctx: &EngineCtx<'_>, key: &InvocationKey, epoch: Epoch) {
+        if let Some(t) = self.tracked.get_mut(key) {
+            t.refs += 1;
+            return;
+        }
+        let Some(service) = ctx.registry.get(key.service) else {
+            return;
+        };
+        ctx.shared.pin_invocation(key.service, &key.inputs);
+        let (pages, exhausted) = ctx
+            .shared
+            .export_invocation(key.service, &key.inputs)
+            .unwrap_or_default();
+        self.tracked.insert(
+            key.clone(),
+            Tracked {
+                refs: 1,
+                service: Arc::clone(service),
+                pages,
+                exhausted,
+                read_at: epoch,
+            },
+        );
     }
-    ctx.shared.pin_invocation(key.service, &key.inputs);
-    let snapshot = ctx.shared.export_invocation(key.service, &key.inputs);
-    st.driver
-        .track(key.clone(), Arc::clone(service), snapshot, epoch);
+
+    /// Drops one frontier ref from `key`; the last one untracks the
+    /// invocation and unpins its page-cache entry.
+    fn untrack(&mut self, ctx: &EngineCtx<'_>, key: &InvocationKey) {
+        let Some(t) = self.tracked.get_mut(key) else {
+            return;
+        };
+        t.refs -= 1;
+        if t.refs == 0 {
+            self.tracked.remove(key);
+            ctx.shared.unpin_invocation(key.service, &key.inputs);
+        }
+    }
+
+    /// The re-fetches due at `epoch`, in pass order, and how many
+    /// tracked invocations were skipped as still within TTL. An
+    /// invocation with no pages yet is always due.
+    fn due(&self, epoch: Epoch) -> (Vec<Refetch>, u64) {
+        // a fixed pass order whatever the map's iteration order: fault
+        // schedules are identity-keyed, but summaries must replay
+        // byte-identically
+        let mut keys: Vec<&InvocationKey> = self.tracked.keys().collect();
+        keys.sort_by_key(|k| invocation_order(k));
+        let mut due = Vec::new();
+        let mut skipped = 0;
+        for key in keys {
+            let t = &self.tracked[key];
+            if !t.pages.is_empty() && !self.policy.due(t.read_at, epoch) {
+                skipped += 1;
+                continue;
+            }
+            due.push(Refetch {
+                key: key.clone(),
+                service: Arc::clone(&t.service),
+                depth: t.pages.len(),
+            });
+        }
+        (due, skipped)
+    }
+
+    /// Merges the fetch phase's outcomes (one per `due` re-fetch, in
+    /// the same order) into the table and `summary`. Returns the
+    /// invocations whose pages changed, with the fresh pages to
+    /// install. A failed re-fetch keeps the stale pages whole and
+    /// counts as failed; an unchanged one only moves `read_at`.
+    fn apply(
+        &mut self,
+        epoch: Epoch,
+        due: Vec<Refetch>,
+        outcomes: Vec<Refetched>,
+        summary: &mut RefreshSummary,
+    ) -> Vec<(InvocationKey, Vec<Vec<Tuple>>, bool)> {
+        let mut fresh = Vec::new();
+        for (refetch, (calls, read)) in due.into_iter().zip(outcomes) {
+            summary.refreshed += 1;
+            summary.calls += calls;
+            let Some((pages, exhausted)) = read else {
+                summary.failed += 1;
+                continue;
+            };
+            let t = self.tracked.get_mut(&refetch.key).expect("pass-gated");
+            t.read_at = epoch;
+            let pages_changed = diff_pages(&t.pages, &pages);
+            if pages_changed == 0 && t.exhausted == exhausted {
+                continue;
+            }
+            summary.pages_changed += pages_changed;
+            t.pages = pages.clone();
+            t.exhausted = exhausted;
+            fresh.push((refetch.key, pages, exhausted));
+        }
+        summary.invocations_changed = fresh.len() as u64;
+        fresh
+    }
 }
 
-/// Drops one pin on `key`; the last pin also unpins the page-cache
-/// entry and untracks the invocation.
-fn unpin(st: &mut SubState, ctx: &EngineCtx<'_>, key: &InvocationKey) {
-    let Some(n) = st.pins.get_mut(key) else {
-        return;
-    };
-    *n -= 1;
-    if *n > 0 {
-        return;
+/// One due invocation's re-fetch, cloned out under the snapshot lock
+/// so the fetch phase runs lock-free on any worker.
+struct Refetch {
+    key: InvocationKey,
+    service: Arc<dyn Service>,
+    /// The tracked page count to re-demand: standing queries re-demand
+    /// the page range they read before (fetch factors are plan
+    /// constants), and deeper demand is the re-evaluation's own. `0`
+    /// (never read) re-demands every page.
+    depth: usize,
+}
+
+/// What one [`Refetch`] spent and read: its attempts, and the fresh
+/// pages with their exhaustion flag (`None` once a page's retries ran
+/// out).
+type Refetched = (u64, Option<(Vec<Vec<Tuple>>, bool)>);
+
+impl Refetch {
+    /// The fetch/retry loop: each page gets [`REFRESH_ATTEMPTS`]; a page
+    /// whose attempts all fail aborts the whole invocation, so the
+    /// caller keeps the stale set whole — never a fresh/stale mix.
+    fn run(&self) -> Refetched {
+        let mut calls = 0;
+        let mut pages = Vec::with_capacity(self.depth);
+        let exhausted = loop {
+            let page = pages.len() as u32;
+            let read = (0..REFRESH_ATTEMPTS).find_map(|_| {
+                calls += 1;
+                let (pattern, inputs) = (self.key.pattern, &self.key.inputs);
+                self.service.try_fetch(pattern, inputs, page).ok()
+            });
+            let Some(r) = read else {
+                return (calls, None);
+            };
+            pages.push(r.tuples);
+            if !r.has_more {
+                break true;
+            }
+            if pages.len() == self.depth {
+                break false;
+            }
+        };
+        (calls, Some((pages, exhausted)))
     }
-    st.pins.remove(key);
-    ctx.shared.unpin_invocation(key.service, &key.inputs);
-    st.driver.untrack(key);
+}
+
+/// The stable pass-order key of an invocation.
+fn invocation_order(key: &InvocationKey) -> (u32, usize, String) {
+    (key.service.0, key.pattern, format!("{:?}", key.inputs))
+}
+
+/// Pages that differ between the stale and fresh sets (length
+/// differences count one per uncovered page).
+fn diff_pages(old: &[Vec<Tuple>], new: &[Vec<Tuple>]) -> u64 {
+    let common = old.len().min(new.len());
+    let changed = (old.len().max(new.len()) - common) as u64;
+    changed + (0..common).filter(|&i| old[i] != new[i]).count() as u64
 }
 
 /// Sorted multiset difference: `(new ∖ old, old ∖ new)` with
@@ -860,10 +1017,167 @@ fn multiset_diff(old: &[Tuple], new: &[Tuple]) -> (Vec<Tuple>, Vec<Tuple>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdq_model::schema::{AccessPattern, ServiceId};
     use mdq_model::value::Value;
+    use mdq_services::fault::{FaultPlan, FaultProfile, PlannedFault};
+    use mdq_services::refresh::{RefreshConfig, RefreshingSource};
+    use mdq_services::service::LatencyModel;
+    use mdq_services::synthetic::SyntheticSource;
 
     fn t(vals: &[i64]) -> Tuple {
         Tuple::new(vals.iter().map(|&v| Value::Int(v)).collect::<Vec<_>>())
+    }
+
+    /// 12 rows behind one input key, 4 to a page: three pages.
+    fn source(clock: &Arc<EpochClock>) -> Arc<dyn Service> {
+        let rows = (0..12)
+            .map(|i| Tuple::new(vec![Value::str("k"), Value::Int(i), Value::float(i as f64)]))
+            .collect();
+        let pristine = SyntheticSource::new(
+            "s",
+            vec![AccessPattern::parse("ioo").expect("parses")],
+            rows,
+            Some(4),
+            LatencyModel::fixed(1.0),
+        );
+        Arc::new(RefreshingSource::new(
+            Arc::new(pristine),
+            Arc::clone(clock),
+            RefreshConfig::seeded(5).with_change_rate(0.5),
+        ))
+    }
+
+    fn key() -> InvocationKey {
+        InvocationKey {
+            service: ServiceId(0),
+            pattern: 0,
+            inputs: vec![Value::str("k")],
+        }
+    }
+
+    /// A table tracking `key()` on `service`, read at epoch 0.
+    fn table(ttl: u64, service: Arc<dyn Service>, pages: Vec<Vec<Tuple>>) -> SubState {
+        let mut st = SubState {
+            policy: RefreshPolicy::every(ttl),
+            next_id: 1,
+            subs: BTreeMap::new(),
+            tracked: HashMap::new(),
+            sig_refs: HashMap::new(),
+        };
+        st.tracked.insert(
+            key(),
+            Tracked {
+                refs: 1,
+                service,
+                pages,
+                exhausted: false,
+                read_at: 0,
+            },
+        );
+        st
+    }
+
+    /// The table's part of one refresh pass: due, fetch, merge.
+    fn pass(st: &mut SubState, epoch: Epoch) -> (RefreshSummary, Vec<InvocationKey>) {
+        let (due, skipped) = st.due(epoch);
+        let outcomes = due.iter().map(Refetch::run).collect();
+        let mut summary = RefreshSummary {
+            epoch,
+            skipped,
+            ..RefreshSummary::default()
+        };
+        let fresh = st.apply(epoch, due, outcomes, &mut summary);
+        (summary, fresh.into_iter().map(|(k, ..)| k).collect())
+    }
+
+    fn first_pages(svc: &Arc<dyn Service>, n: u32) -> Vec<Vec<Tuple>> {
+        (0..n)
+            .map(|p| svc.fetch(0, &[Value::str("k")], p).tuples)
+            .collect()
+    }
+
+    #[test]
+    fn ttl_skips_fresh_invocations_and_refetches_due_ones() {
+        let clock = EpochClock::new();
+        let svc = source(&clock);
+        let mut st = table(2, Arc::clone(&svc), first_pages(&svc, 2));
+
+        let e1 = clock.advance();
+        let (s1, changed) = pass(&mut st, e1);
+        assert_eq!(
+            (s1.refreshed, s1.skipped, s1.calls),
+            (0, 1, 0),
+            "within TTL"
+        );
+        assert!(changed.is_empty());
+
+        let e2 = clock.advance();
+        let (s2, changed) = pass(&mut st, e2);
+        assert_eq!(
+            (s2.refreshed, s2.skipped, s2.calls),
+            (1, 0, 2),
+            "2 pages deep"
+        );
+        assert_eq!(changed, vec![key()], "50% change rate must surface");
+        assert_eq!(s2.invocations_changed, 1);
+        let t = &st.tracked[&key()];
+        assert_eq!(
+            t.pages,
+            first_pages(&svc, 2),
+            "baseline moved to the fresh read"
+        );
+        assert_eq!(t.read_at, e2);
+
+        let (s3, _) = pass(&mut st, e2);
+        assert_eq!(
+            (s3.refreshed, s3.skipped),
+            (0, 1),
+            "nothing due twice an epoch"
+        );
+    }
+
+    #[test]
+    fn an_invocation_never_read_is_due_at_once_and_read_whole() {
+        let clock = EpochClock::new();
+        let svc = source(&clock);
+        let mut st = table(100, Arc::clone(&svc), Vec::new());
+        let (summary, changed) = pass(&mut st, clock.advance());
+        assert_eq!(
+            (summary.refreshed, summary.calls),
+            (1, 3),
+            "every page, once"
+        );
+        assert_eq!(changed, vec![key()]);
+        assert_eq!(summary.pages_changed, 3);
+        let t = &st.tracked[&key()];
+        assert_eq!((t.pages.len(), t.exhausted), (3, true));
+        let (summary, _) = pass(&mut st, clock.advance());
+        assert_eq!(summary.skipped, 1, "read once, the TTL governs again");
+    }
+
+    #[test]
+    fn failed_refresh_keeps_the_stale_set_whole() {
+        let clock = EpochClock::new();
+        let drifting = source(&clock);
+        let faulty: Arc<dyn Service> = Arc::new(FaultProfile::scripted(
+            Arc::clone(&drifting),
+            FaultPlan::new().fail_page(1, u32::MAX, PlannedFault::Timeout),
+        ));
+        let baseline = first_pages(&drifting, 2);
+        let mut st = table(1, faulty, baseline.clone());
+        let (summary, changed) = pass(&mut st, clock.advance());
+        // page 0 succeeds, page 1 exhausts its attempts: the invocation
+        // aborts and the stale set survives untouched
+        assert_eq!(summary.failed, 1);
+        assert!(changed.is_empty());
+        assert_eq!(
+            summary.calls,
+            1 + REFRESH_ATTEMPTS as u64,
+            "one ok page, then every attempt at the failing one"
+        );
+        let t = &st.tracked[&key()];
+        assert_eq!(t.pages, baseline);
+        assert_eq!(t.read_at, 0, "still stale — retried next pass");
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   [`FaultProfile`](fault::FaultProfile) wrappers with seeded or
 //!   scripted error/timeout/rate-limit/latency-spike schedules;
 //! * [`synthetic`] — ranked in-memory sources;
-//! * [`refresh`] — page versioning for standing queries: epoch clocks,
-//!   per-service TTL policies, a refresh driver reporting changed
-//!   invocations, and deterministic epoch-drifting source wrappers;
+//! * [`refresh`] — the substrate of standing queries: epoch clocks, the
+//!   TTL policy, invocation keys, and deterministic epoch-drifting
+//!   source wrappers;
 //! * [`registry`] — schema-id → runtime-service bindings;
 //! * [`profiler`] — sampling estimation of erspi / τ / chunk size
 //!   (regenerates Table 1);
@@ -47,8 +47,8 @@ pub mod prelude {
     pub use crate::loader::{parse_rows, source_from_text, LoadError};
     pub use crate::profiler::{install, profile_service, ProfileReport};
     pub use crate::refresh::{
-        refreshing_registry, ChangedInvocation, Epoch, EpochClock, InvocationKey, RefreshConfig,
-        RefreshDriver, RefreshPolicy, RefreshReport, RefreshingSource, Versioned,
+        refreshing_registry, Epoch, EpochClock, InvocationKey, RefreshConfig, RefreshPolicy,
+        RefreshingSource,
     };
     pub use crate::registry::ServiceRegistry;
     pub use crate::service::{

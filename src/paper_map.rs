@@ -154,9 +154,9 @@
 //!
 //! | Concept | Implementation |
 //! |---|---|
-//! | pages versioned by refresh epoch | [`Versioned`](mdq_services::refresh::Versioned), [`EpochClock`](mdq_services::refresh::EpochClock) |
-//! | per-service freshness TTLs | [`RefreshPolicy`](mdq_services::refresh::RefreshPolicy) (staleness in epochs, per-service overrides) |
-//! | one shared polling pass re-fetches due invocations | [`RefreshDriver`](mdq_services::refresh::RefreshDriver) ([`RefreshReport`](mdq_services::refresh::RefreshReport) says what changed) |
+//! | refresh epochs | [`EpochClock`](mdq_services::refresh::EpochClock); each tracked invocation records the epoch its pages were read at |
+//! | freshness TTL | [`RefreshPolicy`](mdq_services::refresh::RefreshPolicy) (staleness in epochs) |
+//! | one shared polling pass re-fetches due invocations | [`QueryServer::refresh`](mdq_runtime::server::QueryServer::refresh) over the subscriptions' one tracked-invocation table ([`RefreshSummary`](mdq_runtime::subscribe::RefreshSummary) says what changed) |
 //! | the pages a standing query depends on | a [`TopKExecution`](mdq_exec::topk::TopKExecution) started with [`ExecContext::frontier`](mdq_exec::ExecContext::frontier) records the frontier; [`SharedServiceState::pin_invocation`](mdq_exec::gateway::SharedServiceState::pin_invocation) shields it from LRU eviction |
 //! | subscriptions + delta computation | [`mdq_runtime::subscribe`] on [`QueryServer::subscribe`](mdq_runtime::server::QueryServer::subscribe) / [`refresh`](mdq_runtime::server::QueryServer::refresh) / [`poll_deltas`](mdq_runtime::server::QueryServer::poll_deltas), emitting [`Delta`](mdq_runtime::subscribe::Delta)s |
 //! | deltas over the wire | `SUBSCRIBE` / `DELTA` / `SYNCED` / `REFRESHED` frames in [`mdq_runtime::net`] |

@@ -359,7 +359,7 @@ fn dead_source_keeps_stale_pages_and_emits_no_deltas() {
 
 /// A still, seeded travel world (no drift) whose service `faulty`
 /// picks is scripted to fault per `faults`: subscribe the travel query
-/// once and refresh `passes` times. Returns the subscription's folded
+/// once and refresh 3 times. Returns the subscription's folded
 /// answers after the last pass beside a from-scratch run of the same
 /// query on an unfaulted twin world.
 fn degraded_then_refreshed(
@@ -367,7 +367,6 @@ fn degraded_then_refreshed(
     faults: FaultPlan,
     budget: u32,
     k: u64,
-    passes: u64,
 ) -> (Vec<Tuple>, Vec<Tuple>) {
     let world = |clock: &Arc<EpochClock>, faults: Option<FaultPlan>| {
         let w = travel_world(2008);
@@ -394,7 +393,7 @@ fn degraded_then_refreshed(
         .subscribe(DEFAULT_TENANT, &text, Some(k))
         .expect("a degraded subscription still registers");
     let mut folded = ticket.answers;
-    for _ in 0..passes {
+    for _ in 0..3 {
         server.refresh();
         for delta in server.poll_deltas(DEFAULT_TENANT, ticket.id).expect("live") {
             fold(&mut folded, &delta.added, &delta.retracted);
@@ -422,7 +421,6 @@ fn degraded_first_evaluation_heals_on_the_next_pass() {
             FaultPlan::new().fail_inputs(vec![Value::str("DB")], 3, PlannedFault::Timeout),
             950,
             K,
-            3,
         );
         assert_eq!(rerun.len(), 5, "the unfaulted world answers k rows");
         assert_eq!(healed, rerun, "partial answers must not outlive the fault");
@@ -440,7 +438,6 @@ fn degraded_deeper_page_heals_on_the_next_pass() {
             FaultPlan::new().fail_page(1, 3, PlannedFault::Timeout),
             5_000,
             200,
-            3,
         );
         assert_eq!(rerun.len(), 57, "the unfaulted world answers 57 rows");
         assert_eq!(healed, rerun, "partial answers must not outlive the fault");
