@@ -7,12 +7,20 @@
 //! [`SPARSE_BAND`]× the nested loop. The cell-by-cell anti-diagonal
 //! sweep cost 5.4× there (482 vs 89 µs): it visited all `(l + r)² / 2`
 //! cells to find 200 pairs.
+//!
+//! The `joins/budget/` gauges count what a 200 × 200 drain under the
+//! running example's `a + b < c` verifies when few pairs pass: the
+//! key-equal pairs of the grid, and the candidates each join's bound
+//! skip leaves to verification. They are exact, so CI holds them
+//! `at-most` the committed values, and the bench exits non-zero when the
+//! merge scan verifies over 1/[`BUDGET_SKIP`] of the key-equal pairs.
 
 use mdq_bench::harness::Bench;
 use mdq_exec::binding::Binding;
 use mdq_exec::joins::{MsJoin, NlJoin};
-use mdq_exec::operator::{drain_all, Operator, Source, DEFAULT_BATCH};
-use mdq_model::query::{Atom, Term, VarId};
+use mdq_exec::operator::{drain_all, Batch, Operator, Source, DEFAULT_BATCH};
+use mdq_model::query::{Atom, CmpOp, Expr, Predicate, Term, VarId};
+use mdq_model::rng::Rng;
 use mdq_model::schema::ServiceId;
 use mdq_model::value::{Tuple, Value};
 
@@ -37,6 +45,86 @@ fn stream(key_var: u32, val_var: u32, n: usize, distinct_keys: i64) -> Vec<Bindi
 
 /// Max cost of `joins/full/ms/200-sparse` over `joins/full/nl/200-sparse`.
 const SPARSE_BAND: u128 = 2;
+
+/// The budget grid's merge scan may verify at most this fraction (its
+/// inverse) of the key-equal pairs.
+const BUDGET_SKIP: u64 = 20;
+
+/// `n` bindings of `(key, price)`: keys cycle through `keys` values,
+/// prices are seeded draws from `[0, 100)`.
+fn priced(price_var: u32, n: usize, keys: i64, seed: u64) -> Vec<Binding> {
+    let mut rng = Rng::new(seed);
+    (0..n)
+        .map(|i| {
+            let price = Value::float(rng.range_u64(0, 10_000) as f64 / 100.0);
+            Binding::from_row(
+                3,
+                &[VarId(0), VarId(price_var)],
+                &[Value::Int(i as i64 % keys), price],
+            )
+        })
+        .collect()
+}
+
+/// Drains `join` and returns the candidates it verified.
+fn verified(mut join: impl Operator) -> u64 {
+    let mut out = Batch::new();
+    while join.next_batch(DEFAULT_BATCH, &mut out) == DEFAULT_BATCH {}
+    join.take_candidates()
+}
+
+/// The budget grid: 200 × 200 over 10 keys (4 000 key-equal pairs),
+/// `a + b < 4` — 7 pairs pass.
+fn budget(bench: &Bench) -> bool {
+    let (left, right) = (priced(1, 200, 10, 2008), priced(2, 200, 10, 4242));
+    let budget = Predicate::new(
+        Expr::Add(Box::new(Expr::var(VarId(1))), Box::new(Expr::var(VarId(2)))),
+        CmpOp::Lt,
+        Expr::constant(4.0),
+    );
+    let ms = || {
+        MsJoin::new(
+            Source(left.clone().into_iter()),
+            Source(right.clone().into_iter()),
+            vec![VarId(0)],
+        )
+        .with_predicates(vec![budget.clone()])
+    };
+    let nl = || {
+        NlJoin::new(
+            Source(left.clone().into_iter()),
+            Source(right.clone().into_iter()),
+            vec![VarId(0)],
+            true,
+        )
+        .with_predicates(vec![budget.clone()])
+    };
+    bench.measure("joins/budget/ms", || drain_all(ms(), DEFAULT_BATCH).len());
+    bench.measure("joins/budget/nl", || drain_all(nl(), DEFAULT_BATCH).len());
+    let key_equal = left
+        .iter()
+        .map(|l| {
+            right
+                .iter()
+                .filter(|r| l.get(VarId(0)) == r.get(VarId(0)))
+                .count() as u64
+        })
+        .sum();
+    let answers = drain_all(ms(), DEFAULT_BATCH).len() as u64;
+    let (ms, nl) = (verified(ms()), verified(nl()));
+    bench.gauge("joins/budget/key-equal-pairs", key_equal, "pairs");
+    bench.gauge("joins/budget/answers", answers, "pairs");
+    bench.gauge("joins/budget/ms/candidates", ms, "pairs");
+    bench.gauge("joins/budget/nl/candidates", nl, "pairs");
+    if ms * BUDGET_SKIP > key_equal {
+        eprintln!(
+            "merge scan verified {ms} of the budget grid's {key_equal} key-equal pairs, over \
+             1/{BUDGET_SKIP}: the bound skip is not ruling walks out"
+        );
+        return false;
+    }
+    true
+}
 
 fn main() {
     let bench = Bench::from_args();
@@ -117,7 +205,12 @@ fn main() {
         out.len()
     });
 
+    let skipping = budget(&bench);
+
     bench.write_json("joins");
+    if !skipping {
+        std::process::exit(1);
+    }
 
     let sparse = |join: &str| bench.mean_ns(&format!("joins/full/{join}/200-sparse"));
     if let Some((ms, nl)) = sparse("ms").zip(sparse("nl")) {

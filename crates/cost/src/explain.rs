@@ -123,6 +123,7 @@ pub fn explain_analyze(
             ob.cached_pages.to_string(),
             ob.sub_result_rows.to_string(),
             ob.batches.to_string(),
+            ob.candidates.to_string(),
             format!("{:.2}s", ob.sim_seconds),
         ]);
     }
@@ -139,6 +140,7 @@ pub fn explain_analyze(
         "cached",
         "replayed",
         "batches",
+        "candidates",
         "time",
     ];
     let mut s = render_table(&headers, rows.iter().map(|r| &r[..]));

@@ -1551,12 +1551,13 @@ impl ServiceGateway {
 
     /// Flushes one operator hop into the node's stats: `rows` bindings
     /// produced over `batches` batched hops (a per-binding pull passes
-    /// `batches = 0`). Traced executions also get an `operator_batch`
-    /// instant per batched hop.
-    pub fn record_node_output(&mut self, node: usize, rows: u64, batches: u64) {
+    /// `batches = 0`), `candidates` pairs a join node verified. Traced
+    /// executions also get an `operator_batch` instant per batched hop.
+    pub fn record_node_output(&mut self, node: usize, rows: u64, batches: u64, candidates: u64) {
         if let Some(ns) = self.node_stats.get_mut(node) {
             ns.rows_out += rows;
             ns.batches += batches;
+            ns.candidates += candidates;
         }
         if batches > 0 {
             if let Some(t) = &self.trace {

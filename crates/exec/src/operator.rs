@@ -138,6 +138,13 @@ pub trait Operator {
         }
         n
     }
+
+    /// Candidate pairs verified since the last call: what a join's key
+    /// image and bound skip left to [`Binding::join`]; 0 for every other
+    /// operator.
+    fn take_candidates(&mut self) -> u64 {
+        0
+    }
 }
 
 impl<T: Operator + ?Sized> Operator for &mut T {
@@ -147,6 +154,9 @@ impl<T: Operator + ?Sized> Operator for &mut T {
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> usize {
         (**self).next_batch(max, out)
     }
+    fn take_candidates(&mut self) -> u64 {
+        (**self).take_candidates()
+    }
 }
 
 impl<T: Operator + ?Sized> Operator for Box<T> {
@@ -155,6 +165,9 @@ impl<T: Operator + ?Sized> Operator for Box<T> {
     }
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> usize {
         (**self).next_batch(max, out)
+    }
+    fn take_candidates(&mut self) -> u64 {
+        (**self).take_candidates()
     }
 }
 
@@ -463,6 +476,13 @@ impl<L: Operator, R: Operator> Operator for Join<L, R> {
             Join::OuterRight(j) => j.next_batch(max, out),
         }
     }
+    fn take_candidates(&mut self) -> u64 {
+        match self {
+            Join::MergeScan(j) => j.take_candidates(),
+            Join::OuterLeft(j) => j.take_candidates(),
+            Join::OuterRight(j) => j.take_candidates(),
+        }
+    }
 }
 
 /// The predicate-filter operator: passes bindings satisfying every
@@ -567,7 +587,8 @@ impl<I: Operator> Operator for Select<I> {
 }
 
 /// A transparent per-node statistics probe: counts the bindings and
-/// batched hops flowing out of one plan node into the gateway's
+/// batched hops flowing out of one plan node, and the candidate pairs a
+/// join node verified, into the gateway's
 /// [`OperatorStats`](mdq_obs::span::OperatorStats) — the observed
 /// side of EXPLAIN ANALYZE.
 ///
@@ -578,10 +599,12 @@ impl<I: Operator> Operator for Select<I> {
 /// before reading the stats). Traced executions flush per batched hop
 /// instead, so every hop lands as one `operator_batch` instant on the
 /// execution's track.
-pub struct Probe<I> {
+pub struct Probe<I: Operator> {
     inner: I,
     gateway: LocalGateway,
-    node: usize,
+    /// The plan node (a `u32` beside `traced`, so a probed join keeps
+    /// the size it had before it counted candidates).
+    node: u32,
     traced: bool,
     rows: u64,
     batches: u64,
@@ -594,7 +617,7 @@ impl<I: Operator> Probe<I> {
         Probe {
             inner,
             gateway,
-            node,
+            node: node as u32,
             traced,
             rows: 0,
             batches: 0,
@@ -602,10 +625,11 @@ impl<I: Operator> Probe<I> {
     }
 
     fn flush(&mut self) {
-        if self.rows != 0 || self.batches != 0 {
-            let (node, rows, batches) = (self.node, self.rows, self.batches);
+        let candidates = self.inner.take_candidates();
+        if self.rows != 0 || self.batches != 0 || candidates != 0 {
+            let (node, rows, batches) = (self.node as usize, self.rows, self.batches);
             self.gateway
-                .with(|g| g.record_node_output(node, rows, batches));
+                .with(|g| g.record_node_output(node, rows, batches, candidates));
             self.rows = 0;
             self.batches = 0;
         }
@@ -637,13 +661,9 @@ impl<I: Operator> Operator for Probe<I> {
     }
 }
 
-impl<I> Drop for Probe<I> {
+impl<I: Operator> Drop for Probe<I> {
     fn drop(&mut self) {
-        if self.rows != 0 || self.batches != 0 {
-            let (node, rows, batches) = (self.node, self.rows, self.batches);
-            self.gateway
-                .with(|g| g.record_node_output(node, rows, batches));
-        }
+        self.flush();
     }
 }
 

@@ -188,7 +188,7 @@ pub fn run(
             match &node.kind {
                 NodeKind::Input => {
                     streams[i] = vec![Binding::empty(plan.query.var_count())];
-                    gateway.with(|g| g.record_node_output(i, 1, 0));
+                    gateway.with(|g| g.record_node_output(i, 1, 0, 0));
                     trace[i] = NodeTrace {
                         busy: 0.0,
                         completion: 0.0,

@@ -130,6 +130,16 @@ impl Date {
         }
     }
 
+    /// [`Date::plus_days`], or `None` when the result leaves the `i32`
+    /// day range — date arithmetic in predicates never wraps.
+    #[inline]
+    pub fn checked_plus_days(self, delta: i64) -> Option<Self> {
+        let days = i64::from(self.days).checked_add(delta)?;
+        Some(Date {
+            days: i32::try_from(days).ok()?,
+        })
+    }
+
     /// Parses `YYYY/MM/DD` or `YYYY-MM-DD` (months/days may omit the
     /// leading zero, as in the paper's `'2007/3/14'`). Years beyond
     /// ±[`Date::MAX_YEAR`] are not dates: their day count would overflow.
@@ -207,11 +217,12 @@ impl Value {
 
     /// Adds two values under the model's arithmetic:
     /// `Int+Int`, float combinations, and `Date + Int` (day offset).
+    /// Integer and date results that leave their range are `None`.
     pub fn checked_add(&self, rhs: &Value) -> Option<Value> {
         match (self, rhs) {
             (Value::Int(a), Value::Int(b)) => Some(Value::Int(a.checked_add(*b)?)),
             (Value::Date(d), Value::Int(n)) | (Value::Int(n), Value::Date(d)) => {
-                Some(Value::Date(d.plus_days(*n)))
+                Some(Value::Date(d.checked_plus_days(*n)?))
             }
             (a, b) => Some(Value::float(a.as_f64()? + b.as_f64()?)),
         }
@@ -223,9 +234,11 @@ impl Value {
         match (self, rhs) {
             (Value::Int(a), Value::Int(b)) => Some(Value::Int(a.checked_sub(*b)?)),
             (Value::Date(a), Value::Date(b)) => Some(Value::Int(
-                (a.days_since_epoch() - b.days_since_epoch()) as i64,
+                i64::from(a.days_since_epoch()) - i64::from(b.days_since_epoch()),
             )),
-            (Value::Date(d), Value::Int(n)) => Some(Value::Date(d.plus_days(-*n))),
+            (Value::Date(d), Value::Int(n)) => {
+                Some(Value::Date(d.checked_plus_days(n.checked_neg()?)?))
+            }
             (a, b) => Some(Value::float(a.as_f64()? - b.as_f64()?)),
         }
     }
@@ -520,6 +533,21 @@ mod tests {
         );
         assert_eq!(Value::Int(i64::MAX).checked_add(&Value::Int(1)), None);
         assert_eq!(Value::str("x").checked_add(&Value::Int(1)), None);
+        // date arithmetic leaves the day range as `None`, never wrapping
+        assert_eq!(d.checked_add(&Value::Int(i64::MAX)), None);
+        assert_eq!(d.checked_add(&Value::Int(i64::from(i32::MAX))), None);
+        assert_eq!(d.checked_sub(&Value::Int(i64::MIN)), None);
+        let epoch = Date::from_ymd(1970, 1, 1);
+        let lo = epoch
+            .checked_plus_days(i64::from(i32::MIN))
+            .expect("in range");
+        let hi = epoch
+            .checked_plus_days(i64::from(i32::MAX))
+            .expect("in range");
+        assert_eq!(
+            Value::Date(hi).checked_sub(&Value::Date(lo)),
+            Some(Value::Int(u32::MAX as i64))
+        );
     }
 
     #[test]

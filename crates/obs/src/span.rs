@@ -252,6 +252,10 @@ pub struct OperatorStats {
     pub rows_out: u64,
     /// Batched hops out of this node (`next_batch` calls).
     pub batches: u64,
+    /// Candidate pairs a join node verified against its key and
+    /// predicates — the key-equal pairs its bound skip did not rule out
+    /// (0 on every other node).
+    pub candidates: u64,
     /// Request-responses this node's invocations forwarded (faulted
     /// attempts included).
     pub calls: u64,
@@ -272,6 +276,7 @@ impl OperatorStats {
         self.rows_in += other.rows_in;
         self.rows_out += other.rows_out;
         self.batches += other.batches;
+        self.candidates += other.candidates;
         self.calls += other.calls;
         self.cached_pages += other.cached_pages;
         self.sub_result_rows += other.sub_result_rows;

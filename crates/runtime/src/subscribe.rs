@@ -243,8 +243,10 @@ struct Tracked {
     refs: u32,
     service: Arc<dyn Service>,
     /// The pages as last read — the cache's snapshot when tracking
-    /// began, then each changed re-fetch: the baseline the next
-    /// re-fetch is diffed against. Empty until a read succeeds.
+    /// began, then each changed re-fetch, and the cache's again when an
+    /// evaluation reads deeper: the baseline the next re-fetch is
+    /// diffed against, and the depth it re-demands. Empty until a read
+    /// succeeds.
     pages: Vec<Vec<Tuple>>,
     /// Whether the service reported no page after the last.
     exhausted: bool,
@@ -628,6 +630,9 @@ impl SubscriptionManager {
                 for key in done.frontier.difference(&old_frontier) {
                     st.track(ctx, key, epoch);
                 }
+                for key in done.frontier.intersection(&old_frontier) {
+                    st.deepen(ctx, key);
+                }
                 for key in old_frontier.difference(&done.frontier) {
                     st.untrack(ctx, key);
                 }
@@ -819,7 +824,8 @@ impl SubState {
     /// page-cache entry and tracks the invocation from the cache's own
     /// snapshot — the pages the subscription just read. Without one
     /// the entry starts with no pages, due at the next pass; nothing is
-    /// fetched here.
+    /// fetched here. A later ref deepens the tracked pages to what the
+    /// subscription read ([`SubState::deepen`]).
     ///
     /// The registry lookup comes first: an unresolvable service is
     /// skipped whole — not pinned, not tracked — so no page stays
@@ -827,6 +833,7 @@ impl SubState {
     fn track(&mut self, ctx: &EngineCtx<'_>, key: &InvocationKey, epoch: Epoch) {
         if let Some(t) = self.tracked.get_mut(key) {
             t.refs += 1;
+            self.deepen(ctx, key);
             return;
         }
         let Some(service) = ctx.registry.get(key.service) else {
@@ -847,6 +854,24 @@ impl SubState {
                 read_at: epoch,
             },
         );
+    }
+
+    /// Brings `key`'s tracked pages up to the cache's when an
+    /// evaluation read deeper than the table tracks. The deeper pages
+    /// landed in the pinned entry at this pass's epoch; a pass
+    /// re-fetches only the tracked depth, so without this a pass whose
+    /// shallow pages come back unchanged would never re-read them, and
+    /// drift confined to them would never reach the subscription.
+    fn deepen(&mut self, ctx: &EngineCtx<'_>, key: &InvocationKey) {
+        let Some(t) = self.tracked.get_mut(key) else {
+            return;
+        };
+        if let Some((pages, exhausted)) = ctx.shared.export_invocation(key.service, &key.inputs) {
+            if pages.len() > t.pages.len() {
+                t.pages = pages;
+                t.exhausted = exhausted;
+            }
+        }
     }
 
     /// Drops one frontier ref from `key`; the last one untracks the
@@ -929,10 +954,9 @@ impl SubState {
 struct Refetch {
     key: InvocationKey,
     service: Arc<dyn Service>,
-    /// The tracked page count to re-demand: standing queries re-demand
-    /// the page range they read before (fetch factors are plan
-    /// constants), and deeper demand is the re-evaluation's own. `0`
-    /// (never read) re-demands every page.
+    /// The tracked page count to re-demand: the deepest page range a
+    /// subscription has read (an evaluation that reads further deepens
+    /// it at commit). `0` (never read) re-demands every page.
     depth: usize,
 }
 

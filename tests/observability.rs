@@ -192,6 +192,15 @@ fn explain_analyze_renders_the_observed_run() {
     let ann = Estimator::new(&w.schema, &sel, CacheSetting::Optimal).annotate(&plan);
     let text = explain_analyze(&plan, &w.schema, &ann, &report.operator_stats);
     assert!(text.contains("obs calls"), "{text}");
+    // a join node verifies at least the pairs it emits; no other node
+    // verifies any
+    assert!(text.contains("candidates"), "{text}");
+    for (node, stats) in plan.nodes.iter().zip(&report.operator_stats) {
+        match node.kind {
+            NodeKind::Join { .. } => assert!(stats.candidates >= stats.rows_out, "{text}"),
+            _ => assert_eq!(stats.candidates, 0, "{text}"),
+        }
+    }
     assert!(
         text.contains(&format!("observed answers: {}", report.answers.len())),
         "{text}"
