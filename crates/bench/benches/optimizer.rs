@@ -5,12 +5,19 @@
 //! number that does not depend on the machine. Two searches also
 //! report the heap allocations (and bytes requested) of one run,
 //! counted by this target's global allocator.
+//!
+//! `optimize/scale/{chain,star,clique}-n` sweep the synthetic bodies of
+//! `mdq_model::examples::scale_body` from 2 atoms up to each shape's
+//! *knee* — the first `n` where one search took over 1 s on a 2-core
+//! x86-64 box (chain 8, star 7, clique 7) — with the same effort and
+//! allocation gauges per entry. Those searches are slow, so a name
+//! filter that leaves an entry out skips its gauges too.
 
 use mdq_bench::harness::{count_allocations, Bench, CountingAlloc};
 use mdq_cost::estimate::CacheSetting;
 use mdq_cost::metrics::{ExecutionTime, RequestResponse, SumCost};
 use mdq_cost::selectivity::SelectivityModel;
-use mdq_model::examples::{running_example_query, running_example_schema};
+use mdq_model::examples::{running_example_query, running_example_schema, scale_body, ScaleShape};
 use mdq_model::parser::parse_query;
 use mdq_optimizer::bnb::{optimize, Optimized, OptimizerConfig};
 use mdq_optimizer::context::{CostContext, CostingEffort};
@@ -34,12 +41,13 @@ fn effort_gauges(bench: &Bench, name: &str, effort: CostingEffort) {
 }
 
 /// Records the heap allocations and bytes requested by one `run` under
-/// `name` (the bench is single-threaded, so the counters see only it).
-fn allocation_gauges(bench: &Bench, name: &str, run: impl FnOnce() -> Optimized) {
+/// `name` (the bench is single-threaded, so the counters see only it),
+/// and returns what it optimized.
+fn allocation_gauges(bench: &Bench, name: &str, run: impl FnOnce() -> Optimized) -> Optimized {
     let (out, allocations, bytes) = count_allocations(run);
-    drop(out);
     bench.gauge(&format!("{name}/allocations"), allocations, "allocations");
     bench.gauge(&format!("{name}/alloc-bytes"), bytes, "bytes");
+    out
 }
 
 fn main() {
@@ -128,6 +136,30 @@ fn main() {
         bench.measure("optimize/oracle/exhaustive-cap8", || {
             exhaustive_optimum(&query, &ctx, &strategy, 10.0, 8).expect("finds")
         });
+    }
+
+    // The scaling sweep: one search per body, ETM, the default config.
+    for (shape, knee) in [
+        (ScaleShape::Chain, 8),
+        (ScaleShape::Star, 7),
+        (ScaleShape::Clique, 7),
+    ] {
+        for n in 2..=knee {
+            let name = format!("optimize/scale/{}-{n}", shape.name());
+            if !bench.selects(&name) {
+                continue;
+            }
+            let (schema, query) = scale_body(shape, n);
+            let query = Arc::new(query);
+            let config = OptimizerConfig::default();
+            let run = || {
+                optimize(Arc::clone(&query), &schema, &ExecutionTime, &config)
+                    .expect("scale bodies optimize")
+            };
+            bench.measure(&name, run);
+            let out = allocation_gauges(&bench, &name, run);
+            effort_gauges(&bench, &name, out.stats.costing);
+        }
     }
 
     bench.measure("phase1/permissible-sequences", || {

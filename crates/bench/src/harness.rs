@@ -153,15 +153,21 @@ impl Bench {
         });
     }
 
+    /// Whether the name filter (if any) selects `name` — for a case
+    /// whose gauges cost too much to take when it is filtered out.
+    pub fn selects(&self, name: &str) -> bool {
+        self.filter
+            .as_ref()
+            .is_none_or(|filter| name.contains(filter.as_str()))
+    }
+
     /// Times `f` in [`BATCHES`] batches, printing the mean per
     /// iteration, the batches' median and quartiles, and the iteration
     /// count. The closure's result is passed through [`black_box`] so
     /// the optimiser cannot elide the work.
     pub fn measure<T>(&self, name: &str, mut f: impl FnMut() -> T) {
-        if let Some(filter) = &self.filter {
-            if !name.contains(filter.as_str()) {
-                return;
-            }
+        if !self.selects(name) {
+            return;
         }
         // warm-up + calibration pass
         let start = Instant::now();

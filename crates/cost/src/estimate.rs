@@ -18,7 +18,7 @@
 //! distinct input combination, additionally capped by abstract-domain
 //! cardinalities.
 //!
-//! **Reuse across a search.** [`Estimator::prepare_into`] writes a
+//! **Reuse across a search.** [`Estimator::prepare_from`] writes a
 //! plan's analysis into a [`PreparedPlan`] its caller keeps, reading the
 //! query's [`QueryFacts`] (predicate variables and σ's, domain
 //! cardinalities, input variables per atom and pattern), which the
@@ -29,9 +29,21 @@
 //! fresh buffers, every table is cleared or overwritten before it is
 //! read, the facts hold exactly the values the per-plan lookups computed,
 //! and the floating-point operations run in the same order.
+//!
+//! **From node `k` on.** Every figure of a node — its prepared step and
+//! its estimate — depends only on the node's dataflow ancestors, which
+//! precede it, and on its own atom's fetch factor (read by atom, so an
+//! atom placed in front of it leaves its step valid). So a plan whose
+//! first `k` nodes are those of the plan prepared before is prepared by
+//! [`Estimator::prepare_from`] node `k` on, and [`PreparedPlan::evaluate`]
+//! keeps the estimate of every node before the first one not estimated
+//! since or whose own chunked fetch factor changed: the optimizer prices
+//! each partial topology from its parent this way, and phase 3 each
+//! fetch vector from the first factor it moved.
 
 use crate::selectivity::SelectivityModel;
 use mdq_model::binding::push_input_vars;
+use mdq_model::bitset::BitSet;
 use mdq_model::query::{ConjunctiveQuery, VarId};
 use mdq_model::schema::{Chunking, Schema};
 use mdq_plan::dag::{NodeId, NodeKind, Plan};
@@ -134,7 +146,7 @@ impl Annotation {
 /// selectivity model for predicate σ's.
 ///
 /// Estimation is split in three. [`Estimator::facts`] reads what a
-/// query contributes independently of any plan; [`Estimator::prepare_into`]
+/// query contributes independently of any plan; [`Estimator::prepare_from`]
 /// analyses a plan once — everything that does not depend on the fetch
 /// factors — and [`PreparedPlan::evaluate`] turns a fetch vector into an
 /// [`Annotation`] with a straight loop over `f64`s. The optimizer takes
@@ -157,9 +169,9 @@ pub struct Estimator<'a> {
 enum ResultSize {
     /// Bulk service: its erspi.
     Bulk(f64),
-    /// Chunked service: chunk size × the fetch factor of plan position
-    /// `pos`.
-    Chunked { chunk_size: f64, pos: usize },
+    /// Chunked service: chunk size × the fetch factor of query atom
+    /// `atom` (at whatever plan position the atom sits).
+    Chunked { chunk_size: f64, atom: usize },
 }
 
 /// How an invoke node's effective calls follow from its input stream.
@@ -229,16 +241,31 @@ enum Step {
 /// bit-equal estimates and the optimizer's cost ties always break the
 /// same way.
 ///
-/// [`Estimator::prepare_into`] rewrites every table of a prepared plan
-/// for the next plan, keeping the buffers: what one plan left behind is
-/// cleared or overwritten before it can be read, so a reused prepared
-/// plan evaluates exactly like a fresh one.
+/// [`Estimator::prepare_from`] rewrites the tables of a prepared plan
+/// for the next plan from its first changed node on, keeping the
+/// buffers: what one plan left behind past that node is cut or
+/// overwritten before it can be read, so a reused prepared plan
+/// evaluates exactly like a fresh one.
 #[derive(Clone, Debug, Default)]
 pub struct PreparedPlan {
     steps: Vec<Step>,
+    /// Per step: the lengths of `input_vars`, `carriers` and
+    /// `value_joins` before it — where a re-preparation from that node
+    /// cuts the arenas.
+    marks: Vec<[usize; 3]>,
     input_vars: Vec<InputVar>,
     carriers: Vec<usize>,
     value_joins: Vec<f64>,
+    /// Plan position of each query atom (read where a fetch factor is).
+    position: Vec<usize>,
+    /// The chunked invoke nodes, as (plan position, node).
+    chunked: Vec<(usize, usize)>,
+    /// Per node: the fetch factor a chunked invoke node was last
+    /// estimated under.
+    fetched: Vec<u64>,
+    /// Leading nodes whose annotation entries are the estimate under
+    /// the fetch factors in `fetched` — what the next evaluation keeps.
+    evaluated: usize,
     ann: Annotation,
     /// Scratch for `N(n)`: (minimal node, its variables' domain cap).
     minimal: Vec<(usize, f64)>,
@@ -253,12 +280,12 @@ pub struct PreparedPlan {
 /// each predicate's variables and σ, each variable's domain cardinality
 /// and each atom's input variables under each of its access patterns.
 /// [`Estimator::facts`] reads them once; every
-/// [`Estimator::prepare_into`] of a plan over the query looks them up.
+/// [`Estimator::prepare_from`] of a plan over the query looks them up.
 #[derive(Clone, Debug)]
 pub struct QueryFacts {
     query: Arc<ConjunctiveQuery>,
-    /// Per predicate: its variables and its selectivity.
-    predicates: Vec<(Vec<VarId>, f64)>,
+    /// Per predicate: its variables (by id) and its selectivity.
+    predicates: Vec<(BitSet, f64)>,
     /// Domain cardinality per variable id, read off the variable's first
     /// occurrence in an atom (∞ when unknown; `None` for a variable in no
     /// atom, read as ∞ too).
@@ -291,15 +318,24 @@ impl QueryFacts {
 impl PreparedPlan {
     /// Estimates the plan under `fetches` (one factor per plan-atom
     /// position) into the reused annotation, which stays valid until
-    /// the next call.
+    /// the next call. Only the nodes from the first one whose figures
+    /// can differ from the estimate held are evaluated: the first node
+    /// not yet estimated since it was prepared, or the first chunked
+    /// invoke node whose fetch factor changed (see the module docs).
     pub fn evaluate(&mut self, fetches: &[u64]) -> &Annotation {
+        let start = self
+            .chunked
+            .iter()
+            .filter(|&&(pos, node)| self.fetched[node] != fetches[pos])
+            .fold(self.evaluated, |start, &(_, node)| start.min(node));
+        self.evaluated = self.steps.len();
         let Annotation {
             t_in,
             t_out,
             calls,
             cache,
         } = &mut self.ann;
-        for (i, step) in self.steps.iter().enumerate() {
+        for (i, step) in self.steps.iter().enumerate().skip(start) {
             match step {
                 Step::Input => {
                     t_in[i] = 1.0;
@@ -359,7 +395,11 @@ impl PreparedPlan {
                     };
                     let per_input = match *size {
                         ResultSize::Bulk(erspi) => erspi,
-                        ResultSize::Chunked { chunk_size, pos } => chunk_size * fetches[pos] as f64,
+                        ResultSize::Chunked { chunk_size, atom } => {
+                            let fetch = fetches[self.position[atom]];
+                            self.fetched[i] = fetch;
+                            chunk_size * fetch as f64
+                        }
                     };
                     t_out[i] = stream * per_input * sigma;
                 }
@@ -393,6 +433,7 @@ impl PreparedPlan {
     /// The same, writable — for discounting shared work in place; the
     /// next evaluation rewrites every figure.
     pub fn annotation_mut(&mut self) -> &mut Annotation {
+        self.evaluated = 0;
         &mut self.ann
     }
 
@@ -421,11 +462,11 @@ impl<'a> Estimator<'a> {
     }
 
     /// Analyses `plan` once for any number of
-    /// [`evaluate`](PreparedPlan::evaluate) calls: [`Estimator::prepare_into`]
+    /// [`evaluate`](PreparedPlan::evaluate) calls: [`Estimator::prepare_from`]
     /// on fresh facts and a fresh prepared plan.
     pub fn prepare(&self, plan: &Plan) -> PreparedPlan {
         let mut prepared = PreparedPlan::default();
-        self.prepare_into(plan, &self.facts(&plan.query), &mut prepared);
+        self.prepare_from(plan, &self.facts(&plan.query), &mut prepared, 0);
         prepared
     }
 
@@ -434,7 +475,10 @@ impl<'a> Estimator<'a> {
         let predicates = query
             .predicates
             .iter()
-            .map(|p| (p.vars(), self.selectivity.selectivity(p)))
+            .map(|p| {
+                let vars = p.vars().iter().map(|v| v.0 as usize).collect();
+                (vars, self.selectivity.selectivity(p))
+            })
             .collect();
         // a variable's domain is read off its first occurrence in an atom
         let mut cardinality: Vec<Option<f64>> = vec![None; query.var_count()];
@@ -470,39 +514,68 @@ impl<'a> Estimator<'a> {
         }
     }
 
-    /// Analyses `plan` into `prepared`, overwriting whatever plan it held
-    /// and reusing its buffers; `facts` must be those of the plan's query
-    /// ([`QueryFacts::is_for`]) under this estimator.
-    pub fn prepare_into(&self, plan: &Plan, facts: &QueryFacts, prepared: &mut PreparedPlan) {
+    /// Analyses `plan` into `prepared` from node `start` on, reusing its
+    /// buffers; `facts` must be those of the plan's query
+    /// ([`QueryFacts::is_for`]) under this estimator. With `start` 0 it
+    /// overwrites whatever plan `prepared` held. Otherwise `prepared` must
+    /// hold the analysis, under this estimator and `facts`, of a plan over
+    /// the same query and choice whose first `start` nodes are `plan`'s:
+    /// their steps are kept, the rest rewritten, and the annotation is cut
+    /// to the kept nodes' entries.
+    pub fn prepare_from(
+        &self,
+        plan: &Plan,
+        facts: &QueryFacts,
+        prepared: &mut PreparedPlan,
+        start: usize,
+    ) {
         debug_assert!(facts.is_for(&plan.query), "facts of another query");
         let n = plan.nodes.len();
         let words = facts.predicates.len().div_ceil(64);
         let PreparedPlan {
             steps,
+            marks,
             input_vars,
             carriers,
             value_joins,
+            position,
+            chunked,
+            fetched,
+            evaluated,
             ann,
             minimal,
             applied,
             walk,
         } = prepared;
-        steps.clear();
-        input_vars.clear();
-        carriers.clear();
-        value_joins.clear();
+        let start = start.min(steps.len());
+        if let Some(&[inputs, carried, joined]) = marks.get(start) {
+            input_vars.truncate(inputs);
+            carriers.truncate(carried);
+            value_joins.truncate(joined);
+        }
+        steps.truncate(start);
+        marks.truncate(start);
+        // a node from `start` on is estimated again whatever it held
+        *evaluated = (*evaluated).min(start);
+        fetched.resize(n, 0);
         minimal.clear();
         for column in [&mut ann.t_in, &mut ann.t_out, &mut ann.calls] {
-            column.clear();
+            column.truncate(start);
             column.resize(n, 0.0);
         }
         ann.cache = self.cache;
+        position.clear();
+        position.resize(plan.query.atoms.len(), usize::MAX);
+        for (pos, &atom) in plan.atoms.iter().enumerate() {
+            position[atom] = pos;
+        }
         // per node, the predicates applied at or upstream of it
-        applied.clear();
+        applied.truncate(start * words);
         applied.resize(n * words, 0);
         walk.reset(n);
 
-        for (i, node) in plan.nodes.iter().enumerate() {
+        for (i, node) in plan.nodes.iter().enumerate().skip(start) {
+            marks.push([input_vars.len(), carriers.len(), value_joins.len()]);
             // predicates inherited from inputs, then those newly
             // applicable here: all vars bound, not yet applied
             let (upstream, done) = applied.split_at_mut(i * words);
@@ -515,7 +588,7 @@ impl<'a> Estimator<'a> {
             let mut sigma = 1.0;
             for (k, (vars, selectivity)) in facts.predicates.iter().enumerate() {
                 let (word, bit) = (k / 64, 1u64 << (k % 64));
-                if done[word] & bit == 0 && vars.iter().all(|v| node.bound_vars.contains(v)) {
+                if done[word] & bit == 0 && vars.is_subset(&node.bound_vars) {
                     done[word] |= bit;
                     sigma *= selectivity;
                 }
@@ -533,41 +606,39 @@ impl<'a> Estimator<'a> {
                         Chunking::Bulk => ResultSize::Bulk(sig.profile.erspi),
                         Chunking::Chunked { chunk_size } => ResultSize::Chunked {
                             chunk_size: chunk_size as f64,
-                            pos: plan.invoked_position(*atom),
+                            atom: *atom,
                         },
                     };
                     // How the effective invocation count follows from the
                     // input stream; the carrier sets land in the arenas.
-                    let calls = if self.cache == CacheSetting::NoCache {
-                        CallRule::PerTuple
-                    } else {
-                        let in_vars = facts.inputs(*atom, plan.choice.pattern_of(*atom));
-                        if in_vars.is_empty() {
-                            CallRule::Constant
+                    let calls =
+                        if self.cache == CacheSetting::NoCache {
+                            CallRule::PerTuple
                         } else {
-                            let ancestors = walk.ancestors(plan, i);
-                            let start = input_vars.len();
-                            for &v in in_vars {
-                                let first = carriers.len();
-                                carriers.extend(
-                                    ancestors
-                                        .iter()
-                                        .copied()
-                                        .filter(|&a| plan.nodes[a].bound_vars.contains(&v)),
-                                );
-                                // variables with no carrying ancestor cannot
-                                // occur in admissible plans; treat as
-                                // unconstrained (no factor)
-                                if carriers.len() > first {
-                                    input_vars.push(InputVar {
-                                        carriers: first..carriers.len(),
-                                        cardinality: facts.cardinality(v),
-                                    });
+                            let in_vars = facts.inputs(*atom, plan.choice.pattern_of(*atom));
+                            if in_vars.is_empty() {
+                                CallRule::Constant
+                            } else {
+                                let ancestors = walk.ancestors(plan, i);
+                                let start = input_vars.len();
+                                for &v in in_vars {
+                                    let first = carriers.len();
+                                    carriers.extend(ancestors.iter().copied().filter(|&a| {
+                                        plan.nodes[a].bound_vars.contains(v.0 as usize)
+                                    }));
+                                    // variables with no carrying ancestor cannot
+                                    // occur in admissible plans; treat as
+                                    // unconstrained (no factor)
+                                    if carriers.len() > first {
+                                        input_vars.push(InputVar {
+                                            carriers: first..carriers.len(),
+                                            cardinality: facts.cardinality(v),
+                                        });
+                                    }
                                 }
+                                CallRule::Blocks(start..input_vars.len())
                             }
-                            CallRule::Blocks(start..input_vars.len())
-                        }
-                    };
+                        };
                     Step::Invoke {
                         up: node.inputs[0].0,
                         sigma,
@@ -583,7 +654,7 @@ impl<'a> Estimator<'a> {
                     let start = value_joins.len();
                     value_joins.extend(
                         on.iter()
-                            .filter(|v| !div_bound.contains(v))
+                            .filter(|v| !div_bound.contains(v.0 as usize))
                             .map(|&v| facts.cardinality(v)),
                     );
                     Step::Join {
@@ -597,6 +668,15 @@ impl<'a> Estimator<'a> {
             };
             steps.push(step);
         }
+        // positions move when an atom is placed before others: re-read
+        chunked.clear();
+        chunked.extend(steps.iter().enumerate().filter_map(|(i, step)| match step {
+            Step::Invoke {
+                size: ResultSize::Chunked { atom, .. },
+                ..
+            } => Some((position[*atom], i)),
+            _ => None,
+        }));
     }
 }
 

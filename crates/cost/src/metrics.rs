@@ -59,9 +59,14 @@ fn node_tau(plan: &Plan, schema: &Schema, idx: usize) -> f64 {
 }
 
 /// The last node of a root-to-sink path being walked, linked back to
-/// the rest of the path.
+/// the rest of the path, with its τ and (for the execution-time metric)
+/// its work, read once when the walk reaches it.
 struct PathEnd<'p> {
     node: usize,
+    /// [`node_tau`] of `node`.
+    tau: f64,
+    /// [`node_work`] of `node` (0 when the metric reads no work).
+    work: f64,
     /// Σ τ over the path so far, summed from the root in path order
     /// (as `Iterator::sum` would sum the path).
     tau_sum: f64,
@@ -70,43 +75,57 @@ struct PathEnd<'p> {
 
 impl PathEnd<'_> {
     /// The path's nodes, last first.
-    fn nodes(&self) -> impl Iterator<Item = usize> + '_ {
-        std::iter::successors(Some(self), |end| end.prev).map(|end| end.node)
+    fn path(&self) -> impl Iterator<Item = &PathEnd<'_>> + '_ {
+        std::iter::successors(Some(self), |end| end.prev)
     }
 }
 
 /// The maximum of `price` over every root-to-sink path of `plan` (0 for
 /// none) — the paths [`Plan::paths`] lists, walked depth first in the
 /// same order with the path kept on the call stack, so pricing a plan
-/// allocates nothing. Each path's τ sum is accumulated in path order and
-/// `max` ignores order, so every figure is bit-equal to pricing the
-/// collected paths.
-fn slowest_path(plan: &Plan, schema: &Schema, price: &dyn Fn(&PathEnd<'_>) -> f64) -> f64 {
+/// allocates nothing. Each node's τ — and, given `ann`, its work — is
+/// read once per path prefix that reaches it, not once per path. Each
+/// path's τ sum is accumulated in path order and `max` ignores order, so
+/// every figure is bit-equal to pricing the collected paths.
+fn slowest_path(
+    plan: &Plan,
+    schema: &Schema,
+    ann: Option<&Annotation>,
+    price: &dyn Fn(&PathEnd<'_>) -> f64,
+) -> f64 {
     fn walk(
         plan: &Plan,
         schema: &Schema,
+        ann: Option<&Annotation>,
         price: &dyn Fn(&PathEnd<'_>) -> f64,
         end: &PathEnd<'_>,
     ) -> f64 {
         let mut slowest = None;
         for next in plan.consumers(NodeId(end.node)) {
+            let tau = node_tau(plan, schema, next.0);
             let next = PathEnd {
                 node: next.0,
-                tau_sum: end.tau_sum + node_tau(plan, schema, next.0),
+                tau,
+                work: ann.map_or(0.0, |ann| node_work(plan, ann, schema, next.0)),
+                tau_sum: end.tau_sum + tau,
                 prev: Some(end),
             };
-            let path = walk(plan, schema, price, &next);
+            let path = walk(plan, schema, ann, price, &next);
             slowest = Some(slowest.map_or(path, |s: f64| s.max(path)));
         }
         slowest.unwrap_or_else(|| price(end))
     }
+    let input = plan.input_node().0;
+    let tau = node_tau(plan, schema, input);
     // `Iterator::sum` over `f64` starts from -0.0
     let root = PathEnd {
-        node: plan.input_node().0,
-        tau_sum: -0.0 + node_tau(plan, schema, plan.input_node().0),
+        node: input,
+        tau,
+        work: ann.map_or(0.0, |ann| node_work(plan, ann, schema, input)),
+        tau_sum: -0.0 + tau,
         prev: None,
     };
-    f64::max(0.0, walk(plan, schema, price, &root))
+    f64::max(0.0, walk(plan, schema, ann, price, &root))
 }
 
 /// Number of billable requests issued by a node: `F_n · calls_n`.
@@ -199,9 +218,9 @@ impl CostMetric for ExecutionTime {
     }
 
     fn cost(&self, plan: &Plan, ann: &Annotation, schema: &Schema) -> f64 {
-        slowest_path(plan, schema, &|end| {
-            end.nodes()
-                .map(|i| node_work(plan, ann, schema, i) + end.tau_sum - node_tau(plan, schema, i))
+        slowest_path(plan, schema, Some(ann), &|end| {
+            end.path()
+                .map(|node| node.work + end.tau_sum - node.tau)
                 .fold(end.tau_sum, f64::max)
         })
     }
@@ -241,7 +260,7 @@ impl CostMetric for TimeToScreen {
     }
 
     fn cost(&self, plan: &Plan, _ann: &Annotation, schema: &Schema) -> f64 {
-        slowest_path(plan, schema, &|end| end.tau_sum)
+        slowest_path(plan, schema, None, &|end| end.tau_sum)
     }
 }
 

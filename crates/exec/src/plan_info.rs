@@ -103,7 +103,7 @@ pub fn analyze(plan: &Plan, schema: &Schema) -> PlanInfo {
             done.union_with(&applied[inp.0]);
         }
         for (k, p) in plan.query.predicates.iter().enumerate() {
-            if !done.contains(k) && p.all_vars(|v| node.bound_vars.contains(&v)) {
+            if !done.contains(k) && p.all_vars(|v| node.bound_vars.contains(v.0 as usize)) {
                 preds_at_node[i].insert(k);
                 done.insert(k);
             }

@@ -10,7 +10,8 @@
 //!   lock *before* they release, release on unwind too, and wake waiters
 //!   only when some are parked.
 //! * [`FailureMemo`] — failed keys, bounded by [`FAILURE_MEMO_CAP`].
-//! * [`recover`] — the one poison policy of every lock in the engine.
+//! * [`recover`] — the one poison policy of every lock in the engine
+//!   (`mdq-services` and `mdq-obs`, below this crate, keep a copy each).
 //!   It is sound because no operation here can panic between two writes
 //!   to its structure: every slab index followed is one handed out, the
 //!   steps that allocate come before the first link is written, and a

@@ -69,6 +69,22 @@ impl BitSet {
         }
     }
 
+    /// Whether every index of `self` is in `other`.
+    pub fn is_subset(&self, other: &BitSet) -> bool {
+        self.low & !other.low == 0
+            && self
+                .high
+                .iter()
+                .enumerate()
+                .all(|(w, &mine)| mine & !other.word(w + 1) == 0)
+    }
+
+    /// Removes every index, keeping the spilled words' storage.
+    pub fn clear(&mut self) {
+        self.low = 0;
+        self.high.clear();
+    }
+
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
         self.low == 0 && self.high.is_empty()
@@ -187,5 +203,21 @@ mod tests {
         c.union_with(&a);
         assert_eq!(c, a);
         assert_eq!(BitSet::new(), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn subsets_across_words() {
+        let small: BitSet = [1, 130].into_iter().collect();
+        let big: BitSet = [1, 2, 130].into_iter().collect();
+        assert!(small.is_subset(&big) && !big.is_subset(&small));
+        assert!(BitSet::new().is_subset(&small));
+        let low: BitSet = [1, 2].into_iter().collect();
+        assert!(
+            !small.is_subset(&low),
+            "a spilled index is not in an inline-only set"
+        );
+        let mut cleared = big.clone();
+        cleared.clear();
+        assert!(cleared.is_empty() && cleared == BitSet::new());
     }
 }

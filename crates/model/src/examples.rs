@@ -1,5 +1,6 @@
 //! The paper's running example (Fig. 2 schema, Fig. 3 query, Table 1
-//! profiles), reusable across crates, tests and documentation.
+//! profiles), reusable across crates, tests and documentation — and the
+//! synthetic chain, star and clique bodies the optimizer is scaled on.
 //!
 //! *"Find all database conferences in the next six months in locations
 //! where the average temperature is 28 °C degrees and for which a cheap
@@ -119,10 +120,123 @@ pub fn running_example_query(schema: &Schema) -> ConjunctiveQuery {
     q
 }
 
+/// The join-variable shapes of [`scale_body`]'s synthetic bodies.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum ScaleShape {
+    /// Atoms `i` and `i + 1` share one variable.
+    Chain,
+    /// Atom 0 shares one variable with every other atom.
+    Star,
+    /// Every two atoms share one variable.
+    Clique,
+}
+
+impl ScaleShape {
+    /// The three shapes.
+    pub const ALL: [ScaleShape; 3] = [ScaleShape::Chain, ScaleShape::Star, ScaleShape::Clique];
+
+    /// Lower-case name, as bench entries spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            ScaleShape::Chain => "chain",
+            ScaleShape::Star => "star",
+            ScaleShape::Clique => "clique",
+        }
+    }
+
+    /// Whether atoms `i` and `j` share a variable.
+    fn joined(self, i: usize, j: usize) -> bool {
+        i != j
+            && match self {
+                ScaleShape::Chain => i.abs_diff(j) == 1,
+                ScaleShape::Star => i == 0 || j == 0,
+                ScaleShape::Clique => true,
+            }
+    }
+}
+
+/// A synthetic body of `n ≥ 1` atoms, one service per atom, whose join
+/// variables form `shape` — the optimizer's scaling workload.
+///
+/// Atom `i` calls service `s{i}` with the variables it shares with its
+/// neighbours (`J{a}_{b}` for atoms `a < b`, over a 100-value domain) and
+/// a ranking output `O{i}`. Odd atoms are chunked search services (pages
+/// of 5, 10 or 15; every fourth with a decay bound), even atoms bulk
+/// exact services (erspi 0.5, 2 or 8). Every atom `i ≡ 2 (mod 3)` with
+/// a neighbour `i + 1` takes the variable they share as input, so it is
+/// placed after a higher-indexed atom; atom 0 has a second, all-output
+/// pattern beside one taking its first shared variable as input, which
+/// makes two permissible pattern sequences. One predicate, `O0 + O{n-1}
+/// < 100` (σ 0.1), joins the two ends.
+///
+/// # Panics
+///
+/// When `n` is 0.
+pub fn scale_body(shape: ScaleShape, n: usize) -> (Schema, ConjunctiveQuery) {
+    assert!(n > 0, "a body has at least one atom");
+    let mut schema = Schema::new();
+    schema.domain_with("J", DomainKind::Int, Some(100.0));
+    let mut atoms = Vec::new();
+    for i in 0..n {
+        let shared: Vec<usize> = (0..n).filter(|&j| shape.joined(i, j)).collect();
+        let var = |j: usize| format!("J{}_{}", i.min(j), i.max(j));
+        let mut service = ServiceBuilder::new(&mut schema, format!("s{i}"));
+        for &j in &shared {
+            service = service.attr_kinded(&var(j), "J", DomainKind::Int);
+        }
+        service = service.attr_kinded(&format!("O{i}"), &format!("O{i}"), DomainKind::Int);
+        let pattern = |input: Option<usize>| -> String {
+            let mut p: String = shared
+                .iter()
+                .map(|&j| if Some(j) == input { 'i' } else { 'o' })
+                .collect();
+            p.push('o');
+            p
+        };
+        let needs = (i % 3 == 2 && shared.contains(&(i + 1))).then_some(i + 1);
+        service = service.pattern(&pattern(needs));
+        if i == 0 && !shared.is_empty() {
+            service = service.pattern(&pattern(Some(shared[0])));
+        }
+        service = if i % 2 == 1 {
+            let chunk = 5 + 5 * (i as u32 % 3);
+            let mut profile = ServiceProfile::new(f64::from(chunk), 1.0 + 0.5 * (i % 4) as f64);
+            if i % 4 == 3 {
+                profile = profile.with_decay(2 * u64::from(chunk));
+            }
+            service.search().chunked(chunk).profile(profile)
+        } else {
+            let erspi = [0.5, 2.0, 8.0][i % 3];
+            service.profile(ServiceProfile::new(erspi, 0.5 + 0.25 * (i % 5) as f64))
+        };
+        service.register().expect("scale services register");
+        let mut terms: Vec<String> = shared.iter().map(|&j| var(j)).collect();
+        terms.push(format!("O{i}"));
+        atoms.push(format!("s{i}({})", terms.join(", ")));
+    }
+    let text = format!("q(O0) :- {}, O0 + O{} < 100.", atoms.join(", "), n - 1);
+    let mut query = parse_query(&text, &schema).expect("scale bodies parse");
+    query.validate(&schema).expect("scale bodies are valid");
+    query.predicates[0].selectivity_hint = Some(0.1);
+    (schema, query)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::binding::permissible_sequences;
+
+    #[test]
+    fn scale_bodies_are_executable() {
+        for shape in ScaleShape::ALL {
+            for n in 1..=9 {
+                let (schema, query) = scale_body(shape, n);
+                assert_eq!(query.atoms.len(), n);
+                let sequences = permissible_sequences(&query, &schema).len();
+                assert_eq!(sequences, if n == 1 { 1 } else { 2 }, "{shape:?}-{n}");
+            }
+        }
+    }
 
     #[test]
     fn fixture_is_consistent() {

@@ -36,6 +36,16 @@ pub mod histogram;
 pub mod recorder;
 pub mod span;
 
+/// Recovers the guard of a poisoned lock — a copy of
+/// `mdq_exec::store::recover`, the engine's one poison policy, kept here
+/// because this crate sits below `mdq-exec` and cannot depend on it. No
+/// write under this crate's locks can panic half done, so the state a
+/// panicking holder leaves is whole, and propagating the poison would
+/// only make every later span panic too.
+pub(crate) fn recover<T>(result: std::sync::LockResult<T>) -> T {
+    result.unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 pub use export::{chrome_trace_json, jsonl};
 pub use histogram::{Histogram, LatencySummary, SERVICE_LATENCY_BOUNDS};
 pub use recorder::{QueryTrace, TraceRecorder};

@@ -9,6 +9,7 @@
 //! workload that attaches no recorder pays a single `Option` branch per
 //! record site.
 
+use crate::recover;
 use crate::span::{SpanKind, TraceEvent};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -61,7 +62,7 @@ impl TraceRecorder {
                 events: Vec::new(),
             }),
         });
-        rec.cells.lock().expect("trace registry lock").push(control);
+        recover(rec.cells.lock()).push(control);
         rec
     }
 
@@ -76,10 +77,7 @@ impl TraceRecorder {
                 events: Vec::new(),
             }),
         });
-        self.cells
-            .lock()
-            .expect("trace registry lock")
-            .push(Arc::clone(&cell));
+        recover(self.cells.lock()).push(Arc::clone(&cell));
         QueryTrace {
             recorder: Arc::clone(self),
             cell,
@@ -90,9 +88,7 @@ impl TraceRecorder {
     /// admission events live here.
     pub fn control(self: &Arc<Self>) -> QueryTrace {
         let cell = Arc::clone(
-            self.cells
-                .lock()
-                .expect("trace registry lock")
+            recover(self.cells.lock())
                 .first()
                 .expect("control track exists from construction"),
         );
@@ -105,10 +101,10 @@ impl TraceRecorder {
     /// Every event recorded so far, merged across tracks in global
     /// record order.
     pub fn events(&self) -> Vec<TraceEvent> {
-        let cells = self.cells.lock().expect("trace registry lock");
+        let cells = recover(self.cells.lock());
         let mut out = Vec::new();
         for cell in cells.iter() {
-            out.extend_from_slice(&cell.inner.lock().expect("trace cell lock").events);
+            out.extend_from_slice(&recover(cell.inner.lock()).events);
         }
         drop(cells);
         out.sort_by_key(|e| e.seq);
@@ -118,7 +114,7 @@ impl TraceRecorder {
     /// The `(track, label)` pairs of every registered track, in track
     /// order.
     pub fn tracks(&self) -> Vec<(u64, String)> {
-        let cells = self.cells.lock().expect("trace registry lock");
+        let cells = recover(self.cells.lock());
         let mut out: Vec<(u64, String)> =
             cells.iter().map(|c| (c.track, c.label.clone())).collect();
         out.sort_by_key(|(t, _)| *t);
@@ -155,7 +151,7 @@ impl QueryTrace {
     /// cursor advances past it.
     pub fn record(&self, kind: SpanKind, dur: f64) {
         let seq = self.recorder.seq.fetch_add(1, Ordering::Relaxed);
-        let mut inner = self.cell.inner.lock().expect("trace cell lock");
+        let mut inner = recover(self.cell.inner.lock());
         let start = inner.cursor;
         inner.cursor += dur;
         inner.events.push(TraceEvent {
@@ -181,6 +177,48 @@ impl QueryTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Panics `f`'s holder on another thread while it holds a lock.
+    fn poison(f: impl FnOnce() + Send) {
+        std::thread::scope(|scope| {
+            assert!(scope.spawn(f).join().is_err());
+        });
+    }
+
+    /// A panic while the registry is held must not make every later
+    /// registration, read or control-track lookup panic too.
+    #[test]
+    fn a_poisoned_registry_is_recovered() {
+        let rec = TraceRecorder::new();
+        poison(|| {
+            let _held = rec.cells.lock();
+            panic!("poison the trace registry");
+        });
+        assert!(rec.cells.is_poisoned());
+        let a = rec.register("a");
+        a.instant(SpanKind::QueryDone { answers: 1 });
+        rec.control().record(SpanKind::Optimize, 0.5);
+        assert_eq!(rec.events().len(), 2);
+        assert_eq!(rec.tracks().len(), 2);
+    }
+
+    /// A panic while a track's cell is held must not make every later
+    /// span on that track, or every read, panic too.
+    #[test]
+    fn a_poisoned_cell_is_recovered() {
+        let rec = TraceRecorder::new();
+        let a = rec.register("a");
+        a.record(SpanKind::Optimize, 1.0);
+        poison(|| {
+            let _held = a.cell.inner.lock();
+            panic!("poison the trace cell");
+        });
+        assert!(a.cell.inner.is_poisoned());
+        a.record(SpanKind::Optimize, 1.0);
+        let events = rec.events();
+        assert_eq!(events.len(), 2);
+        assert_eq!(events[1].start, 1.0, "the cursor survived");
+    }
 
     #[test]
     fn cells_merge_in_record_order() {

@@ -10,7 +10,7 @@ use mdq_model::binding::{ApChoice, SupplierMap};
 use mdq_model::cogency::exploration_order;
 use mdq_model::query::ConjunctiveQuery;
 use mdq_plan::builder::StrategyRule;
-use mdq_plan::poset::Poset;
+use mdq_plan::poset::{PartialTopology, Poset};
 use std::sync::Arc;
 
 /// Permissible sequences in "bound is better" exploration order: the most
@@ -38,10 +38,19 @@ pub fn sequence_lower_bound(
     strategy: &StrategyRule,
 ) -> f64 {
     let suppliers = SupplierMap::build(query, ctx.schema, choice);
-    let unordered = Poset::antichain(query.atoms.len());
+    let n = query.atoms.len();
+    let mut first = PartialTopology {
+        batches: vec![Vec::new()],
+        poset: Poset::antichain(n),
+        placed: 0,
+        preds: vec![0; n],
+    };
     let mut best = f64::INFINITY;
     for atom in suppliers.directly_callable() {
-        if let Some(c) = ctx.price_prefix(&suppliers, query, choice, &unordered, [atom], strategy) {
+        first.batches[0].clear();
+        first.batches[0].push(atom);
+        first.placed = 1 << atom;
+        if let Some(c) = ctx.price_prefix(&suppliers, query, choice, &first, strategy) {
             best = best.min(c);
         }
     }

@@ -13,16 +13,16 @@
 //! invocation-counting metrics) and **max-parallel** (always place every
 //! callable atom — favours time metrics).
 
-use crate::context::CostContext;
-use crate::phase3::{self, FetchHeuristic, FetchParams, FetchStats, Priced};
+use crate::context::{CostContext, Pricer};
+use crate::phase3::{self, FetchHeuristic, FetchParams, FetchScratch, FetchStats, Priced};
 use mdq_cost::estimate::Annotation;
-use mdq_model::binding::{callable_after, ApChoice, SupplierMap};
+use mdq_model::binding::{ApChoice, SupplierMap};
+use mdq_model::bitset::BitSet;
 use mdq_model::query::ConjunctiveQuery;
 use mdq_model::schema::Schema;
 use mdq_plan::builder::StrategyRule;
 use mdq_plan::dag::Plan;
 use mdq_plan::poset::{enumerate_topologies, PartialTopology, Poset, TopologyVisitor};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// The §4.2.1 topology heuristics.
@@ -105,6 +105,15 @@ pub fn selective_serial_topology(
     schema: &Schema,
     choice: &ApChoice,
 ) -> Option<Poset> {
+    selective_serial(query, schema, &SupplierMap::build(query, schema, choice))
+}
+
+/// [`selective_serial_topology`] over the supplier map of the choice.
+fn selective_serial(
+    query: &ConjunctiveQuery,
+    schema: &Schema,
+    suppliers: &SupplierMap,
+) -> Option<Poset> {
     let n = query.atoms.len();
     let size_of = |atom: usize| -> f64 {
         let sig = schema.service(query.atoms[atom].service);
@@ -113,13 +122,11 @@ pub fn selective_serial_topology(
             None => sig.profile.erspi,
         }
     };
-    let mut placed: HashSet<usize> = HashSet::new();
+    let mut placed = BitSet::new();
     let mut chain: Vec<usize> = Vec::with_capacity(n);
-    while placed.len() < n {
-        let callable = callable_after(query, schema, choice, &placed);
-        let next = callable
-            .into_iter()
-            .min_by(|&a, &b| size_of(a).total_cmp(&size_of(b)))?;
+    while chain.len() < n {
+        let next =
+            callable(suppliers, &placed).min_by(|&a, &b| size_of(a).total_cmp(&size_of(b)))?;
         chain.push(next);
         placed.insert(next);
     }
@@ -134,22 +141,47 @@ pub fn max_parallel_topology(
     schema: &Schema,
     choice: &ApChoice,
 ) -> Option<Poset> {
-    let n = query.atoms.len();
-    let mut placed: HashSet<usize> = HashSet::new();
+    max_parallel(&SupplierMap::build(query, schema, choice))
+}
+
+/// [`max_parallel_topology`] over the supplier map of the choice.
+fn max_parallel(suppliers: &SupplierMap) -> Option<Poset> {
+    let n = suppliers.per_atom.len();
+    let mut placed = BitSet::new();
     let mut pairs: Vec<(usize, usize)> = Vec::new();
     while placed.len() < n {
-        let batch = callable_after(query, schema, choice, &placed);
+        let batch: Vec<usize> = callable(suppliers, &placed).collect();
         if batch.is_empty() {
             return None;
         }
         for &b in &batch {
-            for &a in &placed {
-                pairs.push((a, b));
-            }
+            pairs.extend(placed.iter().map(|a| (a, b)));
         }
-        placed.extend(batch);
+        for b in batch {
+            placed.insert(b);
+        }
     }
     Poset::from_pairs(n, &pairs)
+}
+
+/// The atoms not in `placed` whose every input variable some atom in
+/// `placed` supplies — `callable_after` (§3.3) read off the supplier map,
+/// ascending.
+fn callable<'a>(
+    suppliers: &'a SupplierMap,
+    placed: &'a BitSet,
+) -> impl Iterator<Item = usize> + 'a {
+    suppliers
+        .per_atom
+        .iter()
+        .enumerate()
+        .filter(move |&(b, inputs)| {
+            !placed.contains(b)
+                && inputs
+                    .iter()
+                    .all(|(_, sup)| sup.iter().any(|&s| placed.contains(s)))
+        })
+        .map(|(b, _)| b)
 }
 
 /// The best plan reaching `k` and the best-effort fallback for when none
@@ -194,42 +226,52 @@ impl Leaders {
     }
 }
 
-/// Prices one complete topology — lowers it into the context's
-/// workspace and runs phase 3 on it, with `pinned` positions fixed — and
-/// offers the result to `leaders`, which clone it out only if it leads.
-/// Returns its figures; `None` when the topology is not admissible.
-/// `suppliers` is the supplier map of `(query, choice)`.
+/// Prices one complete topology — lowers it onto the context's
+/// workspace stack (nothing, when it is the prefix just priced) and runs
+/// phase 3 on it, with `pinned` positions fixed — and offers the result
+/// to `leaders`, which clone it out only if it leads. Returns its
+/// figures; `None` when the topology is not admissible. `suppliers` is
+/// the supplier map of `(query, choice)`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn instantiate_topology(
     query: &Arc<ConjunctiveQuery>,
     ctx: &CostContext<'_>,
     choice: &ApChoice,
     suppliers: &SupplierMap,
-    poset: &Poset,
+    topology: Complete<'_>,
     strategy: &StrategyRule,
     params: FetchParams<'_>,
     fetch_stats: &mut FetchStats,
     leaders: &mut Leaders,
 ) -> Option<Priced> {
-    let atoms = 0..query.atoms.len();
-    ctx.with_lowered(
-        suppliers,
-        query,
-        choice,
-        poset,
-        atoms,
-        strategy,
-        |pricer, scratch| {
-            let priced = phase3::search(pricer, scratch, params, fetch_stats);
-            leaders.offer(priced, || PlanCandidate {
-                plan: pricer.plan().clone(),
-                cost: priced.cost,
-                annotation: scratch.best_annotation().clone(),
-                meets_k: priced.meets_k,
-            });
-            priced
-        },
-    )
+    let instantiate = |pricer: &mut Pricer<'_, '_>, scratch: &mut FetchScratch| {
+        let priced = phase3::search(pricer, scratch, params, fetch_stats);
+        leaders.offer(priced, || PlanCandidate {
+            plan: pricer.plan().clone(),
+            cost: priced.cost,
+            annotation: scratch.best_annotation().clone(),
+            meets_k: priced.meets_k,
+        });
+        priced
+    };
+    match topology {
+        Complete::Placed(state) => {
+            ctx.with_topology(suppliers, query, choice, state, strategy, instantiate)
+        }
+        Complete::Poset(poset) => {
+            ctx.with_poset(suppliers, query, choice, poset, strategy, instantiate)
+        }
+    }
+}
+
+/// A complete topology: the enumeration's state once every atom is
+/// placed, or a poset from elsewhere (a heuristic seed, a splice).
+#[derive(Clone, Copy)]
+pub(crate) enum Complete<'a> {
+    /// Placed batch by batch — the prefix priced last, as a rule.
+    Placed(&'a PartialTopology),
+    /// A poset over the query's atoms.
+    Poset(&'a Poset),
 }
 
 struct Phase2Visitor<'a, 'c> {
@@ -248,7 +290,7 @@ struct Phase2Visitor<'a, 'c> {
 impl Phase2Visitor<'_, '_> {
     /// Prices a complete topology against `incumbent`, keeping it if it
     /// leads and lowering the incumbent when it reaches `k` cheaper.
-    fn instantiate(&mut self, poset: &Poset, incumbent: Option<f64>) {
+    fn instantiate(&mut self, topology: Complete<'_>, incumbent: Option<f64>) {
         let params = FetchParams {
             k: self.k,
             heuristic: self.opts.fetch_heuristic,
@@ -262,7 +304,7 @@ impl Phase2Visitor<'_, '_> {
             self.ctx,
             self.choice,
             self.suppliers,
-            poset,
+            topology,
             self.strategy,
             params,
             &mut self.stats.fetch,
@@ -286,8 +328,7 @@ impl TopologyVisitor for Phase2Visitor<'_, '_> {
             self.suppliers,
             self.query,
             self.choice,
-            &state.poset,
-            state.placed_atoms(),
+            state,
             self.strategy,
         ) else {
             return true;
@@ -299,10 +340,10 @@ impl TopologyVisitor for Phase2Visitor<'_, '_> {
         true
     }
 
-    fn on_complete(&mut self, poset: &Poset) {
+    fn on_complete(&mut self, state: &PartialTopology) {
         self.stats.topologies_complete += 1;
         let incumbent = self.opts.use_bounds.then_some(self.incumbent);
-        self.instantiate(poset, incumbent);
+        self.instantiate(Complete::Placed(state), incumbent);
     }
 }
 
@@ -349,13 +390,12 @@ pub fn optimize_topology(
         TopologyHeuristic::MaxParallel,
     ] {
         let topo = match heuristic {
-            TopologyHeuristic::SelectiveSerial => {
-                selective_serial_topology(query, ctx.schema, choice)
-            }
-            TopologyHeuristic::MaxParallel => max_parallel_topology(query, ctx.schema, choice),
+            TopologyHeuristic::SelectiveSerial => selective_serial(query, ctx.schema, &suppliers),
+            TopologyHeuristic::MaxParallel => max_parallel(&suppliers),
         };
         if let Some(poset) = topo {
-            visitor.instantiate(&poset, initial_incumbent.filter(|_| opts.use_bounds));
+            let incumbent = initial_incumbent.filter(|_| opts.use_bounds);
+            visitor.instantiate(Complete::Poset(&poset), incumbent);
         }
     }
 

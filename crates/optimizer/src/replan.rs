@@ -31,13 +31,15 @@
 use crate::bnb::{check_width, OptimizeError, Optimized, OptimizerConfig, OptimizerStats};
 use crate::context::CostContext;
 use crate::phase1::ordered_sequences;
-use crate::phase2::{instantiate_topology, Leaders, Phase2Stats, PlanCandidate};
+use crate::phase2::{instantiate_topology, Complete, Leaders, Phase2Stats, PlanCandidate};
 use crate::phase3::FetchParams;
 use mdq_cost::metrics::CostMetric;
 use mdq_model::binding::{ApChoice, SupplierMap};
 use mdq_model::schema::Schema;
 use mdq_plan::dag::Plan;
-use mdq_plan::poset::{enumerate_topologies, Admissibility, Poset, TopologyVisitor};
+use mdq_plan::poset::{
+    enumerate_topologies, Admissibility, PartialTopology, Poset, TopologyVisitor,
+};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -87,7 +89,7 @@ struct SuffixVisitor<'a, 'c> {
 impl SuffixVisitor<'_, '_> {
     /// Prices one complete topology with the executed fetch factors
     /// pinned, keeping it if it leads.
-    fn instantiate(&mut self, poset: &Poset) {
+    fn instantiate(&mut self, topology: Complete<'_>) {
         let params = FetchParams {
             k: self.config.k as f64,
             heuristic: self.config.fetch_heuristic,
@@ -101,7 +103,7 @@ impl SuffixVisitor<'_, '_> {
             self.ctx,
             self.choice,
             self.suppliers,
-            poset,
+            topology,
             &self.config.strategy,
             params,
             &mut self.stats.fetch,
@@ -114,9 +116,9 @@ impl SuffixVisitor<'_, '_> {
 }
 
 impl TopologyVisitor for SuffixVisitor<'_, '_> {
-    fn on_complete(&mut self, poset: &Poset) {
+    fn on_complete(&mut self, state: &PartialTopology) {
         self.stats.topologies_complete += 1;
-        self.instantiate(poset);
+        self.instantiate(Complete::Placed(state));
     }
 }
 
@@ -253,7 +255,7 @@ pub fn reoptimize_suffix_in(
         // patterns the splice poset may not admit)
         if *choice == current.choice {
             if let Some(poset) = splice_poset(current, executed) {
-                visitor.instantiate(&poset);
+                visitor.instantiate(Complete::Poset(&poset));
             }
         }
 

@@ -14,6 +14,7 @@
 
 use crate::poset::Poset;
 use mdq_model::binding::ApChoice;
+use mdq_model::bitset::BitSet;
 use mdq_model::query::{ConjunctiveQuery, VarId};
 use mdq_model::schema::Schema;
 use std::fmt;
@@ -89,8 +90,11 @@ pub struct PlanNode {
     pub kind: NodeKind,
     /// Upstream dataflow edges (empty for Input).
     pub inputs: Vec<NodeId>,
-    /// Query variables bound in tuples leaving this node.
-    pub bound_vars: Vec<VarId>,
+    /// Query variables bound in tuples leaving this node, by variable
+    /// id (`VarId.0`): one inline word below 64 variables, so the
+    /// bound-variable, predicate-applicability and carrier tests of
+    /// lowering and estimation are word operations.
+    pub bound_vars: BitSet,
 }
 
 /// A fully specified query plan: topology + pattern choice + operator DAG
@@ -166,13 +170,15 @@ impl Plan {
         self.fetches[pos] = fetches;
     }
 
-    /// Downstream consumers of `id`.
+    /// Downstream consumers of `id`, ascending. Nodes are stored in
+    /// topological order, so only the nodes after `id` are looked at.
     pub fn consumers(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes
+        let later = self.nodes.get(id.0 + 1..).unwrap_or_default();
+        later
             .iter()
             .enumerate()
             .filter(move |(_, n)| n.inputs.contains(&id))
-            .map(|(i, _)| NodeId(i))
+            .map(move |(i, _)| NodeId(id.0 + 1 + i))
     }
 
     /// All root-to-output paths of the DAG, as node-id sequences — the
@@ -292,25 +298,23 @@ impl Plan {
 
 /// Writes into `out` the query variables bound in the tuples leaving a
 /// node of kind `kind` fed by `inputs`: the inputs' variables plus, for
-/// invoke nodes, every variable of the atom — sorted, without repeats.
+/// invoke nodes, every variable of the atom.
 pub(crate) fn bound_vars_for(
     query: &ConjunctiveQuery,
     nodes: &[PlanNode],
     kind: &NodeKind,
     inputs: &[NodeId],
-    out: &mut Vec<VarId>,
+    out: &mut BitSet,
 ) {
     out.clear();
-    out.extend(
-        inputs
-            .iter()
-            .flat_map(|inp| nodes[inp.0].bound_vars.iter().copied()),
-    );
-    if let NodeKind::Invoke { atom } = kind {
-        out.extend(query.atoms[*atom].terms.iter().filter_map(|t| t.as_var()));
+    for inp in inputs {
+        out.union_with(&nodes[inp.0].bound_vars);
     }
-    out.sort_unstable();
-    out.dedup();
+    if let NodeKind::Invoke { atom } = kind {
+        for v in query.atoms[*atom].terms.iter().filter_map(|t| t.as_var()) {
+            out.insert(v.0 as usize);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -358,6 +362,7 @@ mod tests {
         if let NodeKind::Join { on, .. } = &join.kind {
             let city = query.var_by_name("City").expect("City");
             assert!(on.contains(&city));
+            assert!(join.bound_vars.contains(city.0 as usize));
         }
         // paths: both branches produce a root-to-output path
         let paths = plan.paths();

@@ -45,7 +45,7 @@ pub(crate) mod test_fixtures {
 
 /// Convenient glob-import surface: `use mdq_plan::prelude::*;`.
 pub mod prelude {
-    pub use crate::builder::{build_plan, lower, BuildError, Lowering, StrategyRule};
+    pub use crate::builder::{build_plan, lower, lower_onto, BuildError, Lowering, StrategyRule};
     pub use crate::dag::{JoinStrategy, NodeId, NodeKind, Plan, PlanNode, Side};
     pub use crate::poset::{
         all_topologies, enumerate_topologies, Admissibility, PartialTopology, Poset,

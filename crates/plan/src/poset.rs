@@ -20,6 +20,15 @@
 //! The enumeration extends one [`PartialTopology`] in place and undoes
 //! each batch after its subtree: atom sets are `u64` bit sets, which is
 //! why it handles at most [`MAX_ATOMS`] atoms.
+//!
+//! **Place and undo carry the priced prefix.** Each placement hands the
+//! visitor the partial topology one batch deeper than its parent, and
+//! each undo returns to the parent, so consecutive partials differ by
+//! the batches placed or undone in between. The optimizer lowers and
+//! prices along the same stack ([`crate::builder::lower_onto`]): a
+//! partial is priced by popping back to what it shares with the one
+//! priced before and lowering only its new batch, and a complete
+//! topology is the partial just placed.
 
 use mdq_model::binding::SupplierMap;
 use std::collections::HashSet;
@@ -33,12 +42,12 @@ pub const MAX_ATOMS: usize = 63;
 
 /// Bit `i` of an atom bit set.
 #[inline]
-fn bit(i: usize) -> u64 {
+pub(crate) fn bit(i: usize) -> u64 {
     1u64 << i
 }
 
 /// The members of bit set `set`, ascending.
-fn members(mut set: u64) -> impl Iterator<Item = usize> {
+pub(crate) fn members(mut set: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         (set != 0).then(|| {
             let i = set.trailing_zeros() as usize;
@@ -335,6 +344,10 @@ impl Admissibility for SupplierMap {
 }
 
 /// A partially constructed topology handed to [`TopologyVisitor`] hooks.
+///
+/// Its batches are the level decomposition of `poset` restricted to the
+/// placed atoms: every atom of batch `i + 1` has a predecessor in batch
+/// `i`.
 #[derive(Clone, Debug)]
 pub struct PartialTopology {
     /// Batches placed so far (each a parallel antichain, ascending).
@@ -344,12 +357,66 @@ pub struct PartialTopology {
     pub poset: Poset,
     /// The placed atoms as a bit set: bit `i` is set when atom `i` is.
     pub placed: u64,
+    /// Strict predecessors of each placed atom as a bit set (0 for an
+    /// atom not placed): column `b` of `poset`.
+    pub preds: Vec<u64>,
 }
 
 impl PartialTopology {
     /// The placed atoms, ascending.
     pub fn placed_atoms(&self) -> impl Iterator<Item = usize> {
         members(self.placed)
+    }
+
+    /// A complete topology as placed batches: its level decomposition.
+    ///
+    /// # Panics
+    ///
+    /// When `poset` has more than [`MAX_ATOMS`] elements.
+    pub fn of(poset: &Poset) -> Self {
+        let mut topology = PartialTopology {
+            batches: Vec::new(),
+            poset: Poset::antichain(0),
+            placed: 0,
+            preds: Vec::new(),
+        };
+        topology.set_complete(poset);
+        topology
+    }
+
+    /// Makes this the complete topology `poset` ([`PartialTopology::of`]),
+    /// reusing its buffers.
+    ///
+    /// # Panics
+    ///
+    /// When `poset` has more than [`MAX_ATOMS`] elements.
+    pub fn set_complete(&mut self, poset: &Poset) {
+        let n = poset.len();
+        assert!(n <= MAX_ATOMS, "{n} atoms exceed MAX_ATOMS = {MAX_ATOMS}");
+        self.poset.clone_from(poset);
+        self.preds.clear();
+        self.preds
+            .extend((0..n).map(|b| poset.predecessors(b).fold(0, |set, a| set | bit(a))));
+        // peel the minimal elements of what is left: level by level
+        let (mut done, mut depth) = (0u64, 0);
+        while done.count_ones() as usize != n {
+            let level = (0..n)
+                .filter(|&b| done & bit(b) == 0 && self.preds[b] & !done == 0)
+                .fold(0, |set, b| set | bit(b));
+            assert_ne!(
+                level, 0,
+                "what is left of an acyclic poset has a minimal element"
+            );
+            if self.batches.len() == depth {
+                self.batches.push(Vec::new());
+            }
+            self.batches[depth].clear();
+            self.batches[depth].extend(members(level));
+            done |= level;
+            depth += 1;
+        }
+        self.batches.truncate(depth);
+        self.placed = done;
     }
 }
 
@@ -363,8 +430,9 @@ pub trait TopologyVisitor {
         true
     }
 
-    /// Called for each complete admissible topology.
-    fn on_complete(&mut self, poset: &Poset);
+    /// Called for each complete admissible topology: `state` places
+    /// every atom, and its `poset` is the topology.
+    fn on_complete(&mut self, state: &PartialTopology);
 }
 
 /// Enumerates every admissible topology over `n` atoms exactly once.
@@ -393,8 +461,8 @@ pub fn enumerate_topologies<A: Admissibility, V: TopologyVisitor>(
             batches: Vec::new(),
             poset: Poset::antichain(n),
             placed: 0,
+            preds: vec![0; n],
         },
-        preds: vec![0; n],
         closures: Vec::new(),
         feasible: Vec::new(),
         options: Vec::new(),
@@ -414,8 +482,6 @@ struct Enumeration<'a, A, V> {
     admissible: &'a A,
     visitor: &'a mut V,
     state: PartialTopology,
-    /// Strict predecessors of each placed atom (a bit set; 0 otherwise).
-    preds: Vec<u64>,
     /// Per open level: the candidate predecessor sets — downward
     /// closures of the placed subposet's antichains, canonical ones only.
     closures: Vec<u64>,
@@ -438,7 +504,7 @@ impl<A: Admissibility, V: TopologyVisitor> Enumeration<'_, A, V> {
     fn recurse(&mut self) {
         let placed = self.state.placed;
         if placed.count_ones() as usize == self.n {
-            self.visitor.on_complete(&self.state.poset);
+            self.visitor.on_complete(&self.state);
             return;
         }
         let (closures0, feasible0, options0) =
@@ -457,8 +523,9 @@ impl<A: Admissibility, V: TopologyVisitor> Enumeration<'_, A, V> {
             .map_or(0, |batch| batch.iter().fold(0, |set, &a| set | bit(a)));
         let mut antichain = 0u64;
         loop {
-            if members(antichain).all(|a| self.preds[a] & antichain == 0) {
-                let closure = members(antichain).fold(antichain, |set, a| set | self.preds[a]);
+            let preds = &self.state.preds;
+            if members(antichain).all(|a| preds[a] & antichain == 0) {
+                let closure = members(antichain).fold(antichain, |set, a| set | preds[a]);
                 if self.state.batches.is_empty() || closure & last != 0 {
                     self.closures.push(closure);
                 }
@@ -528,7 +595,7 @@ impl<A: Admissibility, V: TopologyVisitor> Enumeration<'_, A, V> {
             for a in members(closure) {
                 self.state.poset.rel[a * n + b] = true;
             }
-            self.preds[b] = closure;
+            self.state.preds[b] = closure;
             atoms.push(b);
         }
         let placed = atoms.iter().fold(0, |set, &b| set | bit(b));
@@ -545,7 +612,7 @@ impl<A: Admissibility, V: TopologyVisitor> Enumeration<'_, A, V> {
                 for a in 0..n {
                     self.state.poset.rel[a * n + b] = false;
                 }
-                self.preds[b] = 0;
+                self.state.preds[b] = 0;
             }
             self.spare.push(atoms);
         }
@@ -557,8 +624,8 @@ impl<A: Admissibility, V: TopologyVisitor> Enumeration<'_, A, V> {
 pub fn all_topologies<A: Admissibility>(n: usize, admissible: &A) -> Vec<Poset> {
     struct Collect(Vec<Poset>);
     impl TopologyVisitor for Collect {
-        fn on_complete(&mut self, poset: &Poset) {
-            self.0.push(poset.clone());
+        fn on_complete(&mut self, state: &PartialTopology) {
+            self.0.push(state.poset.clone());
         }
     }
     let mut c = Collect(Vec::new());
@@ -642,7 +709,7 @@ mod tests {
                 // prune any branch whose first batch contains atom 0
                 !(state.batches.len() == 1 && state.batches[0].contains(&0))
             }
-            fn on_complete(&mut self, _poset: &Poset) {
+            fn on_complete(&mut self, _state: &PartialTopology) {
                 self.complete += 1;
             }
         }
@@ -676,6 +743,29 @@ mod tests {
         let p = Poset::from_pairs(3, &[(0, 2), (1, 2)]).expect("builds");
         assert_eq!(p.levels(), vec![vec![0, 1], vec![2]]);
         assert_eq!(p.covering_predecessors(2), vec![0, 1]);
+    }
+
+    /// A complete topology's batches are its levels, and its
+    /// predecessor sets its columns — however the buffers held another
+    /// topology before.
+    #[test]
+    fn complete_topologies_place_their_levels() {
+        let chain = Poset::from_pairs(4, &[(2, 0), (0, 3), (3, 1)]).expect("builds");
+        let vee = Poset::from_pairs(4, &[(0, 2), (1, 2), (1, 3)]).expect("builds");
+        let mut reused = PartialTopology::of(&chain);
+        assert_eq!(reused.batches, chain.levels());
+        for poset in [&vee, &chain, &Poset::antichain(3)] {
+            reused.set_complete(poset);
+            let fresh = PartialTopology::of(poset);
+            assert_eq!(reused.batches, poset.levels());
+            assert_eq!(reused.batches, fresh.batches);
+            assert_eq!(reused.poset, *poset);
+            assert_eq!(reused.placed, (1 << poset.len()) - 1);
+            for b in 0..poset.len() {
+                let preds = poset.predecessors(b).fold(0, |set, a| set | bit(a));
+                assert_eq!(reused.preds[b], preds);
+            }
+        }
     }
 
     #[test]

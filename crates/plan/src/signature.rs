@@ -72,7 +72,10 @@ pub fn invoke_prefixes(plan: &Plan) -> Vec<PlanPrefix> {
             .iter()
             .enumerate()
             .filter(|(k, p)| {
-                !applied.contains(k) && p.vars().iter().all(|v| node.bound_vars.contains(v))
+                !applied.contains(k)
+                    && p.vars()
+                        .iter()
+                        .all(|v| node.bound_vars.contains(v.0 as usize))
             })
             .map(|(k, _)| k)
             .collect();

@@ -22,6 +22,7 @@
 //!
 //! [`SyntheticSource`]: crate::synthetic::SyntheticSource
 
+use crate::recover;
 use crate::service::{Service, ServiceFault, ServiceResponse};
 use mdq_model::rng::splitmix64;
 use mdq_model::value::Value;
@@ -358,7 +359,7 @@ impl FaultProfile {
 
     /// Forgets attempt history and counters (fresh run).
     pub fn reset(&self) {
-        self.attempts.lock().expect("fault state").clear();
+        recover(self.attempts.lock()).clear();
         self.errors.store(0, Ordering::Relaxed);
         self.timeouts.store(0, Ordering::Relaxed);
         self.rate_limited.store(0, Ordering::Relaxed);
@@ -368,7 +369,7 @@ impl FaultProfile {
 
     /// The attempt index this call is about to make (and bumps it).
     fn next_attempt(&self, pattern: usize, inputs: &[Value], page: u32) -> u32 {
-        let mut attempts = self.attempts.lock().expect("fault state");
+        let mut attempts = recover(self.attempts.lock());
         let n = attempts
             .entry((pattern, inputs.to_vec(), page))
             .or_insert(0);
@@ -479,6 +480,25 @@ mod tests {
             None,
             LatencyModel::fixed(1.0),
         ))
+    }
+
+    /// A panic while the attempt table is held must not make every later
+    /// fetch through the profile (or its reset) panic too.
+    #[test]
+    fn a_poisoned_attempt_table_is_recovered() {
+        let f = FaultProfile::scripted(source(), FaultPlan::new());
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _held = f.attempts.lock();
+                panic!("poison the attempt table");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(f.attempts.is_poisoned());
+        let key = [Value::str("a")];
+        assert!(f.try_fetch(0, &key, 0).is_ok(), "fetches still run");
+        f.reset();
+        assert!(f.try_fetch(0, &key, 0).is_ok());
     }
 
     #[test]

@@ -37,6 +37,16 @@ pub mod registry;
 pub mod service;
 pub mod synthetic;
 
+/// Recovers the guard of a poisoned lock — a copy of
+/// `mdq_exec::store::recover`, the engine's one poison policy, kept here
+/// because this crate sits below `mdq-exec` and cannot depend on it. No
+/// write under this crate's locks can panic half done, so the state a
+/// panicking holder leaves is whole, and propagating the poison would
+/// only make every later fetch panic too.
+pub(crate) fn recover<T>(result: std::sync::LockResult<T>) -> T {
+    result.unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Convenient glob-import surface: `use mdq_services::prelude::*;`.
 pub mod prelude {
     pub use crate::domains::travel::{travel_world, TravelIds, TravelWorld};

@@ -8,6 +8,7 @@
 //!
 //! [`Schema`]: mdq_model::schema::Schema
 
+use crate::recover;
 use mdq_model::value::{Tuple, Value};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -257,7 +258,7 @@ impl Clone for LatencyModel {
             empty_latency: self.empty_latency,
             server_cache_latency: self.server_cache_latency,
             seed: self.seed,
-            seen: Mutex::new(self.seen.lock().expect("latency state poisoned").clone()),
+            seen: Mutex::new(recover(self.seen.lock()).clone()),
             counter: AtomicU64::new(self.counter.load(Ordering::Relaxed)),
         }
     }
@@ -300,7 +301,7 @@ impl LatencyModel {
     /// Deterministic for a fixed seed and call order.
     pub fn sample(&self, pattern: usize, key: &[Value], result_tuples: usize) -> f64 {
         let repeat = {
-            let mut seen = self.seen.lock().expect("latency state poisoned");
+            let mut seen = recover(self.seen.lock());
             !seen.insert((pattern, key.to_vec()))
         };
         if repeat {
@@ -322,7 +323,7 @@ impl LatencyModel {
 
     /// Forgets all previously seen inputs (fresh provider cache).
     pub fn reset(&self) {
-        self.seen.lock().expect("latency state poisoned").clear();
+        recover(self.seen.lock()).clear();
         self.counter.store(0, Ordering::Relaxed);
     }
 }
@@ -339,6 +340,32 @@ fn splitmix64(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A panic while the provider-cache state is held must not make
+    /// every later latency sample, clone or reset panic too.
+    #[test]
+    fn a_poisoned_latency_state_is_recovered() {
+        let model = LatencyModel::fixed(1.0).with_server_cache(0.25);
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _held = model.seen.lock();
+                panic!("poison the latency state");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(model.seen.is_poisoned());
+        let key = [Value::Int(1)];
+        assert_eq!(model.sample(0, &key, 3), 1.0);
+        assert_eq!(model.sample(0, &key, 3), 0.25, "the repeat is still seen");
+        let copy = model.clone();
+        assert_eq!(
+            copy.sample(0, &key, 3),
+            0.25,
+            "the clone keeps what was seen"
+        );
+        model.reset();
+        assert_eq!(model.sample(0, &key, 3), 1.0);
+    }
 
     #[test]
     fn counter_accumulates_and_resets() {

@@ -66,7 +66,7 @@
 //! | threads share §5.1 state without serializing on it | the sharded page cache + per-gateway [`accounting cells`](mdq_exec::gateway::SharedServiceState) — `crates/bench/benches/contention.rs` → `BENCH_contention.json` |
 //! | page-fetch runs (chunked services, §5.1) | [`ServiceGateway::fetch_page_run`](mdq_exec::gateway::ServiceGateway::fetch_page_run): consecutive cached pages under one shard lock, at most one forwarded call |
 //! | no / one-call / optimal cache (§5.1) | [`PageCache`](mdq_exec::cache::PageCache) (inside the gateway), [`CacheSetting`](mdq_cost::estimate::CacheSetting) |
-//! | Eq. 1 (no-cache tout) / Eq. 2 (`N(n)` minimal contributors) (§5.2) | [`Estimator::facts`](mdq_cost::estimate::Estimator::facts) (once per query) + [`Estimator::prepare_into`](mdq_cost::estimate::Estimator::prepare_into) (carrier sets, σ products, once per plan) + [`PreparedPlan::evaluate`](mdq_cost::estimate::PreparedPlan::evaluate) (per fetch vector); [`Estimator::annotate`](mdq_cost::estimate::Estimator::annotate) is the one-shot form |
+//! | Eq. 1 (no-cache tout) / Eq. 2 (`N(n)` minimal contributors) (§5.2) | [`Estimator::facts`](mdq_cost::estimate::Estimator::facts) (once per query) + [`Estimator::prepare_from`](mdq_cost::estimate::Estimator::prepare_from) (carrier sets, σ products, once per plan) + [`PreparedPlan::evaluate`](mdq_cost::estimate::PreparedPlan::evaluate) (per fetch vector); [`Estimator::annotate`](mdq_cost::estimate::Estimator::annotate) is the one-shot form |
 //! | Eq. 3 (SCM) | [`SumCost`](mdq_cost::metrics::SumCost) |
 //! | Eq. 4 (ETM; see the monotonicity erratum) | [`ExecutionTime`](mdq_cost::metrics::ExecutionTime) |
 //! | Eq. 5/6/7 + n-ary closed forms (§5.3.1) | [`closed_form_single`](mdq_optimizer::phase3::closed_form_single), [`closed_form_pair`](mdq_optimizer::phase3::closed_form_pair), [`closed_form_sequential`](mdq_optimizer::phase3::closed_form_sequential), [`closed_form_n`](mdq_optimizer::phase3::closed_form_n) |
