@@ -24,7 +24,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Compares the phase-3 strategies on the Fig. 6 plan (k = 10, RRM).
-pub fn fetch_strategy_table() -> String {
+fn fetch_strategy_table() -> String {
     let schema = running_example_schema();
     let query = Arc::new(running_example_query(&schema));
     let poset = Poset::from_pairs(
@@ -117,7 +117,7 @@ pub fn fetch_strategy_table() -> String {
 }
 
 /// The \[16\] baseline vs the top-k optimizer on the running example.
-pub fn baseline_table() -> String {
+fn baseline_table() -> String {
     let schema = running_example_schema();
     let query = Arc::new(running_example_query(&schema));
     let mut s = String::new();
@@ -164,7 +164,7 @@ pub fn baseline_table() -> String {
 }
 
 /// Optimizer effort across the simulated domains.
-pub fn domain_table() -> String {
+fn domain_table() -> String {
     let mut s = String::new();
     let _ = writeln!(s, "Optimizer effort across domains (ETM, defaults):");
     let _ = writeln!(

@@ -107,7 +107,7 @@ pub const PAPER_CALLS: [[(u64, u64, u64); 3]; 3] = [
 ];
 
 /// The paper's reported total times (seconds), same indexing.
-pub const PAPER_TIMES: [[f64; 3]; 3] = [
+const PAPER_TIMES: [[f64; 3]; 3] = [
     [374.0, 596.0, 218.0],
     [266.0, 598.0, 219.0],
     [176.0, 512.0, 155.0],

@@ -57,7 +57,7 @@ fn ranked_stream(key_var: u32, val_var: u32, size: usize) -> Vec<Binding> {
 
 /// Pulls consumed by each side to produce the first `k` join results.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Consumption {
+struct Consumption {
     /// Tuples pulled from the left / outer side.
     pub left: usize,
     /// Tuples pulled from the right / inner side.
@@ -66,7 +66,7 @@ pub struct Consumption {
 
 /// Measures NL (left side = outer) on an `n_left × n_right` grid where
 /// every pair joins, asking for `k` results.
-pub fn nl_consumption(n_left: usize, n_right: usize, k: usize) -> Consumption {
+fn nl_consumption(n_left: usize, n_right: usize, k: usize) -> Consumption {
     let lc = Rc::new(Cell::new(0));
     let rc = Rc::new(Cell::new(0));
     let left = Counted {
@@ -90,7 +90,7 @@ pub fn nl_consumption(n_left: usize, n_right: usize, k: usize) -> Consumption {
 }
 
 /// Measures MS on the same grid.
-pub fn ms_consumption(n_left: usize, n_right: usize, k: usize) -> Consumption {
+fn ms_consumption(n_left: usize, n_right: usize, k: usize) -> Consumption {
     let lc = Rc::new(Cell::new(0));
     let rc = Rc::new(Cell::new(0));
     let left = Counted {

@@ -80,7 +80,7 @@ pub fn priced_topologies() -> Vec<PricedTopology> {
 }
 
 /// Branch-and-bound effort with and without pruning.
-pub struct PruningReport {
+struct PruningReport {
     /// Optimal cost (identical in both runs).
     pub optimum: f64,
     /// (topologies priced, partials pruned, fetch vectors) with bounds.
@@ -90,7 +90,7 @@ pub struct PruningReport {
 }
 
 /// Measures pruning effectiveness on the running example under ETM.
-pub fn pruning_report() -> PruningReport {
+fn pruning_report() -> PruningReport {
     let schema = running_example_schema();
     let query = Arc::new(running_example_query(&schema));
     let run = |use_bounds: bool| {

@@ -21,10 +21,10 @@ use mdq_services::profiler::{profile_service, ProfileReport};
 use std::fmt::Write as _;
 
 /// One Table 1 row: (service, type, chunk, avg size, avg time).
-pub type Table1Row = (&'static str, &'static str, Option<u32>, Option<f64>, f64);
+type Table1Row = (&'static str, &'static str, Option<u32>, Option<f64>, f64);
 
 /// Paper values for comparison.
-pub const PAPER_ROWS: [Table1Row; 4] = [
+const PAPER_ROWS: [Table1Row; 4] = [
     ("conf", "exact", None, Some(20.0), 1.2),
     ("weather", "exact", None, Some(0.05), 1.5),
     ("flight", "search", Some(25), None, 9.7),

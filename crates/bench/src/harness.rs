@@ -3,7 +3,7 @@
 //! The workspace builds offline (no `criterion`), so the `benches/`
 //! targets use this: wall-clock timing with a warm-up pass, adaptive
 //! iteration counts (at least 50 for a case under 20 ms) split into
-//! [`BATCHES`] timed batches, and a `name-substring` filter from the
+//! `BATCHES` timed batches, and a `name-substring` filter from the
 //! command line. Invoke through `cargo bench -p mdq-bench [-- <filter>]`.
 //!
 //! Each entry records the mean per iteration and, over the batches'
@@ -88,7 +88,7 @@ const MIN_ITERS_SUBSECOND: u32 = 50;
 const MAX_ITERS: u32 = 10_000;
 /// Timed batches per entry; the iterations are split evenly across them
 /// (at least one each).
-pub const BATCHES: u32 = 10;
+const BATCHES: u32 = 10;
 
 /// One measured entry.
 #[derive(Clone, Debug)]
@@ -112,7 +112,7 @@ pub struct BenchResult {
 /// (call counts, savings ratios — anything worth tracking across PRs
 /// that is not a wall time).
 #[derive(Clone, Debug)]
-pub struct GaugeResult {
+struct GaugeResult {
     /// Gauge name (`target/case/...`).
     pub name: String,
     /// The recorded value.
@@ -161,7 +161,7 @@ impl Bench {
             .is_none_or(|filter| name.contains(filter.as_str()))
     }
 
-    /// Times `f` in [`BATCHES`] batches, printing the mean per
+    /// Times `f` in `BATCHES` batches, printing the mean per
     /// iteration, the batches' median and quartiles, and the iteration
     /// count. The closure's result is passed through [`black_box`] so
     /// the optimiser cannot elide the work.

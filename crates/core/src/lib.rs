@@ -277,7 +277,7 @@ impl Mdq {
     /// appends up to `budget` schema services whose outputs seed the
     /// blocked input variables (matched by abstract domain). Returns a
     /// trivial expansion when the query is already executable.
-    pub fn expand(&self, query: &ConjunctiveQuery, budget: usize) -> Result<Expansion, MdqError> {
+    fn expand(&self, query: &ConjunctiveQuery, budget: usize) -> Result<Expansion, MdqError> {
         Ok(expand_for_executability(query, &self.schema, budget)?)
     }
 

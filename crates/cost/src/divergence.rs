@@ -6,7 +6,7 @@
 //! registration"). During execution the gateway observes the *actual*
 //! per-service behaviour: tuples returned per call, simulated latency
 //! per call, faulted attempts. This module quantifies how far the two
-//! have drifted ([`profile_divergence`]), decides when the drift is
+//! have drifted (`profile_divergence`), decides when the drift is
 //! worth acting on ([`diverging_services`] under an [`AdaptiveConfig`]),
 //! and folds the observations back into the schema
 //! ([`refresh_profiles`]) so a re-run of the optimizer prices plans
@@ -56,7 +56,7 @@ pub struct ObservedService {
 
 impl ObservedService {
     /// Mean simulated seconds per attempt (0 before any call).
-    pub fn mean_latency(&self) -> f64 {
+    fn mean_latency(&self) -> f64 {
         if self.calls == 0 {
             0.0
         } else {
@@ -65,7 +65,7 @@ impl ObservedService {
     }
 
     /// Mean tuples per successful page (0 before any success).
-    pub fn tuples_per_call(&self) -> f64 {
+    fn tuples_per_call(&self) -> f64 {
         if self.ok_calls == 0 {
             0.0
         } else {
@@ -209,7 +209,7 @@ fn ratio(a: f64, b: f64) -> f64 {
 ///   its healthy attempts stay fast.
 ///
 /// Returns 1.0 (no divergence) when nothing was observed yet.
-pub fn profile_divergence(sig: &ServiceSignature, obs: &ObservedService) -> f64 {
+fn profile_divergence(sig: &ServiceSignature, obs: &ObservedService) -> f64 {
     let mut worst = 1.0f64;
     if obs.ok_calls > 0 {
         let expected_size = match sig.chunking.chunk_size() {

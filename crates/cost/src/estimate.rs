@@ -133,13 +133,6 @@ impl Annotation {
             "an annotation has one entry per plan node, and every plan ends in its Output node",
         )
     }
-
-    /// Calls attributed to the invoke node of plan-atom position `pos`.
-    pub fn calls_of_atom(&self, plan: &Plan, pos: usize) -> f64 {
-        plan.node_of_atom(pos)
-            .map(|NodeId(i)| self.calls[i])
-            .unwrap_or(0.0)
-    }
 }
 
 /// The §5.2 estimator. Borrowed context: schema for profiles/domains,
@@ -438,7 +431,7 @@ impl PreparedPlan {
     }
 
     /// Gives up the buffers: the annotation of the last evaluation.
-    pub fn into_annotation(self) -> Annotation {
+    fn into_annotation(self) -> Annotation {
         self.ann
     }
 }
@@ -752,6 +745,13 @@ mod tests {
         Estimator::new(schema, &sel, cache).annotate(plan)
     }
 
+    /// Calls attributed to the invoke node of plan-atom position `pos`.
+    fn calls_of_atom(ann: &Annotation, plan: &Plan, pos: usize) -> f64 {
+        plan.node_of_atom(pos)
+            .map(|NodeId(i)| ann.calls[i])
+            .unwrap_or(0.0)
+    }
+
     /// Fig. 8: the fully instantiated physical plan. With F_flight = 3 and
     /// F_hotel = 4 the annotation must read t_out(conf) = 20,
     /// t_out(weather) = 1, t_out(flight) = 75, t_out(hotel) = 20,
@@ -825,7 +825,7 @@ mod tests {
         )
         .expect("builds");
         let ann = annotate(&plan, &schema, CacheSetting::OneCall);
-        let calls = |pos: usize| ann.calls_of_atom(&plan, pos);
+        let calls = |pos: usize| calls_of_atom(&ann, &plan, pos);
         assert!((calls(mdq_model::examples::ATOM_CONF) - 1.0).abs() < 1e-9);
         assert!((calls(mdq_model::examples::ATOM_WEATHER) - 20.0).abs() < 1e-9);
         assert!(
@@ -853,7 +853,7 @@ mod tests {
         .expect("builds");
         let ann = annotate(&plan, &schema, CacheSetting::NoCache);
         // hotel receives flight's whole stream: 1 block · cs 25 · F 1 = 25
-        assert!((ann.calls_of_atom(&plan, ATOM_HOTEL) - 25.0).abs() < 1e-9);
+        assert!((calls_of_atom(&ann, &plan, ATOM_HOTEL) - 25.0).abs() < 1e-9);
         let one = annotate(&plan, &schema, CacheSetting::OneCall);
         let opt = annotate(&plan, &schema, CacheSetting::Optimal);
         for i in 0..plan.nodes.len() {
@@ -882,13 +882,13 @@ mod tests {
         // weather's inputs are City and Date, both minimal at the conf
         // node: cap = card(City)=3 × card(Date)=365 does not bind below
         // t_out(conf)=20 here, so only the generic bound applies
-        let w = opt.calls_of_atom(&plan, mdq_model::examples::ATOM_WEATHER);
+        let w = calls_of_atom(&opt, &plan, mdq_model::examples::ATOM_WEATHER);
         assert!(w <= 20.0 + 1e-9);
         // shrink Date too: now the 3·2 = 6 cap binds
         let date = schema.domain_by_name("Date").expect("Date domain");
         schema.set_domain_cardinality(date, 2.0);
         let opt2 = annotate(&plan, &schema, CacheSetting::Optimal);
-        let w2 = opt2.calls_of_atom(&plan, mdq_model::examples::ATOM_WEATHER);
+        let w2 = calls_of_atom(&opt2, &plan, mdq_model::examples::ATOM_WEATHER);
         assert!(w2 <= 6.0 + 1e-9, "city·date cap: {w2}");
     }
 

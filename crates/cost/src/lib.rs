@@ -78,13 +78,12 @@ pub(crate) mod test_fixtures {
 /// Convenient glob-import surface: `use mdq_cost::prelude::*;`.
 pub mod prelude {
     pub use crate::divergence::{
-        diverging_services, profile_divergence, refresh_profiles, AdaptiveConfig, ObservedService,
-        ServiceDivergence,
+        diverging_services, refresh_profiles, AdaptiveConfig, ObservedService, ServiceDivergence,
     };
     pub use crate::estimate::{Annotation, CacheSetting, Estimator, PreparedPlan, QueryFacts};
     pub use crate::explain::{explain, explain_analyze};
     pub use crate::metrics::{
-        all_metrics, Bottleneck, CostMetric, ExecutionTime, RequestResponse, SumCost, TimeToScreen,
+        all_metrics, Bottleneck, CostMetric, ExecutionTime, RequestResponse, SumCost,
     };
     pub use crate::selectivity::SelectivityModel;
     pub use crate::shared::{discount_materialized, SharedWorkOracle};

@@ -252,7 +252,7 @@ impl CostMetric for Bottleneck {
 /// (one response time per service on the path — the pipe must fill before
 /// anything reaches the screen).
 #[derive(Clone, Copy, Debug, Default)]
-pub struct TimeToScreen;
+struct TimeToScreen;
 
 impl CostMetric for TimeToScreen {
     fn name(&self) -> &'static str {

@@ -105,7 +105,7 @@ impl Counters {
     }
 
     /// Invocation-level cache statistics for `id`.
-    pub fn cache_stats(&self, id: ServiceId) -> CacheStats {
+    pub(crate) fn cache_stats(&self, id: ServiceId) -> CacheStats {
         self.invocations.get(&id).copied().unwrap_or_default()
     }
 
@@ -198,7 +198,7 @@ impl AcctCell {
 
     /// Records a retry issued after a faulted attempt, with its
     /// accounted backoff.
-    pub fn record_retry(&self, id: ServiceId, backoff: f64) {
+    pub(crate) fn record_retry(&self, id: ServiceId, backoff: f64) {
         self.update(|c| {
             let f = c.faults.entry(id).or_default();
             f.retries += 1;
@@ -207,12 +207,12 @@ impl AcctCell {
     }
 
     /// Records a page given up on (retry budget or call budget spent).
-    pub fn record_exhausted(&self, id: ServiceId) {
+    pub(crate) fn record_exhausted(&self, id: ServiceId) {
         self.update(|c| c.faults.entry(id).or_default().exhausted += 1);
     }
 
     /// Records one invocation-level cache hit or miss.
-    pub fn record_invocation(&self, id: ServiceId, hit: bool) {
+    pub(crate) fn record_invocation(&self, id: ServiceId, hit: bool) {
         self.update(|c| {
             let s = c.invocations.entry(id).or_default();
             if hit {
@@ -262,7 +262,7 @@ impl Accounting {
     }
 
     /// Folds a dropping gateway's cell into the retired totals.
-    pub fn retire(&self, cell: &Arc<AcctCell>) {
+    pub(crate) fn retire(&self, cell: &Arc<AcctCell>) {
         let mut inner = recover(self.inner.lock());
         let counters = recover(cell.counters.lock());
         counters.merge_into(&mut inner.retired);

@@ -50,7 +50,7 @@ impl Binding {
     /// first, against the tuple in place, so a rejected tuple allocates
     /// nothing and an accepted one builds its row in a single allocation
     /// (none when it binds no new variable).
-    pub fn bind_atom_where(
+    pub(crate) fn bind_atom_where(
         &self,
         atom: &Atom,
         result: &Tuple,
@@ -163,14 +163,14 @@ impl Binding {
 
     /// Evaluates a predicate under this binding (`None` = not yet
     /// applicable because a variable is unbound).
-    pub fn eval_predicate(&self, p: &Predicate) -> Option<bool> {
+    pub(crate) fn eval_predicate(&self, p: &Predicate) -> Option<bool> {
         p.eval(&|v| self.get(v).cloned())
     }
 
     /// Projects the binding onto the query head, producing an answer
     /// tuple. Unbound head variables become `Null` (cannot happen for
     /// safe queries executed to completion).
-    pub fn project_head(&self, query: &ConjunctiveQuery) -> Tuple {
+    pub(crate) fn project_head(&self, query: &ConjunctiveQuery) -> Tuple {
         query
             .head
             .iter()
@@ -195,7 +195,7 @@ impl Binding {
     /// The values of `vars`, in order — the canonical row a materialized
     /// sub-result stores. Every listed variable must be bound (prefix
     /// invocations bind all their atoms' variables).
-    pub fn to_row(&self, vars: &[VarId]) -> Vec<Value> {
+    pub(crate) fn to_row(&self, vars: &[VarId]) -> Vec<Value> {
         vars.iter()
             .map(|v| {
                 self.get(*v)
@@ -205,29 +205,12 @@ impl Binding {
             .collect()
     }
 
-    /// Whether two bindings share the same underlying value storage —
-    /// true exactly when one is an `Arc` clone of the other. This is
-    /// the observability hook for the zero-copy replay guarantee: a
-    /// materialized sub-result replayed to a subscriber in the same
-    /// variable space must share storage with the stored row, never
-    /// deep-copy it.
-    pub fn shares_storage(&self, other: &Binding) -> bool {
-        Arc::ptr_eq(&self.values, &other.values)
-    }
-
     /// The input-key values for an atom under an access pattern's input
-    /// positions: constants inline, variables from the binding. `None`
-    /// if an input variable is unbound (the plan is being executed out
-    /// of order — a bug).
-    pub fn input_key(&self, atom: &Atom, input_positions: &[usize]) -> Option<Vec<Value>> {
-        let mut key = Vec::with_capacity(input_positions.len());
-        self.input_key_into(atom, input_positions.iter().copied(), &mut key)
-            .then_some(key)
-    }
-
-    /// [`Binding::input_key`] into a reused buffer: clears `key`, then
-    /// fills it; `false` (with `key` partial) if an input is unbound.
-    pub fn input_key_into(
+    /// positions, into a reused buffer: constants inline, variables from
+    /// the binding. Clears `key`, then fills it; `false` (with `key`
+    /// partial) if an input variable is unbound (the plan is being
+    /// executed out of order — a bug).
+    pub(crate) fn input_key_into(
         &self,
         atom: &Atom,
         input_positions: impl IntoIterator<Item = usize>,
@@ -245,6 +228,19 @@ impl Binding {
             key.push(value.clone());
         }
         true
+    }
+}
+
+#[cfg(test)]
+impl Binding {
+    /// Whether two bindings share the same underlying value storage —
+    /// true exactly when one is an `Arc` clone of the other. This is
+    /// the observability hook for the zero-copy replay guarantee: a
+    /// materialized sub-result replayed to a subscriber in the same
+    /// variable space must share storage with the stored row, never
+    /// deep-copy it.
+    pub(crate) fn shares_storage(&self, other: &Binding) -> bool {
+        Arc::ptr_eq(&self.values, &other.values)
     }
 }
 
@@ -371,9 +367,10 @@ mod tests {
             )
             .expect("unifies");
         // inputs at positions 0 (const) and 1 (X)
-        let key = b.input_key(&atom, &[0, 1]).expect("all bound");
+        let mut key = Vec::new();
+        assert!(b.input_key_into(&atom, [0, 1], &mut key), "all bound");
         assert_eq!(key, vec![Value::str("k"), Value::Int(3)]);
         let fresh = Binding::empty(2);
-        assert!(fresh.input_key(&atom, &[1]).is_none(), "X unbound");
+        assert!(!fresh.input_key_into(&atom, [1], &mut key), "X unbound");
     }
 }

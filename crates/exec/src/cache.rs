@@ -15,7 +15,7 @@
 //! A probe costs a hash of the borrowed key and a reference-count bump:
 //! invocations are filed per service under their owned key, and a
 //! cached [`Page`] is handed out shared. Those per-service maps index
-//! into one [`Lru`], so a bounded *optimal* cache evicts exactly and
+//! into one `Lru`, so a bounded *optimal* cache evicts exactly and
 //! globally, skipping pinned invocations without a scan.
 
 use crate::joins::mix;
@@ -100,7 +100,7 @@ impl FromIterator<Page> for Vec<Vec<Tuple>> {
 
 /// The pages previously fetched for one invocation key.
 #[derive(Clone, Debug, Default)]
-pub struct PageStore {
+struct PageStore {
     /// Fetched pages, in page order.
     pub pages: Vec<Page>,
     /// Whether the service reported no further pages after the last one.
@@ -339,7 +339,7 @@ impl PageCache {
 
     /// Takes one pin on an invocation (refcounted). Pinned invocations
     /// survive bounded-LRU eviction, one-call replacement and
-    /// [`PageCache::invalidate_unpinned`]. Pins are independent of
+    /// `PageCache::invalidate_unpinned`. Pins are independent of
     /// residency: pinning a key that is not (yet) cached is allowed.
     pub fn pin(&mut self, service: ServiceId, key: &[Value]) {
         let pins = self.pins.entry(service).or_default();
@@ -352,7 +352,7 @@ impl PageCache {
     }
 
     /// Releases one pin. Returns whether a pin was held.
-    pub fn unpin(&mut self, service: ServiceId, key: &[Value]) -> bool {
+    pub(crate) fn unpin(&mut self, service: ServiceId, key: &[Value]) -> bool {
         let Some(pins) = self.pins.get_mut(&service) else {
             return false;
         };
@@ -370,7 +370,7 @@ impl PageCache {
     }
 
     /// Whether the invocation currently holds at least one pin.
-    pub fn is_pinned(&self, service: ServiceId, key: &[Value]) -> bool {
+    fn is_pinned(&self, service: ServiceId, key: &[Value]) -> bool {
         pinned(&self.pins, service, key)
     }
 
@@ -426,7 +426,7 @@ impl PageCache {
     /// invocations are exempt because the pass itself refreshes them.
     /// Not counted as evictions (capacity pressure) in
     /// [`PageCache::evictions`].
-    pub fn invalidate_unpinned(&mut self) -> usize {
+    pub(crate) fn invalidate_unpinned(&mut self) -> usize {
         let before = self.entries();
         let pins = &self.pins;
         match self.setting {

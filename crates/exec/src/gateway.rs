@@ -7,7 +7,7 @@
 //!   registration is [`ExecError::MissingService`] before any call;
 //! * **paging** — pages are forwarded in order, each one accounted
 //!   request-response (the unit of every cost metric); runs of cached
-//!   pages are served in one probe ([`ServiceGateway::fetch_page_run`]);
+//!   pages are served in one probe (`ServiceGateway::fetch_page_run`);
 //! * **admission control** — an optional per-query *call budget*, past
 //!   which fetches are refused with [`ExecError::CallBudgetExhausted`];
 //! * **resilience** — a faulting service ([`ServiceFault`]) is retried
@@ -41,12 +41,12 @@
 //! state to every concurrent query ([`ExecContext::shared`]).
 //! [`ExecContext::gateway`] is the one place a gateway is built; both
 //! drivers hand every operator of an execution a clone of one
-//! [`LocalGateway`] (`Rc<RefCell>`).
+//! `LocalGateway` (`Rc<RefCell>`).
 
 pub use crate::accounting::Counters;
 use crate::accounting::{Accounting, AcctCell};
 use crate::binding::Binding;
-use crate::cache::{CacheSetting, CacheStats, Page, PageCache, PageLookup};
+use crate::cache::{CacheSetting, Page, PageCache, PageLookup};
 use crate::context::ExecContext;
 use crate::operator::ExecError;
 use crate::store::{recover, Claim, FailureMemo, Guarded, LruMap, FAILURE_MEMO_CAP};
@@ -348,7 +348,7 @@ fn build_shards(setting: CacheSetting, capacity: usize) -> Box<[PageShard]> {
 /// The invocation set a materialized prefix (or a standing query's
 /// answers) depends on — the unit the refresh pass diffs against to
 /// decide what survived an epoch, in the standing queries' own key type.
-pub type InvocationFrontier = HashSet<InvocationKey>;
+pub(crate) type InvocationFrontier = HashSet<InvocationKey>;
 
 /// One materialized invoke prefix: the bindings its chain produced,
 /// `Arc`-shared so a replay is a refcount bump, with the publisher's
@@ -612,7 +612,7 @@ pub type TenantId = u32;
 /// executing for the tenant, so the budget is enforced exactly across
 /// concurrent executions (charges are compare-and-swap reservations —
 /// the counter can never pass the budget).
-pub struct TenantCell {
+struct TenantCell {
     /// Request-responses forwarded for this tenant, all executions.
     calls: AtomicU64,
     /// Cumulative forwarded-call budget; `u64::MAX` = unlimited.
@@ -645,7 +645,7 @@ impl TenantCell {
     }
 
     /// Whether at least one further forwarded call fits the budget.
-    pub fn has_room(&self) -> bool {
+    fn has_room(&self) -> bool {
         self.calls.load(AtomicOrdering::Relaxed) < self.budget.load(AtomicOrdering::Relaxed)
     }
 
@@ -800,13 +800,8 @@ impl SharedServiceState {
     }
 
     /// The retry policy in force for `id`.
-    pub fn retry_policy(&self, id: ServiceId) -> RetryPolicy {
+    fn retry_policy(&self, id: ServiceId) -> RetryPolicy {
         self.retry_overrides.get(&id).copied().unwrap_or(self.retry)
-    }
-
-    /// How many independently locked page shards this state runs.
-    pub fn page_shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// The shard an invocation's pages are routed to. Under `OneCall`
@@ -890,11 +885,6 @@ impl SharedServiceState {
         self.per_shard(|s| s.failed.clear())
     }
 
-    /// Cumulative invocation-level cache statistics for `id`.
-    pub fn cache_stats(&self, id: ServiceId) -> CacheStats {
-        self.ledger().cache_stats(id)
-    }
-
     /// Page-cache invocation entries dropped to respect the configured
     /// capacity bound, summed across shards.
     pub fn page_cache_evictions(&self) -> u64 {
@@ -921,7 +911,7 @@ impl SharedServiceState {
     /// The budget/usage cell of `tenant`, created (unlimited) on first
     /// use. Gateways resolve their cell once, at construction — the
     /// per-call charge is then a pair of atomics, no map lookup.
-    pub fn tenant_cell(&self, tenant: TenantId) -> Arc<TenantCell> {
+    fn tenant_cell(&self, tenant: TenantId) -> Arc<TenantCell> {
         let mut tenants = recover(self.tenants.lock());
         Arc::clone(
             tenants
@@ -1039,7 +1029,7 @@ impl SharedServiceState {
     }
 
     /// Epoch-scoped sub-result invalidation: keeps every entry whose
-    /// recorded [`InvocationFrontier`] satisfies `retain` (typically
+    /// recorded `InvocationFrontier` satisfies `retain` (typically
     /// "every invocation is still tracked and came through the refresh
     /// unchanged"), drops the rest — including all provenance-less
     /// entries, whose dependencies are unknown. Returns
@@ -1176,7 +1166,7 @@ impl ServiceGateway {
     }
 
     /// Whether frontier recording is enabled.
-    pub fn frontier_enabled(&self) -> bool {
+    pub(crate) fn frontier_enabled(&self) -> bool {
         self.frontier.is_some()
     }
 
@@ -1188,14 +1178,14 @@ impl ServiceGateway {
     /// A snapshot of the recorded frontier so far (`None` unless
     /// enabled) — what a standing publisher attaches to a sub-result
     /// entry right after draining its level.
-    pub fn frontier_snapshot(&self) -> Option<Arc<InvocationFrontier>> {
+    pub(crate) fn frontier_snapshot(&self) -> Option<Arc<InvocationFrontier>> {
         self.frontier.as_ref().map(|f| Arc::new(f.clone()))
     }
 
     /// Merges `extra` invocations into the frontier, if enabled — how a
     /// replayed prefix's recorded dependencies stay tracked even though
     /// this execution never demanded them itself.
-    pub fn extend_frontier(&mut self, extra: &InvocationFrontier) {
+    pub(crate) fn extend_frontier(&mut self, extra: &InvocationFrontier) {
         if let Some(frontier) = &mut self.frontier {
             frontier.extend(extra.iter().cloned());
         }
@@ -1421,7 +1411,7 @@ impl ServiceGateway {
     /// demand: only an uncached *first* page is forwarded (through
     /// [`fetch_page`](ServiceGateway::fetch_page)); a run that served
     /// cached pages stops *before* its first miss.
-    pub fn fetch_page_run(
+    pub(crate) fn fetch_page_run(
         &mut self,
         id: ServiceId,
         pattern: usize,
@@ -1528,7 +1518,7 @@ impl ServiceGateway {
 
     /// Records a span of `dur` accounted seconds on this execution's
     /// track; a no-op when untraced.
-    pub fn trace_span(&self, kind: SpanKind, dur: f64) {
+    pub(crate) fn trace_span(&self, kind: SpanKind, dur: f64) {
         if let Some(t) = &self.trace {
             t.record(kind, dur);
         }
@@ -1538,14 +1528,14 @@ impl ServiceGateway {
     /// the invoke operators bracket their page runs with this so
     /// call/retry/latency accounting lands on the right
     /// [`OperatorStats`] row.
-    pub fn set_active_node(&mut self, node: Option<usize>) {
+    pub(crate) fn set_active_node(&mut self, node: Option<usize>) {
         self.active_node = node;
     }
 
     /// Per-plan-node runtime statistics collected so far (EXPLAIN
     /// ANALYZE's observed side). Indexed by plan node; `rows_in` is
     /// left to the renderer (derived from the plan topology).
-    pub fn node_stats(&self) -> &[OperatorStats] {
+    pub(crate) fn node_stats(&self) -> &[OperatorStats] {
         &self.node_stats
     }
 
@@ -1553,7 +1543,13 @@ impl ServiceGateway {
     /// produced over `batches` batched hops (a per-binding pull passes
     /// `batches = 0`), `candidates` pairs a join node verified. Traced
     /// executions also get an `operator_batch` instant per batched hop.
-    pub fn record_node_output(&mut self, node: usize, rows: u64, batches: u64, candidates: u64) {
+    pub(crate) fn record_node_output(
+        &mut self,
+        node: usize,
+        rows: u64,
+        batches: u64,
+        candidates: u64,
+    ) {
         if let Some(ns) = self.node_stats.get_mut(node) {
             ns.rows_out += rows;
             ns.batches += batches;
@@ -1571,7 +1567,7 @@ impl ServiceGateway {
 
     /// Records `rows` bindings replayed into `node` from the
     /// sub-result store.
-    pub fn record_node_replay(&mut self, node: usize, rows: u64) {
+    pub(crate) fn record_node_replay(&mut self, node: usize, rows: u64) {
         if let Some(ns) = self.node_stats.get_mut(node) {
             ns.sub_result_rows += rows;
         }
@@ -1580,13 +1576,13 @@ impl ServiceGateway {
     /// Resets the per-node statistics for a plan of `nodes` nodes —
     /// the adaptive drivers call this when they splice in a re-planned
     /// suffix, so the stats always describe the plan that finished.
-    pub fn reset_node_stats(&mut self, nodes: usize) {
+    pub(crate) fn reset_node_stats(&mut self, nodes: usize) {
         self.node_stats = vec![OperatorStats::default(); nodes];
         self.active_node = None;
     }
 
     /// Records one invocation-level cache hit or miss for `id`.
-    pub fn record_invocation(&mut self, id: ServiceId, hit: bool) {
+    pub(crate) fn record_invocation(&mut self, id: ServiceId, hit: bool) {
         self.acct.record_invocation(id, hit);
     }
 
@@ -1623,7 +1619,7 @@ impl ServiceGateway {
     }
 
     /// Whether any service served this execution a degraded page.
-    pub fn is_degraded(&self) -> bool {
+    pub(crate) fn is_degraded(&self) -> bool {
         !self.degraded.is_empty()
     }
 
@@ -1659,7 +1655,7 @@ impl ServiceGateway {
     }
 
     /// Takes the recorded error, if any.
-    pub fn take_error(&mut self) -> Option<ExecError> {
+    pub(crate) fn take_error(&mut self) -> Option<ExecError> {
         self.error.take()
     }
 }
@@ -1668,7 +1664,7 @@ impl ServiceGateway {
 /// operator holds a clone and borrows the gateway for the length of one
 /// closure.
 #[derive(Clone)]
-pub struct LocalGateway(Rc<RefCell<ServiceGateway>>);
+pub(crate) struct LocalGateway(Rc<RefCell<ServiceGateway>>);
 
 impl LocalGateway {
     /// Wraps a gateway.
@@ -1679,6 +1675,14 @@ impl LocalGateway {
     /// Runs `f` with exclusive access to the gateway.
     pub fn with<R>(&self, f: impl FnOnce(&mut ServiceGateway) -> R) -> R {
         f(&mut self.0.borrow_mut())
+    }
+}
+
+#[cfg(test)]
+impl SharedServiceState {
+    /// How many independently locked page shards this state runs.
+    fn page_shards(&self) -> usize {
+        self.shards.len()
     }
 }
 
@@ -1869,7 +1873,7 @@ mod tests {
         // shared totals
         assert_eq!(shared.total_calls(), 1);
         assert!(shared.total_latency() > 0.0);
-        assert_eq!(shared.cache_stats(w.ids.conf).misses, 1);
+        assert_eq!(shared.ledger().cache_stats(w.ids.conf).misses, 1);
     }
 
     #[test]

@@ -13,12 +13,12 @@
 //!   tuple-at-a-time semantics, `next_batch` moving whole
 //!   [`Batch`](operator::Batch)es per hop) and the concrete
 //!   [`Invoke`](operator::Invoke) / [`Join`](operator::Join) /
-//!   [`Filter`](operator::Filter) / [`Select`](operator::Select)
-//!   operators, plus [`compile_with`](operator::compile_with) for whole plans;
+//!   `Filter` / `Select` operators, plus `compile_with` for whole
+//!   plans;
 //! * [`gateway`] — the [`ServiceGateway`](gateway::ServiceGateway):
 //!   registry lookup, paging (with batched cached-page runs), per-query
 //!   accounting and admission control, handed to an execution's
-//!   operators as one [`LocalGateway`](gateway::LocalGateway) — over a
+//!   operators as one `LocalGateway` — over a
 //!   [`SharedServiceState`](gateway::SharedServiceState): the client
 //!   cache partitioned into independently locked shards, single-flight
 //!   and the failed-page memo per shard, a dedicated flow-control lock
@@ -35,7 +35,7 @@
 //! * [`joins`] — rank-preserving key-indexed nested-loop and
 //!   merge-scan joins, which also run the predicates placed at their
 //!   node;
-//! * [`plan_info`] — predicate placement and pattern metadata.
+//! * `plan_info` — predicate placement and pattern metadata.
 //!
 //! The two executors are thin drivers over that kernel, each with
 //! exactly one entry point taking an [`ExecContext`] — the plain value naming
@@ -79,7 +79,7 @@ pub mod gateway;
 pub mod joins;
 pub mod operator;
 pub mod pipeline;
-pub mod plan_info;
+mod plan_info;
 pub mod results;
 pub mod store;
 pub mod topk;
@@ -90,19 +90,15 @@ pub use context::ExecContext;
 pub mod prelude {
     pub use crate::adaptive::{AdaptiveConfig, ReplanEvent, ReplanRequest, Replanner};
     pub use crate::binding::Binding;
-    pub use crate::cache::{CacheSetting, CacheStats, Page, PageCache, PageLookup, PageStore};
+    pub use crate::cache::{CacheSetting, CacheStats, Page, PageCache, PageLookup};
     pub use crate::context::ExecContext;
     pub use crate::gateway::{
-        DegradedService, FaultStats, LocalGateway, PageFetch, PageShardStats, PartialResults,
-        RetryPolicy, ServiceGateway, SharedServiceState, SubResultStats, TenantCell, TenantId,
+        DegradedService, FaultStats, PageFetch, PageShardStats, PartialResults, RetryPolicy,
+        ServiceGateway, SharedServiceState, SubResultStats, TenantId,
     };
     pub use crate::joins::{MsJoin, NlJoin};
-    pub use crate::operator::{
-        compile_with, derive_rows_in, drain_all, drain_into, Batch, Filter, Invoke, Join, Operator,
-        Probe, Select, Source, DEFAULT_BATCH,
-    };
-    pub use crate::pipeline::{run, ExecConfig, ExecError, ExecReport, NodeTrace, StageModel};
-    pub use crate::plan_info::{analyze, PlanInfo};
+    pub use crate::operator::{drain_all, Batch, Invoke, Join, Operator, Source, DEFAULT_BATCH};
+    pub use crate::pipeline::{run, ExecConfig, ExecError, ExecReport, StageModel};
     pub use crate::results::result_table;
     pub use crate::topk::TopKExecution;
     pub use mdq_obs::recorder::{QueryTrace, TraceRecorder};

@@ -12,13 +12,13 @@
 //!   result tuples; consecutive cached pages are fetched as one run
 //!   under a single gateway lock acquisition. The predicates placed at
 //!   an invoke node run *inside* it, on each tuple before its row is
-//!   built ([`Binding::bind_atom_where`]);
+//!   built (`Binding::bind_atom_where`);
 //! * [`Join`] — a rank-preserving parallel join in the plan's chosen
 //!   strategy (merge-scan or nested-loop, §3.3); the predicates placed
 //!   at a join node run *inside* the join, which tests a candidate pair
 //!   before it allocates the joined row;
-//! * [`Filter`] — applies the predicates placed at the output node;
-//! * [`Select`] — truncates a stream to the best `k` bindings.
+//! * `Filter` — applies the predicates placed at the output node;
+//! * `Select` — truncates a stream to the best `k` bindings.
 //!
 //! Batches carry *canonical rows*: a [`Binding`] is an `Arc`-shared
 //! value row, so moving it between operators — or replaying it through
@@ -34,7 +34,7 @@
 //!
 //! The two executors are thin drivers over this kernel: the
 //! stage-materialised engine drains one operator per node and accounts
-//! virtual time, the top-k engine pulls lazily from a [`compile_with`]d
+//! virtual time, the top-k engine pulls lazily from a `compile_with`d
 //! operator tree. Neither invokes a service or touches a cache directly.
 
 use crate::binding::Binding;
@@ -201,7 +201,7 @@ pub fn drain_all(mut op: impl Operator, batch: usize) -> Batch {
 }
 
 /// Appends every remaining binding of `op` to `out`, `batch` at a time.
-pub fn drain_into(op: &mut impl Operator, batch: usize, out: &mut Batch) {
+pub(crate) fn drain_into(op: &mut impl Operator, batch: usize, out: &mut Batch) {
     let batch = batch.max(1);
     while op.next_batch(batch, out) == batch {}
 }
@@ -261,7 +261,7 @@ pub struct Invoke<I> {
 impl<I: Operator> Invoke<I> {
     /// Builds the invoke operator for plan node `node` (must be an
     /// `Invoke` node) over `upstream`.
-    pub fn for_node(
+    pub(crate) fn for_node(
         plan: &Plan,
         schema: &Schema,
         info: &PlanInfo,
@@ -304,13 +304,13 @@ impl<I: Operator> Invoke<I> {
 
     /// Summed forwarded latency per input (only inputs that forwarded at
     /// least one call), in input order.
-    pub fn input_latencies(&self) -> &[f64] {
+    pub(crate) fn input_latencies(&self) -> &[f64] {
         &self.input_latencies
     }
 
     /// Total forwarded latency of this node so far — its virtual busy
     /// time under sequential execution.
-    pub fn busy(&self) -> f64 {
+    pub(crate) fn busy(&self) -> f64 {
         self.input_latencies.iter().sum()
     }
 
@@ -437,7 +437,7 @@ impl<L: Operator, R: Operator> Join<L, R> {
     /// Joins `left` and `right` on the shared variables `on` with the
     /// given strategy, keeping the pairs that satisfy `preds` — the
     /// predicates placed at the join node, which the join decides
-    /// before it builds a pair (no [`Filter`] goes above a join). For
+    /// before it builds a pair (no `Filter` goes above a join). For
     /// nested loops, the strategy's `outer` side is materialised first
     /// (it is chosen to be the selective one).
     pub fn new(
@@ -487,7 +487,7 @@ impl<L: Operator, R: Operator> Operator for Join<L, R> {
 
 /// The predicate-filter operator: passes bindings satisfying every
 /// predicate placed at the node.
-pub struct Filter<I> {
+pub(crate) struct Filter<I> {
     inner: I,
     preds: NodePredicates,
     /// Reused scratch for batched filtering.
@@ -506,7 +506,7 @@ impl<I> Filter<I> {
 
     /// The predicates for plan node `node` (the output node: an invoke
     /// node applies its own, a join node's go to [`Join::new`]).
-    pub fn for_node(plan: &Plan, info: &PlanInfo, node: usize, inner: I) -> Self {
+    pub(crate) fn for_node(plan: &Plan, info: &PlanInfo, node: usize, inner: I) -> Self {
         Filter::new(inner, info.predicates_at(plan, node))
     }
 
@@ -553,7 +553,7 @@ impl<I: Operator> Operator for Filter<I> {
 
 /// The selection operator: passes the first `k` bindings, then ends the
 /// stream (and stops pulling upstream — top-k halting).
-pub struct Select<I> {
+pub(crate) struct Select<I> {
     inner: I,
     remaining: usize,
 }
@@ -599,7 +599,7 @@ impl<I: Operator> Operator for Select<I> {
 /// before reading the stats). Traced executions flush per batched hop
 /// instead, so every hop lands as one `operator_batch` instant on the
 /// execution's track.
-pub struct Probe<I: Operator> {
+pub(crate) struct Probe<I: Operator> {
     inner: I,
     gateway: LocalGateway,
     /// The plan node (a `u32` beside `traced`, so a probed join keeps
@@ -670,7 +670,7 @@ impl<I: Operator> Drop for Probe<I> {
 /// Fills the topology-derived `rows_in` of every stats row: the sum of
 /// the node's input rows (`rows_out` of its plan inputs). Drivers call
 /// this once, after execution, before attaching the stats to a report.
-pub fn derive_rows_in(plan: &Plan, stats: &mut [mdq_obs::span::OperatorStats]) {
+pub(crate) fn derive_rows_in(plan: &Plan, stats: &mut [mdq_obs::span::OperatorStats]) {
     for (i, node) in plan.nodes.iter().enumerate() {
         let rows_in = node
             .inputs
@@ -765,7 +765,7 @@ impl Operator for Tee {
 /// predicates) and its statistics probe are one value. The operators
 /// read atoms and predicates through the plan's `Arc<ConjunctiveQuery>`
 /// ([`NodePredicates`]) instead of copies.
-pub fn compile_with(
+pub(crate) fn compile_with(
     plan: &Plan,
     schema: &Schema,
     info: &PlanInfo,

@@ -52,23 +52,10 @@ pub struct ExecConfig {
     pub stage: StageModel,
 }
 
-/// Per-node execution trace.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NodeTrace {
-    /// Summed latency of the calls this node forwarded (0 for joins).
-    pub busy: f64,
-    /// Virtual completion time.
-    pub completion: f64,
-    /// Tuples received.
-    pub in_tuples: usize,
-    /// Tuples emitted.
-    pub out_tuples: usize,
-}
-
 /// The outcome of executing a plan. With a re-planner in the context,
 /// calls, cache, fault and partial-results accounting span the whole
-/// execution, splices included; answers, bindings, the node trace and
-/// the operator statistics describe the final plan's pass.
+/// execution, splices included; answers, bindings, the virtual time
+/// and the operator statistics describe the final plan's pass.
 #[derive(Clone, Debug)]
 pub struct ExecReport {
     /// Answers projected on the query head, in emission (rank) order.
@@ -81,8 +68,6 @@ pub struct ExecReport {
     pub calls: HashMap<ServiceId, u64>,
     /// Client-cache statistics per service.
     pub cache_stats: HashMap<ServiceId, CacheStats>,
-    /// Per-node trace, indexed like `plan.nodes`.
-    pub node_trace: Vec<NodeTrace>,
     /// Per-node runtime statistics (EXPLAIN ANALYZE's observed side),
     /// indexed like `plan.nodes`.
     pub operator_stats: Vec<OperatorStats>,
@@ -171,7 +156,7 @@ pub fn run(
     let gateway = LocalGateway::new(ctx.gateway(plan, schema, registry)?);
     let mut ctl = ctx.adaptive.map(Controller::new);
     let mut plan = Cow::Borrowed(plan);
-    let (mut streams, trace) = 'restart: loop {
+    let (mut streams, completion) = 'restart: loop {
         let info = analyze(&plan, schema);
         let n = plan.nodes.len();
         let total_invokes = plan
@@ -180,7 +165,8 @@ pub fn run(
             .filter(|nd| matches!(nd.kind, NodeKind::Invoke { .. }))
             .count();
         let mut streams: Vec<Vec<Binding>> = vec![Vec::new(); n];
-        let mut trace = vec![NodeTrace::default(); n];
+        // per-node virtual completion time
+        let mut completion = vec![0.0; n];
         let mut executed: Vec<usize> = Vec::new();
 
         for i in 0..n {
@@ -189,12 +175,6 @@ pub fn run(
                 NodeKind::Input => {
                     streams[i] = vec![Binding::empty(plan.query.var_count())];
                     gateway.with(|g| g.record_node_output(i, 1, 0, 0));
-                    trace[i] = NodeTrace {
-                        busy: 0.0,
-                        completion: 0.0,
-                        in_tuples: 0,
-                        out_tuples: 1,
-                    };
                 }
                 NodeKind::Invoke { atom } => {
                     let up = node.inputs[0].0;
@@ -231,12 +211,7 @@ pub fn run(
                                 + spawn_overhead * in_tuples as f64
                         }
                     };
-                    trace[i] = NodeTrace {
-                        busy,
-                        completion: trace[up].completion + busy,
-                        in_tuples,
-                        out_tuples: out.len(),
-                    };
+                    completion[i] = completion[up] + busy;
                     streams[i] = out;
                     executed.push(*atom);
                     // suspension point: the stage is complete, no call
@@ -249,7 +224,7 @@ pub fn run(
                             // per-node statistics describe the plan
                             // that finishes — node indices change
                             // across splices, so the new pass starts
-                            // clean (like `node_trace`; calls, cache
+                            // clean (like `completion`; calls, cache
                             // and fault accounting still span the
                             // whole execution)
                             gateway.with(|g| g.reset_node_stats(new_plan.nodes.len()));
@@ -279,12 +254,7 @@ pub fn run(
                         ),
                         batch,
                     );
-                    trace[i] = NodeTrace {
-                        busy: 0.0,
-                        completion: trace[l].completion.max(trace[r].completion),
-                        in_tuples: streams[l].len() + streams[r].len(),
-                        out_tuples: joined.len(),
-                    };
+                    completion[i] = completion[l].max(completion[r]);
                     streams[i] = joined;
                 }
                 NodeKind::Output => {
@@ -298,17 +268,12 @@ pub fn run(
                         ),
                         None => drain_all(Probe::new(filtered, gateway.clone(), i), batch),
                     };
-                    trace[i] = NodeTrace {
-                        busy: 0.0,
-                        completion: trace[up].completion,
-                        in_tuples: streams[up].len(),
-                        out_tuples: out.len(),
-                    };
+                    completion[i] = completion[up];
                     streams[i] = out;
                 }
             }
         }
-        break (streams, trace);
+        break (streams, completion);
     };
 
     let out_idx = plan.output_node().0;
@@ -324,13 +289,12 @@ pub fn run(
     Ok(ExecReport {
         answers,
         bindings,
-        virtual_time: trace[out_idx].completion,
+        virtual_time: completion[out_idx],
         calls: ledger.calls().clone(),
         cache_stats: registry
             .ids()
             .map(|id| (id, ledger.cache_stats(id)))
             .collect(),
-        node_trace: trace,
         fault_stats: ledger.faults().clone(),
         partial,
         operator_stats,
@@ -490,30 +454,18 @@ mod tests {
             ExecContext::private(CacheSetting::NoCache),
         )
         .expect("executes");
-        // flight branch dominates hotel branch; join completion = max
-        let flight_node = plan
-            .nodes
-            .iter()
-            .position(|n| matches!(n.kind, NodeKind::Invoke { atom } if atom == ATOM_FLIGHT))
-            .expect("flight");
-        let hotel_node = plan
-            .nodes
-            .iter()
-            .position(|n| matches!(n.kind, NodeKind::Invoke { atom } if atom == ATOM_HOTEL))
-            .expect("hotel");
-        let join_node = plan
-            .nodes
-            .iter()
-            .position(|n| matches!(n.kind, NodeKind::Join { .. }))
-            .expect("join");
-        let t = &report.node_trace;
-        assert!(t[flight_node].completion > t[hotel_node].completion);
+        // flight branch dominates hotel branch; join completion = max:
+        // each service is invoked by one node, so its summed latency is
+        // that node's busy time
+        let busy = |id| report.observed[&id].latency;
+        assert!(busy(w.ids.flight) > busy(w.ids.hotel));
+        let want =
+            busy(w.ids.conf) + busy(w.ids.weather) + busy(w.ids.flight).max(busy(w.ids.hotel));
         assert!(
-            (t[join_node].completion - t[flight_node].completion.max(t[hotel_node].completion))
-                .abs()
-                < 1e-9
+            (report.virtual_time - want).abs() < 1e-9 * want,
+            "{} vs {want}",
+            report.virtual_time
         );
-        assert!((report.virtual_time - t[join_node].completion).abs() < 1e-9);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 /// Per-node execution metadata derived from a plan.
 #[derive(Clone, Debug)]
-pub struct PlanInfo {
+pub(crate) struct PlanInfo {
     /// For each plan node, the indices of the query predicates that first
     /// become fully bound there (and must be applied there).
     pub preds_at_node: Vec<BitSet>,
@@ -37,7 +37,7 @@ pub struct PlanInfo {
 impl PlanInfo {
     /// The predicates applied at plan node `node`, read in place from
     /// the plan's query by the operator that runs them.
-    pub fn predicates_at(&self, plan: &Plan, node: usize) -> NodePredicates {
+    pub(crate) fn predicates_at(&self, plan: &Plan, node: usize) -> NodePredicates {
         NodePredicates::Placed(Arc::clone(&plan.query), self.preds_at_node[node].clone())
     }
 }
@@ -87,7 +87,7 @@ impl From<Vec<Predicate>> for NodePredicates {
 /// Analyzes `plan`, mirroring the predicate-placement rule of the cost
 /// estimator: a predicate applies at the first node where all its
 /// variables are bound.
-pub fn analyze(plan: &Plan, schema: &Schema) -> PlanInfo {
+pub(crate) fn analyze(plan: &Plan, schema: &Schema) -> PlanInfo {
     let n = plan.nodes.len();
     let mut preds_at_node = vec![BitSet::new(); n];
     let mut input_positions = vec![BitSet::new(); n];

@@ -2,7 +2,7 @@
 //! (`mdq-runtime`), the page shards and the sub-result store
 //! ([`crate::gateway`]) are thin users of it:
 //!
-//! * [`Lru`] — an exact recency order over an index-linked slab, O(1)
+//! * `Lru` — an exact recency order over an index-linked slab, O(1)
 //!   per push, touch and remove; eviction walks from the cold end past
 //!   pinned entries and returns the victim. [`LruMap`] keys it.
 //! * [`Guarded`] and [`Claim`] — a lock and a condition variable over a
@@ -34,7 +34,7 @@ const NIL: usize = usize::MAX;
 
 /// An exact least-recently-used order over an index-linked slab.
 #[derive(Debug)]
-pub struct Lru<T> {
+pub(crate) struct Lru<T> {
     slots: Vec<Slot<T>>,
     /// Most and least recently used slots; vacant slots chain via `colder`.
     hot: usize,
@@ -97,13 +97,8 @@ impl<T> Lru<T> {
         self.slots.get(at)?.value.as_ref()
     }
 
-    /// The entry in slot `at`, mutably; recency is unchanged.
-    pub fn get_mut(&mut self, at: usize) -> Option<&mut T> {
-        self.slots.get_mut(at)?.value.as_mut()
-    }
-
     /// Makes the entry in slot `at` the most recently used.
-    pub fn touch(&mut self, at: usize) {
+    pub(crate) fn touch(&mut self, at: usize) {
         if at != self.hot && self.get(at).is_some() {
             self.unlink(at);
             self.link_hot(at);
@@ -156,7 +151,7 @@ impl<T> Lru<T> {
     }
 }
 
-/// An [`Lru`] keyed by a `Copy` key, each value indexed with its slot;
+/// An `Lru` keyed by a `Copy` key, each value indexed with its slot;
 /// it never evicts on its own — the caller decides when, past what.
 pub struct LruMap<K, V> {
     index: HashMap<K, (V, usize)>,
@@ -347,7 +342,7 @@ impl<S, K> Guarded<S, K> {
         recover(self.state.lock())
     }
 
-    /// Parks until a claim is released or an [`update`](Guarded::update)
+    /// Parks until a claim is released or an `update`
     /// runs, then locks again.
     pub fn wait<'a>(
         &self,
@@ -360,7 +355,7 @@ impl<S, K> Guarded<S, K> {
     }
 
     /// Runs `f` under the lock, then wakes the parked threads, if any.
-    pub fn update<R>(&self, f: impl FnOnce(&mut Locked<S, K>) -> R) -> R {
+    pub(crate) fn update<R>(&self, f: impl FnOnce(&mut Locked<S, K>) -> R) -> R {
         let mut locked = self.lock();
         let out = f(&mut locked);
         let wake = locked.waiters > 0;

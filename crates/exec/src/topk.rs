@@ -3,7 +3,7 @@
 //! §2.2: "we retrieve only the fraction of tuples of proliferative
 //! services that are sufficient to obtain the first k query answers …
 //! we also assume that a plan execution can be continued, by producing
-//! more answers". This executor [`compile_with`]s
+//! more answers". This executor `compile_with`s
 //! the plan into one lazy
 //! operator tree over a shared
 //! [`ServiceGateway`](crate::gateway::ServiceGateway) and *pulls* answers
@@ -223,13 +223,12 @@ impl<'a> TopKExecution<'a> {
     /// prefix replays, and with `ctx.materialize` the unmaterialized levels
     /// are claimed, drained and published here. A frontier-recording
     /// (standing) execution replays only entries carrying a recorded
-    /// [`InvocationFrontier`] (merged into its own) and publishes entries
+    /// `InvocationFrontier` (merged into its own) and publishes entries
     /// carrying one, so a refresh pass can retain exactly the entries whose
     /// invocations came through an epoch unchanged. With a re-planner in
     /// `ctx.adaptive` the execution runs its own chain and checks for
     /// divergence between answers.
     ///
-    /// [`InvocationFrontier`]: crate::gateway::InvocationFrontier
     pub fn start(
         plan: &Plan,
         schema: &'a Schema,

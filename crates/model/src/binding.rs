@@ -80,7 +80,7 @@ pub fn push_input_vars(
 }
 
 /// Variables at output positions of atom `atom` under `choice`.
-pub fn output_vars(
+fn output_vars(
     query: &ConjunctiveQuery,
     schema: &Schema,
     choice: &ApChoice,
@@ -102,7 +102,7 @@ pub fn output_vars(
 /// True when every input field of `atom` is a constant or a variable in
 /// `bound` — i.e. the atom is *callable after* the atoms that bound those
 /// variables (Def. 3.1).
-pub fn callable_with(
+fn callable_with(
     query: &ConjunctiveQuery,
     schema: &Schema,
     choice: &ApChoice,
@@ -311,24 +311,6 @@ impl SupplierMap {
         SupplierMap { per_atom }
     }
 
-    /// Hard precedence pairs `(a, b)` — `a ≺ b` in the paper's notation
-    /// (§3.3) — arising when `b` has an input variable with exactly one
-    /// candidate supplier `a`.
-    pub fn required_precedences(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for (b, inputs) in self.per_atom.iter().enumerate() {
-            for (_, suppliers) in inputs {
-                if suppliers.len() == 1 {
-                    let a = suppliers[0];
-                    if !out.contains(&(a, b)) {
-                        out.push((a, b));
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// True when atom `b`'s inputs are all covered by suppliers inside
     /// `preds` (used to admit a topology).
     pub fn covered_by(&self, b: usize, preds: &HashSet<usize>) -> bool {
@@ -508,11 +490,14 @@ mod tests {
         let sm = SupplierMap::build(&q, &s, &choice);
         // conf (Topic const input) is directly callable
         assert_eq!(sm.directly_callable(), vec![2]);
-        // flight's inputs (City, Start, End) can only be supplied by conf
-        let prec = sm.required_precedences();
-        assert!(prec.contains(&(2, 0)), "conf ≺ flight: {prec:?}");
-        assert!(prec.contains(&(2, 1)), "conf ≺ hotel: {prec:?}");
-        assert!(prec.contains(&(2, 3)), "conf ≺ weather: {prec:?}");
+        // flight's inputs (City, Start, End) can only be supplied by conf:
+        // conf ≺ flight, conf ≺ hotel, conf ≺ weather
+        let conf: HashSet<usize> = [2].into_iter().collect();
+        let others: HashSet<usize> = [0, 1, 3].into_iter().collect();
+        for b in [0, 1, 3] {
+            assert!(sm.covered_by(b, &conf), "conf supplies atom {b}");
+            assert!(!sm.covered_by(b, &others), "only conf supplies atom {b}");
+        }
         // flight/hotel/weather are callable after conf alone
         let placed: HashSet<usize> = [2].into_iter().collect();
         let mut callable = callable_after(&q, &s, &choice, &placed);

@@ -14,7 +14,7 @@ use crate::schema::Schema;
 use std::cmp::Ordering;
 
 /// Returns `true` when `a ⪰IO b` (pointwise at-least-as-cogent).
-pub fn at_least_as_cogent(
+pub(crate) fn at_least_as_cogent(
     query: &ConjunctiveQuery,
     schema: &Schema,
     a: &ApChoice,
@@ -28,7 +28,7 @@ pub fn at_least_as_cogent(
 }
 
 /// Strict variant: `a ≻IO b`.
-pub fn more_cogent(query: &ConjunctiveQuery, schema: &Schema, a: &ApChoice, b: &ApChoice) -> bool {
+fn more_cogent(query: &ConjunctiveQuery, schema: &Schema, a: &ApChoice, b: &ApChoice) -> bool {
     at_least_as_cogent(query, schema, a, b) && !at_least_as_cogent(query, schema, b, a)
 }
 

@@ -148,17 +148,6 @@ pub fn subplan_signature(query: &ConjunctiveQuery, steps: &[PrefixStep]) -> Subp
     }
 }
 
-/// The canonical rendering [`subplan_signature`] hashes, plus the
-/// canonical variable order (the replay mapping).
-pub fn subplan_canonical_text(
-    query: &ConjunctiveQuery,
-    steps: &[PrefixStep],
-) -> (String, Vec<VarId>) {
-    let mut text = String::new();
-    let vars = write_subplan(query, steps, &mut text).expect(INFALLIBLE);
-    (text, vars)
-}
-
 /// Fingerprints `query`: FNV-1a over [`canonical_text`], digested as
 /// the canonical writer produces it.
 pub fn fingerprint(query: &ConjunctiveQuery) -> QueryFingerprint {
@@ -504,6 +493,17 @@ pub fn fnv1a_append(mut h: u64, bytes: &[u8]) -> u64 {
 mod tests {
     use super::*;
     use crate::examples::running_example_schema;
+
+    /// The canonical rendering [`subplan_signature`] hashes, plus the
+    /// canonical variable order (the replay mapping).
+    fn subplan_canonical_text(
+        query: &ConjunctiveQuery,
+        steps: &[PrefixStep],
+    ) -> (String, Vec<VarId>) {
+        let mut text = String::new();
+        let vars = write_subplan(query, steps, &mut text).expect(INFALLIBLE);
+        (text, vars)
+    }
     use crate::parser::parse_query;
 
     fn fp(text: &str) -> QueryFingerprint {

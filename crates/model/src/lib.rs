@@ -47,8 +47,8 @@ pub mod prelude {
     };
     pub use crate::cogency::{exploration_order, most_cogent};
     pub use crate::fingerprint::{
-        canonical_text, fingerprint, subplan_canonical_text, subplan_signature, PrefixStep,
-        QueryFingerprint, SubplanSig, SubplanSignature,
+        canonical_text, fingerprint, subplan_signature, PrefixStep, QueryFingerprint, SubplanSig,
+        SubplanSignature,
     };
     pub use crate::parser::{parse_query, ParseError};
     pub use crate::query::{

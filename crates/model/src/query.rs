@@ -9,7 +9,7 @@
 use crate::bitset::BitSet;
 use crate::schema::{Schema, ServiceId};
 use crate::value::Value;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -90,17 +90,6 @@ impl CmpOp {
             CmpOp::Le => ord != Greater,
             CmpOp::Gt => ord == Greater,
             CmpOp::Ge => ord != Less,
-        }
-    }
-
-    /// The operator with sides swapped (`a < b` ⇔ `b > a`).
-    pub fn flipped(self) -> CmpOp {
-        match self {
-            CmpOp::Lt => CmpOp::Gt,
-            CmpOp::Le => CmpOp::Ge,
-            CmpOp::Gt => CmpOp::Lt,
-            CmpOp::Ge => CmpOp::Le,
-            other => other,
         }
     }
 }
@@ -448,26 +437,6 @@ impl ConjunctiveQuery {
         Ok(())
     }
 
-    /// Variables shared between two atoms — the implicit equi-join
-    /// condition (§5.2: "the use of the same variable in the query
-    /// indicates an equi-join").
-    pub fn shared_vars(&self, a: usize, b: usize) -> Vec<VarId> {
-        let va = self.atoms[a].vars();
-        let vb: HashSet<VarId> = self.atoms[b].vars().into_iter().collect();
-        va.into_iter().filter(|v| vb.contains(v)).collect()
-    }
-
-    /// For each variable, the indices of atoms mentioning it.
-    pub fn var_occurrences(&self) -> HashMap<VarId, Vec<usize>> {
-        let mut map: HashMap<VarId, Vec<usize>> = HashMap::new();
-        for (i, a) in self.atoms.iter().enumerate() {
-            for v in a.vars() {
-                map.entry(v).or_default().push(i);
-            }
-        }
-        map
-    }
-
     /// Pretty-prints the query in the datalog-like syntax of Fig. 3,
     /// resolving service names through `schema`.
     pub fn display<'a>(&'a self, schema: &'a Schema) -> QueryDisplay<'a> {
@@ -511,7 +480,7 @@ impl ConjunctiveQuery {
 /// delimited by one kind of quote cannot contain it — so a parsed
 /// query's [`display`](ConjunctiveQuery::display) parses back to an
 /// identical query.
-pub struct Literal<'a>(pub &'a Value);
+pub(crate) struct Literal<'a>(pub &'a Value);
 
 impl fmt::Display for Literal<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -612,10 +581,8 @@ mod tests {
         q.atom(b, vec![Term::Var(y), Term::Var(z)]);
         q.predicate(Predicate::new(Expr::var(z), CmpOp::Gt, Expr::constant(1.5)));
         q.validate(&s).expect("valid");
-        assert_eq!(q.shared_vars(0, 1), vec![y]);
-        let occ = q.var_occurrences();
-        assert_eq!(occ[&y], vec![0, 1]);
-        assert_eq!(occ[&z], vec![1]);
+        assert_eq!(q.atoms[0].vars(), vec![y]);
+        assert_eq!(q.atoms[1].vars(), vec![y, z]);
     }
 
     #[test]
@@ -721,7 +688,5 @@ mod tests {
         assert!(CmpOp::Le.eval(Less));
         assert!(!CmpOp::Le.eval(Greater));
         assert!(CmpOp::Ne.eval(Less));
-        assert_eq!(CmpOp::Lt.flipped(), CmpOp::Gt);
-        assert_eq!(CmpOp::Eq.flipped(), CmpOp::Eq);
     }
 }

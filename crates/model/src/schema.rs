@@ -89,13 +89,8 @@ impl AccessPattern {
     /// `self`.
     ///
     /// Patterns of different arity are incomparable (returns `false`).
-    pub fn at_least_as_cogent(&self, other: &AccessPattern) -> bool {
+    pub(crate) fn at_least_as_cogent(&self, other: &AccessPattern) -> bool {
         self.arity() == other.arity() && other.inputs().all(|i| self.mode(i) == ArgMode::In)
-    }
-
-    /// Strict cogency: `self ≻IO other`.
-    pub fn more_cogent(&self, other: &AccessPattern) -> bool {
-        self.at_least_as_cogent(other) && !other.at_least_as_cogent(self)
     }
 }
 
@@ -208,13 +203,6 @@ impl ServiceProfile {
     /// Sets the decay bound `d`.
     pub fn with_decay(mut self, decay: u64) -> Self {
         self.decay = Some(decay);
-        self
-    }
-
-    /// Sets the observed failure rate `φ` (clamped to `[0, 0.95]` so a
-    /// fully dead service still yields finite costs).
-    pub fn with_failure_rate(mut self, rate: f64) -> Self {
-        self.failure_rate = rate.clamp(0.0, 0.95);
         self
     }
 
@@ -382,7 +370,7 @@ impl Schema {
     }
 
     /// Registers a service signature, validating pattern arities.
-    pub fn add_service(&mut self, sig: ServiceSignature) -> Result<ServiceId, SchemaError> {
+    fn add_service(&mut self, sig: ServiceSignature) -> Result<ServiceId, SchemaError> {
         if self.by_name.contains_key(&sig.name) {
             return Err(SchemaError::DuplicateService(sig.name.to_string()));
         }
@@ -596,11 +584,10 @@ mod tests {
         let some = AccessPattern::parse("ioi").expect("parses");
         let none = AccessPattern::parse("ooo").expect("parses");
         assert!(all_in.at_least_as_cogent(&some));
-        assert!(all_in.more_cogent(&some));
-        assert!(some.more_cogent(&none));
+        assert!(!some.at_least_as_cogent(&all_in));
+        assert!(some.at_least_as_cogent(&none));
         assert!(!none.at_least_as_cogent(&some));
         assert!(all_in.at_least_as_cogent(&all_in));
-        assert!(!all_in.more_cogent(&all_in));
         // incomparable pair
         let a = AccessPattern::parse("io").expect("parses");
         let b = AccessPattern::parse("oi").expect("parses");
@@ -682,13 +669,18 @@ mod tests {
         let healthy = ServiceProfile::new(1.0, 4.0);
         assert!((healthy.expected_attempts() - 1.0).abs() < 1e-12);
         assert!((healthy.effective_response_time() - 4.0).abs() < 1e-12);
-        let flaky = ServiceProfile::new(1.0, 4.0).with_failure_rate(0.5);
+        let flaky = ServiceProfile {
+            failure_rate: 0.5,
+            ..healthy
+        };
         assert!((flaky.expected_attempts() - 2.0).abs() < 1e-12);
         assert!((flaky.effective_response_time() - 8.0).abs() < 1e-12);
         // dead services clamp to finite costs
-        let dead = ServiceProfile::new(1.0, 4.0).with_failure_rate(1.0);
+        let dead = ServiceProfile {
+            failure_rate: 1.0,
+            ..healthy
+        };
         assert!(dead.expected_attempts().is_finite());
-        assert!((dead.failure_rate - 0.95).abs() < 1e-12);
     }
 
     #[test]

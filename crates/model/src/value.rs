@@ -103,12 +103,12 @@ impl Date {
 
     /// Days since 1970-01-01 (may be negative).
     #[inline]
-    pub fn days_since_epoch(self) -> i32 {
+    fn days_since_epoch(self) -> i32 {
         self.days
     }
 
     /// Returns the civil (year, month, day) triple.
-    pub fn ymd(self) -> (i32, u32, u32) {
+    pub(crate) fn ymd(self) -> (i32, u32, u32) {
         let z = self.days as i64 + 719_468;
         let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
         let doe = z - era * 146_097; // [0, 146096]
@@ -133,7 +133,7 @@ impl Date {
     /// [`Date::plus_days`], or `None` when the result leaves the `i32`
     /// day range — date arithmetic in predicates never wraps.
     #[inline]
-    pub fn checked_plus_days(self, delta: i64) -> Option<Self> {
+    fn checked_plus_days(self, delta: i64) -> Option<Self> {
         let days = i64::from(self.days).checked_add(delta)?;
         Some(Date {
             days: i32::try_from(days).ok()?,
@@ -142,7 +142,7 @@ impl Date {
 
     /// Parses `YYYY/MM/DD` or `YYYY-MM-DD` (months/days may omit the
     /// leading zero, as in the paper's `'2007/3/14'`). Years beyond
-    /// ±[`Date::MAX_YEAR`] are not dates: their day count would overflow.
+    /// ±1 000 000 are not dates: their day count would overflow.
     pub fn parse(s: &str) -> Option<Self> {
         let sep = if s.contains('/') { '/' } else { '-' };
         let mut it = s.split(sep);
@@ -160,7 +160,7 @@ impl Date {
     }
 
     /// The largest year magnitude [`Date::parse`] accepts.
-    pub const MAX_YEAR: u32 = 1_000_000;
+    const MAX_YEAR: u32 = 1_000_000;
 }
 
 impl fmt::Display for Date {
@@ -198,12 +198,6 @@ impl Value {
         Value::Float(F64(f))
     }
 
-    /// True when the value is [`Value::Null`].
-    #[inline]
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// Numeric view (ints and floats; dates as day counts) used by
     /// comparison predicates with mixed operand types.
     pub fn as_f64(&self) -> Option<f64> {
@@ -230,7 +224,7 @@ impl Value {
 
     /// Subtracts two values; `Date - Date` yields the day difference as an
     /// integer, `Date - Int` offsets backwards.
-    pub fn checked_sub(&self, rhs: &Value) -> Option<Value> {
+    pub(crate) fn checked_sub(&self, rhs: &Value) -> Option<Value> {
         match (self, rhs) {
             (Value::Int(a), Value::Int(b)) => Some(Value::Int(a.checked_sub(*b)?)),
             (Value::Date(a), Value::Date(b)) => Some(Value::Int(
@@ -244,7 +238,7 @@ impl Value {
     }
 
     /// Multiplies two numeric values.
-    pub fn checked_mul(&self, rhs: &Value) -> Option<Value> {
+    pub(crate) fn checked_mul(&self, rhs: &Value) -> Option<Value> {
         match (self, rhs) {
             (Value::Int(a), Value::Int(b)) => Some(Value::Int(a.checked_mul(*b)?)),
             (a, b) => Some(Value::float(a.as_f64()? * b.as_f64()?)),
@@ -359,24 +353,6 @@ impl Tuple {
     pub fn values(&self) -> &[Value] {
         &self.0
     }
-
-    /// Concatenates two tuples (used by join operators).
-    pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut v = Vec::with_capacity(self.0.len() + other.0.len());
-        v.extend_from_slice(&self.0);
-        v.extend_from_slice(&other.0);
-        Tuple::new(v)
-    }
-
-    /// Projects the tuple onto the given positions.
-    pub fn project(&self, positions: &[usize]) -> Tuple {
-        Tuple::new(
-            positions
-                .iter()
-                .map(|&i| self.0[i].clone())
-                .collect::<Vec<_>>(),
-        )
-    }
 }
 
 impl fmt::Display for Tuple {
@@ -424,7 +400,7 @@ pub enum DomainKind {
 
 impl DomainKind {
     /// Whether `v` inhabits this domain kind (`Null` inhabits all).
-    pub fn admits(self, v: &Value) -> bool {
+    pub(crate) fn admits(self, v: &Value) -> bool {
         matches!(
             (self, v),
             (DomainKind::Any, _)
@@ -568,14 +544,9 @@ mod tests {
     #[test]
     fn tuple_ops() {
         let t = Tuple::new(vec![Value::Int(1), Value::str("x")]);
-        let u = Tuple::new(vec![Value::float(2.0)]);
-        let c = t.concat(&u);
-        assert_eq!(c.arity(), 3);
-        assert_eq!(c.get(2), &Value::float(2.0));
-        assert_eq!(
-            c.project(&[2, 0]).values(),
-            &[Value::float(2.0), Value::Int(1)]
-        );
+        assert_eq!(t.arity(), 2);
+        assert_eq!(t.get(1), &Value::str("x"));
+        assert_eq!(t.values(), &[Value::Int(1), Value::str("x")]);
         assert_eq!(format!("{t}"), "⟨1, 'x'⟩");
     }
 

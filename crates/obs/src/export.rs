@@ -2,7 +2,7 @@
 //! JSON for `chrome://tracing` / Perfetto.
 //!
 //! Both emitters are hand-rolled (the workspace is std-only): every
-//! string field goes through [`json_escape`], numbers are emitted with
+//! string field goes through `json_escape`, numbers are emitted with
 //! plain `Display`, and the Chrome format follows the JSON-array form
 //! of the trace-event spec — metadata `M` events name the tracks, `X`
 //! complete events carry spans (microsecond timestamps scaled from
@@ -13,7 +13,7 @@ use crate::span::{SpanKind, TraceEvent};
 use std::fmt::Write as _;
 
 /// Escapes `s` for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

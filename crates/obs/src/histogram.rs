@@ -40,21 +40,6 @@ impl Histogram {
         }
     }
 
-    /// Records one observation.
-    pub fn observe(&mut self, value: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
-        self.count += 1;
-        self.sum += value;
-        if value > self.max {
-            self.max = value;
-        }
-    }
-
     /// Folds `other` (over the same bounds) into `self`.
     ///
     /// # Panics
@@ -92,16 +77,6 @@ impl Histogram {
         }
     }
 
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
     /// Mean observation (0 while empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -109,11 +84,6 @@ impl Histogram {
         } else {
             self.sum / self.count as f64
         }
-    }
-
-    /// Largest observation (0 while empty).
-    pub fn max(&self) -> f64 {
-        self.max
     }
 
     /// The buckets as `(upper bound — `None` for overflow — , count)`.
@@ -169,29 +139,23 @@ mod tests {
     static BOUNDS: [f64; 3] = [1.0, 2.0, 4.0];
 
     #[test]
-    fn observe_buckets_and_summary() {
-        let mut h = Histogram::new(&BOUNDS);
-        for v in [0.5, 1.5, 3.0, 9.0] {
-            h.observe(v);
-        }
+    fn parts_buckets_and_summary() {
+        // observations 0.5, 1.5, 3.0 and 9.0: one per bucket
+        let h = Histogram::from_parts(&BOUNDS, vec![1, 1, 1, 1], 14.0, 9.0);
         let counts: Vec<u64> = h.buckets().map(|(_, n)| n).collect();
         assert_eq!(counts, vec![1, 1, 1, 1]);
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.sum(), 14.0);
-        assert_eq!(h.max(), 9.0);
-        assert_eq!(h.summary().mean, 3.5);
+        let s = h.summary();
+        assert_eq!((s.count, s.total, s.max, s.mean), (4, 14.0, 9.0, 3.5));
     }
 
     #[test]
     fn merge_is_elementwise() {
-        let mut a = Histogram::new(&BOUNDS);
-        let mut b = Histogram::new(&BOUNDS);
-        a.observe(0.5);
-        b.observe(5.0);
-        b.observe(1.0);
+        // a holds 0.5; b holds 5.0 and 1.0
+        let mut a = Histogram::from_parts(&BOUNDS, vec![1, 0, 0, 0], 0.5, 0.5);
+        let b = Histogram::from_parts(&BOUNDS, vec![1, 0, 0, 1], 6.0, 5.0);
         a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.max(), 5.0);
+        let s = a.summary();
+        assert_eq!((s.count, s.max), (3, 5.0));
         let counts: Vec<u64> = a.buckets().map(|(_, n)| n).collect();
         assert_eq!(counts, vec![2, 0, 0, 1]);
     }

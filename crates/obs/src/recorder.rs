@@ -167,11 +167,6 @@ impl QueryTrace {
     pub fn instant(&self, kind: SpanKind) {
         self.record(kind, 0.0);
     }
-
-    /// This handle's track id.
-    pub fn track(&self) -> u64 {
-        self.cell.track
-    }
 }
 
 #[cfg(test)]
@@ -230,8 +225,8 @@ mod tests {
         a.instant(SpanKind::QueryDone { answers: 2 });
         let events = rec.events();
         assert_eq!(events.len(), 3);
-        assert_eq!(events[0].track, a.track());
-        assert_eq!(events[1].track, b.track());
+        assert_eq!(events[0].track, a.cell.track);
+        assert_eq!(events[1].track, b.cell.track);
         assert_eq!(events[2].start, 1.0, "cursor advanced past the span");
         assert_eq!(rec.event_count(), 3);
     }
@@ -243,7 +238,7 @@ mod tests {
         let c2 = rec.control();
         c1.record(SpanKind::Optimize, 0.5);
         c2.record(SpanKind::Optimize, 0.5);
-        assert_eq!(c1.track(), 0);
+        assert_eq!(c1.cell.track, 0);
         let events = rec.events();
         assert_eq!(events[1].start, 0.5, "same cursor: one shared cell");
         assert_eq!(rec.tracks()[0].1, "control");

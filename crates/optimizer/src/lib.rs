@@ -6,7 +6,7 @@
 //! instantiated query plan able to produce the best `k` answers, by
 //! exploring three nested combinatorial spaces with branch and bound:
 //!
-//! 1. [`phase1`] — choice of access patterns ("bound is better");
+//! 1. `phase1` — choice of access patterns ("bound is better");
 //! 2. [`phase2`] — plan topology: execution order and join placement
 //!    ("selective and parallel are better");
 //! 3. [`phase3`] — fetch factors for chunked services
@@ -27,7 +27,7 @@ pub mod bnb;
 pub mod context;
 pub mod exhaustive;
 pub mod expansion;
-pub mod phase1;
+mod phase1;
 pub mod phase2;
 pub mod phase3;
 pub mod replan;
@@ -84,13 +84,7 @@ pub mod prelude {
     pub use crate::context::{CostContext, CostingEffort};
     pub use crate::exhaustive::exhaustive_optimum;
     pub use crate::expansion::{expand_for_executability, Expansion, ExpansionError};
-    pub use crate::phase2::{
-        max_parallel_topology, selective_serial_topology, PlanCandidate, SearchOptions,
-        TopologyHeuristic,
-    };
-    pub use crate::phase3::{
-        closed_form_n, closed_form_pair, closed_form_sequential, closed_form_single,
-        optimize_fetches_pinned, FetchHeuristic, FetchOutcome, FetchStats,
-    };
-    pub use crate::replan::{reoptimize_suffix, reoptimize_suffix_in};
+    pub use crate::phase2::{max_parallel_topology, PlanCandidate};
+    pub use crate::phase3::{closed_form_pair, FetchHeuristic, FetchOutcome, FetchStats};
+    pub use crate::replan::reoptimize_suffix_in;
 }

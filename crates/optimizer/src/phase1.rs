@@ -16,7 +16,7 @@ use std::sync::Arc;
 /// Permissible sequences in "bound is better" exploration order: the most
 /// cogent sequences first (they bind more inputs, promising smaller
 /// intermediate results), then the dominated rest.
-pub fn ordered_sequences(query: &ConjunctiveQuery, ctx: &CostContext<'_>) -> Vec<ApChoice> {
+pub(crate) fn ordered_sequences(query: &ConjunctiveQuery, ctx: &CostContext<'_>) -> Vec<ApChoice> {
     let all = mdq_model::binding::permissible_sequences(query, ctx.schema);
     exploration_order(query, ctx.schema, &all)
 }
@@ -31,7 +31,7 @@ pub fn ordered_sequences(query: &ConjunctiveQuery, ctx: &CostContext<'_>) -> Vec
 /// "effective if such cost exceeds the complete cost of the considered
 /// solution" — most pruning power comes from sharing the incumbent with
 /// phases 2/3.)
-pub fn sequence_lower_bound(
+pub(crate) fn sequence_lower_bound(
     query: &Arc<ConjunctiveQuery>,
     ctx: &CostContext<'_>,
     choice: &ApChoice,

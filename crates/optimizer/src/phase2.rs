@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 /// The §4.2.1 topology heuristics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum TopologyHeuristic {
+enum TopologyHeuristic {
     /// A single chain ordered by increasing erspi wherever admissible.
     #[default]
     SelectiveSerial,
@@ -75,7 +75,7 @@ impl Phase2Stats {
 
 /// Search-control options shared by phase 2/3.
 #[derive(Clone, Copy, Debug)]
-pub struct SearchOptions {
+pub(crate) struct SearchOptions {
     /// Fetch heuristic seeding phase 3.
     pub fetch_heuristic: FetchHeuristic,
     /// Cap on any single fetch factor.
@@ -100,15 +100,6 @@ impl Default for SearchOptions {
 /// Builds the selective-serial heuristic topology: a greedy chain taking,
 /// at each step, the callable atom with the smallest effective result
 /// size (erspi for bulk services, one chunk for chunked ones).
-pub fn selective_serial_topology(
-    query: &ConjunctiveQuery,
-    schema: &Schema,
-    choice: &ApChoice,
-) -> Option<Poset> {
-    selective_serial(query, schema, &SupplierMap::build(query, schema, choice))
-}
-
-/// [`selective_serial_topology`] over the supplier map of the choice.
 fn selective_serial(
     query: &ConjunctiveQuery,
     schema: &Schema,
@@ -348,7 +339,7 @@ impl TopologyVisitor for Phase2Visitor<'_, '_> {
 }
 
 /// Result of the phase-2 search for one access-pattern sequence.
-pub struct Phase2Outcome {
+pub(crate) struct Phase2Outcome {
     /// Best plan that reaches `k`, if any.
     pub best: Option<PlanCandidate>,
     /// Best best-effort plan when `k` is unreachable.
@@ -361,7 +352,7 @@ pub struct Phase2Outcome {
 /// with both §4.2.1 heuristics (and `initial_incumbent` carried over from
 /// previously explored pattern sequences).
 #[allow(clippy::too_many_arguments)]
-pub fn optimize_topology(
+pub(crate) fn optimize_topology(
     query: &Arc<ConjunctiveQuery>,
     ctx: &CostContext<'_>,
     choice: &ApChoice,
@@ -406,6 +397,16 @@ pub fn optimize_topology(
         best_effort: visitor.leaders.best_effort,
         stats: visitor.stats,
     }
+}
+
+/// [`selective_serial`] over the supplier map of `choice`.
+#[cfg(test)]
+pub(crate) fn selective_serial_topology(
+    query: &ConjunctiveQuery,
+    schema: &Schema,
+    choice: &ApChoice,
+) -> Option<Poset> {
+    selective_serial(query, schema, &SupplierMap::build(query, schema, choice))
 }
 
 #[cfg(test)]

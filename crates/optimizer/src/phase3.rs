@@ -64,14 +64,8 @@ pub struct FetchStats {
     pub pruned_infeasible: usize,
 }
 
-/// Per-position fetch caps: decay-derived bound `⌈d_i / cs_i⌉` when known
-/// (§4.3.2), otherwise `max_fetch`.
-pub fn fetch_caps(plan: &Plan, ctx: &CostContext<'_>, max_fetch: u64) -> Vec<u64> {
-    let mut caps = Vec::new();
-    fetch_caps_into(plan, ctx.schema, max_fetch, &mut caps);
-    caps
-}
-
+/// Per-position fetch caps into `caps`: decay-derived bound
+/// `⌈d_i / cs_i⌉` when known (§4.3.2), otherwise `max_fetch`.
 fn fetch_caps_into(plan: &Plan, schema: &Schema, max_fetch: u64, caps: &mut Vec<u64>) {
     caps.clear();
     caps.extend(plan.atoms.iter().map(|&a| {
@@ -92,15 +86,6 @@ fn cost_of_current(pricer: &mut Pricer<'_, '_>, stats: &mut FetchStats) -> f64 {
     pricer.cost()
 }
 
-/// Closed form for a single chunked service (Eq. 5): `tout` is linear in
-/// `F`, so `F = ⌈k / tout(F = 1)⌉`.
-pub fn closed_form_single(out_at_one: f64, k: f64) -> u64 {
-    if out_at_one <= 0.0 {
-        return u64::MAX;
-    }
-    (k / out_at_one).ceil().max(1.0) as u64
-}
-
 /// Closed form for two *parallel* chunked services (Eq. 6): with
 /// `K′ = ⌈k / tout(1,1)⌉` and per-fetch costs `c₁`, `c₂` (weighted by the
 /// services' input cardinalities), the relaxed optimum is
@@ -117,37 +102,6 @@ pub fn closed_form_pair(out_at_ones: f64, k: f64, c1: f64, c2: f64) -> (u64, u64
     let f1 = (kp * c2 / c1).sqrt().ceil().max(1.0) as u64;
     let f2 = (kp * c1 / c2).sqrt().ceil().max(1.0) as u64;
     (f1, f2)
-}
-
-/// Closed form for two *sequential* chunked services (Eq. 7): when `n₂`
-/// consumes `n₁`'s output, `t_in₂` grows linearly with `F₁`, so the
-/// cheapest assignment pushes all fetching downstream: `F₁ = 1`,
-/// `F₂ = ⌈K′⌉`.
-pub fn closed_form_sequential(out_at_ones: f64, k: f64) -> (u64, u64) {
-    if out_at_ones <= 0.0 {
-        return (u64::MAX, u64::MAX);
-    }
-    (1, (k / out_at_ones).ceil().max(1.0) as u64)
-}
-
-/// Generalised closed form for `n` parallel chunked services (§5.3.1's
-/// closing remark): minimising `Σ cᵢ Fᵢ` subject to `∏ Fᵢ = K′` gives
-/// `Fᵢ = (K′ · ∏ⱼ cⱼ)^{1/n} / cᵢ`.
-pub fn closed_form_n(out_at_ones: f64, k: f64, costs: &[f64]) -> Vec<u64> {
-    let n = costs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    if out_at_ones <= 0.0 {
-        return vec![u64::MAX; n];
-    }
-    let kp = (k / out_at_ones).ceil().max(1.0);
-    let log_sum: f64 = costs.iter().map(|c| c.max(f64::MIN_POSITIVE).ln()).sum();
-    let scale = ((kp.ln() + log_sum) / n as f64).exp();
-    costs
-        .iter()
-        .map(|c| (scale / c.max(f64::MIN_POSITIVE)).ceil().max(1.0) as u64)
-        .collect()
 }
 
 /// Computes a heuristic initial fetch vector (§4.3.1). Starts from all-1
@@ -333,7 +287,7 @@ pub fn optimize_fetches(
 ///
 /// The chosen factors are left installed in `plan`.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's parameterisation
-pub fn optimize_fetches_pinned(
+fn optimize_fetches_pinned(
     plan: &mut Plan,
     ctx: &CostContext<'_>,
     k: f64,
@@ -579,36 +533,13 @@ mod tests {
     }
 
     #[test]
-    fn closed_form_single_rounds_up() {
-        assert_eq!(closed_form_single(1.25, 10.0), 8);
-        assert_eq!(closed_form_single(5.0, 10.0), 2);
-        assert_eq!(closed_form_single(20.0, 10.0), 1);
-        assert_eq!(closed_form_single(0.0, 10.0), u64::MAX);
-    }
-
-    #[test]
-    fn closed_form_sequential_pushes_downstream() {
-        assert_eq!(closed_form_sequential(1.25, 10.0), (1, 8));
-    }
-
-    #[test]
-    fn closed_form_n_matches_pair() {
-        let v = closed_form_n(1.25, 10.0, &[9.7, 4.9]);
-        // continuous optimum (K′·c₁c₂)^½ / cᵢ = (8·47.53)^½/cᵢ =
-        // 19.50/9.7 = 2.01 → 3, 19.50/4.9 = 3.98 → 4
-        assert_eq!(v, vec![3, 4]);
-        let single = closed_form_n(1.25, 10.0, &[1.0]);
-        assert_eq!(single, vec![8]);
-        assert!(closed_form_n(1.25, 10.0, &[]).is_empty());
-    }
-
-    #[test]
     fn greedy_reaches_k() {
         let (mut plan, schema) = fig6_plan();
         let sel = SelectivityModel::default();
         let metric = RequestResponse;
         let ctx = CostContext::new(&schema, &sel, CacheSetting::OneCall, &metric);
-        let caps = fetch_caps(&plan, &ctx, 100);
+        let mut caps = Vec::new();
+        fetch_caps_into(&plan, &schema, 100, &mut caps);
         let f = heuristic_fetches(&mut plan, &ctx, 10.0, FetchHeuristic::Greedy, &caps);
         plan.fetches.copy_from_slice(&f);
         assert!(ctx.annotate(&plan).out_size() >= 10.0);
@@ -622,7 +553,8 @@ mod tests {
         let sel = SelectivityModel::default();
         let metric = RequestResponse;
         let ctx = CostContext::new(&schema, &sel, CacheSetting::OneCall, &metric);
-        let caps = fetch_caps(&plan, &ctx, 100);
+        let mut caps = Vec::new();
+        fetch_caps_into(&plan, &schema, 100, &mut caps);
         let f = heuristic_fetches(&mut plan, &ctx, 10.0, FetchHeuristic::Square, &caps);
         // flight explores 25·F_fl tuples, hotel 5·F_h: balanced means
         // F_h ≈ 5·F_fl

@@ -6,7 +6,7 @@
 //! were issued under those input bindings), their fetch factors (their
 //! pages are already paid for), and their relative execution order
 //! (their pages sit in the cache keyed by the input values that order
-//! produced). [`reoptimize_suffix`] re-runs the three-phase search over
+//! produced). [`reoptimize_suffix_in`] re-runs the three-phase search over
 //! everything else:
 //!
 //! * **phase 1** — only access-pattern sequences agreeing with the
@@ -17,11 +17,11 @@
 //!   prefix demands exactly the cached pages), while the suffix order
 //!   and join placement are explored freely;
 //! * **phase 3** — executed positions' fetch factors are pinned
-//!   ([`optimize_fetches_pinned`](crate::phase3::optimize_fetches_pinned));
-//!   the suffix's factors are re-tuned against the refreshed profiles —
-//!   in practice the biggest adaptive win, since fetch factors are
-//!   chosen from upstream cardinality estimates and those are exactly
-//!   what execution observes to be wrong.
+//!   (`optimize_fetches_pinned`); the suffix's factors are re-tuned
+//!   against the refreshed profiles — in practice the biggest adaptive
+//!   win, since fetch factors are chosen from upstream cardinality
+//!   estimates and those are exactly what execution observes to be
+//!   wrong.
 //!
 //! Pass a schema whose profiles were refreshed from observations
 //! ([`refresh_profiles`](mdq_cost::divergence::refresh_profiles)) —
@@ -33,9 +33,7 @@ use crate::context::CostContext;
 use crate::phase1::ordered_sequences;
 use crate::phase2::{instantiate_topology, Complete, Leaders, Phase2Stats, PlanCandidate};
 use crate::phase3::FetchParams;
-use mdq_cost::metrics::CostMetric;
 use mdq_model::binding::{ApChoice, SupplierMap};
-use mdq_model::schema::Schema;
 use mdq_plan::dag::Plan;
 use mdq_plan::poset::{
     enumerate_topologies, Admissibility, PartialTopology, Poset, TopologyVisitor,
@@ -149,30 +147,20 @@ fn splice_poset(current: &Plan, executed: &[usize]) -> Option<Poset> {
 /// executed atoms' access patterns, relative order and fetch factors.
 ///
 /// `executed` lists the query-atom indices whose invoke stages have
-/// fully run, in execution order; `schema` should carry profiles
+/// fully run, in execution order; `ctx`'s schema should carry profiles
 /// refreshed from the execution's observations. With `executed` empty
 /// this is a plain re-optimization of the whole query; with every atom
 /// executed the current plan is returned re-priced (nothing is left to
 /// change). The returned plan always has the executed prefix frozen, so
 /// splicing it into a running execution re-demands exactly the pages
 /// already in the cache.
-pub fn reoptimize_suffix(
-    current: &Plan,
-    executed: &[usize],
-    schema: &Schema,
-    metric: &dyn CostMetric,
-    config: &OptimizerConfig,
-) -> Result<Optimized, OptimizeError> {
-    let ctx = CostContext::new(schema, &config.selectivity, config.cache, metric);
-    reoptimize_suffix_in(current, executed, &ctx, config)
-}
-
-/// [`reoptimize_suffix`] under a ready costing context — one that
-/// carries a [`SharedWorkOracle`](mdq_cost::shared::SharedWorkOracle)
-/// (suffix candidates are then priced with already-materialized invoke
+///
+/// The costing context may carry a
+/// [`SharedWorkOracle`](mdq_cost::shared::SharedWorkOracle) (suffix
+/// candidates are then priced with already-materialized invoke
 /// prefixes discounted, so an adaptive splice prefers plans whose head
-/// another concurrent query has materialized), or one the caller goes
-/// on pricing other plans with.
+/// another concurrent query has materialized), or be one the caller
+/// goes on pricing other plans with.
 pub fn reoptimize_suffix_in(
     current: &Plan,
     executed: &[usize],
@@ -297,9 +285,22 @@ mod tests {
     use crate::bnb::optimize;
     use crate::test_fixtures::fig6_plan;
     use mdq_cost::estimate::CacheSetting;
-    use mdq_cost::metrics::{ExecutionTime, RequestResponse};
+    use mdq_cost::metrics::{CostMetric, ExecutionTime, RequestResponse};
     use mdq_model::examples::{ATOM_CONF, ATOM_FLIGHT, ATOM_HOTEL, ATOM_WEATHER};
+    use mdq_model::schema::Schema;
     use mdq_plan::builder::build_plan;
+
+    /// [`reoptimize_suffix_in`] under a fresh costing context over `schema`.
+    fn reoptimize_suffix(
+        current: &Plan,
+        executed: &[usize],
+        schema: &Schema,
+        metric: &dyn CostMetric,
+        config: &OptimizerConfig,
+    ) -> Result<Optimized, OptimizeError> {
+        let ctx = CostContext::new(schema, &config.selectivity, config.cache, metric);
+        reoptimize_suffix_in(current, executed, &ctx, config)
+    }
 
     /// The Fig. 8 plan: the Fig. 6 topology with the paper's fetch
     /// factors — its execution order starts conf, then weather.

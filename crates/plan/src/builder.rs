@@ -13,7 +13,7 @@
 //! invoke nodes in (level, position) order, then the *cap* — the join of
 //! the maximal streams and the Output node. [`lower`] pushes every level
 //! of an installed topology and caps once; [`build_plan`] and
-//! [`build_plan_with`] run it on a fresh plan. [`lower_onto`] moves the
+//! `build_plan_with` run it on a fresh plan. [`lower_onto`] moves the
 //! same stack from one partial topology to the next — the optimizer's
 //! branch and bound prices a prefix per batch it places, and the prefix
 //! differs from the one priced before by the batches placed or undone
@@ -88,15 +88,6 @@ impl Default for StrategyRule {
 }
 
 impl StrategyRule {
-    /// A rule that always answers `strategy`.
-    pub fn fixed(strategy: JoinStrategy) -> Self {
-        StrategyRule {
-            default: strategy,
-            pairs: HashMap::new(),
-            prefer_nl_on_decay: false,
-        }
-    }
-
     /// Registers a per-pair strategy (both orientations).
     pub fn with_pair(mut self, a: ServiceId, b: ServiceId, strategy: JoinStrategy) -> Self {
         self.pairs.insert((a, b), strategy);
@@ -189,7 +180,7 @@ fn check_shape(
 
 /// [`build_plan`] with the supplier map of `(query, choice)` supplied by
 /// the caller — the one-shot form of [`lower`].
-pub fn build_plan_with(
+fn build_plan_with(
     suppliers: &SupplierMap,
     query: Arc<ConjunctiveQuery>,
     schema: &Schema,
@@ -449,7 +440,7 @@ impl Lowering {
 ///
 /// The poset's levels are pushed as batches, in (level, position) order
 /// — the routine [`lower_onto`] extends a plan with — and the plan is
-/// capped once. [`build_plan`] and [`build_plan_with`] call it on a
+/// capped once. [`build_plan`] and `build_plan_with` call it on a
 /// fresh plan. On error `plan.nodes` is unspecified.
 pub fn lower(
     plan: &mut Plan,

@@ -49,7 +49,7 @@ pub mod prelude {
     pub use crate::dag::{JoinStrategy, NodeId, NodeKind, Plan, PlanNode, Side};
     pub use crate::poset::{
         all_topologies, enumerate_topologies, Admissibility, PartialTopology, Poset,
-        TopologyVisitor, Unconstrained, MAX_ATOMS,
+        TopologyVisitor, MAX_ATOMS,
     };
     pub use crate::render::{to_ascii, to_dot};
     pub use crate::signature::{invoke_prefixes, PlanPrefix};

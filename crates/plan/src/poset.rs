@@ -139,48 +139,18 @@ impl Poset {
     }
 
     /// Strict predecessors of `j`.
-    pub fn predecessors(&self, j: usize) -> impl Iterator<Item = usize> + '_ {
+    fn predecessors(&self, j: usize) -> impl Iterator<Item = usize> + '_ {
         (0..self.n).filter(move |&i| self.lt(i, j))
     }
 
-    /// Minimal elements (no predecessors).
-    pub fn minimal_elements(&self) -> Vec<usize> {
-        (0..self.n)
-            .filter(|&j| (0..self.n).all(|i| !self.lt(i, j)))
-            .collect()
-    }
-
-    /// Maximal elements (no successors).
-    pub fn maximal_elements(&self) -> Vec<usize> {
-        self.maximal().collect()
-    }
-
-    /// [`Poset::maximal_elements`], ascending, without collecting them.
+    /// Maximal elements (no successors), ascending.
     pub(crate) fn maximal(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.n).filter(|&i| (0..self.n).all(|j| !self.lt(i, j)))
     }
 
-    /// Covering pairs `(a, b)`: `a ≺ b` with no `c` strictly between —
-    /// the Hasse-diagram arcs used when lowering to a dataflow DAG.
-    pub fn covering_pairs(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for a in 0..self.n {
-            for b in 0..self.n {
-                if self.lt(a, b) && !(0..self.n).any(|c| self.lt(a, c) && self.lt(c, b)) {
-                    out.push((a, b));
-                }
-            }
-        }
-        out
-    }
-
-    /// Covering (immediate) predecessors of `b`.
-    pub fn covering_predecessors(&self, b: usize) -> Vec<usize> {
-        self.covering(b).collect()
-    }
-
-    /// [`Poset::covering_predecessors`], ascending, without collecting
-    /// them.
+    /// Covering (immediate) predecessors of `b`, ascending: `a ≺ b` with
+    /// no `c` strictly between — the Hasse-diagram arcs used when
+    /// lowering to a dataflow DAG.
     pub(crate) fn covering(&self, b: usize) -> impl Iterator<Item = usize> + '_ {
         (0..self.n)
             .filter(move |&a| self.lt(a, b) && !(0..self.n).any(|c| self.lt(a, c) && self.lt(c, b)))
@@ -246,7 +216,7 @@ impl Poset {
     }
 
     /// [`Poset::restrict`] written into `out`, reusing its storage.
-    pub fn restrict_into(&self, elems: &[usize], out: &mut Poset) {
+    pub(crate) fn restrict_into(&self, elems: &[usize], out: &mut Poset) {
         let m = elems.len();
         out.n = m;
         out.rel.clear();
@@ -267,7 +237,7 @@ impl Poset {
     }
 
     /// Total number of `≺` pairs.
-    pub fn relation_count(&self) -> usize {
+    fn relation_count(&self) -> usize {
         self.rel.iter().filter(|&&b| b).count()
     }
 
@@ -326,15 +296,6 @@ pub trait Admissibility {
     /// predecessors? (For queries: are all its input variables covered by
     /// suppliers in `preds`?)
     fn placeable(&self, b: usize, preds: &HashSet<usize>) -> bool;
-}
-
-/// Admit everything (used to enumerate the unconstrained poset space).
-pub struct Unconstrained;
-
-impl Admissibility for Unconstrained {
-    fn placeable(&self, _b: usize, _preds: &HashSet<usize>) -> bool {
-        true
-    }
 }
 
 impl Admissibility for SupplierMap {
@@ -637,6 +598,15 @@ pub fn all_topologies<A: Admissibility>(n: usize, admissible: &A) -> Vec<Poset> 
 mod tests {
     use super::*;
 
+    /// Admit everything (used to enumerate the unconstrained poset space).
+    struct Unconstrained;
+
+    impl Admissibility for Unconstrained {
+        fn placeable(&self, _b: usize, _preds: &HashSet<usize>) -> bool {
+            true
+        }
+    }
+
     #[test]
     fn poset_basics() {
         let mut p = Poset::antichain(4);
@@ -645,10 +615,12 @@ mod tests {
         assert!(p.lt(0, 2), "transitive closure");
         assert!(!p.add_lt(2, 0), "cycle rejected");
         assert!(p.incomparable(0, 3));
-        assert_eq!(p.minimal_elements(), vec![0, 3]);
-        assert_eq!(p.maximal_elements(), vec![2, 3]);
+        assert_eq!(p.maximal().collect::<Vec<_>>(), vec![2, 3]);
         assert!(p.check_invariants());
-        assert_eq!(p.covering_pairs(), vec![(0, 1), (1, 2)]);
+        let covering: Vec<_> = (0..4)
+            .flat_map(|b| p.covering(b).map(move |a| (a, b)))
+            .collect();
+        assert_eq!(covering, vec![(0, 1), (1, 2)]);
         assert_eq!(p.levels(), vec![vec![0, 3], vec![1], vec![2]]);
     }
 
@@ -692,7 +664,7 @@ mod tests {
         let chains = all.iter().filter(|p| p.is_chain()).count();
         assert_eq!(chains, 6, "6 serial permutations");
         for p in &all {
-            assert_eq!(p.minimal_elements(), vec![0], "conf always first");
+            assert_eq!(p.levels()[0], vec![0], "conf always first");
         }
     }
 
@@ -721,10 +693,7 @@ mod tests {
         // fixed element is non-minimal = 19 - (posets where it is minimal).
         // Directly: enumerate and count.
         let all = all_topologies(3, &Unconstrained);
-        let want = all
-            .iter()
-            .filter(|p| !p.minimal_elements().contains(&0))
-            .count();
+        let want = all.iter().filter(|p| !p.levels()[0].contains(&0)).count();
         assert_eq!(v.complete, want);
         assert!(want < 19);
     }
@@ -742,7 +711,7 @@ mod tests {
         // For a V: 0 ≺ 2, 1 ≺ 2 — levels are {0,1} then {2}
         let p = Poset::from_pairs(3, &[(0, 2), (1, 2)]).expect("builds");
         assert_eq!(p.levels(), vec![vec![0, 1], vec![2]]);
-        assert_eq!(p.covering_predecessors(2), vec![0, 1]);
+        assert_eq!(p.covering(2).collect::<Vec<_>>(), vec![0, 1]);
     }
 
     /// A complete topology's batches are its levels, and its
@@ -796,7 +765,7 @@ mod tests {
         // empty and singleton restrictions
         assert_eq!(p.restrict(&[]).len(), 0);
         let single = p.restrict(&[1]);
-        assert_eq!(single.minimal_elements(), vec![0]);
+        assert_eq!(single.levels(), vec![vec![0]]);
     }
 
     #[test]

@@ -87,20 +87,18 @@ pub mod tenant;
 
 pub use metrics::MetricsSnapshot;
 pub use net::{ClientFrame, NetClient, NetServer, QueryOutcome, ServerFrame};
-pub use server::{QueryServer, Rejection, RuntimeConfig};
-pub use session::{QueryResult, QuerySession, QueryStats, RuntimeError, SessionEvent};
+pub use server::{QueryServer, RuntimeConfig};
+pub use session::{QueryResult, QuerySession, QueryStats, RuntimeError};
 pub use subscribe::{Delta, RefreshSummary, SubscriptionTicket};
 pub use tenant::{TenantPolicy, TenantSnapshot, DEFAULT_TENANT};
 
 /// Convenient glob-import surface: `use mdq_runtime::prelude::*;`.
 pub mod prelude {
-    pub use crate::metrics::{
-        MetricsSnapshot, BATCH_SIZE_BOUNDS, LATENCY_BOUNDS, QUEUE_WAIT_BOUNDS,
-    };
+    pub use crate::metrics::MetricsSnapshot;
     pub use crate::net::{ClientFrame, NetClient, NetServer, QueryOutcome, ServerFrame};
-    pub use crate::plan_cache::{PlanCache, PlanKey};
-    pub use crate::server::{QueryServer, Rejection, RuntimeConfig};
-    pub use crate::session::{QueryResult, QuerySession, QueryStats, RuntimeError, SessionEvent};
+    pub use crate::plan_cache::PlanCache;
+    pub use crate::server::{QueryServer, RuntimeConfig};
+    pub use crate::session::{QueryResult, QuerySession, QueryStats, RuntimeError};
     pub use crate::subscribe::{Delta, RefreshSummary, SubscriptionTicket};
     pub use crate::tenant::{TenantPolicy, TenantSnapshot, DEFAULT_TENANT};
 }

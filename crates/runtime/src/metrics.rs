@@ -11,24 +11,24 @@ use std::time::Instant;
 
 /// Upper bucket bounds of the per-query wall-latency histogram, in
 /// seconds (the last bucket is unbounded).
-pub const LATENCY_BOUNDS: [f64; 9] = [0.0001, 0.0003, 0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0];
+const LATENCY_BOUNDS: [f64; 9] = [0.0001, 0.0003, 0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0];
 
 /// Upper bucket bounds of the submit→dequeue queue-wait histogram, in
 /// wall seconds (the last bucket is unbounded).
-pub const QUEUE_WAIT_BOUNDS: [f64; 7] = [0.0001, 0.001, 0.01, 0.05, 0.1, 0.5, 1.0];
+const QUEUE_WAIT_BOUNDS: [f64; 7] = [0.0001, 0.001, 0.01, 0.05, 0.1, 0.5, 1.0];
 
 /// Upper bucket bounds of the admission batch-size histogram, in batch
 /// members (the last bucket is unbounded; the default
 /// [`RuntimeConfig::batch_max`] is 16).
 ///
 /// [`RuntimeConfig::batch_max`]: crate::server::RuntimeConfig::batch_max
-pub const BATCH_SIZE_BOUNDS: [f64; 5] = [1.0, 2.0, 4.0, 8.0, 16.0];
+const BATCH_SIZE_BOUNDS: [f64; 5] = [1.0, 2.0, 4.0, 8.0, 16.0];
 
 /// Upper bucket bounds of the per-pass refresh phase histograms
 /// (fetch, evaluate, commit), in wall seconds (the last bucket is
 /// unbounded). Shared by all three phases so their distributions line
 /// up bucket-for-bucket.
-pub const REFRESH_PHASE_BOUNDS: [f64; 7] = [0.0001, 0.0003, 0.001, 0.003, 0.01, 0.1, 1.0];
+const REFRESH_PHASE_BOUNDS: [f64; 7] = [0.0001, 0.0003, 0.001, 0.003, 0.01, 0.1, 1.0];
 
 /// Live counters; one instance per server, updated lock-free by the
 /// workers.
@@ -531,23 +531,23 @@ pub struct MetricsSnapshot {
     /// Per-query wall-latency histogram: `(upper bound in seconds —
     /// `None` for the overflow bucket — , count)`.
     pub latency_buckets: Vec<(Option<f64>, u64)>,
-    /// Submit→dequeue wall-wait histogram over [`QUEUE_WAIT_BOUNDS`]
+    /// Submit→dequeue wall-wait histogram over `QUEUE_WAIT_BOUNDS`
     /// (same `(bound, count)` shape).
     pub queue_wait_buckets: Vec<(Option<f64>, u64)>,
-    /// Admission batch-size histogram over [`BATCH_SIZE_BOUNDS`] —
+    /// Admission batch-size histogram over `BATCH_SIZE_BOUNDS` —
     /// all-zero unless the server batches admissions
     /// ([`RuntimeConfig::batch_window`]).
     ///
     /// [`RuntimeConfig::batch_window`]: crate::server::RuntimeConfig::batch_window
     pub batch_size_buckets: Vec<(Option<f64>, u64)>,
     /// Per-pass fetch-phase wall-seconds histogram over
-    /// [`REFRESH_PHASE_BOUNDS`] — one observation per refresh pass.
+    /// `REFRESH_PHASE_BOUNDS` — one observation per refresh pass.
     pub refresh_fetch_buckets: Vec<(Option<f64>, u64)>,
     /// Per-pass evaluate-phase wall-seconds histogram over
-    /// [`REFRESH_PHASE_BOUNDS`].
+    /// `REFRESH_PHASE_BOUNDS`.
     pub refresh_evaluate_buckets: Vec<(Option<f64>, u64)>,
     /// Per-pass commit-phase wall-seconds histogram over
-    /// [`REFRESH_PHASE_BOUNDS`].
+    /// `REFRESH_PHASE_BOUNDS`.
     pub refresh_commit_buckets: Vec<(Option<f64>, u64)>,
 }
 

@@ -81,7 +81,7 @@
 //!
 //! A frame is a line, but a write is a *burst*: every frame a handler
 //! has to say is encoded into the connection's one buffer
-//! ([`ServerFrame::encode_into`]), and the buffer leaves in a single
+//! (`ServerFrame::encode_into`), and the buffer leaves in a single
 //! `write_all` at the moment the handler would block — before the next
 //! read of a client frame, and, while a query streams, whenever the
 //! worker has no further event ready. The invariant is that the buffer
@@ -441,7 +441,7 @@ impl ServerFrame {
     /// Appends the frame's line (no trailing newline) to `out` — what
     /// [`encode`](ServerFrame::encode) returns, without the `String`
     /// per frame.
-    pub fn encode_into(&self, out: &mut String) {
+    fn encode_into(&self, out: &mut String) {
         let written = match self {
             ServerFrame::Hello { proto } => write!(out, "HELLO {proto}"),
             ServerFrame::Ok { tenant } => write!(out, "OK tenant={tenant}"),
@@ -1208,15 +1208,6 @@ impl NetClient {
         }
     }
 
-    /// Liveness probe.
-    pub fn ping(&mut self) -> io::Result<()> {
-        self.send(&ClientFrame::Ping)?;
-        match self.read_frame()? {
-            ServerFrame::Pong => Ok(()),
-            other => Err(protocol_error(&other)),
-        }
-    }
-
     /// Submits one query and drains its stream. IO errors are `Err`;
     /// everything the protocol can say (done, shed, failed, draining)
     /// is a [`QueryOutcome`].
@@ -1255,7 +1246,7 @@ impl NetClient {
         self.send_line(|out| write_query(out, "SUBSCRIBE", k, text))?;
         match self.read_frame()? {
             ServerFrame::Subscribed { id, epoch, answers } => {
-                let mut rows = Vec::with_capacity(answers as usize);
+                let mut rows = Vec::with_capacity(answers.min(1024) as usize);
                 for _ in 0..answers {
                     match self.read_frame()? {
                         ServerFrame::Answer { tuple } => rows.push(tuple),
@@ -1316,16 +1307,6 @@ impl NetClient {
         }
     }
 
-    /// Deregisters a standing query.
-    pub fn unsubscribe(&mut self, id: u64) -> io::Result<()> {
-        self.send(&ClientFrame::Unsubscribe { id })?;
-        match self.read_frame()? {
-            ServerFrame::Unsubscribed { id: got } if got == id => Ok(()),
-            ServerFrame::Err { reason } => Err(io::Error::new(io::ErrorKind::InvalidInput, reason)),
-            other => Err(protocol_error(&other)),
-        }
-    }
-
     /// Closes the connection politely (waits for `BYE`).
     pub fn quit(mut self) -> io::Result<()> {
         self.send(&ClientFrame::Quit)?;
@@ -1345,6 +1326,28 @@ fn protocol_error(frame: &ServerFrame) -> io::Error {
         io::ErrorKind::InvalidData,
         format!("unexpected frame {frame:?}"),
     )
+}
+
+#[cfg(test)]
+impl NetClient {
+    /// Liveness probe.
+    fn ping(&mut self) -> io::Result<()> {
+        self.send(&ClientFrame::Ping)?;
+        match self.read_frame()? {
+            ServerFrame::Pong => Ok(()),
+            other => Err(protocol_error(&other)),
+        }
+    }
+
+    /// Deregisters a standing query.
+    fn unsubscribe(&mut self, id: u64) -> io::Result<()> {
+        self.send(&ClientFrame::Unsubscribe { id })?;
+        match self.read_frame()? {
+            ServerFrame::Unsubscribed { id: got } if got == id => Ok(()),
+            ServerFrame::Err { reason } => Err(io::Error::new(io::ErrorKind::InvalidInput, reason)),
+            other => Err(protocol_error(&other)),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1947,6 +1950,31 @@ mod tests {
         let _ = stream.shutdown(Shutdown::Both);
         flood.join().expect("flood ends");
         net.shutdown();
+    }
+
+    #[test]
+    fn subscribe_survives_a_peer_that_announces_more_answers_than_it_sends() {
+        // a peer that promises u64::MAX answers and hangs up costs the
+        // client an error, not a capacity-overflow panic
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            stream.write_all(b"HELLO mdq/1\n").expect("hello");
+            let mut request = String::new();
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            reader.read_line(&mut request).expect("request");
+            assert!(request.starts_with("SUBSCRIBE"), "{request}");
+            stream
+                .write_all(b"SUBSCRIBED id=1 epoch=0 answers=18446744073709551615\n")
+                .expect("frame");
+        });
+        let mut client = NetClient::connect(addr).expect("handshake");
+        let err = client
+            .subscribe("q(X) :- s(X).", None)
+            .expect_err("the peer hung up before its answers");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        peer.join().expect("peer");
     }
 
     #[test]

@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 /// Cache key: the normalized query shape plus the answer target (phase-3
 /// fetch factors are chosen for a specific `k`).
-pub type PlanKey = (QueryFingerprint, u64);
+pub(crate) type PlanKey = (QueryFingerprint, u64);
 
 /// One cached plan plus how it was priced.
 struct Entry {
@@ -38,7 +38,7 @@ struct Entry {
     discounted: bool,
 }
 
-/// An LRU map from [`PlanKey`] to the optimized plan.
+/// An LRU map from `PlanKey` to the optimized plan.
 pub struct PlanCache {
     capacity: usize,
     entries: LruMap<PlanKey, Entry>,
@@ -189,13 +189,10 @@ impl PlanResolver {
     pub(crate) fn republish(&self, key: PlanKey, plan: Arc<Plan>) {
         self.state.lock().cache.insert(key, plan);
     }
+}
 
-    /// Forgets every memoized plan failure, returning how many were
-    /// dropped; the next resolve of such a template optimizes again.
-    pub(crate) fn forget_failed(&self) -> usize {
-        self.state.lock().failed.clear()
-    }
-
+#[cfg(test)]
+impl PlanResolver {
     /// Plans currently cached.
     pub(crate) fn len(&self) -> usize {
         self.state.lock().cache.len()
@@ -337,16 +334,6 @@ mod tests {
         // would re-claim
         assert!(matches!(waiter, Resolution::FailedBefore(r) if r == "not executable"));
         assert_eq!(runs.load(Ordering::SeqCst), 1, "the waiter never optimized");
-        assert_eq!(resolver.forget_failed(), 1);
-        assert!(matches!(
-            resolver.resolve(key(1), |_| true, failing(false)),
-            Resolution::Failed(_)
-        ));
-        assert_eq!(
-            runs.load(Ordering::SeqCst),
-            2,
-            "forgotten ⇒ optimized again"
-        );
     }
 
     #[test]

@@ -195,7 +195,7 @@ struct Job {
 /// Why a submission was refused at the front door. Shed variants carry
 /// the server's retry-after hint; the others are terminal.
 #[derive(Clone, Debug)]
-pub enum Rejection {
+pub(crate) enum Rejection {
     /// The global admission queue is at
     /// [`RuntimeConfig::max_queue_depth`] — retry after the hint.
     QueueFull {
@@ -571,7 +571,7 @@ impl QueryServer {
     /// and the shed counters, never in `submitted`.
     ///
     /// [`MetricsSnapshot::rejected`]: crate::metrics::MetricsSnapshot::rejected
-    pub fn try_submit(
+    pub(crate) fn try_submit(
         &self,
         tenant: TenantId,
         text: &str,
@@ -692,18 +692,6 @@ impl QueryServer {
         self.state.shared.trace_recorder()
     }
 
-    /// Forgets every memoized plan failure, returning how many were
-    /// dropped — the recovery lever after the condition that made a
-    /// template unoptimizable (say, a dropped service) is fixed.
-    pub fn forget_failed_plans(&self) -> usize {
-        self.state.plans.forget_failed()
-    }
-
-    /// Plans currently held by the plan cache.
-    pub fn cached_plans(&self) -> usize {
-        self.state.plans.len()
-    }
-
     /// The subscription layer's view of the server internals.
     fn sub_ctx(&self) -> EngineCtx<'_> {
         EngineCtx {
@@ -813,7 +801,7 @@ impl QueryServer {
     /// *all* tenants, far too expensive a lever to hand to anonymous
     /// clients. In-process callers (who already own the server handle)
     /// keep the ungated method.
-    pub fn try_refresh(&self, tenant: TenantId) -> Result<RefreshSummary, Rejection> {
+    pub(crate) fn try_refresh(&self, tenant: TenantId) -> Result<RefreshSummary, Rejection> {
         let Some(tinfo) = self.state.tenants.get(tenant) else {
             return Err(self.reject(tenant, None, Rejection::UnknownTenant));
         };
@@ -1308,6 +1296,14 @@ fn process(state: &ServerState, job: Job) {
 }
 
 #[cfg(test)]
+impl QueryServer {
+    /// Plans currently held by the plan cache.
+    fn cached_plans(&self) -> usize {
+        self.state.plans.len()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use mdq_services::domains::news::news_world;
@@ -1649,14 +1645,6 @@ mod tests {
             m.plan_failed_memo_hits, 7,
             "waiters and repeats hit the failure memo"
         );
-        // the recovery lever: forgetting the memo re-enables the
-        // optimizer for the template
-        assert_eq!(server.forget_failed_plans(), 1);
-        server
-            .submit(unoptimizable, Some(5))
-            .collect()
-            .expect_err("still not executable");
-        assert_eq!(server.metrics().optimizer_invocations, 2);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::sync::mpsc;
 
 /// One event of a query's answer stream.
 #[derive(Clone, Debug)]
-pub enum SessionEvent {
+pub(crate) enum SessionEvent {
     /// The next answer, projected on the query head, in rank order.
     Answer(Tuple),
     /// The stream ended normally; per-query statistics.
@@ -17,7 +17,7 @@ pub enum SessionEvent {
     Failed(String),
 }
 
-/// Per-query statistics reported with [`SessionEvent::Done`].
+/// Per-query statistics reported with `SessionEvent::Done`.
 #[derive(Clone, Debug, Default)]
 pub struct QueryStats {
     /// The tenant the query ran as ([`DEFAULT_TENANT`] for bare
@@ -121,7 +121,7 @@ pub struct QuerySession {
 impl QuerySession {
     /// Blocks for the next event; `None` once the stream is finished
     /// (after `Done`/`Failed`, or if the server dropped the query).
-    pub fn next_event(&self) -> Option<SessionEvent> {
+    pub(crate) fn next_event(&self) -> Option<SessionEvent> {
         self.rx.recv().ok()
     }
 

@@ -16,7 +16,7 @@ use mdq_model::schema::{AccessPattern, Schema, ServiceBuilder, ServiceProfile};
 use mdq_model::value::{DomainKind, Tuple, Value};
 
 /// Number of authors in the synthetic community.
-pub const AUTHORS: usize = 40;
+const AUTHORS: usize = 40;
 
 /// Builds the bibliography world.
 pub fn bibliography_world(seed: u64) -> World {

@@ -7,7 +7,7 @@
 //! a chunked ranked search returns priced offers per part. In the
 //! mis-estimated variant the `parts` service is registered as *highly
 //! selective and fast* (erspi 0.25, τ 0.5 s) while it actually returns
-//! [`PARTS_PER_ITEM`] tuples per call at [`PARTS_TRUE_TAU`] seconds —
+//! `PARTS_PER_ITEM` tuples per call at `PARTS_TRUE_TAU` seconds —
 //! exactly the kind of stale registration §5's periodic re-estimation
 //! is meant to catch. An optimizer trusting the estimates assigns the
 //! downstream `offers` service a large fetch factor (it believes few
@@ -29,15 +29,15 @@ use mdq_model::value::{DomainKind, Tuple, Value};
 /// Items returned by `seed` for the canonical topic.
 pub const SEED_ITEMS: usize = 4;
 /// Parts each item actually explodes into.
-pub const PARTS_PER_ITEM: usize = 40;
+const PARTS_PER_ITEM: usize = 40;
 /// Offers each part actually has (8 pages of 5).
-pub const OFFERS_PER_PART: usize = 40;
+const OFFERS_PER_PART: usize = 40;
 /// Page size of the `offers` search service.
-pub const OFFERS_CHUNK: u32 = 5;
+const OFFERS_CHUNK: u32 = 5;
 /// The `parts` service's true per-call latency, seconds.
-pub const PARTS_TRUE_TAU: f64 = 3.0;
+const PARTS_TRUE_TAU: f64 = 3.0;
 /// The `parts` service's true erspi.
-pub const PARTS_TRUE_ERSPI: f64 = PARTS_PER_ITEM as f64;
+const PARTS_TRUE_ERSPI: f64 = PARTS_PER_ITEM as f64;
 
 /// Service ids of the catalog world, in chain order.
 #[derive(Clone, Copy, Debug)]

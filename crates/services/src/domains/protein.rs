@@ -17,7 +17,7 @@ use mdq_model::schema::{AccessPattern, Schema, ServiceBuilder, ServiceProfile};
 use mdq_model::value::{DomainKind, Tuple, Value};
 
 /// Number of human glycolysis proteins planted in KEGG.
-pub const GLYCOLYSIS_PROTEINS: usize = 24;
+const GLYCOLYSIS_PROTEINS: usize = 24;
 
 /// Builds the protein world.
 pub fn protein_world(seed: u64) -> World {

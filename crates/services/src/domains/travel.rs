@@ -33,21 +33,17 @@ use mdq_model::schema::{AccessPattern, Schema, ServiceId};
 use mdq_model::value::{Date, Tuple, Value};
 
 /// Number of conference tuples for topic 'DB'.
-pub const CONF_TUPLES: usize = 71;
+pub(crate) const CONF_TUPLES: usize = 71;
 /// Distinct cities hosting those conferences.
-pub const DISTINCT_CITIES: usize = 54;
+const DISTINCT_CITIES: usize = 54;
 /// Cities hosting two events.
-pub const DOUBLE_CITIES: usize = 17;
-/// Conference tuples in cities with average temperature ≥ 28 °C.
-pub const HOT_TUPLES: usize = 16;
+const DOUBLE_CITIES: usize = 17;
 /// Distinct hot cities.
-pub const HOT_CITIES: usize = 11;
+const HOT_CITIES: usize = 11;
 /// Hot cities hosting two events.
-pub const HOT_DOUBLES: usize = 5;
+const HOT_DOUBLES: usize = 5;
 /// Total flight tuples returned for the hot, flight-served cities.
-pub const HOT_FLIGHT_TUPLES: usize = 284;
-/// Conference tuples (of all 71) whose city is served by a flight.
-pub const SERVED_TUPLES: usize = 59;
+const HOT_FLIGHT_TUPLES: usize = 284;
 
 /// Flight counts for the five hot two-event cities.
 const HOT_DOUBLE_FLIGHTS: [usize; HOT_DOUBLES] = [20, 20, 20, 20, 20];
@@ -330,6 +326,11 @@ pub fn travel_world(seed: u64) -> TravelWorld {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    /// Conference tuples in cities with average temperature ≥ 28 °C.
+    const HOT_TUPLES: usize = 16;
+    /// Conference tuples (of all 71) whose city is served by a flight.
+    const SERVED_TUPLES: usize = 59;
 
     fn world() -> TravelWorld {
         travel_world(2008)

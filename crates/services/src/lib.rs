@@ -30,7 +30,6 @@
 
 pub mod domains;
 pub mod fault;
-pub mod loader;
 pub mod profiler;
 pub mod refresh;
 pub mod registry;
@@ -51,10 +50,7 @@ pub(crate) fn recover<T>(result: std::sync::LockResult<T>) -> T {
 pub mod prelude {
     pub use crate::domains::travel::{travel_world, TravelIds, TravelWorld};
     pub use crate::domains::World;
-    pub use crate::fault::{
-        FaultConfig, FaultInjections, FaultPlan, FaultProfile, FaultRule, PlannedFault,
-    };
-    pub use crate::loader::{parse_rows, source_from_text, LoadError};
+    pub use crate::fault::{FaultConfig, FaultPlan, FaultProfile, PlannedFault};
     pub use crate::profiler::{install, profile_service, ProfileReport};
     pub use crate::refresh::{
         refreshing_registry, Epoch, EpochClock, InvocationKey, RefreshConfig, RefreshPolicy,
@@ -62,7 +58,7 @@ pub mod prelude {
     };
     pub use crate::registry::ServiceRegistry;
     pub use crate::service::{
-        CallCounter, Counted, InputKey, LatencyModel, Service, ServiceFault, ServiceResponse,
+        CallCounter, Counted, LatencyModel, Service, ServiceFault, ServiceResponse,
     };
     pub use crate::synthetic::SyntheticSource;
 }

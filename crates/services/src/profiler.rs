@@ -34,25 +34,6 @@ pub struct ProfileReport {
     pub samples: usize,
 }
 
-impl ProfileReport {
-    /// Formats the report as a Table 1 row:
-    /// `name | type | chunk | avg size | avg time`.
-    pub fn table_row(&self) -> String {
-        format!(
-            "{:<8} {:<7} {:>6} {:>9} {:>8.1}",
-            self.name,
-            self.kind.to_string(),
-            self.chunk_size
-                .map(|c| c.to_string())
-                .unwrap_or_else(|| "-".into()),
-            self.avg_response_size
-                .map(|s| format!("{s:.2}"))
-                .unwrap_or_else(|| "-".into()),
-            self.avg_response_time,
-        )
-    }
-}
-
 /// Profiles `service` by issuing one invocation per sample input (for
 /// chunked services, only the first page — the per-fetch behaviour is
 /// what the cost model consumes).
@@ -177,9 +158,6 @@ mod tests {
         assert_eq!(report.chunk_size, Some(5));
         assert_eq!(report.avg_response_size, None, "Table 1 shows '-'");
         assert!((report.avg_response_time - 4.9).abs() < 1e-9);
-        let row = report.table_row();
-        assert!(row.contains("search"), "{row}");
-        assert!(row.contains('5'), "{row}");
     }
 
     #[test]

@@ -40,13 +40,6 @@ impl ServiceRegistry {
         self.counters.get(&id)
     }
 
-    /// Resets every counter (fresh experiment run).
-    pub fn reset_counters(&self) {
-        for c in self.counters.values() {
-            c.reset();
-        }
-    }
-
     /// Registered service ids.
     pub fn ids(&self) -> impl Iterator<Item = ServiceId> + '_ {
         self.services.keys().copied()
@@ -75,7 +68,7 @@ mod tests {
     }
 
     #[test]
-    fn register_fetch_count_reset() {
+    fn register_fetch_count() {
         let mut reg = ServiceRegistry::new();
         let id = ServiceId(0);
         reg.register(id, Echo);
@@ -85,8 +78,6 @@ mod tests {
         let c = reg.counter(id).expect("counter");
         assert_eq!(c.calls(), 1);
         assert!((c.total_latency() - 0.5).abs() < 1e-9);
-        reg.reset_counters();
-        assert_eq!(c.calls(), 0);
         assert!(reg.get(ServiceId(99)).is_none());
         assert_eq!(reg.ids().count(), 1);
     }

@@ -17,7 +17,7 @@ use std::sync::Mutex;
 
 /// The values bound to the input positions of an access pattern, in
 /// position order — the cache/index key of an invocation.
-pub type InputKey = Vec<Value>;
+pub(crate) type InputKey = Vec<Value>;
 
 /// The degraded behaviours a wrapped web service exhibits (§6 wraps
 /// live 2008 sites, whose real-world failure modes — error pages,
@@ -143,16 +143,13 @@ impl<S: Service + ?Sized> Service for Arc<S> {
 #[derive(Debug, Default)]
 pub struct CallCounter {
     calls: AtomicU64,
-    tuples: AtomicU64,
     latency_millis: AtomicU64,
 }
 
 impl CallCounter {
     /// Records one request-response.
-    pub fn record(&self, response_tuples: usize, latency: f64) {
+    pub fn record(&self, latency: f64) {
         self.calls.fetch_add(1, Ordering::Relaxed);
-        self.tuples
-            .fetch_add(response_tuples as u64, Ordering::Relaxed);
         self.latency_millis
             .fetch_add((latency * 1000.0).round() as u64, Ordering::Relaxed);
     }
@@ -162,21 +159,9 @@ impl CallCounter {
         self.calls.load(Ordering::Relaxed)
     }
 
-    /// Total tuples returned.
-    pub fn tuples(&self) -> u64 {
-        self.tuples.load(Ordering::Relaxed)
-    }
-
     /// Total simulated latency, in seconds.
     pub fn total_latency(&self) -> f64 {
         self.latency_millis.load(Ordering::Relaxed) as f64 / 1000.0
-    }
-
-    /// Resets all counters.
-    pub fn reset(&self) {
-        self.calls.store(0, Ordering::Relaxed);
-        self.tuples.store(0, Ordering::Relaxed);
-        self.latency_millis.store(0, Ordering::Relaxed);
     }
 }
 
@@ -188,7 +173,7 @@ pub struct Counted<S> {
 
 impl<S: Service> Counted<S> {
     /// Wraps `inner`, returning the wrapper and its counter handle.
-    pub fn new(inner: S) -> (Self, Arc<CallCounter>) {
+    pub(crate) fn new(inner: S) -> (Self, Arc<CallCounter>) {
         let counter = Arc::new(CallCounter::default());
         (
             Counted {
@@ -207,7 +192,7 @@ impl<S: Service> Service for Counted<S> {
 
     fn fetch(&self, pattern: usize, inputs: &[Value], page: u32) -> ServiceResponse {
         let r = self.inner.fetch(pattern, inputs, page);
-        self.counter.record(r.tuples.len(), r.latency);
+        self.counter.record(r.latency);
         r
     }
 
@@ -221,8 +206,8 @@ impl<S: Service> Service for Counted<S> {
         // the simulated seconds the failed round trip consumed
         let r = self.inner.try_fetch(pattern, inputs, page);
         match &r {
-            Ok(resp) => self.counter.record(resp.tuples.len(), resp.latency),
-            Err(fault) => self.counter.record(0, fault.latency()),
+            Ok(resp) => self.counter.record(resp.latency),
+            Err(fault) => self.counter.record(fault.latency()),
         }
         r
     }
@@ -279,20 +264,20 @@ impl LatencyModel {
     }
 
     /// Sets jitter amplitude (fraction of base, uniform).
-    pub fn with_jitter(mut self, frac: f64, seed: u64) -> Self {
+    pub(crate) fn with_jitter(mut self, frac: f64, seed: u64) -> Self {
         self.jitter_frac = frac;
         self.seed = seed;
         self
     }
 
     /// Sets the fast path for empty answers.
-    pub fn with_empty_latency(mut self, secs: f64) -> Self {
+    pub(crate) fn with_empty_latency(mut self, secs: f64) -> Self {
         self.empty_latency = Some(secs);
         self
     }
 
     /// Enables the provider-side cache fast path.
-    pub fn with_server_cache(mut self, secs: f64) -> Self {
+    pub(crate) fn with_server_cache(mut self, secs: f64) -> Self {
         self.server_cache_latency = Some(secs);
         self
     }
@@ -320,12 +305,6 @@ impl LatencyModel {
         let r = (u >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
         (self.base * (1.0 + self.jitter_frac * r)).max(0.001)
     }
-
-    /// Forgets all previously seen inputs (fresh provider cache).
-    pub fn reset(&self) {
-        recover(self.seen.lock()).clear();
-        self.counter.store(0, Ordering::Relaxed);
-    }
 }
 
 #[inline]
@@ -342,7 +321,7 @@ mod tests {
     use super::*;
 
     /// A panic while the provider-cache state is held must not make
-    /// every later latency sample, clone or reset panic too.
+    /// every later latency sample or clone panic too.
     #[test]
     fn a_poisoned_latency_state_is_recovered() {
         let model = LatencyModel::fixed(1.0).with_server_cache(0.25);
@@ -363,20 +342,15 @@ mod tests {
             0.25,
             "the clone keeps what was seen"
         );
-        model.reset();
-        assert_eq!(model.sample(0, &key, 3), 1.0);
     }
 
     #[test]
-    fn counter_accumulates_and_resets() {
+    fn counter_accumulates() {
         let c = CallCounter::default();
-        c.record(5, 1.5);
-        c.record(0, 0.5);
+        c.record(1.5);
+        c.record(0.5);
         assert_eq!(c.calls(), 2);
-        assert_eq!(c.tuples(), 5);
         assert!((c.total_latency() - 2.0).abs() < 1e-9);
-        c.reset();
-        assert_eq!(c.calls(), 0);
     }
 
     #[test]
@@ -400,8 +374,6 @@ mod tests {
         assert_eq!(m.sample(0, &key, 5), 4.9, "first call full price");
         assert_eq!(m.sample(0, &key, 5), 0.25, "repeat call cached");
         assert_eq!(m.sample(0, &[Value::str("Porto")], 5), 4.9);
-        m.reset();
-        assert_eq!(m.sample(0, &key, 5), 4.9, "reset forgets");
     }
 
     #[test]

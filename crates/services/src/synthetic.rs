@@ -68,16 +68,6 @@ impl SyntheticSource {
             indexes,
         }
     }
-
-    /// Number of rows in the backing table.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Resets provider-side latency state (fresh run).
-    pub fn reset(&self) {
-        self.latency.reset();
-    }
 }
 
 impl Service for SyntheticSource {

@@ -13,14 +13,14 @@
 //! | access patterns (§2.1) | [`AccessPattern`](mdq_model::schema::AccessPattern) |
 //! | erspi ξ, proliferative/selective (§2.1) | [`ServiceProfile`](mdq_model::schema::ServiceProfile) |
 //! | bulk vs. chunked, chunk size (§2.1) | [`Chunking`](mdq_model::schema::Chunking) |
-//! | query plans as DAGs (§2.2) | [`Plan`](mdq_plan::dag::Plan), executed via [`compile_with`](mdq_exec::operator::compile_with) (shared subplans run once) |
+//! | query plans as DAGs (§2.2) | [`Plan`](mdq_plan::dag::Plan), executed via `mdq_exec::operator::compile_with` (crate-internal; shared subplans run once) |
 //! | "plan execution can be continued" (§2.2) | [`TopKExecution`](mdq_exec::topk::TopKExecution) |
 //! | query templates (§2.2) | [`QueryTemplate`](mdq_model::template::QueryTemplate), [`Mdq::prepare`](mdq_core::Mdq::prepare); on the serving side the plan resolver in [`mdq_runtime::plan_cache`] (one template → plan decision: LRU, single-flight optimize, failed memo) |
 //! | sum cost metric (§2.3) | [`SumCost`](mdq_cost::metrics::SumCost) |
 //! | request-response metric (§2.3) | [`RequestResponse`](mdq_cost::metrics::RequestResponse) |
 //! | execution time metric (§2.3) | [`ExecutionTime`](mdq_cost::metrics::ExecutionTime) |
 //! | bottleneck metric (§2.3, after \[16\]) | [`Bottleneck`](mdq_cost::metrics::Bottleneck) |
-//! | time-to-screen metric (§2.3) | [`TimeToScreen`](mdq_cost::metrics::TimeToScreen) |
+//! | time-to-screen metric (§2.3) | `mdq_cost::metrics::TimeToScreen` (crate-internal), one of [`all_metrics`](mdq_cost::metrics::all_metrics) |
 //! | three-phase optimization (§2.4, Fig. 1) | [`optimize`](mdq_optimizer::bnb::optimize) |
 //! | the running example (§2.5) | [`mdq_model::examples`], [`travel_world`](mdq_services::domains::travel::travel_world) |
 //!
@@ -47,8 +47,8 @@
 //! | Paper | Implementation |
 //! |---|---|
 //! | "bound is better", `⪰IO` (§4.1.1) | [`mdq_model::cogency`] |
-//! | pattern-space exploration (§4.1.2) | [`mdq_optimizer::phase1`] |
-//! | "selective and parallel are better" (§4.2.1) | [`selective_serial_topology`](mdq_optimizer::phase2::selective_serial_topology), [`max_parallel_topology`](mdq_optimizer::phase2::max_parallel_topology) |
+//! | pattern-space exploration (§4.1.2) | `mdq_optimizer::phase1` (crate-internal) |
+//! | "selective and parallel are better" (§4.2.1) | `mdq_optimizer::phase2::selective_serial` (crate-internal: the greedy chain phase 2 can seed its bound with), [`max_parallel_topology`](mdq_optimizer::phase2::max_parallel_topology) |
 //! | incremental DAG construction (§4.2.2) | [`enumerate_topologies`](mdq_plan::poset::enumerate_topologies); each partial lowered by [`lower`](mdq_plan::builder::lower) into the search's [`CostContext`](mdq_optimizer::context::CostContext) workspace and priced there |
 //! | the 19-plan space (Example 5.1) | [`all_topologies`](mdq_plan::poset::all_topologies), `tests/running_example.rs` |
 //! | "greedy" / "square is better" (§4.3.1) | [`FetchHeuristic`](mdq_optimizer::phase3::FetchHeuristic) |
@@ -60,7 +60,7 @@
 //! | Paper | Implementation |
 //! |---|---|
 //! | service registration / profiling (§5) | [`mdq_services::profiler`] |
-//! | execution environment (§5) | the [operator kernel](mdq_exec::operator): [`Invoke`](mdq_exec::operator::Invoke) / [`Join`](mdq_exec::operator::Join) / [`Filter`](mdq_exec::operator::Filter) / [`Select`](mdq_exec::operator::Select) over one [`ServiceGateway`](mdq_exec::gateway::ServiceGateway), built from the driver's [`ExecContext`](mdq_exec::ExecContext) (private cache setting or cross-query shared state, budget, tenant, frontier, re-planner) |
+//! | execution environment (§5) | the [operator kernel](mdq_exec::operator): [`Invoke`](mdq_exec::operator::Invoke) / [`Join`](mdq_exec::operator::Join) / `Filter` / `Select` (crate-internal) over one [`ServiceGateway`](mdq_exec::gateway::ServiceGateway), built from the driver's [`ExecContext`](mdq_exec::ExecContext) (private cache setting or cross-query shared state, budget, tenant, frontier, re-planner) |
 //! | "units of work" between operators (§5), batched | [`Operator::next_batch`](mdq_exec::operator::Operator::next_batch) over [`Batch`](mdq_exec::operator::Batch)es of `Arc`-shared [`Binding`](mdq_exec::binding::Binding)s; demand-exact, so §5's per-call pricing is unchanged at any batch size (`tests/executor_equivalence.rs`) |
 //! | multi-threading (§5) | [`StageModel::ParallelDispatch`](mdq_exec::pipeline::StageModel), in virtual time |
 //! | threads share §5.1 state without serializing on it | the sharded page cache + per-gateway [`accounting cells`](mdq_exec::gateway::SharedServiceState) — `crates/bench/benches/contention.rs` → `BENCH_contention.json` |
@@ -69,7 +69,7 @@
 //! | Eq. 1 (no-cache tout) / Eq. 2 (`N(n)` minimal contributors) (§5.2) | [`Estimator::facts`](mdq_cost::estimate::Estimator::facts) (once per query) + [`Estimator::prepare_from`](mdq_cost::estimate::Estimator::prepare_from) (carrier sets, σ products, once per plan) + [`PreparedPlan::evaluate`](mdq_cost::estimate::PreparedPlan::evaluate) (per fetch vector); [`Estimator::annotate`](mdq_cost::estimate::Estimator::annotate) is the one-shot form |
 //! | Eq. 3 (SCM) | [`SumCost`](mdq_cost::metrics::SumCost) |
 //! | Eq. 4 (ETM; see the monotonicity erratum) | [`ExecutionTime`](mdq_cost::metrics::ExecutionTime) |
-//! | Eq. 5/6/7 + n-ary closed forms (§5.3.1) | [`closed_form_single`](mdq_optimizer::phase3::closed_form_single), [`closed_form_pair`](mdq_optimizer::phase3::closed_form_pair), [`closed_form_sequential`](mdq_optimizer::phase3::closed_form_sequential), [`closed_form_n`](mdq_optimizer::phase3::closed_form_n) |
+//! | Eq. 6 closed form (§5.3.1) | [`closed_form_pair`](mdq_optimizer::phase3::closed_form_pair) |
 //!
 //! ## §6 — Experiments
 //!
@@ -135,9 +135,9 @@
 //! | Concept | Implementation |
 //! |---|---|
 //! | estimated profiles ξ/τ/φ (§5, Table 1) vs. live observations | [`ObservedService`](mdq_cost::divergence::ObservedService), exported by [`ServiceGateway::ledger`](mdq_exec::gateway::ServiceGateway::ledger) / [`SharedServiceState::observed_snapshot`](mdq_exec::gateway::SharedServiceState::observed_snapshot) |
-//! | when is the drift worth acting on | [`profile_divergence`](mdq_cost::divergence::profile_divergence), [`diverging_services`](mdq_cost::divergence::diverging_services) under an [`AdaptiveConfig`](mdq_cost::divergence::AdaptiveConfig) |
+//! | when is the drift worth acting on | [`diverging_services`](mdq_cost::divergence::diverging_services) under an [`AdaptiveConfig`](mdq_cost::divergence::AdaptiveConfig) |
 //! | §5 "periodic re-estimation", without a sampling pass | [`refresh_profiles`](mdq_cost::divergence::refresh_profiles), [`Mdq::seed_profiles_from_observed`](mdq_core::Mdq::seed_profiles_from_observed) |
-//! | re-optimizing the unexecuted suffix (patterns/order/fetches of executed stages frozen) | [`reoptimize_suffix`](mdq_optimizer::replan::reoptimize_suffix), [`optimize_fetches_pinned`](mdq_optimizer::phase3::optimize_fetches_pinned) |
+//! | re-optimizing the unexecuted suffix (patterns/order/fetches of executed stages frozen) | [`reoptimize_suffix_in`](mdq_optimizer::replan::reoptimize_suffix_in), pinning executed positions in `mdq_optimizer::phase3::optimize_fetches_pinned` (crate-internal) |
 //! | suspension points + plan splice in the drivers | a re-planner in [`ExecContext::adaptive`](mdq_exec::ExecContext::adaptive): [`pipeline::run`](mdq_exec::pipeline::run) suspends after every invoke stage, [`TopKExecution`](mdq_exec::topk::TopKExecution) between answers |
 //! | a re-plan never repeats a paid-for call | the §5.1 [`PageCache`](mdq_exec::cache::PageCache) replay across splices (`tests/adaptive_replan.rs`) |
 //! | the optimizer-backed re-planner | [`OptimizerReplanner`](mdq_core::OptimizerReplanner), [`Mdq::run_adaptive`](mdq_core::Mdq::run_adaptive) |
