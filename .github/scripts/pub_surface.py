@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """Fails when a library crate grows a `pub` item that no other crate names.
 
-    pub_surface.py [--all]
+    pub_surface.py
 
 Lists every named `pub` item (`fn`, `struct`, `enum`, `trait`, `type`,
-`const`, `static`, `mod`, `union`) declared under `crates/*/src` before
-its file's first top-level `#[cfg(test)]`, and searches every `.rs` file
+`const`, `static`, `mod`, `union`) declared under `crates/*/src` outside
+the items a top-level `#[cfg(test)]` annotates, and searches every `.rs` file
 of every *other* crate for its name as a whole word, comments stripped.
 An item that no other crate names should be `pub(crate)` or private, so
 that rustc's `dead_code` lint sees it. The script fails on any such item
 missing from the committed allow-list (`pub_surface.allow`, next to this
 script), and on any allow-list entry that no longer matches one, so the
-list only shrinks. `--all` prints the whole unnamed set, allowed or not.
+list only shrinks.
 
 Crate boundaries: each `crates/<name>/src` is one library crate, but
 every `crates/bench/src/bin/*` and `crates/bench/benches/*.rs` target is
@@ -49,6 +49,7 @@ ITEM = re.compile(
 )
 TEST_CFG = re.compile(r"^#\[cfg\(test\)\]")
 COMMENT = re.compile(r"//.*$")
+LITERAL = re.compile(r'"(?:\\.|[^"\\])*"|\'(?:\\.|[^\'\\])\'')
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 PUB_FN = re.compile(r"^\s*pub\s+(?:(?:async|unsafe|const|extern\s+\"C\")\s+)*fn\s+(\w+)")
 PUB_BLOCK = re.compile(r"^(\s*)pub\s+(struct|enum)\s+(\w+)")
@@ -80,11 +81,28 @@ def crate_of(path):
 
 
 def non_test_lines(text):
+    """`text`'s lines without the items a top-level `#[cfg(test)]`
+    annotates: each skipped item runs to its matching closing brace, or
+    to its `;` when no brace opens first."""
     lines = text.splitlines()
-    for i, line in enumerate(lines):
-        if TEST_CFG.match(line):
-            return lines[:i]
-    return lines
+    out = []
+    i = 0
+    while i < len(lines):
+        if not TEST_CFG.match(lines[i]):
+            out.append(lines[i])
+            i += 1
+            continue
+        i += 1
+        while i < len(lines) and lines[i].lstrip().startswith("#["):
+            i += 1
+        depth = 0
+        while i < len(lines):
+            line = LITERAL.sub('""', lines[i])
+            i += 1
+            depth += line.count("{") - line.count("}")
+            if depth == 0 and ("}" in line or ";" in line):
+                break
+    return out
 
 
 def signatures(lines):
@@ -121,7 +139,6 @@ def signatures(lines):
 
 
 def main():
-    show_all = "--all" in sys.argv[1:]
     sources = {}
     for top in ("crates", "src", "tests", "examples", "benchmark"):
         for path in rust_files(os.path.join(ROOT, top)):
@@ -174,9 +191,6 @@ def main():
             assert reason.strip(), f"pub_surface.allow:{n}: {key} gives no reason"
             allowed[key] = reason.strip()
 
-    if show_all:
-        for key, kind in sorted(unnamed.items()):
-            print(f"{kind:6} {key}{'  (allowed)' if key in allowed else ''}")
     new = sorted(k for k in unnamed if k not in allowed)
     stale = sorted(k for k in allowed if k not in unnamed)
     for key in new:

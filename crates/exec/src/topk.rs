@@ -228,7 +228,6 @@ impl<'a> TopKExecution<'a> {
     /// invocations came through an epoch unchanged. With a re-planner in
     /// `ctx.adaptive` the execution runs its own chain and checks for
     /// divergence between answers.
-    ///
     pub fn start(
         plan: &Plan,
         schema: &'a Schema,

@@ -142,7 +142,7 @@ impl Date {
 
     /// Parses `YYYY/MM/DD` or `YYYY-MM-DD` (months/days may omit the
     /// leading zero, as in the paper's `'2007/3/14'`). Years beyond
-    /// ±1 000 000 are not dates: their day count would overflow.
+    /// ±`MAX_YEAR` are not dates: their day count would overflow.
     pub fn parse(s: &str) -> Option<Self> {
         let sep = if s.contains('/') { '/' } else { '-' };
         let mut it = s.split(sep);

@@ -1208,6 +1208,15 @@ impl NetClient {
         }
     }
 
+    /// Liveness probe.
+    pub fn ping(&mut self) -> io::Result<()> {
+        self.send(&ClientFrame::Ping)?;
+        match self.read_frame()? {
+            ServerFrame::Pong => Ok(()),
+            other => Err(protocol_error(&other)),
+        }
+    }
+
     /// Submits one query and drains its stream. IO errors are `Err`;
     /// everything the protocol can say (done, shed, failed, draining)
     /// is a [`QueryOutcome`].
@@ -1307,6 +1316,16 @@ impl NetClient {
         }
     }
 
+    /// Deregisters a standing query.
+    pub fn unsubscribe(&mut self, id: u64) -> io::Result<()> {
+        self.send(&ClientFrame::Unsubscribe { id })?;
+        match self.read_frame()? {
+            ServerFrame::Unsubscribed { id: got } if got == id => Ok(()),
+            ServerFrame::Err { reason } => Err(io::Error::new(io::ErrorKind::InvalidInput, reason)),
+            other => Err(protocol_error(&other)),
+        }
+    }
+
     /// Closes the connection politely (waits for `BYE`).
     pub fn quit(mut self) -> io::Result<()> {
         self.send(&ClientFrame::Quit)?;
@@ -1326,28 +1345,6 @@ fn protocol_error(frame: &ServerFrame) -> io::Error {
         io::ErrorKind::InvalidData,
         format!("unexpected frame {frame:?}"),
     )
-}
-
-#[cfg(test)]
-impl NetClient {
-    /// Liveness probe.
-    fn ping(&mut self) -> io::Result<()> {
-        self.send(&ClientFrame::Ping)?;
-        match self.read_frame()? {
-            ServerFrame::Pong => Ok(()),
-            other => Err(protocol_error(&other)),
-        }
-    }
-
-    /// Deregisters a standing query.
-    fn unsubscribe(&mut self, id: u64) -> io::Result<()> {
-        self.send(&ClientFrame::Unsubscribe { id })?;
-        match self.read_frame()? {
-            ServerFrame::Unsubscribed { id: got } if got == id => Ok(()),
-            ServerFrame::Err { reason } => Err(io::Error::new(io::ErrorKind::InvalidInput, reason)),
-            other => Err(protocol_error(&other)),
-        }
-    }
 }
 
 #[cfg(test)]
