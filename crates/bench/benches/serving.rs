@@ -18,6 +18,14 @@
 //! each stage (parse, fingerprint, execution start, five pulls, five
 //! answer frames) and of the whole op submitted in process, counted by
 //! this target's global allocator. CI holds those gauges `at-most`.
+//!
+//! The pressure op is the benchmark's `cache_pressure` query in
+//! process: a planned travel template asking k = 20 under a budget no
+//! 20 trips fit, over a 32-entry page cache the 16 templates' working set
+//! overflows, so every op evicts, misses and forwards through the
+//! gateway's miss path. Single-threaded, the evictions and the calls are
+//! the same run to run; its allocations per op are a gauge CI holds
+//! `at-most` too.
 
 use mdq_bench::harness::{allocated, count_allocations, Bench, CountingAlloc};
 use mdq_core::Mdq;
@@ -58,6 +66,22 @@ const WARM_QUERY: &str = "q(Conf, City, HPrice, FPrice, Hotel) :- \
 const WARM_K: u64 = 5;
 /// In-process warm ops whose allocation counts the median is taken over.
 const WARM_OPS: usize = 1000;
+
+/// Answers a pressure op asks for, and its page-cache bound in
+/// invocation keys (the benchmark's `cache_pressure` settings).
+const PRESSURE_K: u64 = 20;
+const PRESSURE_ENTRIES: usize = 32;
+/// The pressure templates: two temperature thresholds × eight budgets.
+const PRESSURE_TEMPLATES: usize = 16;
+
+/// The `i`-th pressure template: `WARM_QUERY` with a budget below the
+/// 20th cheapest trip, so each op pulls the whole frontier.
+fn pressure_query(i: usize) -> String {
+    let (temp, budget) = (28 + i % 2, 505.5 + 10.0 * (i / 2) as f64);
+    WARM_QUERY
+        .replace("Temp >= 28", &format!("Temp >= {temp}"))
+        .replace("1000.5", &format!("{budget:?}"))
+}
 
 fn travel_engine() -> Mdq {
     let w = travel_world(2008);
@@ -201,6 +225,65 @@ fn warm_op_in_process(bench: &Bench) {
     );
 }
 
+/// The pressure op, single-threaded over a shared state configured as
+/// `QueryServer` configures its own but with a 32-entry page cache:
+/// its wall time over the 16 templates in turn, and the allocations of
+/// one such cycle per op, after a cycle that filled the cache.
+fn pressure_op(bench: &Bench) {
+    let engine = travel_engine();
+    let config = RuntimeConfig::default();
+    let shared = Arc::new(
+        SharedServiceState::new(config.cache, config.per_service_concurrency)
+            .with_retry(config.retry)
+            .with_page_capacity(PRESSURE_ENTRIES)
+            .with_sub_results(config.sub_results),
+    );
+    let plans: Vec<_> = (0..PRESSURE_TEMPLATES)
+        .map(|i| {
+            let query = engine.parse(&pressure_query(i)).expect("parses");
+            let config = OptimizerConfig {
+                k: PRESSURE_K,
+                cache: config.cache,
+                ..OptimizerConfig::default()
+            };
+            let best = engine.optimize(query, &ExecutionTime, config);
+            best.expect("optimizes").candidate.plan
+        })
+        .collect();
+    let op = |i: usize| {
+        let mut exec = TopKExecution::start(
+            &plans[i % PRESSURE_TEMPLATES],
+            engine.schema(),
+            engine.registry(),
+            ExecContext {
+                budget: config.call_budget,
+                tenant: Some(DEFAULT_TENANT),
+                ..ExecContext::shared(Arc::clone(&shared))
+            },
+        )
+        .expect("the plan starts");
+        (0..PRESSURE_K).map_while(|_| exec.next_answer()).count()
+    };
+    for i in 0..PRESSURE_TEMPLATES {
+        op(i);
+    }
+    let calls = shared.total_calls();
+    let (_, allocations, _) = count_allocations(|| (0..PRESSURE_TEMPLATES).map(op).sum::<usize>());
+    let calls = (shared.total_calls() - calls) / PRESSURE_TEMPLATES as u64;
+    assert!(calls > 0, "every pressure op forwards calls");
+    bench.gauge(
+        "serving/pressure-op/allocations",
+        allocations / PRESSURE_TEMPLATES as u64,
+        "allocations",
+    );
+    bench.gauge("serving/pressure-op/calls", calls, "calls");
+    let mut next = 0;
+    bench.measure("serving/pressure-op/in-process", || {
+        next += 1;
+        op(next)
+    });
+}
+
 /// Drains `n` queries through one TCP connection; answers counted.
 fn drive_tcp(client: &mut NetClient, n: usize) -> usize {
     (0..n)
@@ -225,6 +308,7 @@ fn main() {
 
     warm_op_stages(&bench);
     warm_op_in_process(&bench);
+    pressure_op(&bench);
 
     // the in-process baseline: same warm server, no wire
     let local = QueryServer::from_world(news_world(), RuntimeConfig::default());

@@ -29,6 +29,20 @@ pub mod metrics;
 pub mod selectivity;
 pub mod shared;
 
+/// Convenient glob-import surface: `use mdq_cost::prelude::*;`.
+pub mod prelude {
+    pub use crate::divergence::{
+        diverging_services, refresh_profiles, AdaptiveConfig, ObservedService, ServiceDivergence,
+    };
+    pub use crate::estimate::{Annotation, CacheSetting, Estimator, PreparedPlan, QueryFacts};
+    pub use crate::explain::{explain, explain_analyze};
+    pub use crate::metrics::{
+        all_metrics, Bottleneck, CostMetric, ExecutionTime, RequestResponse, SumCost,
+    };
+    pub use crate::selectivity::SelectivityModel;
+    pub use crate::shared::{discount_materialized, SharedWorkOracle};
+}
+
 #[cfg(test)]
 pub(crate) mod test_fixtures {
     //! Shared fixtures: the running example and its canonical posets.
@@ -73,18 +87,4 @@ pub(crate) mod test_fixtures {
         )
         .expect("fig7a poset is acyclic")
     }
-}
-
-/// Convenient glob-import surface: `use mdq_cost::prelude::*;`.
-pub mod prelude {
-    pub use crate::divergence::{
-        diverging_services, refresh_profiles, AdaptiveConfig, ObservedService, ServiceDivergence,
-    };
-    pub use crate::estimate::{Annotation, CacheSetting, Estimator, PreparedPlan, QueryFacts};
-    pub use crate::explain::{explain, explain_analyze};
-    pub use crate::metrics::{
-        all_metrics, Bottleneck, CostMetric, ExecutionTime, RequestResponse, SumCost,
-    };
-    pub use crate::selectivity::SelectivityModel;
-    pub use crate::shared::{discount_materialized, SharedWorkOracle};
 }

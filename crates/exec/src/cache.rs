@@ -12,18 +12,23 @@
 //! consults a [`PageCache`] before forwarding any page request, and every
 //! executor drives its service calls through that gateway.
 //!
-//! A probe costs a hash of the borrowed key and a reference-count bump:
-//! invocations are filed per service under their owned key, and a
-//! cached [`Page`] is handed out shared. Those per-service maps index
-//! into one `Lru`, so a bounded *optimal* cache evicts exactly and
-//! globally, skipping pinned invocations without a scan.
+//! A probe costs one keyed hash of the borrowed key and a
+//! reference-count bump: *optimal* invocations are filed under a hash
+//! the cache computes once per `Probe` with keys of its own (so a
+//! client choosing constants cannot aim collisions at it), the maps
+//! pass that hash through, and a cached [`Page`] is handed out shared.
+//! The map indexes into one `Lru`, so a bounded *optimal* cache evicts
+//! exactly and globally, skipping pinned invocations without a scan,
+//! and removes its victim by the victim's stored hash.
 
 use crate::joins::mix;
 use crate::store::Lru;
 use mdq_model::schema::ServiceId;
 use mdq_model::value::{Tuple, Value};
+use std::borrow::Borrow;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 /// An unkeyed hasher that folds its input a word at a time, for keys no
@@ -59,8 +64,91 @@ impl Hasher for WordHasher {
     }
 }
 
-/// A map keyed by service id.
-type ByService<V> = HashMap<ServiceId, V, BuildHasherDefault<WordHasher>>;
+/// Passes a hash computed beforehand through: the *optimal* map's keys
+/// hash as the one `u64` their cache computed for them.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn write(&mut self, bytes: &[u8]) {
+        // only a `u64` is ever written; fold anything else, not drop it
+        self.0 = bytes.iter().fold(self.0, |h, &b| mix(h, b.into()));
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// An invocation `(service, key)` hashed once under one cache's keys, by
+/// [`PageCache::probe`]: every lookup and store of it in that cache
+/// reuses the hash. Meaningless to any other cache.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Probe<'k> {
+    hash: u64,
+    service: ServiceId,
+    key: &'k [Value],
+}
+
+/// An *optimal* invocation as filed: its hash, its service, and its key,
+/// shared with the recency order (and with the claim that fetched it).
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Filed {
+    hash: u64,
+    service: ServiceId,
+    key: Arc<[Value]>,
+}
+
+/// An invocation's identity, filed ([`Filed`]) or borrowed by a
+/// [`Probe`], so a lookup builds no owned key.
+trait Invocation {
+    fn parts(&self) -> (u64, ServiceId, &[Value]);
+}
+
+impl Invocation for Filed {
+    fn parts(&self) -> (u64, ServiceId, &[Value]) {
+        (self.hash, self.service, &self.key)
+    }
+}
+
+impl Invocation for Probe<'_> {
+    fn parts(&self) -> (u64, ServiceId, &[Value]) {
+        (self.hash, self.service, self.key)
+    }
+}
+
+impl<'a> Borrow<dyn Invocation + 'a> for Filed {
+    fn borrow(&self) -> &(dyn Invocation + 'a) {
+        self
+    }
+}
+
+// both forms hash as their stored hash, so the map rehashes nothing
+impl Hash for dyn Invocation + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.parts().0);
+    }
+}
+
+impl PartialEq for dyn Invocation + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn Invocation + '_ {}
+
+impl Hash for Filed {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self as &dyn Invocation).hash(state);
+    }
+}
+
+/// What a store displaced — an evicted or replaced invocation's key and
+/// pages — handed back so the caller can drop it outside its lock.
+pub(crate) type Evicted = (Arc<[Value]>, PageStore);
 
 pub use mdq_cost::estimate::CacheSetting;
 
@@ -100,7 +188,7 @@ impl FromIterator<Page> for Vec<Vec<Tuple>> {
 
 /// The pages previously fetched for one invocation key.
 #[derive(Clone, Debug, Default)]
-struct PageStore {
+pub(crate) struct PageStore {
     /// Fetched pages, in page order.
     pub pages: Vec<Page>,
     /// Whether the service reported no further pages after the last one.
@@ -142,13 +230,15 @@ pub struct PageCache {
     /// Max distinct invocation keys held (`usize::MAX` = unbounded, the
     /// paper's idealised optimal cache; `0` disables caching entirely).
     capacity: usize,
-    one_call: HashMap<ServiceId, (Vec<Value>, PageStore)>,
-    /// Per service, so a probe looks the borrowed key up as it is, with
-    /// the entry's slot in `order`.
-    optimal: ByService<HashMap<Arc<[Value]>, Resident>>,
+    one_call: HashMap<ServiceId, (Arc<[Value]>, PageStore)>,
+    /// The *optimal* invocations under their hash, with the entry's slot
+    /// in `order`.
+    optimal: HashMap<Filed, Resident, BuildHasherDefault<Prehashed>>,
+    /// The keys every [`Probe`] of this cache is hashed with.
+    keys: RandomState,
     /// Recency of the *optimal* invocations; a lookup touches it only
     /// while the cache is bounded (an unbounded one never evicts).
-    order: Lru<(ServiceId, Arc<[Value]>)>,
+    order: Lru<Filed>,
     evictions: u64,
     /// Refcounted pins held by live subscription frontiers: a pinned
     /// invocation is never evicted (bounded LRU) nor invalidated — the
@@ -182,7 +272,8 @@ impl PageCache {
             setting,
             capacity,
             one_call: HashMap::new(),
-            optimal: ByService::default(),
+            optimal: HashMap::default(),
+            keys: RandomState::new(),
             order: Lru::default(),
             evictions: 0,
             pins: HashMap::new(),
@@ -205,7 +296,17 @@ impl PageCache {
         }
     }
 
-    fn store_of(&mut self, service: ServiceId, key: &[Value]) -> Option<&PageStore> {
+    /// Hashes `(service, key)` once for every lookup and store of it in
+    /// this cache (only the *optimal* setting files by hash).
+    pub(crate) fn probe<'k>(&self, service: ServiceId, key: &'k [Value]) -> Probe<'k> {
+        let hash = match self.setting {
+            CacheSetting::Optimal if self.capacity != 0 => self.keys.hash_one((service, key)),
+            _ => 0,
+        };
+        Probe { hash, service, key }
+    }
+
+    fn store_of(&mut self, at: Probe<'_>) -> Option<&PageStore> {
         if self.capacity == 0 {
             return None;
         }
@@ -213,13 +314,13 @@ impl PageCache {
             CacheSetting::NoCache => None,
             CacheSetting::OneCall => self
                 .one_call
-                .get(&service)
-                .filter(|(k, _)| k.as_slice() == key)
+                .get(&at.service)
+                .filter(|(k, _)| **k == *at.key)
                 .map(|(_, s)| s),
             CacheSetting::Optimal => {
-                let (store, at) = self.optimal.get(&service)?.get(key)?;
+                let (store, slot) = self.optimal.get(&at as &dyn Invocation)?;
                 if self.capacity != usize::MAX {
-                    self.order.touch(*at);
+                    self.order.touch(*slot);
                 }
                 Some(store)
             }
@@ -229,7 +330,12 @@ impl PageCache {
     /// Probes the cache for page `page` of an invocation (refreshing
     /// the invocation's LRU recency under a bounded *optimal* setting).
     pub fn lookup(&mut self, service: ServiceId, key: &[Value], page: u32) -> PageLookup {
-        let Some(store) = self.store_of(service, key) else {
+        self.lookup_at(self.probe(service, key), page)
+    }
+
+    /// [`PageCache::lookup`] of an invocation this cache has hashed.
+    pub(crate) fn lookup_at(&mut self, at: Probe<'_>, page: u32) -> PageLookup {
+        let Some(store) = self.store_of(at) else {
             return PageLookup::Unknown;
         };
         let p = page as usize;
@@ -258,42 +364,53 @@ impl PageCache {
         tuples: impl Into<Page>,
         has_more: bool,
     ) {
+        let at = self.probe(service, key);
+        self.store_at(at, || Arc::from(key), page, tuples, has_more);
+    }
+
+    /// [`PageCache::store`] of an invocation this cache has hashed;
+    /// `owned` gives the key a new entry is filed under. Returns what
+    /// the store displaced, for the caller to drop once it has unlocked.
+    pub(crate) fn store_at(
+        &mut self,
+        at: Probe<'_>,
+        owned: impl FnOnce() -> Arc<[Value]>,
+        page: u32,
+        tuples: impl Into<Page>,
+        has_more: bool,
+    ) -> Option<Evicted> {
         if self.capacity == 0 {
-            return;
+            return None;
         }
+        let mut evicted = None;
         let store = match self.setting {
-            CacheSetting::NoCache => return,
+            CacheSetting::NoCache => return None,
             CacheSetting::OneCall => {
-                if let Some((resident, _)) = self.one_call.get(&service) {
-                    if resident.as_slice() != key && self.is_pinned(service, resident) {
+                let resident = self.one_call.get(&at.service);
+                if let Some((resident, _)) = resident.filter(|(k, _)| **k != *at.key) {
+                    if self.is_pinned(at.service, resident) || page != 0 {
                         // a live subscription frontier pins the resident
-                        // key: drop the new store instead of replacing
-                        return;
-                    }
-                }
-                let entry = self
-                    .one_call
-                    .entry(service)
-                    .or_insert_with(|| (key.to_vec(), PageStore::default()));
-                if entry.0.as_slice() != key {
-                    if page != 0 {
-                        // mid-stream for a new key: keep the old entry
-                        // rather than caching a stream with a hole
-                        return;
+                        // key, or the new key is mid-stream (caching it
+                        // would leave a hole): keep the old entry
+                        return None;
                     }
                     // the one-call cache replaces its per-service entry
-                    *entry = (key.to_vec(), PageStore::default());
                     self.evictions += 1;
+                    evicted = self.one_call.remove(&at.service);
                 }
-                &mut entry.1
+                let entry = self.one_call.entry(at.service);
+                &mut entry.or_insert_with(|| (owned(), PageStore::default())).1
             }
-            CacheSetting::Optimal => match self.resident(service, key) {
-                Some(store) => store,
-                None => return,
-            },
+            CacheSetting::Optimal => {
+                evicted = self.make_resident(at, owned);
+                match self.optimal.get_mut(&at as &dyn Invocation) {
+                    Some((store, _)) => store,
+                    None => return evicted,
+                }
+            }
         };
         if (page as usize) > store.pages.len() {
-            return; // non-contiguous: drop instead of padding with holes
+            return evicted; // non-contiguous: drop instead of padding with holes
         }
         if store.pages.len() == page as usize {
             store.pages.push(tuples.into());
@@ -301,25 +418,34 @@ impl PageCache {
         if !has_more {
             store.exhausted = true;
         }
+        evicted
     }
 
-    /// The *optimal* entry of `(service, key)`, just used — made room
-    /// for (pin-aware LRU eviction at the capacity bound) and created
-    /// when the invocation is not resident.
-    fn resident(&mut self, service: ServiceId, key: &[Value]) -> Option<&mut PageStore> {
-        match self.optimal.get(&service).and_then(|keys| keys.get(key)) {
-            Some(&(_, at)) => self.order.touch(at),
-            None => {
-                if self.order.len() >= self.capacity {
-                    self.evict_unpinned();
-                }
-                let key = Arc::<[Value]>::from(key);
-                let at = self.order.push((service, Arc::clone(&key)));
-                let keys = self.optimal.entry(service).or_default();
-                keys.insert(key, (PageStore::default(), at));
-            }
+    /// Makes the *optimal* invocation `at` the most recently used, filing
+    /// it under `owned` (after pin-aware LRU eviction at the capacity
+    /// bound) when it is not resident; returns what was evicted.
+    fn make_resident(
+        &mut self,
+        at: Probe<'_>,
+        owned: impl FnOnce() -> Arc<[Value]>,
+    ) -> Option<Evicted> {
+        if let Some(&(_, slot)) = self.optimal.get(&at as &dyn Invocation) {
+            self.order.touch(slot);
+            return None;
         }
-        Some(&mut self.optimal.get_mut(&service)?.get_mut(key)?.0)
+        let evicted = if self.order.len() >= self.capacity {
+            self.evict_unpinned()
+        } else {
+            None
+        };
+        let filed = Filed {
+            hash: at.hash,
+            service: at.service,
+            key: owned(),
+        };
+        let slot = self.order.push(filed.clone());
+        self.optimal.insert(filed, (PageStore::default(), slot));
+        evicted
     }
 
     /// Evicts the least-recently-used *unpinned* invocation (bounded
@@ -327,14 +453,12 @@ impl PageCache {
     /// live subscription frontier, nothing is evicted — the cache
     /// temporarily exceeds its capacity rather than tearing pages out
     /// from under a standing query's delta computation.
-    fn evict_unpinned(&mut self) {
+    fn evict_unpinned(&mut self) -> Option<Evicted> {
         let pins = &self.pins;
-        if let Some((service, key)) = self.order.evict(|(s, k)| pinned(pins, *s, k)) {
-            if let Some(keys) = self.optimal.get_mut(&service) {
-                keys.remove(&key);
-            }
-            self.evictions += 1;
-        }
+        let victim = self.order.evict(|f| pinned(pins, f.service, &f.key))?;
+        self.evictions += 1;
+        let (pages, _) = self.optimal.remove(&victim)?;
+        Some((victim.key, pages))
     }
 
     /// Takes one pin on an invocation (refcounted). Pinned invocations
@@ -389,9 +513,12 @@ impl PageCache {
             CacheSetting::OneCall => self
                 .one_call
                 .get(&service)
-                .filter(|(k, _)| k.as_slice() == key)
+                .filter(|(k, _)| **k == *key)
                 .map(|(_, s)| s),
-            CacheSetting::Optimal => self.optimal.get(&service)?.get(key).map(|(s, _)| s),
+            CacheSetting::Optimal => {
+                let at = self.probe(service, key);
+                self.optimal.get(&at as &dyn Invocation).map(|(s, _)| s)
+            }
         }?;
         Some((store.pages.iter().cloned().collect(), store.exhausted))
     }
@@ -411,7 +538,9 @@ impl PageCache {
         if self.capacity == 0 || self.setting != CacheSetting::Optimal {
             return;
         }
-        if let Some(store) = self.resident(service, key) {
+        let at = self.probe(service, key);
+        self.make_resident(at, || Arc::from(key));
+        if let Some((store, _)) = self.optimal.get_mut(&at as &dyn Invocation) {
             *store = PageStore {
                 pages: pages.into_iter().map(Page::from).collect(),
                 exhausted,
@@ -436,15 +565,13 @@ impl PageCache {
                 .retain(|service, (key, _)| pinned(pins, *service, key)),
             CacheSetting::Optimal => {
                 let order = &mut self.order;
-                for (service, keys) in &mut self.optimal {
-                    keys.retain(|key, (_, at)| {
-                        let keep = pinned(pins, *service, key);
-                        if !keep {
-                            order.remove(*at);
-                        }
-                        keep
-                    });
-                }
+                self.optimal.retain(|filed, (_, slot)| {
+                    let keep = pinned(pins, filed.service, &filed.key);
+                    if !keep {
+                        order.remove(*slot);
+                    }
+                    keep
+                });
             }
         }
         before - self.entries()

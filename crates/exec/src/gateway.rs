@@ -25,9 +25,13 @@
 //! * the §5.1 [`PageCache`] is split into independently locked *shards*
 //!   routed by `(service, input-key)` hash; a page's claims and its
 //!   failure memo live with its shard, so two queries touching different
-//!   invocations never contend;
-//! * the per-service concurrency limit has its own flow-control lock,
-//!   held only to acquire or release a slot — never across a fetch;
+//!   invocations never contend, and a miss takes its shard lock twice —
+//!   once to probe and claim, once to publish;
+//! * the per-service concurrency limit is an in-flight atomic per
+//!   service: a slot is one compare-and-swap, taken under the shard
+//!   lock, and released by one decrement; only a miss at the limit
+//!   parks, on the flow control's own lock, and never while it holds a
+//!   shard lock;
 //! * the sub-result store (materialized invoke prefixes under an LRU
 //!   bound and per-tenant quotas) has its own lock;
 //! * accounting is **one ledger per execution** (`crate::accounting`),
@@ -63,12 +67,12 @@ use mdq_services::refresh::InvocationKey;
 use mdq_services::registry::ServiceRegistry;
 use mdq_services::service::{Service, ServiceFault};
 use std::borrow::Borrow;
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Bounded-retry policy for faulted service calls.
 ///
@@ -247,20 +251,88 @@ impl PageFetch {
     }
 }
 
-/// A held per-service concurrency slot. Dropping it releases the slot
-/// and wakes limit waiters, if any wait.
+/// The per-service concurrency limit. Each service's in-flight count is
+/// an atomic a miss takes a slot from by compare-and-swap, under its
+/// shard lock and with no lock of its own; only a miss that finds its
+/// service at the limit drops the shard lock and parks on `freed`.
+///
+/// No wake-up is lost. A parker registers in `parked`, then re-reads the
+/// count, both under `park`, and waits on `freed`, which releases `park`
+/// atomically; a releaser decrements the count, then reads `parked`,
+/// and takes `park` before notifying. All four accesses are `SeqCst`,
+/// so in their single total order either the parker's read follows the
+/// decrement — and it takes the freed slot — or its registration
+/// precedes the releaser's read of `parked` — and the releaser's lock
+/// of `park` waits until the parker is waiting, so the notify reaches
+/// it.
+struct Flow {
+    /// Max request-responses in flight per service; `0` = unlimited.
+    limit: usize,
+    /// Each service's in-flight count, made on first use; a gateway
+    /// looks its services' counts up once, on their first miss.
+    counts: Mutex<HashMap<ServiceId, Arc<AtomicUsize>>>,
+    /// Threads parked for a slot, of any service.
+    parked: AtomicUsize,
+    park: Mutex<()>,
+    freed: Condvar,
+}
+
+impl Flow {
+    fn new(limit: usize) -> Self {
+        Flow {
+            limit,
+            counts: Mutex::new(HashMap::new()),
+            parked: AtomicUsize::new(0),
+            park: Mutex::new(()),
+            freed: Condvar::new(),
+        }
+    }
+
+    /// The in-flight count of `id`.
+    fn count(&self, id: ServiceId) -> Arc<AtomicUsize> {
+        Arc::clone(recover(self.counts.lock()).entry(id).or_default())
+    }
+
+    /// A slot of the service counted by `count`, if one is free.
+    fn try_take<'a>(&'a self, count: &'a AtomicUsize) -> Option<FlowSlot<'a>> {
+        count
+            .fetch_update(AtomicOrdering::SeqCst, AtomicOrdering::SeqCst, |n| {
+                (n < self.limit).then_some(n + 1)
+            })
+            .ok()?;
+        Some(FlowSlot { flow: self, count })
+    }
+
+    /// Blocks until a slot of the service counted by `count` is free,
+    /// then takes it. The caller holds no shard lock.
+    fn park<'a>(&'a self, count: &'a AtomicUsize) -> FlowSlot<'a> {
+        let mut parked = recover(self.park.lock());
+        self.parked.fetch_add(1, AtomicOrdering::SeqCst);
+        let slot = loop {
+            if let Some(slot) = self.try_take(count) {
+                break slot;
+            }
+            parked = recover(self.freed.wait(parked));
+        };
+        self.parked.fetch_sub(1, AtomicOrdering::SeqCst);
+        slot
+    }
+}
+
+/// A held per-service concurrency slot. Dropping it releases the slot —
+/// one decrement — and wakes the parked threads, if any park.
 struct FlowSlot<'a> {
-    shared: &'a SharedServiceState,
-    id: ServiceId,
+    flow: &'a Flow,
+    count: &'a AtomicUsize,
 }
 
 impl Drop for FlowSlot<'_> {
     fn drop(&mut self) {
-        self.shared.flow.update(|in_flight| {
-            if let Some(n) = in_flight.get_mut(&self.id) {
-                *n = n.saturating_sub(1);
-            }
-        });
+        self.count.fetch_sub(1, AtomicOrdering::SeqCst);
+        if self.flow.parked.load(AtomicOrdering::SeqCst) > 0 {
+            drop(recover(self.flow.park.lock()));
+            self.flow.freed.notify_all();
+        }
     }
 }
 
@@ -271,9 +343,10 @@ impl Drop for FlowSlot<'_> {
 const PAGE_SHARDS: usize = 8;
 
 /// One page of one invocation, owned: the key a shard files its
-/// single-flight claims and its failure memo under.
+/// single-flight claims and its failure memo under. Its input key is
+/// the one copy a miss makes, shared with the cache entry it stores.
 #[derive(PartialEq, Eq, Hash)]
-struct PageKey(ServiceId, Vec<Value>, u32);
+struct PageKey(ServiceId, Arc<[Value]>, u32);
 
 /// A page's identity, owned ([`PageKey`]) or borrowed from a probe, so
 /// probing the claims and the failure memo clones no key.
@@ -299,7 +372,7 @@ impl<'a> Borrow<dyn PageId + 'a> for PageKey {
     }
 }
 
-// hashes exactly as `PageKey`'s derived `Hash`: a `Vec` hashes as its slice
+// hashes exactly as `PageKey`'s derived `Hash`: an `Arc` hashes as its slice
 impl Hash for dyn PageId + '_ {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.parts().hash(state);
@@ -680,9 +753,9 @@ pub struct SharedServiceState {
     /// Independently locked page-serving partitions, routed by
     /// `(service, input-key)` hash.
     shards: Box<[PageShard]>,
-    /// Request-responses in flight per service, consulted only when
-    /// `per_service_limit > 0`; never held across a fetch.
-    flow: Guarded<HashMap<ServiceId, usize>>,
+    /// The per-service concurrency limit; no lock of it is held across
+    /// a fetch.
+    flow: Flow,
     /// The signature-keyed sub-result store, behind its own lock.
     sub: SubResults,
     /// Per-tenant budget/usage cells, resolved once per gateway — the
@@ -691,8 +764,6 @@ pub struct SharedServiceState {
     /// Merge-on-read cumulative accounting (see [`crate::accounting`]).
     acct: Accounting,
     setting: CacheSetting,
-    /// Max request-responses in flight per service; `0` = unlimited.
-    per_service_limit: usize,
     /// Retry policy applied when a service has no override.
     retry: RetryPolicy,
     /// Per-service retry-policy overrides (immutable after build).
@@ -720,7 +791,7 @@ impl std::fmt::Debug for SharedServiceState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedServiceState")
             .field("setting", &self.setting)
-            .field("per_service_limit", &self.per_service_limit)
+            .field("per_service_limit", &self.flow.limit)
             .field("shards", &self.shards.len())
             .field("ledger", &self.ledger())
             .finish()
@@ -735,12 +806,11 @@ impl SharedServiceState {
     pub fn new(setting: CacheSetting, per_service_limit: usize) -> Self {
         SharedServiceState {
             shards: build_shards(setting, usize::MAX),
-            flow: Guarded::new(HashMap::new()),
+            flow: Flow::new(per_service_limit),
             sub: SubResults::new(0),
             tenants: Mutex::new(HashMap::new()),
             acct: Accounting::default(),
             setting,
-            per_service_limit,
             retry: RetryPolicy::default(),
             retry_overrides: HashMap::new(),
             trace: Mutex::new(None),
@@ -818,16 +888,6 @@ impl SharedServiceState {
             key.hash(&mut h);
         }
         &self.shards[(h.finish() % self.shards.len() as u64) as usize]
-    }
-
-    /// Blocks until a concurrency slot for `id` is free, then claims it.
-    fn acquire_slot(&self, id: ServiceId) -> FlowSlot<'_> {
-        let mut flow = self.flow.lock();
-        while flow.get(&id).copied().unwrap_or(0) >= self.per_service_limit {
-            flow = self.flow.wait(flow);
-        }
-        *flow.entry(id).or_insert(0) += 1;
-        FlowSlot { shared: self, id }
     }
 
     /// One snapshot of the cumulative call ledger: the retired totals
@@ -1007,7 +1067,7 @@ impl SharedServiceState {
     ) {
         let mut inner = self.shard(id, key).lock();
         inner.cache.replace(id, key, pages, exhausted);
-        inner.failed.retain(|k| !(k.0 == id && k.1 == key));
+        inner.failed.retain(|k| !(k.0 == id && *k.1 == *key));
     }
 
     /// Drops every *unpinned* cached invocation across all shards,
@@ -1058,7 +1118,8 @@ impl SharedWorkOracle for SharedServiceState {
 /// execution's ledger cell — `total_calls`, `calls_to`, `total_latency`
 /// and `ledger` read it, the shared state merges it.
 pub struct ServiceGateway {
-    services: HashMap<ServiceId, Arc<dyn Service>>,
+    /// The plan's services: a handful, found by a scan.
+    services: Vec<Provider>,
     shared: Arc<SharedServiceState>,
     /// This execution's ledger, registered with the shared state and
     /// retired into its totals on drop.
@@ -1087,10 +1148,37 @@ pub struct ServiceGateway {
     frontier: Option<InvocationFrontier>,
 }
 
+/// A service of the plan, with its in-flight count under the
+/// per-service concurrency limit, looked up on the service's first miss
+/// (so a query served from the cache never looks it up).
+struct Provider {
+    id: ServiceId,
+    service: Arc<dyn Service>,
+    in_flight: OnceCell<Arc<AtomicUsize>>,
+}
+
+/// The plan's service `id`.
+fn provider(services: &[Provider], id: ServiceId) -> &Provider {
+    services
+        .iter()
+        .find(|p| p.id == id)
+        .expect("gateway resolved all plan services at construction")
+}
+
+/// The fetch-side stats slot of node `active`, if one is set —
+/// free-standing, so the miss path can book an attempt while it holds a
+/// claim on the shared state.
+fn node_acc(stats: &mut [OperatorStats], active: Option<usize>) -> Option<&mut OperatorStats> {
+    active.and_then(|n| stats.get_mut(n))
+}
+
 impl std::fmt::Debug for ServiceGateway {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServiceGateway")
-            .field("services", &self.services.keys().collect::<Vec<_>>())
+            .field(
+                "services",
+                &self.services.iter().map(|p| p.id).collect::<Vec<_>>(),
+            )
             .field("ledger", &self.ledger())
             .field("budget", &self.budget)
             .field("error", &self.error)
@@ -1115,13 +1203,19 @@ impl ExecContext<'_> {
         schema: &Schema,
         registry: &ServiceRegistry,
     ) -> Result<ServiceGateway, ExecError> {
-        let mut services = HashMap::with_capacity(plan.atoms.len());
+        let mut services = Vec::with_capacity(plan.atoms.len());
         for &atom in plan.atoms.iter() {
-            let svc_id = plan.query.atoms[atom].service;
-            let service = registry.get(svc_id).ok_or_else(|| {
-                ExecError::MissingService(schema.service(svc_id).name.to_string())
-            })?;
-            services.insert(svc_id, Arc::clone(service));
+            let id = plan.query.atoms[atom].service;
+            let service = registry
+                .get(id)
+                .ok_or_else(|| ExecError::MissingService(schema.service(id).name.to_string()))?;
+            if services.iter().all(|p: &Provider| p.id != id) {
+                services.push(Provider {
+                    id,
+                    service: Arc::clone(service),
+                    in_flight: OnceCell::new(),
+                });
+            }
         }
         let shared = Arc::clone(&self.state);
         let acct = shared.acct.register();
@@ -1235,27 +1329,93 @@ impl ServiceGateway {
         key: &[Value],
         page: u32,
     ) -> PageFetch {
+        // a run of one page serves exactly that page
+        let mut served = None;
+        self.serve(id, pattern, key, page, 1, |f| served = Some(f));
+        served.unwrap_or_else(PageFetch::empty)
+    }
+
+    /// Serves up to `max_pages` consecutive pages of one invocation from
+    /// `first_page`, pushing one [`PageFetch`] per page. Cached pages are
+    /// drained under **one** shard-lock acquisition, ending at the
+    /// invocation's last page. Forwarding stays as lazy as tuple-at-a-time
+    /// demand: only an uncached *first* page is forwarded (as
+    /// [`fetch_page`](ServiceGateway::fetch_page) would); a run that
+    /// served cached pages stops *before* its first miss.
+    pub(crate) fn fetch_page_run(
+        &mut self,
+        id: ServiceId,
+        pattern: usize,
+        key: &[Value],
+        first_page: u32,
+        max_pages: usize,
+        out: &mut Vec<PageFetch>,
+    ) {
+        self.serve(id, pattern, key, first_page, max_pages, |f| out.push(f));
+    }
+
+    /// The one page path. A run's cached pages are served under one
+    /// shard-lock acquisition. A miss on its first page goes on, under
+    /// that same guard, to the failed-page memo, the claims, the budgets
+    /// and a concurrency slot, and claims the page; a second acquisition
+    /// publishes it. The key is hashed once for both (a `Probe` of the
+    /// shard's cache) and copied once, into the `Arc<[Value]>` the
+    /// claim, the cache entry and a failed-page memo entry share; what
+    /// the publish displaced is dropped after the lock is released.
+    /// Only a wait — on another execution's claim, or at the concurrency
+    /// limit — takes the lock again, and probes again.
+    fn serve(
+        &mut self,
+        id: ServiceId,
+        pattern: usize,
+        key: &[Value],
+        first_page: u32,
+        max_pages: usize,
+        mut emit: impl FnMut(PageFetch),
+    ) {
         self.note_frontier(id, pattern, key);
-        let shared = Arc::clone(&self.shared);
-        let shard = shared.shard(id, key);
-        let probe: &dyn PageId = &(id, key, page);
-        let mut slot: Option<FlowSlot<'_>> = None;
+        let end = first_page.saturating_add(max_pages.min(u32::MAX as usize) as u32);
+        if first_page >= end {
+            return;
+        }
+        let shard = self.shared.shard(id, key);
+        let flow = &self.shared.flow;
         let mut inner = shard.lock();
-        let claim = loop {
-            match inner.cache.lookup(id, key, page) {
+        let probe = inner.cache.probe(id, key);
+        let (mut page, mut served) = (first_page, 0);
+        let mut slot: Option<FlowSlot<'_>> = None;
+        let (claim, owned) = loop {
+            let done = match inner.cache.lookup_at(probe, page) {
                 PageLookup::Hit(tuples, has_more) => {
-                    drop(inner);
-                    drop(slot);
-                    self.note_cached(id, 1);
-                    return PageFetch::cached(tuples, has_more);
+                    emit(PageFetch::cached(tuples, has_more));
+                    page += 1;
+                    served += 1;
+                    !has_more || page >= end
                 }
-                PageLookup::PastEnd => return PageFetch::empty(),
-                PageLookup::Unknown => {}
+                PageLookup::PastEnd => {
+                    emit(PageFetch::empty());
+                    true
+                }
+                // a run that served cached pages does *not* forward
+                // the next one speculatively
+                PageLookup::Unknown => served > 0,
+            };
+            if done {
+                drop(inner);
+                drop(slot);
+                if served > 0 {
+                    self.note_cached(id, served);
+                }
+                return;
             }
+            if served > 0 {
+                continue;
+            }
+            let page_id: &dyn PageId = &(id, key, page);
             // a page that already exhausted someone's retry budget is
             // served from the failed-page memo: no fault storm, and a
             // single-flight waiter woken by a failing leader lands here
-            if let Some(fault) = inner.failed.get(probe) {
+            if let Some(fault) = inner.failed.get(page_id) {
                 let fault = fault.clone();
                 drop(inner);
                 drop(slot);
@@ -1265,14 +1425,14 @@ impl ServiceGateway {
                         service: self.service_label(id),
                     });
                 }
-                return PageFetch::failed(fault, None);
+                return emit(PageFetch::failed(fault, None));
             }
             // another execution is fetching this very page: wait for it,
             // then re-probe the cache (under `NoCache` the store is a
             // no-op and we fall through to forwarding our own request).
             // Any held concurrency slot is released first — slots count
             // forwarded fetches, not sleepers
-            if inner.is_claimed(probe) {
+            if inner.is_claimed(page_id) {
                 slot = None;
                 inner = shard.wait(inner);
                 continue;
@@ -1288,28 +1448,34 @@ impl ServiceGateway {
                 _ => None,
             };
             if let Some(err) = refusal {
-                self.poison(err);
-                return PageFetch::empty();
-            }
-            // per-service concurrency limit: slots come from the
-            // flow-control lock, never held together with a shard lock
-            if shared.per_service_limit > 0 && slot.is_none() {
                 drop(inner);
-                slot = Some(shared.acquire_slot(id));
-                inner = shard.lock();
-                continue; // re-probe: the page may have landed meanwhile
+                drop(slot);
+                self.poison(err);
+                return emit(PageFetch::empty());
+            }
+            // per-service concurrency limit: a free slot is taken here,
+            // under the shard lock; at the limit the shard lock is let
+            // go before parking, and the page probed again after
+            if flow.limit > 0 && slot.is_none() {
+                let count = provider(&self.services, id)
+                    .in_flight
+                    .get_or_init(|| flow.count(id));
+                slot = flow.try_take(count);
+                if slot.is_none() {
+                    drop(inner);
+                    slot = Some(flow.park(count));
+                    inner = shard.lock();
+                    continue;
+                }
             }
             // the claim releases and wakes its waiters on return AND on
             // unwind — a panicking service must not wedge them
-            break shard.claim(&mut inner, PageKey(id, key.to_vec(), page));
+            let owned = Arc::<[Value]>::from(key);
+            let claimed = PageKey(id, Arc::clone(&owned), page);
+            break (shard.claim(&mut inner, claimed), owned);
         };
         drop(inner);
 
-        let service = Arc::clone(
-            self.services
-                .get(&id)
-                .expect("gateway resolved all plan services at construction"),
-        );
         // reserve the first attempt against the tenant budget *before*
         // forwarding: a CAS on the cell, so racing executions of one
         // tenant cannot collectively overshoot. Losing the race releases
@@ -1317,30 +1483,38 @@ impl ServiceGateway {
         if let Some((tenant, cell)) = &self.tenant {
             if !cell.try_charge() {
                 let err = cell.refusal(*tenant);
+                drop(claim);
+                drop(slot);
                 self.poison(err);
-                return PageFetch::empty();
+                return emit(PageFetch::empty());
             }
         }
-        let policy = shared.retry_policy(id);
+        let policy = self.shared.retry_policy(id);
         let mut attempt: u32 = 0;
         // simulated seconds this page consumed: attempt latencies
         // (faulted ones included) plus accounted backoff
         let mut spent = 0.0;
         loop {
-            match service.try_fetch(pattern, key, page) {
+            match provider(&self.services, id)
+                .service
+                .try_fetch(pattern, key, page)
+            {
                 Ok(r) => {
                     spent += r.latency;
                     let tuples = Page::from(r.tuples);
                     self.acct.record_ok(id, tuples.len(), r.latency);
-                    claim.publish(|s| s.cache.store(id, key, page, tuples.clone(), r.has_more));
+                    let stored = tuples.clone();
+                    let displaced = claim
+                        .publish(|s| s.cache.store_at(probe, || owned, page, stored, r.has_more));
+                    drop(displaced);
                     drop(slot);
                     self.note_call(id, page, Some(tuples.len()), r.latency);
-                    return PageFetch {
+                    return emit(PageFetch {
                         tuples,
                         has_more: r.has_more,
                         forwarded_latency: Some(spent),
                         fault: None,
-                    };
+                    });
                 }
                 Err(fault) => {
                     let fault_latency = fault.latency();
@@ -1369,12 +1543,14 @@ impl ServiceGateway {
                         }
                     });
                     spent += wait.unwrap_or(0.0);
-                    self.note_call(id, page, None, fault_latency);
+                    let node = node_acc(&mut self.node_stats, self.active_node);
+                    if let Some(ns) = node {
+                        ns.calls += 1;
+                        ns.sim_seconds += fault_latency + wait.unwrap_or(0.0);
+                        ns.retries += u64::from(wait.is_some());
+                    }
+                    self.trace_call(id, page, None, fault_latency);
                     if let Some(wait) = wait {
-                        if let Some(ns) = self.node_acc() {
-                            ns.retries += 1;
-                            ns.sim_seconds += wait;
-                        }
                         if let Some(t) = &self.trace {
                             let service = self.service_label(id);
                             t.record(SpanKind::Retry { service }, wait);
@@ -1391,80 +1567,31 @@ impl ServiceGateway {
                     // own call budget says nothing about the page, and
                     // other queries must stay free to retry
                     if attempt >= policy.max_retries {
-                        let page = PageKey(id, key.to_vec(), page);
-                        claim.publish(|s| s.failed.insert(page, fault.clone()));
+                        let failed = PageKey(id, owned, page);
+                        drop(claim.publish(|s| s.failed.insert(failed, fault.clone())));
                     } else {
                         drop(claim);
                     }
                     drop(slot);
                     self.note_degraded(id, fault.clone());
-                    return PageFetch::failed(fault, Some(spent));
+                    return emit(PageFetch::failed(fault, Some(spent)));
                 }
             }
         }
-    }
-
-    /// Serves up to `max_pages` consecutive pages of one invocation from
-    /// `first_page`, pushing one [`PageFetch`] per page. Cached pages are
-    /// drained under **one** shard-lock acquisition, ending at the
-    /// invocation's last page. Forwarding stays as lazy as tuple-at-a-time
-    /// demand: only an uncached *first* page is forwarded (through
-    /// [`fetch_page`](ServiceGateway::fetch_page)); a run that served
-    /// cached pages stops *before* its first miss.
-    pub(crate) fn fetch_page_run(
-        &mut self,
-        id: ServiceId,
-        pattern: usize,
-        key: &[Value],
-        first_page: u32,
-        max_pages: usize,
-        out: &mut Vec<PageFetch>,
-    ) {
-        self.note_frontier(id, pattern, key);
-        let end = first_page.saturating_add(max_pages.min(u32::MAX as usize) as u32);
-        let mut page = first_page;
-        let mut served: u64 = 0;
-        let mut stop = false;
-        {
-            let mut inner = self.shared.shard(id, key).lock();
-            while page < end {
-                match inner.cache.lookup(id, key, page) {
-                    PageLookup::Hit(tuples, has_more) => {
-                        out.push(PageFetch::cached(tuples, has_more));
-                        page += 1;
-                        served += 1;
-                        if !has_more {
-                            stop = true;
-                            break;
-                        }
-                    }
-                    PageLookup::PastEnd => {
-                        out.push(PageFetch::empty());
-                        stop = true;
-                        break;
-                    }
-                    PageLookup::Unknown => break,
-                }
-            }
-        }
-        if served > 0 {
-            self.note_cached(id, served);
-        }
-        if stop || page > first_page || page >= end {
-            // served at least one cached page (or exhausted the run):
-            // the next uncached page is *not* forwarded speculatively
-            return;
-        }
-        out.push(self.fetch_page(id, pattern, key, page));
     }
 
     /// Books one forwarded attempt — `tuples` on success — on the active
     /// node and the trace.
     fn note_call(&mut self, id: ServiceId, page: u32, tuples: Option<usize>, latency: f64) {
-        if let Some(ns) = self.node_acc() {
+        if let Some(ns) = node_acc(&mut self.node_stats, self.active_node) {
             ns.calls += 1;
             ns.sim_seconds += latency;
         }
+        self.trace_call(id, page, tuples, latency);
+    }
+
+    /// Records one forwarded attempt on the trace, if traced.
+    fn trace_call(&self, id: ServiceId, page: u32, tuples: Option<usize>, latency: f64) {
         if let Some(t) = &self.trace {
             let call = SpanKind::ServiceCall {
                 service: self.service_label(id),
@@ -1484,20 +1611,16 @@ impl ServiceGateway {
     /// The service's display name for span labels.
     fn service_label(&self, id: ServiceId) -> String {
         self.services
-            .get(&id)
-            .map(|s| s.name().to_string())
+            .iter()
+            .find(|p| p.id == id)
+            .map(|p| p.service.name().to_string())
             .unwrap_or_else(|| format!("service#{}", id.0))
-    }
-
-    /// The fetch-side stats slot of the active node, if one is set.
-    fn node_acc(&mut self) -> Option<&mut OperatorStats> {
-        self.active_node.and_then(|n| self.node_stats.get_mut(n))
     }
 
     /// Records `pages` pages served from the shared cache to the
     /// active node.
     fn note_cached(&mut self, id: ServiceId, pages: u64) {
-        if let Some(ns) = self.node_acc() {
+        if let Some(ns) = node_acc(&mut self.node_stats, self.active_node) {
             ns.cached_pages += pages;
         }
         if let Some(t) = &self.trace {

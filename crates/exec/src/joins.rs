@@ -128,14 +128,6 @@ use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::mem::{discriminant, replace};
 
-#[cfg(test)]
-thread_local! {
-    /// Test hook: collapses every key image to one constant, so every
-    /// pair becomes a candidate and only verification keeps the result
-    /// right.
-    static COLLIDE_ALL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
 /// Folds one word into a running 64-bit image.
 #[inline]
 pub(crate) fn mix(h: u64, x: u64) -> u64 {
@@ -794,6 +786,14 @@ where
     fn take_candidates(&mut self) -> u64 {
         std::mem::take(&mut self.candidates)
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test hook: collapses every key image to one constant, so every
+    /// pair becomes a candidate and only verification keeps the result
+    /// right.
+    static COLLIDE_ALL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 #[cfg(test)]

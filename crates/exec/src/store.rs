@@ -7,8 +7,9 @@
 //!   pinned entries and returns the victim. [`LruMap`] keys it.
 //! * [`Guarded`] and [`Claim`] — a lock and a condition variable over a
 //!   caller's state, with single-flight claims that publish under the
-//!   lock *before* they release, release on unwind too, and wake waiters
-//!   only when some are parked.
+//!   lock *before* they release, release on unwind too, wake waiters
+//!   only when some are parked, and hand what they displaced back to be
+//!   dropped after the lock is released.
 //! * [`FailureMemo`] — failed keys, bounded by [`FAILURE_MEMO_CAP`].
 //! * [`recover`] — the one poison policy of every lock in the engine
 //!   (`mdq-services` and `mdq-obs`, below this crate, keep a copy each).
@@ -388,29 +389,28 @@ pub struct Claim<'a, S, K> {
 
 impl<S, K> Claim<'_, S, K> {
     /// Runs `publish` on the state, then releases the claim and wakes
-    /// the parked threads — under one acquisition of the lock.
-    pub fn publish(mut self, publish: impl FnOnce(&mut S)) {
-        self.release(publish);
+    /// the parked threads — under one acquisition of the lock. Returns
+    /// what `publish` returned and the released key: whatever the
+    /// publish step displaced is dropped after the lock is released.
+    pub fn publish<R>(mut self, publish: impl FnOnce(&mut S) -> R) -> Option<(R, K)> {
+        self.release(publish)
     }
 
-    fn release(&mut self, publish: impl FnOnce(&mut S)) {
-        let Some(token) = self.token else {
-            return;
-        };
+    fn release<R>(&mut self, publish: impl FnOnce(&mut S) -> R) -> Option<(R, K)> {
+        let token = self.token?;
         let released = &mut self.token;
         self.owner.update(|locked| {
-            publish(locked);
+            let out = publish(locked);
             *released = None;
-            if let Some(at) = locked.claims.iter().position(|(t, _)| *t == token) {
-                locked.claims.swap_remove(at);
-            }
-        });
+            let at = locked.claims.iter().position(|(t, _)| *t == token)?;
+            Some((out, locked.claims.swap_remove(at).1))
+        })
     }
 }
 
 impl<S, K> Drop for Claim<'_, S, K> {
     fn drop(&mut self) {
-        self.release(|_| {});
+        self.release(|_| ());
     }
 }
 

@@ -116,20 +116,6 @@ pub struct CostContext<'a> {
     pub(crate) log: RefCell<PricingLog>,
 }
 
-/// What a context lowered and priced, in order — the record the tests
-/// re-price from scratch.
-#[cfg(test)]
-#[derive(Default)]
-pub(crate) struct PricingLog {
-    /// Each lowering's input: the pattern choice, the topology over the
-    /// query's atoms and the atoms it was restricted to.
-    pub(crate) lowered: Vec<(ApChoice, Poset, Vec<usize>)>,
-    /// Each pricing: the lowering it priced (an index into `lowered`),
-    /// the plan as priced — fetch factors included — its annotation and
-    /// its cost.
-    pub(crate) priced: Vec<(usize, Plan, Annotation, f64)>,
-}
-
 /// The buffers one search lowers, prepares and prices its candidates in.
 #[derive(Default)]
 pub(crate) struct Workspace {
@@ -437,6 +423,20 @@ impl Pricer<'_, '_> {
     pub(crate) fn install(&mut self, fetches: &[u64]) {
         self.plan.fetches.copy_from_slice(fetches);
     }
+}
+
+/// What a context lowered and priced, in order — the record the tests
+/// re-price from scratch.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct PricingLog {
+    /// Each lowering's input: the pattern choice, the topology over the
+    /// query's atoms and the atoms it was restricted to.
+    pub(crate) lowered: Vec<(ApChoice, Poset, Vec<usize>)>,
+    /// Each pricing: the lowering it priced (an index into `lowered`),
+    /// the plan as priced — fetch factors included — its annotation and
+    /// its cost.
+    pub(crate) priced: Vec<(usize, Plan, Annotation, f64)>,
 }
 
 #[cfg(test)]

@@ -32,6 +32,20 @@ pub mod phase2;
 pub mod phase3;
 pub mod replan;
 
+/// Convenient glob-import surface: `use mdq_optimizer::prelude::*;`.
+pub mod prelude {
+    pub use crate::baseline_wsms::{wsms_baseline, WsmsPlan};
+    pub use crate::bnb::{
+        optimize, optimize_shared, OptimizeError, Optimized, OptimizerConfig, OptimizerStats,
+    };
+    pub use crate::context::{CostContext, CostingEffort};
+    pub use crate::exhaustive::exhaustive_optimum;
+    pub use crate::expansion::{expand_for_executability, Expansion, ExpansionError};
+    pub use crate::phase2::{max_parallel_topology, PlanCandidate};
+    pub use crate::phase3::{closed_form_pair, FetchHeuristic, FetchOutcome, FetchStats};
+    pub use crate::replan::reoptimize_suffix_in;
+}
+
 #[cfg(test)]
 pub(crate) mod test_fixtures {
     //! Shared fixtures for this crate's unit tests.
@@ -73,18 +87,4 @@ pub(crate) mod test_fixtures {
         .expect("fig6 plan builds");
         (plan, schema)
     }
-}
-
-/// Convenient glob-import surface: `use mdq_optimizer::prelude::*;`.
-pub mod prelude {
-    pub use crate::baseline_wsms::{wsms_baseline, WsmsPlan};
-    pub use crate::bnb::{
-        optimize, optimize_shared, OptimizeError, Optimized, OptimizerConfig, OptimizerStats,
-    };
-    pub use crate::context::{CostContext, CostingEffort};
-    pub use crate::exhaustive::exhaustive_optimum;
-    pub use crate::expansion::{expand_for_executability, Expansion, ExpansionError};
-    pub use crate::phase2::{max_parallel_topology, PlanCandidate};
-    pub use crate::phase3::{closed_form_pair, FetchHeuristic, FetchOutcome, FetchStats};
-    pub use crate::replan::reoptimize_suffix_in;
 }

@@ -25,6 +25,18 @@ pub mod poset;
 pub mod render;
 pub mod signature;
 
+/// Convenient glob-import surface: `use mdq_plan::prelude::*;`.
+pub mod prelude {
+    pub use crate::builder::{build_plan, lower, lower_onto, BuildError, Lowering, StrategyRule};
+    pub use crate::dag::{JoinStrategy, NodeId, NodeKind, Plan, PlanNode, Side};
+    pub use crate::poset::{
+        all_topologies, enumerate_topologies, Admissibility, PartialTopology, Poset,
+        TopologyVisitor, MAX_ATOMS,
+    };
+    pub use crate::render::{to_ascii, to_dot};
+    pub use crate::signature::{invoke_prefixes, PlanPrefix};
+}
+
 #[cfg(test)]
 pub(crate) mod test_fixtures {
     //! Shared fixtures for this crate's unit tests.
@@ -41,16 +53,4 @@ pub(crate) mod test_fixtures {
         let query = mdq_model::examples::running_example_query(&schema);
         RunningExample { schema, query }
     }
-}
-
-/// Convenient glob-import surface: `use mdq_plan::prelude::*;`.
-pub mod prelude {
-    pub use crate::builder::{build_plan, lower, lower_onto, BuildError, Lowering, StrategyRule};
-    pub use crate::dag::{JoinStrategy, NodeId, NodeKind, Plan, PlanNode, Side};
-    pub use crate::poset::{
-        all_topologies, enumerate_topologies, Admissibility, PartialTopology, Poset,
-        TopologyVisitor, MAX_ATOMS,
-    };
-    pub use crate::render::{to_ascii, to_dot};
-    pub use crate::signature::{invoke_prefixes, PlanPrefix};
 }

@@ -285,12 +285,19 @@ impl LatencyModel {
     /// Latency of the next call with the given key and result size.
     /// Deterministic for a fixed seed and call order.
     pub fn sample(&self, pattern: usize, key: &[Value], result_tuples: usize) -> f64 {
-        let repeat = {
-            let mut seen = recover(self.seen.lock());
-            !seen.insert((pattern, key.to_vec()))
-        };
-        if repeat {
-            if let Some(cached) = self.server_cache_latency {
+        self.sample_request(pattern, || key.to_vec(), result_tuples)
+    }
+
+    /// [`LatencyModel::sample`] with the key built by `key`, which only a
+    /// provider cache calls: a model without one remembers no request.
+    pub(crate) fn sample_request(
+        &self,
+        pattern: usize,
+        key: impl FnOnce() -> InputKey,
+        result_tuples: usize,
+    ) -> f64 {
+        if let Some(cached) = self.server_cache_latency {
+            if !recover(self.seen.lock()).insert((pattern, key())) {
                 return cached;
             }
         }
@@ -374,6 +381,31 @@ mod tests {
         assert_eq!(m.sample(0, &key, 5), 4.9, "first call full price");
         assert_eq!(m.sample(0, &key, 5), 0.25, "repeat call cached");
         assert_eq!(m.sample(0, &[Value::str("Porto")], 5), 4.9);
+    }
+
+    /// Only a provider cache reads what was seen: a model without one
+    /// keeps no request, and samples what it sampled when it kept them
+    /// all (the values below were taken from that version).
+    #[test]
+    fn a_model_without_a_provider_cache_remembers_nothing() {
+        let model = LatencyModel::fixed(4.9)
+            .with_jitter(0.2, 7)
+            .with_empty_latency(1.0);
+        let calls = [(0, 3), (1, 0), (0, 3), (2, 5), (1, 0), (3, 1)];
+        let sampled: Vec<f64> = calls
+            .iter()
+            .map(|&(i, tuples)| model.sample(0, &[Value::Int(i)], tuples))
+            .collect();
+        let before = [
+            4.684066306846892,
+            1.0,
+            5.730452209583694,
+            5.121430377791384,
+            1.0,
+            4.232432253943076,
+        ];
+        assert_eq!(sampled, before);
+        assert!(recover(model.seen.lock()).is_empty());
     }
 
     #[test]

@@ -111,9 +111,13 @@ impl Service for SyntheticSource {
             .collect();
         // the latency key includes the page so that each fetch is a
         // distinct request-response (server caches key on full request)
-        let mut key = inputs.to_vec();
-        key.push(Value::Int(page as i64));
-        let latency = self.latency.sample(pattern, &key, tuples.len());
+        let key = || {
+            let mut key = Vec::with_capacity(inputs.len() + 1);
+            key.extend_from_slice(inputs);
+            key.push(Value::Int(page as i64));
+            key
+        };
+        let latency = self.latency.sample_request(pattern, key, tuples.len());
         ServiceResponse {
             tuples,
             has_more,
