@@ -17,7 +17,7 @@
 //! that can replace a separate sampling-profiler pass entirely.
 
 use mdq_model::schema::{Schema, ServiceId, ServiceSignature};
-use mdq_obs::histogram::{Histogram, LatencySummary, SERVICE_LATENCY_BOUNDS};
+use mdq_obs::histogram::{bucket_of, Histogram, LatencySummary, SERVICE_LATENCY_BOUNDS};
 use std::collections::HashMap;
 
 /// Latency buckets kept inline in [`ObservedService`]: one per
@@ -102,11 +102,7 @@ impl ObservedService {
         if latency > self.max_latency {
             self.max_latency = latency;
         }
-        let idx = SERVICE_LATENCY_BOUNDS
-            .iter()
-            .position(|&b| latency <= b)
-            .unwrap_or(SERVICE_LATENCY_BOUNDS.len());
-        self.latency_hist[idx] += 1;
+        self.latency_hist[bucket_of(&SERVICE_LATENCY_BOUNDS, latency)] += 1;
     }
 
     /// Records one successful attempt returning `tuples` tuples in

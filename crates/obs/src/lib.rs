@@ -19,9 +19,11 @@
 //!   [`OperatorStats`] behind EXPLAIN ANALYZE;
 //! * [`export`] — JSONL and Chrome `trace_event` JSON export (the
 //!   latter loads directly into `chrome://tracing` or Perfetto);
-//! * [`histogram`] — fixed-bucket [`Histogram`]s
-//!   for latency, batch-size and queue-wait distributions, replacing
-//!   sum-only gauges in the server's metrics snapshot.
+//! * [`histogram`] — fixed-bucket histograms over one bucket rule
+//!   ([`histogram::bucket_of`]): the plain [`Histogram`] with count,
+//!   sum and max, merged per execution for service-call latency, and
+//!   the lock-free [`AtomicHistogram`] behind the server's query
+//!   latency, queue-wait, batch-size and refresh-phase histograms.
 //!
 //! Everything here is wall-clock free by design: spans carry
 //! *accounted* seconds (simulated service latency and backoff, or the
@@ -47,6 +49,6 @@ pub(crate) fn recover<T>(result: std::sync::LockResult<T>) -> T {
 }
 
 pub use export::{chrome_trace_json, jsonl};
-pub use histogram::{Histogram, LatencySummary, SERVICE_LATENCY_BOUNDS};
+pub use histogram::{AtomicHistogram, Histogram, LatencySummary, SERVICE_LATENCY_BOUNDS};
 pub use recorder::{QueryTrace, TraceRecorder};
 pub use span::{OperatorStats, SpanKind, TraceEvent};

@@ -61,11 +61,11 @@
 //!   revalidation);
 //! * [`session`] — the [`QuerySession`] handle
 //!   streaming answers and per-query statistics;
-//! * [`metrics`] — the [`MetricsSnapshot`]:
-//!   QPS, plan-cache and page-cache hit rates, per-service call
-//!   accounting with latency summaries, per-shard page-cache
-//!   occupancy, and the wall-latency / queue-wait / service-latency /
-//!   admission-batch-size histograms.
+//! * [`metrics`] — the [`MetricsSnapshot`], sampled from one table of
+//!   server counters (each a field and a stable dotted key, printed as
+//!   `key value` lines) and [`mdq_obs::AtomicHistogram`]s, plus the
+//!   shared state's page-cache, per-service call and latency figures
+//!   and per-shard page-cache occupancy.
 //!
 //! Observability: [`QueryServer::enable_tracing`] attaches an
 //! [`mdq_obs`] span recorder to the shared gateway state — every

@@ -600,7 +600,9 @@ impl QueryServer {
         match self.scheduler.push(job, tinfo.policy.max_queued) {
             Ok(depth) => {
                 metrics.submitted.fetch_add(1, Ordering::Relaxed);
-                metrics.observe_queue_depth(depth);
+                metrics
+                    .peak_queue_depth
+                    .fetch_max(depth as u64, Ordering::Relaxed);
                 tinfo.submitted.fetch_add(1, Ordering::Relaxed);
                 Ok(QuerySession { rx })
             }
@@ -925,7 +927,7 @@ fn batch_loop(
                 Pop::Closed => break,   // drain: plan what we have
             }
         }
-        state.metrics.observe_batch_size(batch.len());
+        state.metrics.batch_size_buckets.observe(batch.len() as f64);
         for job in plan_batch(state, batch) {
             if tx.send(job).is_err() {
                 return; // every worker died
@@ -1139,7 +1141,8 @@ fn process(state: &ServerState, job: Job) {
     let started = Instant::now();
     state
         .metrics
-        .observe_queue_wait(job.submitted_at.elapsed().as_secs_f64());
+        .queue_wait_buckets
+        .observe(job.submitted_at.elapsed().as_secs_f64());
     let fail = |reason: String| {
         state.metrics.failed.fetch_add(1, Ordering::Relaxed);
         job.tinfo.failed.fetch_add(1, Ordering::Relaxed);
@@ -1249,19 +1252,20 @@ fn process(state: &ServerState, job: Job) {
         .metrics
         .sub_result_calls_saved
         .fetch_add(sub_result_calls_saved, Ordering::Relaxed);
+    // even a failed query attributes its fault accounting, so the
+    // server counters reconcile with the shared gateway state
+    let m = &state.metrics;
+    m.retries.fetch_add(faults.retries, Ordering::Relaxed);
+    m.timeouts.fetch_add(faults.timeouts, Ordering::Relaxed);
+    m.rate_limited
+        .fetch_add(faults.rate_limited, Ordering::Relaxed);
     if let Some(err) = error {
-        // even a failed query attributes its fault accounting, so the
-        // server counters reconcile with the shared gateway state
-        state.metrics.observe_faults(&faults, false);
         return fail(err.to_string());
     }
     // re-plans are attributed on completion only — failed queries emit
     // no QueryStats, and the server counter must reconcile exactly with
     // the summed per-query replans
-    state
-        .metrics
-        .replans
-        .fetch_add(replans as u64, Ordering::Relaxed);
+    m.replans.fetch_add(replans as u64, Ordering::Relaxed);
     // a query that re-planned found a better plan for its template:
     // publish it under the same fingerprint so the next submission
     // starts from the corrected plan instead of the stale one
@@ -1270,12 +1274,14 @@ fn process(state: &ServerState, job: Job) {
     }
     // degraded services don't fail the query: the session completes
     // with partial results naming them
-    state.metrics.observe_faults(&faults, partial.is_some());
+    if partial.is_some() {
+        m.partial_completions.fetch_add(1, Ordering::Relaxed);
+    }
 
     let wall = started.elapsed().as_secs_f64();
-    state.metrics.completed.fetch_add(1, Ordering::Relaxed);
+    m.completed.fetch_add(1, Ordering::Relaxed);
     job.tinfo.completed.fetch_add(1, Ordering::Relaxed);
-    state.metrics.observe_latency(wall);
+    m.latency_buckets.observe(wall);
     let _ = job.events.send(SessionEvent::Done(QueryStats {
         tenant: job.tenant,
         plan_cache_hit,

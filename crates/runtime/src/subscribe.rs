@@ -550,7 +550,8 @@ impl SubscriptionManager {
             })
         };
         ctx.metrics
-            .observe_refresh_fetch(fetch_started.elapsed().as_secs_f64());
+            .refresh_fetch_buckets
+            .observe(fetch_started.elapsed().as_secs_f64());
         phase_span(ctx, epoch, "fetch", refetches, fetch_started);
 
         // ---- phase 2b: evaluate (lock-free fan-out) ----
@@ -592,7 +593,8 @@ impl SubscriptionManager {
             (snap.id, result)
         });
         ctx.metrics
-            .observe_refresh_evaluate(evaluate_started.elapsed().as_secs_f64());
+            .refresh_evaluate_buckets
+            .observe(evaluate_started.elapsed().as_secs_f64());
         phase_span(
             ctx,
             epoch,
@@ -662,7 +664,8 @@ impl SubscriptionManager {
             }
         }
         ctx.metrics
-            .observe_refresh_commit(commit_started.elapsed().as_secs_f64());
+            .refresh_commit_buckets
+            .observe(commit_started.elapsed().as_secs_f64());
         phase_span(
             ctx,
             epoch,
