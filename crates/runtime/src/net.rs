@@ -52,15 +52,23 @@
 //! idle connections `DRAINING`, and only then shuts the query server
 //! down.
 //!
+//! # A socket-free session in a thin TCP shell
+//!
+//! A connection's protocol state — tenant, partial client frame, reply
+//! buffer — is a *session* that takes the client's bytes however they
+//! were split and serves each frame they complete (one `match` over
+//! [`ClientFrame`] is the verb table). The *shell* around it, a thread
+//! per connection, only flushes the replies, reads and feeds.
+//!
 //! # No timer on the connection path
 //!
 //! Every wait on the accept → hello → frame → close path is a blocking
 //! system call, and drain is *signalled*, never polled. The accept
 //! thread sleeps in `accept()`; [`NetServer::shutdown`] sets the drain
 //! flag and wakes it with one throw-away connect to the listener's own
-//! port. A handler sleeps in `read()`; the accept thread keeps a second
+//! port. A shell sleeps in `read()`; the accept thread keeps a second
 //! handle on every accepted socket, and drain shuts the *read half* of
-//! each live one — the blocked read returns end-of-file, the handler
+//! each live one — the blocked read returns end-of-file, the session
 //! sees the flag and says `DRAINING` + `BYE` over the write half, which
 //! is still open. A query in flight is not reading, so it finishes and
 //! streams its answers first. The one sleep left is the back-off after
@@ -73,26 +81,28 @@
 //! lands on the server's side of the pair — which is what lets a
 //! client open connections faster than ephemeral ports expire.
 //!
-//! A client frame is at most 64 KiB long, newline included; a peer
-//! that sends more without a newline is answered `ERR frame too long`
-//! and disconnected.
+//! A client frame is at most 64 KiB long, newline included, and the
+//! session buffers no more than that; a peer that sends more without a
+//! newline is answered `ERR frame too long` and disconnected, and one
+//! whose frame is not UTF-8 is disconnected without a reply.
 //!
 //! # One write per burst
 //!
-//! A frame is a line, but a write is a *burst*: every frame a handler
-//! has to say is encoded into the connection's one buffer
+//! A frame is a line, but a write is a *burst*: every frame a session
+//! has to say is encoded into its one buffer
 //! (`ServerFrame::encode_into`), and the buffer leaves in a single
-//! `write_all` at the moment the handler would block — before the next
-//! read of a client frame, and, while a query streams, whenever the
-//! worker has no further event ready. The invariant is that the buffer
-//! is empty whenever the handler blocks, so nothing the server has
+//! `write_all` at the moment the connection would block — before the
+//! shell's next read, and, while a query streams, whenever the worker
+//! has no further event ready. The invariant is that the buffer is
+//! empty whenever the connection blocks, so nothing the server has
 //! already produced ever waits on something it has not: a query held
 //! up by a slow service still puts each answer on the wire as soon as
 //! it exists, while a top-k served from cached pages — all of it ready
-//! by the time the handler looks — leaves as one segment, which the
-//! client reads with one wake-up instead of one per `ANSWER`. The same
-//! path carries every reply: `HELLO`, `ANSWER…DONE`, `SUBSCRIBED` and
-//! its answers, `DELTA…SYNCED`, `ERR`, `SHED`, `DRAINING` + `BYE`. The
+//! by the time the session looks — leaves as one segment, which the
+//! client reads with one wake-up instead of one per `ANSWER`; so do the
+//! replies to frames a client pipelined into one segment. The same path
+//! carries every reply: `HELLO`, `ANSWER…DONE`, `SUBSCRIBED` and its
+//! answers, `DELTA…SYNCED`, `ERR`, `SHED`, `DRAINING` + `BYE`. The
 //! bytes on the wire are those of one write per frame; only the write
 //! boundaries differ.
 //!
@@ -109,11 +119,11 @@ use crate::session::{QuerySession, SessionEvent};
 use crate::tenant::{TenantPolicy, DEFAULT_TENANT};
 use mdq_exec::gateway::TenantId;
 use mdq_exec::store::recover;
-use mdq_model::value::Tuple;
 use mdq_obs::span::SpanKind;
 use std::fmt::{self, Write as _};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::TryRecvError;
 use std::sync::{Arc, Mutex};
@@ -261,21 +271,13 @@ impl ClientFrame {
             None => (line, ""),
         };
         match verb {
-            "TENANT" => {
-                if rest.is_empty() {
-                    return Err("TENANT requires a name".to_string());
-                }
-                Ok(ClientFrame::Tenant {
-                    name: rest.to_string(),
-                })
-            }
-            "QUERY" => {
-                let (k, text) = parse_query_tail(verb, rest)?;
-                Ok(ClientFrame::Query { k, text })
-            }
+            "TENANT" if rest.is_empty() => Err("TENANT requires a name".to_string()),
+            "TENANT" => Ok(ClientFrame::Tenant {
+                name: rest.to_string(),
+            }),
+            "QUERY" => parse_query_tail(verb, rest).map(|(k, text)| ClientFrame::Query { k, text }),
             "SUBSCRIBE" => {
-                let (k, text) = parse_query_tail(verb, rest)?;
-                Ok(ClientFrame::Subscribe { k, text })
+                parse_query_tail(verb, rest).map(|(k, text)| ClientFrame::Subscribe { k, text })
             }
             "POLL" => Ok(ClientFrame::Poll {
                 id: parse_id(verb, rest)?,
@@ -420,6 +422,27 @@ pub enum ServerFrame {
     Bye,
 }
 
+/// The rest of a server frame, read as space-separated `key=<value>`
+/// fields.
+struct Fields<'a>(&'a str);
+
+impl Fields<'_> {
+    /// Reads the next field, which must be `key=<value>`.
+    fn read<T: FromStr>(&mut self, key: &str) -> Result<T, String> {
+        let (part, rest) = self.0.split_once(' ').unwrap_or((self.0, ""));
+        self.0 = rest;
+        Fields(part).last(key)
+    }
+
+    /// Reads all that is left as the one field `key=<value>`.
+    fn last<T: FromStr>(self, key: &str) -> Result<T, String> {
+        let value = self.0.strip_prefix(key).and_then(|v| v.strip_prefix('='));
+        value
+            .and_then(|v| v.parse().ok())
+            .ok_or_else(|| format!("expected {key}=<value>, got {:?}", self.0))
+    }
+}
+
 impl ServerFrame {
     /// Encodes the frame as one line (no trailing newline).
     pub fn encode(&self) -> String {
@@ -501,99 +524,60 @@ impl ServerFrame {
 
     /// Parses one line into a frame.
     pub fn parse(line: &str) -> Result<ServerFrame, String> {
-        fn field<T: std::str::FromStr>(part: &str, key: &str) -> Result<T, String> {
-            part.strip_prefix(key)
-                .and_then(|v| v.strip_prefix('='))
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| format!("expected {key}=<value>, got {part:?}"))
-        }
         let line = line.trim_end_matches(['\r', '\n']);
-        let (verb, rest) = match line.split_once(' ') {
-            Some((verb, rest)) => (verb, rest),
-            None => (line, ""),
-        };
+        let (verb, rest) = line.split_once(' ').unwrap_or((line, ""));
+        let mut fields = Fields(rest);
         match verb {
             "HELLO" => Ok(ServerFrame::Hello {
                 proto: rest.to_string(),
             }),
             "OK" => Ok(ServerFrame::Ok {
-                tenant: field(rest, "tenant")?,
+                tenant: fields.last("tenant")?,
             }),
             "ANSWER" => Ok(ServerFrame::Answer {
                 tuple: rest.to_string(),
             }),
-            "DONE" => {
-                let mut parts = rest.split(' ');
-                let mut next = || parts.next().ok_or_else(|| "short DONE frame".to_string());
-                Ok(ServerFrame::Done {
-                    answers: field(next()?, "answers")?,
-                    calls: field(next()?, "calls")?,
-                    wall_ms: field(next()?, "wall_ms")?,
-                    partial: field(next()?, "partial")?,
-                })
-            }
-            "SUBSCRIBED" => {
-                let mut parts = rest.split(' ');
-                let mut next = || {
-                    parts
-                        .next()
-                        .ok_or_else(|| "short SUBSCRIBED frame".to_string())
-                };
-                Ok(ServerFrame::Subscribed {
-                    id: field(next()?, "id")?,
-                    epoch: field(next()?, "epoch")?,
-                    answers: field(next()?, "answers")?,
-                })
-            }
-            "DELTA" => {
-                let mut parts = rest.splitn(4, ' ');
-                let mut next = || parts.next().ok_or_else(|| "short DELTA frame".to_string());
-                let id = field(next()?, "id")?;
-                let epoch = field(next()?, "epoch")?;
-                let added = match next()? {
-                    "op=+" => true,
-                    "op=-" => false,
-                    other => return Err(format!("expected op=+ or op=-, got {other:?}")),
-                };
-                Ok(ServerFrame::Delta {
-                    id,
-                    epoch,
-                    added,
-                    tuple: next().unwrap_or("").to_string(),
-                })
-            }
-            "SYNCED" => {
-                let mut parts = rest.split(' ');
-                let mut next = || parts.next().ok_or_else(|| "short SYNCED frame".to_string());
-                Ok(ServerFrame::Synced {
-                    id: field(next()?, "id")?,
-                    epoch: field(next()?, "epoch")?,
-                    deltas: field(next()?, "deltas")?,
-                })
-            }
-            "REFRESHED" => {
-                let mut parts = rest.split(' ');
-                let mut next = || {
-                    parts
-                        .next()
-                        .ok_or_else(|| "short REFRESHED frame".to_string())
-                };
-                Ok(ServerFrame::Refreshed {
-                    epoch: field(next()?, "epoch")?,
-                    refreshed: field(next()?, "refreshed")?,
-                    changed: field(next()?, "changed")?,
-                    calls: field(next()?, "calls")?,
-                    deltas: field(next()?, "deltas")?,
-                })
-            }
+            "DONE" => Ok(ServerFrame::Done {
+                answers: fields.read("answers")?,
+                calls: fields.read("calls")?,
+                wall_ms: fields.read("wall_ms")?,
+                partial: fields.read("partial")?,
+            }),
+            "SUBSCRIBED" => Ok(ServerFrame::Subscribed {
+                id: fields.read("id")?,
+                epoch: fields.read("epoch")?,
+                answers: fields.read("answers")?,
+            }),
+            "DELTA" => Ok(ServerFrame::Delta {
+                id: fields.read("id")?,
+                epoch: fields.read("epoch")?,
+                added: match fields.read("op")? {
+                    '+' => true,
+                    '-' => false,
+                    other => return Err(format!("expected op=+ or op=-, got op={other}")),
+                },
+                tuple: fields.0.to_string(),
+            }),
+            "SYNCED" => Ok(ServerFrame::Synced {
+                id: fields.read("id")?,
+                epoch: fields.read("epoch")?,
+                deltas: fields.read("deltas")?,
+            }),
+            "REFRESHED" => Ok(ServerFrame::Refreshed {
+                epoch: fields.read("epoch")?,
+                refreshed: fields.read("refreshed")?,
+                changed: fields.read("changed")?,
+                calls: fields.read("calls")?,
+                deltas: fields.read("deltas")?,
+            }),
             "UNSUBSCRIBED" => Ok(ServerFrame::Unsubscribed {
-                id: field(rest, "id")?,
+                id: fields.last("id")?,
             }),
             "ERR" => Ok(ServerFrame::Err {
                 reason: rest.to_string(),
             }),
             "SHED" => Ok(ServerFrame::Shed {
-                retry_after_ms: field(rest, "retry-after-ms")?,
+                retry_after_ms: fields.last("retry-after-ms")?,
             }),
             "DRAINING" => Ok(ServerFrame::Draining),
             "PONG" => Ok(ServerFrame::Pong),
@@ -695,10 +679,9 @@ fn accept_loop(shared: &Arc<NetShared>, listener: &TcpListener) -> Vec<Conn> {
         };
         if shared.draining.load(Ordering::Acquire) {
             // refuse with a drain notice, never silently
-            let mut out = FrameWriter::new(&stream);
-            out.push(&ServerFrame::Draining);
-            out.push(&ServerFrame::Bye);
-            out.flush();
+            let mut refusal = Session::new(&stream);
+            refusal.drain_notice();
+            refusal.flush();
             break;
         }
         // dropping a finished entry closes this side's handle; the
@@ -813,65 +796,8 @@ impl Drop for ConnGuard<'_> {
     }
 }
 
-/// The write half of one connection. Frames are encoded into one
-/// reused buffer, and the buffer leaves in a single write when the
-/// handler is about to block or the buffer reaches [`MAX_FRAME_BYTES`]
-/// (see *One write per burst* in the module docs). The first failed
-/// write closes the writer for good: later frames are dropped unsent,
-/// and `push` / `flush` say so.
-struct FrameWriter<W: Write> {
-    sink: W,
-    buf: String,
-    /// No write has failed yet.
-    open: bool,
-}
-
-impl<W: Write> FrameWriter<W> {
-    fn new(sink: W) -> Self {
-        FrameWriter {
-            sink,
-            buf: String::new(),
-            open: true,
-        }
-    }
-
-    /// Queues one frame. Returns whether the peer is still there.
-    fn push(&mut self, frame: &ServerFrame) -> bool {
-        self.push_line(|buf| frame.encode_into(buf))
-    }
-
-    /// Queues the `ANSWER` frame of `tuple`, rendered into the buffer
-    /// in place ([`ServerFrame::encode_answer`]). Returns whether the
-    /// peer is still there.
-    fn push_answer(&mut self, tuple: &Tuple) -> bool {
-        self.push_line(|buf| ServerFrame::encode_answer(buf, tuple))
-    }
-
-    /// Queues the line `encode` appends.
-    fn push_line(&mut self, encode: impl FnOnce(&mut String)) -> bool {
-        if self.open {
-            encode(&mut self.buf);
-            self.buf.push('\n');
-            if self.buf.len() >= MAX_FRAME_BYTES {
-                self.flush();
-            }
-        }
-        self.open
-    }
-
-    /// Puts every queued frame on the wire in one write. Returns
-    /// whether the peer is still there.
-    fn flush(&mut self) -> bool {
-        if self.open && !self.buf.is_empty() {
-            self.open = self.sink.write_all(self.buf.as_bytes()).is_ok();
-            self.buf.clear();
-        }
-        self.open
-    }
-}
-
-/// One connection, accept to close: greet, then serve frames until
-/// `QUIT`, EOF, a write failure, an over-long frame, or drain.
+/// One connection, accept to close: the TCP shell that greets, then
+/// moves bytes between the socket and a [`Session`] until it is over.
 fn handle_connection(shared: &NetShared, stream: &TcpStream, peer: SocketAddr) {
     shared.open.fetch_add(1, Ordering::AcqRel);
     let _conn = ConnGuard {
@@ -880,108 +806,182 @@ fn handle_connection(shared: &NetShared, stream: &TcpStream, peer: SocketAddr) {
     };
     shared.query.note_connection();
     let connected_at = Instant::now();
-    let mut queries = 0u64;
     // answer frames are small and latency-bound: without nodelay, Nagle
     // against the peer's delayed ACK adds ~40ms to every round trip
     let _ = stream.set_nodelay(true);
-    let mut reader = BufReader::new(stream);
-    let mut out = FrameWriter::new(stream);
-    out.push(&ServerFrame::Hello {
+    let mut session = Session::new(stream);
+    session.push(&ServerFrame::Hello {
         proto: "mdq/1".to_string(),
     });
-    let mut tenant = DEFAULT_TENANT;
-    let mut line = String::new();
-    loop {
+    // one read's 8 KiB, on the heap like a `BufReader`'s: zeroed on the
+    // stack it would stay resident in every cached thread stack
+    let (mut reader, mut bytes) = (stream, vec![0; 8 * 1024]);
+    // about to block: the replies queued so far leave first, the last
+    // ones (BYE, a refusal, DRAINING) before `ConnGuard` shuts down
+    while session.flush() {
+        match reader.read(&mut bytes) {
+            // the peer closed its write half, or drain shut our read half
+            Ok(0) => session.eof(shared),
+            Ok(n) => session.feed(shared, &bytes[..n]),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => break,
+        }
+    }
+    if let Some(recorder) = shared.query.trace_recorder() {
+        recorder.control().record(
+            SpanKind::Connection {
+                peer: peer.to_string(),
+                queries: session.queries,
+            },
+            connected_at.elapsed().as_secs_f64(),
+        );
+    }
+}
+
+/// One connection's `mdq/1` protocol state, without the socket. Once it
+/// is over — `QUIT`, drain, a frame over the cap or not UTF-8,
+/// end-of-file, a failed write — it serves and queues nothing more.
+struct Session<W: Write> {
+    sink: W,
+    /// Reply frames queued since the last write: written at once when
+    /// the connection is about to block, or at [`MAX_FRAME_BYTES`].
+    out: String,
+    /// The start of a client frame whose newline has not arrived; at
+    /// most [`MAX_FRAME_BYTES`] long.
+    partial: Vec<u8>,
+    tenant: TenantId,
+    /// `QUERY` and `SUBSCRIBE` frames served, for the `Connection` span.
+    queries: u64,
+    closed: bool,
+}
+
+impl<W: Write> Session<W> {
+    fn new(sink: W) -> Self {
+        Session {
+            sink,
+            out: String::new(),
+            partial: Vec::new(),
+            tenant: DEFAULT_TENANT,
+            queries: 0,
+            closed: false,
+        }
+    }
+
+    /// Serves every frame `bytes` completes and keeps the start of the
+    /// next one: the stream may be split anywhere.
+    fn feed(&mut self, shared: &NetShared, mut bytes: &[u8]) {
+        while !self.closed && !bytes.is_empty() {
+            let end = bytes.iter().position(|&b| b == b'\n');
+            let (head, rest) = bytes.split_at(end.map_or(bytes.len(), |at| at + 1));
+            bytes = rest;
+            if end.is_some() || self.partial.len() + head.len() > MAX_FRAME_BYTES {
+                self.end_frame(shared, head);
+            } else {
+                self.partial.extend_from_slice(head);
+            }
+        }
+    }
+
+    /// End-of-file ends the session: a peer's unterminated last frame
+    /// is served — or, on drain, dropped without an `ERR` as a torn
+    /// half, and the session says `DRAINING` + `BYE`.
+    fn eof(&mut self, shared: &NetShared) {
+        if !self.closed {
+            self.end_frame(shared, b"");
+        }
+        self.closed = true;
+    }
+
+    /// Ends the frame being assembled with `tail`, and serves it unless
+    /// the drain flag is up or the frame is over the cap.
+    fn end_frame(&mut self, shared: &NetShared, tail: &[u8]) {
         if shared.draining.load(Ordering::Acquire) {
-            out.push(&ServerFrame::Draining);
-            out.push(&ServerFrame::Bye);
-            break;
+            self.drain_notice();
+        } else if self.partial.len() + tail.len() > MAX_FRAME_BYTES {
+            let reason = "frame too long".to_string();
+            self.push(&ServerFrame::Err { reason });
+            self.closed = true;
+        } else if self.partial.is_empty() {
+            self.serve(shared, tail);
+        } else {
+            let mut frame = std::mem::take(&mut self.partial);
+            frame.extend_from_slice(tail);
+            self.serve(shared, &frame);
+            frame.clear();
+            self.partial = frame;
         }
-        // about to block: the reply to the last frame leaves now
-        if !out.flush() {
-            break;
-        }
-        // blocks until a newline, end-of-file or the frame cap
-        line.clear();
-        let mut frame_reader = reader.by_ref().take(MAX_FRAME_BYTES as u64 + 1);
-        if frame_reader.read_line(&mut line).is_err() {
-            break;
-        }
-        if line.len() > MAX_FRAME_BYTES {
-            out.push(&ServerFrame::Err {
-                reason: "frame too long".to_string(),
-            });
-            break;
-        }
-        if !line.ends_with('\n') {
-            // end-of-file: the peer closed its write half, or drain
-            // shut our read half. On drain whatever was read is half a
-            // frame — dropped, the loop head says DRAINING; a peer's
-            // unterminated last frame is served before the EOF behind it
-            if shared.draining.load(Ordering::Acquire) {
-                continue;
-            }
-            if line.is_empty() {
-                break; // client went away
-            }
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let frame = match ClientFrame::parse(&line) {
-            Ok(frame) => frame,
-            Err(reason) => {
-                out.push(&ServerFrame::Err { reason });
-                continue;
-            }
+    }
+
+    /// Says `DRAINING` + `BYE` and ends the session — to an idle
+    /// connection, and to one the accept loop refuses.
+    fn drain_notice(&mut self) {
+        self.push(&ServerFrame::Draining);
+        self.push(&ServerFrame::Bye);
+        self.closed = true;
+    }
+
+    /// Serves one client frame.
+    fn serve(&mut self, shared: &NetShared, line: &[u8]) {
+        // a frame that is not UTF-8 ends the connection without a reply
+        let Ok(line) = std::str::from_utf8(line) else {
+            self.closed = true;
+            return;
         };
-        let ok = match frame {
-            ClientFrame::Ping => out.push(&ServerFrame::Pong),
+        if line.trim().is_empty() {
+            return;
+        }
+        let frame = match ClientFrame::parse(line) {
+            Ok(frame) => frame,
+            Err(reason) => return self.push(&ServerFrame::Err { reason }),
+        };
+        match frame {
+            ClientFrame::Ping => self.push(&ServerFrame::Pong),
             ClientFrame::Quit => {
-                out.push(&ServerFrame::Bye);
-                break;
+                self.push(&ServerFrame::Bye);
+                self.closed = true;
             }
             ClientFrame::Tenant { name } => match shared.tenant(&name) {
-                Ok(id) => {
-                    tenant = id;
-                    out.push(&ServerFrame::Ok { tenant })
+                Ok(tenant) => {
+                    self.tenant = tenant;
+                    self.push(&ServerFrame::Ok { tenant });
                 }
                 // the connection keeps the tenant it had
-                Err(reason) => out.push(&ServerFrame::Err { reason }),
+                Err(reason) => self.push(&ServerFrame::Err { reason }),
             },
             ClientFrame::Query { k, text } => {
-                queries += 1;
-                serve_query(shared, &mut out, tenant, &text, k)
+                self.queries += 1;
+                self.stream(shared.query.try_submit(self.tenant, &text, k));
             }
             ClientFrame::Subscribe { k, text } => {
-                queries += 1;
-                match shared.query.subscribe(tenant, &text, k) {
+                self.queries += 1;
+                match shared.query.subscribe(self.tenant, &text, k) {
                     Ok(ticket) => {
-                        out.push(&ServerFrame::Subscribed {
+                        self.push(&ServerFrame::Subscribed {
                             id: ticket.id,
                             epoch: ticket.epoch,
                             answers: ticket.answers.len() as u64,
-                        }) && ticket.answers.iter().all(|t| out.push_answer(t))
+                        });
+                        for t in &ticket.answers {
+                            self.push_line(|out| ServerFrame::encode_answer(out, t));
+                        }
                     }
-                    Err(reason) => out.push(&ServerFrame::Err { reason }),
+                    Err(reason) => self.push(&ServerFrame::Err { reason }),
                 }
             }
             // POLL/UNSUBSCRIBE run as the connection's tenant: ids are
             // sequential, so without the scoping any client could
             // drain (destructively) or deregister another tenant's
             // subscription just by guessing
-            ClientFrame::Poll { id } => match shared.query.poll_deltas(tenant, id) {
+            ClientFrame::Poll { id } => match shared.query.poll_deltas(self.tenant, id) {
                 Some(deltas) => {
-                    let mut epoch = shared.query.epoch();
                     let mut rows = 0u64;
                     for d in &deltas {
-                        epoch = d.epoch;
                         // retractions first: a client applying frames in
                         // order never sees a transiently oversized set
                         for (added, tuples) in [(false, &d.retracted), (true, &d.added)] {
                             for t in tuples {
                                 rows += 1;
-                                out.push(&ServerFrame::Delta {
+                                self.push(&ServerFrame::Delta {
                                     id,
                                     epoch: d.epoch,
                                     added,
@@ -990,125 +990,121 @@ fn handle_connection(shared: &NetShared, stream: &TcpStream, peer: SocketAddr) {
                             }
                         }
                     }
-                    out.push(&ServerFrame::Synced {
+                    self.push(&ServerFrame::Synced {
                         id,
-                        epoch,
+                        epoch: deltas.last().map_or(shared.query.epoch(), |d| d.epoch),
                         deltas: rows,
-                    })
+                    });
                 }
-                None => out.push(&ServerFrame::Err {
+                None => self.push(&ServerFrame::Err {
                     reason: format!("unknown subscription {id}"),
                 }),
             },
             // REFRESH re-fetches every tracked invocation for all
             // tenants — operator-only, or any anonymous client could
             // spam the single most expensive lever the server has
-            ClientFrame::Refresh => match shared.query.try_refresh(tenant) {
-                Ok(s) => out.push(&ServerFrame::Refreshed {
+            ClientFrame::Refresh => match shared.query.try_refresh(self.tenant) {
+                Ok(s) => self.push(&ServerFrame::Refreshed {
                     epoch: s.epoch,
                     refreshed: s.refreshed,
                     changed: s.invocations_changed,
                     calls: s.calls,
                     deltas: s.deltas_emitted,
                 }),
-                Err(rejection) => out.push(&ServerFrame::Err {
+                Err(rejection) => self.push(&ServerFrame::Err {
                     reason: rejection.to_string(),
                 }),
             },
             ClientFrame::Unsubscribe { id } => {
-                if shared.query.unsubscribe(tenant, id) {
-                    out.push(&ServerFrame::Unsubscribed { id })
+                self.push(&if shared.query.unsubscribe(self.tenant, id) {
+                    ServerFrame::Unsubscribed { id }
                 } else {
-                    out.push(&ServerFrame::Err {
+                    ServerFrame::Err {
                         reason: format!("unknown subscription {id}"),
-                    })
-                }
+                    }
+                })
             }
-        };
-        if !ok {
-            break;
         }
     }
-    // the closing frames (BYE, a refusal, the drain notice) leave before
-    // `ConnGuard` shuts the socket down; a peer already gone is no error
-    out.flush();
-    if let Some(recorder) = shared.query.trace_recorder() {
-        recorder.control().record(
-            SpanKind::Connection {
-                peer: peer.to_string(),
-                queries,
-            },
-            connected_at.elapsed().as_secs_f64(),
-        );
-    }
-}
 
-/// Submits one query and streams its session to the client. Returns
-/// whether the connection is still writable.
-fn serve_query(
-    shared: &NetShared,
-    out: &mut FrameWriter<impl Write>,
-    tenant: TenantId,
-    text: &str,
-    k: Option<u64>,
-) -> bool {
-    match shared.query.try_submit(tenant, text, k) {
-        Ok(session) => stream_session(&session, out),
-        Err(rejection) => out.push(&match rejection {
-            Rejection::QueueFull { retry_after } | Rejection::TenantQueueFull { retry_after } => {
-                ServerFrame::Shed {
-                    retry_after_ms: retry_after.as_millis() as u64,
-                }
-            }
-            Rejection::Closed => ServerFrame::Draining,
-            other => ServerFrame::Err {
-                reason: other.to_string(),
-            },
-        }),
-    }
-}
-
-/// Queues a session's events as frames until its stream ends, flushing
-/// whenever the worker has nothing more ready: an answer that exists is
-/// on the wire before the handler waits for the next one. Returns
-/// whether the connection is still writable; on `false` the caller
-/// drops the session, which cancels the query's remaining pulls.
-fn stream_session(session: &QuerySession, out: &mut FrameWriter<impl Write>) -> bool {
-    let mut answers = 0u64;
-    loop {
-        let event = match session.rx.try_recv() {
-            Ok(event) => Some(event),
-            Err(TryRecvError::Disconnected) => None,
-            Err(TryRecvError::Empty) => {
-                // about to block on the worker
-                if !out.flush() {
-                    return false;
-                }
-                session.next_event()
+    /// Queues a query's events as frames until its stream ends, flushing
+    /// whenever the worker has nothing more ready. A failed write drops
+    /// the query's session, which cancels its remaining pulls.
+    fn stream(&mut self, submitted: Result<QuerySession, Rejection>) {
+        let session = match submitted {
+            Ok(session) => session,
+            Err(rejection) => {
+                return self.push(&match rejection {
+                    Rejection::QueueFull { retry_after }
+                    | Rejection::TenantQueueFull { retry_after } => ServerFrame::Shed {
+                        retry_after_ms: retry_after.as_millis() as u64,
+                    },
+                    Rejection::Closed => ServerFrame::Draining,
+                    other => ServerFrame::Err {
+                        reason: other.to_string(),
+                    },
+                })
             }
         };
-        match event {
-            Some(SessionEvent::Answer(tuple)) => {
-                answers += 1;
-                if !out.push_answer(&tuple) {
-                    return false;
+        let mut answers = 0u64;
+        while !self.closed {
+            let event = match session.rx.try_recv() {
+                Ok(event) => Some(event),
+                Err(TryRecvError::Disconnected) => None,
+                Err(TryRecvError::Empty) => {
+                    // about to block on the worker
+                    if !self.flush() {
+                        return;
+                    }
+                    session.next_event()
                 }
-            }
-            Some(SessionEvent::Done(stats)) => {
-                return out.push(&ServerFrame::Done {
+            };
+            let last = match event {
+                Some(SessionEvent::Answer(tuple)) => {
+                    answers += 1;
+                    self.push_line(|out| ServerFrame::encode_answer(out, &tuple));
+                    continue;
+                }
+                Some(SessionEvent::Done(stats)) => ServerFrame::Done {
                     answers,
                     calls: stats.forwarded_calls,
                     wall_ms: (stats.wall_seconds * 1e3) as u64,
                     partial: stats.is_partial(),
-                });
-            }
-            Some(SessionEvent::Failed(reason)) => return out.push(&ServerFrame::Err { reason }),
-            None => {
-                return out.push(&ServerFrame::Err {
+                },
+                Some(SessionEvent::Failed(reason)) => ServerFrame::Err { reason },
+                None => ServerFrame::Err {
                     reason: "server shut down before the query finished".to_string(),
-                });
+                },
+            };
+            return self.push(&last);
+        }
+    }
+
+    /// Queues one frame.
+    fn push(&mut self, frame: &ServerFrame) {
+        self.push_line(|out| frame.encode_into(out));
+    }
+
+    /// Queues the line `encode` appends (an `ANSWER` is rendered in
+    /// place: [`ServerFrame::encode_answer`]) unless the session is over.
+    fn push_line(&mut self, encode: impl FnOnce(&mut String)) {
+        if !self.closed {
+            encode(&mut self.out);
+            self.out.push('\n');
+            if self.out.len() >= MAX_FRAME_BYTES {
+                self.flush();
             }
         }
+    }
+
+    /// Puts every queued frame on the wire in one write. Returns
+    /// whether the session reads on.
+    fn flush(&mut self) -> bool {
+        if !self.out.is_empty() {
+            self.closed |= self.sink.write_all(self.out.as_bytes()).is_err();
+            self.out.clear();
+        }
+        !self.closed
     }
 }
 
@@ -1352,6 +1348,7 @@ mod tests {
     use super::*;
     use crate::server::RuntimeConfig;
     use crate::session::QueryStats;
+    use mdq_model::rng::Rng;
     use mdq_model::value::{Tuple, Value};
     use mdq_services::domains::news::news_world;
     use std::sync::mpsc;
@@ -1469,6 +1466,15 @@ mod tests {
             ServerFrame::parse("DELTA id=1 epoch=2 op=? x").is_err(),
             "bad op rejected"
         );
+        for truncated in [
+            "DONE answers=5 calls=17 wall_ms=12",
+            "SUBSCRIBED id=7 epoch=3",
+            "DELTA id=7 epoch=4",
+            "SYNCED id=7",
+            "REFRESHED epoch=4 refreshed=9 changed=2 calls=11",
+        ] {
+            assert!(ServerFrame::parse(truncated).is_err(), "{truncated}");
+        }
     }
 
     /// A sink that records every `write` call. It fails them all when
@@ -1551,20 +1557,19 @@ mod tests {
         frames.iter().map(|f| f.encode() + "\n").collect()
     }
 
-    /// Streams `session` the way `handle_connection` does: the stream,
-    /// then the flush before the next read.
-    fn stream_and_flush(session: &QuerySession, sink: &mut Sink) -> bool {
-        let mut out = FrameWriter::new(sink);
-        let ok = stream_session(session, &mut out);
-        out.flush();
-        ok
+    /// Streams `session` the way a connection does: the stream, then
+    /// the flush before the next read. Returns whether it reads on.
+    fn stream_and_flush(session: QuerySession, sink: &mut Sink) -> bool {
+        let mut conn = Session::new(sink);
+        conn.stream(Ok(session));
+        conn.flush()
     }
 
     #[test]
     fn a_stream_that_is_ready_leaves_in_one_write_with_the_bytes_of_encode() {
         let (_worker, session) = queued_session(stream_events(5, 0));
         let mut sink = Sink::default();
-        assert!(stream_and_flush(&session, &mut sink));
+        assert!(stream_and_flush(session, &mut sink));
         assert_eq!(sink.writes, [expected_stream(5, 0)]);
     }
 
@@ -1579,7 +1584,7 @@ mod tests {
             next_burst: Some((worker, vec![SessionEvent::Answer(answer(2, 0)), done()])),
             ..Sink::default()
         };
-        assert!(stream_and_flush(&session, &mut sink));
+        assert!(stream_and_flush(session, &mut sink));
         assert_eq!(sink.writes.len(), 2, "one write per burst");
         assert_eq!(sink.writes[0], "ANSWER ⟨'city-0'⟩\nANSWER ⟨'city-1'⟩\n");
         assert_eq!(sink.writes.concat(), expected_stream(3, 0));
@@ -1592,14 +1597,14 @@ mod tests {
             SessionEvent::Failed("boom".to_string()),
         ]);
         let mut sink = Sink::default();
-        assert!(stream_and_flush(&session, &mut sink), "ERR is a reply");
+        assert!(stream_and_flush(session, &mut sink), "ERR is a reply");
         assert_eq!(sink.writes, ["ANSWER ⟨'city-0'⟩\nERR boom\n"]);
 
         // the worker died: its sender is gone and no DONE was sent
         let (worker, session) = queued_session(vec![SessionEvent::Answer(answer(0, 0))]);
         drop(worker);
         let mut sink = Sink::default();
-        assert!(stream_and_flush(&session, &mut sink));
+        assert!(stream_and_flush(session, &mut sink));
         assert_eq!(
             sink.writes,
             ["ANSWER ⟨'city-0'⟩\nERR server shut down before the query finished\n"]
@@ -1611,7 +1616,7 @@ mod tests {
         // 100 answers of ~1 KiB, all ready at once
         let (_worker, session) = queued_session(stream_events(100, 1024));
         let mut sink = Sink::default();
-        assert!(stream_and_flush(&session, &mut sink));
+        assert!(stream_and_flush(session, &mut sink));
         assert_eq!(sink.writes.len(), 2, "~102 KiB against a 64 KiB bound");
         let frame = expected_stream(1, 1024).len();
         for write in &sink.writes {
@@ -1633,10 +1638,11 @@ mod tests {
             broken: true,
             ..Sink::default()
         };
-        let mut out = FrameWriter::new(&mut sink);
-        assert!(!stream_session(&session, &mut out));
-        assert!(!out.push(&ServerFrame::Pong), "later frames are dropped");
-        assert!(!out.flush());
+        let mut conn = Session::new(&mut sink);
+        conn.stream(Ok(session));
+        assert!(conn.closed);
+        conn.push(&ServerFrame::Pong); // later frames are dropped
+        assert!(!conn.flush());
         assert_eq!((sink.attempts, sink.writes.len()), (1, 0));
 
         // and the flush at the buffer bound, with the whole stream ready
@@ -1645,7 +1651,7 @@ mod tests {
             broken: true,
             ..Sink::default()
         };
-        assert!(!stream_and_flush(&session, &mut sink));
+        assert!(!stream_and_flush(session, &mut sink));
         assert_eq!(sink.attempts, 1);
     }
 
@@ -1830,14 +1836,7 @@ mod tests {
 
     /// A one-worker news server on an ephemeral loopback port.
     fn news_net() -> NetServer {
-        let server = Arc::new(QueryServer::from_world(
-            news_world(),
-            RuntimeConfig {
-                workers: 1,
-                ..RuntimeConfig::default()
-            },
-        ));
-        NetServer::start(server, "127.0.0.1:0").expect("bind")
+        NetServer::start(news_server(RuntimeConfig::default()), "127.0.0.1:0").expect("bind")
     }
 
     /// A raw connection with the greeting consumed: the socket to write
@@ -2028,5 +2027,391 @@ mod tests {
         assert_eq!(net.open_connections(), 0, "every handler was joined");
         // and the listener is gone: new connections fail outright
         assert!(NetClient::connect(addr).is_err(), "listener closed");
+    }
+
+    /// A one-worker news server with `config`'s other settings.
+    fn news_server(config: RuntimeConfig) -> Arc<QueryServer> {
+        Arc::new(QueryServer::from_world(
+            news_world(),
+            RuntimeConfig {
+                workers: 1,
+                ..config
+            },
+        ))
+    }
+
+    /// What [`NetServer::start`] shares with its connections, for
+    /// sessions driven without a socket.
+    fn net_shared(query: Arc<QueryServer>) -> NetShared {
+        NetShared {
+            query,
+            draining: AtomicBool::new(false),
+            open: AtomicU64::new(0),
+            wire_tenants: Mutex::new(0),
+        }
+    }
+
+    /// Feeds `pieces` to a fresh session, one `feed` each, and returns
+    /// the bytes it wrote and whether it reads on.
+    fn feed_pieces(shared: &NetShared, pieces: &[&[u8]]) -> (String, bool) {
+        let mut out = Vec::new();
+        let mut session = Session::new(&mut out);
+        for piece in pieces {
+            session.feed(shared, piece);
+        }
+        let open = session.flush();
+        (String::from_utf8(out).expect("frames are UTF-8"), open)
+    }
+
+    /// One connection the way the shell runs it — greeting, `client`
+    /// fed in the pieces `cuts` mark, end-of-file — as the bytes the
+    /// session wrote.
+    fn replay(shared: &NetShared, client: &[u8], cuts: &[usize]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut session = Session::new(&mut out);
+        session.push(&ServerFrame::Hello {
+            proto: "mdq/1".to_string(),
+        });
+        let mut from = 0;
+        for &cut in cuts.iter().chain([&client.len()]) {
+            session.feed(shared, &client[from..cut]);
+            assert!(
+                session.partial.len() <= MAX_FRAME_BYTES,
+                "buffered past the cap"
+            );
+            from = cut;
+        }
+        session.eof(shared);
+        session.flush();
+        out
+    }
+
+    #[test]
+    fn a_frame_at_the_cap_is_served_and_one_byte_more_is_refused() {
+        let shared = net_shared(news_server(RuntimeConfig::default()));
+        let pong = ("PONG\n".to_string(), true);
+        let refused = ("ERR frame too long\n".to_string(), false);
+        // `PING` and padding: the verb reads the rest as nothing
+        let at_cap = format!("PING{}\n", " ".repeat(MAX_FRAME_BYTES - 5));
+        assert_eq!(at_cap.len(), MAX_FRAME_BYTES, "newline included");
+        let at_cap = at_cap.as_bytes();
+        assert_eq!(feed_pieces(&shared, &[at_cap]), pong);
+        let (head, newline) = at_cap.split_at(MAX_FRAME_BYTES - 1);
+        assert_eq!(feed_pieces(&shared, &[head, newline]), pong);
+        // the same frame without its newline, at end-of-file
+        let mut out = Vec::new();
+        let mut session = Session::new(&mut out);
+        session.feed(&shared, head);
+        session.eof(&shared);
+        assert!(!session.flush());
+        assert_eq!(out, b"PONG\n");
+
+        let over = format!("PING{}\n", " ".repeat(MAX_FRAME_BYTES - 4));
+        let over = over.as_bytes();
+        assert_eq!(feed_pieces(&shared, &[over, b"PING\n"]), refused);
+        // buffered up to the cap, refused at its first byte past it
+        let (head, newline) = over.split_at(MAX_FRAME_BYTES);
+        assert_eq!(feed_pieces(&shared, &[head]), (String::new(), true));
+        assert_eq!(feed_pieces(&shared, &[head, newline]), refused);
+        assert_eq!(feed_pieces(&shared, &[head, b"x"]), refused);
+    }
+
+    #[test]
+    fn a_frame_that_is_not_utf8_closes_the_connection_without_a_reply() {
+        let shared = net_shared(news_server(RuntimeConfig::default()));
+        let fed = feed_pieces(&shared, &[b"PING\nPI\xffNG\nPING\n"]);
+        assert_eq!(fed, ("PONG\n".to_string(), false));
+        // a multi-byte character split between two feeds is still UTF-8
+        let fed = feed_pieces(&shared, &[b"TENANT caf\xc3", b"\xa9\n"]);
+        assert!(fed.0.starts_with("OK tenant="), "{fed:?}");
+    }
+
+    #[test]
+    fn crlf_and_blank_lines_are_frames_as_usual() {
+        let shared = net_shared(news_server(RuntimeConfig::default()));
+        let fed = feed_pieces(&shared, &[b"PING\r\n\n \r\nPING\n"]);
+        assert_eq!(fed, ("PONG\nPONG\n".to_string(), true));
+    }
+
+    #[test]
+    fn pipelined_frames_in_one_feed_are_all_served_in_one_write() {
+        let shared = net_shared(news_server(RuntimeConfig::default()));
+        let mut sink = Sink::default();
+        let mut session = Session::new(&mut sink);
+        session.feed(&shared, b"PING\nPING\n");
+        assert!(session.flush());
+        assert_eq!(sink.writes, ["PONG\nPONG\n"]);
+    }
+
+    #[test]
+    fn a_drain_raised_with_frames_buffered_serves_none_of_them() {
+        let shared = net_shared(news_server(RuntimeConfig::default()));
+        let mut out = Vec::new();
+        let mut session = Session::new(&mut out);
+        session.feed(&shared, b"PING\nPI");
+        shared.draining.store(true, Ordering::Release);
+        session.feed(&shared, b"NG\nPING\nQUIT\n");
+        assert!(!session.flush());
+        assert_eq!(out, b"PONG\nDRAINING\nBYE\n");
+    }
+
+    /// One seeded case of the wire fuzz campaign: a mix of control
+    /// verbs, unknown verbs, bad ids, CRLF, blank lines, non-UTF-8
+    /// bytes and runs around the cap, the last frame sometimes left
+    /// unterminated.
+    fn wire_case(rng: &mut Rng) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for _ in 0..rng.range_usize(1, 10) {
+            let id = ["1", "7", "x", "-1", "", "18446744073709551616"][rng.range_usize(0, 6)];
+            let frame = match rng.range_usize(0, 14) {
+                0 => "PING".to_string(),
+                1 => format!("TENANT t{}", rng.range_usize(0, 4)),
+                2 => format!("TENANT {}", "n".repeat(MAX_TENANT_NAME_BYTES + 1)),
+                3 => format!("POLL {id}"),
+                4 => format!("UNSUBSCRIBE {id}"),
+                5 => "REFRESH".to_string(),
+                6 => ["NOPE x", "ping", "PING2", "QUERY k=x q", "SUBSCRIBE"][rng.range_usize(0, 5)]
+                    .to_string(),
+                7 => "QUERY k=3 not a query".to_string(),
+                8 => " ".repeat(rng.range_usize(0, 3)),
+                9 => "PING".to_string() + &" ".repeat(rng.range_usize(0, 8)),
+                10 if rng.range_usize(0, 4) == 0 => "QUIT".to_string(),
+                11 if rng.range_usize(0, 4) == 0 => {
+                    bytes.extend_from_slice(b"PI\xff\xfeNG\n");
+                    continue;
+                }
+                // with its newline (or CRLF), on either side of the cap
+                12 if rng.range_usize(0, 4) == 0 => {
+                    "a".repeat(MAX_FRAME_BYTES - 3 + rng.range_usize(0, 6))
+                }
+                _ => "PING".to_string(),
+            };
+            bytes.extend_from_slice(frame.as_bytes());
+            bytes.extend_from_slice([&b"\n"[..], b"\r\n"][rng.range_usize(0, 2)]);
+        }
+        if rng.range_usize(0, 4) == 0 {
+            bytes.truncate(bytes.len() - 1);
+        }
+        bytes
+    }
+
+    #[test]
+    fn the_wire_split_anywhere_is_the_wire_fed_whole() {
+        // a real campaign: MDQ_FUZZ_MS=600000 MDQ_FUZZ_SEED=<n> cargo
+        // test --release -p mdq-runtime --lib wire_split
+        let env = |name| std::env::var(name).ok().and_then(|v| v.parse::<u64>().ok());
+        let campaign = env("MDQ_FUZZ_MS");
+        let deadline = Instant::now() + Duration::from_millis(campaign.unwrap_or(1000));
+        let max_cases = campaign.map_or(10_000, |_| u64::MAX);
+        let seed = env("MDQ_FUZZ_SEED").unwrap_or(0x5eed_0044);
+        let shared = net_shared(news_server(RuntimeConfig::default()));
+        let mut cases = 0;
+        while cases < max_cases && Instant::now() < deadline {
+            let mut rng = Rng::new(seed ^ cases);
+            let client = wire_case(&mut rng);
+            let whole = replay(&shared, &client, &[]);
+            let mut cuts: Vec<usize> = (0..rng.range_usize(1, 8))
+                .map(|_| rng.range_usize(0, client.len() + 1))
+                .collect();
+            cuts.sort_unstable();
+            let split = replay(&shared, &client, &cuts);
+            let case = || format!("seed {seed} case {cases}, cuts {cuts:?}: {client:?}");
+            assert_eq!(
+                String::from_utf8_lossy(&split),
+                String::from_utf8_lossy(&whole),
+                "{}",
+                case()
+            );
+            let text = std::str::from_utf8(&whole).unwrap_or_else(|e| panic!("{e}: {}", case()));
+            assert!(text.ends_with('\n'), "{}", case());
+            for line in text.lines() {
+                if let Err(e) = ServerFrame::parse(line) {
+                    panic!("{line:?} does not parse ({e}): {}", case());
+                }
+            }
+            cases += 1;
+        }
+        assert!(cases >= 100, "only {cases} cases in the time box");
+    }
+
+    /// The wire transcripts: client bytes in, server bytes out, through
+    /// the TCP handler as it was before the session was split out of it
+    /// (`wall_ms=` masked).
+    const TRANSCRIPTS: &str = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/wire_transcripts.txt"
+    );
+
+    /// A transcript scenario: a name, a constructor of the server it
+    /// runs against, and the client's bytes (written at once, then the
+    /// write half closed).
+    type Scenario = (&'static str, fn() -> Arc<QueryServer>, Vec<u8>);
+
+    fn scenarios() -> Vec<Scenario> {
+        let plain: fn() -> Arc<QueryServer> = || news_server(RuntimeConfig::default());
+        let operator: fn() -> Arc<QueryServer> = || {
+            let server = news_server(RuntimeConfig::default());
+            let policy = TenantPolicy {
+                operator: true,
+                ..TenantPolicy::default()
+            };
+            server.register_tenant("ops", policy);
+            server
+        };
+        let capped: fn() -> Arc<QueryServer> = || {
+            news_server(RuntimeConfig {
+                max_subscriptions: 2,
+                ..RuntimeConfig::default()
+            })
+        };
+        let subscription =
+            "TENANT ops\nSUBSCRIBE k=5 {QUERY}\nREFRESH\nPOLL 1\nUNSUBSCRIBE 1\nPOLL 1\nQUIT\n";
+        let long_name = "n".repeat(MAX_TENANT_NAME_BYTES + 1);
+        vec![
+            (
+                "ping-query-quit",
+                plain,
+                format!("PING\nQUERY k=5 {QUERY}\nQUIT\n"),
+            ),
+            (
+                "operator-subscription",
+                operator,
+                subscription.replace("{QUERY}", QUERY),
+            ),
+            (
+                "subscription-cap",
+                capped,
+                format!("SUBSCRIBE k=3 {QUERY}\n").repeat(3) + "QUIT\n",
+            ),
+            (
+                "tenant-name-too-long",
+                plain,
+                format!("TENANT {long_name}\nPING\nQUIT\n"),
+            ),
+            (
+                "unknown-verb-and-bad-id",
+                plain,
+                "NOPE x\nPOLL x\nQUIT\n".to_string(),
+            ),
+            (
+                "pipelined",
+                plain,
+                "PING\nTENANT acme\nPOLL 7\r\n\nPING\nQUIT\n".to_string(),
+            ),
+            ("half-close-after-ping", plain, "PING\n".to_string()),
+            ("over-long-frame", plain, "a".repeat(MAX_FRAME_BYTES + 1)),
+        ]
+        .into_iter()
+        .map(|(name, server, client)| (name, server, client.into_bytes()))
+        .collect()
+    }
+
+    /// One scenario's section of the transcript file: `>` client lines,
+    /// `<` server lines, `>|` / `<|` an unterminated last line.
+    fn transcript(name: &str, client: &[u8], server: &[u8]) -> String {
+        let mut text = format!("== {name}\n");
+        for line in client.split_inclusive(|&b| b == b'\n') {
+            let (body, mark) = match line.strip_suffix(b"\n") {
+                Some(body) => (body, ">"),
+                None => (line, ">|"),
+            };
+            let mut shown = String::new();
+            for &b in body {
+                match b {
+                    b' '..=b'~' if b != b'\\' => shown.push(char::from(b)),
+                    _ => write!(shown, "\\x{b:02x}").expect(STRING_WRITE),
+                }
+            }
+            if shown.len() > 160 {
+                shown = format!("{}… ({} bytes)", &shown[..40], body.len());
+            }
+            writeln!(text, "{mark} {shown}").expect(STRING_WRITE);
+        }
+        let server = String::from_utf8_lossy(server);
+        for line in server.split_inclusive('\n') {
+            let (body, mark) = match line.strip_suffix('\n') {
+                Some(body) => (body, "<"),
+                None => (line, "<|"),
+            };
+            // the one clock on the wire
+            let body = match body.split_once(" wall_ms=") {
+                Some((head, tail)) => {
+                    let digits = tail.bytes().take_while(u8::is_ascii_digit).count();
+                    format!("{head} wall_ms=*{}", &tail[digits..])
+                }
+                None => body.to_string(),
+            };
+            writeln!(text, "{mark} {body}").expect(STRING_WRITE);
+        }
+        text
+    }
+
+    /// The committed transcripts, one section per scenario.
+    fn golden_transcripts() -> Vec<String> {
+        let text = std::fs::read_to_string(TRANSCRIPTS).expect("transcripts are committed");
+        let mut sections: Vec<String> = Vec::new();
+        for line in text.lines().filter(|l| !l.starts_with('#')) {
+            if line.starts_with("== ") {
+                sections.push(String::new());
+            }
+            let section = sections.last_mut().expect("a section header comes first");
+            writeln!(section, "{line}").expect(STRING_WRITE);
+        }
+        sections
+    }
+
+    #[test]
+    fn wire_transcripts_replay_through_the_tcp_shell() {
+        let mut sections = Vec::new();
+        for (name, server, client) in scenarios() {
+            let net = NetServer::start(server(), "127.0.0.1:0").expect("bind");
+            let mut stream = TcpStream::connect(net.addr()).expect("connect");
+            stream.write_all(&client).expect("client bytes");
+            stream.shutdown(Shutdown::Write).expect("half-close");
+            let mut server_bytes = Vec::new();
+            stream.read_to_end(&mut server_bytes).expect("server bytes");
+            net.shutdown();
+            sections.push(transcript(name, &client, &server_bytes));
+        }
+        if std::env::var_os("MDQ_WRITE_GOLDEN").is_some() {
+            let header = "# mdq/1 wire transcripts: per scenario, the client's bytes (`>`) and\n\
+                          # the server's (`<`), `wall_ms` masked. Replayed by `net::tests`;\n\
+                          # regenerate with MDQ_WRITE_GOLDEN=1 only for an intended wire change.\n";
+            std::fs::write(TRANSCRIPTS, header.to_string() + &sections.concat())
+                .expect("transcripts are writable");
+            return;
+        }
+        assert_eq!(sections, golden_transcripts());
+    }
+
+    #[test]
+    fn wire_transcripts_replay_through_the_session_split_anywhere() {
+        let golden = golden_transcripts();
+        let scenarios = scenarios();
+        assert_eq!(golden.len(), scenarios.len());
+        for (index, (name, server, client)) in scenarios.iter().enumerate() {
+            // the whole stream, one byte per feed, and one split at every
+            // boundary — a seeded sample of them past 1 KiB, where the
+            // sweep would take a minute; a fresh server each time
+            let mut rng = Rng::new(0x7ca5 ^ index as u64);
+            let mut splits = vec![vec![], (1..client.len()).collect::<Vec<_>>()];
+            match client.len() {
+                len if len <= 1024 => splits.extend((0..=len).map(|cut| vec![cut])),
+                len => splits.extend((0..32).map(|_| vec![rng.range_usize(0, len + 1)])),
+            }
+            for cuts in splits {
+                let served = replay(&net_shared(server()), client, &cuts);
+                let shown = if cuts.len() > 1 {
+                    "every byte".to_string()
+                } else {
+                    format!("{cuts:?}")
+                };
+                assert_eq!(
+                    transcript(name, client, &served),
+                    golden[index],
+                    "split at {shown}"
+                );
+            }
+        }
     }
 }

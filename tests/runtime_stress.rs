@@ -265,6 +265,7 @@ fn metrics_sampled_mid_flight_reconcile_exactly() {
     // the middle of forwarding calls (no page cache: every query
     // forwards its whole demand, so the ledger moves throughout)
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Barrier;
     let server = QueryServer::new(
         travel_engine(),
         RuntimeConfig {
@@ -277,27 +278,42 @@ fn metrics_sampled_mid_flight_reconcile_exactly() {
     // samples taken, and how many of them saw the ledger move since
     // the previous one (proof the sampler overlapped forwarding)
     let (samples, moving) = (AtomicU64::new(0), AtomicU64::new(0));
+    // each round of load meets the sampler twice: once its queries are
+    // submitted, and once they are collected — so every round is
+    // sampled while its queries run, however the threads are scheduled
+    let (submitted, collected) = (Barrier::new(2), AtomicBool::new(false));
     let load_done = AtomicBool::new(false);
     std::thread::scope(|scope| {
         scope.spawn(|| {
             let mut last = 0u64;
-            while !load_done.load(Ordering::SeqCst) {
-                let m = server.metrics();
-                let split: u64 = m.per_service_calls.iter().map(|(_, n)| n).sum();
-                assert_eq!(
-                    m.total_service_calls, split,
-                    "total vs per-service calls, sampled mid-flight"
-                );
-                let split: f64 = m.per_service_latency.iter().map(|(_, l)| l.total).sum();
-                assert!(
-                    (split - m.total_service_latency).abs()
-                        < 1e-9 * m.total_service_latency.max(1.0),
-                    "per-service latency {split} vs total {}",
-                    m.total_service_latency
-                );
-                moving.fetch_add(u64::from(m.total_service_calls != last), Ordering::SeqCst);
-                last = m.total_service_calls;
-                samples.fetch_add(1, Ordering::SeqCst);
+            loop {
+                submitted.wait();
+                if load_done.load(Ordering::SeqCst) {
+                    break;
+                }
+                // at least one sample per round, the first one mid-flight
+                loop {
+                    let m = server.metrics();
+                    let split: u64 = m.per_service_calls.iter().map(|(_, n)| n).sum();
+                    assert_eq!(
+                        m.total_service_calls, split,
+                        "total vs per-service calls, sampled mid-flight"
+                    );
+                    let split: f64 = m.per_service_latency.iter().map(|(_, l)| l.total).sum();
+                    assert!(
+                        (split - m.total_service_latency).abs()
+                            < 1e-9 * m.total_service_latency.max(1.0),
+                        "per-service latency {split} vs total {}",
+                        m.total_service_latency
+                    );
+                    moving.fetch_add(u64::from(m.total_service_calls != last), Ordering::SeqCst);
+                    last = m.total_service_calls;
+                    samples.fetch_add(1, Ordering::SeqCst);
+                    if collected.load(Ordering::SeqCst) {
+                        break;
+                    }
+                }
+                submitted.wait();
             }
         });
         // keep 4 workers forwarding until the sampler has what it needs
@@ -306,12 +322,17 @@ fn metrics_sampled_mid_flight_reconcile_exactly() {
             if samples.load(Ordering::SeqCst) >= 200 && moving.load(Ordering::SeqCst) >= 50 {
                 break;
             }
+            collected.store(false, Ordering::SeqCst);
             let sessions: Vec<_> = (0..8).map(|_| server.submit(&text, Some(K))).collect();
+            submitted.wait();
             for session in sessions {
                 session.collect().expect("runs");
             }
+            collected.store(true, Ordering::SeqCst);
+            submitted.wait();
         }
         load_done.store(true, Ordering::SeqCst);
+        submitted.wait();
     });
     assert!(samples.load(Ordering::SeqCst) >= 200);
     assert!(
