@@ -2,13 +2,15 @@
 //! mis-estimated catalog workload, plus the no-divergence overhead
 //! check on its truthful twin.
 //!
-//! Besides wall time per execution, the entry *names* carry the
-//! forwarded-call totals (the cost metric the paper optimizes), so the
-//! committed `BENCH_adaptive.json` records the adaptive win: on the
-//! mis-estimated workload the adaptive run must complete with strictly
-//! fewer total service calls than the frozen plan, and on the
-//! well-estimated one it must spend exactly the frozen bill (zero
-//! re-plans, zero overhead).
+//! Besides wall time per execution, the entry *names* and a set of
+//! gauges carry the forwarded-call totals (the cost metric the paper
+//! optimizes) and the re-plan counts, so the committed
+//! `BENCH_adaptive.json` records the adaptive win: on the mis-estimated
+//! workload the adaptive run must complete with strictly fewer total
+//! service calls than the frozen plan, and on the well-estimated one it
+//! must spend exactly the frozen bill (zero re-plans, zero overhead).
+//! The gauges are deterministic; CI holds them `equal` to the committed
+//! values (`gauge_gate.py adaptive equal`).
 //!
 //! Emits `BENCH_adaptive.json` at the workspace root.
 
@@ -93,6 +95,22 @@ fn main() {
         adaptive_ok, frozen_ok,
         "below-threshold divergence must cost nothing"
     );
+    for (world, frozen, adaptive, replans) in [
+        ("mis-estimated", frozen_mis, adaptive_mis, replans_mis),
+        ("well-estimated", frozen_ok, adaptive_ok, replans_ok),
+    ] {
+        bench.gauge(&format!("adaptive/{world}/frozen-calls"), frozen, "calls");
+        bench.gauge(
+            &format!("adaptive/{world}/adaptive-calls"),
+            adaptive,
+            "calls",
+        );
+        bench.gauge(
+            &format!("adaptive/{world}/adaptive-replans"),
+            u64::from(replans),
+            "replans",
+        );
+    }
 
     bench.measure(
         &format!("adaptive/mis-estimated/frozen/{frozen_mis}-calls"),

@@ -9,9 +9,8 @@
 //! loop **during** execution:
 //!
 //! 1. execution proceeds to a *suspension point* — an explicit operator
-//!    boundary where no service call is in flight (a completed invoke
-//!    stage for the materialised driver, an answer boundary for the
-//!    pull driver);
+//!    boundary where no service call is in flight (a forced invoke
+//!    stage in stage mode, an answer boundary in pull mode);
 //! 2. the observed per-service statistics are compared against the
 //!    schema estimates
 //!    ([`diverging_services`]
@@ -26,16 +25,17 @@
 //!    [`CacheSetting::Optimal`](crate::cache::CacheSetting) to make that
 //!    guarantee unconditional).
 //!
-//! This is an option of the two drivers, not a driver of its own —
-//! both deterministic:
+//! This is an option of the one driver, not a driver of its own; one
+//! splice routine serves both kinds of suspension point, both
+//! deterministic:
 //!
-//! * the stage-materialised engine ([`pipeline::run`](crate::pipeline::run))
-//!   suspends after every invoke stage and returns the re-plan trail in
-//!   its [`ExecReport`](crate::pipeline::ExecReport);
-//! * the pull-based top-k driver
-//!   ([`TopKExecution`](crate::topk::TopKExecution)) suspends between
-//!   answers; re-plans cover the whole plan, since a pull execution
-//!   never provably completes an atom.
+//! * stage mode ([`pipeline::run`](crate::pipeline::run)) suspends
+//!   after every forced invoke stage but the last, re-optimizing only
+//!   the unexecuted suffix, and returns the re-plan trail in its
+//!   [`ExecReport`](crate::pipeline::ExecReport);
+//! * pull mode ([`TopKExecution`](crate::topk::TopKExecution))
+//!   suspends between answers; re-plans cover the whole plan, since a
+//!   pull execution never provably completes an atom.
 //!
 //! Re-planning is rate-limited per query ([`AdaptiveConfig`]): a
 //! bounded number of re-plans, a check cadence in forwarded calls, and
@@ -56,9 +56,9 @@ pub struct ReplanRequest<'a> {
     /// The currently running plan.
     pub plan: &'a Plan,
     /// Query-atom indices whose invoke stages have fully executed, in
-    /// execution order. Empty for the pull driver (its continuation
-    /// semantics never complete an atom provably), in which case the
-    /// whole plan is up for re-optimization.
+    /// execution order. Empty in pull mode (its continuation semantics
+    /// never complete an atom provably), in which case the whole plan
+    /// is up for re-optimization.
     pub executed: &'a [usize],
     /// Per-service observations of this execution's forwarded calls.
     pub observed: &'a HashMap<ServiceId, ObservedService>,
@@ -92,7 +92,7 @@ impl<F: FnMut(&ReplanRequest<'_>) -> Option<Plan>> Replanner for F {
 #[derive(Clone, Debug)]
 pub struct ReplanEvent {
     /// How many invoke stages had executed when the splice happened
-    /// (0 for the pull driver).
+    /// (0 in pull mode).
     pub after_stages: usize,
     /// Names of the services that tripped the threshold.
     pub services: Vec<String>,
@@ -100,7 +100,7 @@ pub struct ReplanEvent {
     pub worst_ratio: f64,
 }
 
-/// The re-plan decision logic shared by both adaptive drivers: cadence,
+/// The re-plan decision logic of both suspension points: cadence,
 /// rate limiting and the settled set, around the session's
 /// [`Replanner`]. Deterministic — its decisions depend only on the
 /// gateway's observed statistics at the suspension point.

@@ -1,10 +1,11 @@
 //! The execution context: everything a driver needs to know about
 //! *where* and *on whose behalf* a plan runs, as one plain value.
 //!
-//! Both driver entry points ([`pipeline::run`](crate::pipeline::run),
-//! [`TopKExecution::start`](crate::topk::TopKExecution::start)) take
-//! one [`ExecContext`]; sharing, tenant attribution, frontier recording
-//! and mid-flight re-planning are fields of it, not separate engines.
+//! Both entry points of the one driver
+//! ([`TopKExecution::start`](crate::topk::TopKExecution::start),
+//! [`pipeline::run`](crate::pipeline::run)) take one [`ExecContext`];
+//! sharing, tenant attribution, frontier recording and mid-flight
+//! re-planning are fields of it, not separate engines.
 //! Build one with [`ExecContext::private`] or [`ExecContext::shared`]
 //! and set the rest with struct-update syntax:
 //!
@@ -43,12 +44,12 @@ pub struct ExecContext<'a> {
     /// budget cell lives in [`state`](Self::state)), and whose
     /// sub-result quota published prefixes count against.
     pub tenant: Option<TenantId>,
-    /// Pull driver only. Whether the execution eagerly drains and
-    /// publishes its unmaterialized invoke prefixes when the state's
-    /// sub-result store is enabled. With `false` an already-
-    /// materialized prefix still replays (free work is free) but
-    /// nothing is drained to publish one — the admission batcher's
-    /// choice for a prefix nobody else wants.
+    /// Whether the execution eagerly drains and publishes its
+    /// unmaterialized invoke prefixes when the state's sub-result store
+    /// is enabled. With `false` an already-materialized prefix still
+    /// replays (free work is free) but nothing is drained to publish
+    /// one — the admission batcher's choice for a prefix nobody else
+    /// wants. Stage mode, which never shares sub-results, ignores it.
     pub materialize: bool,
     /// Record the execution's invocation **frontier**: every `(service,
     /// pattern, key)` it demands, cache-served or forwarded — the
@@ -57,20 +58,21 @@ pub struct ExecContext<'a> {
     /// sub-results that carry a frontier themselves (merged into its
     /// own) and publishes its own with one.
     pub frontier: bool,
-    /// Pull driver only. Treat the phase-3 fetch factors as a starting
-    /// hint instead of a hard page budget: a node keeps paging while
-    /// downstream demand is unmet. Elastic streams are demand-driven,
-    /// so they never share sub-results.
+    /// Treat the phase-3 fetch factors as a starting hint instead of a
+    /// hard page budget: a node keeps paging while downstream demand is
+    /// unmet. Elastic streams are demand-driven, so they never share
+    /// sub-results. Stage mode, which has no demand to follow, ignores
+    /// it.
     pub elastic: bool,
     /// Operator batch size. Batching is semantically invisible —
     /// demand-exact `next_batch` produces the same answers and call
     /// counts at every size — so this exists for the equivalence sweep
     /// and for tuning, not for behaviour.
     pub batch: usize,
-    /// Mid-flight re-optimization: the stage-materialised driver
-    /// consults the re-planner after every completed invoke stage, the
-    /// pull driver between answers (where it also leaves sub-result
-    /// replay off — a splice invalidates a replayed prefix).
+    /// Mid-flight re-optimization: stage mode consults the re-planner
+    /// after every forced invoke stage, pull mode between answers
+    /// (where it also leaves sub-result replay off — a splice
+    /// invalidates a replayed prefix).
     pub adaptive: Option<(AdaptiveConfig, &'a mut dyn Replanner)>,
 }
 

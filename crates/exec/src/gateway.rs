@@ -1,6 +1,6 @@
 //! The service gateway — the *single* invocation path of the engine.
 //!
-//! Both drivers (stage-materialised, pull-based top-k) drive their
+//! The driver, in pull mode and in stage mode alike, drives its
 //! service calls through one [`ServiceGateway`]. It owns:
 //!
 //! * **registry lookup** — services are resolved up front, so a missing
@@ -1704,9 +1704,15 @@ impl ServiceGateway {
         self.active_node = None;
     }
 
-    /// Records one invocation-level cache hit or miss for `id`.
-    pub(crate) fn record_invocation(&mut self, id: ServiceId, hit: bool) {
-        self.acct.record_invocation(id, hit);
+    /// Records one finished invocation of `id` by plan node `node`: a
+    /// cache *hit* when it forwarded nothing, else a miss whose
+    /// `forwarded` seconds land on the node's per-input figures.
+    pub(crate) fn record_invocation(&mut self, id: ServiceId, node: usize, forwarded: Option<f64>) {
+        self.acct.record_invocation(id, forwarded.is_none());
+        if let (Some(ns), Some(seconds)) = (self.node_stats.get_mut(node), forwarded) {
+            ns.input_seconds += seconds;
+            ns.slowest_input = ns.slowest_input.max(seconds);
+        }
     }
 
     /// A snapshot of this execution's ledger: everything it forwarded
@@ -1775,11 +1781,6 @@ impl ServiceGateway {
     /// The recorded error, if any, without clearing it.
     pub fn error(&self) -> Option<&ExecError> {
         self.error.as_ref()
-    }
-
-    /// Takes the recorded error, if any.
-    pub(crate) fn take_error(&mut self) -> Option<ExecError> {
-        self.error.take()
     }
 }
 
@@ -1893,11 +1894,10 @@ mod tests {
         g.poison(ExecError::UnboundInput {
             service: "b".into(),
         });
-        match g.take_error() {
+        match g.error() {
             Some(ExecError::UnboundInput { service }) => assert_eq!(service, "a"),
             other => panic!("unexpected {other:?}"),
         }
-        assert!(g.take_error().is_none());
     }
 
     #[test]
@@ -1933,7 +1933,7 @@ mod tests {
         assert!(first.forwarded_latency.is_some(), "first call has room");
         let second = g.fetch_page(w.ids.conf, 0, &[Value::str("AI")], 0);
         assert!(second.tuples.is_empty(), "refused call serves empty page");
-        match g.take_error() {
+        match g.error() {
             Some(ExecError::TenantBudgetExhausted {
                 tenant: 3,
                 budget: 1,
@@ -1990,7 +1990,7 @@ mod tests {
                 .gateway(&plan, &w.schema, &w.registry)
                 .expect("builds");
             g.fetch_page(w.ids.conf, 0, &key, 0);
-            g.record_invocation(w.ids.conf, false);
+            g.record_invocation(w.ids.conf, 0, Some(1.0));
         }
         // the gateway is gone; its cell must have retired into the
         // shared totals
@@ -2080,7 +2080,7 @@ mod tests {
         assert!(refused.tuples.is_empty() && !refused.has_more);
         assert_eq!(g.total_calls(), 2, "budget capped forwarding");
         assert!(matches!(
-            g.take_error(),
+            g.error(),
             Some(ExecError::CallBudgetExhausted { budget: 2 })
         ));
     }

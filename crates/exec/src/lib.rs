@@ -13,8 +13,8 @@
 //!   tuple-at-a-time semantics, `next_batch` moving whole
 //!   [`Batch`](operator::Batch)es per hop) and the concrete
 //!   [`Invoke`](operator::Invoke) / [`Join`](operator::Join) /
-//!   `Filter` / `Select` operators, plus `compile_with` for whole
-//!   plans;
+//!   `Filter` / `Select` operators, plus `compile_with`, the one
+//!   place a plan node is wired;
 //! * [`gateway`] — the [`ServiceGateway`](gateway::ServiceGateway):
 //!   registry lookup, paging (with batched cached-page runs), per-query
 //!   accounting and admission control, handed to an execution's
@@ -37,25 +37,26 @@
 //!   node;
 //! * `plan_info` — predicate placement and pattern metadata.
 //!
-//! The two executors are thin drivers over that kernel, each with
-//! exactly one entry point taking an [`ExecContext`] — the plain value naming
-//! the gateway state (private cache setting or cross-query shared
-//! state), call budget, tenant, sub-result materialization, frontier
-//! recording, elastic paging, batch size and an optional re-planner:
+//! One driver runs that kernel, with two entry points, each taking an
+//! [`ExecContext`] — the plain value naming the gateway state (private
+//! cache setting or cross-query shared state), call budget, tenant,
+//! sub-result materialization, frontier recording, elastic paging,
+//! batch size and an optional re-planner:
 //!
-//! * [`pipeline::run`] — the deterministic stage-materialised driver
-//!   with virtual time (regenerates Fig. 11; under
-//!   [`StageModel::ParallelDispatch`](pipeline::StageModel) also the §6
-//!   multithreading test);
-//! * [`TopKExecution::start`](topk::TopKExecution::start) — the
-//!   pull-based driver: first-k answers with early halting and "ask for
-//!   more" continuation (§2.2); the one the serving layer uses, for ad
-//!   hoc and standing queries alike.
+//! * [`TopKExecution::start`](topk::TopKExecution::start) — pull mode:
+//!   first-k answers with early halting and "ask for more"
+//!   continuation (§2.2); the one the serving layer uses, for ad hoc
+//!   and standing queries alike;
+//! * [`pipeline::run`] — the same driver in stage mode: each invoke
+//!   node forced to exhaustion in node order, with deterministic
+//!   virtual time read off the per-node statistics (regenerates
+//!   Fig. 11; under [`StageModel::ParallelDispatch`](pipeline::StageModel)
+//!   also the §6 multithreading test).
 //!
 //! [`results`] renders answer tables (Fig. 10).
 //!
 //! [`adaptive`] closes the estimate→observation loop *mid-flight*: with
-//! a re-planner in the context, both drivers compare the
+//! a re-planner in the context, the driver compares the
 //! gateway's observed per-service statistics against the schema
 //! estimates at explicit suspension points and, past a configurable
 //! divergence, splice in a re-optimized plan suffix — fetched pages

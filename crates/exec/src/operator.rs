@@ -32,17 +32,21 @@
 //! answer sets *and per-service call counts* invariant under batch
 //! size — the equivalence suite sweeps batch sizes to pin it.
 //!
-//! The two executors are thin drivers over this kernel: the
-//! stage-materialised engine drains one operator per node and accounts
-//! virtual time, the top-k engine pulls lazily from a `compile_with`d
-//! operator tree. Neither invokes a service or touches a cache directly.
+//! `compile_with` is the one place a plan node is wired, for the one
+//! driver ([`TopKExecution`](crate::topk::TopKExecution)) in both its
+//! modes: pull mode pulls lazily from the compiled DAG; stage mode
+//! (`pipeline::run`'s) buffers every invoke node and forces it to
+//! exhaustion in node order. The driver never invokes a service or
+//! touches a cache directly.
 
 use crate::binding::Binding;
 use crate::gateway::LocalGateway;
 use crate::joins::{MsJoin, NlJoin};
+use crate::pipeline::{ExecConfig, StageModel};
 use crate::plan_info::{NodePredicates, PlanInfo};
 use mdq_model::bitset::BitSet;
 use mdq_model::query::{ConjunctiveQuery, VarId};
+use mdq_model::rng::Rng;
 use mdq_model::schema::{Schema, ServiceId};
 use mdq_model::value::Value;
 use mdq_plan::dag::{JoinStrategy, NodeKind, Plan, Side};
@@ -171,15 +175,8 @@ impl<T: Operator + ?Sized> Operator for Box<T> {
     }
 }
 
-impl Iterator for Box<dyn Operator + '_> {
-    type Item = Binding;
-    fn next(&mut self) -> Option<Binding> {
-        (**self).next_binding()
-    }
-}
-
 /// Adapts any binding iterator into an [`Operator`] — the root of every
-/// compiled plan and the shim for materialised intermediate stages.
+/// compiled plan and the shim for replayed or materialized prefixes.
 pub struct Source<I>(pub I);
 
 impl<I: Iterator<Item = Binding>> Operator for Source<I> {
@@ -246,15 +243,13 @@ pub struct Invoke<I> {
     /// The predicates placed at this node, tested against each tuple
     /// before its binding is built.
     preds: NodePredicates,
-    /// One entry per input that forwarded at least one call: its summed
-    /// latency. The materialised driver reads this for virtual time.
-    input_latencies: Vec<f64>,
     /// The current input's latest page run (reused scratch), read in
     /// place through `at` — a cached page is shared with the cache, and
     /// its tuples are bound straight out of it.
     page_buf: Vec<crate::gateway::PageFetch>,
-    /// Read cursor into `page_buf`: page, tuple within it.
-    at: (usize, usize),
+    /// Read cursor into `page_buf`: page, tuple within it (`u32`s, so
+    /// the operator is no larger than before it kept per-input seconds).
+    at: (u32, u32),
     halted: bool,
 }
 
@@ -295,39 +290,25 @@ impl<I: Operator> Invoke<I> {
             preds: info.predicates_at(plan, node),
             max_pages,
             current: None,
-            input_latencies: Vec::new(),
             page_buf: Vec::new(),
             at: (0, 0),
             halted: false,
         }
     }
 
-    /// Summed forwarded latency per input (only inputs that forwarded at
-    /// least one call), in input order.
-    pub(crate) fn input_latencies(&self) -> &[f64] {
-        &self.input_latencies
-    }
-
-    /// Total forwarded latency of this node so far — its virtual busy
-    /// time under sequential execution.
-    pub(crate) fn busy(&self) -> f64 {
-        self.input_latencies.iter().sum()
-    }
-
-    /// Finishes the current input: records its forwarded latency and
-    /// its invocation-level cache outcome (a *hit* only when no page of
-    /// the whole invocation was forwarded).
+    /// Finishes the current input: records its invocation-level cache
+    /// outcome (a *hit* only when no page of the whole invocation was
+    /// forwarded) and, on a miss, its forwarded latency — the node's
+    /// per-input figures the virtual clock reads.
     fn close_current(&mut self) {
         self.page_buf.clear();
         self.at = (0, 0);
         if let Some(cur) = self.current.take() {
             if cur.next_page > 0 {
-                let svc = self.svc_id;
-                let hit = !cur.any_forwarded;
-                self.gateway.with(|g| g.record_invocation(svc, hit));
-            }
-            if cur.any_forwarded {
-                self.input_latencies.push(cur.forwarded);
+                let (svc, node) = (self.svc_id, self.node);
+                let forwarded = cur.any_forwarded.then_some(cur.forwarded);
+                self.gateway
+                    .with(|g| g.record_invocation(svc, node, forwarded));
             }
         }
     }
@@ -339,8 +320,8 @@ impl<I: Operator> Invoke<I> {
             }
             if let Some(cur) = &mut self.current {
                 let atom = &self.query.atoms[self.atom];
-                while let Some(fetch) = self.page_buf.get(self.at.0) {
-                    match fetch.tuples.get(self.at.1) {
+                while let Some(fetch) = self.page_buf.get(self.at.0 as usize) {
+                    match fetch.tuples.get(self.at.1 as usize) {
                         Some(t) => {
                             self.at.1 += 1;
                             if let Some(nb) = cur.binding.bind_atom_where(atom, t, &self.preds) {
@@ -504,12 +485,6 @@ impl<I> Filter<I> {
         }
     }
 
-    /// The predicates for plan node `node` (the output node: an invoke
-    /// node applies its own, a join node's go to [`Join::new`]).
-    pub(crate) fn for_node(plan: &Plan, info: &PlanInfo, node: usize, inner: I) -> Self {
-        Filter::new(inner, info.predicates_at(plan, node))
-    }
-
     fn passes(&self, b: &Binding) -> bool {
         self.preds.all(|p| b.eval_predicate(p) == Some(true))
     }
@@ -667,24 +642,8 @@ impl<I: Operator> Drop for Probe<I> {
     }
 }
 
-/// Fills the topology-derived `rows_in` of every stats row: the sum of
-/// the node's input rows (`rows_out` of its plan inputs). Drivers call
-/// this once, after execution, before attaching the stats to a report.
-pub(crate) fn derive_rows_in(plan: &Plan, stats: &mut [mdq_obs::span::OperatorStats]) {
-    for (i, node) in plan.nodes.iter().enumerate() {
-        let rows_in = node
-            .inputs
-            .iter()
-            .map(|inp| stats.get(inp.0).map(|s| s.rows_out).unwrap_or(0))
-            .sum();
-        if let Some(s) = stats.get_mut(i) {
-            s.rows_in = rows_in;
-        }
-    }
-}
-
 /// A lazily materialised shared node: the single execution of a plan
-/// node with more than one consumer.
+/// node with more than one consumer, or of a stage-mode invoke node.
 struct SharedNode {
     op: Box<dyn Operator>,
     buf: Batch,
@@ -694,9 +653,9 @@ struct SharedNode {
 /// One consumer's cursor over a [`SharedNode`]: pulls drive the shared
 /// operator exactly once, every consumer replays the same stream.
 /// This is what makes the compiled plan a DAG rather than a tree —
-/// common subplans execute through one operator, so the pull executor
-/// forwards exactly the same calls as the materialised one. Replay is
-/// an `Arc` refcount bump per binding, never a value deep copy.
+/// common subplans execute through one operator, so every driver
+/// forwards each call once. Replay is an `Arc` refcount bump per
+/// binding, never a value deep copy.
 struct Tee {
     shared: Rc<RefCell<SharedNode>>,
     pos: usize,
@@ -749,10 +708,39 @@ impl Operator for Tee {
     }
 }
 
-/// Compiles `plan` (from its output node down) into a lazy operator DAG
-/// over `gateway` — the pull executor's engine. Nodes with several
-/// consumers are compiled once and shared through replaying cursors.
-/// With `elastic = true` the fetch factors become soft hints.
+/// A stage-mode invoke node, for the driver to force.
+pub(crate) struct Stage {
+    /// The query atom the node invokes.
+    pub(crate) atom: usize,
+    shared: Rc<RefCell<SharedNode>>,
+}
+
+impl Stage {
+    /// Runs the node to exhaustion into the buffer its consumers replay.
+    pub(crate) fn force(&self, batch: usize) {
+        let node = &mut *self.shared.borrow_mut();
+        drain_into(&mut node.op, batch, &mut node.buf);
+        node.done = true;
+    }
+}
+
+/// How [`compile_with`] wires a plan.
+#[derive(Clone, Copy)]
+pub(crate) enum Wiring {
+    /// Pull mode: lazy; `elastic` makes the fetch factors soft hints.
+    Pull { elastic: bool },
+    /// Stage mode (`pipeline::run`'s): each invoke node is buffered and
+    /// comes back as a [`Stage`] to force. Invoke and Output nodes read
+    /// their input through a barrier; the Output keeps the best
+    /// `config.k`, so `k` cuts no call and no join short.
+    Stages { config: ExecConfig, batch: usize },
+}
+
+/// Compiles `plan` (from its output node down) into an operator DAG
+/// over `gateway` — the one place a plan node is wired, for both
+/// drivers. Nodes with several consumers are compiled once and shared
+/// through replaying cursors. Returns the root and, in stage mode, the
+/// invoke nodes to force in node order (none in pull mode).
 ///
 /// `override_op` is an optional *subtree override*: the operator stands
 /// in for the named plan node (filters included), and the nodes beneath
@@ -770,9 +758,9 @@ pub(crate) fn compile_with(
     schema: &Schema,
     info: &PlanInfo,
     gateway: &LocalGateway,
-    elastic: bool,
+    wiring: Wiring,
     override_op: Option<(usize, Box<dyn Operator>)>,
-) -> Box<dyn Operator> {
+) -> (Box<dyn Operator>, Vec<Stage>) {
     let mut nodes: Vec<CompiledNode> = plan
         .nodes
         .iter()
@@ -786,23 +774,33 @@ pub(crate) fn compile_with(
             nodes[inp.0].consumers += 1;
         }
     }
-    Compiler {
+    let mut compiler = Compiler {
         plan,
         schema,
         info,
         gateway,
-        elastic,
+        wiring,
         nodes,
         override_op,
-    }
-    .node(plan.output_node().0)
+    };
+    let root = compiler.node(plan.output_node().0);
+    let stages = (compiler.nodes.into_iter().zip(&plan.nodes))
+        .filter_map(|(compiled, node)| match (wiring, &node.kind) {
+            (Wiring::Stages { .. }, &NodeKind::Invoke { atom }) => {
+                compiled.shared.map(|shared| Stage { atom, shared })
+            }
+            _ => None,
+        })
+        .collect();
+    (root, stages)
 }
 
 /// Compile state of one plan node.
 struct CompiledNode {
     /// Plan nodes reading this one.
     consumers: usize,
-    /// The shared execution, once a multi-consumer node is compiled.
+    /// The shared execution, once a multi-consumer node (or a
+    /// stage-mode invoke node) is compiled.
     shared: Option<Rc<RefCell<SharedNode>>>,
 }
 
@@ -812,16 +810,19 @@ struct Compiler<'p> {
     schema: &'p Schema,
     info: &'p PlanInfo,
     gateway: &'p LocalGateway,
-    elastic: bool,
+    wiring: Wiring,
     nodes: Vec<CompiledNode>,
     override_op: Option<(usize, Box<dyn Operator>)>,
 }
 
 impl Compiler<'_> {
     /// The stream of `node` for one consumer: the node itself, or a
-    /// cursor over its shared execution when it has several consumers.
+    /// cursor over its shared execution when it has several consumers
+    /// or is a stage.
     fn node(&mut self, node: usize) -> Box<dyn Operator> {
-        if self.nodes[node].consumers <= 1 {
+        let stage = matches!(self.wiring, Wiring::Stages { .. })
+            && matches!(self.plan.nodes[node].kind, NodeKind::Invoke { .. });
+        if self.nodes[node].consumers <= 1 && !stage {
             return self.raw(node);
         }
         let shared = match &self.nodes[node].shared {
@@ -847,6 +848,31 @@ impl Compiler<'_> {
         Box::new(Probe::new(op, self.gateway.clone(), node))
     }
 
+    /// The stream of `node`'s single plan input. In stage mode it
+    /// passes a barrier: the first pull drains the whole upstream —
+    /// for an invoke node under parallel dispatch, permuted with the
+    /// seed `shuffle_seed ^ (node << 7)` to model racy completions.
+    fn input(&mut self, node: usize) -> Box<dyn Operator> {
+        let mut upstream = self.node(self.plan.nodes[node].inputs[0].0);
+        let Wiring::Stages { config, batch } = self.wiring else {
+            return upstream;
+        };
+        let shuffle = match (config.stage, &self.plan.nodes[node].kind) {
+            (StageModel::ParallelDispatch { shuffle_seed, .. }, NodeKind::Invoke { .. }) => {
+                Some(shuffle_seed ^ ((node as u64) << 7))
+            }
+            _ => None,
+        };
+        let barrier = std::iter::once_with(move || {
+            let mut rows = drain_all(&mut upstream, batch);
+            if let Some(seed) = shuffle {
+                Rng::new(seed).shuffle(&mut rows);
+            }
+            rows
+        });
+        Box::new(Source(barrier.flatten()))
+    }
+
     /// Compiles `node` itself.
     fn raw(&mut self, node: usize) -> Box<dyn Operator> {
         if self.override_op.as_ref().is_some_and(|(n, _)| *n == node) {
@@ -863,15 +889,22 @@ impl Compiler<'_> {
                 node,
             ),
             NodeKind::Output => {
-                let inner = self.node(plan.nodes[node].inputs[0].0);
-                if self.info.preds_at_node[node].is_empty() {
-                    self.probed(inner, node)
-                } else {
-                    self.probed(Filter::for_node(plan, self.info, node, inner), node)
+                let inner = self.input(node);
+                // the output node's own predicates: an invoke node applies
+                // its own, a join node's go to `Join::new`
+                let filter = |inner| Filter::new(inner, self.info.predicates_at(plan, node));
+                match self.wiring {
+                    Wiring::Stages {
+                        config: ExecConfig { k: Some(k), .. },
+                        ..
+                    } => self.probed(Select::new(filter(inner), k), node),
+                    _ if self.info.preds_at_node[node].is_empty() => self.probed(inner, node),
+                    _ => self.probed(filter(inner), node),
                 }
             }
             NodeKind::Invoke { .. } => {
-                let upstream = self.node(plan.nodes[node].inputs[0].0);
+                let upstream = self.input(node);
+                let elastic = matches!(self.wiring, Wiring::Pull { elastic: true });
                 let invoke = Invoke::for_node(
                     plan,
                     self.schema,
@@ -879,7 +912,7 @@ impl Compiler<'_> {
                     node,
                     upstream,
                     self.gateway.clone(),
-                    self.elastic,
+                    elastic,
                 );
                 self.probed(invoke, node)
             }

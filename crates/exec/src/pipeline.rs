@@ -10,33 +10,30 @@
 //! completion — the "total time" bars of Fig. 11, deterministic and
 //! independent of the host machine.
 //!
-//! This module is a thin *driver* over the [operator
-//! kernel](crate::operator): per node it drains one operator into a
-//! materialised stream and reads the invoke operator's forwarded
-//! latencies for the time accounting. The same driver, under
-//! [`StageModel::ParallelDispatch`], implements the §6 multithreading
-//! experiment in virtual time: within each stage, *all* available calls
-//! are dispatched to parallel workers at once. Stage time collapses
-//! towards the slowest single call (plus thread-management overhead),
-//! but completion order is randomised — which, exactly as the paper
+//! [`run`] is a thin driver over the one compile path: it runs the pull
+//! executor in *stage mode*, which forces every invoke node to
+//! exhaustion in node order, drains the answers and reads the virtual
+//! time off the per-node statistics (`virtual_time`, a pure
+//! function). Under [`StageModel::ParallelDispatch`] it is the §6
+//! multithreading experiment in virtual time: a stage dispatches *all*
+//! its calls to parallel workers at once. Stage time collapses towards
+//! the slowest single call (plus thread-management overhead), but
+//! completion order is randomised — which, exactly as the paper
 //! reports, largely defeats the one-call cache (284 → ~212 hotel calls
 //! instead of → 16).
 
-use crate::adaptive::{Controller, ReplanEvent};
-use crate::binding::Binding;
+use crate::adaptive::ReplanEvent;
 use crate::cache::CacheStats;
 use crate::context::ExecContext;
-use crate::gateway::{FaultStats, LocalGateway, PartialResults};
-use crate::operator::{derive_rows_in, drain_all, Filter, Invoke, Join, Probe, Select, Source};
-use crate::plan_info::analyze;
+use crate::gateway::{FaultStats, PartialResults};
+use crate::operator::Wiring;
+use crate::topk::TopKExecution;
 use mdq_cost::divergence::ObservedService;
-use mdq_model::rng::Rng;
 use mdq_model::schema::{Schema, ServiceId};
 use mdq_model::value::Tuple;
 use mdq_obs::span::OperatorStats;
 use mdq_plan::dag::{NodeKind, Plan};
 use mdq_services::registry::ServiceRegistry;
-use std::borrow::Cow;
 use std::collections::HashMap;
 
 pub use crate::operator::ExecError;
@@ -54,14 +51,12 @@ pub struct ExecConfig {
 
 /// The outcome of executing a plan. With a re-planner in the context,
 /// calls, cache, fault and partial-results accounting span the whole
-/// execution, splices included; answers, bindings, the virtual time
-/// and the operator statistics describe the final plan's pass.
+/// execution, splices included; answers, the virtual time and the
+/// operator statistics describe the final plan's pass.
 #[derive(Clone, Debug)]
 pub struct ExecReport {
     /// Answers projected on the query head, in emission (rank) order.
     pub answers: Vec<Tuple>,
-    /// Full bindings (for downstream composition / resumption).
-    pub bindings: Vec<Binding>,
     /// The Output node's virtual completion time, seconds.
     pub virtual_time: f64,
     /// Request-responses forwarded to each service during this run.
@@ -130,20 +125,43 @@ pub enum StageModel {
     },
 }
 
-/// Deterministic shuffle: the workspace PRNG seeded per (run, node).
-fn shuffle<T>(items: &mut [T], seed: u64) {
-    Rng::new(seed).shuffle(items);
+/// The Output node's virtual completion time: per node in order, the
+/// latest completion among its inputs plus its busy time — for an
+/// invoke node, under `stage`, from its [`OperatorStats`]'
+/// `input_seconds`, `slowest_input` and `rows_in` (the input count);
+/// nothing for every other node.
+pub(crate) fn virtual_time(plan: &Plan, stats: &[OperatorStats], stage: StageModel) -> f64 {
+    let mut completion = vec![0.0; plan.nodes.len()];
+    for (i, (node, s)) in plan.nodes.iter().zip(stats).enumerate() {
+        let busy = match stage {
+            _ if !matches!(node.kind, NodeKind::Invoke { .. }) => 0.0,
+            StageModel::Sequential => s.input_seconds,
+            StageModel::ParallelDispatch {
+                threads,
+                spawn_overhead,
+                ..
+            } => {
+                s.slowest_input.max(s.input_seconds / threads.max(1) as f64)
+                    + spawn_overhead * s.rows_in as f64
+            }
+        };
+        let start = node
+            .inputs
+            .iter()
+            .map(|inp| completion[inp.0])
+            .fold(0.0, f64::max);
+        completion[i] = start + busy;
+    }
+    completion[plan.output_node().0]
 }
 
-/// Executes `plan` against the registered services, stage by stage:
-/// the paper's experimental engine. Drains one kernel operator per plan
-/// node, in node order, accounting stage time under `config.stage`.
-/// `ctx` names the gateway state (a private cache setting or a
-/// cross-query shared state), the call budget and tenant, and
-/// optionally a re-planner: with one, every completed invoke stage but
-/// the last is a suspension point, and a splice restarts the loop under
-/// the new plan over the *same* gateway, so the executed prefix replays
-/// from the page cache.
+/// Executes `plan` stage by stage — the paper's experimental engine —
+/// keeping the best `config.k` answers and accounting virtual time
+/// under `config.stage`. `ctx` names the gateway state, call budget,
+/// tenant and optionally a re-planner: with one, every invoke stage but
+/// the last is a suspension point, and a splice recompiles the new plan
+/// over the *same* gateway, so the executed prefix replays from the
+/// page cache. A stage that poisons the execution ends the run.
 pub fn run(
     plan: &Plan,
     schema: &Schema,
@@ -151,145 +169,25 @@ pub fn run(
     config: &ExecConfig,
     ctx: ExecContext<'_>,
 ) -> Result<ExecReport, ExecError> {
-    let ExecConfig { k, stage } = *config;
-    let batch = ctx.batch.max(1);
-    let gateway = LocalGateway::new(ctx.gateway(plan, schema, registry)?);
-    let mut ctl = ctx.adaptive.map(Controller::new);
-    let mut plan = Cow::Borrowed(plan);
-    let (mut streams, completion) = 'restart: loop {
-        let info = analyze(&plan, schema);
-        let n = plan.nodes.len();
-        let total_invokes = plan
-            .nodes
-            .iter()
-            .filter(|nd| matches!(nd.kind, NodeKind::Invoke { .. }))
-            .count();
-        let mut streams: Vec<Vec<Binding>> = vec![Vec::new(); n];
-        // per-node virtual completion time
-        let mut completion = vec![0.0; n];
-        let mut executed: Vec<usize> = Vec::new();
-
-        for i in 0..n {
-            let node = &plan.nodes[i];
-            match &node.kind {
-                NodeKind::Input => {
-                    streams[i] = vec![Binding::empty(plan.query.var_count())];
-                    gateway.with(|g| g.record_node_output(i, 1, 0, 0));
-                }
-                NodeKind::Invoke { atom } => {
-                    let up = node.inputs[0].0;
-                    let mut inputs = streams[up].clone();
-                    if let StageModel::ParallelDispatch { shuffle_seed, .. } = stage {
-                        shuffle(&mut inputs, shuffle_seed ^ ((i as u64) << 7));
-                    }
-                    let in_tuples = inputs.len();
-                    let mut invoke = Invoke::for_node(
-                        &plan,
-                        schema,
-                        &info,
-                        i,
-                        Source(inputs.into_iter()),
-                        gateway.clone(),
-                        false,
-                    );
-                    let out: Vec<Binding> =
-                        drain_all(Probe::new(&mut invoke, gateway.clone(), i), batch);
-                    if let Some(err) = gateway.with(|g| g.take_error()) {
-                        return Err(err);
-                    }
-                    let busy = match stage {
-                        StageModel::Sequential => invoke.busy(),
-                        StageModel::ParallelDispatch {
-                            threads,
-                            spawn_overhead,
-                            ..
-                        } => {
-                            let lats = invoke.input_latencies();
-                            let total = invoke.busy();
-                            let slowest = lats.iter().copied().fold(0.0, f64::max);
-                            slowest.max(total / threads.max(1) as f64)
-                                + spawn_overhead * in_tuples as f64
-                        }
-                    };
-                    completion[i] = completion[up] + busy;
-                    streams[i] = out;
-                    executed.push(*atom);
-                    // suspension point: the stage is complete, no call
-                    // is in flight — safe to splice a new suffix in
-                    if executed.len() < total_invokes {
-                        if let Some(new_plan) = ctl
-                            .as_mut()
-                            .and_then(|c| c.consider(&plan, schema, &executed, &gateway))
-                        {
-                            // per-node statistics describe the plan
-                            // that finishes — node indices change
-                            // across splices, so the new pass starts
-                            // clean (like `completion`; calls, cache
-                            // and fault accounting still span the
-                            // whole execution)
-                            gateway.with(|g| g.reset_node_stats(new_plan.nodes.len()));
-                            plan = Cow::Owned(new_plan);
-                            continue 'restart;
-                        }
-                    }
-                }
-                NodeKind::Join {
-                    left,
-                    right,
-                    strategy,
-                    on,
-                } => {
-                    let (l, r) = (left.0, right.0);
-                    let joined: Vec<Binding> = drain_all(
-                        Probe::new(
-                            Join::new(
-                                Source(streams[l].iter().cloned()),
-                                Source(streams[r].iter().cloned()),
-                                strategy,
-                                on.clone(),
-                                info.predicates_at(&plan, i),
-                            ),
-                            gateway.clone(),
-                            i,
-                        ),
-                        batch,
-                    );
-                    completion[i] = completion[l].max(completion[r]);
-                    streams[i] = joined;
-                }
-                NodeKind::Output => {
-                    let up = node.inputs[0].0;
-                    let filtered =
-                        Filter::for_node(&plan, &info, i, Source(streams[up].iter().cloned()));
-                    let out: Vec<Binding> = match k {
-                        Some(k) => drain_all(
-                            Probe::new(Select::new(filtered, k), gateway.clone(), i),
-                            batch,
-                        ),
-                        None => drain_all(Probe::new(filtered, gateway.clone(), i), batch),
-                    };
-                    completion[i] = completion[up];
-                    streams[i] = out;
-                }
-            }
-        }
-        break (streams, completion);
-    };
-
-    let out_idx = plan.output_node().0;
-    let bindings = std::mem::take(&mut streams[out_idx]);
-    let answers = bindings
-        .iter()
-        .map(|b| b.project_head(&plan.query))
-        .collect();
-    let (ledger, partial, mut operator_stats) =
-        gateway.with(|g| (g.ledger(), g.partial_results(), g.node_stats().to_vec()));
-    derive_rows_in(&plan, &mut operator_stats);
-    let (replans, events) = ctl.map(|c| (c.replans, c.events)).unwrap_or_default();
+    let (config, batch) = (*config, ctx.batch.max(1));
+    let mut exec = TopKExecution::compile(
+        plan,
+        schema,
+        registry,
+        ctx,
+        Wiring::Stages { config, batch },
+    )?;
+    if let Some(err) = exec.error() {
+        return Err(err);
+    }
+    let answers = exec.drain();
+    let final_plan = exec.spliced_plan().unwrap_or(plan).clone();
+    let operator_stats = exec.operator_stats(&final_plan);
+    let (ledger, partial) = (exec.ledger(), exec.partial_results());
+    let (replans, events) = exec.into_replans();
     Ok(ExecReport {
         answers,
-        bindings,
-        virtual_time: completion[out_idx],
+        virtual_time: virtual_time(&final_plan, &operator_stats, config.stage),
         calls: ledger.calls().clone(),
         cache_stats: registry
             .ids()
@@ -300,7 +198,7 @@ pub fn run(
         operator_stats,
         replans,
         events,
-        final_plan: plan.into_owned(),
+        final_plan,
         observed: ledger.observed().clone(),
     })
 }
@@ -515,6 +413,107 @@ mod tests {
         );
         // and the parallel run is much faster in virtual time
         assert!(par.virtual_time < seq.virtual_time / 2.0);
+    }
+
+    /// Hand-built stats for `plan`: each invoke node gets
+    /// `(input_seconds, slowest_input, rows_in)` from `figures`, indexed
+    /// by the atom it invokes; every other node stays zero.
+    fn stats_for(plan: &Plan, figures: [(f64, f64, u64); 4]) -> Vec<OperatorStats> {
+        plan.nodes
+            .iter()
+            .map(|node| match node.kind {
+                NodeKind::Invoke { atom } => {
+                    let (input_seconds, slowest_input, rows_in) = figures[atom];
+                    OperatorStats {
+                        input_seconds,
+                        slowest_input,
+                        rows_in,
+                        ..OperatorStats::default()
+                    }
+                }
+                _ => OperatorStats::default(),
+            })
+            .collect()
+    }
+
+    /// `(input_seconds, slowest_input, rows_in)` per atom, in the atom
+    /// order flight, hotel, conf, weather.
+    fn figures(flight: f64, hotel: f64, conf: f64, weather: f64) -> [(f64, f64, u64); 4] {
+        let mut f = [(0.0, 0.0, 0); 4];
+        f[ATOM_FLIGHT] = (flight, flight, 1);
+        f[ATOM_HOTEL] = (hotel, hotel, 1);
+        f[ATOM_CONF] = (conf, conf, 1);
+        f[ATOM_WEATHER] = (weather, weather, 1);
+        f
+    }
+
+    #[test]
+    fn virtual_time_of_a_chain_sums_its_stages() {
+        let w = travel_world(2008);
+        let plan = plan_s(&w);
+        let stats = stats_for(&plan, figures(4.0, 8.0, 1.0, 2.0));
+        assert_eq!(virtual_time(&plan, &stats, StageModel::Sequential), 15.0);
+    }
+
+    #[test]
+    fn virtual_time_of_a_diamond_waits_for_the_slower_branch() {
+        let w = travel_world(2008);
+        let plan = plan_o(&w);
+        assert!(plan
+            .nodes
+            .iter()
+            .any(|n| matches!(n.kind, NodeKind::Join { .. })));
+        // conf → weather → {flight ∥ hotel}: the join completes with
+        // whichever branch finishes last
+        let hotel_last = stats_for(&plan, figures(4.0, 8.0, 1.0, 2.0));
+        assert_eq!(
+            virtual_time(&plan, &hotel_last, StageModel::Sequential),
+            11.0
+        );
+        let flight_last = stats_for(&plan, figures(16.0, 8.0, 1.0, 2.0));
+        assert_eq!(
+            virtual_time(&plan, &flight_last, StageModel::Sequential),
+            19.0
+        );
+    }
+
+    #[test]
+    fn parallel_dispatch_stage_time_is_the_slowest_call_or_the_spread_plus_overhead() {
+        let w = travel_world(2008);
+        let plan = plan_s(&w);
+        // only conf forwarded: 12 s over 4 inputs, the slowest taking 5 s
+        let mut f = [(0.0, 0.0, 0); 4];
+        f[ATOM_CONF] = (12.0, 5.0, 4);
+        let stats = stats_for(&plan, f);
+        let parallel = |threads| StageModel::ParallelDispatch {
+            threads,
+            spawn_overhead: 0.5,
+            shuffle_seed: 0,
+        };
+        // max(slowest, total / threads) + overhead · inputs
+        assert_eq!(virtual_time(&plan, &stats, parallel(2)), 6.0 + 2.0);
+        assert_eq!(virtual_time(&plan, &stats, parallel(4)), 5.0 + 2.0);
+        // no threads at all is one thread
+        assert_eq!(virtual_time(&plan, &stats, parallel(1)), 12.0 + 2.0);
+        assert_eq!(virtual_time(&plan, &stats, parallel(0)), 12.0 + 2.0);
+    }
+
+    #[test]
+    fn an_invoke_node_that_forwarded_nothing_costs_only_its_overhead() {
+        let w = travel_world(2008);
+        let plan = plan_s(&w);
+        // weather served every one of its 3 inputs from the cache
+        let mut f = figures(4.0, 8.0, 1.0, 0.0);
+        f[ATOM_WEATHER] = (0.0, 0.0, 3);
+        let stats = stats_for(&plan, f);
+        assert_eq!(virtual_time(&plan, &stats, StageModel::Sequential), 13.0);
+        let parallel = StageModel::ParallelDispatch {
+            threads: 8,
+            spawn_overhead: 0.25,
+            shuffle_seed: 0,
+        };
+        // flight, hotel and conf: one input each, busy = its one call
+        assert_eq!(virtual_time(&plan, &stats, parallel), 13.0 + 0.25 * 6.0);
     }
 
     #[test]

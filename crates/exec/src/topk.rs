@@ -19,15 +19,20 @@
 //! Sharing, tenant attribution, frontier recording (standing queries)
 //! and mid-flight re-planning are all options of this one driver, set
 //! on the [`ExecContext`] it is started with.
+//! So is *stage mode*, the §6 engine behind
+//! [`pipeline::run`](crate::pipeline::run): every invoke node forced to
+//! exhaustion in node order before the answers are drained.
 
-use crate::adaptive::Controller;
+use crate::adaptive::{Controller, ReplanEvent};
 use crate::binding::Binding;
 use crate::context::ExecContext;
 use crate::gateway::{
     InvocationFrontier, LocalGateway, PrefixResolution, SharedServiceState, SubResultEntry,
     TenantId,
 };
-use crate::operator::{compile_with, drain_all, ExecError, Invoke, Operator, Source};
+use crate::operator::{
+    compile_with, drain_all, drain_into, ExecError, Invoke, Operator, Source, Stage, Wiring,
+};
 use crate::plan_info::{analyze, PlanInfo};
 use mdq_model::fingerprint::SubplanSignature;
 use mdq_model::schema::{Schema, ServiceId};
@@ -57,28 +62,48 @@ pub struct TopKExecution<'a> {
     splicer: Option<Box<Splicer<'a>>>,
 }
 
-/// The adaptive half of a pull execution. Answer boundaries are the
-/// pull driver's suspension points: between answers the divergence
-/// check runs, and a splice recompiles the new plan over the *same*
-/// gateway — fetched pages replay from cache, and the bindings already
-/// handed out are tracked as a multiset so the spliced stream skips
-/// exactly one instance of each before emitting further answers (a
-/// splice never re-emits, while legitimate duplicate answers —
-/// projection queries, duplicate source tuples — still flow exactly as
-/// in a frozen execution; with zero re-plans no skipping happens at
-/// all).
+/// The adaptive half of an execution. At a suspension point (an answer
+/// boundary in pull mode, a forced invoke stage in stage mode) the
+/// divergence check runs, and [`Splicer::splice`] recompiles the new
+/// plan over the *same* gateway — fetched pages replay from cache. A
+/// splice never re-emits: the spliced stream skips one instance of each
+/// binding already handed out, while legitimate duplicate answers still
+/// flow exactly as in a frozen execution.
 struct Splicer<'a> {
     ctl: Controller<'a>,
     schema: &'a Schema,
     /// The currently running plan (the splice result after a re-plan).
     plan: Plan,
-    elastic: bool,
+    wiring: Wiring,
     /// Every binding emitted so far, in emission order (all splices).
     emitted: Vec<Binding>,
     /// Instances of already-emitted bindings the current (spliced)
     /// stream must still skip — rebuilt from `emitted` at each splice,
     /// empty before the first one.
     skip: BTreeMap<Binding, usize>,
+}
+
+impl Splicer<'_> {
+    /// The one splice routine: recompiles `plan` in place of `root` and
+    /// `stages` (whose probes flush into the old numbering as they drop),
+    /// restarts the per-node statistics and rebuilds the skip multiset
+    /// (empty at a stage boundary: nothing has been emitted).
+    fn splice(
+        &mut self,
+        plan: Plan,
+        gateway: &LocalGateway,
+        root: &mut Box<dyn Operator>,
+        stages: &mut Vec<Stage>,
+    ) {
+        self.plan = plan;
+        let info = analyze(&self.plan, self.schema);
+        (*root, *stages) = compile_with(&self.plan, self.schema, &info, gateway, self.wiring, None);
+        gateway.with(|g| g.reset_node_stats(self.plan.nodes.len()));
+        self.skip.clear();
+        for b in &self.emitted {
+            *self.skip.entry(b.clone()).or_insert(0) += 1;
+        }
+    }
 }
 
 /// What sub-result resolution produced for one pull execution.
@@ -234,33 +259,49 @@ impl<'a> TopKExecution<'a> {
         registry: &ServiceRegistry,
         ctx: ExecContext<'a>,
     ) -> Result<Self, ExecError> {
+        let elastic = ctx.elastic;
+        Self::compile(plan, schema, registry, ctx, Wiring::Pull { elastic })
+    }
+
+    /// Builds the gateway and compiles `plan` under `wiring` — in pull
+    /// mode after sub-result resolution. In stage mode it then forces
+    /// the stages in node order up to the first that poisons the
+    /// execution, each but the last a suspension point.
+    pub(crate) fn compile<'c: 'a>(
+        plan: &Plan,
+        schema: &'a Schema,
+        registry: &ServiceRegistry,
+        ctx: ExecContext<'c>,
+        wiring: Wiring,
+    ) -> Result<Self, ExecError> {
         let gateway = LocalGateway::new(ctx.gateway(plan, schema, registry)?);
         let info = analyze(plan, schema);
         let batch = ctx.batch.max(1);
-        let prep = match ctx.adaptive {
-            Some(_) => PrefixOutcome::default(),
-            None => prepare_shared_prefix(
+        let prep = match (ctx.adaptive.is_some(), wiring) {
+            (false, Wiring::Pull { elastic }) => prepare_shared_prefix(
                 plan,
                 schema,
                 &info,
                 &gateway,
-                ctx.elastic,
+                elastic,
                 ctx.materialize,
                 batch,
             ),
+            _ => PrefixOutcome::default(),
         };
-        let iter = compile_with(plan, schema, &info, &gateway, ctx.elastic, prep.override_op);
-        let splicer = ctx.adaptive.map(|adaptive| {
+        let (iter, mut stages) =
+            compile_with(plan, schema, &info, &gateway, wiring, prep.override_op);
+        let splicer = ctx.adaptive.map(|(cfg, replanner)| {
             Box::new(Splicer {
-                ctl: Controller::new(adaptive),
+                ctl: Controller::new((cfg, replanner)),
                 schema,
                 plan: plan.clone(),
-                elastic: ctx.elastic,
+                wiring,
                 emitted: Vec::new(),
                 skip: BTreeMap::new(),
             })
         });
-        Ok(TopKExecution {
+        let mut exec = TopKExecution {
             iter,
             gateway,
             query: Arc::clone(&plan.query),
@@ -268,7 +309,22 @@ impl<'a> TopKExecution<'a> {
             sub_result_hits: prep.sub_result_hits,
             sub_calls_saved: prep.calls_saved,
             splicer,
-        })
+        };
+        let mut executed = Vec::new();
+        while let Some(stage) = stages.get(executed.len()) {
+            stage.force(batch);
+            executed.push(stage.atom);
+            if exec.error().is_some() || executed.len() == stages.len() {
+                break;
+            }
+            if let Some(s) = exec.splicer.as_deref_mut() {
+                if let Some(plan) = s.ctl.consider(&s.plan, schema, &executed, &exec.gateway) {
+                    s.splice(plan, &exec.gateway, &mut exec.iter, &mut stages);
+                    executed.clear();
+                }
+            }
+        }
+        Ok(exec)
     }
 
     /// [`TopKExecution::start`] over a shared state under the positional
@@ -329,27 +385,7 @@ impl<'a> TopKExecution<'a> {
                     .ctl
                     .consider(&splicer.plan, splicer.schema, &[], &self.gateway)
             {
-                splicer.plan = new_plan;
-                let plan = &splicer.plan;
-                let info = analyze(plan, splicer.schema);
-                self.iter = compile_with(
-                    plan,
-                    splicer.schema,
-                    &info,
-                    &self.gateway,
-                    splicer.elastic,
-                    None,
-                );
-                // node indices changed: per-node stats restart under the
-                // spliced plan (the dropped tree's probes flushed into the
-                // old numbering just above, so this wipes them cleanly)
-                self.gateway.with(|g| g.reset_node_stats(plan.nodes.len()));
-                // the spliced stream replays from the start: skip exactly
-                // one instance of every binding already handed out
-                splicer.skip.clear();
-                for b in &splicer.emitted {
-                    *splicer.skip.entry(b.clone()).or_insert(0) += 1;
-                }
+                splicer.splice(new_plan, &self.gateway, &mut self.iter, &mut Vec::new());
             }
             let binding = self.iter.next_binding()?;
             if let Some(n) = splicer.skip.get_mut(&binding) {
@@ -382,7 +418,7 @@ impl<'a> TopKExecution<'a> {
     }
 
     /// The execution error that poisoned the stream, if any. Mirrors
-    /// the `Err` the materialised driver returns for the same plan.
+    /// the `Err` stage mode returns for the same plan.
     pub fn error(&self) -> Option<ExecError> {
         self.gateway.with(|g| g.error().cloned())
     }
@@ -410,6 +446,22 @@ impl<'a> TopKExecution<'a> {
             }
         }
         out
+    }
+
+    /// Every remaining answer, with no answer-boundary suspension point:
+    /// stage mode's end, once every stage has run.
+    pub(crate) fn drain(&mut self) -> Vec<Tuple> {
+        let mut rows = crate::operator::Batch::new();
+        drain_into(&mut self.iter, self.batch, &mut rows);
+        let query = self.splicer.as_ref().map_or(&self.query, |s| &s.plan.query);
+        rows.iter().map(|b| b.project_head(query)).collect()
+    }
+
+    /// The re-plan trail: re-plans performed and one event per re-plan.
+    pub(crate) fn into_replans(self) -> (u32, Vec<ReplanEvent>) {
+        self.splicer
+            .map(|s| (s.ctl.replans, s.ctl.events))
+            .unwrap_or_default()
     }
 
     /// Request-responses forwarded to `id` so far.
@@ -478,7 +530,11 @@ impl<'a> TopKExecution<'a> {
     pub fn operator_stats(&mut self, plan: &Plan) -> Vec<mdq_obs::span::OperatorStats> {
         self.iter = Box::new(Source(std::iter::empty()));
         let mut stats = self.gateway.with(|g| g.node_stats().to_vec());
-        crate::operator::derive_rows_in(plan, &mut stats);
+        // `rows_in` is topology-derived: the `rows_out` of the inputs
+        for (i, node) in plan.nodes.iter().enumerate().take(stats.len()) {
+            let rows = node.inputs.iter().filter_map(|inp| stats.get(inp.0));
+            stats[i].rows_in = rows.map(|s| s.rows_out).sum();
+        }
         stats
     }
 }

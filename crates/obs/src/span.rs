@@ -268,6 +268,11 @@ pub struct OperatorStats {
     /// Simulated seconds this node's forwarded calls consumed (attempt
     /// latencies plus accounted backoff).
     pub sim_seconds: f64,
+    /// The seconds an invoke node's inputs forwarded, summed input by
+    /// input in input order: its busy time running one call at a time.
+    pub input_seconds: f64,
+    /// The most seconds any one input of an invoke node forwarded.
+    pub slowest_input: f64,
 }
 
 impl OperatorStats {
@@ -282,5 +287,7 @@ impl OperatorStats {
         self.sub_result_rows += other.sub_result_rows;
         self.retries += other.retries;
         self.sim_seconds += other.sim_seconds;
+        self.input_seconds += other.input_seconds;
+        self.slowest_input = self.slowest_input.max(other.slowest_input);
     }
 }

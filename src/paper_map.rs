@@ -78,7 +78,7 @@
 //! | wrapped services, profiles (Table 1) | [`travel_world`](mdq_services::domains::travel::travel_world), `mdq-bench::experiments::table1` |
 //! | plans S / P / O, cache matrix (Fig. 11) | `mdq-bench::experiments::fig11` |
 //! | answer screenshot (Fig. 10) | [`result_table`](mdq_exec::results::result_table) |
-//! | multithreading test | [`StageModel::ParallelDispatch`](mdq_exec::pipeline::StageModel): the [`pipeline::run`](mdq_exec::pipeline::run) stage loop under the parallel stage-time model |
+//! | multithreading test | [`StageModel::ParallelDispatch`](mdq_exec::pipeline::StageModel): [`pipeline::run`](mdq_exec::pipeline::run)'s stage mode with each invoke's input shuffled, timed by the parallel stage-time model |
 //! | protein/bibliographic domains | [`mdq_services::domains::protein`], [`mdq_services::domains::bibliography`] |
 //!
 //! ## §7 — Related work turned feature
@@ -138,7 +138,7 @@
 //! | when is the drift worth acting on | [`diverging_services`](mdq_cost::divergence::diverging_services) under an [`AdaptiveConfig`](mdq_cost::divergence::AdaptiveConfig) |
 //! | §5 "periodic re-estimation", without a sampling pass | [`refresh_profiles`](mdq_cost::divergence::refresh_profiles), [`Mdq::seed_profiles_from_observed`](mdq_core::Mdq::seed_profiles_from_observed) |
 //! | re-optimizing the unexecuted suffix (patterns/order/fetches of executed stages frozen) | [`reoptimize_suffix_in`](mdq_optimizer::replan::reoptimize_suffix_in), pinning executed positions in `mdq_optimizer::phase3::optimize_fetches_pinned` (crate-internal) |
-//! | suspension points + plan splice in the drivers | a re-planner in [`ExecContext::adaptive`](mdq_exec::ExecContext::adaptive): [`pipeline::run`](mdq_exec::pipeline::run) suspends after every invoke stage, [`TopKExecution`](mdq_exec::topk::TopKExecution) between answers |
+//! | suspension points + plan splice in the driver | a re-planner in [`ExecContext::adaptive`](mdq_exec::ExecContext::adaptive): one splice routine, reached after every forced invoke stage in [`pipeline::run`](mdq_exec::pipeline::run)'s stage mode and between answers in [`TopKExecution`](mdq_exec::topk::TopKExecution)'s pull mode |
 //! | a re-plan never repeats a paid-for call | the §5.1 [`PageCache`](mdq_exec::cache::PageCache) replay across splices (`tests/adaptive_replan.rs`) |
 //! | the optimizer-backed re-planner | [`OptimizerReplanner`](mdq_core::OptimizerReplanner), [`Mdq::run_adaptive`](mdq_core::Mdq::run_adaptive) |
 //! | serving policy, per-query accounting, plan publication | [`RuntimeConfig::adaptive`](mdq_runtime::server::RuntimeConfig), [`QueryStats::replans`](mdq_runtime::session::QueryStats), [`MetricsSnapshot::replans`](mdq_runtime::metrics::MetricsSnapshot) |

@@ -3,9 +3,11 @@
 //! rendering exactly `tests/golden/paper_figures.txt`.
 //!
 //! Every number in those renders is a call count or a virtual time, so
-//! the text is deterministic. The golden file was generated at the
-//! commit *before* the parallel-dispatch and adaptive entry points were
-//! folded into `pipeline::run`; regenerate it (only when a figure is
+//! the text is deterministic. The golden file was generated when
+//! `pipeline::run` still had parallel-dispatch and adaptive entry
+//! points of its own, and has held through each rewrite of the engine
+//! beneath it since, the stage-by-stage loop's replacement by the pull
+//! driver's stage mode included; regenerate it (only when a figure is
 //! meant to change) with `MDQ_WRITE_GOLDEN=1 cargo test --release
 //! --test paper_figures`.
 
